@@ -29,23 +29,19 @@ from .errors import (
     ZeroMeanCurvature,
 )
 from .symfunc import (
-    CurvatureVector,
-    SymMatrix,
     curvature_quotient,
     curvature_quotient_gradient,
     ek_derivative_eigen,
     ek_derivative_tensor,
     elementary_symmetric,
     gamma_cone_member,
-    jacobi_eigh,
     newton_maclaurin_gap,
     sigma_all,
 )
-from .sphere_grid import ScalarField, SphericalGrid, integrate, sphere_gradient, sphere_hessian
+from .sphere_grid import ScalarField, SphericalGrid
 from .geometry import (
     CurvatureField,
     StaticConvexityReport,
-    enclosed_volume,
     radial_geometry,
     radial_mean_curvature_direct,
     sphericity,
@@ -70,9 +66,7 @@ from .flows import (
     FlowTrace,
     SpeedProfile,
     estimate_decay_rate,
-    radial_flow_speed,
     run_flow,
-    support_flow_speed,
     validate_radial_profile,
     validate_support_profile,
 )

@@ -1,4 +1,4 @@
-"""Acceptance battery: the eleven desk-scale verification criteria.
+"""Acceptance battery: the thirteen desk-scale verification criteria.
 
 Each ``ac*`` function runs one criterion at its pinned configuration and
 tolerances and returns a CriterionResult with one pass/fail line per

@@ -185,7 +185,6 @@ def cmd_flow(cfg: dict, out_dir: Path, seed: int, force: bool) -> int:
     try:
         flow_config = FlowConfig(
             kind=kind,
-            n=n,
             k=cfg.get("k", 1),
             t_end=_require(run_cfg, "t_end", "run"),
             cfl=run_cfg.get("cfl", 0.2),

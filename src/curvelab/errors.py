@@ -48,7 +48,7 @@ class AssumptionViolated(CurveLabError):
 
 
 class StepCollapse(CurveLabError):
-    """Adaptive time step fell below dt_min.  Carries the partial trace."""
+    """No step from the current time succeeded.  Carries the partial trace."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)

@@ -50,13 +50,15 @@ from .errors import (
 from .functionals import monotone_quantities, quermassintegrals
 from .geometry import (
     CurvatureField,
+    _radial_pair,
+    _support_radii,
     radial_geometry,
     sphericity,
     static_convexity,
     support_geometry,
 )
 from .sphere_grid import ScalarField, SphericalGrid
-from .symfunc import sigma_all
+from .symfunc import sigma_pair, sigma_quotient
 
 __all__ = [
     "SpeedProfile",
@@ -66,8 +68,6 @@ __all__ = [
     "DecayFit",
     "validate_radial_profile",
     "validate_support_profile",
-    "radial_flow_speed",
-    "support_flow_speed",
     "run_flow",
     "estimate_decay_rate",
     "area_evolution_consistency",
@@ -317,42 +317,13 @@ def validate_support_profile(
 
 
 # ---------------------------------------------------------------------------
-# pointwise flow speeds (public operations on curvature fields)
-
-
-def radial_flow_speed(r: ScalarField, geom: CurvatureField, profile: SpeedProfile, n: int | None = None) -> ScalarField:
-    """Right-hand side dr/dt of the radial flow at the current geometry."""
-    n = geom.n if n is None else n
-    rv = r.values
-    v = rv / geom.support  # sqrt(1 + |grad r|^2 / r^2)
-    f = profile.f(rv)
-    fp = profile.df(rv)
-    speed = -(f * geom.H + n / (n - 1.0) * fp * v) * v
-    return ScalarField(r.grid, speed)
-
-
-def support_flow_speed(h: ScalarField, geom: CurvatureField, k: int) -> ScalarField:
-    """Right-hand side dh/dt = 1 - h E_k / E_{k-1} of the support flow."""
-    n = geom.n
-    sig = sigma_all(geom.kappa)
-    scale = float(np.abs(geom.kappa).max())
-    for i in range(1, k + 1):
-        ei = sig[..., i] / math.comb(n, i)
-        if ei.min() <= 1e-12 * (1.0 + scale**i):
-            raise ConeViolation(f"E_{i} nonpositive at a node; support speed undefined")
-    ek = sig[..., k] / math.comb(n, k)
-    ekm1 = sig[..., k - 1] / math.comb(n, k - 1)
-    return ScalarField(h.grid, 1.0 - h.values * ek / ekm1)
-
-
-# ---------------------------------------------------------------------------
 # stepper kernels
 
 _GEOM_ERRORS = (NotStarshaped, ConvexityLost, ConeViolation, DegenerateMetric)
 
 
 class _RadialKernel:
-    """Fused radial-flow evaluations; axisymmetric grids get a lean path."""
+    """Fused radial-flow evaluations: dr/dt = -(f H + n/(n-1) f' v) v."""
 
     monotone_name = "Q"
 
@@ -360,28 +331,12 @@ class _RadialKernel:
         self.grid = grid
         self.profile = profile
         self.n = n
-        self._axisym = grid.mode == "axisym"
 
     def speed(self, r: np.ndarray) -> np.ndarray:
-        if not np.all(np.isfinite(r)):
-            raise DegenerateMetric("radial state went non-finite during a step")
-        if r.min() <= 0.0:
-            raise NotStarshaped("radial function lost positivity during a step")
-        g, n = self.grid, self.n
-        if self._axisym:
-            r1 = g.d_theta(r)
-            r2 = g.d2_theta(r)
-            q = r1 * r1
-            rho2 = r * r + q
-            rho = np.sqrt(rho2)
-            H = (r * r + 2.0 * q - r * r2) / (rho2 * rho) + (n - 1) * (
-                1.0 - (r1 / r) * g.cot_t
-            ) / rho
-            v = rho / r
-        else:
-            geom = radial_geometry(ScalarField(g, r))
-            H = geom.H
-            v = r / geom.support
+        n = self.n
+        kappa1, kappa2, rho, _ = _radial_pair(self.grid, r)
+        H = kappa1 + (n - 1) * kappa2
+        v = rho / r  # sqrt(1 + |grad r|^2 / r^2)
         f = self.profile.f(r)
         fp = self.profile.df(r)
         return -(f * H + n / (n - 1.0) * fp * v) * v
@@ -389,7 +344,7 @@ class _RadialKernel:
     def stable_dt(self, r: np.ndarray, cfl: float) -> float:
         fmax = float(self.profile.f(r).max())
         dt = cfl * self.grid.min_spacing**2 * float(r.min()) ** 2 / (self.n * fmax)
-        if not self._axisym:
+        if self.grid.mode == "full-s2":
             # the zonal filter retains m <= 2 at the pole rows, whose discrete
             # eigenvalue exceeds the theta budget by up to ~1.6x; halve the
             # step so those modes stay inside the RK4 stability region
@@ -425,25 +380,10 @@ class _RadialKernel:
         return radial_geometry(ScalarField(self.grid, r))
 
 
-def _axisym_sigma(kap_m, kap_a, n: int, j: int):
-    """sigma_j of the curvature multiset {kap_m, kap_a x (n-1)} in closed form.
-
-    Splitting the j-subsets by whether they contain the meridional value:
-    sigma_j = C(n-1, j-1) kap_m kap_a^(j-1) + C(n-1, j) kap_a^j.
-    """
-    if j == 0:
-        return np.ones_like(kap_a)
-    first = math.comb(n - 1, j - 1) * kap_m * kap_a ** (j - 1)
-    second = math.comb(n - 1, j) * kap_a**j if j <= n - 1 else 0.0
-    return first + second
-
-
 class _SupportKernel:
-    """Fused support-flow evaluations.
+    """Fused support-flow evaluations: dh/dt = 1 - h E_k / E_{k-1}.
 
-    Full-s2 grids use closed-form 2x2 radii; axisymmetric grids use the
-    meridional/azimuthal split, whose symmetric functions have the closed
-    form of _axisym_sigma, so both paths avoid per-step geometry rebuilds.
+    Works from the principal radii alone, so no step builds a full geometry.
     """
 
     monotone_name = "M_k"
@@ -453,56 +393,24 @@ class _SupportKernel:
         self.profile = profile
         self.n = n
         self.k = k
-        self._fast = grid.mode == "full-s2"
 
     def _radii(self, h: np.ndarray):
-        """Principal curvature radii; (rho_lo, rho_hi) on full-s2 grids and
-        (rho_merid, rho_azim) on axisymmetric ones."""
-        if not np.all(np.isfinite(h)):
-            raise DegenerateMetric("support state went non-finite during a step")
-        g = self.grid
-        eps = 1e-10 * (1.0 + float(np.abs(h).max()))
-        if self._fast:
-            h11, h12, h22 = g.hessian_components(h)
-            b11 = h11 + h
-            b22 = h22 + h
-            mean = 0.5 * (b11 + b22)
-            disc = np.sqrt(np.maximum(0.25 * (b11 - b22) ** 2 + h12**2, 0.0))
-            rho_lo = mean - disc
-            rho_hi = mean + disc
-            if rho_lo.min() <= eps:
-                raise ConvexityLost(
-                    f"convexity lost during a step (min radius {rho_lo.min():.4g})"
-                )
-            return rho_lo, rho_hi
-        hm, ha = g.hessian_components(h)
-        rho_m = hm + h
-        rho_a = ha + h
-        if min(rho_m.min(), rho_a.min()) <= eps:
-            raise ConvexityLost(
-                f"convexity lost during a step (min radius {min(rho_m.min(), rho_a.min()):.4g})"
-            )
-        return rho_m, rho_a
+        """Principal radii (rho1, rho2) of multiplicities 1 and n - 1."""
+        rho1, rho2, _ = _support_radii(self.grid, h)
+        return rho1, rho2
 
-    def _quotient(self, rho_1, rho_2):
-        """F = E_k / E_{k-1} of the principal curvatures from the radii."""
-        n, k = self.n, self.k
-        if self._fast:
-            if k == 1:
-                return 0.5 * (1.0 / rho_1 + 1.0 / rho_2)
-            return 2.0 / (rho_1 + rho_2)  # k = 2 = n
-        kap_m, kap_a = 1.0 / rho_1, 1.0 / rho_2
-        ek = _axisym_sigma(kap_m, kap_a, n, k) / math.comb(n, k)
-        ekm1 = _axisym_sigma(kap_m, kap_a, n, k - 1) / math.comb(n, k - 1)
-        return ek / ekm1
+    def _sigma(self, h: np.ndarray):
+        """Radii (rho1, rho2) and sigma_0..sigma_n of the principal curvatures."""
+        rho1, rho2 = self._radii(h)
+        return rho1, rho2, sigma_pair(1.0 / rho1, 1.0 / rho2, self.n)
 
     def speed(self, h: np.ndarray) -> np.ndarray:
-        rho_1, rho_2 = self._radii(h)
-        return 1.0 - h * self._quotient(rho_1, rho_2)
+        _, _, sig = self._sigma(h)
+        return 1.0 - h * sigma_quotient(sig, self.k)
 
     def stable_dt(self, h: np.ndarray, cfl: float) -> float:
-        rho_1, rho_2 = self._radii(h)
-        rho_min = min(float(rho_1.min()), float(rho_2.min()))
+        rho1, rho2 = self._radii(h)
+        rho_min = min(float(rho1.min()), float(rho2.min()))
         return (
             cfl * self.grid.min_spacing**2 * rho_min**2
             / (self.n * self.k * float(np.abs(h).max()))
@@ -514,32 +422,17 @@ class _SupportKernel:
         p = (self.n - self.k + 1.0) / (self.n - self.k)
         return self.profile.f(h) ** p
 
-    def _area_element(self, rho_1, rho_2):
-        if self._fast:
-            return rho_1 * rho_2
-        return rho_1 * rho_2 ** (self.n - 1)
-
-    def _sigma(self, rho_1, rho_2, j: int):
-        if self._fast:
-            if j == 0:
-                return 1.0
-            if j == 1:
-                return (rho_1 + rho_2) / (rho_1 * rho_2)
-            return 1.0 / (rho_1 * rho_2)
-        return _axisym_sigma(1.0 / rho_1, 1.0 / rho_2, self.n, j)
-
     def monotone_value(self, h: np.ndarray) -> float:
-        rho_1, rho_2 = self._radii(h)
-        dmu = self._area_element(rho_1, rho_2)
-        s = self._sigma(rho_1, rho_2, self.k - 1)
-        return float(np.sum(self.grid.weights * s * self._g_factor(h) * dmu))
+        rho1, rho2, sig = self._sigma(h)
+        dmu = rho1 * rho2 ** (self.n - 1)
+        return float(np.sum(self.grid.weights * sig[self.k - 1] * self._g_factor(h) * dmu))
 
     def conserved_value(self, h: np.ndarray) -> float:
-        rho_1, rho_2 = self._radii(h)
-        dmu = self._area_element(rho_1, rho_2)
+        rho1, rho2, sig = self._sigma(h)
+        dmu = rho1 * rho2 ** (self.n - 1)
         if self.k == 1:
             return float(np.sum(self.grid.weights * h * dmu))  # V_0 = int h dmu
-        e = self._sigma(rho_1, rho_2, self.k - 2) / math.comb(self.n, self.k - 2)
+        e = sig[self.k - 2] / math.comb(self.n, self.k - 2)
         return float(np.sum(self.grid.weights * e * dmu))
 
     def metrics(self, h: np.ndarray) -> dict:
@@ -559,27 +452,47 @@ class _SupportKernel:
         return support_geometry(ScalarField(self.grid, h))
 
 
+def _rk4_step(kernel, u: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of du/dt = kernel.speed(u).
+
+    On full-s2 grids the result passes the zonal filter, which strips the
+    pole-row modes the m^2 / sin^2(theta) factors would otherwise amplify.
+    """
+    k1 = kernel.speed(u)
+    k2 = kernel.speed(u + 0.5 * dt * k1)
+    k3 = kernel.speed(u + 0.5 * dt * k2)
+    k4 = kernel.speed(u + dt * k3)
+    new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if kernel.grid.mode == "full-s2":
+        new = kernel.grid.zonal_filter(new)
+    return new
+
+
 # ---------------------------------------------------------------------------
 # run configuration, trace, main loop
 
 
+# Adaptive stepping: the smallest step tried before StepCollapse, the
+# halvings spent on one monotonicity breach, and the relative growth of the
+# monitored integral that counts as a breach.
+_DT_MIN = 1e-12
+_MAX_HALVINGS = 40
+_MONO_REL_TOL = 1e-8
+
+
 @dataclass
 class FlowConfig:
-    """Run parameters for either flow."""
+    """Run parameters for either flow; the dimension n is the grid's."""
 
     kind: str                     # 'radial' | 'support'
     t_end: float
-    n: int | None = None          # defaults to the grid dimension
     k: int = 1                    # support flow only
     cfl: float = 0.2
     grad_tol: float = 1e-5        # radial convergence: max |grad r|
     hatf_tol: float = 5e-4        # radial convergence: |fhat(r_mean)|
     osc_tol: float = 1e-4         # support convergence: (h_max - h_min)/h_mean
     output_interval: float | None = None
-    dt_min: float = 1e-12
     dt_fixed: float | None = None
-    max_halvings: int = 40
-    mono_rel_tol: float = 1e-8
     force: bool = False
 
     def __post_init__(self):
@@ -589,8 +502,9 @@ class FlowConfig:
             raise ValueError("cfl must lie in (0, 0.5]")
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
-        for name in ("grad_tol", "hatf_tol", "osc_tol"):
-            if getattr(self, name) <= 0:
+        for name in ("grad_tol", "hatf_tol", "osc_tol", "output_interval", "dt_fixed"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -717,9 +631,7 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
     to recorded warnings for monotonicity-only studies.
     """
     grid = initial.grid
-    n = config.n or grid.n
-    if n != grid.n:
-        raise ValueError("config.n disagrees with the grid dimension")
+    n = grid.n
     if config.kind == "support" and not 1 <= config.k <= n:
         raise ValueError(f"support flow needs 1 <= k <= n, got k = {config.k}")
     if profile is None:
@@ -767,13 +679,6 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
 
     trace.append(_diagnostic_row(kernel, state, 0.0, 0.0, config))
 
-    def rk4(u, dt):
-        k1 = kernel.speed(u)
-        k2 = kernel.speed(u + 0.5 * dt * k1)
-        k3 = kernel.speed(u + 0.5 * dt * k2)
-        k4 = kernel.speed(u + dt * k3)
-        return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
     status = "TimeExhausted"
     last_dt = 0.0
     while t < config.t_end - 1e-15:
@@ -784,24 +689,22 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
         halvings = 0
         while True:
             try:
-                new_state = rk4(state, dt)
-                if grid.mode == "full-s2":
-                    new_state = grid.zonal_filter(new_state)
+                new_state = _rk4_step(kernel, state, dt)
                 mono_new = kernel.monotone_value(new_state)
             except _GEOM_ERRORS as exc:
-                if config.dt_fixed is not None:
-                    raise StepCollapse(f"fixed step failed: {exc}", trace) from exc
-                dt *= 0.5
-                halvings += 1
-                if dt < config.dt_min:
-                    trace.status = "error:StepCollapse"
-                    raise StepCollapse(
-                        f"dt collapsed below {config.dt_min:g} at t = {t:.6g}: {exc}", trace
-                    ) from exc
-                continue
+                if config.dt_fixed is None and dt * 0.5 >= _DT_MIN:
+                    dt *= 0.5
+                    halvings += 1
+                    continue
+                trace.status = "error:StepCollapse"
+                trace.t_final = t
+                trace.meta["steps"] = steps
+                raise StepCollapse(
+                    f"step from t = {t:.6g} failed at dt = {dt:.3g}: {exc}", trace
+                ) from exc
             breach = mono_new - mono_prev
-            tol = config.mono_rel_tol * abs(mono_prev)
-            if breach > tol and config.dt_fixed is None and halvings < config.max_halvings and dt * 0.5 >= config.dt_min:
+            tol = _MONO_REL_TOL * abs(mono_prev)
+            if breach > tol and config.dt_fixed is None and halvings < _MAX_HALVINGS and dt * 0.5 >= _DT_MIN:
                 dt *= 0.5
                 halvings += 1
                 continue
@@ -889,7 +792,7 @@ def area_evolution_consistency(
     average of int H Phi dmu at the two endpoints.
     """
     grid = initial.grid
-    n = config.n or grid.n
+    n = grid.n
     if profile is None:
         profile = SpeedProfile.constant(1.0)
     if config.kind == "radial":
@@ -908,18 +811,10 @@ def area_evolution_consistency(
         w = grid.weights * geom.area_factor
         return float(np.sum(w * geom.H * phi)), geom.total_area()
 
-    # states are treated exactly as the integrator treats accepted states:
-    # on full-s2 grids the zonal filter strips pole-row noise that the
-    # m^2 / sin^2(theta) factors would otherwise amplify
+    # states are treated exactly as the integrator treats accepted states
     state = grid.zonal_filter(initial.values) if grid.mode == "full-s2" else initial.values
     dt = kernel.stable_dt(state, 1.0) / 10.0
-    k1 = kernel.speed(state)
-    k2 = kernel.speed(state + 0.5 * dt * k1)
-    k3 = kernel.speed(state + 0.5 * dt * k2)
-    k4 = kernel.speed(state + dt * k3)
-    new_state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if grid.mode == "full-s2":
-        new_state = grid.zonal_filter(new_state)
+    new_state = _rk4_step(kernel, state, dt)
 
     rate0, area0 = rate(state)
     rate1, area1 = rate(new_state)

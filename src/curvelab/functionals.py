@@ -44,10 +44,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConeViolation, NonpositiveDensity
+from .errors import NonpositiveDensity
 from .geometry import CurvatureField
 from .sphere_grid import ScalarField, sphere_area
-from .symfunc import sigma_all
+from .symfunc import require_cone, sigma_all
 
 __all__ = [
     "QuermassVector",
@@ -117,26 +117,15 @@ class DeficitReport:
         }
 
 
-def _sigma_of_kappa(geom: CurvatureField, k: int) -> np.ndarray:
-    """sigma_k of the principal curvatures, per node (sigma_0 = 1)."""
-    if k == 0:
-        return np.ones(geom.kappa.shape[:-1])
-    return sigma_all(geom.kappa)[..., k]
-
-
-def _normalized_e(geom: CurvatureField, k: int) -> np.ndarray:
-    return _sigma_of_kappa(geom, k) / math.comb(geom.n, k)
-
-
 def quermassintegrals(geom: CurvatureField) -> QuermassVector:
     """All quermassintegrals of the enclosed domain from one curvature field."""
     n = geom.n
     w = geom.grid.weights * geom.area_factor
-    sig = sigma_all(geom.kappa)
+    sig = geom.sigma
     values = np.empty(n + 2)
     values[0] = (n + 1) * geom.volume()
     for j in range(1, n + 2):
-        values[j] = float(np.sum(w * sig[..., j - 1])) / math.comb(n, j - 1)
+        values[j] = float(np.sum(w * sig[j - 1])) / math.comb(n, j - 1)
     return QuermassVector(values, n)
 
 
@@ -145,7 +134,7 @@ def _density_values(geom: CurvatureField, f) -> np.ndarray:
         f = f.values
     f = np.asarray(f, float)
     if f.ndim == 0:
-        f = np.full(geom.kappa.shape[:-1], float(f))
+        f = np.full(geom.grid.node_shape, float(f))
     if f.min() <= 0.0:
         raise NonpositiveDensity(f"density must be positive (min {f.min():.6g})")
     return f
@@ -153,7 +142,7 @@ def _density_values(geom: CurvatureField, f) -> np.ndarray:
 
 def _grad_components(geom: CurvatureField, grad_f):
     if grad_f is None:
-        zero = np.zeros(geom.kappa.shape[:-1])
+        zero = np.zeros(geom.grid.node_shape)
         return (zero,) if geom.grid.mode == "axisym" else (zero, zero)
     return tuple(np.asarray(g, float) for g in grad_f)
 
@@ -234,20 +223,12 @@ def michael_simon_deficit_k(
     f = _density_values(geom, f)
     grads = _grad_components(geom, grad_f)
 
-    # pointwise Garding cone check: E_i > 0 up to i = k at every node
-    sig = sigma_all(geom.kappa)
-    scale = float(np.abs(geom.kappa).max())
-    for i in range(1, k + 1):
-        ei = sig[..., i] / math.comb(n, i)
-        floor = 1e-12 * (1.0 + scale**i)
-        if ei.min() <= floor:
-            raise ConeViolation(
-                f"E_{i} <= {floor:.3g} at a node; kappa leaves Gamma_{k}^+"
-            )
+    sig = geom.sigma
+    require_cone(sig, float(np.abs((geom.kappa1, geom.kappa2)).max()), k)
 
     w = geom.grid.weights * geom.area_factor
-    sk = sig[..., k]
-    skm1 = sig[..., k - 1] if k >= 1 else np.ones_like(sk)
+    sk = sig[k]
+    skm1 = sig[k - 1]
     tgs = geom.tangential_grad_sq(grads)
     lhs = float(np.sum(w * np.sqrt(sk**2 * f**2 + skm1**2 * tgs)))
 
@@ -294,7 +275,7 @@ def monotone_quantities(geom: CurvatureField, f, k: int):
     f = _density_values(geom, f)
     w = geom.grid.weights * geom.area_factor
     q = float(np.sum(w * f ** (n / (n - 1.0))))
-    skm1 = _sigma_of_kappa(geom, k - 1)
+    skm1 = geom.sigma[k - 1]
     if k == n:
         if float(f.max() - f.min()) > 1e-12 * (1.0 + float(f.max())):
             raise ValueError("k = n requires a constant density")

@@ -16,10 +16,17 @@ lambda = g^(-1/2) h g^(-1/2), with the inverse square root in closed form
 
 which squares exactly to g^(-1).  Everything is evaluated per node in the
 orthonormal frame of the round metric, so e_ij = delta_ij throughout.
+
+Every surface here has two distinct principal values per node, of
+multiplicities 1 and n - 1 (the 2x2 eigenvalues on full-s2 grids, the
+meridional and azimuthal values on axisymmetric ones).  _radial_pair and
+_support_radii compute that pair once per parametrization for both grid
+modes; the geometry pipelines and the flow kernels build on them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -32,6 +39,7 @@ from .errors import (
     ZeroMeanCurvature,
 )
 from .sphere_grid import ScalarField, SphericalGrid
+from .symfunc import sigma_pair
 
 __all__ = [
     "CurvatureField",
@@ -41,7 +49,6 @@ __all__ = [
     "radial_mean_curvature_direct",
     "static_convexity",
     "sphericity",
-    "enclosed_volume",
     "centroid",
 ]
 
@@ -50,12 +57,14 @@ __all__ = [
 class CurvatureField:
     """Per-node extrinsic geometry of a hypersurface.
 
-    ``kappa`` holds the n principal curvatures sorted ascending (axisymmetric
-    bodies repeat the (n-1)-fold tangential curvature).  ``area_factor`` is
-    the area element relative to the grid quadrature weight, so that surface
-    integrals are ``grid.integrate(density * area_factor)``.  ``normal`` and
-    ``position`` are ambient vectors: (..., 3) on full-s2 grids and (N, 2)
-    meridian components (orbit direction, symmetry axis) on axisymmetric ones.
+    The principal curvatures are the pair ``kappa1`` (multiplicity 1) and
+    ``kappa2`` (multiplicity n - 1); on full-s2 grids they are the two
+    eigenvalues, on axisymmetric ones the meridional and azimuthal values.
+    ``area_factor`` is the area element relative to the grid quadrature
+    weight, so that surface integrals are ``grid.integrate(density *
+    area_factor)``.  ``normal`` and ``position`` are ambient vectors: (..., 3)
+    on full-s2 grids and (N, 2) meridian components (orbit direction,
+    symmetry axis) on axisymmetric ones.
     """
 
     grid: SphericalGrid
@@ -63,14 +72,34 @@ class CurvatureField:
     n: int
     scalar: np.ndarray          # defining field (r or h) at the nodes
     grad: tuple                 # orthonormal-frame gradient of the scalar
-    kappa: np.ndarray           # (..., n) ascending
-    H: np.ndarray               # mean curvature, sum of kappa_i
-    A2: np.ndarray              # |A|^2 = sum of kappa_i^2
+    kappa1: np.ndarray
+    kappa2: np.ndarray
     area_factor: np.ndarray
     support: np.ndarray         # <X, nu> per node
     normal: np.ndarray
     position: np.ndarray
     _metric_data: tuple = dataclass_field(repr=False, default=())
+
+    @property
+    def kappa(self) -> np.ndarray:
+        """(..., n) principal curvatures, ascending."""
+        parts = [self.kappa1] + [self.kappa2] * (self.n - 1)
+        return np.sort(np.stack(parts, axis=-1), axis=-1)
+
+    @property
+    def H(self) -> np.ndarray:
+        """Mean curvature, the sum of the principal curvatures."""
+        return self.kappa1 + (self.n - 1) * self.kappa2
+
+    @property
+    def A2(self) -> np.ndarray:
+        """|A|^2, the sum of the squared principal curvatures."""
+        return self.kappa1**2 + (self.n - 1) * self.kappa2**2
+
+    @property
+    def sigma(self) -> list:
+        """[sigma_0, ..., sigma_n] of the principal curvatures, per node."""
+        return sigma_pair(self.kappa1, self.kappa2, self.n)
 
     def tangential_grad_sq(self, grad_f) -> np.ndarray:
         """|grad^M f|^2 = g^{ij} (grad f)_i (grad f)_j from frame components.
@@ -149,22 +178,27 @@ class StaticConvexityReport:
     node_margins: np.ndarray
 
 
-def _check_finite(kind, *arrays):
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise DegenerateMetric(f"{kind} geometry produced non-finite entries")
+def _eig2(a11, a12, a22):
+    """Eigenvalues (lower, upper) of symmetric 2x2 matrices, in closed form."""
+    mean = 0.5 * (a11 + a22)
+    disc = np.sqrt(0.25 * (a11 - a22) ** 2 + a12**2)
+    return mean - disc, mean + disc
 
 
-def radial_geometry(field: ScalarField) -> CurvatureField:
-    """Full extrinsic geometry of the starshaped graph r(xi) xi."""
-    grid = field.grid
-    r = field.values
-    n = grid.n
+def _radial_pair(grid: SphericalGrid, r: np.ndarray):
+    """Principal curvature pair of the radial graph r(xi) xi.
+
+    Returns (kappa1, kappa2, rho, grad) with rho = sqrt(r^2 + |grad r|^2) and
+    grad the orthonormal-frame gradient of r.  Axisymmetric grids give the
+    meridional curvature and the (n-1)-fold azimuthal one; full-s2 grids the
+    eigenvalues of lambda = g^(-1/2) h g^(-1/2), ascending.
+    """
+    if not np.all(np.isfinite(r)):
+        raise DegenerateMetric("radial function has non-finite entries")
     if r.min() <= 0.0:
         raise NotStarshaped(
             f"radial function must be positive; min r = {r.min():.6g}"
         )
-
     if grid.mode == "axisym":
         r1 = grid.d_theta(r)
         r2 = grid.d2_theta(r)
@@ -173,31 +207,11 @@ def radial_geometry(field: ScalarField) -> CurvatureField:
         rho = np.sqrt(rho2)
         kap_m = (r * r + 2.0 * q - r * r2) / (rho2 * rho)
         kap_a = (1.0 - (r1 / r) * grid.cot_t) / rho
-        kappa = np.sort(
-            np.concatenate([kap_m[:, None], np.repeat(kap_a[:, None], n - 1, axis=1)], axis=1),
-            axis=1,
-        )
-        H = kap_m + (n - 1) * kap_a
-        A2 = kap_m**2 + (n - 1) * kap_a**2
-        area_factor = r ** (n - 1) * rho
-        support = r * r / rho
-        normal = np.stack(
-            [(r * grid.sin_t - r1 * grid.cos_t) / rho, (r * grid.cos_t + r1 * grid.sin_t) / rho],
-            axis=-1,
-        )
-        position = r[:, None] * grid.xi()
-        _check_finite("radial", kappa, H, area_factor)
-        return CurvatureField(
-            grid, "radial", n, r, (r1,), kappa, H, A2, area_factor, support,
-            normal, position, _metric_data=(rho,),
-        )
+        return kap_m, kap_a, rho, (r1,)
 
-    # full-s2
     d1, d2 = grid.gradient(r)
     h11, h12, h22 = grid.hessian_components(r)
-    q = d1 * d1 + d2 * d2
-    rho2 = r * r + q
-    rho = np.sqrt(rho2)
+    rho = np.sqrt(r * r + (d1 * d1 + d2 * d2))
 
     # second fundamental form (orthonormal frame of the round metric)
     b11 = (r * r + 2.0 * d1 * d1 - r * h11) / rho
@@ -213,30 +227,42 @@ def radial_geometry(field: ScalarField) -> CurvatureField:
     l11 = a * a * b11 + 2.0 * a * c * d1 * w1 + c * c * dw * d1 * d1
     l12 = a * a * b12 + a * c * (d1 * w2 + d2 * w1) + c * c * dw * d1 * d2
     l22 = a * a * b22 + 2.0 * a * c * d2 * w2 + c * c * dw * d2 * d2
+    kap_lo, kap_hi = _eig2(l11, l12, l22)
+    return kap_lo, kap_hi, rho, (d1, d2)
 
-    mean = 0.5 * (l11 + l22)
-    disc = np.sqrt(np.maximum(0.25 * (l11 - l22) ** 2 + l12**2, 0.0))
-    kappa = np.stack([mean - disc, mean + disc], axis=-1)
-    H = l11 + l22
-    A2 = kappa[..., 0] ** 2 + kappa[..., 1] ** 2
+
+def radial_geometry(field: ScalarField) -> CurvatureField:
+    """Full extrinsic geometry of the starshaped graph r(xi) xi."""
+    grid = field.grid
+    r = field.values
+    n = grid.n
+    kappa1, kappa2, rho, grad = _radial_pair(grid, r)
     area_factor = r ** (n - 1) * rho
     support = r * r / rho
+    position = r[..., None] * grid.xi()
 
-    xi = grid.xi()
-    e_theta, e_phi = grid.frame()
-    grad_ambient = d1[..., None] * e_theta + d2[..., None] * e_phi
-    normal = (r[..., None] * xi - grad_ambient) / rho[..., None]
-    position = r[..., None] * xi
-
-    # inverse metric components for tangential gradients
-    i11 = (1.0 - d1 * d1 / rho2) / (r * r)
-    i12 = (-d1 * d2 / rho2) / (r * r)
-    i22 = (1.0 - d2 * d2 / rho2) / (r * r)
-
-    _check_finite("radial", kappa, H, area_factor)
+    if grid.mode == "axisym":
+        (r1,) = grad
+        normal = np.stack(
+            [(r * grid.sin_t - r1 * grid.cos_t) / rho, (r * grid.cos_t + r1 * grid.sin_t) / rho],
+            axis=-1,
+        )
+        metric = (rho,)
+    else:
+        d1, d2 = grad
+        e_theta, e_phi = grid.frame()
+        grad_ambient = d1[..., None] * e_theta + d2[..., None] * e_phi
+        normal = (position - grad_ambient) / rho[..., None]
+        # inverse metric components for tangential gradients
+        rho2 = rho * rho
+        metric = (
+            (1.0 - d1 * d1 / rho2) / (r * r),
+            (-d1 * d2 / rho2) / (r * r),
+            (1.0 - d2 * d2 / rho2) / (r * r),
+        )
     return CurvatureField(
-        grid, "radial", n, r, (d1, d2), kappa, H, A2, area_factor, support,
-        normal, position, _metric_data=(i11, i12, i22),
+        grid, "radial", n, r, grad, kappa1, kappa2, area_factor, support,
+        normal, position, _metric_data=metric,
     )
 
 
@@ -275,68 +301,57 @@ def radial_mean_curvature_direct(field: ScalarField) -> np.ndarray:
     return (n - contract) / (r * np.sqrt(vv))
 
 
+def _support_radii(grid: SphericalGrid, h: np.ndarray):
+    """Principal radii of curvature of the body with support function h.
+
+    The radii are the eigenvalues of b = hess(h) + h e.  Returns
+    (rho1, rho2, b): rho1 has multiplicity 1 and rho2 multiplicity n - 1
+    (axisymmetric grids: meridional and azimuthal, b = (rho1, rho2));
+    on full-s2 grids they are the eigenvalues ascending and b holds the
+    frame components (b11, b12, b22).
+    """
+    scale = float(np.abs(h).max())  # NaN or inf when an entry is not finite
+    if not math.isfinite(scale):
+        raise DegenerateMetric("support function has non-finite entries")
+    hess = grid.hessian_components(h)
+    if grid.mode == "axisym":
+        b = (hess[0] + h, hess[1] + h)
+        rho1, rho2 = b
+    else:
+        b = (hess[0] + h, hess[1], hess[2] + h)
+        rho1, rho2 = _eig2(*b)
+    eps = 1e-10 * (1.0 + scale)
+    rho_min = min(float(rho1.min()), float(rho2.min()))
+    if rho_min <= eps:
+        raise ConvexityLost(
+            f"support Hessian b lost positivity (min radius {rho_min:.6g})"
+        )
+    return rho1, rho2, b
+
+
 def support_geometry(field: ScalarField) -> CurvatureField:
     """Extrinsic geometry of a strictly convex body from its support function."""
     grid = field.grid
     h = field.values
     n = grid.n
-    eps = 1e-10 * (1.0 + float(np.abs(h).max()))
-
+    rho1, rho2, b = _support_radii(grid, h)
+    grad = grid.gradient(h)
+    area_factor = rho1 * rho2 ** (n - 1)
+    normal = grid.xi()
     if grid.mode == "axisym":
-        h1 = grid.d_theta(h)
-        hess = grid.hessian_components(h)
-        rho_m = hess[0] + h
-        rho_a = hess[1] + h
-        rho_min = min(rho_m.min(), rho_a.min())
-        if rho_min <= eps:
-            raise ConvexityLost(
-                f"support Hessian b lost positivity (min radius {rho_min:.6g})"
-            )
-        kap_m = 1.0 / rho_m
-        kap_a = 1.0 / rho_a
-        kappa = np.sort(
-            np.concatenate([kap_m[:, None], np.repeat(kap_a[:, None], n - 1, axis=1)], axis=1),
-            axis=1,
-        )
-        H = kap_m + (n - 1) * kap_a
-        A2 = kap_m**2 + (n - 1) * kap_a**2
-        area_factor = rho_m * rho_a ** (n - 1)
+        (h1,) = grad
         position = np.stack(
             [h * grid.sin_t + h1 * grid.cos_t, h * grid.cos_t - h1 * grid.sin_t], axis=-1
         )
-        normal = grid.xi()
-        _check_finite("support", kappa, H, area_factor)
-        return CurvatureField(
-            grid, "support", n, h, (h1,), kappa, H, A2, area_factor, h,
-            normal, position, _metric_data=(rho_m, rho_a),
-        )
-
-    d1, d2 = grid.gradient(h)
-    h11, h12, h22 = grid.hessian_components(h)
-    b11 = h11 + h
-    b12 = h12
-    b22 = h22 + h
-    mean = 0.5 * (b11 + b22)
-    disc = np.sqrt(np.maximum(0.25 * (b11 - b22) ** 2 + b12**2, 0.0))
-    rho_lo = mean - disc
-    rho_hi = mean + disc
-    if rho_lo.min() <= eps:
-        raise ConvexityLost(
-            f"support Hessian b lost positivity (min radius {rho_lo.min():.6g})"
-        )
-    kappa = np.stack([1.0 / rho_hi, 1.0 / rho_lo], axis=-1)
-    H = kappa[..., 0] + kappa[..., 1]
-    A2 = kappa[..., 0] ** 2 + kappa[..., 1] ** 2
-    det = rho_lo * rho_hi
-    area_factor = det
-
-    xi = grid.xi()
-    e_theta, e_phi = grid.frame()
-    position = h[..., None] * xi + d1[..., None] * e_theta + d2[..., None] * e_phi
-    _check_finite("support", kappa, H, area_factor)
+        metric = b
+    else:
+        d1, d2 = grad
+        e_theta, e_phi = grid.frame()
+        position = h[..., None] * normal + d1[..., None] * e_theta + d2[..., None] * e_phi
+        metric = b + (area_factor,)
     return CurvatureField(
-        grid, "support", n, h, (d1, d2), kappa, H, A2, area_factor, h,
-        normal=xi, position=position, _metric_data=(b11, b12, b22, det),
+        grid, "support", n, h, grad, 1.0 / rho1, 1.0 / rho2, area_factor, h,
+        normal, position, _metric_data=metric,
     )
 
 
@@ -351,7 +366,7 @@ def static_convexity(field: CurvatureField) -> StaticConvexityReport:
         raise NonpositiveSupport(
             f"support value must be positive everywhere (min {h.min():.6g})"
         )
-    node_margins = field.kappa[..., 0] - 1.0 / h
+    node_margins = np.minimum(field.kappa1, field.kappa2) - 1.0 / h
     worst = np.unravel_index(int(np.argmin(node_margins)), node_margins.shape)
     return StaticConvexityReport(
         margin=float(node_margins.min()),
@@ -362,18 +377,11 @@ def static_convexity(field: CurvatureField) -> StaticConvexityReport:
 
 def sphericity(field: CurvatureField) -> float:
     """Umbilicity defect max(n |A|^2 / H^2 - 1); zero exactly on round spheres."""
-    scale = 1.0 + float(np.abs(field.kappa).max())
-    if np.any(np.abs(field.H) <= 1e-15 * scale):
+    scale = 1.0 + float(np.abs((field.kappa1, field.kappa2)).max())
+    H = field.H
+    if np.any(np.abs(H) <= 1e-15 * scale):
         raise ZeroMeanCurvature("mean curvature vanishes at a node")
-    return float(np.max(field.n * field.A2 / field.H**2 - 1.0))
-
-
-def enclosed_volume(field: ScalarField) -> float:
-    """Volume of a starshaped domain by the radial cone formula."""
-    if field.values.min() <= 0.0:
-        raise NotStarshaped("radial function must be positive")
-    n = field.grid.n
-    return field.grid.integrate(field.values ** (n + 1)) / (n + 1)
+    return float(np.max(field.n * field.A2 / H**2 - 1.0))
 
 
 def centroid(field: CurvatureField):

@@ -18,6 +18,8 @@ area-weighted centroid so that origin-dependent quantities are reproducible.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.special import eval_legendre, lpmv
 
@@ -138,20 +140,20 @@ def _mode_bank(grid: SphericalGrid, lmax: int):
     return modes
 
 
-_CONVEX_NORM_CACHE: dict = {}
+# rejection-sampling budget of the random generators
+_MAX_TRIES = 100
 
 
+@functools.lru_cache(maxsize=8)
 def _convexity_normalized_modes(grid: SphericalGrid, lmax: int):
     """Modes scaled so a unit coefficient perturbs the curvature radii by <= 1.
 
     The radii of h = 1 + sum a_i Y_i are the eigenvalues of
     I + sum a_i (hess Y_i + Y_i I); normalizing each mode by the sup of the
     eigenvalue range of (hess Y + Y I) keeps coefficient budgets meaningful
-    for convexity filtering.
+    for convexity filtering.  Cached per (grid, lmax); equal grids share an
+    entry.
     """
-    key = (id(grid), grid.mode, grid.node_shape, lmax)
-    if key in _CONVEX_NORM_CACHE:
-        return _CONVEX_NORM_CACHE[key]
     scaled = []
     for y in _mode_bank(grid, lmax):
         hess = grid.hessian_components(y)
@@ -162,8 +164,7 @@ def _convexity_normalized_modes(grid: SphericalGrid, lmax: int):
             disc = np.sqrt(0.25 * (hess[0] - hess[2]) ** 2 + hess[1] ** 2)
             bound = max(np.abs(mean + disc).max(), np.abs(mean - disc).max())
         scaled.append(y / max(bound, 1.0))
-    _CONVEX_NORM_CACHE[key] = scaled
-    return scaled
+    return tuple(scaled)
 
 
 def random_starshaped(
@@ -172,8 +173,6 @@ def random_starshaped(
     amp: float,
     base: float = 1.0,
     lmax: int = 4,
-    max_tries: int = 100,
-    recenter: bool = True,
 ) -> ScalarField:
     """Seeded random starshaped surface r = base (1 + sum a_i Y_i), a_i ~ U[-amp, amp].
 
@@ -182,7 +181,7 @@ def random_starshaped(
     area-weighted centroid twice, an O(amp^3) Steiner-point approximation.
     """
     modes = _mode_bank(grid, lmax)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         coeff = rng.uniform(-amp, amp, size=len(modes))
         r = base * (1.0 + sum(a * y for a, y in zip(coeff, modes)))
         if r.min() <= 0.05 * base:
@@ -192,23 +191,22 @@ def random_starshaped(
             geom = radial_geometry(field)
         except (NotStarshaped, ConvexityLost):
             continue
-        if recenter:
-            for _ in range(12):
-                c = centroid(geom)
-                if float(np.max(np.abs(c))) < 1e-9 * base:
-                    break
-                if grid.mode == "full-s2":
-                    shift = grid.xi() @ np.asarray(c)
-                else:
-                    shift = c * grid.cos_t
-                r = field.values - shift
-                if r.min() <= 0.05 * base:
-                    break
-                field = ScalarField(grid, r)
-                geom = radial_geometry(field)
+        for _ in range(12):
+            c = centroid(geom)
+            if float(np.max(np.abs(c))) < 1e-9 * base:
+                break
+            if grid.mode == "full-s2":
+                shift = grid.xi() @ np.asarray(c)
+            else:
+                shift = c * grid.cos_t
+            r = field.values - shift
+            if r.min() <= 0.05 * base:
+                break
+            field = ScalarField(grid, r)
+            geom = radial_geometry(field)
         if field.values.min() > 0.05 * base:
             return field
-    raise NotStarshaped(f"no valid starshaped sample after {max_tries} tries")
+    raise NotStarshaped(f"no valid starshaped sample after {_MAX_TRIES} tries")
 
 
 def random_convex_support(
@@ -217,22 +215,16 @@ def random_convex_support(
     amp: float,
     base: float = 1.0,
     lmax: int = 4,
-    max_tries: int = 100,
-    recenter: bool = True,
-    min_margin: float | None = None,
 ) -> ScalarField:
     """Seeded random strictly convex body via its support function.
 
     Modes are convexity-normalized (see _convexity_normalized_modes), so at
     amp < 1 most draws remain strictly convex; draws that still fail the
-    convexity (or optional static-convexity margin) filter are resampled.
-    ``min_margin`` demands static_convexity margin >= min_margin; note that
-    any positive threshold admits only round spheres.
+    convexity filter, before or after recentring at the centroid, are
+    resampled.
     """
-    from .geometry import static_convexity  # local import avoids cycle at import time
-
     modes = _convexity_normalized_modes(grid, lmax)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         coeff = rng.uniform(-amp, amp, size=len(modes))
         h = base * (1.0 + sum(a * y for a, y in zip(coeff, modes)))
         field = ScalarField(grid, h)
@@ -240,20 +232,17 @@ def random_convex_support(
             geom = support_geometry(field)
         except ConvexityLost:
             continue
-        if recenter:
-            c = centroid(geom)
-            if grid.mode == "full-s2":
-                h = h - grid.xi() @ np.asarray(c)
-            else:
-                h = h - c * grid.cos_t
-            field = ScalarField(grid, h)
-            try:
-                geom = support_geometry(field)
-            except ConvexityLost:
-                continue
+        c = centroid(geom)
+        if grid.mode == "full-s2":
+            h = h - grid.xi() @ np.asarray(c)
+        else:
+            h = h - c * grid.cos_t
+        field = ScalarField(grid, h)
+        try:
+            support_geometry(field)
+        except ConvexityLost:
+            continue
         if h.min() <= 0.0:
             continue
-        if min_margin is not None and static_convexity(geom).margin < min_margin:
-            continue
         return field
-    raise ConvexityLost(f"no valid convex sample after {max_tries} tries")
+    raise ConvexityLost(f"no valid convex sample after {_MAX_TRIES} tries")

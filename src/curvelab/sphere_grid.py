@@ -22,9 +22,6 @@ __all__ = [
     "SphericalGrid",
     "ScalarField",
     "sphere_area",
-    "sphere_gradient",
-    "sphere_hessian",
-    "integrate",
 ]
 
 
@@ -252,6 +249,9 @@ class SphericalGrid:
             and self.node_shape == other.node_shape
         )
 
+    def __hash__(self):
+        return hash((self.mode, self.n, self.node_shape))
+
     def __repr__(self):
         res = "x".join(str(s) for s in self.node_shape)
         return f"SphericalGrid({self.mode}, n={self.n}, {res})"
@@ -293,29 +293,3 @@ class ScalarField:
     def from_json(cls, text: str) -> "ScalarField":
         return cls.from_dict(json.loads(text))
 
-
-def sphere_gradient(field: ScalarField):
-    """Orthonormal-frame gradient of a field on the round sphere."""
-    return field.grid.gradient(field.values)
-
-
-def sphere_hessian(field: ScalarField) -> np.ndarray:
-    """Covariant Hessian, stacked.
-
-    full-s2: array (..., 2, 2); axisym: array (N_theta, 2) holding the
-    meridional and (n-1)-fold tangential components.
-    """
-    comps = field.grid.hessian_components(field.values)
-    if field.grid.mode == "full-s2":
-        h11, h12, h22 = comps
-        out = np.empty(field.grid.node_shape + (2, 2))
-        out[..., 0, 0] = h11
-        out[..., 0, 1] = out[..., 1, 0] = h12
-        out[..., 1, 1] = h22
-        return out
-    return np.stack(comps, axis=-1)
-
-
-def integrate(field: ScalarField) -> float:
-    """Quadrature of a density over the parameter sphere."""
-    return field.grid.integrate(field.values)

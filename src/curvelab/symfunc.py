@@ -7,83 +7,37 @@ F = E_k / E_{k-1} drives the curvature flows and is well behaved only inside
 the Garding cone Gamma_k^+ = {E_1 > 0, ..., E_k > 0}.
 
 Matrix arguments are handled through their eigenvalues: a symmetric operator
-is diagonalized with cyclic Jacobi rotations and derivative tensors are
-rotated back to the original frame.  Evaluation uses the product-expansion
-recurrence over entries, which is exact at the small dimensions (n <= 8)
-this package targets.
+is diagonalized with LAPACK ``eigh`` and derivative tensors are rotated back
+to the original frame.  Evaluation uses the product-expansion recurrence over
+entries, which is exact at the small dimensions (n <= 8) this package targets.
+
+Every surface the package builds has two distinct principal values per node,
+k1 of multiplicity 1 and k2 of multiplicity n - 1 (the two eigenvalues on
+S^2 grids, the meridional and azimuthal values on axisymmetric ones);
+sigma_pair gives their symmetric functions in closed form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConeViolation
 
 __all__ = [
-    "CurvatureVector",
-    "SymMatrix",
     "sigma_all",
+    "sigma_pair",
+    "sigma_quotient",
+    "require_cone",
     "elementary_symmetric",
     "ek_derivative_eigen",
     "ek_derivative_tensor",
     "curvature_quotient",
     "curvature_quotient_gradient",
     "gamma_cone_member",
-    "cone_threshold",
     "newton_maclaurin_gap",
-    "jacobi_eigh",
 ]
-
-
-@dataclass(frozen=True)
-class CurvatureVector:
-    """Ordered list of the n principal curvatures at a point."""
-
-    kappa: np.ndarray
-
-    def __post_init__(self):
-        k = np.asarray(self.kappa, dtype=float)
-        if k.ndim != 1 or k.size < 2:
-            raise ValueError("kappa must be a 1-d vector with n >= 2 entries")
-        if not np.all(np.isfinite(k)):
-            raise ValueError("kappa entries must be finite")
-        object.__setattr__(self, "kappa", k)
-
-    @property
-    def n(self) -> int:
-        return self.kappa.size
-
-
-@dataclass(frozen=True)
-class SymMatrix:
-    """Orthonormal-frame components of a symmetric curvature operator."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("entries must be finite")
-        if not np.array_equal(a, a.T):
-            raise ValueError("entries must be exactly symmetric")
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-def _as_kappa(kappa) -> np.ndarray:
-    return np.asarray(getattr(kappa, "kappa", kappa), dtype=float)
-
-
-def _as_matrix(a) -> np.ndarray:
-    return np.asarray(getattr(a, "entries", a), dtype=float)
 
 
 def sigma_all(kappa) -> np.ndarray:
@@ -92,7 +46,7 @@ def sigma_all(kappa) -> np.ndarray:
     Accepts batched input of shape (..., n) and returns shape (..., n + 1),
     so per-node curvature data can be reduced in one call.
     """
-    kappa = _as_kappa(kappa)
+    kappa = np.asarray(kappa, dtype=float)
     n = kappa.shape[-1]
     out = np.zeros(kappa.shape[:-1] + (n + 1,))
     out[..., 0] = 1.0
@@ -103,9 +57,60 @@ def sigma_all(kappa) -> np.ndarray:
     return out
 
 
+def sigma_pair(k1, k2, n: int) -> list:
+    """[sigma_0, ..., sigma_n] of the multiset {k1, k2 x (n-1)}, entrywise.
+
+    Splitting the j-subsets by whether they contain k1:
+    sigma_j = (C(n-1, j-1) k1 + C(n-1, j) k2) k2^(j-1).  Entry j is sigma_j,
+    as in the output of sigma_all for one curvature vector.  Unit and zero
+    factors are skipped, so n = 2 takes two array operations (the flow
+    kernels call this at every stage).
+    """
+    sig = [1.0]
+    for j in range(1, n + 1):
+        a, b = math.comb(n - 1, j - 1), math.comb(n - 1, j)
+        s = k1 if a == 1 else a * k1
+        if b:
+            s = s + (k2 if b == 1 else b * k2)
+        if j > 1:
+            s = s * (k2 if j == 2 else k2 ** (j - 1))
+        sig.append(s)
+    return sig
+
+
+def sigma_quotient(sig, k: int):
+    """F = E_k / E_{k-1} from sig[j] = sigma_j, j = 0..n."""
+    n = len(sig) - 1
+    return sig[k] / sig[k - 1] * (math.comb(n, k - 1) / math.comb(n, k))
+
+
+def require_cone(sig, scale: float, k: int) -> None:
+    """Raise ConeViolation unless E_i > 1e-12 (1 + scale^i) for i = 1..k everywhere.
+
+    ``sig[j]`` holds sigma_j, j = 0..n, at one node or over many; ``scale``
+    is max |kappa|, which makes the strictness floor of the Garding cone
+    Gamma_k^+ scale-aware.
+    """
+    n = len(sig) - 1
+    for i in range(1, k + 1):
+        floor = 1e-12 * (1.0 + scale**i)
+        if np.min(sig[i]) / math.comb(n, i) <= floor:
+            raise ConeViolation(f"E_{i} <= {floor:.3g}; kappa leaves Gamma_{k}^+")
+
+
+def _sigma_in_cone(kappa, k: int):
+    """(kappa, sigma_all(kappa)) for one curvature vector that must lie in Gamma_k^+."""
+    kappa = np.asarray(kappa, dtype=float)
+    if not 1 <= k <= kappa.size:
+        raise ValueError("k must satisfy 1 <= k <= n")
+    sig = sigma_all(kappa)
+    require_cone(sig, float(np.max(np.abs(kappa))), k)
+    return kappa, sig
+
+
 def elementary_symmetric(kappa, k: int):
     """Normalized E_k along the trailing axis; E_0 = 1, E_k = 0 for k > n."""
-    kappa = _as_kappa(kappa)
+    kappa = np.asarray(kappa, dtype=float)
     n = kappa.shape[-1]
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -120,7 +125,7 @@ def ek_derivative_eigen(kappa, k: int) -> np.ndarray:
 
     Equals C(n,k)^-1 * sigma_{k-1} of the remaining n-1 entries.
     """
-    kappa = _as_kappa(kappa)
+    kappa = np.asarray(kappa, dtype=float)
     n = kappa.shape[-1]
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
@@ -143,29 +148,17 @@ def ek_derivative_tensor(a, k: int) -> np.ndarray:
 
     to round-off.
     """
-    a = _as_matrix(a)
-    w, q = jacobi_eigh(a)
+    w, q = np.linalg.eigh(np.asarray(a, dtype=float))
     d = ek_derivative_eigen(w, k)
     return (q * d) @ q.T
 
 
-def cone_threshold(kappa, i: int) -> float:
-    """Scale-aware strictness floor for E_i > 0 tests."""
-    kappa = _as_kappa(kappa)
-    scale = float(np.max(np.abs(kappa))) if kappa.size else 0.0
-    return 1e-12 * (1.0 + scale**i)
-
-
 def gamma_cone_member(kappa, k: int) -> bool:
     """True iff E_i(kappa) > 0 for every i = 1..k (scale-aware strict)."""
-    kappa = _as_kappa(kappa)
-    n = kappa.size
-    if not 1 <= k <= n:
-        raise ValueError("k must satisfy 1 <= k <= n")
-    sig = sigma_all(kappa)
-    for i in range(1, k + 1):
-        if sig[i] / math.comb(n, i) <= cone_threshold(kappa, i):
-            return False
+    try:
+        _sigma_in_cone(kappa, k)
+    except ConeViolation:
+        return False
     return True
 
 
@@ -176,31 +169,19 @@ def curvature_quotient(kappa, k: int) -> float:
     ConeViolation outside the cone, where the quotient is undefined or
     numerically unstable.
     """
-    kappa = _as_kappa(kappa)
-    n = kappa.size
-    if not 1 <= k <= n:
-        raise ValueError("k must satisfy 1 <= k <= n")
-    if not gamma_cone_member(kappa, k):
-        raise ConeViolation(
-            f"kappa={kappa.tolist()} is outside Gamma_{k}^+; E_k/E_(k-1) undefined"
-        )
-    sig = sigma_all(kappa)
-    ek = sig[k] / math.comb(n, k)
-    ekm1 = sig[k - 1] / math.comb(n, k - 1)
-    return float(ek / ekm1)
+    _, sig = _sigma_in_cone(kappa, k)
+    return float(sigma_quotient(sig, k))
 
 
 def curvature_quotient_gradient(kappa, k: int) -> np.ndarray:
     """Per-eigenvalue gradient dF/dkappa_p of F = E_k / E_{k-1}."""
-    kappa = _as_kappa(kappa)
+    kappa, sig = _sigma_in_cone(kappa, k)
     n = kappa.size
-    if not gamma_cone_member(kappa, k):
-        raise ConeViolation(f"kappa={kappa.tolist()} is outside Gamma_{k}^+")
-    ek = elementary_symmetric(kappa, k)
     dk = ek_derivative_eigen(kappa, k)
     if k == 1:
         return dk
-    ekm1 = elementary_symmetric(kappa, k - 1)
+    ek = sig[k] / math.comb(n, k)
+    ekm1 = sig[k - 1] / math.comb(n, k - 1)
     dkm1 = ek_derivative_eigen(kappa, k - 1)
     return (dk * ekm1 - ek * dkm1) / ekm1**2
 
@@ -211,52 +192,12 @@ def newton_maclaurin_gap(kappa, k: int, m: int) -> float:
     Nonnegative on Gamma_k^+ for 1 <= k <= m, vanishing exactly when all
     entries of kappa coincide.
     """
-    kappa = _as_kappa(kappa)
-    n = kappa.size
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
-    if not gamma_cone_member(kappa, k):
-        raise ConeViolation(f"kappa={kappa.tolist()} is outside Gamma_{k}^+")
-    sig = sigma_all(kappa)
+    kappa, sig = _sigma_in_cone(kappa, k)
+    n = kappa.size
 
     def e(j):
         return sig[j] / math.comb(n, j) if j <= n else 0.0
 
     return float(e(k) * e(m) - e(m + 1) * e(k - 1))
-
-
-def jacobi_eigh(a, max_sweeps: int = 50):
-    """Eigen-decomposition of a small symmetric matrix by cyclic Jacobi.
-
-    Returns (w, q) with eigenvalues ascending and eigenvectors in the
-    columns of q.  Branch-free rotations keep full symmetric accuracy for
-    the n <= 8 operators this package works with.
-    """
-    a = np.array(_as_matrix(a), dtype=float, copy=True)
-    n = a.shape[0]
-    q = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), q
-    scale = np.max(np.abs(a)) + 1.0
-    for _ in range(max_sweeps):
-        off = math.sqrt(float(np.sum(np.tril(a, -1) ** 2)))
-        if off <= 1e-15 * scale:
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apr = a[p, r]
-                if abs(apr) <= 1e-18 * scale:
-                    continue
-                theta = (a[r, r] - a[p, p]) / (2.0 * apr)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.array([[c, -s], [s, c]])
-                a[[p, r], :] = rot @ a[[p, r], :]
-                a[:, [p, r]] = a[:, [p, r]] @ rot.T
-                q[:, [p, r]] = q[:, [p, r]] @ rot.T
-    w = a.diagonal().copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], q[:, order]

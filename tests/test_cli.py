@@ -61,6 +61,13 @@ def test_flow_missing_field_exit_64(tmp_path, capsys):
     assert "n" in err and "missing" in err
 
 
+def test_flow_zero_fixed_step_exit_64(tmp_path, capsys):
+    cfg = dict(RADIAL_CFG, run={"t_end": 0.1, "dt_fixed": 0})
+    path = write_config(tmp_path, "flow.json", cfg)
+    assert main(["flow", "--config", path, "--out", str(tmp_path / "run")]) == 64
+    assert "dt_fixed" in capsys.readouterr().err
+
+
 def test_flow_inadmissible_profile_needs_force(tmp_path):
     cfg = dict(RADIAL_CFG, profile={"kind": "constant", "value": 1.0, "domain": [0.5, 1.8]},
                run={"t_end": 0.05, "cfl": 0.4})

@@ -15,17 +15,15 @@ from curvelab import (
     SphericalGrid,
     SpeedProfile,
     estimate_decay_rate,
-    radial_flow_speed,
     radial_geometry,
     run_flow,
-    support_flow_speed,
     support_geometry,
     validate_radial_profile,
     validate_support_profile,
 )
-from curvelab.flows import area_evolution_consistency, _RadialKernel, _SupportKernel
+from curvelab.flows import area_evolution_consistency, _RadialKernel, _rk4_step, _SupportKernel
 from curvelab.shapes import random_convex_support, sphere_radial, sphere_support
-from curvelab.symfunc import ek_derivative_eigen, sigma_all
+from curvelab.symfunc import ek_derivative_eigen, elementary_symmetric, sigma_all
 
 
 # -- profiles and validators -----------------------------------------------------
@@ -96,23 +94,40 @@ def test_tabulated_profile_rejects_bad_tables():
 # -- pointwise speeds ---------------------------------------------------------------
 
 
+def radial_speed_oracle(field, profile):
+    """-(f H + n/(n-1) f' v) v with v = r / support, from the curvature field."""
+    geom = radial_geometry(field)
+    n, r = geom.n, field.values
+    v = r / geom.support
+    return -(profile.f(r) * geom.H + n / (n - 1.0) * profile.df(r) * v) * v
+
+
+def support_speed_oracle(field, k):
+    """1 - h E_k / E_{k-1} through the general sigma_all path."""
+    geom = support_geometry(field)
+    ek = elementary_symmetric(geom.kappa, k)
+    ekm1 = elementary_symmetric(geom.kappa, k - 1)
+    return 1.0 - field.values * ek / ekm1
+
+
+def support_speed(field, k):
+    return _SupportKernel(field.grid, SpeedProfile.constant(1.0), field.grid.n, k).speed(field.values)
+
+
 def test_radial_speed_sphere_examples():
     grid = SphericalGrid.axisym(2, 64)
     n = 2
     # stationary at the pinned radius
     prof = SpeedProfile.power_exp_pinned(n, 1.0)
-    r = sphere_radial(grid, 1.0)
-    speed = radial_flow_speed(r, radial_geometry(r), prof)
-    assert np.abs(speed.values).max() < 1e-12
+    speed = _RadialKernel(grid, prof, n).speed(sphere_radial(grid, 1.0).values)
+    assert np.abs(speed).max() < 1e-12
     # pure mean curvature rate for f = 1
-    r = sphere_radial(grid, 2.0)
-    speed = radial_flow_speed(r, radial_geometry(r), SpeedProfile.constant(1.0))
-    assert np.allclose(speed.values, -n / 2.0, atol=1e-10)
+    speed = _RadialKernel(grid, SpeedProfile.constant(1.0), n).speed(sphere_radial(grid, 2.0).values)
+    assert np.allclose(speed, -n / 2.0, atol=1e-10)
     # equality profile: every sphere stationary
+    kernel = _RadialKernel(grid, SpeedProfile.power(1.0 - n, domain=(0.5, 2.0)), n)
     for radius in (0.8, 1.0, 1.6):
-        r = sphere_radial(grid, radius)
-        speed = radial_flow_speed(r, radial_geometry(r), SpeedProfile.power(1.0 - n, domain=(0.5, 2.0)))
-        assert np.abs(speed.values).max() < 1e-12
+        assert np.abs(kernel.speed(sphere_radial(grid, radius).values)).max() < 1e-12
 
 
 def test_radial_speed_matches_sphere_ode_form():
@@ -120,28 +135,25 @@ def test_radial_speed_matches_sphere_ode_form():
     grid = SphericalGrid.axisym(2, 32)
     prof = SpeedProfile.power_exp_pinned(2, 1.0)
     for radius in (0.8, 1.3):
-        r = sphere_radial(grid, radius)
-        speed = radial_flow_speed(r, radial_geometry(r), prof)
+        speed = _RadialKernel(grid, prof, 2).speed(sphere_radial(grid, radius).values)
         expected = -2.0 * radius * float(prof.hat(radius, 2))
-        assert np.allclose(speed.values, expected, rtol=1e-12)
+        assert np.allclose(speed, expected, rtol=1e-12)
 
 
 def test_support_speed_sphere_stationary():
     for k in (1, 2):
         grid = SphericalGrid.full_s2(32, 64)
-        h = sphere_support(grid, 2.0)
-        speed = support_flow_speed(h, support_geometry(h), k)
-        assert np.abs(speed.values).max() < 1e-11
+        speed = support_speed(sphere_support(grid, 2.0), k)
+        assert np.abs(speed).max() < 1e-11
 
 
 def test_support_speed_translated_sphere():
     # h = R + <v, nu>, k = 1: speed is -<v, nu>/R
     grid = SphericalGrid.axisym(2, 96)
     radius, c = 1.0, 0.2
-    h = sphere_support(grid, radius, center=c)
-    speed = support_flow_speed(h, support_geometry(h), 1)
+    speed = support_speed(sphere_support(grid, radius, center=c), 1)
     expected = -c * grid.cos_t / radius
-    assert np.abs(speed.values - expected).max() < 1e-4
+    assert np.abs(speed - expected).max() < 1e-4
 
 
 def test_support_speed_contraction_identity_path():
@@ -150,7 +162,7 @@ def test_support_speed_contraction_identity_path():
     field = random_convex_support(grid, np.random.default_rng(8), amp=0.08)
     geom = support_geometry(field)
     for k in (1, 2):
-        direct = support_flow_speed(field, geom, k).values
+        direct = support_speed(field, k)
         kap = geom.kappa.reshape(-1, 2)
         h = geom.support.reshape(-1)
         dek = ek_derivative_eigen(kap, k)
@@ -163,26 +175,22 @@ def test_kernel_speed_matches_public_op():
     grid = SphericalGrid.axisym(2, 48)
     prof = SpeedProfile.power_exp_pinned(2, 1.0)
     vals = 1.0 + 0.15 * np.cos(2 * grid.theta)
-    field = ScalarField(grid, vals)
     kernel = _RadialKernel(grid, prof, 2)
-    public = radial_flow_speed(field, radial_geometry(field), prof)
-    assert np.abs(kernel.speed(vals) - public.values).max() < 1e-13
+    oracle = radial_speed_oracle(ScalarField(grid, vals), prof)
+    assert np.abs(kernel.speed(vals) - oracle).max() < 1e-13
 
     g2 = SphericalGrid.full_s2(24, 48)
     h = random_convex_support(g2, np.random.default_rng(3), amp=0.06)
     for k in (1, 2):
-        kernel = _SupportKernel(g2, SpeedProfile.constant(1.0), 2, k)
-        public = support_flow_speed(h, support_geometry(h), k)
-        assert np.abs(kernel.speed(h.values) - public.values).max() < 1e-12
+        assert np.abs(support_speed(h, k) - support_speed_oracle(h, k)).max() < 1e-12
 
-    # axisymmetric closed-form path, general n
+    # axisymmetric pair form, general n
     g3 = SphericalGrid.axisym(4, 64)
     h = random_convex_support(g3, np.random.default_rng(9), amp=0.05)
     geom = support_geometry(h)
     for k in (1, 2, 3, 4):
         kernel = _SupportKernel(g3, SpeedProfile.constant(1.0), 4, k)
-        public = support_flow_speed(h, geom, k)
-        assert np.abs(kernel.speed(h.values) - public.values).max() < 1e-12
+        assert np.abs(kernel.speed(h.values) - support_speed_oracle(h, k)).max() < 1e-12
         # conserved quermassintegral agrees with the geometry route
         from curvelab import quermassintegrals
         assert kernel.conserved_value(h.values) == pytest.approx(
@@ -406,11 +414,7 @@ def test_q_rate_matches_monotonicity_integrand():
         return -float(np.sum(w * f ** (1.0 / (n - 1.0)) * term**2))
 
     dt = kernel.stable_dt(r, 0.2)
-    k1 = kernel.speed(r)
-    k2 = kernel.speed(r + 0.5 * dt * k1)
-    k3 = kernel.speed(r + 0.5 * dt * k2)
-    k4 = kernel.speed(r + dt * k3)
-    r1 = r + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    r1 = _rk4_step(kernel, r, dt)
     fd = (q_value(r1) - q_value(r)) / dt
     predicted = 0.5 * (integrand(r) + integrand(r1))
     assert predicted < 0
@@ -456,6 +460,19 @@ def test_step_collapse_carries_partial_trace():
         run_flow(ScalarField(grid, 1.0 + 0.2 * np.cos(2 * grid.theta)), prof, config)
     assert err.value.trace is not None
     assert err.value.trace.rows
+    assert err.value.trace.status == "error:StepCollapse"
+
+
+def test_kernels_reject_non_finite_states():
+    from curvelab import DegenerateMetric
+
+    for grid in (SphericalGrid.axisym(3, 32), SphericalGrid.full_s2(16, 32)):
+        state = np.ones(grid.node_shape)
+        state.flat[5] = np.nan
+        with pytest.raises(DegenerateMetric):
+            _RadialKernel(grid, SpeedProfile.power_exp_pinned(grid.n, 1.0), grid.n).speed(state)
+        with pytest.raises(DegenerateMetric):
+            _SupportKernel(grid, SpeedProfile.constant(1.0), grid.n, 1).speed(state)
 
 
 def test_flow_config_validation():
@@ -465,3 +482,9 @@ def test_flow_config_validation():
         FlowConfig(kind="radial", t_end=-1.0)
     with pytest.raises(ValueError):
         FlowConfig(kind="banana", t_end=1.0)
+    # a zero fixed step never advances t; a negative output interval never
+    # passes the next output time
+    with pytest.raises(ValueError):
+        FlowConfig(kind="radial", t_end=1.0, dt_fixed=0.0)
+    with pytest.raises(ValueError):
+        FlowConfig(kind="radial", t_end=1.0, output_interval=-0.1)

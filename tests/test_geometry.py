@@ -11,7 +11,6 @@ from curvelab import (
     ConvexityLost,
     ScalarField,
     SphericalGrid,
-    enclosed_volume,
     radial_geometry,
     radial_mean_curvature_direct,
     sphericity,
@@ -31,6 +30,7 @@ from curvelab.shapes import (
     spheroid_support,
 )
 from curvelab.sphere_grid import sphere_area
+from curvelab.symfunc import sigma_all
 
 
 # -- round spheres, both parametrizations, both grid modes ---------------------
@@ -173,8 +173,6 @@ def test_mean_curvature_direct_formula_consistency():
 
 def test_minkowski_identity_on_convex_bodies():
     # int E_{k-1} dmu = int h E_k dmu at discretization order
-    from curvelab.symfunc import sigma_all
-
     for nt, tol in ((48, 6e-3), (96, 2e-3)):
         grid = SphericalGrid.axisym(2, nt)
         geom = radial_geometry(spheroid_radial(grid, 1.2, 1.0))
@@ -206,6 +204,12 @@ def test_curvature_field_internal_invariants():
     scale = 1.0 + np.abs(geom.H).max()
     assert np.abs(geom.H - geom.kappa.sum(axis=-1)).max() < 1e-9 * scale
     assert np.all(geom.A2 >= geom.H**2 / geom.n - 1e-12 * scale**2)
+    # the closed pair form of sigma_j against the general recurrence, on
+    # both grid modes and both parametrizations
+    axi = SphericalGrid.axisym(5, 48)
+    for g in (geom, support_geometry(random_convex_support(axi, np.random.default_rng(6), amp=0.1))):
+        general = sigma_all(g.kappa)
+        assert np.abs(np.stack(np.broadcast_arrays(*g.sigma), axis=-1) - general).max() < 1e-12 * np.abs(general).max()
 
 
 # -- static convexity -----------------------------------------------------------
@@ -260,13 +264,13 @@ def test_sphericity_values():
     assert sphericity(spheroid) >= -1e-12
 
 
-def test_enclosed_volume():
+def test_curvature_field_volume():
     grid = SphericalGrid.full_s2(32, 64)
-    assert enclosed_volume(sphere_radial(grid, 2.0)) == pytest.approx(4 / 3 * math.pi * 8, rel=1e-9)
+    assert radial_geometry(sphere_radial(grid, 2.0)).volume() == pytest.approx(4 / 3 * math.pi * 8, rel=1e-9)
     axi = SphericalGrid.axisym(3, 64)
-    assert enclosed_volume(sphere_radial(axi, 1.0)) == pytest.approx(math.pi**2 / 2, rel=1e-9)
+    assert radial_geometry(sphere_radial(axi, 1.0)).volume() == pytest.approx(math.pi**2 / 2, rel=1e-9)
     bumped = ScalarField(axi, 1.0 + 0.1 * np.cos(axi.theta))
-    vol = enclosed_volume(bumped)
+    vol = radial_geometry(bumped).volume()
     ball = lambda R: sphere_area(3) / 4 * R**4
     assert ball(0.9) < vol < ball(1.1)
 
@@ -276,7 +280,7 @@ def test_not_starshaped_raises():
     with pytest.raises(NotStarshaped):
         radial_geometry(ScalarField(grid, 0.5 - 1.0 * np.cos(grid.theta) ** 2))
     with pytest.raises(NotStarshaped):
-        enclosed_volume(ScalarField(grid, np.cos(grid.theta)))
+        radial_geometry(ScalarField(grid, np.cos(grid.theta)))
 
 
 def test_convexity_lost_raises():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from curvelab import ScalarField, SphericalGrid, integrate, sphere_gradient, sphere_hessian
+from curvelab import ScalarField, SphericalGrid
 from curvelab.sphere_grid import sphere_area
 
 
@@ -16,8 +16,7 @@ def test_area_values():
 
 def test_quadrature_exact_for_constants():
     for grid in (SphericalGrid.full_s2(24, 48), SphericalGrid.axisym(3, 64), SphericalGrid.axisym(5, 32)):
-        one = ScalarField(grid, np.ones(grid.node_shape))
-        assert integrate(one) == pytest.approx(sphere_area(grid.n), rel=1e-12)
+        assert grid.integrate(np.ones(grid.node_shape)) == pytest.approx(sphere_area(grid.n), rel=1e-12)
 
 
 def test_quadrature_cos_squared():
@@ -25,22 +24,21 @@ def test_quadrature_cos_squared():
     errs = []
     for nt in (48, 96):
         grid = SphericalGrid.full_s2(nt, 2 * nt)
-        f = ScalarField(grid, np.broadcast_to(grid.cos_t[:, None] ** 2, grid.node_shape).copy())
-        errs.append(abs(integrate(f) - 4 * math.pi / 3))
+        f = np.broadcast_to(grid.cos_t[:, None] ** 2, grid.node_shape)
+        errs.append(abs(grid.integrate(f) - 4 * math.pi / 3))
     assert errs[0] / (4 * math.pi / 3) < 1e-3
     assert math.log2(errs[0] / errs[1]) > 1.7
 
 
 def test_gradient_constant_field_is_zero():
     grid = SphericalGrid.full_s2(16, 32)
-    g = sphere_gradient(ScalarField(grid, np.full(grid.node_shape, 2.5)))
+    g = grid.gradient(np.full(grid.node_shape, 2.5))
     assert all(np.allclose(c, 0.0) for c in g)
 
 
 def test_gradient_cos_theta():
     grid = SphericalGrid.full_s2(64, 128)
-    f = ScalarField(grid, np.broadcast_to(grid.cos_t[:, None], grid.node_shape).copy())
-    gt, gp = sphere_gradient(f)
+    gt, gp = grid.gradient(np.broadcast_to(grid.cos_t[:, None], grid.node_shape).copy())
     assert np.allclose(gp, 0.0, atol=1e-13)
     err = np.abs(gt - (-grid.sin_t[:, None]))
     assert err.max() < 1e-3  # O(h^2) at h = pi/64
@@ -48,8 +46,7 @@ def test_gradient_cos_theta():
 
 def test_axisym_gradient_matches_analytic():
     grid = SphericalGrid.axisym(2, 128)
-    f = ScalarField(grid, grid.theta**2)
-    (gt,) = sphere_gradient(f)
+    (gt,) = grid.gradient(grid.theta**2)
     interior = (grid.theta > 0.3) & (grid.theta < math.pi - 0.3)
     assert np.abs(gt - 2 * grid.theta)[interior].max() < 5e-4
 
@@ -58,20 +55,19 @@ def test_hessian_eigenfunction_relation():
     # f = cos(theta) is a degree-1 harmonic: hess f = -f * (round metric)
     grid = SphericalGrid.full_s2(64, 128)
     ct = np.broadcast_to(grid.cos_t[:, None], grid.node_shape).copy()
-    hess = sphere_hessian(ScalarField(grid, ct))
-    assert np.abs(hess[..., 0, 0] + ct).max() < 2e-3
-    assert np.abs(hess[..., 1, 1] + ct).max() < 2e-3
-    assert np.abs(hess[..., 0, 1]).max() < 2e-3
+    h11, h12, h22 = grid.hessian_components(ct)
+    assert np.abs(h11 + ct).max() < 2e-3
+    assert np.abs(h22 + ct).max() < 2e-3
+    assert np.abs(h12).max() < 2e-3
 
 
 def test_hessian_constant_support_gives_round_radii():
     grid = SphericalGrid.full_s2(32, 64)
     r = 1.7
-    h = ScalarField(grid, np.full(grid.node_shape, r))
-    hess = sphere_hessian(h)
-    radii = hess + r * np.broadcast_to(np.eye(2), hess.shape)
-    assert np.allclose(radii[..., 0, 0], r, atol=1e-12)
-    assert np.allclose(radii[..., 1, 1], r, atol=1e-12)
+    h11, h12, h22 = grid.hessian_components(np.full(grid.node_shape, r))
+    assert np.allclose(h11 + r, r, atol=1e-12)
+    assert np.allclose(h22 + r, r, atol=1e-12)
+    assert np.allclose(h12, 0.0, atol=1e-12)
 
 
 def test_axisym_hessian_trace_is_laplacian():
@@ -125,7 +121,7 @@ def test_pole_robustness_low_order_harmonics():
     grid = SphericalGrid.full_s2(48, 96)
     for (ell, m) in [(1, 1), (2, 1), (2, 2), (3, 1)]:
         vals = harmonic_mode(grid, ell, m)
-        hess = sphere_hessian(ScalarField(grid, vals))
+        hess = np.asarray(grid.hessian_components(vals))
         # eigenvalue-style bound: components of hess(Y) for a degree-ell
         # harmonic normalized to sup 1 are bounded by ell (ell + 1)
         analytic_max = ell * (ell + 1)
@@ -160,6 +156,18 @@ def test_json_round_trip():
     assert data["mode"] == "axisym" and data["n"] == 4
     back2 = ScalarField.from_dict(data)
     assert np.allclose(back2.values, field2.values)
+
+
+def test_equal_grids_hash_equal_and_share_the_mode_cache():
+    from curvelab.shapes import _convexity_normalized_modes, random_convex_support
+
+    assert SphericalGrid.full_s2(16, 32) == SphericalGrid.full_s2(16, 32)
+    assert hash(SphericalGrid.full_s2(16, 32)) == hash(SphericalGrid.full_s2(16, 32))
+    assert hash(SphericalGrid.axisym(3, 16)) == hash(SphericalGrid.axisym(3, 16))
+    _convexity_normalized_modes.cache_clear()
+    for seed in range(50):
+        random_convex_support(SphericalGrid.axisym(2, 16), np.random.default_rng(seed), amp=0.05)
+    assert _convexity_normalized_modes.cache_info().currsize == 1
 
 
 def test_grid_validation():

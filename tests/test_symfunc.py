@@ -8,15 +8,12 @@ import pytest
 
 from curvelab import (
     ConeViolation,
-    CurvatureVector,
-    SymMatrix,
     curvature_quotient,
     curvature_quotient_gradient,
     ek_derivative_eigen,
     ek_derivative_tensor,
     elementary_symmetric,
     gamma_cone_member,
-    jacobi_eigh,
     newton_maclaurin_gap,
 )
 from curvelab.symfunc import sigma_all
@@ -261,26 +258,6 @@ def test_newton_maclaurin_cone_precondition():
 # -- helpers -------------------------------------------------------------------
 
 
-def test_jacobi_matches_lapack():
-    rng = np.random.default_rng(17)
-    for n in range(2, 9):
-        a = rng.standard_normal((n, n))
-        a = 0.5 * (a + a.T)
-        w, q = jacobi_eigh(a)
-        w_ref = np.linalg.eigvalsh(a)
-        assert np.allclose(w, w_ref, atol=1e-12 * (1 + np.abs(w_ref).max()))
-        assert np.allclose(q @ np.diag(w) @ q.T, a, atol=1e-12 * (1 + np.abs(a).max()))
-        assert np.allclose(q.T @ q, np.eye(n), atol=1e-13)
-
-
 def test_domain_type_validation():
-    with pytest.raises(ValueError):
-        CurvatureVector(np.array([1.0]))
-    with pytest.raises(ValueError):
-        CurvatureVector(np.array([1.0, np.inf]))
-    with pytest.raises(ValueError):
-        SymMatrix(np.array([[1.0, 2.0], [2.0 + 1e-15, 1.0]]))
-    vec = CurvatureVector(np.array([1.0, 2.0]))
-    assert elementary_symmetric(vec, 1) == pytest.approx(1.5)
-    mat = SymMatrix(np.eye(2))
-    assert np.allclose(ek_derivative_tensor(mat, 1), np.eye(2) / 2)
+    assert elementary_symmetric(np.array([1.0, 2.0]), 1) == pytest.approx(1.5)
+    assert np.allclose(ek_derivative_tensor(np.eye(2), 1), np.eye(2) / 2)
