@@ -33,6 +33,7 @@ from . import acceptance
 from .errors import ConfigError, CurveLabError, StepCollapse
 from .flows import FlowConfig, SpeedProfile, estimate_decay_rate, run_flow
 from .functionals import (
+    CALIBRATIONS,
     ball_quermass_inverse,
     michael_simon_deficit_H,
     michael_simon_deficit_k,
@@ -57,11 +58,24 @@ SCHEMA_VERSION = "curvelab/1"
 # configuration plumbing
 
 
-def _require(cfg: dict, field: str, path: str = ""):
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require(cfg: dict, field: str, path: str = "", integer: bool = False):
     here = f"{path}.{field}" if path else field
     if field not in cfg:
         raise ConfigError(here, f"missing required field {here!r}")
+    if integer and not _is_int(cfg[field]):
+        raise ConfigError(here, f"{here!r} must be an integer, got {cfg[field]!r}")
     return cfg[field]
+
+
+def _one_of(cfg: dict, field: str, default: str, allowed: tuple) -> str:
+    value = cfg.get(field, default)
+    if value not in allowed:
+        raise ConfigError(field, f"unknown {field} {value!r}; expected one of {allowed}")
+    return value
 
 
 def config_hash(cfg: dict) -> str:
@@ -82,10 +96,16 @@ def load_config(path: str) -> dict:
 def build_grid(cfg: dict) -> SphericalGrid:
     mode = _require(cfg, "mode", "grid")
     if mode == "axisym":
-        return SphericalGrid.axisym(_require(cfg, "n", "grid"), _require(cfg, "n_theta", "grid"))
-    if mode == "full-s2":
-        return SphericalGrid.full_s2(_require(cfg, "n_theta", "grid"), _require(cfg, "n_phi", "grid"))
-    raise ConfigError("grid.mode", f"unknown grid mode {mode!r}")
+        n, n_phi = _require(cfg, "n", "grid", integer=True), None
+    elif mode == "full-s2":
+        n, n_phi = 2, _require(cfg, "n_phi", "grid", integer=True)
+    else:
+        raise ConfigError("grid.mode", f"unknown grid mode {mode!r}")
+    n_theta = _require(cfg, "n_theta", "grid", integer=True)
+    try:
+        return SphericalGrid(mode, n, n_theta, n_phi)
+    except ValueError as exc:  # sizes the grid cannot take
+        raise ConfigError("grid", str(exc))
 
 
 def build_profile(cfg: dict | None) -> SpeedProfile | None:
@@ -176,8 +196,9 @@ def cmd_flow(cfg: dict, out_dir: Path, seed: int, force: bool) -> int:
     grid = build_grid(_require(cfg, "grid"))
     if grid.n != n:
         raise ConfigError("n", f"n = {n} disagrees with grid.n = {grid.n}")
-    if kind == "support" and not 1 <= cfg.get("k", 1) <= n:
-        raise ConfigError("k", f"support flow needs 1 <= k <= n, got k = {cfg.get('k')}")
+    k = cfg.get("k", 1)
+    if kind == "support" and not (_is_int(k) and 1 <= k <= n):
+        raise ConfigError("k", f"support flow needs an integer 1 <= k <= n, got k = {k!r}")
     rng = np.random.default_rng(seed)
     initial = build_initial(_require(cfg, "initial"), grid, rng, kind)
     profile = build_profile(cfg.get("profile"))
@@ -185,7 +206,7 @@ def cmd_flow(cfg: dict, out_dir: Path, seed: int, force: bool) -> int:
     try:
         flow_config = FlowConfig(
             kind=kind,
-            k=cfg.get("k", 1),
+            k=k,
             t_end=_require(run_cfg, "t_end", "run"),
             cfl=run_cfg.get("cfl", 0.2),
             grad_tol=run_cfg.get("grad_tol", 1e-5),
@@ -195,7 +216,7 @@ def cmd_flow(cfg: dict, out_dir: Path, seed: int, force: bool) -> int:
             dt_fixed=run_cfg.get("dt_fixed"),
             force=force,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError("run", str(exc))
 
     status = 1
@@ -287,12 +308,16 @@ def _verify_sample(args):
 
 
 def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
-    samples = _require(cfg, "samples")
+    samples = _require(cfg, "samples", integer=True)
     if samples < 1:
         raise ConfigError("samples", "need at least one sample")
-    k = cfg.get("k", 1)
     grid = build_grid(_require(cfg, "grid"))
-    calibration = cfg.get("calibration", "sphere-calibrated")
+    k = cfg.get("k", 1)
+    if not (_is_int(k) and 1 <= k <= grid.n - 1):
+        raise ConfigError("k", f"verify needs an integer 1 <= k <= n - 1 = {grid.n - 1}, got {k!r}")
+    calibration = _one_of(cfg, "calibration", "sphere-calibrated", CALIBRATIONS)
+    _one_of(cfg, "parametrization", "radial", ("radial", "support"))
+    _one_of(cfg, "functional", "H", ("H", "k"))
     jobs = [(i, cfg, grid, seed, k, calibration) for i in range(samples)]
     workers = _worker_count()
     if workers > 1:

@@ -21,12 +21,16 @@ M_k = int sigma_{k-1} f^((n-k+1)/(n-k)) dmu never increases when
 g = f^((n-k+1)/(n-k)) is convex and nondecreasing in h.
 
 Stepping is explicit RK4 with a parabolic step size
-dt = cfl * (min spacing)^2 * (min scale)^2 / (n * max coefficient); on any
-geometry error or monotonicity breach the step halves and retries, and
-breaches that survive the retry budget are recorded as events rather than
-aborting the run (transient discrete violations are diagnostics, not
-failures).  Full-s2 runs pass the state through the grid's zonal filter each
-step so the pole-convergent phi columns do not force their own step size.
+dt = cfl * (min spacing)^2 * (min scale)^2 / (n * max coefficient).  Each
+candidate state is assessed once: one gradient (radial) or one build of the
+principal radii (support) gives its monitored integral (Q or M_k), the stable
+step from it and the convergence test, so an accepted state hands its step
+size to the next step.  On any geometry error or monotonicity breach the
+step halves and retries, and breaches that survive the retry budget are
+recorded as events rather than aborting the run (transient discrete
+violations are diagnostics, not failures).  Full-s2 runs pass the state
+through the grid's zonal filter each step so the pole-convergent phi columns
+do not force their own step size.
 """
 
 from __future__ import annotations
@@ -217,9 +221,6 @@ class SupportProfileReport:
 
     ok: bool
     detail: str
-    worst_x: float | None = None
-    min_slope: float | None = None
-    min_convexity: float | None = None
 
 
 def validate_radial_profile(profile: SpeedProfile, n: int, interval=None, samples: int = 2001) -> float:
@@ -301,23 +302,18 @@ def validate_support_profile(
     tol1 = 1e-12 * (1.0 + float(np.abs(g1).max()))
     tol2 = 1e-12 * (1.0 + float(np.abs(g2).max()))
     if g1.min() < -tol1:
-        i = int(np.argmin(g1))
-        return SupportProfileReport(
-            False, f"g is decreasing near h = {xs[i]:.6g}", float(xs[i]),
-            float(g1.min()), float(g2.min()),
-        )
+        return SupportProfileReport(False, f"g is decreasing near h = {xs[np.argmin(g1)]:.6g}")
     if g2.min() < -tol2:
-        i = int(np.argmin(g2))
-        return SupportProfileReport(
-            False, f"g is concave near h = {xs[i]:.6g}", float(xs[i]),
-            float(g1.min()), float(g2.min()),
-        )
-    return SupportProfileReport(True, "g nondecreasing and convex", None,
-                                float(g1.min()), float(g2.min()))
+        return SupportProfileReport(False, f"g is concave near h = {xs[np.argmin(g2)]:.6g}")
+    return SupportProfileReport(True, "g nondecreasing and convex")
 
 
 # ---------------------------------------------------------------------------
 # stepper kernels
+#
+# A kernel evaluates one flow on one grid: ``speed`` is the right-hand side
+# of the RK4 stages, and ``assess`` reads a candidate state once and returns
+# (monotone integral, stable step from that state, converged).
 
 _GEOM_ERRORS = (NotStarshaped, ConvexityLost, ConeViolation, DegenerateMetric)
 
@@ -325,12 +321,11 @@ _GEOM_ERRORS = (NotStarshaped, ConvexityLost, ConeViolation, DegenerateMetric)
 class _RadialKernel:
     """Fused radial-flow evaluations: dr/dt = -(f H + n/(n-1) f' v) v."""
 
-    monotone_name = "Q"
-
-    def __init__(self, grid: SphericalGrid, profile: SpeedProfile, n: int):
+    def __init__(self, grid: SphericalGrid, profile: SpeedProfile, config: "FlowConfig"):
         self.grid = grid
         self.profile = profile
-        self.n = n
+        self.config = config
+        self.n = grid.n
 
     def speed(self, r: np.ndarray) -> np.ndarray:
         n = self.n
@@ -341,40 +336,30 @@ class _RadialKernel:
         fp = self.profile.df(r)
         return -(f * H + n / (n - 1.0) * fp * v) * v
 
-    def stable_dt(self, r: np.ndarray, cfl: float) -> float:
-        fmax = float(self.profile.f(r).max())
-        dt = cfl * self.grid.min_spacing**2 * float(r.min()) ** 2 / (self.n * fmax)
-        if self.grid.mode == "full-s2":
+    def assess(self, r: np.ndarray) -> tuple[float, float, bool]:
+        """(Q, stable dt, converged) from one gradient of r.
+
+        Q = int f^(n/(n-1)) dmu; the run has converged once max |grad r| <
+        grad_tol and |fhat(mean r)| < hatf_tol.
+        """
+        g, n, config = self.grid, self.n, self.config
+        q = sum(c * c for c in g.gradient(r))
+        f = self.profile.f(r)
+        dmu = r ** (n - 1) * np.sqrt(r * r + q)
+        value = float(np.sum(g.weights * f ** (n / (n - 1.0)) * dmu))
+        dt = config.cfl * g.min_spacing**2 * float(r.min()) ** 2 / (n * float(f.max()))
+        if g.mode == "full-s2":
             # the zonal filter retains m <= 2 at the pole rows, whose discrete
             # eigenvalue exceeds the theta budget by up to ~1.6x; halve the
             # step so those modes stay inside the RK4 stability region
             dt *= 0.5
-        return dt
-
-    def monotone_value(self, r: np.ndarray) -> float:
-        g, n = self.grid, self.n
-        grad = g.gradient(r)
-        q = sum(c * c for c in grad)
-        dmu = r ** (n - 1) * np.sqrt(r * r + q)
-        return float(np.sum(g.weights * self.profile.f(r) ** (n / (n - 1.0)) * dmu))
+        rmean = float(np.sum(g.weights * r) / np.sum(g.weights))
+        hat = abs(float(self.profile.hat(rmean, n)))
+        converged = float(np.sqrt(q).max()) < config.grad_tol and hat < config.hatf_tol
+        return value, dt, converged
 
     def conserved_value(self, r: np.ndarray) -> float | None:
         return None
-
-    def metrics(self, r: np.ndarray) -> dict:
-        g = self.grid
-        grad = g.gradient(r)
-        gmax = float(np.sqrt(sum(c * c for c in grad)).max())
-        rmean = float(np.sum(g.weights * r) / np.sum(g.weights))
-        return {
-            "grad_max": gmax,
-            "oscillation": float((r.max() - r.min()) / rmean),
-            "scalar_mean": rmean,
-        }
-
-    def converged(self, metrics: dict, config: "FlowConfig") -> bool:
-        hat = abs(float(self.profile.hat(metrics["scalar_mean"], self.n)))
-        return metrics["grad_max"] < config.grad_tol and hat < config.hatf_tol
 
     def geometry(self, r: np.ndarray) -> CurvatureField:
         return radial_geometry(ScalarField(self.grid, r))
@@ -386,13 +371,12 @@ class _SupportKernel:
     Works from the principal radii alone, so no step builds a full geometry.
     """
 
-    monotone_name = "M_k"
-
-    def __init__(self, grid: SphericalGrid, profile: SpeedProfile, n: int, k: int):
+    def __init__(self, grid: SphericalGrid, profile: SpeedProfile, config: "FlowConfig"):
         self.grid = grid
         self.profile = profile
-        self.n = n
-        self.k = k
+        self.config = config
+        self.n = grid.n
+        self.k = config.k
 
     def _radii(self, h: np.ndarray):
         """Principal radii (rho1, rho2) of multiplicities 1 and n - 1."""
@@ -408,24 +392,22 @@ class _SupportKernel:
         _, _, sig = self._sigma(h)
         return 1.0 - h * sigma_quotient(sig, self.k)
 
-    def stable_dt(self, h: np.ndarray, cfl: float) -> float:
-        rho1, rho2 = self._radii(h)
-        rho_min = min(float(rho1.min()), float(rho2.min()))
-        return (
-            cfl * self.grid.min_spacing**2 * rho_min**2
-            / (self.n * self.k * float(np.abs(h).max()))
-        )
+    def assess(self, h: np.ndarray) -> tuple[float, float, bool]:
+        """(M_k, stable dt, converged) from one build of the radii.
 
-    def _g_factor(self, h: np.ndarray):
-        if self.k == self.n:
-            return 1.0  # constant-profile regime; constant factors do not matter
-        p = (self.n - self.k + 1.0) / (self.n - self.k)
-        return self.profile.f(h) ** p
-
-    def monotone_value(self, h: np.ndarray) -> float:
+        M_k = int sigma_{k-1} g(h) dmu with g = f^((n-k+1)/(n-k)); the run has
+        converged once (max h - min h) / mean h < osc_tol.
+        """
+        g, n, k, config = self.grid, self.n, self.k, self.config
         rho1, rho2, sig = self._sigma(h)
-        dmu = rho1 * rho2 ** (self.n - 1)
-        return float(np.sum(self.grid.weights * sig[self.k - 1] * self._g_factor(h) * dmu))
+        # k = n admits constant profiles only, and constant factors do not matter
+        g_factor = 1.0 if k == n else self.profile.f(h) ** ((n - k + 1.0) / (n - k))
+        dmu = rho1 * rho2 ** (n - 1)
+        value = float(np.sum(g.weights * sig[k - 1] * g_factor * dmu))
+        rho_min = min(float(rho1.min()), float(rho2.min()))
+        dt = config.cfl * g.min_spacing**2 * rho_min**2 / (n * k * float(np.abs(h).max()))
+        hmean = float(np.sum(g.weights * h) / np.sum(g.weights))
+        return value, dt, float((h.max() - h.min()) / hmean) < config.osc_tol
 
     def conserved_value(self, h: np.ndarray) -> float:
         rho1, rho2, sig = self._sigma(h)
@@ -435,21 +417,16 @@ class _SupportKernel:
         e = sig[self.k - 2] / math.comb(self.n, self.k - 2)
         return float(np.sum(self.grid.weights * e * dmu))
 
-    def metrics(self, h: np.ndarray) -> dict:
-        g = self.grid
-        grad = g.gradient(h)
-        hmean = float(np.sum(g.weights * h) / np.sum(g.weights))
-        return {
-            "grad_max": float(np.sqrt(sum(c * c for c in grad)).max()),
-            "oscillation": float((h.max() - h.min()) / hmean),
-            "scalar_mean": hmean,
-        }
-
-    def converged(self, metrics: dict, config: "FlowConfig") -> bool:
-        return metrics["oscillation"] < config.osc_tol
-
     def geometry(self, h: np.ndarray) -> CurvatureField:
         return support_geometry(ScalarField(self.grid, h))
+
+
+def _kernel(grid: SphericalGrid, profile: SpeedProfile | None, config: "FlowConfig"):
+    """The stepper kernel of ``config.kind``; no profile means f = 1."""
+    if config.kind == "support" and not 1 <= config.k <= grid.n:
+        raise ValueError(f"support flow needs 1 <= k <= n, got k = {config.k}")
+    kernel = _RadialKernel if config.kind == "radial" else _SupportKernel
+    return kernel(grid, profile or SpeedProfile.constant(1.0), config)
 
 
 def _rk4_step(kernel, u: np.ndarray, dt: float) -> np.ndarray:
@@ -498,14 +475,12 @@ class FlowConfig:
     def __post_init__(self):
         if self.kind not in ("radial", "support"):
             raise ValueError(f"unknown flow kind {self.kind!r}")
-        if not 0.0 < self.cfl <= 0.5:
+        if not 0.0 < self.cfl <= 0.5:  # false for NaN and inf too
             raise ValueError("cfl must lie in (0, 0.5]")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
-        for name in ("grad_tol", "hatf_tol", "osc_tol", "output_interval", "dt_fixed"):
+        for name in ("t_end", "grad_tol", "hatf_tol", "osc_tol", "output_interval", "dt_fixed"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive")
+            if value is not None and not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -548,11 +523,6 @@ class FlowTrace:
     def values(self, key: str) -> np.ndarray:
         return np.asarray([row[key] for row in self.rows])
 
-    def append(self, row: dict):
-        if self.rows and row["t"] <= self.rows[-1]["t"]:
-            return  # keep time stamps strictly increasing
-        self.rows.append(row)
-
     def write_csv(self, path):
         import csv
 
@@ -587,12 +557,12 @@ class FlowTrace:
         return out
 
 
-def _diagnostic_row(kernel, state, t, dt, config) -> dict:
+def _diagnostic_row(kernel, state, t, dt) -> dict:
     geom = kernel.geometry(state)
     quermass = quermassintegrals(geom)
     f_vals = kernel.profile.f(state)
     try:
-        q_value, mk = monotone_quantities(geom, f_vals, config.k)
+        q_value, mk = monotone_quantities(geom, f_vals, kernel.config.k)
     except ValueError:
         q_value, _ = monotone_quantities(geom, f_vals, 1)
         mk = float("nan")
@@ -600,15 +570,16 @@ def _diagnostic_row(kernel, state, t, dt, config) -> dict:
         margin = static_convexity(geom).margin
     except CurveLabError:
         margin = float("nan")
-    metrics = kernel.metrics(state)
-    r_lo, r_hi, _ = geom.radius_stats()
+    weights = kernel.grid.weights
+    mean = float(np.sum(weights * state) / np.sum(weights))
+    r_lo, r_hi = geom.radius_stats()
     row = {
         "t": t,
         "dt": dt,
         "Q": q_value,
         "M_k": mk,
-        "grad_max": metrics["grad_max"],
-        "oscillation": metrics["oscillation"],
+        "grad_max": float(np.sqrt(sum(c * c for c in geom.grad)).max()),
+        "oscillation": float((state.max() - state.min()) / mean),
         "margin": margin,
         "sphericity": sphericity(geom),
         "r_min": r_lo,
@@ -632,10 +603,8 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
     """
     grid = initial.grid
     n = grid.n
-    if config.kind == "support" and not 1 <= config.k <= n:
-        raise ValueError(f"support flow needs 1 <= k <= n, got k = {config.k}")
-    if profile is None:
-        profile = SpeedProfile.constant(1.0)
+    kernel = _kernel(grid, profile, config)
+    profile = kernel.profile
 
     trace = FlowTrace(kind=config.kind, n=n, k=config.k)
     trace.meta["config"] = {
@@ -645,7 +614,6 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
     }
 
     if config.kind == "radial":
-        kernel = _RadialKernel(grid, profile, n)
         try:
             r_star = validate_radial_profile(profile, n)
             trace.meta["r_star"] = r_star
@@ -660,7 +628,6 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
         hi = max(r_star, float(r0.max())) if r_star is not None else float(r0.max())
         range_band = (lo - 1e-6 * hi, hi + 1e-6 * hi)
     else:
-        kernel = _SupportKernel(grid, profile, n, config.k)
         report = validate_support_profile(profile, n, config.k)
         trace.meta["profile_report"] = report.detail
         if not report.ok and not config.force:
@@ -672,25 +639,22 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
     state = grid.zonal_filter(initial.values) if grid.mode == "full-s2" else initial.values.copy()
     t = 0.0
     steps = 0
-    mono_prev = kernel.monotone_value(state)
+    mono_prev, dt_stable, _ = kernel.assess(state)
     conserved0 = kernel.conserved_value(state)
     output_interval = config.output_interval or config.t_end / 400.0
     next_output = output_interval
 
-    trace.append(_diagnostic_row(kernel, state, 0.0, 0.0, config))
+    trace.rows.append(_diagnostic_row(kernel, state, 0.0, 0.0))
 
     status = "TimeExhausted"
-    last_dt = 0.0
+    dt = 0.0
     while t < config.t_end - 1e-15:
-        if config.dt_fixed is not None:
-            dt = min(config.dt_fixed, config.t_end - t)
-        else:
-            dt = min(kernel.stable_dt(state, config.cfl), config.t_end - t)
+        dt = min(config.dt_fixed or dt_stable, config.t_end - t)
         halvings = 0
         while True:
             try:
                 new_state = _rk4_step(kernel, state, dt)
-                mono_new = kernel.monotone_value(new_state)
+                mono_new, dt_next, converged = kernel.assess(new_state)
             except _GEOM_ERRORS as exc:
                 if config.dt_fixed is None and dt * 0.5 >= _DT_MIN:
                     dt *= 0.5
@@ -711,10 +675,8 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
             break
         if breach > tol:
             trace.breaches.append(BreachEvent(t + dt, "monotone", breach, breach / max(abs(mono_prev), 1e-300)))
-        state = new_state
-        mono_prev = mono_new
+        state, mono_prev, dt_stable = new_state, mono_new, dt_next
         t += dt
-        last_dt = dt
         steps += 1
 
         if range_band is not None:
@@ -724,16 +686,16 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
                     BreachEvent(t, "range", max(range_band[0] - rmin, rmax - range_band[1]), 0.0)
                 )
 
-        metrics = kernel.metrics(state)
         if t >= next_output - 1e-15:
-            trace.append(_diagnostic_row(kernel, state, t, dt, config))
+            trace.rows.append(_diagnostic_row(kernel, state, t, dt))
             while next_output <= t + 1e-15:
                 next_output += output_interval
-        if kernel.converged(metrics, config):
+        if converged:
             status = "Converged"
             break
 
-    trace.append(_diagnostic_row(kernel, state, t, last_dt, config))
+    if trace.rows[-1]["t"] < t:  # the last step was not an output row
+        trace.rows.append(_diagnostic_row(kernel, state, t, dt))
     trace.status = status
     trace.t_final = t
     trace.meta["steps"] = steps
@@ -792,13 +754,7 @@ def area_evolution_consistency(
     average of int H Phi dmu at the two endpoints.
     """
     grid = initial.grid
-    n = grid.n
-    if profile is None:
-        profile = SpeedProfile.constant(1.0)
-    if config.kind == "radial":
-        kernel = _RadialKernel(grid, profile, n)
-    else:
-        kernel = _SupportKernel(grid, profile, n, config.k)
+    kernel = _kernel(grid, profile, config)
 
     def rate(u):
         geom = kernel.geometry(u)
@@ -813,7 +769,7 @@ def area_evolution_consistency(
 
     # states are treated exactly as the integrator treats accepted states
     state = grid.zonal_filter(initial.values) if grid.mode == "full-s2" else initial.values
-    dt = kernel.stable_dt(state, 1.0) / 10.0
+    dt = kernel.assess(state)[1] / config.cfl / 10.0  # the step at cfl = 1, over 10
     new_state = _rk4_step(kernel, state, dt)
 
     rate0, area0 = rate(state)

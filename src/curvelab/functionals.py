@@ -172,6 +172,8 @@ def michael_simon_deficit_H(geom: CurvatureField, f, grad_f=None) -> DeficitRepo
     return DeficitReport(lhs, rhs, deficit, deficit / abs(rhs), 1, "mean-curvature")
 
 
+# the constant calibrations of michael_simon_deficit_k (module docstring)
+CALIBRATIONS = ("sphere-calibrated", "paper-literal")
 _CALIBRATION_CACHE: dict = {}
 
 
@@ -218,7 +220,7 @@ def michael_simon_deficit_k(
     n = geom.n
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n - 1")
-    if calibration not in ("sphere-calibrated", "paper-literal"):
+    if calibration not in CALIBRATIONS:
         raise ValueError(f"unknown calibration mode {calibration!r}")
     f = _density_values(geom, f)
     grads = _grad_components(geom, grad_f)

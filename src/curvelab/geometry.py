@@ -140,11 +140,10 @@ class CurvatureField:
             return self.grid.integrate(self.scalar ** (self.n + 1)) / (self.n + 1)
         return self.grid.integrate(self.support * self.area_factor) / (self.n + 1)
 
-    def radius_stats(self) -> tuple[float, float, float]:
-        """(min, max, area-weighted mean) of |X| over the surface."""
+    def radius_stats(self) -> tuple[float, float]:
+        """(min, max) of |X| over the surface."""
         rr = np.sqrt(np.sum(self.position**2, axis=-1))
-        w = self.grid.weights * self.area_factor
-        return float(rr.min()), float(rr.max()), float(np.sum(w * rr) / np.sum(w))
+        return float(rr.min()), float(rr.max())
 
     def summary(self) -> dict:
         return {

@@ -171,3 +171,38 @@ def test_report_subset(tmp_path, capsys):
 
 def test_config_file_missing(tmp_path, capsys):
     assert main(["flow", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 64
+
+
+VERIFY_CFG = {
+    "samples": 2,
+    "k": 1,
+    "parametrization": "radial",
+    "grid": {"mode": "axisym", "n": 2, "n_theta": 32},
+    "seed": 1,
+}
+
+
+@pytest.mark.parametrize("command, base, change", [
+    pytest.param("verify", VERIFY_CFG, {"k": 3}, id="verify-k-above-n-1"),
+    pytest.param("verify", VERIFY_CFG, {"k": 1.5}, id="verify-k-not-int"),
+    pytest.param("verify", VERIFY_CFG, {"calibration": "bogus"}, id="verify-calibration"),
+    pytest.param("verify", VERIFY_CFG, {"parametrization": "bogus"}, id="verify-parametrization"),
+    pytest.param("verify", VERIFY_CFG, {"functional": "bogus"}, id="verify-functional"),
+    pytest.param("verify", VERIFY_CFG, {"samples": 2.5}, id="verify-samples-not-int"),
+    pytest.param("verify", VERIFY_CFG, {"grid": {"mode": "axisym", "n": 2, "n_theta": 2}},
+                 id="verify-n-theta-too-small"),
+    pytest.param("flow", RADIAL_CFG, {"grid": {"mode": "axisym", "n": 2, "n_theta": "32"}},
+                 id="flow-n-theta-string"),
+    pytest.param("flow", RADIAL_CFG, {"n": 2.5, "grid": {"mode": "axisym", "n": 2.5, "n_theta": 32}},
+                 id="flow-n-not-int"),
+    pytest.param("flow", RADIAL_CFG, {"grid": {"mode": "full-s2", "n": 2, "n_theta": 16, "n_phi": 31}},
+                 id="flow-n-phi-odd"),
+    pytest.param("flow", RADIAL_CFG, {"kind": "support", "k": 1.5}, id="flow-k-not-int"),
+    pytest.param("flow", RADIAL_CFG, {"run": {"t_end": float("nan")}}, id="flow-t-end-nan"),
+])
+def test_malformed_config_exit_64(tmp_path, capsys, command, base, change):
+    # each must stop with a ConfigError before any work, not with an
+    # uncaught ValueError or TypeError, nor run an unknown parametrization
+    path = write_config(tmp_path, "cfg.json", dict(base, **change))
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 64
+    assert "configuration error" in capsys.readouterr().err

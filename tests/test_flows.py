@@ -110,8 +110,15 @@ def support_speed_oracle(field, k):
     return 1.0 - field.values * ek / ekm1
 
 
+RADIAL = FlowConfig(kind="radial", t_end=1.0)
+
+
+def support_config(k):
+    return FlowConfig(kind="support", k=k, t_end=1.0)
+
+
 def support_speed(field, k):
-    return _SupportKernel(field.grid, SpeedProfile.constant(1.0), field.grid.n, k).speed(field.values)
+    return _SupportKernel(field.grid, SpeedProfile.constant(1.0), support_config(k)).speed(field.values)
 
 
 def test_radial_speed_sphere_examples():
@@ -119,13 +126,13 @@ def test_radial_speed_sphere_examples():
     n = 2
     # stationary at the pinned radius
     prof = SpeedProfile.power_exp_pinned(n, 1.0)
-    speed = _RadialKernel(grid, prof, n).speed(sphere_radial(grid, 1.0).values)
+    speed = _RadialKernel(grid, prof, RADIAL).speed(sphere_radial(grid, 1.0).values)
     assert np.abs(speed).max() < 1e-12
     # pure mean curvature rate for f = 1
-    speed = _RadialKernel(grid, SpeedProfile.constant(1.0), n).speed(sphere_radial(grid, 2.0).values)
+    speed = _RadialKernel(grid, SpeedProfile.constant(1.0), RADIAL).speed(sphere_radial(grid, 2.0).values)
     assert np.allclose(speed, -n / 2.0, atol=1e-10)
     # equality profile: every sphere stationary
-    kernel = _RadialKernel(grid, SpeedProfile.power(1.0 - n, domain=(0.5, 2.0)), n)
+    kernel = _RadialKernel(grid, SpeedProfile.power(1.0 - n, domain=(0.5, 2.0)), RADIAL)
     for radius in (0.8, 1.0, 1.6):
         assert np.abs(kernel.speed(sphere_radial(grid, radius).values)).max() < 1e-12
 
@@ -135,7 +142,7 @@ def test_radial_speed_matches_sphere_ode_form():
     grid = SphericalGrid.axisym(2, 32)
     prof = SpeedProfile.power_exp_pinned(2, 1.0)
     for radius in (0.8, 1.3):
-        speed = _RadialKernel(grid, prof, 2).speed(sphere_radial(grid, radius).values)
+        speed = _RadialKernel(grid, prof, RADIAL).speed(sphere_radial(grid, radius).values)
         expected = -2.0 * radius * float(prof.hat(radius, 2))
         assert np.allclose(speed, expected, rtol=1e-12)
 
@@ -175,7 +182,7 @@ def test_kernel_speed_matches_public_op():
     grid = SphericalGrid.axisym(2, 48)
     prof = SpeedProfile.power_exp_pinned(2, 1.0)
     vals = 1.0 + 0.15 * np.cos(2 * grid.theta)
-    kernel = _RadialKernel(grid, prof, 2)
+    kernel = _RadialKernel(grid, prof, RADIAL)
     oracle = radial_speed_oracle(ScalarField(grid, vals), prof)
     assert np.abs(kernel.speed(vals) - oracle).max() < 1e-13
 
@@ -189,7 +196,7 @@ def test_kernel_speed_matches_public_op():
     h = random_convex_support(g3, np.random.default_rng(9), amp=0.05)
     geom = support_geometry(h)
     for k in (1, 2, 3, 4):
-        kernel = _SupportKernel(g3, SpeedProfile.constant(1.0), 4, k)
+        kernel = _SupportKernel(g3, SpeedProfile.constant(1.0), support_config(k))
         assert np.abs(kernel.speed(h.values) - support_speed_oracle(h, k)).max() < 1e-12
         # conserved quermassintegral agrees with the geometry route
         from curvelab import quermassintegrals
@@ -398,12 +405,12 @@ def test_q_rate_matches_monotonicity_integrand():
     # dQ/dt = -int f^(1/(n-1)) (f H + n/(n-1) f' v)^2 dmu within 5% at small dt
     grid = SphericalGrid.axisym(2, 128)
     prof = SpeedProfile.power_exp_pinned(2, 1.0)
-    kernel = _RadialKernel(grid, prof, 2)
+    kernel = _RadialKernel(grid, prof, RADIAL)
     r = 1.0 + 0.15 * np.cos(2 * grid.theta)
     n = 2
 
     def q_value(u):
-        return kernel.monotone_value(u)
+        return kernel.assess(u)[0]
 
     def integrand(u):
         geom = radial_geometry(ScalarField(grid, u))
@@ -413,12 +420,60 @@ def test_q_rate_matches_monotonicity_integrand():
         w = grid.weights * geom.area_factor
         return -float(np.sum(w * f ** (1.0 / (n - 1.0)) * term**2))
 
-    dt = kernel.stable_dt(r, 0.2)
+    dt = kernel.assess(r)[1]  # cfl 0.2
     r1 = _rk4_step(kernel, r, dt)
     fd = (q_value(r1) - q_value(r)) / dt
     predicted = 0.5 * (integrand(r) + integrand(r1))
     assert predicted < 0
     assert abs(fd - predicted) / abs(predicted) < 0.05
+
+
+def test_each_accepted_state_is_assessed_once(monkeypatch):
+    # a support step builds the radii for its four RK stages and one
+    # assessment, and takes no gradient outside the diagnostic rows; a radial
+    # step takes one gradient, in its assessment
+    from curvelab import flows
+
+    counts = {"radii": 0, "grad": 0}
+    in_row = [False]
+    radii, gradient, row = flows._support_radii, SphericalGrid.gradient, flows._diagnostic_row
+
+    def counted_radii(*args):
+        counts["radii"] += 1
+        return radii(*args)
+
+    def counted_gradient(self, v):
+        counts["grad"] += not in_row[0]
+        return gradient(self, v)
+
+    def flagged_row(*args):
+        in_row[0] = True
+        try:
+            return row(*args)
+        finally:
+            in_row[0] = False
+
+    s2 = SphericalGrid.full_s2(16, 32)
+    h0 = random_convex_support(s2, np.random.default_rng(2), amp=0.05)
+    axisym = SphericalGrid.axisym(2, 32)
+    r0 = ScalarField(axisym, 1.0 + 0.1 * np.cos(2 * axisym.theta))
+    monkeypatch.setattr(flows, "_support_radii", counted_radii)
+    monkeypatch.setattr(SphericalGrid, "gradient", counted_gradient)
+    monkeypatch.setattr(flows, "_diagnostic_row", flagged_row)
+
+    trace = run_flow(h0, None, FlowConfig(kind="support", k=2, t_end=0.05, output_interval=0.01))
+    steps = trace.meta["steps"]
+    assert steps > 10 and not trace.breaches
+    # the start assessment and the conserved integral at both ends, then 5
+    # per step; a halving would add 5 more
+    assert counts["radii"] == 5 * steps + 3
+    assert counts["grad"] == 1  # the start-up convexity check's geometry
+
+    counts["grad"] = 0
+    trace = run_flow(r0, SpeedProfile.power_exp_pinned(2, 1.0),
+                     FlowConfig(kind="radial", t_end=0.05, output_interval=0.01))
+    assert trace.meta["steps"] > 10
+    assert counts["grad"] == trace.meta["steps"] + 1
 
 
 def test_trace_timestamps_strictly_increasing():
@@ -470,9 +525,9 @@ def test_kernels_reject_non_finite_states():
         state = np.ones(grid.node_shape)
         state.flat[5] = np.nan
         with pytest.raises(DegenerateMetric):
-            _RadialKernel(grid, SpeedProfile.power_exp_pinned(grid.n, 1.0), grid.n).speed(state)
+            _RadialKernel(grid, SpeedProfile.power_exp_pinned(grid.n, 1.0), RADIAL).speed(state)
         with pytest.raises(DegenerateMetric):
-            _SupportKernel(grid, SpeedProfile.constant(1.0), grid.n, 1).speed(state)
+            _SupportKernel(grid, SpeedProfile.constant(1.0), support_config(1)).speed(state)
 
 
 def test_flow_config_validation():
@@ -488,3 +543,8 @@ def test_flow_config_validation():
         FlowConfig(kind="radial", t_end=1.0, dt_fixed=0.0)
     with pytest.raises(ValueError):
         FlowConfig(kind="radial", t_end=1.0, output_interval=-0.1)
+    # a NaN t_end would take no step, an infinite one would run until convergence
+    for name in ("t_end", "cfl", "grad_tol", "hatf_tol", "osc_tol", "output_interval", "dt_fixed"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                FlowConfig(**{"kind": "radial", "t_end": 1.0, name: bad})
