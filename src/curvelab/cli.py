@@ -197,8 +197,8 @@ def cmd_flow(cfg: dict, out_dir: Path, seed: int, force: bool) -> int:
     if grid.n != n:
         raise ConfigError("n", f"n = {n} disagrees with grid.n = {grid.n}")
     k = cfg.get("k", 1)
-    if kind == "support" and not (_is_int(k) and 1 <= k <= n):
-        raise ConfigError("k", f"support flow needs an integer 1 <= k <= n, got k = {k!r}")
+    if not (_is_int(k) and 1 <= k <= n):
+        raise ConfigError("k", f"{kind} flow needs an integer 1 <= k <= n, got k = {k!r}")
     rng = np.random.default_rng(seed)
     initial = build_initial(_require(cfg, "initial"), grid, rng, kind)
     profile = build_profile(cfg.get("profile"))

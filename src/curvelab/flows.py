@@ -423,8 +423,8 @@ class _SupportKernel:
 
 def _kernel(grid: SphericalGrid, profile: SpeedProfile | None, config: "FlowConfig"):
     """The stepper kernel of ``config.kind``; no profile means f = 1."""
-    if config.kind == "support" and not 1 <= config.k <= grid.n:
-        raise ValueError(f"support flow needs 1 <= k <= n, got k = {config.k}")
+    if not 1 <= config.k <= grid.n:
+        raise ValueError(f"{config.kind} flow needs 1 <= k <= n, got k = {config.k}")
     kernel = _RadialKernel if config.kind == "radial" else _SupportKernel
     return kernel(grid, profile or SpeedProfile.constant(1.0), config)
 
@@ -439,10 +439,7 @@ def _rk4_step(kernel, u: np.ndarray, dt: float) -> np.ndarray:
     k2 = kernel.speed(u + 0.5 * dt * k1)
     k3 = kernel.speed(u + 0.5 * dt * k2)
     k4 = kernel.speed(u + dt * k3)
-    new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if kernel.grid.mode == "full-s2":
-        new = kernel.grid.zonal_filter(new)
-    return new
+    return kernel.grid.zonal_filter(u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +460,7 @@ class FlowConfig:
 
     kind: str                     # 'radial' | 'support'
     t_end: float
-    k: int = 1                    # support flow only
+    k: int = 1                    # the M_k column; the support flow's E_k too
     cfl: float = 0.2
     grad_tol: float = 1e-5        # radial convergence: max |grad r|
     hatf_tol: float = 5e-4        # radial convergence: |fhat(r_mean)|
@@ -475,6 +472,8 @@ class FlowConfig:
     def __post_init__(self):
         if self.kind not in ("radial", "support"):
             raise ValueError(f"unknown flow kind {self.kind!r}")
+        if isinstance(self.k, bool) or not isinstance(self.k, int):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
         if not 0.0 < self.cfl <= 0.5:  # false for NaN and inf too
             raise ValueError("cfl must lie in (0, 0.5]")
         for name in ("t_end", "grad_tol", "hatf_tol", "osc_tol", "output_interval", "dt_fixed"):
@@ -636,7 +635,7 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
         trace.meta["initial_margin"] = static_convexity(geom0).margin
         range_band = None
 
-    state = grid.zonal_filter(initial.values) if grid.mode == "full-s2" else initial.values.copy()
+    state = grid.zonal_filter(initial.values).copy()  # final_state is never the caller's array
     t = 0.0
     steps = 0
     mono_prev, dt_stable, _ = kernel.assess(state)
@@ -768,7 +767,7 @@ def area_evolution_consistency(
         return float(np.sum(w * geom.H * phi)), geom.total_area()
 
     # states are treated exactly as the integrator treats accepted states
-    state = grid.zonal_filter(initial.values) if grid.mode == "full-s2" else initial.values
+    state = grid.zonal_filter(initial.values)
     dt = kernel.assess(state)[1] / config.cfl / 10.0  # the step at cfl = 1, over 10
     new_state = _rk4_step(kernel, state, dt)
 

@@ -142,8 +142,7 @@ def _density_values(geom: CurvatureField, f) -> np.ndarray:
 
 def _grad_components(geom: CurvatureField, grad_f):
     if grad_f is None:
-        zero = np.zeros(geom.grid.node_shape)
-        return (zero,) if geom.grid.mode == "axisym" else (zero, zero)
+        return tuple(np.zeros_like(g) for g in geom.grad)
     return tuple(np.asarray(g, float) for g in grad_f)
 
 

@@ -198,9 +198,9 @@ def _radial_pair(grid: SphericalGrid, r: np.ndarray):
         raise NotStarshaped(
             f"radial function must be positive; min r = {r.min():.6g}"
         )
+    grad, hess = grid._derivatives(r)
     if grid.mode == "axisym":
-        r1 = grid.d_theta(r)
-        r2 = grid.d2_theta(r)
+        (r1,), (r2, _) = grad, hess
         q = r1 * r1
         rho2 = r * r + q
         rho = np.sqrt(rho2)
@@ -208,8 +208,8 @@ def _radial_pair(grid: SphericalGrid, r: np.ndarray):
         kap_a = (1.0 - (r1 / r) * grid.cot_t) / rho
         return kap_m, kap_a, rho, (r1,)
 
-    d1, d2 = grid.gradient(r)
-    h11, h12, h22 = grid.hessian_components(r)
+    d1, d2 = grad
+    h11, h12, h22 = hess
     rho = np.sqrt(r * r + (d1 * d1 + d2 * d2))
 
     # second fundamental form (orthonormal frame of the round metric)
@@ -280,8 +280,7 @@ def radial_mean_curvature_direct(field: ScalarField) -> np.ndarray:
     n = grid.n
     if r.min() <= 0.0:
         raise NotStarshaped("radial function must be positive")
-    grad_r = grid.gradient(r)
-    hess_r = grid.hessian_components(r)
+    grad_r, hess_r = grid._derivatives(r)
     if grid.mode == "axisym":
         o1 = grad_r[0] / r
         oo = o1 * o1

@@ -4,10 +4,19 @@ Nodes sit at cell-centred colatitudes theta_j = (j + 1/2) * pi / N_theta, so
 no node touches a pole.  The full-S2 grid continues fields across the poles
 antipodally, f(-theta, phi) = f(theta, phi + pi); the axisymmetric profile
 uses even reflection, which is the antipodal rule restricted to zonal fields.
-All stencils are second-order centred differences.  Quadrature weights are
-sin^(n-1)(theta)-weighted cell areas rescaled so that the constant field 1
-integrates to the exact area of S^n; that exactness is what keeps round
-spheres free of quadrature bias in every downstream functional.
+
+Derivatives are second-order centred differences read by slices from one
+ghost-padded copy of the field per call.  The copy has one ghost row beyond
+each pole: on full-s2 grids it is the pole row itself turned half a turn,
+np.roll(row, n_phi // 2), the antipodal continuation; on axisymmetric grids
+it is the pole row unchanged.  Full-s2 copies also carry one periodic ghost
+column on each side, ghost rows included, so d/dphi is known on the ghost
+rows and its theta difference gives the mixed derivative across the poles.
+
+Quadrature weights are sin^(n-1)(theta)-weighted cell areas rescaled so that
+the constant field 1 integrates to the exact area of S^n; that exactness is
+what keeps round spheres free of quadrature bias in every downstream
+functional.
 """
 
 from __future__ import annotations
@@ -93,43 +102,46 @@ class SphericalGrid:
 
         self.weights = raw * (sphere_area(n) / raw.sum())
 
-    # -- finite differences -------------------------------------------------
-
-    def _pad_theta(self, v: np.ndarray) -> np.ndarray:
-        if self.mode == "full-s2":
-            shift = self.n_phi // 2
-            top = np.roll(v[0], shift)
-            bottom = np.roll(v[-1], shift)
-        else:
-            top = v[0]
-            bottom = v[-1]
-        return np.concatenate([top[None, ...], v, bottom[None, ...]], axis=0)
-
-    def d_theta(self, v: np.ndarray) -> np.ndarray:
-        p = self._pad_theta(np.asarray(v, float))
-        return (p[2:] - p[:-2]) / (2.0 * self.dtheta)
-
-    def d2_theta(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, float)
-        p = self._pad_theta(v)
-        return (p[2:] - 2.0 * v + p[:-2]) / self.dtheta**2
-
-    def d_phi(self, v: np.ndarray) -> np.ndarray:
-        if self.mode != "full-s2":
-            return np.zeros_like(v)
-        return (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * self.dphi)
-
-    def d2_phi(self, v: np.ndarray) -> np.ndarray:
-        if self.mode != "full-s2":
-            return np.zeros_like(v)
-        return (np.roll(v, -1, axis=1) - 2.0 * v + np.roll(v, 1, axis=1)) / self.dphi**2
-
-    def d_theta_phi(self, v: np.ndarray) -> np.ndarray:
-        if self.mode != "full-s2":
-            return np.zeros_like(v)
-        return self.d_theta(self.d_phi(v))
+        # flat node index of each entry of the ghost-padded copy: the pole
+        # rows repeat beyond the poles, turned half a turn on full-s2 grids,
+        # and the phi columns wrap
+        index = np.concatenate(([0], np.arange(self.n_theta), [self.n_theta - 1]))
+        if mode == "full-s2":
+            turn = np.zeros_like(index)
+            turn[[0, -1]] = self.n_phi // 2
+            cols = np.arange(-1, self.n_phi + 1)
+            index = index[:, None] * self.n_phi + (cols + turn[:, None]) % self.n_phi
+        self._ghost = index
 
     # -- differential operators on the round metric -------------------------
+
+    def _derivatives(self, v: np.ndarray, hessian: bool = True):
+        """(gradient, hessian_components) of v from one ghost-padded copy.
+
+        The Hessian is None when ``hessian`` is false.  Phi differences are
+        taken on the ghost rows too, so the theta difference of d/dphi
+        carries the antipodal continuation into the mixed derivative.
+        """
+        v = np.asarray(v, float)
+        p = v.take(self._ghost)
+        pt = p if self.mode == "axisym" else p[:, 1:-1]  # theta ghosts only
+        vt = (pt[2:] - pt[:-2]) / (2.0 * self.dtheta)
+        if self.mode == "axisym":
+            grad = (vt,)
+        else:
+            dp = (p[:, 2:] - p[:, :-2]) / (2.0 * self.dphi)
+            vp = dp[1:-1]
+            grad = (vt, vp / self._sin)
+        if not hessian:
+            return grad, None
+        vtt = (pt[2:] - 2.0 * v + pt[:-2]) / self.dtheta**2
+        if self.mode == "axisym":
+            return grad, (vtt, self._cot * vt)
+        vtp = (dp[2:] - dp[:-2]) / (2.0 * self.dtheta)
+        vpp = (p[1:-1, 2:] - 2.0 * v + p[1:-1, :-2]) / self.dphi**2
+        h12 = (vtp - self._cot * vp) / self._sin
+        h22 = vpp / self._sin**2 + self._cot * vt
+        return grad, (vtt, h12, h22)
 
     def gradient(self, v: np.ndarray):
         """Orthonormal-frame gradient components.
@@ -137,9 +149,7 @@ class SphericalGrid:
         full-s2: tuple (d/dtheta, d/dphi / sin theta); axisym: (d/dtheta,),
         the azimuthal components being identically zero.
         """
-        if self.mode == "full-s2":
-            return (self.d_theta(v), self.d_phi(v) / self._sin)
-        return (self.d_theta(v),)
+        return self._derivatives(v, hessian=False)[0]
 
     def hessian_components(self, v: np.ndarray):
         """Covariant Hessian in the orthonormal frame of the round metric.
@@ -149,20 +159,7 @@ class SphericalGrid:
         degenerate directions.  Christoffel terms of the round metric are
         included, so the trace is the sphere Laplacian.
         """
-        if self.mode == "full-s2":
-            vt = self.d_theta(v)
-            vp = self.d_phi(v)
-            h11 = self.d2_theta(v)
-            h12 = (self.d_theta(vp) - self._cot * vp) / self._sin
-            h22 = self.d2_phi(v) / self._sin**2 + self._cot * vt
-            return (h11, h12, h22)
-        return (self.d2_theta(v), self._cot * self.d_theta(v))
-
-    def laplacian(self, v: np.ndarray) -> np.ndarray:
-        h = self.hessian_components(v)
-        if self.mode == "full-s2":
-            return h[0] + h[2]
-        return h[0] + (self.n - 1) * h[1]
+        return self._derivatives(v)[1]
 
     def integrate(self, v) -> float:
         return float(np.sum(self.weights * np.asarray(v, float)))

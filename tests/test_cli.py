@@ -198,6 +198,9 @@ VERIFY_CFG = {
     pytest.param("flow", RADIAL_CFG, {"grid": {"mode": "full-s2", "n": 2, "n_theta": 16, "n_phi": 31}},
                  id="flow-n-phi-odd"),
     pytest.param("flow", RADIAL_CFG, {"kind": "support", "k": 1.5}, id="flow-k-not-int"),
+    pytest.param("flow", RADIAL_CFG, {"k": 1.5}, id="flow-radial-k-not-int"),
+    pytest.param("flow", RADIAL_CFG, {"k": 5}, id="flow-radial-k-above-n"),
+    pytest.param("flow", RADIAL_CFG, {"k": 0}, id="flow-radial-k-zero"),
     pytest.param("flow", RADIAL_CFG, {"run": {"t_end": float("nan")}}, id="flow-t-end-nan"),
 ])
 def test_malformed_config_exit_64(tmp_path, capsys, command, base, change):

@@ -537,6 +537,14 @@ def test_flow_config_validation():
         FlowConfig(kind="radial", t_end=-1.0)
     with pytest.raises(ValueError):
         FlowConfig(kind="banana", t_end=1.0)
+    for bad_k in (1.5, 2.0, True):
+        with pytest.raises(ValueError):
+            FlowConfig(kind="support", t_end=1.0, k=bad_k)
+    # both kinds need 1 <= k <= n; the radial k picks the M_k column
+    sphere = sphere_radial(SphericalGrid.axisym(2, 16), 1.0)
+    for kind, k in (("radial", 0), ("radial", 3), ("support", 0), ("support", 3)):
+        with pytest.raises(ValueError):
+            run_flow(sphere, None, FlowConfig(kind=kind, t_end=0.1, k=k))
     # a zero fixed step never advances t; a negative output interval never
     # passes the next output time
     with pytest.raises(ValueError):

@@ -116,6 +116,27 @@ def test_spheroid_radial_against_closed_form():
     assert rel.max() < 2e-3
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.9])
+def test_tilted_spheroid_radial_against_closed_form(alpha):
+    # off the grid axis the curvature needs the mixed derivative and the
+    # antipodal pole ghosts; at alpha = pi/2 mirrored ghosts would agree
+    c_axis, b_eq = 1.2, 1.0
+    axis = np.array([math.sin(alpha), 0.0, math.cos(alpha)])
+    l2, worst = [], []
+    for nt in (32, 64):
+        grid = SphericalGrid.full_s2(nt, 2 * nt)
+        theta = np.arccos(np.clip(grid.xi() @ axis, -1.0, 1.0))  # colatitude from the axis
+        r = 1.0 / np.sqrt(np.sin(theta) ** 2 / b_eq**2 + np.cos(theta) ** 2 / c_axis**2)
+        geom = radial_geometry(ScalarField(grid, r))
+        kap_m, kap_a = spheroid_curvatures_radial(theta, c_axis, b_eq)
+        lo, hi = np.minimum(kap_m, kap_a), np.maximum(kap_m, kap_a)
+        rel = np.maximum(np.abs(geom.kappa1 - lo) / lo, np.abs(geom.kappa2 - hi) / hi)
+        l2.append(math.sqrt(grid.integrate(rel**2)))
+        worst.append(rel.max())
+    assert worst[0] < 3e-2
+    assert math.log2(l2[0] / l2[1]) >= 1.7
+
+
 def test_spheroid_radial_axisym_mode_matches_full_grid():
     c_axis, b_eq = 1.2, 1.0
     full = radial_geometry(spheroid_radial(SphericalGrid.full_s2(64, 128), c_axis, b_eq))

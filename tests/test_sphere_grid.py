@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvelab import ScalarField, SphericalGrid
+from curvelab.shapes import harmonic_mode
 from curvelab.sphere_grid import sphere_area
 
 
@@ -74,8 +76,7 @@ def test_axisym_hessian_trace_is_laplacian():
     grid = SphericalGrid.axisym(4, 96)
     vals = np.cos(grid.theta)
     hess = grid.hessian_components(vals)
-    lap = grid.laplacian(vals)
-    assert np.allclose(hess[0] + (grid.n - 1) * hess[1], lap)
+    lap = hess[0] + (grid.n - 1) * hess[1]
     # degree-1 harmonic on S^n: laplacian = -n f
     interior = (grid.theta > 0.2) & (grid.theta < math.pi - 0.2)
     assert np.abs(lap + grid.n * vals)[interior].max() < 2e-3
@@ -85,11 +86,10 @@ def test_divergence_free_laplacian_integral():
     rng = np.random.default_rng(1)
     grid = SphericalGrid.full_s2(48, 96)
     vals = np.zeros(grid.node_shape)
-    from curvelab.shapes import harmonic_mode
-
     for (ell, m) in [(1, 0), (2, 1), (3, 2), (4, 1)]:
         vals += rng.uniform(-1, 1) * harmonic_mode(grid, ell, m)
-    lap = grid.laplacian(vals)
+    h11, _, h22 = grid.hessian_components(vals)
+    lap = h11 + h22
     norm = float(np.abs(vals).max())
     assert abs(grid.integrate(lap)) < 1e-8 * max(norm, 1.0)
 
@@ -107,7 +107,7 @@ def test_refinement_order_two(mode):
         else:
             grid = SphericalGrid.axisym(2, nt)
             vals = np.cos(grid.theta) ** 2
-            gt = grid.d_theta(vals)
+            (gt,) = grid.gradient(vals)
             errors.append(np.abs(gt + 2 * np.sin(grid.theta) * np.cos(grid.theta)).max())
     order1 = math.log2(errors[0] / errors[1])
     order2 = math.log2(errors[1] / errors[2])
@@ -115,9 +115,24 @@ def test_refinement_order_two(mode):
     assert 1.7 <= order2 <= 2.3
 
 
-def test_pole_robustness_low_order_harmonics():
-    from curvelab.shapes import harmonic_mode
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4).flatmap(lambda ell: st.tuples(st.just(ell), st.integers(0, ell))),
+       st.sampled_from(["cos", "sin"]))
+def test_laplacian_eigen_relation_order_two(mode, phase):
+    # trace(hess Y_lm) = -l(l+1) Y_lm, second order in the quadrature-weighted
+    # L2 norm; not in the max norm, where the pole rows are first order for odd m
+    ell, m = mode
+    errors = []
+    for nt in (32, 64):
+        grid = SphericalGrid.full_s2(nt, 2 * nt)
+        vals = harmonic_mode(grid, ell, m, phase)
+        h11, _, h22 = grid.hessian_components(vals)
+        err = h11 + h22 + ell * (ell + 1) * vals
+        errors.append(math.sqrt(grid.integrate(err**2)))
+    assert math.log2(errors[0] / errors[1]) >= 1.7
 
+
+def test_pole_robustness_low_order_harmonics():
     grid = SphericalGrid.full_s2(48, 96)
     for (ell, m) in [(1, 1), (2, 1), (2, 2), (3, 1)]:
         vals = harmonic_mode(grid, ell, m)
@@ -129,8 +144,6 @@ def test_pole_robustness_low_order_harmonics():
 
 
 def test_zonal_filter_keeps_smooth_fields():
-    from curvelab.shapes import harmonic_mode
-
     grid = SphericalGrid.full_s2(32, 64)
     vals = 1.0 + 0.3 * harmonic_mode(grid, 3, 2) + 0.2 * harmonic_mode(grid, 1, 1)
     filtered = grid.zonal_filter(vals)
