@@ -498,10 +498,17 @@ def ac8():
 
 def ac9():
     c = _Checker("AC-9 exponential decay")
-    trace = _ac5_run()["trace"]
-    fit = estimate_decay_rate(trace)
+    data = _ac5_run()
+    fit = estimate_decay_rate(data["trace"])
     c.check("positive rate", fit.gamma > 0.0, f"gamma = {fit.gamma:.3f} > 0")
     c.check("fit quality", fit.r_squared > 0.95, f"R^2 = {fit.r_squared:.5f} > 0.95")
+    # the even start's lowest non-radial mode, ell = 2, linearized about r*
+    p, n, ell, r = data["profile"], 2, 2, data["trace"].meta["r_star"]
+    dhat = (n - 1) * (p.df(r) / r**2 - 2 * p.f(r) / r**3) + p.d2f(r) / r - p.df(r) / r**2
+    rate = float(n / (n - 1) * r * dhat + p.f(r) * ell * (ell + n - 1) / r**2)
+    err = abs(fit.gamma / rate - 1.0)
+    c.check("linearized rate", err < 0.02, f"gamma = {fit.gamma:.3f} vs (n/(n-1)) r* fhat'(r*) + "
+            f"f(r*) l(l+n-1)/r*^2 = {rate:.3f}: rel error {err:.2%} < 2%")
     return c.done()
 
 
@@ -515,7 +522,7 @@ def ac10():
     out = area_evolution_consistency(data5["r0"], data5["profile"],
                                      FlowConfig(kind="radial", t_end=1.0))
     c.check("radial run", out["rel_error"] < 0.01,
-            f"rel error = {out['rel_error']:.2e} < 1e-2 at dt = stability/10")
+            f"rel error = {out['rel_error']:.2e} < 1e-2 at dt = Euler step/10")
 
     # support side on the k=1 run (the k=2 flow conserves area, so a relative
     # area-rate comparison is degenerate there); probed at the first trace

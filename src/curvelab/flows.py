@@ -20,17 +20,22 @@ stationary, the (k-1)-th quermassintegral is conserved, and
 M_k = int sigma_{k-1} f^((n-k+1)/(n-k)) dmu never increases when
 g = f^((n-k+1)/(n-k)) is convex and nondecreasing in h.
 
-Stepping is explicit RK4 with a parabolic step size
-dt = cfl * (min spacing)^2 * (min scale)^2 / (n * max coefficient).  Each
-candidate state is assessed once: one gradient (radial) or one build of the
-principal radii (support) gives its monitored integral (Q or M_k), the stable
-step from it and the convergence test, so an accepted state hands its step
-size to the next step.  On any geometry error or monotonicity breach the
-step halves and retries, and breaches that survive the retry budget are
-recorded as events rather than aborting the run (transient discrete
-violations are diagnostics, not failures).  Full-s2 runs pass the state
-through the grid's zonal filter each step so the pole-convergent phi columns
-do not force their own step size.
+Stepping.  One bound sizes both flows' explicit steps: the forward-Euler
+step cfl * 2 / (c_max * lambda_L), with lambda_L the grid's largest
+filtered-Laplacian eigenvalue and c_max the largest principal coefficient of
+the linearized speed (f / r^2 radial, h kappa_i^2 dF/dkappa_i support).
+Radial and fixed-step runs use RK4 at 2.785 / 2 times that step; RKL2's
+second-order time error would show on spheres, which the grid holds exactly.
+Adaptive support runs take RKL2 super-steps (Meyer, Balsara & Aslam, J.
+Comput. Phys. 257 (2014)) of up to one output interval and 16 stages, each
+covering (s^2 + s - 2) / 4 Euler steps with s speed evaluations.  Each
+candidate state is assessed once (one gradient or one build of the principal
+radii) for its monitored integral (Q or M_k), its Euler step and the
+convergence test.  On a geometry error or monotonicity breach the step halves
+and retries, and the next step is at most twice the accepted one; breaches
+that survive the retry budget are recorded as events, not failures.  Full-s2
+runs pass every stage through the zonal filter so the pole-convergent phi
+columns do not force their own step size.
 """
 
 from __future__ import annotations
@@ -312,8 +317,8 @@ def validate_support_profile(
 # stepper kernels
 #
 # A kernel evaluates one flow on one grid: ``speed`` is the right-hand side
-# of the RK4 stages, and ``assess`` reads a candidate state once and returns
-# (monotone integral, stable step from that state, converged).
+# of the stepper stages, and ``assess`` reads a candidate state once and
+# returns (monotone integral, forward-Euler step from that state, converged).
 
 _GEOM_ERRORS = (NotStarshaped, ConvexityLost, ConeViolation, DegenerateMetric)
 
@@ -337,7 +342,7 @@ class _RadialKernel:
         return -(f * H + n / (n - 1.0) * fp * v) * v
 
     def assess(self, r: np.ndarray) -> tuple[float, float, bool]:
-        """(Q, stable dt, converged) from one gradient of r.
+        """(Q, Euler dt, converged) from one gradient of r.
 
         Q = int f^(n/(n-1)) dmu; the run has converged once max |grad r| <
         grad_tol and |fhat(mean r)| < hatf_tol.
@@ -347,12 +352,7 @@ class _RadialKernel:
         f = self.profile.f(r)
         dmu = r ** (n - 1) * np.sqrt(r * r + q)
         value = float(np.sum(g.weights * f ** (n / (n - 1.0)) * dmu))
-        dt = config.cfl * g.min_spacing**2 * float(r.min()) ** 2 / (n * float(f.max()))
-        if g.mode == "full-s2":
-            # the zonal filter retains m <= 2 at the pole rows, whose discrete
-            # eigenvalue exceeds the theta budget by up to ~1.6x; halve the
-            # step so those modes stay inside the RK4 stability region
-            dt *= 0.5
+        dt = _euler_step(self, float(np.max(f / (r * r))))
         rmean = float(np.sum(g.weights * r) / np.sum(g.weights))
         hat = abs(float(self.profile.hat(rmean, n)))
         converged = float(np.sqrt(q).max()) < config.grad_tol and hat < config.hatf_tol
@@ -393,10 +393,13 @@ class _SupportKernel:
         return 1.0 - h * sigma_quotient(sig, self.k)
 
     def assess(self, h: np.ndarray) -> tuple[float, float, bool]:
-        """(M_k, stable dt, converged) from one build of the radii.
+        """(M_k, Euler dt, converged) from one build of the radii.
 
         M_k = int sigma_{k-1} g(h) dmu with g = f^((n-k+1)/(n-k)); the run has
-        converged once (max h - min h) / mean h < osc_tol.
+        converged once (max h - min h) / mean h < osc_tol.  The principal
+        coefficients h kappa_i^2 dF/dkappa_i take dF/dkappa from the sigma
+        pair: d sigma_j / d kappa1 = C(n-1, j-1) kappa2^(j-1), and d sigma_j /
+        d kappa2 is sigma_(j-1) of the curvatures less one kappa2.
         """
         g, n, k, config = self.grid, self.n, self.k, self.config
         rho1, rho2, sig = self._sigma(h)
@@ -404,8 +407,15 @@ class _SupportKernel:
         g_factor = 1.0 if k == n else self.profile.f(h) ** ((n - k + 1.0) / (n - k))
         dmu = rho1 * rho2 ** (n - 1)
         value = float(np.sum(g.weights * sig[k - 1] * g_factor * dmu))
-        rho_min = min(float(rho1.min()), float(rho2.min()))
-        dt = config.cfl * g.min_spacing**2 * rho_min**2 / (n * k * float(np.abs(h).max()))
+        kap1, kap2 = 1.0 / rho1, 1.0 / rho2
+        less2 = sigma_pair(kap1, kap2, n - 1)
+        # d sigma_k (d) and d sigma_(k-1) (e) by kappa1 and by one kappa2
+        d1, d2 = math.comb(n - 1, k - 1) * kap2 ** (k - 1), less2[k - 1]
+        e1, e2 = (math.comb(n - 1, k - 2) * kap2 ** (k - 2), less2[k - 2]) if k > 1 else (0.0, 0.0)
+        scale = math.comb(n, k - 1) / math.comb(n, k) / sig[k - 1] ** 2
+        c1 = kap1**2 * scale * (d1 * sig[k - 1] - sig[k] * e1)
+        c2 = kap2**2 * scale * (d2 * sig[k - 1] - sig[k] * e2)
+        dt = _euler_step(self, float(np.max(np.abs(h) * np.maximum(c1, c2))))
         hmean = float(np.sum(g.weights * h) / np.sum(g.weights))
         return value, dt, float((h.max() - h.min()) / hmean) < config.osc_tol
 
@@ -429,6 +439,18 @@ def _kernel(grid: SphericalGrid, profile: SpeedProfile | None, config: "FlowConf
     return kernel(grid, profile or SpeedProfile.constant(1.0), config)
 
 
+def _euler_step(kernel, c_max: float) -> float:
+    """cfl times the forward-Euler limit 2 / (c_max lambda_L) of the linearized speed."""
+    return kernel.config.cfl * 2.0 / (c_max * kernel.grid.laplacian_bound())
+
+
+# RK4's real-axis stability reach in forward-Euler steps; the most stages of
+# one RKL2 super-step, and the Euler steps that many stages cover
+_RK4_REACH = 2.785 / 2.0
+_RKL2_MAX_STAGES = 16
+_RKL2_SPAN = (_RKL2_MAX_STAGES**2 + _RKL2_MAX_STAGES - 2) / 4.0
+
+
 def _rk4_step(kernel, u: np.ndarray, dt: float) -> np.ndarray:
     """One classical RK4 step of du/dt = kernel.speed(u).
 
@@ -440,6 +462,27 @@ def _rk4_step(kernel, u: np.ndarray, dt: float) -> np.ndarray:
     k3 = kernel.speed(u + 0.5 * dt * k2)
     k4 = kernel.speed(u + dt * k3)
     return kernel.grid.zonal_filter(u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+
+def _rkl2_step(kernel, u: np.ndarray, dt: float, dt_euler: float) -> np.ndarray:
+    """One RKL2 super-step of du/dt = kernel.speed(u) (Meyer, Balsara & Aslam 2014).
+
+    The fewest stages s with (s^2 + s - 2) / 4 Euler steps >= dt, at least 2
+    and at most _RKL2_MAX_STAGES; every stage passes the zonal filter.
+    """
+    s = math.ceil((math.sqrt(9.0 + 16.0 * dt / dt_euler) - 1.0) / 2.0)
+    s = min(_RKL2_MAX_STAGES, max(2, s))
+    b = [1.0 / 3.0] * 2 + [(j * j + j - 2.0) / (2.0 * j * (j + 1)) for j in range(2, s + 1)]
+    w1 = 4.0 / (s * s + s - 2.0)
+    l0 = dt * kernel.speed(u)
+    prev, y = u, kernel.grid.zonal_filter(u + b[1] * w1 * l0)
+    for j in range(2, s + 1):
+        mu = (2 * j - 1) * b[j] / (j * b[j - 1])
+        nu = -(j - 1) * b[j] / (j * b[j - 2])
+        y_new = (mu * y + nu * prev + (1.0 - mu - nu) * u
+                 + mu * w1 * dt * kernel.speed(y) - (1.0 - b[j - 1]) * mu * w1 * l0)
+        prev, y = y, kernel.grid.zonal_filter(y_new)
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +504,7 @@ class FlowConfig:
     kind: str                     # 'radial' | 'support'
     t_end: float
     k: int = 1                    # the M_k column; the support flow's E_k too
-    cfl: float = 0.2
+    cfl: float = 0.2              # fraction of the stepper's real-axis stability limit
     grad_tol: float = 1e-5        # radial convergence: max |grad r|
     hatf_tol: float = 5e-4        # radial convergence: |fhat(r_mean)|
     osc_tol: float = 1e-4         # support convergence: (h_max - h_min)/h_mean
@@ -638,9 +681,11 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
     state = grid.zonal_filter(initial.values).copy()  # final_state is never the caller's array
     t = 0.0
     steps = 0
-    mono_prev, dt_stable, _ = kernel.assess(state)
+    mono_prev, dt_euler, _ = kernel.assess(state)
     conserved0 = kernel.conserved_value(state)
     output_interval = config.output_interval or config.t_end / 400.0
+    rkl2 = config.kind == "support" and config.dt_fixed is None
+    dt_grow = math.inf
     next_output = output_interval
 
     trace.rows.append(_diagnostic_row(kernel, state, 0.0, 0.0))
@@ -648,11 +693,14 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
     status = "TimeExhausted"
     dt = 0.0
     while t < config.t_end - 1e-15:
-        dt = min(config.dt_fixed or dt_stable, config.t_end - t)
+        if rkl2:
+            dt = min(output_interval, _RKL2_SPAN * dt_euler, dt_grow, config.t_end - t)
+        else:
+            dt = min(config.dt_fixed or _RK4_REACH * dt_euler, config.t_end - t)
         halvings = 0
         while True:
             try:
-                new_state = _rk4_step(kernel, state, dt)
+                new_state = _rkl2_step(kernel, state, dt, dt_euler) if rkl2 else _rk4_step(kernel, state, dt)
                 mono_new, dt_next, converged = kernel.assess(new_state)
             except _GEOM_ERRORS as exc:
                 if config.dt_fixed is None and dt * 0.5 >= _DT_MIN:
@@ -674,7 +722,8 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
             break
         if breach > tol:
             trace.breaches.append(BreachEvent(t + dt, "monotone", breach, breach / max(abs(mono_prev), 1e-300)))
-        state, mono_prev, dt_stable = new_state, mono_new, dt_next
+        state, mono_prev, dt_euler = new_state, mono_new, dt_next
+        dt_grow = 2.0 * dt if halvings else math.inf
         t += dt
         steps += 1
 
@@ -748,7 +797,7 @@ def area_evolution_consistency(
     """Compare finite-difference d(area)/dt with the first-variation integral.
 
     The surface measure evolves by d(dmu)/dt = n E_1 Phi dmu = H Phi dmu for
-    normal speed Phi.  One RK4 step at a tenth of the stability-limit step is
+    normal speed Phi.  One RK4 step at a tenth of the forward-Euler limit is
     taken; the finite difference of the total area is matched against the
     average of int H Phi dmu at the two endpoints.
     """
@@ -768,7 +817,7 @@ def area_evolution_consistency(
 
     # states are treated exactly as the integrator treats accepted states
     state = grid.zonal_filter(initial.values)
-    dt = kernel.assess(state)[1] / config.cfl / 10.0  # the step at cfl = 1, over 10
+    dt = kernel.assess(state)[1] / config.cfl / 10.0  # the Euler step at cfl = 1, over 10
     new_state = _rk4_step(kernel, state, dt)
 
     rate0, area0 = rate(state)

@@ -145,20 +145,6 @@ class CurvatureField:
         rr = np.sqrt(np.sum(self.position**2, axis=-1))
         return float(rr.min()), float(rr.max())
 
-    def summary(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "kappa_min": float(self.kappa.min()),
-            "kappa_max": float(self.kappa.max()),
-            "H_min": float(self.H.min()),
-            "H_max": float(self.H.max()),
-            "support_min": float(self.support.min()),
-            "support_max": float(self.support.max()),
-            "area": self.total_area(),
-            "volume": self.volume(),
-        }
-
 
 @dataclass(frozen=True)
 class StaticConvexityReport:

@@ -21,11 +21,12 @@ functional.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, eigs
 
 __all__ = [
     "SphericalGrid",
@@ -87,7 +88,7 @@ class SphericalGrid:
             # Keeping m <= 2 everywhere leaves smooth low-degree fields
             # untouched to round-off; the pole rows' retained modes then sit
             # at most ~1.6x above the theta-direction eigenvalue budget, which
-            # steppers absorb with a step-size safety factor.
+            # laplacian_bound carries into the step size.
             m = np.arange(self.n_phi // 2 + 1)
             m_keep = np.maximum(2.0, np.ceil(self.sin_t * self.n_phi / 2.0))
             self._zonal_mask = (m[None, :] <= m_keep[:, None]).astype(float)
@@ -177,6 +178,25 @@ class SphericalGrid:
         spec *= self._zonal_mask
         return np.fft.irfft(spec, n=self.n_phi, axis=1)
 
+    @functools.lru_cache(maxsize=8)
+    def laplacian_bound(self) -> float:
+        """Largest |eigenvalue| of v -> zonal_filter(trace hessian_components(v)).
+
+        This is the discrete Laplacian the steppers see, so explicit steps are
+        sized by it.  ARPACK's Arnoldi iteration finds it matrix-free from a
+        seeded start vector, hence deterministically.  Cached per grid like
+        the shapes' mode bank; equal grids share an entry.
+        """
+        def apply(x):
+            hess = self.hessian_components(x.reshape(self.node_shape))
+            trace = hess[0] + (self.n - 1) * hess[1] if self.mode == "axisym" else hess[0] + hess[2]
+            return self.zonal_filter(trace).ravel()
+
+        size = math.prod(self.node_shape)
+        op = LinearOperator((size, size), matvec=apply, dtype=float)
+        start = np.random.default_rng(0).standard_normal(size)
+        return float(abs(eigs(op, k=1, v0=start, tol=1e-8, return_eigenvectors=False)[0]))
+
     # -- embedding helpers ---------------------------------------------------
 
     def xi(self):
@@ -203,13 +223,6 @@ class SphericalGrid:
         e_theta = np.stack([ct * cp, ct * sp, np.broadcast_to(-st, self.node_shape)], axis=-1)
         e_phi = np.stack([-np.broadcast_to(sp, self.node_shape), np.broadcast_to(cp, self.node_shape), zeros], axis=-1)
         return e_theta, e_phi
-
-    @property
-    def min_spacing(self) -> float:
-        """Smallest parameter spacing, the scale entering parabolic steps."""
-        if self.mode == "full-s2":
-            return min(self.dtheta, self.dphi)
-        return self.dtheta
 
     # -- constructors and serialization ---------------------------------------
 
@@ -282,11 +295,3 @@ class ScalarField:
         grid = SphericalGrid.from_dict(data)
         values = np.asarray(data["values"], float).reshape(grid.node_shape)
         return cls(grid, values)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScalarField":
-        return cls.from_dict(json.loads(text))
-

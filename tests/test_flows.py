@@ -21,8 +21,8 @@ from curvelab import (
     validate_radial_profile,
     validate_support_profile,
 )
-from curvelab.flows import area_evolution_consistency, _RadialKernel, _rk4_step, _SupportKernel
-from curvelab.shapes import random_convex_support, sphere_radial, sphere_support
+from curvelab.flows import area_evolution_consistency, _kernel, _RadialKernel, _rk4_step, _SupportKernel
+from curvelab.shapes import random_convex_support, random_starshaped, sphere_radial, sphere_support
 from curvelab.symfunc import ek_derivative_eigen, elementary_symmetric, sigma_all
 
 
@@ -204,6 +204,38 @@ def test_kernel_speed_matches_public_op():
             quermassintegrals(geom)[k - 1], rel=1e-12)
 
 
+def filtered_jacobian(kernel, u, eps=1e-6):
+    """Dense zonal_filter o d(speed)/du at u, by central differences."""
+    cols = []
+    for i in range(u.size):
+        du = np.zeros(u.size)
+        du[i] = eps
+        du = du.reshape(u.shape)
+        diff = (kernel.speed(u + du) - kernel.speed(u - du)) / (2.0 * eps)
+        cols.append(kernel.grid.zonal_filter(diff).ravel())
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("amp", [0.02, 0.12])
+@pytest.mark.parametrize("kind,k", [("radial", 1), ("support", 1), ("support", 2)])
+def test_euler_step_covers_the_linearized_speed(kind, k, amp):
+    # c_max lambda_L, read back from the Euler step cfl 2 / (c_max lambda_L),
+    # is at least the spectral radius of the filtered Jacobian of the speed;
+    # c_max is taken at the worst node, so the excess grows with amp
+    grid = SphericalGrid.full_s2(16, 32)
+    rng = np.random.default_rng(1)
+    if kind == "radial":
+        field, profile = random_starshaped(grid, rng, amp=amp), SpeedProfile.power_exp_pinned(2, 1.0)
+    else:
+        field, profile = random_convex_support(grid, rng, amp=amp), None
+    config = FlowConfig(kind=kind, k=k, t_end=1.0)
+    kernel = _kernel(grid, profile, config)
+    u = grid.zonal_filter(field.values)
+    bound = 2.0 * config.cfl / kernel.assess(u)[1]
+    radius = np.abs(np.linalg.eigvals(filtered_jacobian(kernel, u))).max()
+    assert bound >= 0.99 * radius
+
+
 # -- integration runs ------------------------------------------------------------------
 
 
@@ -220,6 +252,21 @@ def test_sphere_to_sphere_matches_scalar_ode():
     r_final = trace.meta["final_state"]
     assert np.abs(r_final - sol.y[0, -1]).max() < 1e-8
     assert np.ptp(r_final) < 1e-13  # stays exactly round
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_support_flow_matches_exact_translated_sphere(k):
+    # a translated sphere stays round for every k: h(t) = R + exp(-t/R) <x0, nu>
+    radius, x0 = 1.3, np.array([0.1, -0.05, 0.08])
+    errs = []
+    for nt in (24, 48):
+        grid = SphericalGrid.full_s2(nt, 2 * nt)
+        config = FlowConfig(kind="support", k=k, t_end=1.0, cfl=0.5, osc_tol=1e-12)
+        trace = run_flow(sphere_support(grid, radius, center=x0), None, config)
+        exact = sphere_support(grid, radius, center=math.exp(-trace.t_final / radius) * x0)
+        errs.append(float(np.abs(trace.meta["final_state"] - exact.values).max()))
+    assert errs[0] < 1e-4
+    assert math.log2(errs[0] / errs[1]) >= 1.9  # second order in space
 
 
 def test_radial_run_converges_and_q_monotone():
@@ -429,18 +476,23 @@ def test_q_rate_matches_monotonicity_integrand():
 
 
 def test_each_accepted_state_is_assessed_once(monkeypatch):
-    # a support step builds the radii for its four RK stages and one
+    # a support step builds the radii once per stage speed and once in its
     # assessment, and takes no gradient outside the diagnostic rows; a radial
     # step takes one gradient, in its assessment
     from curvelab import flows
 
-    counts = {"radii": 0, "grad": 0}
+    counts = {"radii": 0, "speed": 0, "grad": 0}
     in_row = [False]
     radii, gradient, row = flows._support_radii, SphericalGrid.gradient, flows._diagnostic_row
+    speed = flows._SupportKernel.speed
 
     def counted_radii(*args):
         counts["radii"] += 1
         return radii(*args)
+
+    def counted_speed(self, h):
+        counts["speed"] += 1
+        return speed(self, h)
 
     def counted_gradient(self, v):
         counts["grad"] += not in_row[0]
@@ -458,15 +510,17 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
     axisym = SphericalGrid.axisym(2, 32)
     r0 = ScalarField(axisym, 1.0 + 0.1 * np.cos(2 * axisym.theta))
     monkeypatch.setattr(flows, "_support_radii", counted_radii)
+    monkeypatch.setattr(flows._SupportKernel, "speed", counted_speed)
     monkeypatch.setattr(SphericalGrid, "gradient", counted_gradient)
     monkeypatch.setattr(flows, "_diagnostic_row", flagged_row)
 
-    trace = run_flow(h0, None, FlowConfig(kind="support", k=2, t_end=0.05, output_interval=0.01))
+    trace = run_flow(h0, None, FlowConfig(kind="support", k=2, t_end=0.12, output_interval=0.01))
     steps = trace.meta["steps"]
-    assert steps > 10 and not trace.breaches
-    # the start assessment and the conserved integral at both ends, then 5
-    # per step; a halving would add 5 more
-    assert counts["radii"] == 5 * steps + 3
+    assert steps >= 10 and not trace.breaches
+    # one build per stage speed, one assessment of the start and of each
+    # accepted step, and the conserved integral at both ends; a halving
+    # would add the assessment of a rejected candidate
+    assert counts["radii"] == counts["speed"] + (steps + 1) + 2
     assert counts["grad"] == 1  # the start-up convexity check's geometry
 
     counts["grad"] = 0

@@ -1,5 +1,6 @@
 """Grid operators against analytic fields on the round sphere."""
 
+import json
 import math
 
 import numpy as np
@@ -155,11 +156,26 @@ def test_zonal_filter_keeps_smooth_fields():
     assert np.abs(cleaned - vals).max() < 1e-12
 
 
+@pytest.mark.parametrize("grid", [SphericalGrid.full_s2(16, 32), SphericalGrid.axisym(2, 32),
+                                  SphericalGrid.axisym(5, 32)], ids=repr)
+def test_laplacian_bound_matches_dense_spectrum(grid):
+    # largest |eigenvalue| of the dense zonal_filter o trace(hessian) matrix
+    cols = []
+    for i in range(math.prod(grid.node_shape)):
+        e = np.zeros(grid.node_shape)
+        e.flat[i] = 1.0
+        hess = grid.hessian_components(e)
+        lap = hess[0] + hess[2] if grid.mode == "full-s2" else hess[0] + (grid.n - 1) * hess[1]
+        cols.append(grid.zonal_filter(lap).ravel())
+    dense = float(np.abs(np.linalg.eigvals(np.array(cols).T)).max())
+    assert grid.laplacian_bound() == pytest.approx(dense, rel=1e-2)
+
+
 def test_json_round_trip():
     grid = SphericalGrid.full_s2(8, 16)
     rng = np.random.default_rng(3)
     field = ScalarField(grid, rng.uniform(0.5, 1.5, grid.node_shape))
-    back = ScalarField.from_json(field.to_json())
+    back = ScalarField.from_dict(json.loads(json.dumps(field.to_dict())))  # as the CLI reads it
     assert back.grid == grid
     assert np.allclose(back.values, field.values)
 
