@@ -43,7 +43,6 @@ from .geometry import (
     CurvatureField,
     StaticConvexityReport,
     radial_geometry,
-    radial_mean_curvature_direct,
     sphericity,
     static_convexity,
     support_geometry,

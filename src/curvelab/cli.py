@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
+from ._artifacts import overwrite
 from .errors import ConfigError, CurveLabError, StepCollapse
 from .flows import FlowConfig, SpeedProfile, estimate_decay_rate, run_flow
 from .functionals import (
@@ -173,7 +174,7 @@ def build_initial(cfg: dict, grid: SphericalGrid, rng: np.random.Generator,
 def _write_json(path: Path, payload: dict):
     payload = dict(payload)
     payload["schema"] = payload.get("schema", SCHEMA_VERSION)
-    with open(path, "w") as handle:
+    with overwrite(path) as handle:
         json.dump(payload, handle, indent=2, default=float)
         handle.write("\n")
 
@@ -326,7 +327,7 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
     else:
         rows = [_verify_sample(job) for job in jobs]
 
-    with open(out_dir / "verify.csv", "w", newline="") as handle:
+    with overwrite(out_dir / "verify.csv", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(VERIFY_COLUMNS)
         for row in rows:

@@ -40,12 +40,14 @@ columns do not force their own step size.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from ._artifacts import overwrite
 from .errors import (
     AssumptionViolated,
     ConeViolation,
@@ -566,9 +568,7 @@ class FlowTrace:
         return np.asarray([row[key] for row in self.rows])
 
     def write_csv(self, path):
-        import csv
-
-        with open(path, "w", newline="") as handle:
+        with overwrite(path, newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(self.columns)
             for row in self.rows:

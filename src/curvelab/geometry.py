@@ -46,7 +46,6 @@ __all__ = [
     "StaticConvexityReport",
     "radial_geometry",
     "support_geometry",
-    "radial_mean_curvature_direct",
     "static_convexity",
     "sphericity",
     "centroid",
@@ -249,40 +248,6 @@ def radial_geometry(field: ScalarField) -> CurvatureField:
         grid, "radial", n, r, grad, kappa1, kappa2, area_factor, support,
         normal, position, _metric_data=metric,
     )
-
-
-def radial_mean_curvature_direct(field: ScalarField) -> np.ndarray:
-    """Mean curvature via the scalar log-radial formula.
-
-    With omega = log r,
-
-        H = (n - (e^{ij} - grad^i omega grad^j omega / (1 + |grad omega|^2))
-             hess(omega)_ij) / (r sqrt(1 + |grad omega|^2)),
-
-    an independent algebraic route to the eigenvalue sum of radial_geometry.
-    """
-    grid = field.grid
-    r = field.values
-    n = grid.n
-    if r.min() <= 0.0:
-        raise NotStarshaped("radial function must be positive")
-    grad_r, hess_r = grid._derivatives(r)
-    if grid.mode == "axisym":
-        o1 = grad_r[0] / r
-        oo = o1 * o1
-        vv = 1.0 + oo
-        ho_m = hess_r[0] / r - o1 * o1
-        ho_a = hess_r[1] / r
-        contract = ho_m + (n - 1) * ho_a - (o1 * o1 * ho_m) / vv
-        return (n - contract) / (r * np.sqrt(vv))
-    o1, o2 = grad_r[0] / r, grad_r[1] / r
-    oo = o1 * o1 + o2 * o2
-    vv = 1.0 + oo
-    ho11 = hess_r[0] / r - o1 * o1
-    ho12 = hess_r[1] / r - o1 * o2
-    ho22 = hess_r[2] / r - o2 * o2
-    contract = (ho11 + ho22) - (o1 * o1 * ho11 + 2 * o1 * o2 * ho12 + o2 * o2 * ho22) / vv
-    return (n - contract) / (r * np.sqrt(vv))
 
 
 def _support_radii(grid: SphericalGrid, h: np.ndarray):

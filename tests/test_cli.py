@@ -88,6 +88,35 @@ def test_flow_reproducible_csv(tmp_path):
     assert (tmp_path / "r1/trace.csv").read_bytes() != (tmp_path / "r3/trace.csv").read_bytes()
 
 
+VERIFY_CFG = {
+    "samples": 3, "k": 1, "functional": "H", "parametrization": "radial",
+    "amplitude": 0.3, "grid": {"mode": "full-s2", "n": 2, "n_theta": 24, "n_phi": 48},
+    "seed": 5,
+}
+
+
+@pytest.mark.parametrize("command, cfg, artefact", [
+    ("flow", dict(RADIAL_CFG, run={"t_end": 0.2, "cfl": 0.45, "output_interval": 0.02}), "trace.csv"),
+    ("verify", VERIFY_CFG, "verify.csv"),
+])
+def test_rerun_overwrites_longer_artefacts(tmp_path, command, cfg, artefact):
+    path = write_config(tmp_path, "cfg.json", cfg)
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    stale.mkdir()
+    for name in (artefact, "summary.json"):
+        (stale / name).write_text("0," * 50_000 + "STALE TAIL\n")
+    inode = (stale / artefact).stat().st_ino
+    for out in (fresh, stale):
+        assert main([command, "--config", path, "--out", str(out)]) in (0, 2)
+    assert (stale / artefact).read_bytes() == (fresh / artefact).read_bytes()
+    assert (stale / artefact).stat().st_ino == inode  # written in place, not replaced
+
+    def undated(summary):
+        return [line for line in summary.read_bytes().splitlines(True) if b'"timestamp"' not in line]
+
+    assert undated(stale / "summary.json") == undated(fresh / "summary.json")
+
+
 def test_verify_suite(tmp_path):
     cfg = {
         "samples": 8,

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from curvelab import (
@@ -309,6 +310,21 @@ def test_support_run_centred_sphere_is_stationary():
     assert np.abs(trace.meta["final_state"] - 2.0).max() < 1e-10
 
 
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       st.floats(0.5, 2.0), st.integers(8, 48))
+def test_origin_centred_spheres_are_stationary(nk, radius, n_theta):
+    # E_k / E_(k-1) = 1/R on every sphere, so dh/dt = 1 - h E_k / E_(k-1) vanishes
+    n, k = nk
+    grid = SphericalGrid.axisym(n, n_theta)
+    sphere = sphere_support(grid, radius)
+    assert np.abs(support_speed(sphere, k)).max() < 1e-11 * (1 + radius)
+    config = FlowConfig(kind="support", k=k, t_end=0.05)
+    state = run_flow(sphere, None, config).meta["final_state"]
+    assert np.ptp(state) < 1e-12
+    assert np.abs(state - radius).max() < 1e-11 * (1 + radius)
+
+
 def test_support_run_recentres_translated_sphere():
     grid = SphericalGrid.full_s2(32, 64)
     h0 = sphere_support(grid, 1.0, center=np.array([0.12, 0.0, 0.1]))
@@ -555,6 +571,39 @@ def test_trace_csv_round_trip(tmp_path):
     summary = trace.summary()
     assert summary["status"] == trace.status
     assert set(["t_final", "breach_count"]).issubset(summary)
+
+
+def stale_file(path):
+    path.write_text("0," * 50_000 + "STALE TAIL\n")
+
+
+def short_radial_trace():
+    grid = SphericalGrid.axisym(2, 32)
+    config = FlowConfig(kind="radial", t_end=0.05, output_interval=0.01)
+    return run_flow(sphere_radial(grid, 1.1), SpeedProfile.power_exp_pinned(2, 1.0), config)
+
+
+def test_trace_csv_overwrites_a_longer_file(tmp_path):
+    trace = short_radial_trace()
+    trace.write_csv(tmp_path / "fresh.csv")
+    stale_file(tmp_path / "trace.csv")
+    inode = (tmp_path / "trace.csv").stat().st_ino
+    trace.write_csv(tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    assert (tmp_path / "trace.csv").stat().st_ino == inode  # written in place
+
+
+def test_trace_csv_failing_mid_write_leaves_no_stale_tail(tmp_path):
+    trace = short_radial_trace()
+    good = FlowTrace(kind=trace.kind, n=trace.n, k=trace.k, rows=trace.rows[:2])
+    good.write_csv(tmp_path / "expected.csv")
+    broken = FlowTrace(kind=trace.kind, n=trace.n, k=trace.k,
+                       rows=trace.rows[:2] + [{"t": 1.0}] + trace.rows[2:])
+    stale_file(tmp_path / "trace.csv")
+    with pytest.raises(KeyError):
+        broken.write_csv(tmp_path / "trace.csv")
+    # the header and the rows before the failure, as open(path, "w") would leave
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 def test_step_collapse_carries_partial_trace():
