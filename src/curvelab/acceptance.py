@@ -27,6 +27,7 @@ Two criteria take their form from a mathematical obstruction:
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -253,22 +254,15 @@ def ac4():
 # ---------------------------------------------------------------------------
 # AC-5: radial flow convergence (trace shared with AC-9 and AC-10)
 
-_AC5_CACHE = {}
-
-
+@functools.cache
 def _ac5_run():
-    if "trace" not in _AC5_CACHE:
-        grid = SphericalGrid.axisym(2, 256)
-        profile = SpeedProfile.power_exp_pinned(2, 1.0)
-        r0 = ScalarField(grid, 1.0 + 0.2 * np.cos(2.0 * grid.theta))
-        config = FlowConfig(kind="radial", t_end=6.0, cfl=0.45, output_interval=0.01)
-        t0 = time.perf_counter()
-        trace = run_flow(r0, profile, config)
-        _AC5_CACHE.update(
-            trace=trace, runtime=time.perf_counter() - t0, grid=grid,
-            profile=profile, r0=r0,
-        )
-    return _AC5_CACHE
+    grid = SphericalGrid.axisym(2, 256)
+    profile = SpeedProfile.power_exp_pinned(2, 1.0)
+    r0 = ScalarField(grid, 1.0 + 0.2 * np.cos(2.0 * grid.theta))
+    config = FlowConfig(kind="radial", t_end=6.0, cfl=0.45, output_interval=0.01)
+    t0 = time.perf_counter()
+    trace = run_flow(r0, profile, config)
+    return dict(trace=trace, runtime=time.perf_counter() - t0, grid=grid, profile=profile, r0=r0)
 
 
 def ac5():
@@ -293,25 +287,18 @@ def ac5():
 # ---------------------------------------------------------------------------
 # AC-6: support flow (traces shared with AC-10)
 
-_AC6_CACHE = {}
-
-
 def _ac6_config(k):
     return FlowConfig(kind="support", k=k, t_end=12.0, cfl=0.5,
                       osc_tol=1e-4, output_interval=0.02)
 
 
+@functools.cache
 def _ac6_runs():
-    if "k1" not in _AC6_CACHE:
-        grid = SphericalGrid.full_s2(64, 128)
-        h0 = random_convex_support(grid, np.random.default_rng(SEED_AC6), amp=0.1)
-        t0 = time.perf_counter()
-        traces = {k: run_flow(h0, None, _ac6_config(k)) for k in (1, 2)}
-        _AC6_CACHE.update(
-            k1=traces[1], k2=traces[2], runtime=time.perf_counter() - t0,
-            grid=grid, h0=h0,
-        )
-    return _AC6_CACHE
+    grid = SphericalGrid.full_s2(64, 128)
+    h0 = random_convex_support(grid, np.random.default_rng(SEED_AC6), amp=0.1)
+    t0 = time.perf_counter()
+    traces = {k: run_flow(h0, None, _ac6_config(k)) for k in (1, 2)}
+    return dict(k1=traces[1], k2=traces[2], runtime=time.perf_counter() - t0, grid=grid, h0=h0)
 
 
 def ac6_flow():
@@ -385,22 +372,18 @@ def ac6_static_margin():
 # ---------------------------------------------------------------------------
 # AC-7: mean-curvature deficit fuzz (two density families)
 
-_AC7_CACHE = {}
-
-
+@functools.cache
 def _ac7_samples():
-    if "geoms" not in _AC7_CACHE:
-        grid = SphericalGrid.full_s2(96, 192)
-        rng = np.random.default_rng(SEED_AC7)
-        t0 = time.perf_counter()
-        samples = []
-        for _ in range(50):
-            amp = 0.3 * float(rng.uniform(0.05, 1.0)) ** 2
-            field = random_starshaped(grid, rng, amp=amp)
-            geom = radial_geometry(field)
-            samples.append((field, geom, sphericity(geom)))
-        _AC7_CACHE.update(geoms=samples, runtime=time.perf_counter() - t0, grid=grid)
-    return _AC7_CACHE
+    grid = SphericalGrid.full_s2(96, 192)
+    rng = np.random.default_rng(SEED_AC7)
+    t0 = time.perf_counter()
+    samples = []
+    for _ in range(50):
+        amp = 0.3 * float(rng.uniform(0.05, 1.0)) ** 2
+        field = random_starshaped(grid, rng, amp=amp)
+        geom = radial_geometry(field)
+        samples.append((field, geom, sphericity(geom)))
+    return dict(geoms=samples, runtime=time.perf_counter() - t0, grid=grid)
 
 
 def ac7_constant_density():

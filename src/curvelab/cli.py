@@ -113,24 +113,27 @@ def build_profile(cfg: dict | None) -> SpeedProfile | None:
     if cfg is None:
         return None
     kind = _require(cfg, "kind", "profile")
-    domain = tuple(cfg.get("domain", ())) or None
-    if kind == "constant":
-        return SpeedProfile.constant(_require(cfg, "value", "profile"),
-                                     domain or (1e-2, 100.0))
-    if kind == "power-exp-pinned":
-        return SpeedProfile.power_exp_pinned(
-            _require(cfg, "n", "profile"), cfg.get("r_star", 1.0), domain)
-    if kind == "power":
-        return SpeedProfile.power(_require(cfg, "exponent", "profile"),
-                                  domain or (1e-2, 100.0))
-    if kind == "affine-power":
-        return SpeedProfile.affine_power(
-            _require(cfg, "a", "profile"), _require(cfg, "b", "profile"),
-            _require(cfg, "n", "profile"), _require(cfg, "k", "profile"),
-            domain or (1e-2, 100.0))
-    if kind == "tabulated":
-        return SpeedProfile.tabulated(_require(cfg, "x", "profile"),
-                                      _require(cfg, "f", "profile"), domain)
+    try:
+        domain = tuple(cfg.get("domain", ())) or None
+        if kind == "constant":
+            return SpeedProfile.constant(_require(cfg, "value", "profile"),
+                                         domain or (1e-2, 100.0))
+        if kind == "power-exp-pinned":
+            return SpeedProfile.power_exp_pinned(
+                _require(cfg, "n", "profile"), cfg.get("r_star", 1.0), domain)
+        if kind == "power":
+            return SpeedProfile.power(_require(cfg, "exponent", "profile"),
+                                      domain or (1e-2, 100.0))
+        if kind == "affine-power":
+            return SpeedProfile.affine_power(
+                _require(cfg, "a", "profile"), _require(cfg, "b", "profile"),
+                _require(cfg, "n", "profile"), _require(cfg, "k", "profile"),
+                domain or (1e-2, 100.0))
+        if kind == "tabulated":
+            return SpeedProfile.tabulated(_require(cfg, "x", "profile"),
+                                          _require(cfg, "f", "profile"), domain)
+    except (TypeError, ValueError) as exc:  # values the profile cannot take
+        raise ConfigError("profile", str(exc))
     raise ConfigError("profile.kind", f"unknown profile kind {kind!r}")
 
 
@@ -138,36 +141,36 @@ def build_initial(cfg: dict, grid: SphericalGrid, rng: np.random.Generator,
                   parametrization: str) -> ScalarField:
     shape = _require(cfg, "shape", "initial")
     radial = parametrization == "radial"
-    if shape == "sphere":
-        radius = cfg.get("radius", 1.0)
-        center = cfg.get("center")
-        if grid.mode == "full-s2" and center is not None:
-            center = np.asarray(center, float)
-        return (sphere_radial if radial else sphere_support)(grid, radius, center)
-    if shape == "spheroid":
-        c_axis = _require(cfg, "c_axis", "initial")
-        b_eq = _require(cfg, "b_equator", "initial")
-        return (spheroid_radial if radial else spheroid_support)(grid, c_axis, b_eq)
-    if shape == "harmonic":
-        ell = _require(cfg, "ell", "initial")
-        amp = _require(cfg, "amplitude", "initial")
-        if not 0 < amp <= 0.45:
-            raise ConfigError("initial.amplitude",
-                              "harmonic amplitude must lie in (0, 0.45]")
-        base = cfg.get("base", 1.0)
-        mode = harmonic_mode(grid, ell, cfg.get("m", 0), cfg.get("phase", "cos"))
-        return ScalarField(grid, base * (1.0 + amp * mode))
-    if shape == "random":
-        amp = _require(cfg, "amplitude", "initial")
-        if not 0 < amp <= 0.45:
-            raise ConfigError("initial.amplitude",
-                              "random amplitude must lie in (0, 0.45]")
-        maker = random_starshaped if radial else random_convex_support
-        return maker(grid, rng, amp=amp, base=cfg.get("base", 1.0),
-                     lmax=cfg.get("lmax", 4))
-    if shape == "file":
-        with open(_require(cfg, "path", "initial")) as handle:
-            return ScalarField.from_dict(json.load(handle))
+    try:
+        if shape == "sphere":
+            maker = sphere_radial if radial else sphere_support
+            return maker(grid, cfg.get("radius", 1.0), cfg.get("center"))
+        if shape == "spheroid":
+            c_axis = _require(cfg, "c_axis", "initial")
+            b_eq = _require(cfg, "b_equator", "initial")
+            return (spheroid_radial if radial else spheroid_support)(grid, c_axis, b_eq)
+        if shape == "harmonic":
+            ell = _require(cfg, "ell", "initial")
+            amp = _require(cfg, "amplitude", "initial")
+            if not 0 < amp <= 0.45:
+                raise ConfigError("initial.amplitude",
+                                  "harmonic amplitude must lie in (0, 0.45]")
+            base = cfg.get("base", 1.0)
+            mode = harmonic_mode(grid, ell, cfg.get("m", 0), cfg.get("phase", "cos"))
+            return ScalarField(grid, base * (1.0 + amp * mode))
+        if shape == "random":
+            amp = _require(cfg, "amplitude", "initial")
+            if not 0 < amp <= 0.45:
+                raise ConfigError("initial.amplitude",
+                                  "random amplitude must lie in (0, 0.45]")
+            maker = random_starshaped if radial else random_convex_support
+            return maker(grid, rng, amp=amp, base=cfg.get("base", 1.0),
+                         lmax=cfg.get("lmax", 4))
+        if shape == "file":
+            with open(_require(cfg, "path", "initial")) as handle:
+                return ScalarField.from_dict(json.load(handle))
+    except (TypeError, ValueError, FileNotFoundError) as exc:  # values the shape cannot take
+        raise ConfigError("initial", str(exc))
     raise ConfigError("initial.shape", f"unknown initial shape {shape!r}")
 
 
@@ -264,7 +267,7 @@ VERIFY_COLUMNS = [
 
 
 def _verify_sample(args):
-    index, cfg, grid, seed, k, calibration = args
+    index, cfg, grid, seed, k, calibration, profile = args
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
     row = {"sample_id": index, "n": grid.n, "k": k, "mode": calibration, "status": "ok"}
     try:
@@ -278,7 +281,6 @@ def _verify_sample(args):
             field = random_convex_support(grid, rng, amp=amp)
             geom = support_geometry(field)
         row["sphericity"] = sphericity(geom)
-        profile = build_profile(cfg.get("profile")) if cfg.get("profile") else None
         if profile is not None:
             f = profile.f(field.values)
             grad_f = tuple(profile.df(field.values) * g for g in geom.grad)
@@ -319,7 +321,8 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
     calibration = _one_of(cfg, "calibration", "sphere-calibrated", CALIBRATIONS)
     _one_of(cfg, "parametrization", "radial", ("radial", "support"))
     _one_of(cfg, "functional", "H", ("H", "k"))
-    jobs = [(i, cfg, grid, seed, k, calibration) for i in range(samples)]
+    profile = build_profile(cfg.get("profile") or None)
+    jobs = [(i, cfg, grid, seed, k, calibration, profile) for i in range(samples)]
     workers = _worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -36,9 +36,9 @@ class NonpositiveDensity(CurveLabError):
 class AssumptionViolated(CurveLabError):
     """A speed-profile admissibility condition failed.
 
-    ``kind`` is a short tag ("not-increasing", "no-zero", "not-monotone",
-    "not-convex", "undefined-exponent"); ``where`` locates the offending
-    point or subinterval of the working interval.
+    ``kind`` is a short tag ("not-positive", "no-zero", "not-increasing",
+    "support-profile"); ``where`` locates the offending point or
+    subinterval of the working interval.
     """
 
     def __init__(self, kind, message, where=None):

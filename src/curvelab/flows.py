@@ -98,11 +98,9 @@ class SpeedProfile:
     conditions are checked.
     """
 
-    def __init__(self, kind, fns, domain, params=None):
-        self.kind = kind
+    def __init__(self, fns, domain):
         self._f, self._df, self._d2f = fns
         self.domain = (float(domain[0]), float(domain[1]))
-        self.params = dict(params or {})
 
     def f(self, x):
         return self._f(np.asarray(x, float))
@@ -129,12 +127,7 @@ class SpeedProfile:
         if value <= 0:
             raise ValueError("constant profile must be positive")
         v = float(value)
-        return cls(
-            "constant",
-            (lambda x: np.full_like(x, v), np.zeros_like, np.zeros_like),
-            domain,
-            {"value": v},
-        )
+        return cls((lambda x: np.full_like(x, v), np.zeros_like, np.zeros_like), domain)
 
     @classmethod
     def power_exp_pinned(cls, n: int, r_star: float = 1.0, domain=None) -> "SpeedProfile":
@@ -156,7 +149,7 @@ class SpeedProfile:
             u = (1.0 - n) / x + (x - rs)
             return f(x) * (u * u + (n - 1.0) / x**2 + 1.0)
 
-        return cls("power-exp-pinned", (f, df, d2f), domain, {"n": n, "r_star": rs})
+        return cls((f, df, d2f), domain)
 
     @classmethod
     def power(cls, exponent: float, domain=(1e-2, 100.0)) -> "SpeedProfile":
@@ -173,7 +166,7 @@ class SpeedProfile:
         def d2f(x):
             return p * (p - 1.0) * x ** (p - 2.0)
 
-        return cls("power", (f, df, d2f), domain, {"exponent": p})
+        return cls((f, df, d2f), domain)
 
     @classmethod
     def affine_power(cls, a: float, b: float, n: int, k: int, domain=(1e-2, 100.0)) -> "SpeedProfile":
@@ -191,7 +184,7 @@ class SpeedProfile:
         def d2f(x):
             return a * a * e * (e - 1.0) * (a * x + b) ** (e - 2.0)
 
-        return cls("affine-power", (f, df, d2f), domain, {"a": a, "b": b, "n": n, "k": k})
+        return cls((f, df, d2f), domain)
 
     @classmethod
     def tabulated(cls, x, values, domain=None) -> "SpeedProfile":
@@ -212,7 +205,7 @@ class SpeedProfile:
         d2 = spline.derivative(2)
         if domain is None:
             domain = (float(x[0]), float(x[-1]))
-        prof = cls("tabulated", (spline, d1, d2), domain, {"points": x.size})
+        prof = cls((spline, d1, d2), domain)
         xs = np.linspace(domain[0], domain[1], 101)[1:-1]
         eps = 1e-5 * (domain[1] - domain[0])
         fd = (prof.f(xs + eps) - prof.f(xs - eps)) / (2 * eps)

@@ -39,6 +39,7 @@ the source inequality are mutually inconsistent for k >= 2:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,9 +88,6 @@ class QuermassVector:
     def __getitem__(self, j: int) -> float:
         return float(self.values[j])
 
-    def to_dict(self) -> dict:
-        return {f"V_{j}": float(self.values[j]) for j in range(self.n + 2)}
-
 
 @dataclass(frozen=True)
 class DeficitReport:
@@ -105,16 +103,6 @@ class DeficitReport:
     rel_deficit: float
     k: int
     mode: str
-
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "deficit": self.deficit,
-            "rel_deficit": self.rel_deficit,
-            "k": self.k,
-            "mode": self.mode,
-        }
 
 
 def quermassintegrals(geom: CurvatureField) -> QuermassVector:
@@ -173,9 +161,9 @@ def michael_simon_deficit_H(geom: CurvatureField, f, grad_f=None) -> DeficitRepo
 
 # the constant calibrations of michael_simon_deficit_k (module docstring)
 CALIBRATIONS = ("sphere-calibrated", "paper-literal")
-_CALIBRATION_CACHE: dict = {}
 
 
+@functools.cache
 def calibrate_sharp_constant(n: int, k: int) -> float:
     """Constant making the k-deficit vanish exactly on the unit sphere, f = 1.
 
@@ -185,20 +173,17 @@ def calibrate_sharp_constant(n: int, k: int) -> float:
     """
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n - 1")
-    key = (n, k)
-    if key not in _CALIBRATION_CACHE:
-        area = sphere_area(n)
-        sig = sigma_all(np.ones(n))
-        lhs = float(sig[k]) * area
-        mk = float(sig[k - 1]) * area
-        zk = ball_quermass(k, 1.0, n)
-        rhs = (
-            n
-            * (math.comb(n, k - 1) * zk) ** (1.0 / (n + 1 - k))
-            * mk ** ((n - k) / (n + 1.0 - k))
-        )
-        _CALIBRATION_CACHE[key] = lhs / rhs
-    return _CALIBRATION_CACHE[key]
+    area = sphere_area(n)
+    sig = sigma_all(np.ones(n))
+    lhs = float(sig[k]) * area
+    mk = float(sig[k - 1]) * area
+    zk = ball_quermass(k, 1.0, n)
+    rhs = (
+        n
+        * (math.comb(n, k - 1) * zk) ** (1.0 / (n + 1 - k))
+        * mk ** ((n - k) / (n + 1.0 - k))
+    )
+    return lhs / rhs
 
 
 def michael_simon_deficit_k(

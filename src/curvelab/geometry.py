@@ -17,6 +17,13 @@ lambda = g^(-1/2) h g^(-1/2), with the inverse square root in closed form
 which squares exactly to g^(-1).  Everything is evaluated per node in the
 orthonormal frame of the round metric, so e_ij = delta_ij throughout.
 
+The inverse metric is kept as components g^ij that match the gradient tuple
+of SphericalGrid.gradient, (g^11,) on axisymmetric grids and the symmetric
+2x2 on full-s2 ones: (delta_ij - d_i d_j / rho^2) / r^2 for the radial graph
+and b^(-2) for the support parametrization.  |grad^M f|^2 is then one
+quadratic form for both parametrizations and both grid modes.  Ambient
+vectors (position, normal) come from the grid's embedding, xi() and frame().
+
 Every surface here has two distinct principal values per node, of
 multiplicities 1 and n - 1 (the 2x2 eigenvalues on full-s2 grids, the
 meridional and azimuthal values on axisymmetric ones).  _radial_pair and
@@ -63,7 +70,8 @@ class CurvatureField:
     weight, so that surface integrals are ``grid.integrate(density *
     area_factor)``.  ``normal`` and ``position`` are ambient vectors: (..., 3)
     on full-s2 grids and (N, 2) meridian components (orbit direction,
-    symmetry axis) on axisymmetric ones.
+    symmetry axis) on axisymmetric ones.  ``inverse_metric`` holds the rows
+    of g^ij in the components of ``grad``.
     """
 
     grid: SphericalGrid
@@ -77,7 +85,7 @@ class CurvatureField:
     support: np.ndarray         # <X, nu> per node
     normal: np.ndarray
     position: np.ndarray
-    _metric_data: tuple = dataclass_field(repr=False, default=())
+    inverse_metric: tuple = dataclass_field(repr=False)
 
     @property
     def kappa(self) -> np.ndarray:
@@ -106,25 +114,11 @@ class CurvatureField:
         ``grad_f`` are the parameter-sphere frame components of the gradient
         of f, as returned by ``SphericalGrid.gradient``.
         """
-        if self.kind == "radial":
-            if self.grid.mode == "axisym":
-                (rho,) = self._metric_data
-                return grad_f[0] ** 2 / rho**2
-            i11, i12, i22 = self._metric_data
-            g1, g2 = grad_f
-            return i11 * g1**2 + 2.0 * i12 * g1 * g2 + i22 * g2**2
-        # support parametrization: g^{-1} = b^{-1} e b^{-1}
-        if self.grid.mode == "axisym":
-            rho_m, rho_a = self._metric_data
-            out = (grad_f[0] / rho_m) ** 2
-            if len(grad_f) > 1:
-                out = out + (grad_f[1] / rho_a) ** 2
-            return out
-        b11, b12, b22, det = self._metric_data
-        g1, g2 = grad_f
-        w1 = (b22 * g1 - b12 * g2) / det
-        w2 = (-b12 * g1 + b11 * g2) / det
-        return w1**2 + w2**2
+        out = 0.0
+        for row, a_i in zip(self.inverse_metric, grad_f):
+            for g_ij, a_j in zip(row, grad_f):
+                out = out + g_ij * a_i * a_j
+        return out
 
     def total_area(self) -> float:
         return self.grid.integrate(self.area_factor)
@@ -158,7 +152,6 @@ class StaticConvexityReport:
     """
 
     margin: float
-    worst_node: tuple
     node_margins: np.ndarray
 
 
@@ -215,6 +208,17 @@ def _radial_pair(grid: SphericalGrid, r: np.ndarray):
     return kap_lo, kap_hi, rho, (d1, d2)
 
 
+def _plus_ambient(start, grid: SphericalGrid, grad) -> np.ndarray:
+    """start + sum_i d_i e_i for gradient components d_i and grid.frame() e_i.
+
+    The terms are added one at a time in frame order; that order fixes the
+    round-off of the positions the trace artefacts record.
+    """
+    for d, e in zip(grad, grid.frame()):
+        start = start + d[..., None] * e
+    return start
+
+
 def radial_geometry(field: ScalarField) -> CurvatureField:
     """Full extrinsic geometry of the starshaped graph r(xi) xi."""
     grid = field.grid
@@ -224,29 +228,15 @@ def radial_geometry(field: ScalarField) -> CurvatureField:
     area_factor = r ** (n - 1) * rho
     support = r * r / rho
     position = r[..., None] * grid.xi()
-
-    if grid.mode == "axisym":
-        (r1,) = grad
-        normal = np.stack(
-            [(r * grid.sin_t - r1 * grid.cos_t) / rho, (r * grid.cos_t + r1 * grid.sin_t) / rho],
-            axis=-1,
-        )
-        metric = (rho,)
-    else:
-        d1, d2 = grad
-        e_theta, e_phi = grid.frame()
-        grad_ambient = d1[..., None] * e_theta + d2[..., None] * e_phi
-        normal = (position - grad_ambient) / rho[..., None]
-        # inverse metric components for tangential gradients
-        rho2 = rho * rho
-        metric = (
-            (1.0 - d1 * d1 / rho2) / (r * r),
-            (-d1 * d2 / rho2) / (r * r),
-            (1.0 - d2 * d2 / rho2) / (r * r),
-        )
+    normal = (position - _plus_ambient(0.0, grid, grad)) / rho[..., None]
+    rho2 = rho * rho
+    inverse_metric = tuple(
+        tuple((float(i == j) - d_i * d_j / rho2) / (r * r) for j, d_j in enumerate(grad))
+        for i, d_i in enumerate(grad)
+    )
     return CurvatureField(
         grid, "radial", n, r, grad, kappa1, kappa2, area_factor, support,
-        normal, position, _metric_data=metric,
+        normal, position, inverse_metric,
     )
 
 
@@ -287,20 +277,18 @@ def support_geometry(field: ScalarField) -> CurvatureField:
     grad = grid.gradient(h)
     area_factor = rho1 * rho2 ** (n - 1)
     normal = grid.xi()
+    position = _plus_ambient(h[..., None] * normal, grid, grad)
+    # g^(-1) = b^(-2); b is diagonal with entry rho1 on axisymmetric grids
     if grid.mode == "axisym":
-        (h1,) = grad
-        position = np.stack(
-            [h * grid.sin_t + h1 * grid.cos_t, h * grid.cos_t - h1 * grid.sin_t], axis=-1
-        )
-        metric = b
+        inverse_metric = ((1.0 / rho1**2,),)
     else:
-        d1, d2 = grad
-        e_theta, e_phi = grid.frame()
-        position = h[..., None] * normal + d1[..., None] * e_theta + d2[..., None] * e_phi
-        metric = b + (area_factor,)
+        b11, b12, b22 = b
+        det2 = area_factor * area_factor
+        off = -b12 * (b11 + b22) / det2
+        inverse_metric = ((b22 * b22 + b12 * b12) / det2, off), (off, (b11 * b11 + b12 * b12) / det2)
     return CurvatureField(
         grid, "support", n, h, grad, 1.0 / rho1, 1.0 / rho2, area_factor, h,
-        normal, position, _metric_data=metric,
+        normal, position, inverse_metric,
     )
 
 
@@ -316,12 +304,7 @@ def static_convexity(field: CurvatureField) -> StaticConvexityReport:
             f"support value must be positive everywhere (min {h.min():.6g})"
         )
     node_margins = np.minimum(field.kappa1, field.kappa2) - 1.0 / h
-    worst = np.unravel_index(int(np.argmin(node_margins)), node_margins.shape)
-    return StaticConvexityReport(
-        margin=float(node_margins.min()),
-        worst_node=worst,
-        node_margins=node_margins,
-    )
+    return StaticConvexityReport(margin=float(node_margins.min()), node_margins=node_margins)
 
 
 def sphericity(field: CurvatureField) -> float:

@@ -44,18 +44,13 @@ def sphere_radial(grid: SphericalGrid, radius: float = 1.0, center=None) -> Scal
     """Radial function of a sphere, optionally off-centre (|center| < radius).
 
     ``center`` is a 3-vector on full-s2 grids or an axis offset (scalar) on
-    axisymmetric grids.
+    axisymmetric grids (see SphericalGrid.project).
     """
     if center is None:
         return ScalarField(grid, np.full(grid.node_shape, float(radius)))
-    xi = grid.xi()
-    if grid.mode == "full-s2":
-        c = np.asarray(center, float)
-        proj = xi @ c
-        c2 = float(c @ c)
-    else:
-        proj = grid.cos_t * float(center)
-        c2 = float(center) ** 2
+    proj = grid.project(center)
+    c = np.ravel(center).astype(float)
+    c2 = float(c @ c)
     if c2 >= radius**2:
         raise NotStarshaped("center must lie strictly inside the sphere")
     return ScalarField(grid, proj + np.sqrt(radius**2 - c2 + proj**2))
@@ -65,25 +60,20 @@ def sphere_support(grid: SphericalGrid, radius: float = 1.0, center=None) -> Sca
     """Support function of a sphere: h = R + <center, nu>."""
     h = np.full(grid.node_shape, float(radius))
     if center is not None:
-        if grid.mode == "full-s2":
-            h = h + grid.xi() @ np.asarray(center, float)
-        else:
-            h = h + float(center) * grid.cos_t
+        h = h + grid.project(center)
     return ScalarField(grid, h)
 
 
 def spheroid_radial(grid: SphericalGrid, c_axis: float, b_equator: float) -> ScalarField:
     """Radial function of the spheroid with polar semi-axis c, equatorial b."""
-    theta = grid.theta if grid.mode == "axisym" else grid.theta[:, None]
-    r = 1.0 / np.sqrt(np.sin(theta) ** 2 / b_equator**2 + np.cos(theta) ** 2 / c_axis**2)
-    return ScalarField(grid, np.broadcast_to(r, grid.node_shape).copy())
+    r = 1.0 / np.sqrt(grid.sin_t**2 / b_equator**2 + grid.cos_t**2 / c_axis**2)
+    return ScalarField(grid, grid.zonal(r))
 
 
 def spheroid_support(grid: SphericalGrid, c_axis: float, b_equator: float) -> ScalarField:
     """Support function of the same spheroid, h(nu) = sqrt(c^2 nu_z^2 + b^2 |nu_perp|^2)."""
-    theta = grid.theta if grid.mode == "axisym" else grid.theta[:, None]
-    h = np.sqrt(c_axis**2 * np.cos(theta) ** 2 + b_equator**2 * np.sin(theta) ** 2)
-    return ScalarField(grid, np.broadcast_to(h, grid.node_shape).copy())
+    h = np.sqrt(c_axis**2 * grid.cos_t**2 + b_equator**2 * grid.sin_t**2)
+    return ScalarField(grid, grid.zonal(h))
 
 
 def spheroid_curvatures_radial(theta, c_axis: float, b_equator: float):
@@ -196,11 +186,7 @@ def random_starshaped(
             c = centroid(geom)
             if float(np.max(np.abs(c))) < 1e-9 * base:
                 break
-            if grid.mode == "full-s2":
-                shift = grid.xi() @ np.asarray(c)
-            else:
-                shift = c * grid.cos_t
-            r = field.values - shift
+            r = field.values - grid.project(c)
             if r.min() <= 0.05 * base:
                 break
             field = ScalarField(grid, r)
@@ -233,11 +219,7 @@ def random_convex_support(
             geom = support_geometry(field)
         except ConvexityLost:
             continue
-        c = centroid(geom)
-        if grid.mode == "full-s2":
-            h = h - grid.xi() @ np.asarray(c)
-        else:
-            h = h - c * grid.cos_t
+        h = h - grid.project(centroid(geom))
         field = ScalarField(grid, h)
         try:
             support_geometry(field)

@@ -17,6 +17,13 @@ Quadrature weights are sin^(n-1)(theta)-weighted cell areas rescaled so that
 the constant field 1 integrates to the exact area of S^n; that exactness is
 what keeps round spheres free of quadrature bias in every downstream
 functional.
+
+The grid also owns its embedding in R^(n+1), so no other module branches on
+the mode to place a surface: xi() gives the node directions, frame() the
+ambient unit vectors of the gradient's components in the same layout,
+project(c) the translation term <c, xi>, and zonal(v) fills the nodes from
+one value per colatitude.  Axisymmetric grids lay ambient vectors out as
+meridian components (orbit direction, symmetry axis).
 """
 
 from __future__ import annotations
@@ -197,7 +204,7 @@ class SphericalGrid:
         start = np.random.default_rng(0).standard_normal(size)
         return float(abs(eigs(op, k=1, v0=start, tol=1e-8, return_eigenvectors=False)[0]))
 
-    # -- embedding helpers ---------------------------------------------------
+    # -- embedding in R^(n+1) ---------------------------------------------------
 
     def xi(self):
         """Unit position vectors of the nodes.
@@ -214,15 +221,38 @@ class SphericalGrid:
         return np.stack([self.sin_t, self.cos_t], axis=-1)
 
     def frame(self):
-        """Ambient frame vectors (e_theta, e_phi) on full-s2 grids."""
-        if self.mode != "full-s2":
-            raise ValueError("frame vectors are a full-s2 feature")
+        """Ambient unit vectors of the gradient's components, laid out like xi().
+
+        full-s2: (e_theta, e_phi); axisym: (e_theta,), which is
+        (cos theta, -sin theta) in meridian components.
+        """
+        if self.mode == "axisym":
+            return (np.stack([self.cos_t, -self.sin_t], axis=-1),)
         st, ct = self.sin_t[:, None], self.cos_t[:, None]
         cp, sp = np.cos(self.phi)[None, :], np.sin(self.phi)[None, :]
         zeros = np.zeros(self.node_shape)
         e_theta = np.stack([ct * cp, ct * sp, np.broadcast_to(-st, self.node_shape)], axis=-1)
         e_phi = np.stack([-np.broadcast_to(sp, self.node_shape), np.broadcast_to(cp, self.node_shape), zeros], axis=-1)
         return e_theta, e_phi
+
+    def project(self, c) -> np.ndarray:
+        """<c, xi> at the nodes: the normal speed of a translation by c.
+
+        ``c`` is a 3-vector on full-s2 grids and the scalar axis offset on
+        axisymmetric ones (the formats ``geometry.centroid`` returns); any
+        other shape raises ValueError.
+        """
+        c = np.asarray(c, float)
+        if self.mode == "axisym" and c.shape == ():
+            return float(c) * self.cos_t
+        if self.mode == "full-s2" and c.shape == (3,):
+            return self.xi() @ c
+        want = "a scalar axis offset" if self.mode == "axisym" else "a 3-vector"
+        raise ValueError(f"{self.mode} grids take {want}, got shape {c.shape}")
+
+    def zonal(self, v) -> np.ndarray:
+        """A new node array holding the per-row values v (one per colatitude)."""
+        return np.broadcast_to(np.reshape(v, self._sin.shape), self.node_shape).astype(float)
 
     # -- constructors and serialization ---------------------------------------
 

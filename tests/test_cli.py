@@ -231,6 +231,29 @@ VERIFY_CFG = {
     pytest.param("flow", RADIAL_CFG, {"k": 5}, id="flow-radial-k-above-n"),
     pytest.param("flow", RADIAL_CFG, {"k": 0}, id="flow-radial-k-zero"),
     pytest.param("flow", RADIAL_CFG, {"run": {"t_end": float("nan")}}, id="flow-t-end-nan"),
+    pytest.param("flow", RADIAL_CFG, {"initial": {"shape": "sphere", "center": [0.0, 0.0, 0.1]}},
+                 id="flow-axisym-vector-center"),
+    pytest.param("flow", RADIAL_CFG, {"grid": {"mode": "full-s2", "n": 2, "n_theta": 16, "n_phi": 32},
+                                      "initial": {"shape": "sphere", "center": 0.1}},
+                 id="flow-s2-scalar-center"),
+    pytest.param("flow", RADIAL_CFG, {"grid": {"mode": "full-s2", "n": 2, "n_theta": 16, "n_phi": 32},
+                                      "initial": {"shape": "sphere", "center": [0.1, 0.0]}},
+                 id="flow-s2-2-vector-center"),
+    pytest.param("flow", RADIAL_CFG, {"initial": {"shape": "harmonic", "ell": 2, "amplitude": 0.1, "m": 1}},
+                 id="flow-axisym-harmonic-m"),
+    pytest.param("flow", RADIAL_CFG, {"profile": {"kind": "constant", "value": "x"}},
+                 id="flow-constant-value-string"),
+    pytest.param("flow", RADIAL_CFG, {"profile": {"kind": "constant", "value": -1}},
+                 id="flow-constant-value-negative"),
+    pytest.param("flow", RADIAL_CFG, {"profile": {"kind": "tabulated", "x": [0.5, 1.5], "f": [1.0, 1.0]}},
+                 id="flow-tabulated-two-points"),
+    pytest.param("flow", RADIAL_CFG, {"initial": {"shape": "random", "amplitude": 0.1, "lmax": "a"}},
+                 id="flow-lmax-string"),
+    pytest.param("flow", RADIAL_CFG, {"initial": {"shape": "file", "path": "no-such-field.json"}},
+                 id="flow-initial-file-missing"),
+    pytest.param("verify", VERIFY_CFG, {"profile": {"kind": "constant", "value": -1}},
+                 id="verify-constant-value-negative"),
+    pytest.param("verify", VERIFY_CFG, {"profile": {"kind": "bogus"}}, id="verify-profile-kind"),
 ])
 def test_malformed_config_exit_64(tmp_path, capsys, command, base, change):
     # each must stop with a ConfigError before any work, not with an

@@ -101,6 +101,50 @@ def test_translated_sphere_support():
     assert errs[0] / errs[1] > 3.0
 
 
+def test_translated_sphere_radial_axisym_normal():
+    # the normal of a sphere centred at c on the axis is (X - c) / R
+    errs = []
+    for nt in (64, 128):
+        grid = SphericalGrid.axisym(2, nt)
+        geom = radial_geometry(sphere_radial(grid, 1.3, center=0.25))
+        oracle = (geom.position - np.array([0.0, 0.25])) / 1.3
+        errs.append(np.abs(geom.normal - oracle).max())
+    assert errs[0] < 2e-4
+    assert math.log2(errs[0] / errs[1]) > 1.8
+
+
+# -- inverse metric: the height-function oracle ----------------------------------
+
+# max |error| at 64 rows on seed 1, amplitude 0.1 is 1.9e-3, 5.5e-3, 1.9e-3
+# and 2.9e-3 in the order below; each tolerance is 1.5 times that
+HEIGHT_CASES = [
+    pytest.param(lambda nt: SphericalGrid.axisym(2, nt), random_starshaped, radial_geometry, 3e-3,
+                 id="radial-axisym"),
+    pytest.param(lambda nt: SphericalGrid.full_s2(nt, 2 * nt), random_starshaped, radial_geometry, 8e-3,
+                 id="radial-s2"),
+    pytest.param(lambda nt: SphericalGrid.axisym(2, nt), random_convex_support, support_geometry, 3e-3,
+                 id="support-axisym"),
+    pytest.param(lambda nt: SphericalGrid.full_s2(nt, 2 * nt), random_convex_support, support_geometry, 4.5e-3,
+                 id="support-s2"),
+]
+
+
+@pytest.mark.parametrize("make_grid, body, geometry, tol", HEIGHT_CASES)
+def test_height_function_tangential_gradient(make_grid, body, geometry, tol):
+    # the axis coordinate z of X restricted to M has |grad^M z|^2 = 1 - nu_z^2,
+    # so the inverse metric, the frame and the normal are checked together
+    errs = []
+    for nt in (32, 64, 128):
+        grid = make_grid(nt)
+        geom = geometry(body(grid, np.random.default_rng(1), amp=0.1))
+        z = geom.position[..., -1]
+        tgs = geom.tangential_grad_sq(grid.gradient(z))
+        errs.append(np.abs(tgs - (1.0 - geom.normal[..., -1] ** 2)).max())
+    assert errs[1] < tol
+    assert math.log2(errs[0] / errs[1]) >= 1.8
+    assert math.log2(errs[1] / errs[2]) >= 1.8
+
+
 # -- spheroid oracle -----------------------------------------------------------
 
 

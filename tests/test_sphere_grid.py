@@ -199,6 +199,38 @@ def test_equal_grids_hash_equal_and_share_the_mode_cache():
     assert _convexity_normalized_modes.cache_info().currsize == 1
 
 
+@pytest.mark.parametrize("grid", [SphericalGrid.full_s2(8, 16), SphericalGrid.axisym(3, 8)])
+def test_frame_is_orthonormal_and_tangent(grid):
+    xi = grid.xi()
+    frame = grid.frame()
+    assert len(frame) == len(grid.gradient(np.zeros(grid.node_shape)))
+    for i, e in enumerate(frame):
+        assert e.shape == xi.shape
+        assert np.abs(np.sum(e * xi, axis=-1)).max() < 1e-15
+        for f in frame[i:]:
+            expected = 1.0 if f is e else 0.0
+            assert np.abs(np.sum(e * f, axis=-1) - expected).max() < 1e-15
+
+
+def test_project_is_the_translation_term():
+    s2 = SphericalGrid.full_s2(8, 16)
+    c = np.array([0.3, -0.2, 0.1])
+    assert np.array_equal(s2.project(c), s2.xi() @ c)
+    axi = SphericalGrid.axisym(3, 8)
+    assert np.array_equal(axi.project(0.4), 0.4 * axi.xi()[:, 1])
+    for grid, bad in ((s2, 0.1), (s2, [0.1, 0.2]), (axi, [0.0, 0.0, 0.1]), (axi, [0.1])):
+        with pytest.raises(ValueError):
+            grid.project(bad)
+
+
+def test_zonal_fills_rows():
+    s2 = SphericalGrid.full_s2(8, 16)
+    rows = np.arange(8.0)
+    assert np.array_equal(s2.zonal(rows), np.repeat(rows[:, None], 16, axis=1))
+    axi = SphericalGrid.axisym(2, 8)
+    assert np.array_equal(axi.zonal(rows), rows)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         SphericalGrid.full_s2(16, 15)  # odd n_phi breaks antipodal ghosts
