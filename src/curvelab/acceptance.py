@@ -33,7 +33,6 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .flows import (
     FlowConfig,
@@ -531,6 +530,7 @@ def ac10():
 
 
 def ac11():
+    from scipy.integrate import solve_ivp
     c = _Checker("AC-11 temporal order")
     grid = SphericalGrid.axisym(2, 16)
     profile = SpeedProfile.power_exp_pinned(2, 1.0)

@@ -45,7 +45,6 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._artifacts import overwrite
 from .errors import (
@@ -194,6 +193,7 @@ class SpeedProfile:
         differences of the interpolant at load; a mismatch indicates a
         corrupt table.
         """
+        from scipy.interpolate import CubicSpline
         x = np.asarray(x, float)
         values = np.asarray(values, float)
         if x.ndim != 1 or x.size < 4 or values.shape != x.shape:

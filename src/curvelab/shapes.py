@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.special import eval_legendre, lpmv
 
 from .errors import ConvexityLost, NotStarshaped
 from .geometry import centroid, radial_geometry, support_geometry
@@ -99,8 +98,14 @@ def harmonic_mode(grid: SphericalGrid, ell: int, m: int = 0, phase: str = "cos")
     """Low-degree harmonic, normalized to unit sup norm on the grid.
 
     Axisymmetric grids use the Legendre polynomial P_ell(cos theta); full-s2
-    grids use P_ell^m(cos theta) times cos(m phi) or sin(m phi).
+    grids use P_ell^m(cos theta) times cos(m phi) or sin(m phi).  An order
+    m outside 0..ell or a phase other than "cos"/"sin" raises ValueError.
     """
+    from scipy.special import eval_legendre, lpmv
+    if not 0 <= m <= ell:
+        raise ValueError(f"harmonic order m = {m} must lie in 0..ell = {ell}")
+    if phase not in ("cos", "sin"):
+        raise ValueError(f"harmonic phase must be 'cos' or 'sin', got {phase!r}")
     if grid.mode == "axisym":
         if m != 0:
             raise ValueError("axisymmetric grids carry only m = 0 modes")
@@ -117,7 +122,9 @@ def harmonic_mode(grid: SphericalGrid, ell: int, m: int = 0, phase: str = "cos")
     return y / top if top > 0 else y
 
 
+@functools.lru_cache(maxsize=8)
 def _mode_bank(grid: SphericalGrid, lmax: int):
+    """Unit-sup harmonics of degree 1..lmax, cached per (grid, lmax) and read-only."""
     modes = []
     for ell in range(1, lmax + 1):
         if grid.mode == "axisym":
@@ -127,7 +134,9 @@ def _mode_bank(grid: SphericalGrid, lmax: int):
                 modes.append(harmonic_mode(grid, ell, m, "cos"))
                 if m > 0:
                     modes.append(harmonic_mode(grid, ell, m, "sin"))
-    return modes
+    for y in modes:
+        y.flags.writeable = False
+    return tuple(modes)
 
 
 # rejection-sampling budget of the random generators

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigs
 
 __all__ = [
     "SphericalGrid",
@@ -194,6 +193,8 @@ class SphericalGrid:
         seeded start vector, hence deterministically.  Cached per grid like
         the shapes' mode bank; equal grids share an entry.
         """
+        from scipy.sparse.linalg import LinearOperator, eigs
+
         def apply(x):
             hess = self.hessian_components(x.reshape(self.node_shape))
             trace = hess[0] + (self.n - 1) * hess[1] if self.mode == "axisym" else hess[0] + hess[2]
@@ -322,6 +323,9 @@ class ScalarField:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScalarField":
+        missing = [key for key in ("mode", "n", "resolution", "values") if key not in data]
+        if missing:
+            raise ValueError(f"field data lacks {', '.join(missing)}")
         grid = SphericalGrid.from_dict(data)
         values = np.asarray(data["values"], float).reshape(grid.node_shape)
         return cls(grid, values)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +211,9 @@ VERIFY_CFG = {
     "seed": 1,
 }
 
+# a field file with a grid mode and dimension but no resolution or values
+FIELD_WITHOUT_VALUES = Path(__file__).parent / "data" / "field_without_values.json"
+
 
 @pytest.mark.parametrize("command, base, change", [
     pytest.param("verify", VERIFY_CFG, {"k": 3}, id="verify-k-above-n-1"),
@@ -251,6 +255,15 @@ VERIFY_CFG = {
                  id="flow-lmax-string"),
     pytest.param("flow", RADIAL_CFG, {"initial": {"shape": "file", "path": "no-such-field.json"}},
                  id="flow-initial-file-missing"),
+    pytest.param("flow", RADIAL_CFG, {"initial": {"shape": "file", "path": str(FIELD_WITHOUT_VALUES)}},
+                 id="flow-initial-file-without-keys"),
+    pytest.param("flow", RADIAL_CFG, {"grid": {"mode": "full-s2", "n": 2, "n_theta": 16, "n_phi": 32},
+                                      "initial": {"shape": "harmonic", "ell": 2, "amplitude": 0.1, "m": 3}},
+                 id="flow-harmonic-m-above-ell"),
+    pytest.param("flow", RADIAL_CFG, {"grid": {"mode": "full-s2", "n": 2, "n_theta": 16, "n_phi": 32},
+                                      "initial": {"shape": "harmonic", "ell": 2, "amplitude": 0.1, "m": 1,
+                                                  "phase": "tan"}},
+                 id="flow-harmonic-phase"),
     pytest.param("verify", VERIFY_CFG, {"profile": {"kind": "constant", "value": -1}},
                  id="verify-constant-value-negative"),
     pytest.param("verify", VERIFY_CFG, {"profile": {"kind": "bogus"}}, id="verify-profile-kind"),

@@ -199,6 +199,32 @@ def test_equal_grids_hash_equal_and_share_the_mode_cache():
     assert _convexity_normalized_modes.cache_info().currsize == 1
 
 
+def test_field_from_dict_names_missing_keys():
+    with pytest.raises(ValueError, match="lacks resolution, values"):
+        ScalarField.from_dict({"mode": "axisym", "n": 2})
+
+
+def test_random_starshaped_builds_its_mode_bank_once(monkeypatch):
+    from curvelab import shapes
+
+    calls = []
+    real = shapes.harmonic_mode
+    monkeypatch.setattr(shapes, "harmonic_mode", lambda *a: calls.append(a) or real(*a))
+    shapes._mode_bank.cache_clear()
+    grid = SphericalGrid.full_s2(16, 32)
+    for seed in range(5):
+        shapes.random_starshaped(grid, np.random.default_rng(seed), amp=0.1)
+    assert len(calls) == 24  # degrees 1..4: 3 + 5 + 7 + 9 modes, once
+    bank = shapes._mode_bank(grid, 4)
+    assert all(not y.flags.writeable for y in bank)
+
+
+@pytest.mark.parametrize("ell, m, phase", [(2, 3, "cos"), (2, -1, "cos"), (2, 1, "tan")])
+def test_harmonic_mode_rejects_order_and_phase(ell, m, phase):
+    with pytest.raises(ValueError):
+        harmonic_mode(SphericalGrid.full_s2(8, 16), ell, m, phase)
+
+
 @pytest.mark.parametrize("grid", [SphericalGrid.full_s2(8, 16), SphericalGrid.axisym(3, 8)])
 def test_frame_is_orthonormal_and_tangent(grid):
     xi = grid.xi()
