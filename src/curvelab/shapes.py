@@ -98,26 +98,27 @@ def harmonic_mode(grid: SphericalGrid, ell: int, m: int = 0, phase: str = "cos")
     """Low-degree harmonic, normalized to unit sup norm on the grid.
 
     Axisymmetric grids use the Legendre polynomial P_ell(cos theta); full-s2
-    grids use P_ell^m(cos theta) times cos(m phi) or sin(m phi).  An order
-    m outside 0..ell or a phase other than "cos"/"sin" raises ValueError.
+    grids use P_ell^m(cos theta), with the Condon-Shortley phase (-1)^m, times
+    cos(m phi) or sin(m phi).  P_ell^m comes from the upward recurrence in ell.
+    A non-integer degree or order, an order m outside 0..ell or a phase other
+    than "cos"/"sin" raises ValueError.
     """
-    from scipy.special import eval_legendre, lpmv
+    for name, value in (("degree ell", ell), ("order m", m)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"harmonic {name} must be an integer, got {value!r}")
     if not 0 <= m <= ell:
         raise ValueError(f"harmonic order m = {m} must lie in 0..ell = {ell}")
     if phase not in ("cos", "sin"):
         raise ValueError(f"harmonic phase must be 'cos' or 'sin', got {phase!r}")
-    if grid.mode == "axisym":
-        if m != 0:
-            raise ValueError("axisymmetric grids carry only m = 0 modes")
-        y = eval_legendre(ell, grid.cos_t)
-    else:
-        base = lpmv(m, ell, grid.cos_t)[:, None]
-        if m == 0:
-            y = np.broadcast_to(base, grid.node_shape).copy()
-        elif phase == "cos":
-            y = base * np.cos(m * grid.phi)[None, :]
-        else:
-            y = base * np.sin(m * grid.phi)[None, :]
+    if grid.mode == "axisym" and m != 0:
+        raise ValueError("axisymmetric grids carry only m = 0 modes")
+    # P_m^m = (-1)^m (2m - 1)!! sin^m theta, then P_k^m from P_(k-1)^m and P_(k-2)^m
+    prev, y = 0.0, (-1.0) ** m * np.prod(np.arange(1.0, 2 * m, 2)) * grid.sin_t**m
+    for k in range(m + 1, ell + 1):
+        prev, y = y, ((2 * k - 1) * grid.cos_t * y - (k + m - 1) * prev) / (k - m)
+    if grid.mode == "full-s2":
+        trig = np.sin if m and phase == "sin" else np.cos  # m = 0 is zonal for either phase
+        y = y[:, None] * trig(m * grid.phi)[None, :]
     top = np.abs(y).max()
     return y / top if top > 0 else y
 

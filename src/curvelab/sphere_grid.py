@@ -56,8 +56,9 @@ class SphericalGrid:
     * ``axisym``: colatitude profile valid for any n >= 2; fields depend on
       theta only and all azimuthal derivatives vanish identically.
 
-    Grids are immutable after construction; operators are pure functions of
-    the node values they are handed.
+    Grids are immutable after construction, so the embedding arrays are built
+    once and read-only; operators are pure functions of the node values they
+    are handed.
     """
 
     def __init__(self, mode: str, n: int, n_theta: int, n_phi: int | None = None):
@@ -98,6 +99,13 @@ class SphericalGrid:
             m = np.arange(self.n_phi // 2 + 1)
             m_keep = np.maximum(2.0, np.ceil(self.sin_t * self.n_phi / 2.0))
             self._zonal_mask = (m[None, :] <= m_keep[:, None]).astype(float)
+            st, ct = self._sin, self.cos_t[:, None]
+            cp, sp = np.cos(self.phi)[None, :], np.sin(self.phi)[None, :]
+            full = functools.partial(np.broadcast_to, shape=self.node_shape)
+            xi = np.stack([st * cp, st * sp, full(ct)], axis=-1)
+            e_theta = np.stack([ct * cp, ct * sp, full(-st)], axis=-1)
+            e_phi = np.stack([-full(sp), full(cp), np.zeros(self.node_shape)], axis=-1)
+            frame = (e_theta, e_phi)
         else:
             self.n_phi = None
             self.dphi = None
@@ -106,6 +114,11 @@ class SphericalGrid:
             raw = sphere_area(n - 1) * self.sin_t ** (n - 1) * self.dtheta
             self._sin = self.sin_t
             self._cot = self.cot_t
+            xi = np.stack([self.sin_t, self.cos_t], axis=-1)
+            frame = (np.stack([self.cos_t, -self.sin_t], axis=-1),)
+        for a in (xi, *frame):
+            a.flags.writeable = False
+        self._xi, self._frame = xi, frame
 
         self.weights = raw * (sphere_area(n) / raw.sum())
 
@@ -189,21 +202,22 @@ class SphericalGrid:
         """Largest |eigenvalue| of v -> zonal_filter(trace hessian_components(v)).
 
         This is the discrete Laplacian the steppers see, so explicit steps are
-        sized by it.  ARPACK's Arnoldi iteration finds it matrix-free from a
-        seeded start vector, hence deterministically.  Cached per grid like
-        the shapes' mode bank; equal grids share an entry.
+        sized by it.  It commutes with phi-shifts, so the rfft over phi of its
+        responses to one delta per theta-row splits it into one real (it is
+        even in phi) n_theta x n_theta block per zonal wavenumber, a single
+        block on axisymmetric grids, whose exact spectral radius is returned.
+        Cached per grid like the shapes' mode bank; equal grids share an entry.
         """
-        from scipy.sparse.linalg import LinearOperator, eigs
-
-        def apply(x):
-            hess = self.hessian_components(x.reshape(self.node_shape))
+        responses = []
+        for j in range(self.n_theta):
+            delta = np.zeros(self.node_shape)
+            delta.reshape(self.n_theta, -1)[j, 0] = 1.0
+            hess = self.hessian_components(delta)
             trace = hess[0] + (self.n - 1) * hess[1] if self.mode == "axisym" else hess[0] + hess[2]
-            return self.zonal_filter(trace).ravel()
-
-        size = math.prod(self.node_shape)
-        op = LinearOperator((size, size), matvec=apply, dtype=float)
-        start = np.random.default_rng(0).standard_normal(size)
-        return float(abs(eigs(op, k=1, v0=start, tol=1e-8, return_eigenvectors=False)[0]))
+            responses.append(self.zonal_filter(trace))
+        response = np.stack(responses, axis=-1)  # [row i, (phi offset,)] delta row j
+        blocks = response[None] if self.mode == "axisym" else np.fft.rfft(response, axis=1).real.transpose(1, 0, 2)
+        return float(np.abs(np.linalg.eigvals(blocks)).max())
 
     # -- embedding in R^(n+1) ---------------------------------------------------
 
@@ -213,13 +227,7 @@ class SphericalGrid:
         full-s2: array (N_theta, N_phi, 3).  axisym: (N_theta, 2) meridian
         components (coefficient of the S^(n-1) orbit direction, axis component).
         """
-        if self.mode == "full-s2":
-            st, ct = self.sin_t[:, None], self.cos_t[:, None]
-            cp, sp = np.cos(self.phi)[None, :], np.sin(self.phi)[None, :]
-            return np.stack(
-                [st * cp, st * sp, np.broadcast_to(ct, self.node_shape)], axis=-1
-            )
-        return np.stack([self.sin_t, self.cos_t], axis=-1)
+        return self._xi
 
     def frame(self):
         """Ambient unit vectors of the gradient's components, laid out like xi().
@@ -227,14 +235,7 @@ class SphericalGrid:
         full-s2: (e_theta, e_phi); axisym: (e_theta,), which is
         (cos theta, -sin theta) in meridian components.
         """
-        if self.mode == "axisym":
-            return (np.stack([self.cos_t, -self.sin_t], axis=-1),)
-        st, ct = self.sin_t[:, None], self.cos_t[:, None]
-        cp, sp = np.cos(self.phi)[None, :], np.sin(self.phi)[None, :]
-        zeros = np.zeros(self.node_shape)
-        e_theta = np.stack([ct * cp, ct * sp, np.broadcast_to(-st, self.node_shape)], axis=-1)
-        e_phi = np.stack([-np.broadcast_to(sp, self.node_shape), np.broadcast_to(cp, self.node_shape), zeros], axis=-1)
-        return e_theta, e_phi
+        return self._frame
 
     def project(self, c) -> np.ndarray:
         """<c, xi> at the nodes: the normal speed of a translation by c.
@@ -278,9 +279,10 @@ class SphericalGrid:
     @classmethod
     def from_dict(cls, data: dict) -> "SphericalGrid":
         res = data["resolution"]
-        if data["mode"] == "axisym":
-            return cls.axisym(data["n"], res[0])
-        return cls.full_s2(res[0], res[1])
+        want = 1 if data["mode"] == "axisym" else 2
+        if len(res) != want:
+            raise ValueError(f"{data['mode']} resolution takes {want} entries, got {res!r}")
+        return cls(data["mode"], data["n"], *res)
 
     def __eq__(self, other):
         return (

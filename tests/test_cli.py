@@ -213,6 +213,8 @@ VERIFY_CFG = {
 
 # a field file with a grid mode and dimension but no resolution or values
 FIELD_WITHOUT_VALUES = Path(__file__).parent / "data" / "field_without_values.json"
+# a full-s2 field file whose resolution gives n_theta but not n_phi
+FIELD_S2_ONE_RESOLUTION_ENTRY = Path(__file__).parent / "data" / "field_s2_one_resolution_entry.json"
 
 
 @pytest.mark.parametrize("command, base, change", [
@@ -257,6 +259,11 @@ FIELD_WITHOUT_VALUES = Path(__file__).parent / "data" / "field_without_values.js
                  id="flow-initial-file-missing"),
     pytest.param("flow", RADIAL_CFG, {"initial": {"shape": "file", "path": str(FIELD_WITHOUT_VALUES)}},
                  id="flow-initial-file-without-keys"),
+    pytest.param("flow", RADIAL_CFG, {"initial": {"shape": "file", "path": str(FIELD_S2_ONE_RESOLUTION_ENTRY)}},
+                 id="flow-initial-file-resolution-length"),
+    pytest.param("flow", RADIAL_CFG, {"grid": {"mode": "full-s2", "n": 2, "n_theta": 16, "n_phi": 32},
+                                      "initial": {"shape": "harmonic", "ell": 2.5, "amplitude": 0.1}},
+                 id="flow-harmonic-ell-not-int"),
     pytest.param("flow", RADIAL_CFG, {"grid": {"mode": "full-s2", "n": 2, "n_theta": 16, "n_phi": 32},
                                       "initial": {"shape": "harmonic", "ell": 2, "amplitude": 0.1, "m": 3}},
                  id="flow-harmonic-m-above-ell"),

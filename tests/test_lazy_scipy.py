@@ -1,6 +1,7 @@
-"""scipy is imported inside the functions that call it, never at module level."""
+"""scipy is imported only by the two functions that need it, never at module level."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -10,14 +11,19 @@ import curvelab
 
 PACKAGE = Path(curvelab.__file__).parent
 
+# the only callers of scipy: a tabulated speed profile and AC-11's reference ODE
+SCIPY_CALLERS = {("flows.py", "SpeedProfile.tabulated"), ("acceptance.py", "ac11")}
 
-def module_level_scipy_imports(tree):
-    """Lines of scipy imports that run when the module is imported."""
-    lines = []
 
-    def visit(node):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return
+def scipy_imports(tree):
+    """(line, qualified name of the enclosing function or None) of each scipy import."""
+    found = []
+
+    def visit(node, scope, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+            if not isinstance(node, ast.ClassDef):
+                function = ".".join(scope)
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -25,35 +31,65 @@ def module_level_scipy_imports(tree):
         else:
             names = []
         if any(name == "scipy" or name.startswith("scipy.") for name in names):
-            lines.append(node.lineno)
+            found.append((node.lineno, function))
         for child in ast.iter_child_nodes(node):
-            visit(child)
+            visit(child, scope, function)
 
-    visit(tree)
-    return lines
+    visit(tree, (), None)
+    return found
 
 
-def test_no_module_imports_scipy_at_module_level():
+def test_scipy_is_imported_only_by_its_two_callers():
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        lines = module_level_scipy_imports(ast.parse(path.read_text(), str(path)))
-        if lines:
-            found[path.name] = lines
-    assert found == {}, f"import scipy inside the function that calls it: {found}"
+        for line, function in scipy_imports(ast.parse(path.read_text(), str(path))):
+            if (path.name, function) not in SCIPY_CALLERS:
+                found.setdefault(path.name, []).append((line, function))
+    assert found == {}, f"scipy imported outside {sorted(SCIPY_CALLERS)}: {found}"
     snippet = (
         "import scipy\nfrom scipy.special import lpmv\nimport scipy.sparse as sp\n"
         "try:\n    import scipy.fft\nexcept ImportError:\n    pass\n"
         "class K:\n    from scipy import integrate\n"
-        "def f():\n    from scipy.interpolate import CubicSpline\n"
+        "    def tabulated():\n        from scipy.interpolate import CubicSpline\n"
+        "def ac11():\n    def rhs():\n        import scipy.integrate\n"
         "import scipyx\nfrom . import scipy_helpers\n"
     )
-    assert module_level_scipy_imports(ast.parse(snippet)) == [1, 2, 3, 5, 9]
+    assert scipy_imports(ast.parse(snippet)) == [
+        (1, None), (2, None), (3, None), (5, None), (9, None), (11, "K.tabulated"), (14, "ac11.rhs"),
+    ]
+
+
+def loaded_scipy_modules(probe):
+    """The scipy modules in sys.modules after running probe in a fresh interpreter."""
+    probe += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    return subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent), CURVELAB_THREADS="1"),
+    ).stdout.splitlines()[-1]
 
 
 def test_importing_the_package_and_cli_loads_no_scipy():
-    probe = "import sys, curvelab, curvelab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
-    ).stdout
-    assert out.strip() == "[]"
+    assert loaded_scipy_modules("import curvelab, curvelab.cli") == "[]"
+
+
+def test_flows_and_verify_load_no_scipy(tmp_path):
+    # seeded random starts build harmonic modes; every run sizes its steps by laplacian_bound
+    config = tmp_path / "verify.json"
+    config.write_text(json.dumps({"samples": 2, "k": 1, "parametrization": "radial", "seed": 1,
+                                  "grid": {"mode": "axisym", "n": 2, "n_theta": 16}}))
+    probe = f"""
+import numpy as np
+from curvelab import cli
+from curvelab.flows import FlowConfig, SpeedProfile, run_flow
+from curvelab.shapes import random_convex_support, random_starshaped
+from curvelab.sphere_grid import SphericalGrid
+
+rng = np.random.default_rng(1)
+h0 = random_convex_support(SphericalGrid.full_s2(8, 16), rng, amp=0.05)
+assert run_flow(h0, None, FlowConfig(kind="support", k=1, t_end=0.01)).rows
+r0 = random_starshaped(SphericalGrid.axisym(2, 16), rng, amp=0.05)
+profile = SpeedProfile.power_exp_pinned(2, 1.0)
+assert run_flow(r0, profile, FlowConfig(kind="radial", t_end=0.01)).rows
+assert cli.main(["verify", "--config", {str(config)!r}, "--out", {str(tmp_path / "out")!r}]) == 0
+"""
+    assert loaded_scipy_modules(probe) == "[]"

@@ -156,8 +156,8 @@ def test_zonal_filter_keeps_smooth_fields():
     assert np.abs(cleaned - vals).max() < 1e-12
 
 
-@pytest.mark.parametrize("grid", [SphericalGrid.full_s2(16, 32), SphericalGrid.axisym(2, 32),
-                                  SphericalGrid.axisym(5, 32)], ids=repr)
+@pytest.mark.parametrize("grid", [SphericalGrid.full_s2(16, 32), SphericalGrid.full_s2(24, 48),
+                                  SphericalGrid.axisym(2, 32), SphericalGrid.axisym(5, 32)], ids=repr)
 def test_laplacian_bound_matches_dense_spectrum(grid):
     # largest |eigenvalue| of the dense zonal_filter o trace(hessian) matrix
     cols = []
@@ -168,7 +168,7 @@ def test_laplacian_bound_matches_dense_spectrum(grid):
         lap = hess[0] + hess[2] if grid.mode == "full-s2" else hess[0] + (grid.n - 1) * hess[1]
         cols.append(grid.zonal_filter(lap).ravel())
     dense = float(np.abs(np.linalg.eigvals(np.array(cols).T)).max())
-    assert grid.laplacian_bound() == pytest.approx(dense, rel=1e-2)
+    assert grid.laplacian_bound() == pytest.approx(dense, rel=1e-9)
 
 
 def test_json_round_trip():
@@ -204,6 +204,16 @@ def test_field_from_dict_names_missing_keys():
         ScalarField.from_dict({"mode": "axisym", "n": 2})
 
 
+@pytest.mark.parametrize("mode, n, resolution, message", [
+    ("axisym", 2, [], "resolution takes"), ("axisym", 2, [8, 16, 3], "resolution takes"),
+    ("full-s2", 2, [8], "resolution takes"), ("full-s2", 2, [8, 16, 3], "resolution takes"),
+    ("bogus", 2, [8, 16], "unknown grid mode"), ("full-s2", 3, [8, 16], "requires n = 2"),
+], ids=["axisym-0", "axisym-3", "s2-1", "s2-3", "unknown-mode", "s2-n-3"])
+def test_grid_from_dict_checks_mode_and_resolution(mode, n, resolution, message):
+    with pytest.raises(ValueError, match=message):
+        SphericalGrid.from_dict({"mode": mode, "n": n, "resolution": resolution})
+
+
 def test_random_starshaped_builds_its_mode_bank_once(monkeypatch):
     from curvelab import shapes
 
@@ -219,10 +229,25 @@ def test_random_starshaped_builds_its_mode_bank_once(monkeypatch):
     assert all(not y.flags.writeable for y in bank)
 
 
-@pytest.mark.parametrize("ell, m, phase", [(2, 3, "cos"), (2, -1, "cos"), (2, 1, "tan")])
+@pytest.mark.parametrize("ell, m, phase", [(2, 3, "cos"), (2, -1, "cos"), (2, 1, "tan"),
+                                           (2.5, 0, "cos"), (2, 1.5, "cos"), (True, 0, "cos")])
 def test_harmonic_mode_rejects_order_and_phase(ell, m, phase):
     with pytest.raises(ValueError):
         harmonic_mode(SphericalGrid.full_s2(8, 16), ell, m, phase)
+
+
+@pytest.mark.parametrize("grid, ell, m, closed", [
+    (SphericalGrid.full_s2(16, 32), 2, 1, lambda x: -3.0 * x * np.sqrt(1.0 - x**2)),
+    (SphericalGrid.full_s2(16, 32), 3, 2, lambda x: 15.0 * x * (1.0 - x**2)),
+    (SphericalGrid.full_s2(16, 32), 4, 4, lambda x: 105.0 * (1.0 - x**2) ** 2),
+    (SphericalGrid.axisym(3, 24), 4, 0, lambda x: (35.0 * x**4 - 30.0 * x**2 + 3.0) / 8.0),
+], ids=["P21", "P32", "P44", "P4-axisym"])
+def test_harmonic_mode_matches_closed_forms(grid, ell, m, closed):
+    # the Condon-Shortley phase (-1)^m fixes the sign of every odd-m mode
+    y = closed(grid.cos_t)
+    if grid.mode == "full-s2":
+        y = y[:, None] * np.cos(m * grid.phi)[None, :]
+    assert np.abs(harmonic_mode(grid, ell, m) - y / np.abs(y).max()).max() < 1e-13
 
 
 @pytest.mark.parametrize("grid", [SphericalGrid.full_s2(8, 16), SphericalGrid.axisym(3, 8)])
