@@ -526,7 +526,7 @@ def ac10():
 
 
 # ---------------------------------------------------------------------------
-# AC-11: RK4 temporal order
+# AC-11: temporal order of the extrapolated step
 
 
 def ac11():
@@ -546,7 +546,7 @@ def ac11():
         errs.append(abs(float(trace.meta["final_state"][0]) - ref))
     ratio = errs[0] / errs[1]
     c.check("error ratio under dt halving", 12.0 <= ratio <= 20.0,
-            f"ratio = {ratio:.2f} in [12, 20] (RK4: ~16)")
+            f"ratio = {ratio:.2f} in [12, 20] (order 4: ~16)")
     return c.done()
 
 

@@ -168,9 +168,14 @@ def build_initial(cfg: dict, grid: SphericalGrid, rng: np.random.Generator,
                          lmax=cfg.get("lmax", 4))
         if shape == "file":
             with open(_require(cfg, "path", "initial")) as handle:
-                return ScalarField.from_dict(json.load(handle))
+                field = ScalarField.from_dict(json.load(handle))
     except (TypeError, ValueError, FileNotFoundError) as exc:  # values the shape cannot take
         raise ConfigError("initial", str(exc))
+    if shape == "file":
+        if field.grid != grid:
+            raise ConfigError("initial.path", f"the field file's grid {field.grid!r} "
+                              f"differs from the config's grid {grid!r}")
+        return field
     raise ConfigError("initial.shape", f"unknown initial shape {shape!r}")
 
 

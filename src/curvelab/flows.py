@@ -20,22 +20,29 @@ stationary, the (k-1)-th quermassintegral is conserved, and
 M_k = int sigma_{k-1} f^((n-k+1)/(n-k)) dmu never increases when
 g = f^((n-k+1)/(n-k)) is convex and nondecreasing in h.
 
-Stepping.  One bound sizes both flows' explicit steps: the forward-Euler
-step cfl * 2 / (c_max * lambda_L), with lambda_L the grid's largest
-filtered-Laplacian eigenvalue and c_max the largest principal coefficient of
-the linearized speed (f / r^2 radial, h kappa_i^2 dF/dkappa_i support).
-Radial and fixed-step runs use RK4 at 2.785 / 2 times that step; RKL2's
-second-order time error would show on spheres, which the grid holds exactly.
-Adaptive support runs take RKL2 super-steps (Meyer, Balsara & Aslam, J.
-Comput. Phys. 257 (2014)) of up to one output interval and 16 stages, each
-covering (s^2 + s - 2) / 4 Euler steps with s speed evaluations.  Each
-candidate state is assessed once (one gradient or one build of the principal
-radii) for its monitored integral (Q or M_k), its Euler step and the
-convergence test.  On a geometry error or monotonicity breach the step halves
-and retries, and the next step is at most twice the accepted one; breaches
-that survive the retry budget are recorded as events, not failures.  Full-s2
-runs pass every stage through the zonal filter so the pole-convergent phi
-columns do not force their own step size.
+Stepping.  c_max is the largest principal coefficient of the linearized
+speed (f / r^2 radial, h kappa_i^2 dF/dkappa_i support).  Radial runs,
+fixed-step runs and the area-rate check take linearly implicit Euler steps
+u += (I - s a Z Delta Z)^-1 Z (s speed(u)), extrapolated over the substeps
+h/1, ..., h/4 to order 4 (Deuflhard, SIAM Rev. 27 (1985)), with Z the zonal
+filter, Delta the grid's Laplacian and a = c_max, held until c_max leaves
+[a/2, a] so the solve's inverses are reused; the Laplacian term stabilizes
+the stiff part (Smereka, J. Sci. Comput. 19 (2003)), so no Delta theta^2
+bound applies; on a sphere Delta vanishes, the step is extrapolated explicit
+Euler on the radius ODE and the surface stays round.  Adaptive steps are one
+output interval, capped at 0.025 and at h a = 0.025.  Adaptive support runs keep RKL2
+super-steps (Meyer, Balsara & Aslam, J. Comput. Phys. 257 (2014)) of up to
+one output interval and 16 stages, each covering (s^2 + s - 2) / 4
+forward-Euler steps cfl * 2 / (c_max * lambda_L) with s speed evaluations,
+lambda_L being the grid's largest filtered-Laplacian eigenvalue; cfl sizes
+only these steps.  Each candidate state is assessed once (one gradient or
+one build of the principal radii) for its monitored integral (Q or M_k), its
+c_max and the convergence test.  On a geometry error or monotonicity breach
+the step halves and retries, and the next RKL2 step is at most twice the
+accepted one; breaches that survive the retry budget are recorded as events,
+not failures.  On full-s2 grids every stage and every substep's increment
+passes the zonal filter, so the pole-convergent phi columns do not force
+their own step size.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ from .errors import (
 from .functionals import monotone_quantities, quermassintegrals
 from .geometry import (
     CurvatureField,
+    _check_starshaped,
     _radial_pair,
     _support_radii,
     radial_geometry,
@@ -313,7 +321,7 @@ def validate_support_profile(
 #
 # A kernel evaluates one flow on one grid: ``speed`` is the right-hand side
 # of the stepper stages, and ``assess`` reads a candidate state once and
-# returns (monotone integral, forward-Euler step from that state, converged).
+# returns (monotone integral, c_max at that state, converged).
 
 _GEOM_ERRORS = (NotStarshaped, ConvexityLost, ConeViolation, DegenerateMetric)
 
@@ -337,21 +345,23 @@ class _RadialKernel:
         return -(f * H + n / (n - 1.0) * fp * v) * v
 
     def assess(self, r: np.ndarray) -> tuple[float, float, bool]:
-        """(Q, Euler dt, converged) from one gradient of r.
+        """(Q, c_max = max f / r^2, converged) from one gradient of r.
 
         Q = int f^(n/(n-1)) dmu; the run has converged once max |grad r| <
-        grad_tol and |fhat(mean r)| < hatf_tol.
+        grad_tol and |fhat(mean r)| < hatf_tol.  A state with a nonpositive
+        or non-finite radius raises NotStarshaped or DegenerateMetric.
         """
         g, n, config = self.grid, self.n, self.config
+        _check_starshaped(r)
         q = sum(c * c for c in g.gradient(r))
         f = self.profile.f(r)
         dmu = r ** (n - 1) * np.sqrt(r * r + q)
         value = float(np.sum(g.weights * f ** (n / (n - 1.0)) * dmu))
-        dt = _euler_step(self, float(np.max(f / (r * r))))
+        c_max = float(np.max(f / (r * r)))
         rmean = float(np.sum(g.weights * r) / np.sum(g.weights))
         hat = abs(float(self.profile.hat(rmean, n)))
         converged = float(np.sqrt(q).max()) < config.grad_tol and hat < config.hatf_tol
-        return value, dt, converged
+        return value, c_max, converged
 
     def conserved_value(self, r: np.ndarray) -> float | None:
         return None
@@ -388,7 +398,7 @@ class _SupportKernel:
         return 1.0 - h * sigma_quotient(sig, self.k)
 
     def assess(self, h: np.ndarray) -> tuple[float, float, bool]:
-        """(M_k, Euler dt, converged) from one build of the radii.
+        """(M_k, c_max, converged) from one build of the radii.
 
         M_k = int sigma_{k-1} g(h) dmu with g = f^((n-k+1)/(n-k)); the run has
         converged once (max h - min h) / mean h < osc_tol.  The principal
@@ -410,9 +420,9 @@ class _SupportKernel:
         scale = math.comb(n, k - 1) / math.comb(n, k) / sig[k - 1] ** 2
         c1 = kap1**2 * scale * (d1 * sig[k - 1] - sig[k] * e1)
         c2 = kap2**2 * scale * (d2 * sig[k - 1] - sig[k] * e2)
-        dt = _euler_step(self, float(np.max(np.abs(h) * np.maximum(c1, c2))))
+        c_max = float(np.max(np.abs(h) * np.maximum(c1, c2)))
         hmean = float(np.sum(g.weights * h) / np.sum(g.weights))
-        return value, dt, float((h.max() - h.min()) / hmean) < config.osc_tol
+        return value, c_max, float((h.max() - h.min()) / hmean) < config.osc_tol
 
     def conserved_value(self, h: np.ndarray) -> float:
         rho1, rho2, sig = self._sigma(h)
@@ -439,24 +449,41 @@ def _euler_step(kernel, c_max: float) -> float:
     return kernel.config.cfl * 2.0 / (c_max * kernel.grid.laplacian_bound())
 
 
-# RK4's real-axis stability reach in forward-Euler steps; the most stages of
-# one RKL2 super-step, and the Euler steps that many stages cover
-_RK4_REACH = 2.785 / 2.0
+# The extrapolated step's levels (its order); its largest adaptive step, as
+# the sphere-ODE error at 4 levels is 2.2e-8 at 0.05 and 1.35e-9 at 0.025;
+# and the largest h * a, which keeps the solve from spreading a node's speed
+# over more than about sqrt(h a) = 0.16 rad (rough starts, where c_max falls
+# by 1e4, left the flow's range without it).  The most stages of one RKL2
+# super-step, and the Euler steps that many stages cover.
+_LEVELS = 4
+_STEP_CAP = 0.025
+_SPREAD_CAP = 0.025
 _RKL2_MAX_STAGES = 16
 _RKL2_SPAN = (_RKL2_MAX_STAGES**2 + _RKL2_MAX_STAGES - 2) / 4.0
 
 
-def _rk4_step(kernel, u: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of du/dt = kernel.speed(u).
+def _extrapolated_step(kernel, u: np.ndarray, h: float, a: float) -> np.ndarray:
+    """One linearly implicit Euler step of du/dt = kernel.speed(u), extrapolated.
 
-    On full-s2 grids the result passes the zonal filter, which strips the
-    pole-row modes the m^2 / sin^2(theta) factors would otherwise amplify.
+    Level j takes j substeps y += R(s a)(s speed(y)) of s = h / j, with
+    R(s a) = (I - s a Z Delta Z)^-1 Z the grid's resolvent; the levels share
+    speed(u).  For any fixed a the error expands in powers of h, so the
+    Aitken-Neville tableau over the _LEVELS levels has order _LEVELS.  The
+    result is zonal-filtered when u is.
     """
-    k1 = kernel.speed(u)
-    k2 = kernel.speed(u + 0.5 * dt * k1)
-    k3 = kernel.speed(u + 0.5 * dt * k2)
-    k4 = kernel.speed(u + dt * k3)
-    return kernel.grid.zonal_filter(u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    grid = kernel.grid
+    start = kernel.speed(u)
+    row = []
+    for j in range(1, _LEVELS + 1):
+        s = h / j
+        y = u + grid.resolvent(s * start, a * s)
+        for _ in range(j - 1):
+            y = y + grid.resolvent(s * kernel.speed(y), a * s)
+        new = [y]
+        for k in range(1, j):  # T[j, k+1] = T[j, k] + (T[j, k] - T[j-1, k]) / (j / (j - k) - 1)
+            new.append(new[-1] + (new[-1] - row[k - 1]) * ((j - k) / k))
+        row = new
+    return row[-1]
 
 
 def _rkl2_step(kernel, u: np.ndarray, dt: float, dt_euler: float) -> np.ndarray:
@@ -499,7 +526,7 @@ class FlowConfig:
     kind: str                     # 'radial' | 'support'
     t_end: float
     k: int = 1                    # the M_k column; the support flow's E_k too
-    cfl: float = 0.2              # fraction of the stepper's real-axis stability limit
+    cfl: float = 0.2              # fraction of the forward-Euler limit in RKL2 super-steps
     grad_tol: float = 1e-5        # radial convergence: max |grad r|
     hatf_tol: float = 5e-4        # radial convergence: |fhat(r_mean)|
     osc_tol: float = 1e-4         # support convergence: (h_max - h_min)/h_mean
@@ -674,7 +701,8 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
     state = grid.zonal_filter(initial.values).copy()  # final_state is never the caller's array
     t = 0.0
     steps = 0
-    mono_prev, dt_euler, _ = kernel.assess(state)
+    mono_prev, c_max, _ = kernel.assess(state)
+    a = c_max  # the extrapolated step's Laplacian scale, held while c_max stays in [a/2, a]
     conserved0 = kernel.conserved_value(state)
     output_interval = config.output_interval or config.t_end / 400.0
     rkl2 = config.kind == "support" and config.dt_fixed is None
@@ -687,14 +715,18 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
     dt = 0.0
     while t < config.t_end - 1e-15:
         if rkl2:
+            dt_euler = _euler_step(kernel, c_max)
             dt = min(output_interval, _RKL2_SPAN * dt_euler, dt_grow, config.t_end - t)
         else:
-            dt = min(config.dt_fixed or _RK4_REACH * dt_euler, config.t_end - t)
+            dt = min(config.dt_fixed or min(output_interval, _STEP_CAP, _SPREAD_CAP / a), config.t_end - t)
         halvings = 0
         while True:
             try:
-                new_state = _rkl2_step(kernel, state, dt, dt_euler) if rkl2 else _rk4_step(kernel, state, dt)
-                mono_new, dt_next, converged = kernel.assess(new_state)
+                if rkl2:
+                    new_state = _rkl2_step(kernel, state, dt, dt_euler)
+                else:
+                    new_state = _extrapolated_step(kernel, state, dt, a)
+                mono_new, c_next, converged = kernel.assess(new_state)
             except _GEOM_ERRORS as exc:
                 if config.dt_fixed is None and dt * 0.5 >= _DT_MIN:
                     dt *= 0.5
@@ -715,7 +747,9 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
             break
         if breach > tol:
             trace.breaches.append(BreachEvent(t + dt, "monotone", breach, breach / max(abs(mono_prev), 1e-300)))
-        state, mono_prev, dt_euler = new_state, mono_new, dt_next
+        state, mono_prev, c_max = new_state, mono_new, c_next
+        if not 0.5 * a <= c_max <= a:  # a new a means new resolvent keys
+            a = c_max
         dt_grow = 2.0 * dt if halvings else math.inf
         t += dt
         steps += 1
@@ -790,9 +824,10 @@ def area_evolution_consistency(
     """Compare finite-difference d(area)/dt with the first-variation integral.
 
     The surface measure evolves by d(dmu)/dt = n E_1 Phi dmu = H Phi dmu for
-    normal speed Phi.  One RK4 step at a tenth of the forward-Euler limit is
-    taken; the finite difference of the total area is matched against the
-    average of int H Phi dmu at the two endpoints.
+    normal speed Phi.  One extrapolated step at a tenth of the forward-Euler
+    limit 2 / (c_max lambda_L) is taken; the finite difference of the total
+    area is matched against the average of int H Phi dmu at the two
+    endpoints.
     """
     grid = initial.grid
     kernel = _kernel(grid, profile, config)
@@ -810,8 +845,9 @@ def area_evolution_consistency(
 
     # states are treated exactly as the integrator treats accepted states
     state = grid.zonal_filter(initial.values)
-    dt = kernel.assess(state)[1] / config.cfl / 10.0  # the Euler step at cfl = 1, over 10
-    new_state = _rk4_step(kernel, state, dt)
+    c_max = kernel.assess(state)[1]
+    dt = _euler_step(kernel, c_max) / config.cfl / 10.0  # the Euler step at cfl = 1, over 10
+    new_state = _extrapolated_step(kernel, state, dt, c_max)
 
     rate0, area0 = rate(state)
     rate1, area1 = rate(new_state)

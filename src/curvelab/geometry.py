@@ -162,6 +162,16 @@ def _eig2(a11, a12, a22):
     return mean - disc, mean + disc
 
 
+def _check_starshaped(r: np.ndarray):
+    """Raise DegenerateMetric on non-finite and NotStarshaped on nonpositive radii."""
+    if not np.all(np.isfinite(r)):
+        raise DegenerateMetric("radial function has non-finite entries")
+    if r.min() <= 0.0:
+        raise NotStarshaped(
+            f"radial function must be positive; min r = {r.min():.6g}"
+        )
+
+
 def _radial_pair(grid: SphericalGrid, r: np.ndarray):
     """Principal curvature pair of the radial graph r(xi) xi.
 
@@ -170,12 +180,7 @@ def _radial_pair(grid: SphericalGrid, r: np.ndarray):
     meridional curvature and the (n-1)-fold azimuthal one; full-s2 grids the
     eigenvalues of lambda = g^(-1/2) h g^(-1/2), ascending.
     """
-    if not np.all(np.isfinite(r)):
-        raise DegenerateMetric("radial function has non-finite entries")
-    if r.min() <= 0.0:
-        raise NotStarshaped(
-            f"radial function must be positive; min r = {r.min():.6g}"
-        )
+    _check_starshaped(r)
     grad, hess = grid._derivatives(r)
     if grid.mode == "axisym":
         (r1,), (r2, _) = grad, hess

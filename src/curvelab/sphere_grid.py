@@ -41,9 +41,40 @@ __all__ = [
 ]
 
 
+# how many keys s of SphericalGrid.resolvent keep their inverses: one per
+# extrapolation level of the flows' step
+_RESOLVENT_KEYS = 4
+
+
 def sphere_area(n: int) -> float:
     """Surface area of the unit n-sphere, 2 pi^((n+1)/2) / Gamma((n+1)/2)."""
     return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
+
+
+def _tridiagonal_inverse(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of tridiagonal matrices by one batched Thomas sweep.
+
+    The matrices are given by their diagonals, shapes (count, size - 1),
+    (count, size) and (count, size - 1).  Eliminates the sub-diagonal of
+    [matrix | I] row by row, then back-substitutes, without pivoting: the
+    pivots of I - s Z Delta Z stay at or above 1 (rows are diagonally
+    dominant for n <= 3, and the pivots were checked for n = 5, 6 up to
+    s lambda_L = 1e5).
+    """
+    count, size = diag.shape
+    out = np.broadcast_to(np.eye(size), (count, size, size)).copy()
+    ratio = np.empty((count, size - 1))  # the eliminated rows' scaled super-diagonal
+    pivot = diag[:, 0]
+    for i in range(size):
+        if i:
+            pivot = diag[:, i] - sub[:, i - 1] * ratio[:, i - 1]
+            out[:, i] -= sub[:, i - 1, None] * out[:, i - 1]
+        out[:, i] /= pivot[:, None]
+        if i < size - 1:
+            ratio[:, i] = sup[:, i] / pivot
+    for i in range(size - 2, -1, -1):
+        out[:, i] -= ratio[:, i, None] * out[:, i + 1]
+    return out
 
 
 class SphericalGrid:
@@ -132,6 +163,7 @@ class SphericalGrid:
             cols = np.arange(-1, self.n_phi + 1)
             index = index[:, None] * self.n_phi + (cols + turn[:, None]) % self.n_phi
         self._ghost = index
+        self._inverses = {}  # resolvent key s -> inverse blocks
 
     # -- differential operators on the round metric -------------------------
 
@@ -197,16 +229,19 @@ class SphericalGrid:
         spec *= self._zonal_mask
         return np.fft.irfft(spec, n=self.n_phi, axis=1)
 
-    @functools.lru_cache(maxsize=8)
-    def laplacian_bound(self) -> float:
-        """Largest |eigenvalue| of v -> zonal_filter(trace hessian_components(v)).
+    def laplacian_blocks(self) -> np.ndarray:
+        """The discrete Laplacian Z Delta Z split into one block per zonal wavenumber.
 
-        This is the discrete Laplacian the steppers see, so explicit steps are
-        sized by it.  It commutes with phi-shifts, so the rfft over phi of its
-        responses to one delta per theta-row splits it into one real (it is
-        even in phi) n_theta x n_theta block per zonal wavenumber, a single
-        block on axisymmetric grids, whose exact spectral radius is returned.
-        Cached per grid like the shapes' mode bank; equal grids share an entry.
+        Z is zonal_filter and Delta the trace of hessian_components, so this
+        is the operator the steppers see.  Z Delta commutes with phi-shifts,
+        so the rfft over phi of its responses to one delta per theta-row
+        gives one real (it is even in phi) n_theta x n_theta block per
+        wavenumber m, shape (n_phi // 2 + 1, n_theta, n_theta); the filter's
+        mask on both sides then applies Z to the input and clears what the
+        FFT round trip leaves in the filtered rows.  Axisymmetric grids have
+        the single block of m = 0.  The stencils reach one row either side,
+        so the blocks are tridiagonal.  Built anew on each call; the cached
+        laplacian_bound and resolvent keep only what they need of them.
         """
         responses = []
         for j in range(self.n_theta):
@@ -216,8 +251,49 @@ class SphericalGrid:
             trace = hess[0] + (self.n - 1) * hess[1] if self.mode == "axisym" else hess[0] + hess[2]
             responses.append(self.zonal_filter(trace))
         response = np.stack(responses, axis=-1)  # [row i, (phi offset,)] delta row j
-        blocks = response[None] if self.mode == "axisym" else np.fft.rfft(response, axis=1).real.transpose(1, 0, 2)
-        return float(np.abs(np.linalg.eigvals(blocks)).max())
+        if self.mode == "axisym":
+            return response[None]
+        mask = self._zonal_mask.T
+        return np.fft.rfft(response, axis=1).real.transpose(1, 0, 2) * mask[:, :, None] * mask[:, None, :]
+
+    @functools.lru_cache(maxsize=8)
+    def laplacian_bound(self) -> float:
+        """Largest |eigenvalue| of Z Delta Z, the spectral radius of its blocks.
+
+        RKL2 super-steps are sized by it.  Cached per grid like the shapes'
+        mode bank; equal grids share an entry.
+        """
+        return float(np.abs(np.linalg.eigvals(self.laplacian_blocks())).max())
+
+    @functools.lru_cache(maxsize=8)
+    def _laplacian_diagonals(self):
+        """(sub, diag, super) diagonals of laplacian_blocks(), cached like laplacian_bound."""
+        blocks = self.laplacian_blocks()
+        return tuple(np.diagonal(blocks, k, axis1=1, axis2=2).copy() for k in (-1, 0, 1))
+
+    def resolvent(self, v: np.ndarray, s: float) -> np.ndarray:
+        """(I - s Z Delta Z)^-1 Z v, solved per zonal wavenumber.
+
+        The inverses of the blocks of I - s Z Delta Z come from one batched
+        Thomas sweep per key s and are kept for the last _RESOLVENT_KEYS
+        keys; the cache is replaced, never mutated, so grids shared between
+        threads stay consistent.  The result is zonal-filtered.
+        """
+        inverse = self._inverses.get(s)
+        if inverse is None:
+            sub, diag, sup = self._laplacian_diagonals()
+            inverse = _tridiagonal_inverse(-s * sub, 1.0 - s * diag, -s * sup)
+            kept = list(self._inverses.items())[1 - _RESOLVENT_KEYS:]
+            self._inverses = dict(kept + [(s, inverse)])
+        # constants are fixed points; solving for the deviation from one keeps
+        # them to the last bit whatever the round-off in the blocks
+        offset = v.flat[0]
+        v = v - offset
+        if self.mode == "axisym":
+            return offset + inverse[0] @ v
+        spec = np.fft.rfft(v, axis=1) * self._zonal_mask
+        spec = np.matmul(inverse, spec.T[:, :, None])[:, :, 0].T
+        return offset + np.fft.irfft(spec, n=self.n_phi, axis=1)
 
     # -- embedding in R^(n+1) ---------------------------------------------------
 

@@ -215,6 +215,9 @@ VERIFY_CFG = {
 FIELD_WITHOUT_VALUES = Path(__file__).parent / "data" / "field_without_values.json"
 # a full-s2 field file whose resolution gives n_theta but not n_phi
 FIELD_S2_ONE_RESOLUTION_ENTRY = Path(__file__).parent / "data" / "field_s2_one_resolution_entry.json"
+# unit spheres on a full-s2 8x16 grid and on an axisym n = 2, 16-node grid
+FIELD_S2_8X16_SPHERE = Path(__file__).parent / "data" / "field_s2_8x16_sphere.json"
+FIELD_AXISYM_16_SPHERE = Path(__file__).parent / "data" / "field_axisym_16_sphere.json"
 
 
 @pytest.mark.parametrize("command, base, change", [
@@ -261,6 +264,11 @@ FIELD_S2_ONE_RESOLUTION_ENTRY = Path(__file__).parent / "data" / "field_s2_one_r
                  id="flow-initial-file-without-keys"),
     pytest.param("flow", RADIAL_CFG, {"initial": {"shape": "file", "path": str(FIELD_S2_ONE_RESOLUTION_ENTRY)}},
                  id="flow-initial-file-resolution-length"),
+    pytest.param("flow", RADIAL_CFG, {"initial": {"shape": "file", "path": str(FIELD_AXISYM_16_SPHERE)}},
+                 id="flow-initial-file-other-resolution"),
+    pytest.param("flow", RADIAL_CFG, {"n": 4, "k": 4, "grid": {"mode": "axisym", "n": 4, "n_theta": 32},
+                                      "initial": {"shape": "file", "path": str(FIELD_S2_8X16_SPHERE)}},
+                 id="flow-initial-file-other-mode-and-n"),
     pytest.param("flow", RADIAL_CFG, {"grid": {"mode": "full-s2", "n": 2, "n_theta": 16, "n_phi": 32},
                                       "initial": {"shape": "harmonic", "ell": 2.5, "amplitude": 0.1}},
                  id="flow-harmonic-ell-not-int"),

@@ -9,9 +9,11 @@ from scipy.integrate import solve_ivp
 
 from curvelab import (
     AssumptionViolated,
+    DegenerateMetric,
     FlowConfig,
     FlowTrace,
     InsufficientData,
+    NotStarshaped,
     ScalarField,
     SphericalGrid,
     SpeedProfile,
@@ -22,7 +24,9 @@ from curvelab import (
     validate_radial_profile,
     validate_support_profile,
 )
-from curvelab.flows import area_evolution_consistency, _kernel, _RadialKernel, _rk4_step, _SupportKernel
+from curvelab.flows import (
+    area_evolution_consistency, _euler_step, _extrapolated_step, _kernel, _RadialKernel, _SupportKernel,
+)
 from curvelab.shapes import random_convex_support, random_starshaped, sphere_radial, sphere_support
 from curvelab.symfunc import ek_derivative_eigen, elementary_symmetric, sigma_all
 
@@ -222,7 +226,9 @@ def filtered_jacobian(kernel, u, eps=1e-6):
 def test_euler_step_covers_the_linearized_speed(kind, k, amp):
     # c_max lambda_L, read back from the Euler step cfl 2 / (c_max lambda_L),
     # is at least the spectral radius of the filtered Jacobian of the speed;
-    # c_max is taken at the worst node, so the excess grows with amp
+    # c_max is taken at the worst node, so the excess grows with amp.  The
+    # RKL2 super-steps are sized by this step, and the extrapolated step
+    # takes a c_max Z Delta Z implicitly on the same premise
     grid = SphericalGrid.full_s2(16, 32)
     rng = np.random.default_rng(1)
     if kind == "radial":
@@ -232,7 +238,7 @@ def test_euler_step_covers_the_linearized_speed(kind, k, amp):
     config = FlowConfig(kind=kind, k=k, t_end=1.0)
     kernel = _kernel(grid, profile, config)
     u = grid.zonal_filter(field.values)
-    bound = 2.0 * config.cfl / kernel.assess(u)[1]
+    bound = 2.0 * config.cfl / _euler_step(kernel, kernel.assess(u)[1])
     radius = np.abs(np.linalg.eigvals(filtered_jacobian(kernel, u))).max()
     assert bound >= 0.99 * radius
 
@@ -406,7 +412,7 @@ def test_support_run_axisym_higher_dimension():
     assert 0.5 * (final["r_min"] + final["r_max"]) == pytest.approx(predicted, rel=1e-3)
 
 
-def test_rk4_temporal_order_on_sphere_ode():
+def test_temporal_order_on_sphere_ode():
     grid = SphericalGrid.axisym(2, 16)
     prof = SpeedProfile.power_exp_pinned(2, 1.0)
 
@@ -420,7 +426,7 @@ def test_rk4_temporal_order_on_sphere_ode():
         trace = run_flow(sphere_radial(grid, 1.3), prof, config)
         errs.append(abs(float(trace.meta["final_state"][0]) - ref))
     ratio = errs[0] / errs[1]
-    assert 10.0 <= ratio <= 22.0  # RK4: ~16x per halving
+    assert 10.0 <= ratio <= 22.0  # order 4: ~16x per halving
 
 
 # -- post-run estimates -------------------------------------------------------------------
@@ -483,8 +489,9 @@ def test_q_rate_matches_monotonicity_integrand():
         w = grid.weights * geom.area_factor
         return -float(np.sum(w * f ** (1.0 / (n - 1.0)) * term**2))
 
-    dt = kernel.assess(r)[1]  # cfl 0.2
-    r1 = _rk4_step(kernel, r, dt)
+    c_max = kernel.assess(r)[1]
+    dt = _euler_step(kernel, c_max)  # cfl 0.2
+    r1 = _extrapolated_step(kernel, r, dt, c_max)
     fd = (q_value(r1) - q_value(r)) / dt
     predicted = 0.5 * (integrand(r) + integrand(r1))
     assert predicted < 0
@@ -494,13 +501,13 @@ def test_q_rate_matches_monotonicity_integrand():
 def test_each_accepted_state_is_assessed_once(monkeypatch):
     # a support step builds the radii once per stage speed and once in its
     # assessment, and takes no gradient outside the diagnostic rows; a radial
-    # step takes one gradient, in its assessment
+    # step takes one gradient, in its assessment, and one speed per substep
     from curvelab import flows
 
-    counts = {"radii": 0, "speed": 0, "grad": 0}
+    counts = {"radii": 0, "speed": 0, "grad": 0, "radial speed": 0}
     in_row = [False]
     radii, gradient, row = flows._support_radii, SphericalGrid.gradient, flows._diagnostic_row
-    speed = flows._SupportKernel.speed
+    speed, radial_speed = flows._SupportKernel.speed, flows._RadialKernel.speed
 
     def counted_radii(*args):
         counts["radii"] += 1
@@ -509,6 +516,10 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
     def counted_speed(self, h):
         counts["speed"] += 1
         return speed(self, h)
+
+    def counted_radial_speed(self, r):
+        counts["radial speed"] += 1
+        return radial_speed(self, r)
 
     def counted_gradient(self, v):
         counts["grad"] += not in_row[0]
@@ -527,6 +538,7 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
     r0 = ScalarField(axisym, 1.0 + 0.1 * np.cos(2 * axisym.theta))
     monkeypatch.setattr(flows, "_support_radii", counted_radii)
     monkeypatch.setattr(flows._SupportKernel, "speed", counted_speed)
+    monkeypatch.setattr(flows._RadialKernel, "speed", counted_radial_speed)
     monkeypatch.setattr(SphericalGrid, "gradient", counted_gradient)
     monkeypatch.setattr(flows, "_diagnostic_row", flagged_row)
 
@@ -542,8 +554,11 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
     counts["grad"] = 0
     trace = run_flow(r0, SpeedProfile.power_exp_pinned(2, 1.0),
                      FlowConfig(kind="radial", t_end=0.05, output_interval=0.01))
-    assert trace.meta["steps"] > 10
-    assert counts["grad"] == trace.meta["steps"] + 1
+    steps = trace.meta["steps"]
+    assert steps == 5 and not trace.breaches  # one step per output interval
+    assert counts["grad"] == steps + 1
+    # the levels share the start's speed, and level j adds j - 1 substeps
+    assert counts["radial speed"] == steps * (1 + sum(range(flows._LEVELS)))
 
 
 def test_trace_timestamps_strictly_increasing():
@@ -611,9 +626,10 @@ def test_step_collapse_carries_partial_trace():
 
     grid = SphericalGrid.axisym(2, 32)
     prof = SpeedProfile.power_exp_pinned(2, 1.0)
-    # a fixed step far beyond the stability limit blows the state up; the
-    # collapse carries the partial trace for post-mortem inspection
-    config = FlowConfig(kind="radial", t_end=5.0, dt_fixed=0.5, output_interval=0.5)
+    # the zeroth-order part of the speed is explicit in every step, so a fixed
+    # step well past ~1 at r* blows the state up; the collapse carries the
+    # partial trace for post-mortem inspection
+    config = FlowConfig(kind="radial", t_end=5.0, dt_fixed=1.5, output_interval=0.5)
     with pytest.raises(StepCollapse) as err:
         run_flow(ScalarField(grid, 1.0 + 0.2 * np.cos(2 * grid.theta)), prof, config)
     assert err.value.trace is not None
@@ -659,3 +675,44 @@ def test_flow_config_validation():
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 FlowConfig(**{"kind": "radial", "t_end": 1.0, name: bad})
+
+
+def test_radial_assess_rejects_nonstarshaped_states():
+    grid = SphericalGrid.axisym(2, 16)
+    kernel = _RadialKernel(grid, SpeedProfile.power_exp_pinned(2, 1.0), RADIAL)
+    r = 1.0 + 0.1 * np.cos(2 * grid.theta)
+    for bad, error in ((-0.1, NotStarshaped), (0.0, NotStarshaped), (np.nan, DegenerateMetric),
+                       (np.inf, DegenerateMetric)):
+        u = r.copy()
+        u[3] = bad
+        with pytest.raises(error):
+            kernel.assess(u)
+
+
+@pytest.mark.parametrize("dt", [2.0, 3.0])
+def test_nonstarshaped_step_result_collapses_with_partial_trace(dt):
+    # each substep's speed accepts its state, but the extrapolated result has
+    # r < 0; its assessment must fail the step, not the next diagnostic row
+    from curvelab import StepCollapse
+
+    grid = SphericalGrid.axisym(2, 32)
+    config = FlowConfig(kind="radial", t_end=5.0, dt_fixed=dt, output_interval=0.5)
+    with pytest.raises(StepCollapse) as err:
+        run_flow(ScalarField(grid, 1.0 + 0.2 * np.cos(2 * grid.theta)),
+                 SpeedProfile.power_exp_pinned(2, 1.0), config)
+    assert isinstance(err.value.__cause__, NotStarshaped)
+    assert err.value.trace.rows
+
+
+@pytest.mark.parametrize("grid", [SphericalGrid.axisym(2, 64), SphericalGrid.full_s2(16, 32)], ids=repr)
+def test_radial_run_from_a_rough_start_converges(grid):
+    # r_min starts at 0.19 (axisym) or 0.055 (full-s2), where c_max = f / r^2
+    # is ~200 or ~1e4 times its final value; the step must follow c_max down
+    # and keep h a small, or the solve smears the fast region's speed over
+    # the body and r leaves its initial range
+    r0 = random_starshaped(grid, np.random.default_rng(0), amp=0.3)
+    trace = run_flow(r0, SpeedProfile.power_exp_pinned(2, 1.0),
+                     FlowConfig(kind="radial", t_end=3.0, output_interval=0.05))
+    assert float(r0.values.min()) < 0.2
+    assert trace.status == "Converged"
+    assert not trace.breaches

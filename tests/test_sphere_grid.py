@@ -156,19 +156,42 @@ def test_zonal_filter_keeps_smooth_fields():
     assert np.abs(cleaned - vals).max() < 1e-12
 
 
-@pytest.mark.parametrize("grid", [SphericalGrid.full_s2(16, 32), SphericalGrid.full_s2(24, 48),
-                                  SphericalGrid.axisym(2, 32), SphericalGrid.axisym(5, 32)], ids=repr)
-def test_laplacian_bound_matches_dense_spectrum(grid):
-    # largest |eigenvalue| of the dense zonal_filter o trace(hessian) matrix
+LAPLACIAN_GRIDS = [SphericalGrid.full_s2(16, 32), SphericalGrid.full_s2(24, 48),
+                   SphericalGrid.axisym(2, 32), SphericalGrid.axisym(5, 32)]
+
+
+def dense_filtered_laplacian(grid):
+    """The dense matrix of v -> zonal_filter(trace hessian(zonal_filter(v)))."""
     cols = []
     for i in range(math.prod(grid.node_shape)):
         e = np.zeros(grid.node_shape)
         e.flat[i] = 1.0
-        hess = grid.hessian_components(e)
+        hess = grid.hessian_components(grid.zonal_filter(e))
         lap = hess[0] + hess[2] if grid.mode == "full-s2" else hess[0] + (grid.n - 1) * hess[1]
         cols.append(grid.zonal_filter(lap).ravel())
-    dense = float(np.abs(np.linalg.eigvals(np.array(cols).T)).max())
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("grid", LAPLACIAN_GRIDS, ids=repr)
+def test_laplacian_bound_matches_dense_spectrum(grid):
+    dense = float(np.abs(np.linalg.eigvals(dense_filtered_laplacian(grid))).max())
     assert grid.laplacian_bound() == pytest.approx(dense, rel=1e-9)
+
+
+@pytest.mark.parametrize("grid", LAPLACIAN_GRIDS, ids=repr)
+def test_resolvent_matches_dense_solve(grid):
+    # the Thomas sweep needs tridiagonal blocks; s lambda_L spans the
+    # extrapolated step's range, up to ~700 on the 256-node AC-5 grid
+    blocks = grid.laplacian_blocks()
+    assert not np.triu(blocks, 2).any() and not np.tril(blocks, -2).any()
+    dense = dense_filtered_laplacian(grid)
+    v = np.random.default_rng(8).uniform(0.5, 1.5, grid.node_shape)
+    for scale in (0.1, 10.0, 1000.0):
+        s = scale / grid.laplacian_bound()
+        want = np.linalg.solve(np.eye(v.size) - s * dense, grid.zonal_filter(v).ravel())
+        assert np.abs(grid.resolvent(v, s).ravel() - want).max() < 1e-12
+        const = grid.resolvent(np.full(grid.node_shape, 1.3), s)
+        assert np.ptp(const) < 1e-14 and np.abs(const - 1.3).max() < 1e-14
 
 
 def test_json_round_trip():
