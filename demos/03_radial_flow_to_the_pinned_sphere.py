@@ -23,7 +23,7 @@ profile = SpeedProfile.power_exp_pinned(2, r_star=1.0)
 print("profile admissible; pinned radius r* = %.12f" % validate_radial_profile(profile, 2))
 
 r0 = ScalarField(grid, 1.0 + 0.2 * np.cos(2.0 * grid.theta))
-config = FlowConfig(kind="radial", t_end=6.0, cfl=0.45, output_interval=0.02)
+config = FlowConfig(kind="radial", t_end=6.0, output_interval=0.02)
 trace = run_flow(r0, profile, config)
 
 print("status: %s after %d steps (t = %.3f)" % (trace.status, trace.meta["steps"], trace.t_final))

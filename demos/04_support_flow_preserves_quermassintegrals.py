@@ -17,7 +17,7 @@ h0 = random_convex_support(grid, np.random.default_rng(7), amp=0.1)
 print("initial support range: [%.4f, %.4f]" % (h0.values.min(), h0.values.max()))
 
 for k in (1, 2):
-    config = FlowConfig(kind="support", k=k, t_end=10.0, cfl=0.5,
+    config = FlowConfig(kind="support", k=k, t_end=10.0,
                         osc_tol=2e-4, output_interval=0.05)
     trace = run_flow(h0, None, config)
     v0 = trace.meta["conserved_initial"]
@@ -39,7 +39,7 @@ for k in (1, 2):
 print("\naxisymmetric hypersurface in R^4 (n = 3), k = 2:")
 g3 = SphericalGrid.axisym(3, 48)
 h3 = random_convex_support(g3, np.random.default_rng(15), amp=0.05)
-trace = run_flow(h3, None, FlowConfig(kind="support", k=2, t_end=8.0, cfl=0.5, osc_tol=2e-4))
+trace = run_flow(h3, None, FlowConfig(kind="support", k=2, t_end=8.0, osc_tol=2e-4))
 predicted = ball_quermass_inverse(1, trace.meta["conserved_initial"], 3)
 final = trace.rows[-1]
 print("  %s; V_1 drift %.2e; final radius %.6f vs %.6f predicted"

@@ -258,7 +258,7 @@ def _ac5_run():
     grid = SphericalGrid.axisym(2, 256)
     profile = SpeedProfile.power_exp_pinned(2, 1.0)
     r0 = ScalarField(grid, 1.0 + 0.2 * np.cos(2.0 * grid.theta))
-    config = FlowConfig(kind="radial", t_end=6.0, cfl=0.45, output_interval=0.01)
+    config = FlowConfig(kind="radial", t_end=6.0, output_interval=0.01)
     t0 = time.perf_counter()
     trace = run_flow(r0, profile, config)
     return dict(trace=trace, runtime=time.perf_counter() - t0, grid=grid, profile=profile, r0=r0)
@@ -287,7 +287,7 @@ def ac5():
 # AC-6: support flow (traces shared with AC-10)
 
 def _ac6_config(k):
-    return FlowConfig(kind="support", k=k, t_end=12.0, cfl=0.5,
+    return FlowConfig(kind="support", k=k, t_end=12.0,
                       osc_tol=1e-4, output_interval=0.02)
 
 
@@ -515,7 +515,7 @@ def ac10():
     t_probe = float(trace.times[int(np.argmax(osc <= osc[0] / 3.0))])
     probe = run_flow(
         data6["h0"], None,
-        FlowConfig(kind="support", k=1, t_end=t_probe, cfl=0.5,
+        FlowConfig(kind="support", k=1, t_end=t_probe,
                    osc_tol=1e-12, output_interval=max(t_probe, 0.1)),
     )
     state = ScalarField(data6["grid"], probe.meta["final_state"])

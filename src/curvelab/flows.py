@@ -21,28 +21,24 @@ M_k = int sigma_{k-1} f^((n-k+1)/(n-k)) dmu never increases when
 g = f^((n-k+1)/(n-k)) is convex and nondecreasing in h.
 
 Stepping.  c_max is the largest principal coefficient of the linearized
-speed (f / r^2 radial, h kappa_i^2 dF/dkappa_i support).  Radial runs,
-fixed-step runs and the area-rate check take linearly implicit Euler steps
-u += (I - s a Z Delta Z)^-1 Z (s speed(u)), extrapolated over the substeps
-h/1, ..., h/4 to order 4 (Deuflhard, SIAM Rev. 27 (1985)), with Z the zonal
-filter, Delta the grid's Laplacian and a = c_max, held until c_max leaves
-[a/2, a] so the solve's inverses are reused; the Laplacian term stabilizes
-the stiff part (Smereka, J. Sci. Comput. 19 (2003)), so no Delta theta^2
-bound applies; on a sphere Delta vanishes, the step is extrapolated explicit
-Euler on the radius ODE and the surface stays round.  Adaptive steps are one
-output interval, capped at 0.025 and at h a = 0.025.  Adaptive support runs keep RKL2
-super-steps (Meyer, Balsara & Aslam, J. Comput. Phys. 257 (2014)) of up to
-one output interval and 16 stages, each covering (s^2 + s - 2) / 4
-forward-Euler steps cfl * 2 / (c_max * lambda_L) with s speed evaluations,
-lambda_L being the grid's largest filtered-Laplacian eigenvalue; cfl sizes
-only these steps.  Each candidate state is assessed once (one gradient or
-one build of the principal radii) for its monitored integral (Q or M_k), its
-c_max and the convergence test.  On a geometry error or monotonicity breach
-the step halves and retries, and the next RKL2 step is at most twice the
-accepted one; breaches that survive the retry budget are recorded as events,
-not failures.  On full-s2 grids every stage and every substep's increment
-passes the zonal filter, so the pole-convergent phi columns do not force
-their own step size.
+speed (f / r^2 radial, h kappa_i^2 dF/dkappa_i support).  Both flows take
+linearly implicit Euler steps u += (I - s a Z Delta Z)^-1 Z (s speed(u)),
+extrapolated over the substeps h/1, ..., h/L to order L (Deuflhard, SIAM
+Rev. 27 (1985)): L = 4 radial, 3 support.  Z is the zonal filter, Delta the
+grid's Laplacian and a = c_max, held until c_max leaves [a/2, a] so the
+solve's inverses are reused; the Laplacian term stabilizes the stiff part
+(Smereka, J. Sci. Comput. 19 (2003)), so no Delta theta^2 bound applies; on
+a sphere Delta vanishes, the step is extrapolated explicit Euler on the
+radius ODE and the surface stays round.  Adaptive steps are one output
+interval, capped at 0.025 and at h a = 0.025.  Each candidate state is
+assessed once (one gradient or one build of the principal radii) for its
+monitored integral (Q or M_k), its c_max and the convergence test.  On a
+geometry error the step halves and retries.  A rise of the monitored
+integral is spatial discretization error, which a smaller step cannot
+remove, so it is not retried: each rise above 1e-8 relative is recorded as
+an event, and their sum relative to the start as meta["mono_rise"].  On
+full-s2 grids every substep's increment passes the zonal filter, so the
+pole-convergent phi columns do not force their own step size.
 """
 
 from __future__ import annotations
@@ -329,6 +325,9 @@ _GEOM_ERRORS = (NotStarshaped, ConvexityLost, ConeViolation, DegenerateMetric)
 class _RadialKernel:
     """Fused radial-flow evaluations: dr/dt = -(f H + n/(n-1) f' v) v."""
 
+    # the extrapolated step's depth and order: AC-11's sphere ODE needs order 4
+    levels = 4
+
     def __init__(self, grid: SphericalGrid, profile: SpeedProfile, config: "FlowConfig"):
         self.grid = grid
         self.profile = profile
@@ -375,6 +374,10 @@ class _SupportKernel:
 
     Works from the principal radii alone, so no step builds a full geometry.
     """
+
+    # depth 2 misses AC-10's support probe (2.17e-2 against 1e-2); depth 4
+    # takes the same steps at 7 speed evaluations each against 4
+    levels = 3
 
     def __init__(self, grid: SphericalGrid, profile: SpeedProfile, config: "FlowConfig"):
         self.grid = grid
@@ -444,22 +447,13 @@ def _kernel(grid: SphericalGrid, profile: SpeedProfile | None, config: "FlowConf
     return kernel(grid, profile or SpeedProfile.constant(1.0), config)
 
 
-def _euler_step(kernel, c_max: float) -> float:
-    """cfl times the forward-Euler limit 2 / (c_max lambda_L) of the linearized speed."""
-    return kernel.config.cfl * 2.0 / (c_max * kernel.grid.laplacian_bound())
-
-
-# The extrapolated step's levels (its order); its largest adaptive step, as
-# the sphere-ODE error at 4 levels is 2.2e-8 at 0.05 and 1.35e-9 at 0.025;
-# and the largest h * a, which keeps the solve from spreading a node's speed
-# over more than about sqrt(h a) = 0.16 rad (rough starts, where c_max falls
-# by 1e4, left the flow's range without it).  The most stages of one RKL2
-# super-step, and the Euler steps that many stages cover.
-_LEVELS = 4
+# The largest adaptive step, as the radial sphere-ODE error at 4 levels is
+# 2.2e-8 at 0.05 and 1.35e-9 at 0.025; and the largest h * a, which keeps
+# the solve from spreading a node's speed over more than about sqrt(h a) =
+# 0.16 rad (rough starts, where c_max falls by 1e4, left the flow's range
+# without it).
 _STEP_CAP = 0.025
 _SPREAD_CAP = 0.025
-_RKL2_MAX_STAGES = 16
-_RKL2_SPAN = (_RKL2_MAX_STAGES**2 + _RKL2_MAX_STAGES - 2) / 4.0
 
 
 def _extrapolated_step(kernel, u: np.ndarray, h: float, a: float) -> np.ndarray:
@@ -468,13 +462,13 @@ def _extrapolated_step(kernel, u: np.ndarray, h: float, a: float) -> np.ndarray:
     Level j takes j substeps y += R(s a)(s speed(y)) of s = h / j, with
     R(s a) = (I - s a Z Delta Z)^-1 Z the grid's resolvent; the levels share
     speed(u).  For any fixed a the error expands in powers of h, so the
-    Aitken-Neville tableau over the _LEVELS levels has order _LEVELS.  The
+    Aitken-Neville tableau over the kernel's levels has that order.  The
     result is zonal-filtered when u is.
     """
     grid = kernel.grid
     start = kernel.speed(u)
     row = []
-    for j in range(1, _LEVELS + 1):
+    for j in range(1, kernel.levels + 1):
         s = h / j
         y = u + grid.resolvent(s * start, a * s)
         for _ in range(j - 1):
@@ -486,36 +480,14 @@ def _extrapolated_step(kernel, u: np.ndarray, h: float, a: float) -> np.ndarray:
     return row[-1]
 
 
-def _rkl2_step(kernel, u: np.ndarray, dt: float, dt_euler: float) -> np.ndarray:
-    """One RKL2 super-step of du/dt = kernel.speed(u) (Meyer, Balsara & Aslam 2014).
-
-    The fewest stages s with (s^2 + s - 2) / 4 Euler steps >= dt, at least 2
-    and at most _RKL2_MAX_STAGES; every stage passes the zonal filter.
-    """
-    s = math.ceil((math.sqrt(9.0 + 16.0 * dt / dt_euler) - 1.0) / 2.0)
-    s = min(_RKL2_MAX_STAGES, max(2, s))
-    b = [1.0 / 3.0] * 2 + [(j * j + j - 2.0) / (2.0 * j * (j + 1)) for j in range(2, s + 1)]
-    w1 = 4.0 / (s * s + s - 2.0)
-    l0 = dt * kernel.speed(u)
-    prev, y = u, kernel.grid.zonal_filter(u + b[1] * w1 * l0)
-    for j in range(2, s + 1):
-        mu = (2 * j - 1) * b[j] / (j * b[j - 1])
-        nu = -(j - 1) * b[j] / (j * b[j - 2])
-        y_new = (mu * y + nu * prev + (1.0 - mu - nu) * u
-                 + mu * w1 * dt * kernel.speed(y) - (1.0 - b[j - 1]) * mu * w1 * l0)
-        prev, y = y, kernel.grid.zonal_filter(y_new)
-    return y
-
-
 # ---------------------------------------------------------------------------
 # run configuration, trace, main loop
 
 
-# Adaptive stepping: the smallest step tried before StepCollapse, the
-# halvings spent on one monotonicity breach, and the relative growth of the
-# monitored integral that counts as a breach.
+# Adaptive stepping: the smallest step tried before StepCollapse, and the
+# relative growth of the monitored integral in one step that is recorded as
+# a breach.
 _DT_MIN = 1e-12
-_MAX_HALVINGS = 40
 _MONO_REL_TOL = 1e-8
 
 
@@ -526,7 +498,7 @@ class FlowConfig:
     kind: str                     # 'radial' | 'support'
     t_end: float
     k: int = 1                    # the M_k column; the support flow's E_k too
-    cfl: float = 0.2              # fraction of the forward-Euler limit in RKL2 super-steps
+    cfl: float = 0.2              # accepted and validated; no step is sized by it
     grad_tol: float = 1e-5        # radial convergence: max |grad r|
     hatf_tol: float = 5e-4        # radial convergence: |fhat(r_mean)|
     osc_tol: float = 1e-4         # support convergence: (h_max - h_min)/h_mean
@@ -670,7 +642,7 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
 
     trace = FlowTrace(kind=config.kind, n=n, k=config.k)
     trace.meta["config"] = {
-        "kind": config.kind, "n": n, "k": config.k, "cfl": config.cfl,
+        "kind": config.kind, "n": n, "k": config.k,
         "t_end": config.t_end, "grad_tol": config.grad_tol,
         "osc_tol": config.osc_tol, "hatf_tol": config.hatf_tol,
     }
@@ -701,12 +673,12 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
     state = grid.zonal_filter(initial.values).copy()  # final_state is never the caller's array
     t = 0.0
     steps = 0
-    mono_prev, c_max, _ = kernel.assess(state)
-    a = c_max  # the extrapolated step's Laplacian scale, held while c_max stays in [a/2, a]
+    # a, the step's Laplacian scale, is c_max held while c_max stays in [a/2, a]
+    mono_prev, a, _ = kernel.assess(state)
+    mono_scale = max(abs(mono_prev), 1e-300)
+    rise = 0.0  # the monitored integral's cumulative positive variation
     conserved0 = kernel.conserved_value(state)
     output_interval = config.output_interval or config.t_end / 400.0
-    rkl2 = config.kind == "support" and config.dt_fixed is None
-    dt_grow = math.inf
     next_output = output_interval
 
     trace.rows.append(_diagnostic_row(kernel, state, 0.0, 0.0))
@@ -714,43 +686,30 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
     status = "TimeExhausted"
     dt = 0.0
     while t < config.t_end - 1e-15:
-        if rkl2:
-            dt_euler = _euler_step(kernel, c_max)
-            dt = min(output_interval, _RKL2_SPAN * dt_euler, dt_grow, config.t_end - t)
-        else:
-            dt = min(config.dt_fixed or min(output_interval, _STEP_CAP, _SPREAD_CAP / a), config.t_end - t)
-        halvings = 0
+        dt = min(config.dt_fixed or min(output_interval, _STEP_CAP, _SPREAD_CAP / a), config.t_end - t)
         while True:
             try:
-                if rkl2:
-                    new_state = _rkl2_step(kernel, state, dt, dt_euler)
-                else:
-                    new_state = _extrapolated_step(kernel, state, dt, a)
-                mono_new, c_next, converged = kernel.assess(new_state)
+                new_state = _extrapolated_step(kernel, state, dt, a)
+                mono_new, c_max, converged = kernel.assess(new_state)
+                break
             except _GEOM_ERRORS as exc:
                 if config.dt_fixed is None and dt * 0.5 >= _DT_MIN:
                     dt *= 0.5
-                    halvings += 1
                     continue
                 trace.status = "error:StepCollapse"
                 trace.t_final = t
                 trace.meta["steps"] = steps
+                trace.meta["mono_rise"] = rise / mono_scale
                 raise StepCollapse(
                     f"step from t = {t:.6g} failed at dt = {dt:.3g}: {exc}", trace
                 ) from exc
-            breach = mono_new - mono_prev
-            tol = _MONO_REL_TOL * abs(mono_prev)
-            if breach > tol and config.dt_fixed is None and halvings < _MAX_HALVINGS and dt * 0.5 >= _DT_MIN:
-                dt *= 0.5
-                halvings += 1
-                continue
-            break
-        if breach > tol:
+        breach = mono_new - mono_prev
+        if breach > _MONO_REL_TOL * abs(mono_prev):
             trace.breaches.append(BreachEvent(t + dt, "monotone", breach, breach / max(abs(mono_prev), 1e-300)))
-        state, mono_prev, c_max = new_state, mono_new, c_next
+        rise += max(breach, 0.0)
+        state, mono_prev = new_state, mono_new
         if not 0.5 * a <= c_max <= a:  # a new a means new resolvent keys
             a = c_max
-        dt_grow = 2.0 * dt if halvings else math.inf
         t += dt
         steps += 1
 
@@ -774,6 +733,7 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
     trace.status = status
     trace.t_final = t
     trace.meta["steps"] = steps
+    trace.meta["mono_rise"] = rise / mono_scale
     if conserved0 is not None:
         conserved_final = kernel.conserved_value(state)
         trace.meta["conserved_initial"] = conserved0
@@ -846,7 +806,7 @@ def area_evolution_consistency(
     # states are treated exactly as the integrator treats accepted states
     state = grid.zonal_filter(initial.values)
     c_max = kernel.assess(state)[1]
-    dt = _euler_step(kernel, c_max) / config.cfl / 10.0  # the Euler step at cfl = 1, over 10
+    dt = 2.0 / (c_max * grid.laplacian_bound()) / 10.0
     new_state = _extrapolated_step(kernel, state, dt, c_max)
 
     rate0, area0 = rate(state)

@@ -260,8 +260,9 @@ class SphericalGrid:
     def laplacian_bound(self) -> float:
         """Largest |eigenvalue| of Z Delta Z, the spectral radius of its blocks.
 
-        RKL2 super-steps are sized by it.  Cached per grid like the shapes'
-        mode bank; equal grids share an entry.
+        The area-rate check sizes its one step by it; no flow step reads it.
+        Cached per grid like the shapes' mode bank; equal grids share an
+        entry.
         """
         return float(np.abs(np.linalg.eigvals(self.laplacian_blocks())).max())
 

@@ -37,6 +37,8 @@ def test_flow_converged_run(tmp_path, capsys):
     assert summary["config_hash"]
     assert summary["seed"] == 3
     assert summary["gamma"] > 0
+    assert summary["mono_rise"] >= 0.0
+    assert "cfl" not in summary["config"]  # no step is sized by it
     with open(out / "trace.csv") as handle:
         rows = list(csv.reader(handle))
     assert rows[0][:3] == ["t", "dt", "Q"]
@@ -51,6 +53,17 @@ def test_flow_time_exhausted_exit_code(tmp_path):
     path = write_config(tmp_path, "flow.json", cfg)
     code = main(["flow", "--config", path, "--out", str(tmp_path / "run")])
     assert code == 2
+
+
+def test_flow_step_collapse_summary_carries_the_rise(tmp_path):
+    # a fixed step well past ~1 at r* takes r below 0
+    cfg = dict(RADIAL_CFG, run={"t_end": 5.0, "dt_fixed": 3.0, "output_interval": 0.5})
+    path = write_config(tmp_path, "flow.json", cfg)
+    code = main(["flow", "--config", path, "--out", str(tmp_path / "run")])
+    assert code == 1
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["status"] == "error:StepCollapse"
+    assert summary["mono_rise"] >= 0.0
 
 
 def test_flow_missing_field_exit_64(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Flow speeds, profile validators, and short integration runs against ODE oracles."""
 
+import functools
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from curvelab import (
     validate_support_profile,
 )
 from curvelab.flows import (
-    area_evolution_consistency, _euler_step, _extrapolated_step, _kernel, _RadialKernel, _SupportKernel,
+    area_evolution_consistency, _extrapolated_step, _kernel, _RadialKernel, _SupportKernel,
 )
 from curvelab.shapes import random_convex_support, random_starshaped, sphere_radial, sphere_support
 from curvelab.symfunc import ek_derivative_eigen, elementary_symmetric, sigma_all
@@ -224,11 +225,10 @@ def filtered_jacobian(kernel, u, eps=1e-6):
 @pytest.mark.parametrize("amp", [0.02, 0.12])
 @pytest.mark.parametrize("kind,k", [("radial", 1), ("support", 1), ("support", 2)])
 def test_euler_step_covers_the_linearized_speed(kind, k, amp):
-    # c_max lambda_L, read back from the Euler step cfl 2 / (c_max lambda_L),
+    # c_max lambda_L, the forward-Euler limit 2 / (c_max lambda_L) read back,
     # is at least the spectral radius of the filtered Jacobian of the speed;
     # c_max is taken at the worst node, so the excess grows with amp.  The
-    # RKL2 super-steps are sized by this step, and the extrapolated step
-    # takes a c_max Z Delta Z implicitly on the same premise
+    # extrapolated step takes a c_max Z Delta Z implicitly on this premise
     grid = SphericalGrid.full_s2(16, 32)
     rng = np.random.default_rng(1)
     if kind == "radial":
@@ -238,7 +238,7 @@ def test_euler_step_covers_the_linearized_speed(kind, k, amp):
     config = FlowConfig(kind=kind, k=k, t_end=1.0)
     kernel = _kernel(grid, profile, config)
     u = grid.zonal_filter(field.values)
-    bound = 2.0 * config.cfl / _euler_step(kernel, kernel.assess(u)[1])
+    bound = kernel.assess(u)[1] * grid.laplacian_bound()
     radius = np.abs(np.linalg.eigvals(filtered_jacobian(kernel, u))).max()
     assert bound >= 0.99 * radius
 
@@ -249,7 +249,7 @@ def test_euler_step_covers_the_linearized_speed(kind, k, amp):
 def test_sphere_to_sphere_matches_scalar_ode():
     grid = SphericalGrid.axisym(2, 32)
     prof = SpeedProfile.power_exp_pinned(2, 1.0)
-    config = FlowConfig(kind="radial", t_end=0.5, cfl=0.4, output_interval=0.05)
+    config = FlowConfig(kind="radial", t_end=0.5, output_interval=0.05)
     trace = run_flow(sphere_radial(grid, 1.2), prof, config)
 
     def rhs(t, y):
@@ -268,7 +268,7 @@ def test_support_flow_matches_exact_translated_sphere(k):
     errs = []
     for nt in (24, 48):
         grid = SphericalGrid.full_s2(nt, 2 * nt)
-        config = FlowConfig(kind="support", k=k, t_end=1.0, cfl=0.5, osc_tol=1e-12)
+        config = FlowConfig(kind="support", k=k, t_end=1.0, osc_tol=1e-12, output_interval=0.1)
         trace = run_flow(sphere_support(grid, radius, center=x0), None, config)
         exact = sphere_support(grid, radius, center=math.exp(-trace.t_final / radius) * x0)
         errs.append(float(np.abs(trace.meta["final_state"] - exact.values).max()))
@@ -280,7 +280,7 @@ def test_radial_run_converges_and_q_monotone():
     grid = SphericalGrid.axisym(2, 96)
     prof = SpeedProfile.power_exp_pinned(2, 1.0)
     r0 = ScalarField(grid, 1.0 + 0.15 * np.cos(2 * grid.theta))
-    config = FlowConfig(kind="radial", t_end=6.0, cfl=0.4)
+    config = FlowConfig(kind="radial", t_end=6.0)
     trace = run_flow(r0, prof, config)
     assert trace.status == "Converged"
     assert abs(trace.meta["r_star"] - 1.0) < 1e-9
@@ -331,11 +331,17 @@ def test_origin_centred_spheres_are_stationary(nk, radius, n_theta):
     assert np.abs(state - radius).max() < 1e-11 * (1 + radius)
 
 
+@functools.cache
+def recentring_run(n_theta):
+    """The k = 1 support flow of a unit sphere centred off the origin."""
+    grid = SphericalGrid.full_s2(n_theta, 2 * n_theta)
+    h0 = sphere_support(grid, 1.0, center=np.array([0.12, 0.0, 0.1]))
+    return run_flow(h0, None, FlowConfig(kind="support", k=1, t_end=12.0, osc_tol=2e-4))
+
+
 def test_support_run_recentres_translated_sphere():
     grid = SphericalGrid.full_s2(32, 64)
-    h0 = sphere_support(grid, 1.0, center=np.array([0.12, 0.0, 0.1]))
-    config = FlowConfig(kind="support", k=1, t_end=12.0, cfl=0.4, osc_tol=2e-4)
-    trace = run_flow(h0, None, config)
+    trace = recentring_run(32)
     assert trace.status == "Converged"
     osc = trace.values("oscillation")
     assert osc[-1] < 2e-4
@@ -345,11 +351,37 @@ def test_support_run_recentres_translated_sphere():
     assert trace.meta["conserved_drift"] < 1e-5
 
 
+def test_recentring_area_rise_converges_in_space():
+    # the exact flow keeps M_1, the area, constant; the discrete M_1 rises by
+    # a spatial discretization error, 6.926e-6 relative at 32x64 and 1.728e-6
+    # at 64x128, which a smaller step does not remove
+    coarse, fine = (recentring_run(nt).meta["mono_rise"] for nt in (32, 64))
+    assert 0.0 < coarse < 1.5 * 6.926e-6
+    assert math.log2(coarse / fine) >= 1.8
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_support_temporal_order(k):
+    # fixed steps on a translated sphere against a 1024-step reference: the
+    # support step's 3 levels give order 3, ~8x per halving
+    grid = SphericalGrid.full_s2(16, 32)
+    h0 = sphere_support(grid, 1.3, center=np.array([0.1, -0.05, 0.08]))
+
+    def final(steps):
+        config = FlowConfig(kind="support", k=k, t_end=0.5, dt_fixed=0.5 / steps,
+                            osc_tol=1e-12, output_interval=0.5)
+        return run_flow(h0, None, config).meta["final_state"]
+
+    ref = final(1024)
+    errs = [float(np.abs(final(steps) - ref).max()) for steps in (16, 32)]
+    assert 6.0 <= errs[0] / errs[1] <= 10.0
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_support_run_perturbed_sphere(k):
     grid = SphericalGrid.full_s2(32, 64)
     h0 = random_convex_support(grid, np.random.default_rng(12), amp=0.05)
-    config = FlowConfig(kind="support", k=k, t_end=10.0, cfl=0.4, osc_tol=2e-4)
+    config = FlowConfig(kind="support", k=k, t_end=10.0, osc_tol=2e-4)
     trace = run_flow(h0, None, config)
     assert trace.status == "Converged"
     assert trace.meta["conserved_drift"] < 1e-3
@@ -369,7 +401,7 @@ def test_support_run_with_varying_admissible_density():
     prof = SpeedProfile.affine_power(0.8, 0.4, 2, 1)
     assert validate_support_profile(prof, 2, 1).ok
     h0 = random_convex_support(grid, np.random.default_rng(21), amp=0.06)
-    config = FlowConfig(kind="support", k=1, t_end=8.0, cfl=0.5, osc_tol=2e-4)
+    config = FlowConfig(kind="support", k=1, t_end=8.0, osc_tol=2e-4)
     trace = run_flow(h0, prof, config)
     assert trace.status == "Converged"
     mk = trace.values("M_k")
@@ -386,7 +418,7 @@ def test_radial_run_full_s2_grid():
     grid = SphericalGrid.full_s2(24, 48)
     prof = SpeedProfile.power_exp_pinned(2, 1.0)
     vals = 1.0 + 0.1 * harmonic_mode(grid, 2, 1) + 0.05 * harmonic_mode(grid, 3, 2, "sin")
-    config = FlowConfig(kind="radial", t_end=6.0, cfl=0.4, grad_tol=1e-4, hatf_tol=1e-3)
+    config = FlowConfig(kind="radial", t_end=6.0, grad_tol=1e-4, hatf_tol=1e-3)
     trace = run_flow(ScalarField(grid, vals), prof, config)
     assert trace.status == "Converged"
     assert np.abs(trace.meta["final_state"] - 1.0).max() < 5e-3
@@ -398,7 +430,7 @@ def test_support_run_axisym_higher_dimension():
     # n = 3 support flow through the closed-form axisymmetric kernel
     grid = SphericalGrid.axisym(3, 48)
     h0 = random_convex_support(grid, np.random.default_rng(15), amp=0.05)
-    config = FlowConfig(kind="support", k=2, t_end=8.0, cfl=0.5, osc_tol=2e-4)
+    config = FlowConfig(kind="support", k=2, t_end=8.0, osc_tol=2e-4)
     trace = run_flow(h0, None, config)
     assert trace.status == "Converged"
     assert trace.meta["conserved_drift"] < 1e-3
@@ -490,7 +522,7 @@ def test_q_rate_matches_monotonicity_integrand():
         return -float(np.sum(w * f ** (1.0 / (n - 1.0)) * term**2))
 
     c_max = kernel.assess(r)[1]
-    dt = _euler_step(kernel, c_max)  # cfl 0.2
+    dt = 0.2 * 2.0 / (c_max * grid.laplacian_bound())  # a fifth of the forward-Euler limit
     r1 = _extrapolated_step(kernel, r, dt, c_max)
     fd = (q_value(r1) - q_value(r)) / dt
     predicted = 0.5 * (integrand(r) + integrand(r1))
@@ -499,7 +531,7 @@ def test_q_rate_matches_monotonicity_integrand():
 
 
 def test_each_accepted_state_is_assessed_once(monkeypatch):
-    # a support step builds the radii once per stage speed and once in its
+    # a support step builds the radii once per substep speed and once in its
     # assessment, and takes no gradient outside the diagnostic rows; a radial
     # step takes one gradient, in its assessment, and one speed per substep
     from curvelab import flows
@@ -545,10 +577,12 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
     trace = run_flow(h0, None, FlowConfig(kind="support", k=2, t_end=0.12, output_interval=0.01))
     steps = trace.meta["steps"]
     assert steps >= 10 and not trace.breaches
-    # one build per stage speed, one assessment of the start and of each
-    # accepted step, and the conserved integral at both ends; a halving
-    # would add the assessment of a rejected candidate
+    # one build per substep speed, one assessment of the start and of each
+    # accepted step, and the conserved integral at both ends; a retry after
+    # a geometry error would add the assessment of a rejected candidate
     assert counts["radii"] == counts["speed"] + (steps + 1) + 2
+    # the levels share the start's speed, and level j adds j - 1 substeps
+    assert counts["speed"] == steps * (1 + sum(range(flows._SupportKernel.levels)))
     assert counts["grad"] == 1  # the start-up convexity check's geometry
 
     counts["grad"] = 0
@@ -557,13 +591,12 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
     steps = trace.meta["steps"]
     assert steps == 5 and not trace.breaches  # one step per output interval
     assert counts["grad"] == steps + 1
-    # the levels share the start's speed, and level j adds j - 1 substeps
-    assert counts["radial speed"] == steps * (1 + sum(range(flows._LEVELS)))
+    assert counts["radial speed"] == steps * (1 + sum(range(flows._RadialKernel.levels)))
 
 
 def test_trace_timestamps_strictly_increasing():
     grid = SphericalGrid.axisym(2, 64)
-    config = FlowConfig(kind="radial", t_end=0.3, cfl=0.4, output_interval=0.02)
+    config = FlowConfig(kind="radial", t_end=0.3, output_interval=0.02)
     trace = run_flow(sphere_radial(grid, 1.15), SpeedProfile.power_exp_pinned(2, 1.0), config)
     t = trace.times
     assert np.all(np.diff(t) > 0)
@@ -635,6 +668,7 @@ def test_step_collapse_carries_partial_trace():
     assert err.value.trace is not None
     assert err.value.trace.rows
     assert err.value.trace.status == "error:StepCollapse"
+    assert err.value.trace.summary()["mono_rise"] >= 0.0
 
 
 def test_kernels_reject_non_finite_states():

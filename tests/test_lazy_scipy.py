@@ -73,8 +73,8 @@ def test_importing_the_package_and_cli_loads_no_scipy():
 
 
 def test_flows_and_verify_load_no_scipy(tmp_path):
-    # seeded random starts build harmonic modes; support runs size their steps by
-    # laplacian_bound, and radial runs solve with the grid's resolvent
+    # seeded random starts build harmonic modes, and both flows solve with the
+    # grid's resolvent
     config = tmp_path / "verify.json"
     config.write_text(json.dumps({"samples": 2, "k": 1, "parametrization": "radial", "seed": 1,
                                   "grid": {"mode": "axisym", "n": 2, "n_theta": 16}}))

@@ -1,9 +1,9 @@
 """The flow steps run without LAPACK: nothing run_flow reaches calls np.linalg.
 
 A first np.linalg call maps LAPACK's pages into the process, which showed as
-peak memory on radial runs.  Calls are followed by name across the package,
-which over-approximates the call graph.  SphericalGrid.laplacian_bound is
-exempt: it is computed once per grid, to size the RKL2 super-steps.
+peak memory on flow runs.  Calls are followed by name across the package,
+which over-approximates the call graph.  Nothing is exempt: no step is sized
+by SphericalGrid.laplacian_bound (np.linalg.eigvals), so a run never reaches it.
 """
 
 import ast
@@ -12,7 +12,6 @@ from pathlib import Path
 import curvelab
 
 PACKAGE = Path(curvelab.__file__).parent
-EXEMPT = {"sphere_grid.SphericalGrid.laplacian_bound"}
 
 
 def functions(tree, module):
@@ -38,7 +37,7 @@ def reached_linalg_users(definitions, start):
     seen, todo = set(), [start]
     while todo:
         qualified = todo.pop()
-        if qualified in seen or qualified in EXEMPT:
+        if qualified in seen:
             continue
         seen.add(qualified)
         for node in ast.walk(definitions[qualified]):
@@ -59,4 +58,5 @@ def test_run_flow_reaches_no_np_linalg():
                "    def laplacian_bound(self):\n        return np.linalg.eigvals(1)\n"
                "def step(g, v):\n    return g.laplacian_bound() + g.solve(v)\n")
     probe = functions(ast.parse(snippet), "sphere_grid")
-    assert reached_linalg_users(probe, "sphere_grid.step") == ["sphere_grid.SphericalGrid.solve"]
+    assert reached_linalg_users(probe, "sphere_grid.step") == [
+        "sphere_grid.SphericalGrid.laplacian_bound", "sphere_grid.SphericalGrid.solve"]
