@@ -680,12 +680,13 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
     conserved0 = kernel.conserved_value(state)
     output_interval = config.output_interval or config.t_end / 400.0
     next_output = output_interval
+    row_tol = 1e-9 * output_interval  # t += dt drifts off the output times and t_end
 
     trace.rows.append(_diagnostic_row(kernel, state, 0.0, 0.0))
 
     status = "TimeExhausted"
     dt = 0.0
-    while t < config.t_end - 1e-15:
+    while t < config.t_end - row_tol:
         dt = min(config.dt_fixed or min(output_interval, _STEP_CAP, _SPREAD_CAP / a), config.t_end - t)
         while True:
             try:
@@ -720,9 +721,9 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
                     BreachEvent(t, "range", max(range_band[0] - rmin, rmax - range_band[1]), 0.0)
                 )
 
-        if t >= next_output - 1e-15:
+        if t >= next_output - row_tol:
             trace.rows.append(_diagnostic_row(kernel, state, t, dt))
-            while next_output <= t + 1e-15:
+            while next_output <= t + row_tol:
                 next_output += output_interval
         if converged:
             status = "Converged"

@@ -224,15 +224,24 @@ def _plus_ambient(start, grid: SphericalGrid, grad) -> np.ndarray:
     return start
 
 
+def _radial_first_order(grid: SphericalGrid, r: np.ndarray, grad):
+    """(rho, area_factor, position) of the radial graph r(xi) xi.
+
+    rho = sqrt(r^2 + |grad r|^2), the area element r^(n-1) rho and the
+    position r xi need only r and its gradient, no curvature.
+    """
+    rho = np.sqrt(r * r + sum(d * d for d in grad))
+    return rho, r ** (grid.n - 1) * rho, r[..., None] * grid.xi()
+
+
 def radial_geometry(field: ScalarField) -> CurvatureField:
     """Full extrinsic geometry of the starshaped graph r(xi) xi."""
     grid = field.grid
     r = field.values
     n = grid.n
-    kappa1, kappa2, rho, grad = _radial_pair(grid, r)
-    area_factor = r ** (n - 1) * rho
+    kappa1, kappa2, _, grad = _radial_pair(grid, r)
+    rho, area_factor, position = _radial_first_order(grid, r, grad)
     support = r * r / rho
-    position = r[..., None] * grid.xi()
     normal = (position - _plus_ambient(0.0, grid, grad)) / rho[..., None]
     rho2 = rho * rho
     inverse_metric = tuple(
@@ -321,16 +330,22 @@ def sphericity(field: CurvatureField) -> float:
     return float(np.max(field.n * field.A2 / H**2 - 1.0))
 
 
-def centroid(field: CurvatureField):
+def centroid(field: CurvatureField | ScalarField):
     """Area-weighted centroid of the surface (Steiner point approximation).
 
+    ``field`` is a CurvatureField, or a ScalarField read as a radial function
+    r, whose centroid is formed from r and one gradient without curvature.
     Returns a 3-vector on full-s2 grids.  On axisymmetric grids the orbit
     components vanish by symmetry and the axis component is returned alone.
     """
-    w = field.grid.weights * field.area_factor
+    grid = field.grid
+    if isinstance(field, ScalarField):
+        r = field.values
+        _, area_factor, position = _radial_first_order(grid, r, grid.gradient(r))
+    else:
+        area_factor, position = field.area_factor, field.position
+    w = grid.weights * area_factor
     area = np.sum(w)
-    if field.grid.mode == "full-s2":
-        return np.asarray(
-            [float(np.sum(w * field.position[..., i])) for i in range(3)]
-        ) / area
-    return float(np.sum(w * field.position[..., 1]) / area)
+    if grid.mode == "full-s2":
+        return np.asarray([float(np.sum(w * position[..., i])) for i in range(3)]) / area
+    return float(np.sum(w * position[..., 1]) / area)

@@ -23,7 +23,7 @@ import functools
 import numpy as np
 
 from .errors import ConvexityLost, NotStarshaped
-from .geometry import centroid, radial_geometry, support_geometry
+from .geometry import centroid, support_geometry
 from .sphere_grid import ScalarField, SphericalGrid
 
 __all__ = [
@@ -176,11 +176,14 @@ def random_starshaped(
 ) -> ScalarField:
     """Seeded random starshaped surface r = base (1 + sum a_i Y_i), a_i ~ U[-amp, amp].
 
-    Rejection-resamples until the surface is starshaped (and its geometry
-    builds); recentring subtracts the first-order translation <c, xi> of the
+    Rejection-resamples until min r > 0.05 base (base must be positive);
+    recentring subtracts the first-order translation <c, xi> of the
     area-weighted centroid, an O(amp^3) Steiner-point approximation, up to
-    12 times until the centroid is below 1e-9 base.
+    12 times until the centroid is below 1e-9 base.  The centroid needs
+    only r and its gradient, so no curvature is computed.
     """
+    if not base > 0.0:
+        raise ValueError(f"base radius must be positive, got {base!r}")
     modes = _mode_bank(grid, lmax)
     for _ in range(_MAX_TRIES):
         coeff = rng.uniform(-amp, amp, size=len(modes))
@@ -188,21 +191,15 @@ def random_starshaped(
         if r.min() <= 0.05 * base:
             continue
         field = ScalarField(grid, r)
-        try:
-            geom = radial_geometry(field)
-        except NotStarshaped:
-            continue
         for _ in range(12):
-            c = centroid(geom)
+            c = centroid(field)
             if float(np.max(np.abs(c))) < 1e-9 * base:
                 break
             r = field.values - grid.project(c)
             if r.min() <= 0.05 * base:
                 break
             field = ScalarField(grid, r)
-            geom = radial_geometry(field)
-        if field.values.min() > 0.05 * base:
-            return field
+        return field
     raise NotStarshaped(f"no valid starshaped sample after {_MAX_TRIES} tries")
 
 

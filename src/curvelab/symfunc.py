@@ -10,6 +10,8 @@ Matrix arguments are handled through their eigenvalues: a symmetric operator
 is diagonalized with LAPACK ``eigh`` and derivative tensors are rotated back
 to the original frame.  Evaluation uses the product-expansion recurrence over
 entries, which is exact at the small dimensions (n <= 8) this package targets.
+It runs on Python floats for one vector and on numpy columns for a batch, with
+the same IEEE rounding, so a vector and its row in a batch agree bit for bit.
 
 Every surface the package builds has two distinct principal values per node,
 k1 of multiplicity 1 and k2 of multiplicity n - 1 (the two eigenvalues on
@@ -44,16 +46,18 @@ def sigma_all(kappa) -> np.ndarray:
     """All sigma_j, j = 0..n, computed along the trailing axis.
 
     Accepts batched input of shape (..., n) and returns shape (..., n + 1),
-    so per-node curvature data can be reduced in one call.
+    so per-node curvature data can be reduced in one call.  One vector runs
+    on Python floats, where numpy's per-call cost would dominate.
     """
     kappa = np.asarray(kappa, dtype=float)
     n = kappa.shape[-1]
-    out = np.zeros(kappa.shape[:-1] + (n + 1,))
-    out[..., 0] = 1.0
-    for i in range(n):
-        x = kappa[..., i]
-        for j in range(min(i + 1, n), 0, -1):
-            out[..., j] += x * out[..., j - 1]
+    sig = [1.0] + [0.0] * n
+    for i, x in enumerate(kappa.tolist() if kappa.ndim == 1 else np.moveaxis(kappa, -1, 0)):
+        for j in range(i + 1, 0, -1):
+            sig[j] = sig[j] + x * sig[j - 1]
+    out = np.empty(kappa.shape[:-1] + (n + 1,))
+    for j, s in enumerate(sig):
+        out[..., j] = s
     return out
 
 
@@ -94,17 +98,17 @@ def require_cone(sig, scale: float, k: int) -> None:
     n = len(sig) - 1
     for i in range(1, k + 1):
         floor = 1e-12 * (1.0 + scale**i)
-        if np.min(sig[i]) / math.comb(n, i) <= floor:
+        if np.minimum.reduce(sig[i], axis=None) / math.comb(n, i) <= floor:
             raise ConeViolation(f"E_{i} <= {floor:.3g}; kappa leaves Gamma_{k}^+")
 
 
 def _sigma_in_cone(kappa, k: int):
-    """(kappa, sigma_all(kappa)) for one curvature vector that must lie in Gamma_k^+."""
+    """(kappa, [sigma_0, ..., sigma_n] as floats) for one vector that must lie in Gamma_k^+."""
     kappa = np.asarray(kappa, dtype=float)
     if not 1 <= k <= kappa.size:
         raise ValueError("k must satisfy 1 <= k <= n")
-    sig = sigma_all(kappa)
-    require_cone(sig, float(np.max(np.abs(kappa))), k)
+    sig = sigma_all(kappa).tolist()
+    require_cone(sig, max(map(abs, kappa.tolist())), k)
     return kappa, sig
 
 
@@ -123,17 +127,16 @@ def elementary_symmetric(kappa, k: int):
 def ek_derivative_eigen(kappa, k: int) -> np.ndarray:
     """Eigenvalue derivatives dE_k / dkappa_p, batched over leading axes.
 
-    Equals C(n,k)^-1 * sigma_{k-1} of the remaining n-1 entries.
+    Equals C(n,k)^-1 * sigma_{k-1} of the remaining n-1 entries.  Row p of
+    the (n, n-1) index, the off-diagonal columns of an n x n grid, skips
+    entry p, so one sigma_all call covers every p.
     """
     kappa = np.asarray(kappa, dtype=float)
     n = kappa.shape[-1]
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
-    cols = []
-    for p in range(n):
-        rest = np.delete(kappa, p, axis=-1)
-        cols.append(sigma_all(rest)[..., k - 1])
-    return np.stack(cols, axis=-1) / math.comb(n, k)
+    rest = kappa[..., np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)]
+    return sigma_all(rest)[..., k - 1] / math.comb(n, k)
 
 
 def ek_derivative_tensor(a, k: int) -> np.ndarray:
@@ -149,8 +152,7 @@ def ek_derivative_tensor(a, k: int) -> np.ndarray:
     to round-off.
     """
     w, q = np.linalg.eigh(np.asarray(a, dtype=float))
-    d = ek_derivative_eigen(w, k)
-    return (q * d) @ q.T
+    return (q * ek_derivative_eigen(w, k)) @ q.T
 
 
 def gamma_cone_member(kappa, k: int) -> bool:
@@ -180,10 +182,8 @@ def curvature_quotient_gradient(kappa, k: int) -> np.ndarray:
     dk = ek_derivative_eigen(kappa, k)
     if k == 1:
         return dk
-    ek = sig[k] / math.comb(n, k)
-    ekm1 = sig[k - 1] / math.comb(n, k - 1)
-    dkm1 = ek_derivative_eigen(kappa, k - 1)
-    return (dk * ekm1 - ek * dkm1) / ekm1**2
+    ek, ekm1 = sig[k] / math.comb(n, k), sig[k - 1] / math.comb(n, k - 1)
+    return (dk * ekm1 - ek * ek_derivative_eigen(kappa, k - 1)) / ekm1**2
 
 
 def newton_maclaurin_gap(kappa, k: int, m: int) -> float:

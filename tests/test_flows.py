@@ -28,7 +28,9 @@ from curvelab import (
 from curvelab.flows import (
     area_evolution_consistency, _extrapolated_step, _kernel, _RadialKernel, _SupportKernel,
 )
-from curvelab.shapes import random_convex_support, random_starshaped, sphere_radial, sphere_support
+from curvelab.shapes import (
+    random_convex_support, random_starshaped, sphere_radial, sphere_support, spheroid_support,
+)
 from curvelab.symfunc import ek_derivative_eigen, elementary_symmetric, sigma_all
 
 
@@ -600,6 +602,17 @@ def test_trace_timestamps_strictly_increasing():
     trace = run_flow(sphere_radial(grid, 1.15), SpeedProfile.power_exp_pinned(2, 1.0), config)
     t = trace.times
     assert np.all(np.diff(t) > 0)
+
+
+def test_output_rows_fall_on_every_interval_multiple():
+    # t += 0.025 drifts below the multiples of 0.05 by more than 1e-15 before t = 1.4
+    grid = SphericalGrid.axisym(2, 16)
+    config = FlowConfig(kind="support", k=1, t_end=2.1, dt_fixed=0.025, osc_tol=1e-15,
+                        output_interval=0.05)
+    trace = run_flow(spheroid_support(grid, 1.1, 1.0), None, config)
+    assert trace.status == "TimeExhausted" and trace.meta["steps"] == 84
+    assert trace.times.shape == (43,)
+    assert np.abs(trace.times - 0.05 * np.arange(43)).max() < 1e-12
 
 
 def test_trace_csv_round_trip(tmp_path):

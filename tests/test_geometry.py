@@ -18,6 +18,7 @@ from curvelab import (
 )
 from curvelab.geometry import centroid
 from curvelab.shapes import (
+    _mode_bank,
     harmonic_mode,
     random_convex_support,
     random_starshaped,
@@ -398,6 +399,42 @@ def test_random_starshaped_reproducible_and_recentred():
     assert np.array_equal(f1.values, f2.values)
     geom = radial_geometry(f1)
     assert np.abs(centroid(geom)).max() < 1e-4
+
+
+def starshaped_reference(grid, seed, amp, base=1.0):
+    """random_starshaped's draw and recentring on full geometry builds."""
+    rng = np.random.default_rng(seed)
+    modes = _mode_bank(grid, 4)
+    for _ in range(100):
+        coeff = rng.uniform(-amp, amp, size=len(modes))
+        r = base * (1.0 + sum(a * y for a, y in zip(coeff, modes)))
+        if r.min() > 0.05 * base:
+            break
+    else:
+        raise AssertionError("no starshaped draw")
+    field = ScalarField(grid, r)
+    for _ in range(12):
+        c = centroid(radial_geometry(field))
+        if np.abs(c).max() < 1e-9 * base:
+            break
+        r = field.values - grid.project(c)
+        if r.min() <= 0.05 * base:
+            break
+        field = ScalarField(grid, r)
+    return field.values
+
+
+@pytest.mark.parametrize("grid", [SphericalGrid.axisym(2, 40), SphericalGrid.full_s2(24, 48)],
+                         ids=["axisym 40", "full-s2 24x48"])
+def test_random_starshaped_recentres_like_full_geometry_bit_for_bit(grid):
+    for seed, amp in ((0, 0.1), (1, 0.25), (2, 0.3), (0, 0.4)):  # full-s2 (0, 0.4) redraws 7 times
+        got = random_starshaped(grid, np.random.default_rng(seed), amp=amp).values
+        assert got.tobytes() == starshaped_reference(grid, seed, amp).tobytes()
+
+
+def test_random_starshaped_needs_a_positive_base():
+    with pytest.raises(ValueError, match="base radius"):
+        random_starshaped(SphericalGrid.axisym(2, 16), np.random.default_rng(0), amp=0.1, base=0.0)
 
 
 def test_random_convex_support_is_convex():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvelab import (
     ConeViolation,
@@ -80,6 +81,30 @@ def test_batched_matches_scalar():
             assert sig[row, k] == pytest.approx(sigma_bruteforce(kappa[row], k), rel=1e-12)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n), min_size=1, max_size=5))))
+def test_sigma_all_vector_equals_its_batch_row_bit_for_bit(case):
+    # one vector runs the recurrence on Python floats, a batch on numpy columns
+    n, rows = case
+    batch = np.array(rows, dtype=float).reshape(len(rows), n)
+    sig = sigma_all(batch)
+    assert sig.shape == (len(rows), n + 1)
+    for row, want in zip(batch, sig):
+        got = sigma_all(row)
+        assert got.shape == (n + 1,) and got.tobytes() == want.tobytes()
+        brute = [sigma_bruteforce(row, k) for k in range(n + 1)]
+        assert got == pytest.approx(brute, rel=1e-12, abs=1e-9)
+
+
+def test_sigma_all_shapes():
+    empty = sigma_all(np.zeros((4, 0)))
+    assert empty.shape == (4, 1) and np.all(empty == 1.0)
+    assert sigma_all([2.5]).tolist() == [1.0, 2.5]
+    assert sigma_all((1.0, 2.0, 3.0)).tolist() == [1.0, 6.0, 11.0, 6.0]
+    assert sigma_all(np.ones((2, 3, 2))).shape == (2, 3, 3)
+
+
 # -- derivative tensor -------------------------------------------------------
 
 
@@ -97,6 +122,17 @@ def test_derivative_eigen_matches_finite_differences():
                 dn[p] -= eps
                 fd = (elementary_symmetric(up, k) - elementary_symmetric(dn, k)) / (2 * eps)
                 assert d[p] == pytest.approx(fd, rel=1e-7, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_derivative_eigen_equals_leave_one_out_construction_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for kappa in (rng.uniform(-1.0, 2.0, size=n), rng.uniform(-1.0, 2.0, size=(3, 2, n))):
+        for k in range(1, n + 1):
+            cols = [sigma_all(np.delete(kappa, p, axis=-1))[..., k - 1] for p in range(n)]
+            want = np.stack(cols, axis=-1) / math.comb(n, k)
+            got = ek_derivative_eigen(kappa, k)
+            assert got.shape == kappa.shape and got.tobytes() == want.tobytes()
 
 
 def test_derivative_tensor_identity_matrix():
