@@ -31,9 +31,11 @@ solve's inverses are reused; the Laplacian term stabilizes the stiff part
 a sphere Delta vanishes, the step is extrapolated explicit Euler on the
 radius ODE and the surface stays round.  Adaptive steps are one output
 interval, capped at 0.025 and at h a = 0.025.  Each candidate state is
-assessed once (one gradient or one build of the principal radii) for its
-monitored integral (Q or M_k), its c_max and the convergence test.  On a
-geometry error the step halves and retries.  A rise of the monitored
+assessed from one build of its principal pair (curvatures radial, radii
+support) for its monitored integral (Q or M_k), its c_max and the
+convergence test; once the state is accepted, that one build also serves
+its diagnostic row, the conserved integral and the next step's start
+speed.  On a geometry error the step halves and retries.  A rise of the monitored
 integral is spatial discretization error, which a smaller step cannot
 remove, so it is not retried: each rise above 1e-8 relative is recorded as
 an event, and their sum relative to the start as meta["mono_rise"].  On
@@ -63,8 +65,9 @@ from .errors import (
 from .functionals import monotone_quantities, quermassintegrals
 from .geometry import (
     CurvatureField,
-    _check_starshaped,
+    _radial_field,
     _radial_pair,
+    _support_field,
     _support_radii,
     radial_geometry,
     sphericity,
@@ -316,8 +319,10 @@ def validate_support_profile(
 # stepper kernels
 #
 # A kernel evaluates one flow on one grid: ``speed`` is the right-hand side
-# of the stepper stages, and ``assess`` reads a candidate state once and
-# returns (monotone integral, c_max at that state, converged).
+# of the stepper, and ``assess`` builds a candidate state's principal pair
+# once and returns (monotone integral, c_max at that state, converged,
+# build); ``speed``, ``geometry`` and ``conserved_value`` read a build the
+# caller has, so an accepted state is built only once.
 
 _GEOM_ERRORS = (NotStarshaped, ConvexityLost, ConeViolation, DegenerateMetric)
 
@@ -334,39 +339,41 @@ class _RadialKernel:
         self.config = config
         self.n = grid.n
 
-    def speed(self, r: np.ndarray) -> np.ndarray:
+    def speed(self, r: np.ndarray, pair=None) -> np.ndarray:
+        """dr/dt at r, from its _radial_pair when the caller has built it."""
         n = self.n
-        kappa1, kappa2, rho, _ = _radial_pair(self.grid, r)
+        kappa1, kappa2, rho, _ = _radial_pair(self.grid, r) if pair is None else pair
         H = kappa1 + (n - 1) * kappa2
         v = rho / r  # sqrt(1 + |grad r|^2 / r^2)
         f = self.profile.f(r)
         fp = self.profile.df(r)
         return -(f * H + n / (n - 1.0) * fp * v) * v
 
-    def assess(self, r: np.ndarray) -> tuple[float, float, bool]:
-        """(Q, c_max = max f / r^2, converged) from one gradient of r.
+    def assess(self, r: np.ndarray):
+        """(Q, c_max = max f / r^2, converged, pair) from one _radial_pair of r.
 
         Q = int f^(n/(n-1)) dmu; the run has converged once max |grad r| <
         grad_tol and |fhat(mean r)| < hatf_tol.  A state with a nonpositive
         or non-finite radius raises NotStarshaped or DegenerateMetric.
         """
         g, n, config = self.grid, self.n, self.config
-        _check_starshaped(r)
-        q = sum(c * c for c in g.gradient(r))
+        pair = _radial_pair(g, r)
+        _, _, rho, grad = pair
         f = self.profile.f(r)
-        dmu = r ** (n - 1) * np.sqrt(r * r + q)
+        dmu = r ** (n - 1) * rho
         value = float(np.sum(g.weights * f ** (n / (n - 1.0)) * dmu))
         c_max = float(np.max(f / (r * r)))
         rmean = float(np.sum(g.weights * r) / np.sum(g.weights))
         hat = abs(float(self.profile.hat(rmean, n)))
-        converged = float(np.sqrt(q).max()) < config.grad_tol and hat < config.hatf_tol
-        return value, c_max, converged
+        grad_max = float(np.sqrt(sum(d * d for d in grad)).max())
+        converged = grad_max < config.grad_tol and hat < config.hatf_tol
+        return value, c_max, converged, pair
 
-    def conserved_value(self, r: np.ndarray) -> float | None:
+    def conserved_value(self, r: np.ndarray, pair) -> float | None:
         return None
 
-    def geometry(self, r: np.ndarray) -> CurvatureField:
-        return radial_geometry(ScalarField(self.grid, r))
+    def geometry(self, r: np.ndarray, pair) -> CurvatureField:
+        return _radial_field(self.grid, r, pair)
 
 
 class _SupportKernel:
@@ -387,21 +394,17 @@ class _SupportKernel:
         self.k = config.k
 
     def _radii(self, h: np.ndarray):
-        """Principal radii (rho1, rho2) of multiplicities 1 and n - 1."""
-        rho1, rho2, _ = _support_radii(self.grid, h)
-        return rho1, rho2
+        """The build of h: its _support_radii and sigma_0..sigma_n of the curvatures."""
+        radii = _support_radii(self.grid, h)
+        return radii, sigma_pair(1.0 / radii[0], 1.0 / radii[1], self.n)
 
-    def _sigma(self, h: np.ndarray):
-        """Radii (rho1, rho2) and sigma_0..sigma_n of the principal curvatures."""
-        rho1, rho2 = self._radii(h)
-        return rho1, rho2, sigma_pair(1.0 / rho1, 1.0 / rho2, self.n)
-
-    def speed(self, h: np.ndarray) -> np.ndarray:
-        _, _, sig = self._sigma(h)
+    def speed(self, h: np.ndarray, build=None) -> np.ndarray:
+        """dh/dt at h, from its build when the caller has made it."""
+        _, sig = self._radii(h) if build is None else build
         return 1.0 - h * sigma_quotient(sig, self.k)
 
-    def assess(self, h: np.ndarray) -> tuple[float, float, bool]:
-        """(M_k, c_max, converged) from one build of the radii.
+    def assess(self, h: np.ndarray):
+        """(M_k, c_max, converged, build) from one build of the radii.
 
         M_k = int sigma_{k-1} g(h) dmu with g = f^((n-k+1)/(n-k)); the run has
         converged once (max h - min h) / mean h < osc_tol.  The principal
@@ -410,7 +413,8 @@ class _SupportKernel:
         d kappa2 is sigma_(j-1) of the curvatures less one kappa2.
         """
         g, n, k, config = self.grid, self.n, self.k, self.config
-        rho1, rho2, sig = self._sigma(h)
+        build = self._radii(h)
+        (rho1, rho2, _, _), sig = build
         # k = n admits constant profiles only, and constant factors do not matter
         g_factor = 1.0 if k == n else self.profile.f(h) ** ((n - k + 1.0) / (n - k))
         dmu = rho1 * rho2 ** (n - 1)
@@ -425,18 +429,18 @@ class _SupportKernel:
         c2 = kap2**2 * scale * (d2 * sig[k - 1] - sig[k] * e2)
         c_max = float(np.max(np.abs(h) * np.maximum(c1, c2)))
         hmean = float(np.sum(g.weights * h) / np.sum(g.weights))
-        return value, c_max, float((h.max() - h.min()) / hmean) < config.osc_tol
+        return value, c_max, float((h.max() - h.min()) / hmean) < config.osc_tol, build
 
-    def conserved_value(self, h: np.ndarray) -> float:
-        rho1, rho2, sig = self._sigma(h)
+    def conserved_value(self, h: np.ndarray, build) -> float:
+        (rho1, rho2, _, _), sig = build
         dmu = rho1 * rho2 ** (self.n - 1)
         if self.k == 1:
             return float(np.sum(self.grid.weights * h * dmu))  # V_0 = int h dmu
         e = sig[self.k - 2] / math.comb(self.n, self.k - 2)
         return float(np.sum(self.grid.weights * e * dmu))
 
-    def geometry(self, h: np.ndarray) -> CurvatureField:
-        return support_geometry(ScalarField(self.grid, h))
+    def geometry(self, h: np.ndarray, build) -> CurvatureField:
+        return _support_field(self.grid, h, build[0])
 
 
 def _kernel(grid: SphericalGrid, profile: SpeedProfile | None, config: "FlowConfig"):
@@ -456,17 +460,17 @@ _STEP_CAP = 0.025
 _SPREAD_CAP = 0.025
 
 
-def _extrapolated_step(kernel, u: np.ndarray, h: float, a: float) -> np.ndarray:
+def _extrapolated_step(kernel, u: np.ndarray, h: float, a: float, start: np.ndarray) -> np.ndarray:
     """One linearly implicit Euler step of du/dt = kernel.speed(u), extrapolated.
 
     Level j takes j substeps y += R(s a)(s speed(y)) of s = h / j, with
     R(s a) = (I - s a Z Delta Z)^-1 Z the grid's resolvent; the levels share
-    speed(u).  For any fixed a the error expands in powers of h, so the
-    Aitken-Neville tableau over the kernel's levels has that order.  The
-    result is zonal-filtered when u is.
+    start = speed(u), which the caller has from u's build.  For any
+    fixed a the error expands in powers of h, so the Aitken-Neville tableau
+    over the kernel's levels has that order.  The result is zonal-filtered
+    when u is.
     """
     grid = kernel.grid
-    start = kernel.speed(u)
     row = []
     for j in range(1, kernel.levels + 1):
         s = h / j
@@ -591,8 +595,8 @@ class FlowTrace:
         return out
 
 
-def _diagnostic_row(kernel, state, t, dt) -> dict:
-    geom = kernel.geometry(state)
+def _diagnostic_row(kernel, geom: CurvatureField, t, dt) -> dict:
+    state = geom.scalar
     quermass = quermassintegrals(geom)
     f_vals = kernel.profile.f(state)
     try:
@@ -674,24 +678,28 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
     t = 0.0
     steps = 0
     # a, the step's Laplacian scale, is c_max held while c_max stays in [a/2, a]
-    mono_prev, a, _ = kernel.assess(state)
+    mono_prev, a, _, build = kernel.assess(state)
     mono_scale = max(abs(mono_prev), 1e-300)
     rise = 0.0  # the monitored integral's cumulative positive variation
-    conserved0 = kernel.conserved_value(state)
+    conserved0 = kernel.conserved_value(state, build)
     output_interval = config.output_interval or config.t_end / 400.0
     next_output = output_interval
     row_tol = 1e-9 * output_interval  # t += dt drifts off the output times and t_end
 
-    trace.rows.append(_diagnostic_row(kernel, state, 0.0, 0.0))
+    trace.rows.append(_diagnostic_row(kernel, kernel.geometry(state, build), 0.0, 0.0))
 
     status = "TimeExhausted"
     dt = 0.0
     while t < config.t_end - row_tol:
+        # the state's build, past its row, gives the start speed and is
+        # dropped: holding it across the step, or taking the speed inside
+        # assess before the row, raised support-s2's peak RSS by ~0.1 MB
+        start, build = kernel.speed(state, build), None
         dt = min(config.dt_fixed or min(output_interval, _STEP_CAP, _SPREAD_CAP / a), config.t_end - t)
         while True:
             try:
-                new_state = _extrapolated_step(kernel, state, dt, a)
-                mono_new, c_max, converged = kernel.assess(new_state)
+                new_state = _extrapolated_step(kernel, state, dt, a, start)
+                mono_new, c_max, converged, build = kernel.assess(new_state)
                 break
             except _GEOM_ERRORS as exc:
                 if config.dt_fixed is None and dt * 0.5 >= _DT_MIN:
@@ -722,7 +730,7 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
                 )
 
         if t >= next_output - row_tol:
-            trace.rows.append(_diagnostic_row(kernel, state, t, dt))
+            trace.rows.append(_diagnostic_row(kernel, kernel.geometry(state, build), t, dt))
             while next_output <= t + row_tol:
                 next_output += output_interval
         if converged:
@@ -730,13 +738,13 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
             break
 
     if trace.rows[-1]["t"] < t:  # the last step was not an output row
-        trace.rows.append(_diagnostic_row(kernel, state, t, dt))
+        trace.rows.append(_diagnostic_row(kernel, kernel.geometry(state, build), t, dt))
     trace.status = status
     trace.t_final = t
     trace.meta["steps"] = steps
     trace.meta["mono_rise"] = rise / mono_scale
     if conserved0 is not None:
-        conserved_final = kernel.conserved_value(state)
+        conserved_final = kernel.conserved_value(state, build)
         trace.meta["conserved_initial"] = conserved0
         trace.meta["conserved_final"] = conserved_final
         trace.meta["conserved_drift"] = abs(conserved_final - conserved0) / abs(conserved0)
@@ -793,9 +801,9 @@ def area_evolution_consistency(
     grid = initial.grid
     kernel = _kernel(grid, profile, config)
 
-    def rate(u):
-        geom = kernel.geometry(u)
-        speed = kernel.speed(u)
+    def rate(u, build):
+        geom = kernel.geometry(u, build)
+        speed = kernel.speed(u, build)
         if config.kind == "radial":
             v = u / geom.support
             phi = speed / v
@@ -806,12 +814,12 @@ def area_evolution_consistency(
 
     # states are treated exactly as the integrator treats accepted states
     state = grid.zonal_filter(initial.values)
-    c_max = kernel.assess(state)[1]
+    _, c_max, _, build = kernel.assess(state)
     dt = 2.0 / (c_max * grid.laplacian_bound()) / 10.0
-    new_state = _extrapolated_step(kernel, state, dt, c_max)
+    new_state = _extrapolated_step(kernel, state, dt, c_max, kernel.speed(state, build))
 
-    rate0, area0 = rate(state)
-    rate1, area1 = rate(new_state)
+    rate0, area0 = rate(state, build)
+    rate1, area1 = rate(new_state, kernel.assess(new_state)[3])
     fd = (area1 - area0) / dt
     integral = 0.5 * (rate0 + rate1)
     return {

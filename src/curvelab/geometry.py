@@ -28,7 +28,9 @@ Every surface here has two distinct principal values per node, of
 multiplicities 1 and n - 1 (the 2x2 eigenvalues on full-s2 grids, the
 meridional and azimuthal values on axisymmetric ones).  _radial_pair and
 _support_radii compute that pair once per parametrization for both grid
-modes; the geometry pipelines and the flow kernels build on them.
+modes, from one derivative pass; _radial_field and _support_field finish a
+CurvatureField from it, so the flow kernels can build the pair once and
+reuse it for the speed, the assessment and the diagnostic row.
 """
 
 from __future__ import annotations
@@ -224,23 +226,20 @@ def _plus_ambient(start, grid: SphericalGrid, grad) -> np.ndarray:
     return start
 
 
-def _radial_first_order(grid: SphericalGrid, r: np.ndarray, grad):
-    """(rho, area_factor, position) of the radial graph r(xi) xi.
+def _radial_first_order(grid: SphericalGrid, r: np.ndarray, rho: np.ndarray):
+    """(area_factor, position) of the radial graph r(xi) xi.
 
-    rho = sqrt(r^2 + |grad r|^2), the area element r^(n-1) rho and the
-    position r xi need only r and its gradient, no curvature.
+    The area element r^(n-1) rho and the position r xi need only r and
+    rho = sqrt(r^2 + |grad r|^2), no curvature.
     """
-    rho = np.sqrt(r * r + sum(d * d for d in grad))
-    return rho, r ** (grid.n - 1) * rho, r[..., None] * grid.xi()
+    return r ** (grid.n - 1) * rho, r[..., None] * grid.xi()
 
 
-def radial_geometry(field: ScalarField) -> CurvatureField:
-    """Full extrinsic geometry of the starshaped graph r(xi) xi."""
-    grid = field.grid
-    r = field.values
+def _radial_field(grid: SphericalGrid, r: np.ndarray, pair) -> CurvatureField:
+    """Full extrinsic geometry of r(xi) xi from its _radial_pair result."""
     n = grid.n
-    kappa1, kappa2, _, grad = _radial_pair(grid, r)
-    rho, area_factor, position = _radial_first_order(grid, r, grad)
+    kappa1, kappa2, rho, grad = pair
+    area_factor, position = _radial_first_order(grid, r, rho)
     support = r * r / rho
     normal = (position - _plus_ambient(0.0, grid, grad)) / rho[..., None]
     rho2 = rho * rho
@@ -254,19 +253,25 @@ def radial_geometry(field: ScalarField) -> CurvatureField:
     )
 
 
+def radial_geometry(field: ScalarField) -> CurvatureField:
+    """Full extrinsic geometry of the starshaped graph r(xi) xi."""
+    return _radial_field(field.grid, field.values, _radial_pair(field.grid, field.values))
+
+
 def _support_radii(grid: SphericalGrid, h: np.ndarray):
     """Principal radii of curvature of the body with support function h.
 
     The radii are the eigenvalues of b = hess(h) + h e.  Returns
-    (rho1, rho2, b): rho1 has multiplicity 1 and rho2 multiplicity n - 1
-    (axisymmetric grids: meridional and azimuthal, b = (rho1, rho2));
+    (rho1, rho2, b, grad): rho1 has multiplicity 1 and rho2 multiplicity
+    n - 1 (axisymmetric grids: meridional and azimuthal, b = (rho1, rho2));
     on full-s2 grids they are the eigenvalues ascending and b holds the
-    frame components (b11, b12, b22).
+    frame components (b11, b12, b22).  grad is the orthonormal-frame
+    gradient of h, from the same derivative pass as the Hessian.
     """
     scale = float(np.abs(h).max())  # NaN or inf when an entry is not finite
     if not math.isfinite(scale):
         raise DegenerateMetric("support function has non-finite entries")
-    hess = grid.hessian_components(h)
+    grad, hess = grid._derivatives(h)
     if grid.mode == "axisym":
         b = (hess[0] + h, hess[1] + h)
         rho1, rho2 = b
@@ -279,16 +284,13 @@ def _support_radii(grid: SphericalGrid, h: np.ndarray):
         raise ConvexityLost(
             f"support Hessian b lost positivity (min radius {rho_min:.6g})"
         )
-    return rho1, rho2, b
+    return rho1, rho2, b, grad
 
 
-def support_geometry(field: ScalarField) -> CurvatureField:
-    """Extrinsic geometry of a strictly convex body from its support function."""
-    grid = field.grid
-    h = field.values
+def _support_field(grid: SphericalGrid, h: np.ndarray, radii) -> CurvatureField:
+    """Extrinsic geometry of the body with support function h from its _support_radii result."""
     n = grid.n
-    rho1, rho2, b = _support_radii(grid, h)
-    grad = grid.gradient(h)
+    rho1, rho2, b, grad = radii
     area_factor = rho1 * rho2 ** (n - 1)
     normal = grid.xi()
     position = _plus_ambient(h[..., None] * normal, grid, grad)
@@ -304,6 +306,11 @@ def support_geometry(field: ScalarField) -> CurvatureField:
         grid, "support", n, h, grad, 1.0 / rho1, 1.0 / rho2, area_factor, h,
         normal, position, inverse_metric,
     )
+
+
+def support_geometry(field: ScalarField) -> CurvatureField:
+    """Extrinsic geometry of a strictly convex body from its support function."""
+    return _support_field(field.grid, field.values, _support_radii(field.grid, field.values))
 
 
 def static_convexity(field: CurvatureField) -> StaticConvexityReport:
@@ -341,7 +348,8 @@ def centroid(field: CurvatureField | ScalarField):
     grid = field.grid
     if isinstance(field, ScalarField):
         r = field.values
-        _, area_factor, position = _radial_first_order(grid, r, grid.gradient(r))
+        rho = np.sqrt(r * r + sum(d * d for d in grid.gradient(r)))
+        area_factor, position = _radial_first_order(grid, r, rho)
     else:
         area_factor, position = field.area_factor, field.position
     w = grid.weights * area_factor

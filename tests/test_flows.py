@@ -208,7 +208,7 @@ def test_kernel_speed_matches_public_op():
         assert np.abs(kernel.speed(h.values) - support_speed_oracle(h, k)).max() < 1e-12
         # conserved quermassintegral agrees with the geometry route
         from curvelab import quermassintegrals
-        assert kernel.conserved_value(h.values) == pytest.approx(
+        assert kernel.conserved_value(h.values, kernel.assess(h.values)[3]) == pytest.approx(
             quermassintegrals(geom)[k - 1], rel=1e-12)
 
 
@@ -523,9 +523,9 @@ def test_q_rate_matches_monotonicity_integrand():
         w = grid.weights * geom.area_factor
         return -float(np.sum(w * f ** (1.0 / (n - 1.0)) * term**2))
 
-    c_max = kernel.assess(r)[1]
+    _, c_max, _, build = kernel.assess(r)
     dt = 0.2 * 2.0 / (c_max * grid.laplacian_bound())  # a fifth of the forward-Euler limit
-    r1 = _extrapolated_step(kernel, r, dt, c_max)
+    r1 = _extrapolated_step(kernel, r, dt, c_max, kernel.speed(r, build))
     fd = (q_value(r1) - q_value(r)) / dt
     predicted = 0.5 * (integrand(r) + integrand(r1))
     assert predicted < 0
@@ -533,31 +533,36 @@ def test_q_rate_matches_monotonicity_integrand():
 
 
 def test_each_accepted_state_is_assessed_once(monkeypatch):
-    # a support step builds the radii once per substep speed and once in its
-    # assessment, and takes no gradient outside the diagnostic rows; a radial
-    # step takes one gradient, in its assessment, and one speed per substep
-    from curvelab import flows
+    # a step builds the principal pair once per substep speed and once in its
+    # assessment; that build also gives the next step's start speed, the
+    # state's diagnostic row and the conserved integral, so no pair is built
+    # inside a row and no separate gradient is taken
+    from curvelab import flows, geometry
 
-    counts = {"radii": 0, "speed": 0, "grad": 0, "radial speed": 0}
+    counts = {"pair": 0, "speed": 0, "grad": 0, "derivatives": 0, "pair in row": 0}
     in_row = [False]
-    radii, gradient, row = flows._support_radii, SphericalGrid.gradient, flows._diagnostic_row
-    speed, radial_speed = flows._SupportKernel.speed, flows._RadialKernel.speed
+    row = flows._diagnostic_row
+    gradient, derivatives = SphericalGrid.gradient, SphericalGrid._derivatives
+    speeds = {kind: kind.speed for kind in (flows._SupportKernel, flows._RadialKernel)}
 
-    def counted_radii(*args):
-        counts["radii"] += 1
-        return radii(*args)
+    def counted(build):
+        def wrapped(*args):
+            counts["pair"] += 1
+            counts["pair in row"] += in_row[0]
+            return build(*args)
+        return wrapped
 
-    def counted_speed(self, h):
+    def counted_speed(self, u, build=None):
         counts["speed"] += 1
-        return speed(self, h)
-
-    def counted_radial_speed(self, r):
-        counts["radial speed"] += 1
-        return radial_speed(self, r)
+        return speeds[type(self)](self, u, build)
 
     def counted_gradient(self, v):
-        counts["grad"] += not in_row[0]
+        counts["grad"] += 1
         return gradient(self, v)
+
+    def counted_derivatives(self, v, hessian=True):
+        counts["derivatives"] += 1
+        return derivatives(self, v, hessian)
 
     def flagged_row(*args):
         in_row[0] = True
@@ -570,30 +575,85 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
     h0 = random_convex_support(s2, np.random.default_rng(2), amp=0.05)
     axisym = SphericalGrid.axisym(2, 32)
     r0 = ScalarField(axisym, 1.0 + 0.1 * np.cos(2 * axisym.theta))
-    monkeypatch.setattr(flows, "_support_radii", counted_radii)
-    monkeypatch.setattr(flows._SupportKernel, "speed", counted_speed)
-    monkeypatch.setattr(flows._RadialKernel, "speed", counted_radial_speed)
+    for grid in (s2, axisym):  # the resolvent's Laplacian takes derivatives once per grid
+        grid._laplacian_diagonals()
+    for module in (flows, geometry):  # kernel builds, and the start-up geometry
+        monkeypatch.setattr(module, "_support_radii", counted(module._support_radii))
+        monkeypatch.setattr(module, "_radial_pair", counted(module._radial_pair))
+    for kind in speeds:
+        monkeypatch.setattr(kind, "speed", counted_speed)
     monkeypatch.setattr(SphericalGrid, "gradient", counted_gradient)
+    monkeypatch.setattr(SphericalGrid, "_derivatives", counted_derivatives)
     monkeypatch.setattr(flows, "_diagnostic_row", flagged_row)
 
-    trace = run_flow(h0, None, FlowConfig(kind="support", k=2, t_end=0.12, output_interval=0.01))
-    steps = trace.meta["steps"]
-    assert steps >= 10 and not trace.breaches
-    # one build per substep speed, one assessment of the start and of each
-    # accepted step, and the conserved integral at both ends; a retry after
-    # a geometry error would add the assessment of a rejected candidate
-    assert counts["radii"] == counts["speed"] + (steps + 1) + 2
-    # the levels share the start's speed, and level j adds j - 1 substeps
-    assert counts["speed"] == steps * (1 + sum(range(flows._SupportKernel.levels)))
-    assert counts["grad"] == 1  # the start-up convexity check's geometry
+    for initial, profile, config, kind in (
+            (h0, None, FlowConfig(kind="support", k=2, t_end=0.12, output_interval=0.01),
+             flows._SupportKernel),
+            (r0, SpeedProfile.power_exp_pinned(2, 1.0),
+             FlowConfig(kind="radial", t_end=0.05, output_interval=0.01), flows._RadialKernel)):
+        counts.update(dict.fromkeys(counts, 0))
+        trace = run_flow(initial, profile, config)
+        steps = trace.meta["steps"]
+        # radial: one step per output interval
+        assert (steps == 5 if kind is flows._RadialKernel else steps >= 10) and not trace.breaches
+        # level j takes j substeps, and the levels share the start's speed,
+        # which the accepted state's build gives
+        substeps = steps * sum(range(kind.levels))
+        assert counts["speed"] == substeps + steps
+        # one build per substep speed, one assessment of the start and of each
+        # accepted step, and the start-up check of the initial field; a retry
+        # after a geometry error would add the assessment of a rejected candidate
+        assert counts["pair"] == substeps + (steps + 1) + 1
+        assert counts["derivatives"] == counts["pair"]  # one derivative pass per build
+        assert counts["grad"] == 0 and counts["pair in row"] == 0
 
-    counts["grad"] = 0
-    trace = run_flow(r0, SpeedProfile.power_exp_pinned(2, 1.0),
-                     FlowConfig(kind="radial", t_end=0.05, output_interval=0.01))
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(32,), (16, 32)], ids=["axisym 32", "full-s2 16x32"])
+@pytest.mark.parametrize("kind", ["radial", "support"])
+def test_assessed_build_serves_speed_geometry_and_row_bit_for_bit(kind, shape):
+    # the speed, geometry and row read from an assessment's build are the
+    # ones a fresh public build gives, and each step starts from the speed of
+    # the state it steps from
+    from curvelab.flows import _diagnostic_row
+
+    grid = SphericalGrid.axisym(2, *shape) if len(shape) == 1 else SphericalGrid.full_s2(*shape)
+    rng = np.random.default_rng(4)
+    if kind == "radial":
+        field, profile, public = random_starshaped(grid, rng, amp=0.1), SpeedProfile.power_exp_pinned(2, 1.0), radial_geometry
+    else:
+        field, profile, public = random_convex_support(grid, rng, amp=0.05), None, support_geometry
+    config = FlowConfig(kind=kind, k=2, t_end=0.03, dt_fixed=0.01, output_interval=0.01)
+    kernel = _kernel(grid, profile, config)
+
+    u = grid.zonal_filter(field.values)
+    build = kernel.assess(u)[3]
+    assert _same_bits(kernel.speed(u, build), kernel.speed(u))
+    fresh, reused = public(ScalarField(grid, u)), kernel.geometry(u, build)
+    for name in ("scalar", "grad", "kappa1", "kappa2", "area_factor", "support", "normal",
+                 "position", "inverse_metric"):
+        assert _same_bits(getattr(reused, name), getattr(fresh, name)), name
+
+    trace = run_flow(field, profile, config)
     steps = trace.meta["steps"]
-    assert steps == 5 and not trace.breaches  # one step per output interval
-    assert counts["grad"] == steps + 1
-    assert counts["radial speed"] == steps * (1 + sum(range(flows._RadialKernel.levels)))
+    assert steps == 3 and len(trace.rows) == steps + 1
+    a = kernel.assess(u)[1]
+    for row in trace.rows[1:]:  # run_flow's steps, each speed evaluated afresh
+        u = _extrapolated_step(kernel, u, row["dt"], a, kernel.speed(u))
+        c_max = kernel.assess(u)[1]
+        if not 0.5 * a <= c_max <= a:
+            a = c_max
+    final = trace.meta["final_state"]
+    assert _same_bits(final, u)
+    last = trace.rows[-1]
+    expected = _diagnostic_row(kernel, public(ScalarField(grid, final)), last["t"], last["dt"])
+    assert last.keys() == expected.keys()
+    for key, value in expected.items():
+        assert last[key] == value or (math.isnan(last[key]) and math.isnan(value)), key
 
 
 def test_trace_timestamps_strictly_increasing():
