@@ -34,11 +34,11 @@ interval, capped at 0.025 and at h a = 0.025.  Each candidate state is
 assessed from one build of its principal pair (curvatures radial, radii
 support) for its monitored integral (Q or M_k), its c_max and the
 convergence test; once the state is accepted, that one build also serves
-its diagnostic row, the conserved integral and the next step's start
-speed.  On a geometry error the step halves and retries.  A rise of the monitored
-integral is spatial discretization error, which a smaller step cannot
-remove, so it is not retried: each rise above 1e-8 relative is recorded as
-an event, and their sum relative to the start as meta["mono_rise"].  On
+its diagnostic row and the next step's start speed.  Each step is taken
+once: a geometry error raises StepCollapse with the partial trace.  A rise
+of the monitored integral is spatial discretization error, which a smaller
+step cannot remove: each rise above 1e-8 relative is recorded as an event,
+and their sum relative to the start as meta["mono_rise"].  On
 full-s2 grids every substep's increment passes the zonal filter, so the
 pole-convergent phi columns do not force their own step size.
 """
@@ -54,7 +54,6 @@ import numpy as np
 from ._artifacts import overwrite
 from .errors import (
     AssumptionViolated,
-    ConeViolation,
     ConvexityLost,
     CurveLabError,
     DegenerateMetric,
@@ -321,10 +320,10 @@ def validate_support_profile(
 # A kernel evaluates one flow on one grid: ``speed`` is the right-hand side
 # of the stepper, and ``assess`` builds a candidate state's principal pair
 # once and returns (monotone integral, c_max at that state, converged,
-# build); ``speed``, ``geometry`` and ``conserved_value`` read a build the
-# caller has, so an accepted state is built only once.
+# build); ``speed`` and ``geometry`` read a build the caller has, so an
+# accepted state is built only once.
 
-_GEOM_ERRORS = (NotStarshaped, ConvexityLost, ConeViolation, DegenerateMetric)
+_GEOM_ERRORS = (NotStarshaped, ConvexityLost, DegenerateMetric)
 
 
 class _RadialKernel:
@@ -368,9 +367,6 @@ class _RadialKernel:
         grad_max = float(np.sqrt(sum(d * d for d in grad)).max())
         converged = grad_max < config.grad_tol and hat < config.hatf_tol
         return value, c_max, converged, pair
-
-    def conserved_value(self, r: np.ndarray, pair) -> float | None:
-        return None
 
     def geometry(self, r: np.ndarray, pair) -> CurvatureField:
         return _radial_field(self.grid, r, pair)
@@ -431,14 +427,6 @@ class _SupportKernel:
         hmean = float(np.sum(g.weights * h) / np.sum(g.weights))
         return value, c_max, float((h.max() - h.min()) / hmean) < config.osc_tol, build
 
-    def conserved_value(self, h: np.ndarray, build) -> float:
-        (rho1, rho2, _, _), sig = build
-        dmu = rho1 * rho2 ** (self.n - 1)
-        if self.k == 1:
-            return float(np.sum(self.grid.weights * h * dmu))  # V_0 = int h dmu
-        e = sig[self.k - 2] / math.comb(self.n, self.k - 2)
-        return float(np.sum(self.grid.weights * e * dmu))
-
     def geometry(self, h: np.ndarray, build) -> CurvatureField:
         return _support_field(self.grid, h, build[0])
 
@@ -488,10 +476,8 @@ def _extrapolated_step(kernel, u: np.ndarray, h: float, a: float, start: np.ndar
 # run configuration, trace, main loop
 
 
-# Adaptive stepping: the smallest step tried before StepCollapse, and the
-# relative growth of the monitored integral in one step that is recorded as
-# a breach.
-_DT_MIN = 1e-12
+# The relative growth of the monitored integral in one step that is
+# recorded as a breach.
 _MONO_REL_TOL = 1e-8
 
 
@@ -591,7 +577,7 @@ class FlowTrace:
                 "Q": last["Q"],
                 "margin": last["margin"],
             }
-        out.update({k: v for k, v in self.meta.items() if k not in ("steps",)})
+        out.update(self.meta)
         return out
 
 
@@ -681,7 +667,6 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
     mono_prev, a, _, build = kernel.assess(state)
     mono_scale = max(abs(mono_prev), 1e-300)
     rise = 0.0  # the monitored integral's cumulative positive variation
-    conserved0 = kernel.conserved_value(state, build)
     output_interval = config.output_interval or config.t_end / 400.0
     next_output = output_interval
     row_tol = 1e-9 * output_interval  # t += dt drifts off the output times and t_end
@@ -696,22 +681,15 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
         # assess before the row, raised support-s2's peak RSS by ~0.1 MB
         start, build = kernel.speed(state, build), None
         dt = min(config.dt_fixed or min(output_interval, _STEP_CAP, _SPREAD_CAP / a), config.t_end - t)
-        while True:
-            try:
-                new_state = _extrapolated_step(kernel, state, dt, a, start)
-                mono_new, c_max, converged, build = kernel.assess(new_state)
-                break
-            except _GEOM_ERRORS as exc:
-                if config.dt_fixed is None and dt * 0.5 >= _DT_MIN:
-                    dt *= 0.5
-                    continue
-                trace.status = "error:StepCollapse"
-                trace.t_final = t
-                trace.meta["steps"] = steps
-                trace.meta["mono_rise"] = rise / mono_scale
-                raise StepCollapse(
-                    f"step from t = {t:.6g} failed at dt = {dt:.3g}: {exc}", trace
-                ) from exc
+        try:
+            new_state = _extrapolated_step(kernel, state, dt, a, start)
+            mono_new, c_max, converged, build = kernel.assess(new_state)
+        except _GEOM_ERRORS as exc:
+            trace.status = "error:StepCollapse"
+            trace.t_final = t
+            trace.meta["steps"] = steps
+            trace.meta["mono_rise"] = rise / mono_scale
+            raise StepCollapse(f"step from t = {t:.6g} failed at dt = {dt:.3g}: {exc}", trace) from exc
         breach = mono_new - mono_prev
         if breach > _MONO_REL_TOL * abs(mono_prev):
             trace.breaches.append(BreachEvent(t + dt, "monotone", breach, breach / max(abs(mono_prev), 1e-300)))
@@ -743,11 +721,11 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
     trace.t_final = t
     trace.meta["steps"] = steps
     trace.meta["mono_rise"] = rise / mono_scale
-    if conserved0 is not None:
-        conserved_final = kernel.conserved_value(state, build)
-        trace.meta["conserved_initial"] = conserved0
-        trace.meta["conserved_final"] = conserved_final
-        trace.meta["conserved_drift"] = abs(conserved_final - conserved0) / abs(conserved0)
+    if config.kind == "support":  # V_{k-1} is conserved
+        v0, v1 = trace.rows[0][f"V_{config.k - 1}"], trace.rows[-1][f"V_{config.k - 1}"]
+        trace.meta["conserved_initial"] = v0
+        trace.meta["conserved_final"] = v1
+        trace.meta["conserved_drift"] = abs(v1 - v0) / abs(v0)
     trace.meta["final_state"] = state
     return trace
 

@@ -10,15 +10,19 @@ from scipy.integrate import solve_ivp
 
 from curvelab import (
     AssumptionViolated,
+    ConvexityLost,
     DegenerateMetric,
     FlowConfig,
     FlowTrace,
     InsufficientData,
+    NonpositiveSupport,
     NotStarshaped,
     ScalarField,
     SphericalGrid,
     SpeedProfile,
+    StepCollapse,
     estimate_decay_rate,
+    quermassintegrals,
     radial_geometry,
     run_flow,
     support_geometry,
@@ -202,14 +206,13 @@ def test_kernel_speed_matches_public_op():
     # axisymmetric pair form, general n
     g3 = SphericalGrid.axisym(4, 64)
     h = random_convex_support(g3, np.random.default_rng(9), amp=0.05)
-    geom = support_geometry(h)
+    quermass = quermassintegrals(support_geometry(h))
     for k in (1, 2, 3, 4):
         kernel = _SupportKernel(g3, SpeedProfile.constant(1.0), support_config(k))
         assert np.abs(kernel.speed(h.values) - support_speed_oracle(h, k)).max() < 1e-12
-        # conserved quermassintegral agrees with the geometry route
-        from curvelab import quermassintegrals
-        assert kernel.conserved_value(h.values, kernel.assess(h.values)[3]) == pytest.approx(
-            quermassintegrals(geom)[k - 1], rel=1e-12)
+        # a run's conserved quermassintegral agrees with the geometry route
+        trace = run_flow(h, None, FlowConfig(kind="support", k=k, t_end=0.01, output_interval=0.01))
+        assert trace.meta["conserved_initial"] == pytest.approx(quermass[k - 1], rel=1e-12)
 
 
 def filtered_jacobian(kernel, u, eps=1e-6):
@@ -601,8 +604,7 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
         substeps = steps * sum(range(kind.levels))
         assert counts["speed"] == substeps + steps
         # one build per substep speed, one assessment of the start and of each
-        # accepted step, and the start-up check of the initial field; a retry
-        # after a geometry error would add the assessment of a rejected candidate
+        # accepted step, and the start-up check of the initial field
         assert counts["pair"] == substeps + (steps + 1) + 1
         assert counts["derivatives"] == counts["pair"]  # one derivative pass per build
         assert counts["grad"] == 0 and counts["pair in row"] == 0
@@ -728,8 +730,6 @@ def test_trace_csv_failing_mid_write_leaves_no_stale_tail(tmp_path):
 
 
 def test_step_collapse_carries_partial_trace():
-    from curvelab import StepCollapse
-
     grid = SphericalGrid.axisym(2, 32)
     prof = SpeedProfile.power_exp_pinned(2, 1.0)
     # the zeroth-order part of the speed is explicit in every step, so a fixed
@@ -800,8 +800,6 @@ def test_radial_assess_rejects_nonstarshaped_states():
 def test_nonstarshaped_step_result_collapses_with_partial_trace(dt):
     # each substep's speed accepts its state, but the extrapolated result has
     # r < 0; its assessment must fail the step, not the next diagnostic row
-    from curvelab import StepCollapse
-
     grid = SphericalGrid.axisym(2, 32)
     config = FlowConfig(kind="radial", t_end=5.0, dt_fixed=dt, output_interval=0.5)
     with pytest.raises(StepCollapse) as err:
@@ -809,6 +807,58 @@ def test_nonstarshaped_step_result_collapses_with_partial_trace(dt):
                  SpeedProfile.power_exp_pinned(2, 1.0), config)
     assert isinstance(err.value.__cause__, NotStarshaped)
     assert err.value.trace.rows
+
+
+@pytest.mark.parametrize("kind", ["radial", "support"])
+def test_failed_step_collapses_at_once(monkeypatch, kind):
+    # an adaptive run takes each step once: a candidate that fails its
+    # assessment ends the run, with no smaller step tried
+    from curvelab import flows
+
+    grid = SphericalGrid.axisym(2, 32)
+    if kind == "radial":
+        initial = ScalarField(grid, 1.0 + 0.1 * np.cos(2 * grid.theta))
+        profile, error = SpeedProfile.power_exp_pinned(2, 1.0), NotStarshaped
+        candidate = initial.values.copy()
+        candidate[7] = -0.1  # r <= 0 at one node
+    else:
+        initial, profile, error = sphere_support(grid, 1.0, center=0.1), None, ConvexityLost
+        candidate = 1.0 + 2.0 * np.cos(3 * grid.theta)  # not convex
+    calls = []
+
+    def broken_step(kernel, u, h, a, start):
+        calls.append(h)
+        return candidate.copy()
+
+    monkeypatch.setattr(flows, "_extrapolated_step", broken_step)
+    with pytest.raises(StepCollapse) as err:
+        run_flow(initial, profile, FlowConfig(kind=kind, t_end=1.0, output_interval=0.1))
+    assert isinstance(err.value.__cause__, error)
+    assert len(calls) == 1
+    trace = err.value.trace
+    assert trace.meta["steps"] == 0 and [row["t"] for row in trace.rows] == [0.0]
+
+
+@pytest.mark.parametrize("grid", [SphericalGrid.axisym(2, 32), SphericalGrid.full_s2(16, 32)], ids=repr)
+def test_run_flow_rejects_a_bad_start_before_any_step(monkeypatch, grid):
+    # the start-up check reads the unfiltered input: on full-s2 node 7 lies in
+    # a pole row, whose filtered values are all positive
+    from curvelab import flows
+
+    def no_step(*args):
+        raise AssertionError("run_flow stepped from a bad start")
+
+    monkeypatch.setattr(flows, "_extrapolated_step", no_step)
+    r = np.ones(grid.node_shape)
+    r.flat[7] = -0.2
+    center = 0.5 if grid.mode == "axisym" else (0.0, 0.0, 0.5)
+    for initial, kind, profile, error in (
+            (ScalarField(grid, r), "radial", SpeedProfile.power_exp_pinned(2, 1.0), NotStarshaped),
+            (ScalarField(grid, grid.zonal(1.0 + 2.0 * np.cos(3 * grid.theta))), "support", None,
+             ConvexityLost),
+            (sphere_support(grid, 0.3, center=center), "support", None, NonpositiveSupport)):
+        with pytest.raises(error):
+            run_flow(initial, profile, FlowConfig(kind=kind, t_end=1.0))
 
 
 @pytest.mark.parametrize("grid", [SphericalGrid.axisym(2, 64), SphericalGrid.full_s2(16, 32)], ids=repr)
