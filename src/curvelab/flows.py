@@ -29,8 +29,11 @@ grid's Laplacian and a = c_max, held until c_max leaves [a/2, a] so the
 solve's inverses are reused; the Laplacian term stabilizes the stiff part
 (Smereka, J. Sci. Comput. 19 (2003)), so no Delta theta^2 bound applies; on
 a sphere Delta vanishes, the step is extrapolated explicit Euler on the
-radius ODE and the surface stays round.  Adaptive steps are one output
-interval, capped at 0.025 and at h a = 0.025.  Each candidate state is
+radius ODE and the surface stays round.  An adaptive step is
+min(0.025, 0.025 / a), whatever the output interval, and one below
+1e-12 max(1, t) raises StepCollapse; a diagnostic row is written at the
+first accepted state at or past each output time, and its dt column is the
+step that reached it.  Each candidate state is
 assessed from one build of its principal pair (curvatures radial, radii
 support) for its monitored integral (Q or M_k), its c_max and the
 convergence test; once the state is accepted, that one build also serves
@@ -439,13 +442,16 @@ def _kernel(grid: SphericalGrid, profile: SpeedProfile | None, config: "FlowConf
     return kernel(grid, profile or SpeedProfile.constant(1.0), config)
 
 
-# The largest adaptive step, as the radial sphere-ODE error at 4 levels is
-# 2.2e-8 at 0.05 and 1.35e-9 at 0.025; and the largest h * a, which keeps
+# The adaptive step is min(_STEP_CAP, _SPREAD_CAP / a), whatever the output
+# interval: _STEP_CAP as the radial sphere-ODE error at 4 levels is 2.2e-8
+# at 0.05 and 1.35e-9 at 0.025, and _SPREAD_CAP, the largest h * a, keeps
 # the solve from spreading a node's speed over more than about sqrt(h a) =
 # 0.16 rad (rough starts, where c_max falls by 1e4, left the flow's range
-# without it).
+# without it).  An adaptive step below _DT_FLOOR * max(1, t) raises
+# StepCollapse: c_max has blown up and t would stall.
 _STEP_CAP = 0.025
 _SPREAD_CAP = 0.025
+_DT_FLOOR = 1e-12
 
 
 def _extrapolated_step(kernel, u: np.ndarray, h: float, a: float, start: np.ndarray) -> np.ndarray:
@@ -673,23 +679,32 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
 
     trace.rows.append(_diagnostic_row(kernel, kernel.geometry(state, build), 0.0, 0.0))
 
+    def collapse(message, cause=None):
+        trace.status = "error:StepCollapse"
+        trace.t_final = t
+        trace.meta["steps"] = steps
+        trace.meta["mono_rise"] = rise / mono_scale
+        raise StepCollapse(message, trace) from cause
+
     status = "TimeExhausted"
     dt = 0.0
     while t < config.t_end - row_tol:
+        if config.dt_fixed:
+            dt = config.dt_fixed
+        else:
+            dt = min(_STEP_CAP, _SPREAD_CAP / a)
+            if dt < _DT_FLOOR * max(1.0, t):  # at least 4e3 ulps of t, so t + dt > t too
+                collapse(f"adaptive step {dt:.3g} at t = {t:.6g} is below the floor")
+        dt = min(dt, config.t_end - t)
         # the state's build, past its row, gives the start speed and is
         # dropped: holding it across the step, or taking the speed inside
         # assess before the row, raised support-s2's peak RSS by ~0.1 MB
         start, build = kernel.speed(state, build), None
-        dt = min(config.dt_fixed or min(output_interval, _STEP_CAP, _SPREAD_CAP / a), config.t_end - t)
         try:
             new_state = _extrapolated_step(kernel, state, dt, a, start)
             mono_new, c_max, converged, build = kernel.assess(new_state)
         except _GEOM_ERRORS as exc:
-            trace.status = "error:StepCollapse"
-            trace.t_final = t
-            trace.meta["steps"] = steps
-            trace.meta["mono_rise"] = rise / mono_scale
-            raise StepCollapse(f"step from t = {t:.6g} failed at dt = {dt:.3g}: {exc}", trace) from exc
+            collapse(f"step from t = {t:.6g} failed at dt = {dt:.3g}: {exc}", exc)
         breach = mono_new - mono_prev
         if breach > _MONO_REL_TOL * abs(mono_prev):
             trace.breaches.append(BreachEvent(t + dt, "monotone", breach, breach / max(abs(mono_prev), 1e-300)))

@@ -449,6 +449,23 @@ def test_support_run_axisym_higher_dimension():
     assert 0.5 * (final["r_min"] + final["r_max"]) == pytest.approx(predicted, rel=1e-3)
 
 
+@pytest.mark.parametrize("n, k", [(n, k) for n in (2, 3, 4) for k in range(1, n + 1)])
+def test_support_shape_mode_decays_at_the_linearized_rate(n, k):
+    # at a sphere of radius R, dF/dkappa_i = 1/n for every k, so h = R + eps Y_l
+    # with Delta Y_l = -l (l + n - 1) Y_l decays at l (l + n - 1) / (n R); P_2
+    # differs from the degree-2 zonal harmonic on S^n by a constant, which
+    # only moves R
+    grid = SphericalGrid.axisym(n, 64)
+    h0 = ScalarField(grid, 1.0 + 0.01 * 0.5 * (3.0 * np.cos(grid.theta) ** 2 - 1.0))
+    trace = run_flow(h0, None, FlowConfig(kind="support", k=k, t_end=1.5, osc_tol=1e-12))
+    t, osc = trace.times, trace.values("oscillation")
+    late = t >= 0.5
+    gamma = -np.polyfit(t[late], np.log(osc[late]), 1)[0]
+    radius = float(np.sum(grid.weights * trace.meta["final_state"]) / np.sum(grid.weights))
+    assert late.sum() >= 30
+    assert abs(gamma / (2.0 * (n + 1) / (n * radius)) - 1.0) < 0.01
+
+
 def test_temporal_order_on_sphere_ode():
     grid = SphericalGrid.axisym(2, 16)
     prof = SpeedProfile.power_exp_pinned(2, 1.0)
@@ -597,8 +614,10 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
         counts.update(dict.fromkeys(counts, 0))
         trace = run_flow(initial, profile, config)
         steps = trace.meta["steps"]
-        # radial: one step per output interval
-        assert (steps == 5 if kind is flows._RadialKernel else steps >= 10) and not trace.breaches
+        # the step is min(0.025, 0.025 / a) whatever the output interval:
+        # support 0.12 / 0.025, radial 0.05 / 0.018 (a = max f / r^2 = 1.38
+        # near r = 0.9)
+        assert steps == (3 if kind is flows._RadialKernel else 5) and not trace.breaches
         # level j takes j substeps, and the levels share the start's speed,
         # which the accepted state's build gives
         substeps = steps * sum(range(kind.levels))
@@ -675,6 +694,27 @@ def test_output_rows_fall_on_every_interval_multiple():
     assert trace.status == "TimeExhausted" and trace.meta["steps"] == 84
     assert trace.times.shape == (43,)
     assert np.abs(trace.times - 0.05 * np.arange(43)).max() < 1e-12
+
+
+@pytest.mark.parametrize("interval", [0.01, 0.1])
+def test_rows_fall_at_the_first_step_past_each_output_time(interval):
+    # adaptive steps (0.018-0.025 here) cross output times: each output time
+    # gets one row, at the first accepted state at or past it, and the dt
+    # column is the step that reached that state
+    grid = SphericalGrid.axisym(2, 32)
+    r0 = ScalarField(grid, 1.0 + 0.1 * np.cos(2 * grid.theta))
+    config = FlowConfig(kind="radial", t_end=0.5, output_interval=interval)
+    trace = run_flow(r0, SpeedProfile.power_exp_pinned(2, 1.0), config)
+    t, dt, steps = trace.times, trace.values("dt"), trace.meta["steps"]
+    assert trace.status == "TimeExhausted" and t[-1] == trace.t_final
+    assert np.all(np.diff(t) > 0)
+    if interval < 0.018:  # every step crosses an output time
+        assert dt[1:-1].min() > interval and len(trace.rows) == steps + 1
+    else:
+        assert len(trace.rows) < steps + 1
+    for t_out in interval * np.arange(1, round(trace.t_final / interval) + 1):
+        hits = (t - dt < t_out - 1e-12) & (t >= t_out - 1e-12)
+        assert hits.sum() == 1, t_out
 
 
 def test_trace_csv_round_trip(tmp_path):
@@ -837,6 +877,48 @@ def test_failed_step_collapses_at_once(monkeypatch, kind):
     assert len(calls) == 1
     trace = err.value.trace
     assert trace.meta["steps"] == 0 and [row["t"] for row in trace.rows] == [0.0]
+
+
+@pytest.mark.parametrize("kind", ["radial", "support"])
+def test_adaptive_step_below_the_floor_collapses(monkeypatch, kind):
+    # a c_max that blows up after the start would shrink the step to
+    # 0.025 / 1e20, which t + dt cannot resolve; the run must collapse, not
+    # step on (the step counter turns a stall into a failure)
+    from curvelab import flows
+
+    grid = SphericalGrid.axisym(2, 32)
+    if kind == "radial":
+        initial, profile = ScalarField(grid, 1.0 + 0.1 * np.cos(2 * grid.theta)), SpeedProfile.power_exp_pinned(2, 1.0)
+    else:
+        initial, profile = sphere_support(grid, 1.0, center=0.1), None
+    kernel = flows._RadialKernel if kind == "radial" else flows._SupportKernel
+    assess, step = kernel.assess, flows._extrapolated_step
+    calls = []
+
+    def blown_up(self, u):
+        value, c_max, converged, build = assess(self, u)
+        return value, 1e20 if calls else c_max, converged, build
+
+    def counted_step(*args):
+        calls.append(args[2])
+        if len(calls) > 3:
+            raise AssertionError(f"stepped on at dt = {args[2]:.3g}")
+        return step(*args)
+
+    monkeypatch.setattr(kernel, "assess", blown_up)
+    monkeypatch.setattr(flows, "_extrapolated_step", counted_step)
+    with pytest.raises(StepCollapse, match="below the floor") as err:
+        run_flow(initial, profile, FlowConfig(kind=kind, t_end=1.0, output_interval=0.01))
+    trace = err.value.trace
+    assert len(calls) == 1 and err.value.__cause__ is None
+    assert trace.status == "error:StepCollapse" and trace.meta["steps"] == 1
+    assert trace.t_final == calls[0] and trace.rows[-1]["t"] == calls[0]
+    assert trace.meta["mono_rise"] >= 0.0
+    # fixed steps are the caller's choice and are not floored
+    calls.clear()
+    monkeypatch.setattr(kernel, "assess", assess)
+    fixed = run_flow(initial, profile, FlowConfig(kind=kind, t_end=2e-13, dt_fixed=1e-13))
+    assert calls == [1e-13, 1e-13] and fixed.status == "TimeExhausted"
 
 
 @pytest.mark.parametrize("grid", [SphericalGrid.axisym(2, 32), SphericalGrid.full_s2(16, 32)], ids=repr)
