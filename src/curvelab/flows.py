@@ -24,9 +24,11 @@ Stepping.  c_max is the largest principal coefficient of the linearized
 speed (f / r^2 radial, h kappa_i^2 dF/dkappa_i support).  Both flows take
 linearly implicit Euler steps u += (I - s a Z Delta Z)^-1 Z (s speed(u)),
 extrapolated over the substeps h/1, ..., h/L to order L (Deuflhard, SIAM
-Rev. 27 (1985)): L = 4 radial, 3 support.  Z is the zonal filter, Delta the
-grid's Laplacian and a = c_max, held until c_max leaves [a/2, a] so the
-solve's inverses are reused; the Laplacian term stabilizes the stiff part
+Rev. 27 (1985)): L = 4 radial, 3 support.  The levels run in lockstep on
+one stack of states, so a step makes L speed calls and L solves, each on
+the levels it moves.  Z is the zonal filter, Delta the grid's Laplacian and
+a = c_max, held until c_max leaves [a/2, a] so the solve's inverses are
+reused; the Laplacian term stabilizes the stiff part
 (Smereka, J. Sci. Comput. 19 (2003)), so no Delta theta^2 bound applies; on
 a sphere Delta vanishes, the step is extrapolated explicit Euler on the
 radius ODE and the surface stays round.  An adaptive step is
@@ -103,11 +105,13 @@ class SpeedProfile:
     The argument is the radial distance r for the radial flow and the support
     value h for the support flow; the class is agnostic.  ``domain`` is the
     declared working interval on which positivity and the admissibility
-    conditions are checked.
+    conditions are checked.  ``f_df``, when given, returns (f, f') from one
+    evaluation, with the bits of f and df.
     """
 
-    def __init__(self, fns, domain):
+    def __init__(self, fns, domain, f_df=None):
         self._f, self._df, self._d2f = fns
+        self._f_df = f_df
         self.domain = (float(domain[0]), float(domain[1]))
 
     def f(self, x):
@@ -116,13 +120,19 @@ class SpeedProfile:
     def df(self, x):
         return self._df(np.asarray(x, float))
 
+    def f_df(self, x):
+        """(f(x), f'(x)), sharing the evaluation of f where the profile can."""
+        x = np.asarray(x, float)
+        return self._f_df(x) if self._f_df else (self._f(x), self._df(x))
+
     def d2f(self, x):
         return self._d2f(np.asarray(x, float))
 
     def hat(self, x, n: int):
         """fhat(x) = (n-1) f / x^2 + f' / x, the sphere-family forcing."""
         x = np.asarray(x, float)
-        return (n - 1) * self.f(x) / x**2 + self.df(x) / x
+        f, df = self.f_df(x)
+        return (n - 1) * f / x**2 + df / x
 
     @property
     def is_constant(self) -> bool:
@@ -150,14 +160,15 @@ class SpeedProfile:
         def f(x):
             return x ** (1.0 - n) * np.exp(0.5 * (x - rs) ** 2)
 
-        def df(x):
-            return f(x) * ((1.0 - n) / x + (x - rs))
+        def f_df(x):
+            fx = f(x)
+            return fx, fx * ((1.0 - n) / x + (x - rs))
 
         def d2f(x):
             u = (1.0 - n) / x + (x - rs)
             return f(x) * (u * u + (n - 1.0) / x**2 + 1.0)
 
-        return cls((f, df, d2f), domain)
+        return cls((f, lambda x: f_df(x)[1], d2f), domain, f_df)
 
     @classmethod
     def power(cls, exponent: float, domain=(1e-2, 100.0)) -> "SpeedProfile":
@@ -342,13 +353,13 @@ class _RadialKernel:
         self.n = grid.n
 
     def speed(self, r: np.ndarray, pair=None) -> np.ndarray:
-        """dr/dt at r, from its _radial_pair when the caller has built it."""
+        """dr/dt at r, or at each state of a stack r, from its _radial_pair
+        when the caller has built it."""
         n = self.n
         kappa1, kappa2, rho, _ = _radial_pair(self.grid, r) if pair is None else pair
         H = kappa1 + (n - 1) * kappa2
         v = rho / r  # sqrt(1 + |grad r|^2 / r^2)
-        f = self.profile.f(r)
-        fp = self.profile.df(r)
+        f, fp = self.profile.f_df(r)
         return -(f * H + n / (n - 1.0) * fp * v) * v
 
     def assess(self, r: np.ndarray):
@@ -382,7 +393,7 @@ class _SupportKernel:
     """
 
     # depth 2 misses AC-10's support probe (2.17e-2 against 1e-2); depth 4
-    # takes the same steps at 7 speed evaluations each against 4
+    # takes the same steps at one more speed call each
     levels = 3
 
     def __init__(self, grid: SphericalGrid, profile: SpeedProfile, config: "FlowConfig"):
@@ -398,7 +409,8 @@ class _SupportKernel:
         return radii, sigma_pair(1.0 / radii[0], 1.0 / radii[1], self.n)
 
     def speed(self, h: np.ndarray, build=None) -> np.ndarray:
-        """dh/dt at h, from its build when the caller has made it."""
+        """dh/dt at h, or at each state of a stack h, from its build when the
+        caller has made it."""
         _, sig = self._radii(h) if build is None else build
         return 1.0 - h * sigma_quotient(sig, self.k)
 
@@ -459,19 +471,26 @@ def _extrapolated_step(kernel, u: np.ndarray, h: float, a: float, start: np.ndar
 
     Level j takes j substeps y += R(s a)(s speed(y)) of s = h / j, with
     R(s a) = (I - s a Z Delta Z)^-1 Z the grid's resolvent; the levels share
-    start = speed(u), which the caller has from u's build.  For any
-    fixed a the error expands in powers of h, so the Aitken-Neville tableau
-    over the kernel's levels has that order.  The result is zonal-filtered
-    when u is.
+    start = speed(u), which the caller has from u's build.  The levels run in
+    lockstep on one stack of states: round 1 moves every level from u, and
+    round i moves levels i..L with one speed call on their stacked states
+    and one resolvent call, whose keys a h / j are the trailing part of
+    round 1's.  Each level sees the arithmetic of a level-by-level loop, so
+    the result has its bits.  For any fixed a the error expands in powers of
+    h, so the Aitken-Neville tableau over the kernel's levels has that
+    order.  The result is zonal-filtered when u is.
     """
-    grid = kernel.grid
+    levels = kernel.levels
+    substeps = [h / j for j in range(1, levels + 1)]
+    keys = [a * s for s in substeps]
+    s = np.reshape(substeps, (levels,) + (1,) * u.ndim)
+    y = kernel.grid.resolvent(s * start, keys)
+    y += u
+    for i in range(1, levels):  # round i + 1 moves levels i + 1..L
+        y[i:] += kernel.grid.resolvent(s[i:] * kernel.speed(y[i:]), keys[i:])
     row = []
-    for j in range(1, kernel.levels + 1):
-        s = h / j
-        y = u + grid.resolvent(s * start, a * s)
-        for _ in range(j - 1):
-            y = y + grid.resolvent(s * kernel.speed(y), a * s)
-        new = [y]
+    for j in range(1, levels + 1):
+        new = [y[j - 1]]
         for k in range(1, j):  # T[j, k+1] = T[j, k] + (T[j, k] - T[j-1, k]) / (j / (j - k) - 1)
             new.append(new[-1] + (new[-1] - row[k - 1]) * ((j - k) / k))
         row = new

@@ -210,7 +210,7 @@ def michael_simon_deficit_k(
     grads = _grad_components(geom, grad_f)
 
     sig = geom.sigma
-    require_cone(sig, float(np.abs((geom.kappa1, geom.kappa2)).max()), k)
+    require_cone(sig, float(np.maximum(np.abs(geom.kappa1).max(), np.abs(geom.kappa2).max())), k)
 
     w = geom.grid.weights * geom.area_factor
     sk = sig[k]

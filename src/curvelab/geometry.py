@@ -166,12 +166,11 @@ def _eig2(a11, a12, a22):
 
 def _check_starshaped(r: np.ndarray):
     """Raise DegenerateMetric on non-finite and NotStarshaped on nonpositive radii."""
-    if not np.all(np.isfinite(r)):
+    lo, hi = float(r.min()), float(r.max())  # NaN when an entry is NaN
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DegenerateMetric("radial function has non-finite entries")
-    if r.min() <= 0.0:
-        raise NotStarshaped(
-            f"radial function must be positive; min r = {r.min():.6g}"
-        )
+    if lo <= 0.0:
+        raise NotStarshaped(f"radial function must be positive; min r = {lo:.6g}")
 
 
 def _radial_pair(grid: SphericalGrid, r: np.ndarray):
@@ -180,7 +179,9 @@ def _radial_pair(grid: SphericalGrid, r: np.ndarray):
     Returns (kappa1, kappa2, rho, grad) with rho = sqrt(r^2 + |grad r|^2) and
     grad the orthonormal-frame gradient of r.  Axisymmetric grids give the
     meridional curvature and the (n-1)-fold azimuthal one; full-s2 grids the
-    eigenvalues of lambda = g^(-1/2) h g^(-1/2), ascending.
+    eigenvalues of lambda = g^(-1/2) h g^(-1/2), ascending.  r may be a
+    stack of radial functions along a leading axis, as for
+    SphericalGrid._derivatives; a bad radius in any of them raises.
     """
     _check_starshaped(r)
     grad, hess = grid._derivatives(r)
@@ -266,10 +267,13 @@ def _support_radii(grid: SphericalGrid, h: np.ndarray):
     n - 1 (axisymmetric grids: meridional and azimuthal, b = (rho1, rho2));
     on full-s2 grids they are the eigenvalues ascending and b holds the
     frame components (b11, b12, b22).  grad is the orthonormal-frame
-    gradient of h, from the same derivative pass as the Hessian.
+    gradient of h, from the same derivative pass as the Hessian.  h may be
+    a stack of support functions along a leading axis, as for
+    SphericalGrid._derivatives; each is checked against its own scale.
     """
-    scale = float(np.abs(h).max())  # NaN or inf when an entry is not finite
-    if not math.isfinite(scale):
+    # one scale per support function; NaN or inf when an entry is not finite
+    scale = np.abs(h).reshape(-1, math.prod(grid.node_shape)).max(axis=1)
+    if not np.isfinite(scale).all():
         raise DegenerateMetric("support function has non-finite entries")
     grad, hess = grid._derivatives(h)
     if grid.mode == "axisym":
@@ -278,11 +282,10 @@ def _support_radii(grid: SphericalGrid, h: np.ndarray):
     else:
         b = (hess[0] + h, hess[1], hess[2] + h)
         rho1, rho2 = _eig2(*b)
-    eps = 1e-10 * (1.0 + scale)
-    rho_min = min(float(rho1.min()), float(rho2.min()))
-    if rho_min <= eps:
+    rho_min = np.minimum(*(rho.reshape(scale.shape + (-1,)).min(axis=1) for rho in (rho1, rho2)))
+    if (rho_min <= 1e-10 * (1.0 + scale)).any():
         raise ConvexityLost(
-            f"support Hessian b lost positivity (min radius {rho_min:.6g})"
+            f"support Hessian b lost positivity (min radius {rho_min.min():.6g})"
         )
     return rho1, rho2, b, grad
 
@@ -330,7 +333,7 @@ def static_convexity(field: CurvatureField) -> StaticConvexityReport:
 
 def sphericity(field: CurvatureField) -> float:
     """Umbilicity defect max(n |A|^2 / H^2 - 1); zero exactly on round spheres."""
-    scale = 1.0 + float(np.abs((field.kappa1, field.kappa2)).max())
+    scale = 1.0 + float(np.maximum(np.abs(field.kappa1).max(), np.abs(field.kappa2).max()))
     H = field.H
     if np.any(np.abs(H) <= 1e-15 * scale):
         raise ZeroMeanCurvature("mean curvature vanishes at a node")

@@ -41,11 +41,6 @@ __all__ = [
 ]
 
 
-# how many keys s of SphericalGrid.resolvent keep their inverses: one per
-# extrapolation level of the flows' step
-_RESOLVENT_KEYS = 4
-
-
 def sphere_area(n: int) -> float:
     """Surface area of the unit n-sphere, 2 pi^((n+1)/2) / Gamma((n+1)/2)."""
     return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
@@ -163,34 +158,40 @@ class SphericalGrid:
             cols = np.arange(-1, self.n_phi + 1)
             index = index[:, None] * self.n_phi + (cols + turn[:, None]) % self.n_phi
         self._ghost = index
-        self._inverses = {}  # resolvent key s -> inverse blocks
+        self._inverses = ((), None)  # resolvent keys, their stacked inverse blocks
 
     # -- differential operators on the round metric -------------------------
 
     def _derivatives(self, v: np.ndarray, hessian: bool = True):
         """(gradient, hessian_components) of v from one ghost-padded copy.
 
-        The Hessian is None when ``hessian`` is false.  Phi differences are
-        taken on the ghost rows too, so the theta difference of d/dphi
-        carries the antipodal continuation into the mixed derivative.
+        v holds one field, or a stack of fields along leading axes, and
+        every component then carries the same leading axes.  The Hessian is
+        None when ``hessian`` is false.  Phi differences are taken on the
+        ghost rows too, so the theta difference of d/dphi carries the
+        antipodal continuation into the mixed derivative.
         """
         v = np.asarray(v, float)
-        p = v.take(self._ghost)
-        pt = p if self.mode == "axisym" else p[:, 1:-1]  # theta ghosts only
-        vt = (pt[2:] - pt[:-2]) / (2.0 * self.dtheta)
+        stack = v.shape[: v.ndim - len(self.node_shape)]
+        p = v.reshape(stack + (-1,)).take(self._ghost, axis=-1)
+        if self.mode == "axisym":
+            above, below = p[..., 2:], p[..., :-2]
+        else:
+            above, below = p[..., 2:, 1:-1], p[..., :-2, 1:-1]  # theta ghosts only
+        vt = (above - below) / (2.0 * self.dtheta)
         if self.mode == "axisym":
             grad = (vt,)
         else:
-            dp = (p[:, 2:] - p[:, :-2]) / (2.0 * self.dphi)
-            vp = dp[1:-1]
+            dp = (p[..., 2:] - p[..., :-2]) / (2.0 * self.dphi)
+            vp = dp[..., 1:-1, :]
             grad = (vt, vp / self._sin)
         if not hessian:
             return grad, None
-        vtt = (pt[2:] - 2.0 * v + pt[:-2]) / self.dtheta**2
+        vtt = (above - 2.0 * v + below) / self.dtheta**2
         if self.mode == "axisym":
             return grad, (vtt, self._cot * vt)
-        vtp = (dp[2:] - dp[:-2]) / (2.0 * self.dtheta)
-        vpp = (p[1:-1, 2:] - 2.0 * v + p[1:-1, :-2]) / self.dphi**2
+        vtp = (dp[..., 2:, :] - dp[..., :-2, :]) / (2.0 * self.dtheta)
+        vpp = (p[..., 1:-1, 2:] - 2.0 * v + p[..., 1:-1, :-2]) / self.dphi**2
         h12 = (vtp - self._cot * vp) / self._sin
         h22 = vpp / self._sin**2 + self._cot * vt
         return grad, (vtt, h12, h22)
@@ -272,29 +273,42 @@ class SphericalGrid:
         blocks = self.laplacian_blocks()
         return tuple(np.diagonal(blocks, k, axis1=1, axis2=2).copy() for k in (-1, 0, 1))
 
-    def resolvent(self, v: np.ndarray, s: float) -> np.ndarray:
-        """(I - s Z Delta Z)^-1 Z v, solved per zonal wavenumber.
+    def resolvent(self, v: np.ndarray, keys) -> np.ndarray:
+        """(I - s_i Z Delta Z)^-1 Z v_i for each field v_i of the stack v.
 
-        The inverses of the blocks of I - s Z Delta Z come from one batched
-        Thomas sweep per key s and are kept for the last _RESOLVENT_KEYS
-        keys; the cache is replaced, never mutated, so grids shared between
-        threads stay consistent.  The result is zonal-filtered.
+        ``keys`` holds one s_i per field, and the solve runs per zonal
+        wavenumber.  The inverses of the blocks of I - s Z Delta Z come from
+        one batched Thomas sweep over a key set and are kept for that set
+        alone; keys that are the set's trailing keys read them as a view, so
+        the flows' extrapolation rounds, each a trailing part of the level
+        set, share one sweep.  The cache is replaced, never mutated, so
+        grids shared between threads stay consistent.  The result is
+        zonal-filtered.
         """
-        inverse = self._inverses.get(s)
-        if inverse is None:
+        keys = tuple(keys)
+        cached, inverse = self._inverses
+        if cached[len(cached) - len(keys):] == keys:
+            inverse = inverse[len(cached) - len(keys):]
+        else:
+            self._inverses, inverse = ((), None), None  # drop the old blocks before building the new
             sub, diag, sup = self._laplacian_diagonals()
-            inverse = _tridiagonal_inverse(-s * sub, 1.0 - s * diag, -s * sup)
-            kept = list(self._inverses.items())[1 - _RESOLVENT_KEYS:]
-            self._inverses = dict(kept + [(s, inverse)])
+            s = np.asarray(keys)[:, None, None]
+            diagonals = (d.reshape(-1, d.shape[-1]) for d in (-s * sub, 1.0 - s * diag, -s * sup))
+            shape = (len(keys), len(sub), self.n_theta, self.n_theta)
+            inverse = _tridiagonal_inverse(*diagonals).reshape(shape)
+            self._inverses = (keys, inverse)
         # constants are fixed points; solving for the deviation from one keeps
         # them to the last bit whatever the round-off in the blocks
-        offset = v.flat[0]
+        offset = v[(slice(None),) + (slice(1),) * len(self.node_shape)]  # each field's first node
         v = v - offset
         if self.mode == "axisym":
-            return offset + inverse[0] @ v
-        spec = np.fft.rfft(v, axis=1) * self._zonal_mask
-        spec = np.matmul(inverse, spec.T[:, :, None])[:, :, 0].T
-        return offset + np.fft.irfft(spec, n=self.n_phi, axis=1)
+            return offset + np.matmul(inverse[:, 0], v[..., None])[..., 0]
+        spec = np.fft.rfft(v, axis=-1) * self._zonal_mask
+        # one complex matmul per field: casting every field's blocks at once
+        # held them all as complex
+        for i, blocks in enumerate(inverse):
+            spec[i] = np.matmul(blocks, spec[i].T[:, :, None])[:, :, 0].T
+        return offset + np.fft.irfft(spec, n=self.n_phi, axis=-1)
 
     # -- embedding in R^(n+1) ---------------------------------------------------
 

@@ -553,10 +553,10 @@ def test_q_rate_matches_monotonicity_integrand():
 
 
 def test_each_accepted_state_is_assessed_once(monkeypatch):
-    # a step builds the principal pair once per substep speed and once in its
-    # assessment; that build also gives the next step's start speed, the
-    # state's diagnostic row and the conserved integral, so no pair is built
-    # inside a row and no separate gradient is taken
+    # a step builds the principal pair once per round of substep speeds and
+    # once in its assessment; that build also gives the next step's start
+    # speed, the state's diagnostic row and the conserved integral, so no
+    # pair is built inside a row and no separate gradient is taken
     from curvelab import flows, geometry
 
     counts = {"pair": 0, "speed": 0, "grad": 0, "derivatives": 0, "pair in row": 0}
@@ -618,13 +618,12 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
         # support 0.12 / 0.025, radial 0.05 / 0.018 (a = max f / r^2 = 1.38
         # near r = 0.9)
         assert steps == (3 if kind is flows._RadialKernel else 5) and not trace.breaches
-        # level j takes j substeps, and the levels share the start's speed,
-        # which the accepted state's build gives
-        substeps = steps * sum(range(kind.levels))
-        assert counts["speed"] == substeps + steps
-        # one build per substep speed, one assessment of the start and of each
-        # accepted step, and the start-up check of the initial field
-        assert counts["pair"] == substeps + (steps + 1) + 1
+        # the levels share the start's speed, which the accepted state's build
+        # gives, and rounds 2..L take one speed of the stacked levels each
+        assert counts["speed"] == steps * kind.levels
+        # one build per round's speed, one assessment of the start and of
+        # each accepted step, and the start-up check of the initial field
+        assert counts["pair"] == steps * (kind.levels - 1) + (steps + 1) + 1 == steps * kind.levels + 1 + 1
         assert counts["derivatives"] == counts["pair"]  # one derivative pass per build
         assert counts["grad"] == 0 and counts["pair in row"] == 0
 
@@ -675,6 +674,42 @@ def test_assessed_build_serves_speed_geometry_and_row_bit_for_bit(kind, shape):
     assert last.keys() == expected.keys()
     for key, value in expected.items():
         assert last[key] == value or (math.isnan(last[key]) and math.isnan(value)), key
+
+
+def _level_by_level_step(kernel, u, h, a, start):
+    """The extrapolated step one level at a time, one state per speed and resolvent call."""
+    def solve(v, key):
+        return kernel.grid.resolvent(v[None], [key])[0]
+
+    row = []
+    for j in range(1, kernel.levels + 1):
+        s = h / j
+        y = u + solve(s * start, a * s)
+        for _ in range(j - 1):
+            y = y + solve(s * kernel.speed(y), a * s)
+        new = [y]
+        for k in range(1, j):
+            new.append(new[-1] + (new[-1] - row[k - 1]) * ((j - k) / k))
+        row = new
+    return row[-1]
+
+
+@pytest.mark.parametrize("shape", [(32,), (16, 32)], ids=["axisym 32", "full-s2 16x32"])
+@pytest.mark.parametrize("kind", ["radial", "support"])
+def test_lockstep_step_matches_level_by_level_bit_for_bit(kind, shape):
+    grid = SphericalGrid.axisym(2, *shape) if len(shape) == 1 else SphericalGrid.full_s2(*shape)
+    rng = np.random.default_rng(6)
+    if kind == "radial":
+        field, profile = random_starshaped(grid, rng, amp=0.1), SpeedProfile.power_exp_pinned(2, 1.0)
+    else:
+        field, profile = random_convex_support(grid, rng, amp=0.05), None
+    kernel = _kernel(grid, profile, FlowConfig(kind=kind, k=2, t_end=1.0))
+    u = grid.zonal_filter(field.values)
+    _, a, _, build = kernel.assess(u)
+    start = kernel.speed(u, build)
+    for h in (0.005, 0.025):
+        assert _same_bits(_extrapolated_step(kernel, u, h, a, start),
+                          _level_by_level_step(kernel, u, h, a, start))
 
 
 def test_trace_timestamps_strictly_increasing():
@@ -829,7 +864,7 @@ def test_radial_assess_rejects_nonstarshaped_states():
     kernel = _RadialKernel(grid, SpeedProfile.power_exp_pinned(2, 1.0), RADIAL)
     r = 1.0 + 0.1 * np.cos(2 * grid.theta)
     for bad, error in ((-0.1, NotStarshaped), (0.0, NotStarshaped), (np.nan, DegenerateMetric),
-                       (np.inf, DegenerateMetric)):
+                       (np.inf, DegenerateMetric), (-np.inf, DegenerateMetric)):
         u = r.copy()
         u[3] = bad
         with pytest.raises(error):

@@ -181,17 +181,42 @@ def test_laplacian_bound_matches_dense_spectrum(grid):
 @pytest.mark.parametrize("grid", LAPLACIAN_GRIDS, ids=repr)
 def test_resolvent_matches_dense_solve(grid):
     # the Thomas sweep needs tridiagonal blocks; s lambda_L spans the
-    # extrapolated step's range, up to ~700 on the 256-node AC-5 grid
+    # extrapolated step's range, up to ~700 on the 256-node AC-5 grid.  One
+    # call solves each field of a stack with its own key, and a trailing part
+    # of the keys reads the same inverses
     blocks = grid.laplacian_blocks()
     assert not np.triu(blocks, 2).any() and not np.tril(blocks, -2).any()
     dense = dense_filtered_laplacian(grid)
-    v = np.random.default_rng(8).uniform(0.5, 1.5, grid.node_shape)
-    for scale in (0.1, 10.0, 1000.0):
-        s = scale / grid.laplacian_bound()
-        want = np.linalg.solve(np.eye(v.size) - s * dense, grid.zonal_filter(v).ravel())
-        assert np.abs(grid.resolvent(v, s).ravel() - want).max() < 1e-12
-        const = grid.resolvent(np.full(grid.node_shape, 1.3), s)
-        assert np.ptp(const) < 1e-14 and np.abs(const - 1.3).max() < 1e-14
+    keys = [scale / grid.laplacian_bound() for scale in (0.1, 10.0, 1000.0)]
+    v = np.random.default_rng(8).uniform(0.5, 1.5, (len(keys),) + grid.node_shape)
+    solved = grid.resolvent(v, keys)
+    for field, s, got in zip(v, keys, solved):
+        want = np.linalg.solve(np.eye(field.size) - s * dense, grid.zonal_filter(field).ravel())
+        assert np.abs(got.ravel() - want).max() < 1e-12
+    inverse = grid._inverses[1]
+    assert _same_bits(grid.resolvent(v[1:], keys[1:]), solved[1:]) and grid._inverses[1] is inverse
+    values = (1.3, -0.7, 2.0)
+    const = grid.resolvent(np.multiply.outer(values, np.ones(grid.node_shape)), keys)
+    for value, got in zip(values, const):
+        assert np.ptp(got) < 1e-14 and np.abs(got - value).max() < 1e-14
+
+
+@pytest.mark.parametrize("grid", [SphericalGrid.axisym(2, 32), SphericalGrid.full_s2(16, 32)], ids=repr)
+@pytest.mark.parametrize("hessian", [True, False])
+def test_derivatives_of_a_stack_match_each_field_bit_for_bit(grid, hessian):
+    stack = np.random.default_rng(5).uniform(0.5, 1.5, (3,) + grid.node_shape)
+    grad, hess = grid._derivatives(stack, hessian)
+    for i, field in enumerate(stack):
+        grad_i, hess_i = grid._derivatives(field, hessian)
+        assert all(_same_bits(a[i], b) for a, b in zip(grad, grad_i, strict=True))
+        if hessian:
+            assert all(_same_bits(a[i], b) for a, b in zip(hess, hess_i, strict=True))
+        else:
+            assert hess is None and hess_i is None
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_json_round_trip():
