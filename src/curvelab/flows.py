@@ -38,14 +38,17 @@ first accepted state at or past each output time, and its dt column is the
 step that reached it.  Each candidate state is
 assessed from one build of its principal pair (curvatures radial, radii
 support) for its monitored integral (Q or M_k), its c_max and the
-convergence test; once the state is accepted, that one build also serves
-its diagnostic row and the next step's start speed.  Each step is taken
-once: a geometry error raises StepCollapse with the partial trace.  A rise
-of the monitored integral is spatial discretization error, which a smaller
-step cannot remove: each rise above 1e-8 relative is recorded as an event,
-and their sum relative to the start as meta["mono_rise"].  On
-full-s2 grids every substep's increment passes the zonal filter, so the
-pole-convergent phi columns do not force their own step size.
+convergence test; once the state is accepted, that one build also gives
+the next step's start speed and the arrays its diagnostic row reads.  Rows
+are computed in batches, one stacked pass over the queued states' arrays,
+so a row error surfaces once its batch is.  Each step is taken once: a
+geometry error raises StepCollapse, with the partial trace and every row
+queued before it.  A rise of the monitored integral is spatial
+discretization error, which a smaller step cannot remove: each rise above
+1e-8 relative is recorded as an event, and their sum relative to the start
+as meta["mono_rise"].  On full-s2 grids every substep's increment passes
+the zonal filter, so the pole-convergent phi columns do not force their
+own step size.
 """
 
 from __future__ import annotations
@@ -60,21 +63,19 @@ from ._artifacts import overwrite
 from .errors import (
     AssumptionViolated,
     ConvexityLost,
-    CurveLabError,
     DegenerateMetric,
     InsufficientData,
+    NonpositiveDensity,
     NotStarshaped,
     StepCollapse,
+    ZeroMeanCurvature,
 )
-from .functionals import monotone_quantities, quermassintegrals
 from .geometry import (
-    CurvatureField,
     _radial_field,
     _radial_pair,
     _support_field,
     _support_radii,
     radial_geometry,
-    sphericity,
     static_convexity,
     support_geometry,
 )
@@ -334,7 +335,7 @@ def validate_support_profile(
 # A kernel evaluates one flow on one grid: ``speed`` is the right-hand side
 # of the stepper, and ``assess`` builds a candidate state's principal pair
 # once and returns (monotone integral, c_max at that state, converged,
-# build); ``speed`` and ``geometry`` read a build the caller has, so an
+# build); ``speed`` and ``row_parts`` read a build the caller has, so an
 # accepted state is built only once.
 
 _GEOM_ERRORS = (NotStarshaped, ConvexityLost, DegenerateMetric)
@@ -382,8 +383,9 @@ class _RadialKernel:
         converged = grad_max < config.grad_tol and hat < config.hatf_tol
         return value, c_max, converged, pair
 
-    def geometry(self, r: np.ndarray, pair) -> CurvatureField:
-        return _radial_field(self.grid, r, pair)
+    def row_parts(self, r: np.ndarray, pair) -> tuple:
+        """What r's diagnostic row reads: (r, kappa1, kappa2, rho, *grad)."""
+        return (r, *pair[:3], *pair[3])
 
 
 class _SupportKernel:
@@ -442,8 +444,10 @@ class _SupportKernel:
         hmean = float(np.sum(g.weights * h) / np.sum(g.weights))
         return value, c_max, float((h.max() - h.min()) / hmean) < config.osc_tol, build
 
-    def geometry(self, h: np.ndarray, build) -> CurvatureField:
-        return _support_field(self.grid, h, build[0])
+    def row_parts(self, h: np.ndarray, build) -> tuple:
+        """What h's diagnostic row reads: (h, rho1, rho2, *grad, sigma_1..sigma_n)."""
+        (rho1, rho2, _, grad), sig = build
+        return (h, rho1, rho2, *grad, *sig[1:])
 
 
 def _kernel(grid: SphericalGrid, profile: SpeedProfile | None, config: "FlowConfig"):
@@ -606,39 +610,69 @@ class FlowTrace:
         return out
 
 
-def _diagnostic_row(kernel, geom: CurvatureField, t, dt) -> dict:
-    state = geom.scalar
-    quermass = quermassintegrals(geom)
-    f_vals = kernel.profile.f(state)
-    try:
-        q_value, mk = monotone_quantities(geom, f_vals, kernel.config.k)
-    except ValueError:
-        q_value, _ = monotone_quantities(geom, f_vals, 1)
-        mk = float("nan")
-    try:
-        margin = static_convexity(geom).margin
-    except CurveLabError:
-        margin = float("nan")
-    weights = kernel.grid.weights
-    mean = float(np.sum(weights * state) / np.sum(weights))
-    r_lo, r_hi = geom.radius_stats()
-    row = {
-        "t": t,
-        "dt": dt,
-        "Q": q_value,
-        "M_k": mk,
-        "grad_max": float(np.sqrt(sum(c * c for c in geom.grad)).max()),
-        "oscillation": float((state.max() - state.min()) / mean),
+# Queued rows are computed in batches of this many nodes: 7 states of 40, 1 of 24x48.
+_ROW_BATCH_NODES = 256
+
+
+def _diagnostic_row(kernel, parts, ts, dts) -> list:
+    """The diagnostic rows of accepted states, in one stacked pass over their row_parts.
+
+    One state's parts are read as views and several states' packed parts
+    stacked; each sum, min and max is reduced per state over its nodes, so
+    each column has the bits, and each error the type, that quermassintegrals,
+    monotone_quantities, static_convexity, sphericity and radius_stats give.
+    """
+    grid, n, k, count = kernel.grid, kernel.n, kernel.config.k, len(parts)
+
+    def per_state(x, reduce="sum"):  # over the contiguous node axis
+        return getattr(x.reshape(count, -1), reduce)(axis=1)
+
+    fields = [part[None] for part in parts[0]] if count == 1 else np.stack(parts).swapaxes(0, 1)
+    radial, dims = isinstance(kernel, _RadialKernel), len(grid.node_shape)
+    u, first, second, grad = *fields[:3], fields[3 + radial:3 + radial + dims]
+    if radial:  # first, second = kappa1, kappa2
+        k1, k2, rho = first, second, fields[3]
+        area_factor, support, sig = u ** (n - 1) * rho, u * u / rho, sigma_pair(k1, k2, n)
+        volume = per_state(grid.weights * u ** (n + 1)) / (n + 1)
+    else:  # first, second = rho1, rho2, and the build holds sigma of 1 / rho
+        k1, k2, area_factor, support = 1.0 / first, 1.0 / second, first * second ** (n - 1), u
+        sig = [1.0, *fields[3 + dims:]]
+        volume = per_state(grid.weights * (u * area_factor)) / (n + 1)
+    r2 = 0.0  # |X|^2 of X = u xi (+ grad u on the frame, support), adding its components
+    for i in range(grid.xi().shape[-1]):  # one at a time in np.sum's order over the last axis
+        x = u * grid.xi()[..., i]
+        for d, e in zip(() if radial else grad, grid.frame()):
+            x = x + d * e[..., i]
+        r2 = r2 + x * x
+    w = grid.weights * area_factor
+    f = kernel.profile.f(u)
+    if (per_state(f, "min") <= 0.0).any():
+        raise NonpositiveDensity(f"density must be positive (min {f.min():.6g})")
+    if k < n:
+        mk = per_state(w * sig[k - 1] * f ** ((n - k + 1.0) / (n - k)))
+    else:  # M_n needs a constant profile, whose factor does not matter
+        f_lo, f_hi, mk = per_state(f, "min"), per_state(f, "max"), per_state(w * sig[k - 1])
+        mk[f_hi - f_lo > 1e-12 * (1.0 + f_hi)] = np.nan
+    with np.errstate(divide="ignore"):  # h = 0 gives a NaN margin
+        margin = per_state(np.minimum(k1, k2) - 1.0 / support, "min")
+    margin[per_state(support, "min") <= 0.0] = np.nan
+    H = k1 + (n - 1) * k2
+    scale = 1.0 + np.maximum(per_state(np.abs(k1), "max"), per_state(np.abs(k2), "max"))
+    if (per_state(np.abs(H), "min") <= 1e-15 * scale).any():
+        raise ZeroMeanCurvature("mean curvature vanishes at a node")
+    columns = {
+        "Q": per_state(w * f ** (n / (n - 1.0))), "M_k": mk,
+        "grad_max": np.sqrt(per_state(sum(c * c for c in grad), "max")),  # sqrt is monotone
+        "oscillation": (per_state(u, "max") - per_state(u, "min"))
+        / (per_state(grid.weights * u) / np.sum(grid.weights)),
         "margin": margin,
-        "sphericity": sphericity(geom),
-        "r_min": r_lo,
-        "r_max": r_hi,
-        "area": geom.total_area(),
-        "volume": geom.volume(),
+        "sphericity": per_state(n * (k1**2 + (n - 1) * k2**2) / H**2 - 1.0, "max"),
+        "r_min": np.sqrt(per_state(r2, "min")), "r_max": np.sqrt(per_state(r2, "max")),
+        "area": per_state(w), "volume": volume, "V_0": (n + 1) * volume,
+        **{f"V_{j}": per_state(w * sig[j - 1]) / math.comb(n, j - 1) for j in range(1, n + 1)},
     }
-    for j in range(geom.n + 1):
-        row[f"V_{j}"] = quermass[j]
-    return row
+    values = zip(ts, dts, *(column.tolist() for column in columns.values()))
+    return [dict(zip(["t", "dt", *columns], row)) for row in values]
 
 
 def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowConfig) -> FlowTrace:
@@ -696,18 +730,29 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
     next_output = output_interval
     row_tol = 1e-9 * output_interval  # t += dt drifts off the output times and t_end
 
-    trace.rows.append(_diagnostic_row(kernel, kernel.geometry(state, build), 0.0, 0.0))
+    def queue_row(state, build, t, dt):  # a batch of several states holds packed copies, not builds
+        parts = kernel.row_parts(state, build)
+        queue.append((np.stack(parts) if state.size < _ROW_BATCH_NODES else parts, t, dt))
+
+    def flush(at_nodes=0):
+        if queue and len(queue) * state.size >= at_nodes:
+            trace.rows.extend(_diagnostic_row(kernel, *zip(*queue)))
+            queue.clear()
+
+    def finish(status):  # every queued row first
+        flush()
+        trace.status, trace.t_final = status, t
+        trace.meta.update(steps=steps, mono_rise=rise / mono_scale)
 
     def collapse(message, cause=None):
-        trace.status = "error:StepCollapse"
-        trace.t_final = t
-        trace.meta["steps"] = steps
-        trace.meta["mono_rise"] = rise / mono_scale
+        finish("error:StepCollapse")
         raise StepCollapse(message, trace) from cause
 
+    queue = []  # (row parts, t, dt) of the states awaiting their rows
+    queue_row(state, build, 0.0, 0.0)
     status = "TimeExhausted"
-    dt = 0.0
     while t < config.t_end - row_tol:
+        flush(_ROW_BATCH_NODES)
         if config.dt_fixed:
             dt = config.dt_fixed
         else:
@@ -715,9 +760,9 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
             if dt < _DT_FLOOR * max(1.0, t):  # at least 4e3 ulps of t, so t + dt > t too
                 collapse(f"adaptive step {dt:.3g} at t = {t:.6g} is below the floor")
         dt = min(dt, config.t_end - t)
-        # the state's build, past its row, gives the start speed and is
-        # dropped: holding it across the step, or taking the speed inside
-        # assess before the row, raised support-s2's peak RSS by ~0.1 MB
+        # the state's build gives the start speed and is dropped: holding it
+        # across the step (or a batch's queued builds, radial-axisym) or taking
+        # the speed inside assess raised peak RSS by 0.1-0.2 MB
         start, build = kernel.speed(state, build), None
         try:
             new_state = _extrapolated_step(kernel, state, dt, a, start)
@@ -741,20 +786,15 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
                     BreachEvent(t, "range", max(range_band[0] - rmin, rmax - range_band[1]), 0.0)
                 )
 
-        if t >= next_output - row_tol:
-            trace.rows.append(_diagnostic_row(kernel, kernel.geometry(state, build), t, dt))
+        if converged or t >= min(next_output, config.t_end) - row_tol:  # the last state too
+            queue_row(state, build, t, dt)
             while next_output <= t + row_tol:
                 next_output += output_interval
         if converged:
             status = "Converged"
             break
 
-    if trace.rows[-1]["t"] < t:  # the last step was not an output row
-        trace.rows.append(_diagnostic_row(kernel, kernel.geometry(state, build), t, dt))
-    trace.status = status
-    trace.t_final = t
-    trace.meta["steps"] = steps
-    trace.meta["mono_rise"] = rise / mono_scale
+    finish(status)
     if config.kind == "support":  # V_{k-1} is conserved
         v0, v1 = trace.rows[0][f"V_{config.k - 1}"], trace.rows[-1][f"V_{config.k - 1}"]
         trace.meta["conserved_initial"] = v0
@@ -814,7 +854,7 @@ def area_evolution_consistency(
     kernel = _kernel(grid, profile, config)
 
     def rate(u, build):
-        geom = kernel.geometry(u, build)
+        geom = _radial_field(grid, u, build) if config.kind == "radial" else _support_field(grid, u, build[0])
         speed = kernel.speed(u, build)
         if config.kind == "radial":
             v = u / geom.support

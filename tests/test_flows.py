@@ -11,6 +11,7 @@ from scipy.integrate import solve_ivp
 from curvelab import (
     AssumptionViolated,
     ConvexityLost,
+    CurveLabError,
     DegenerateMetric,
     FlowConfig,
     FlowTrace,
@@ -21,10 +22,14 @@ from curvelab import (
     SphericalGrid,
     SpeedProfile,
     StepCollapse,
+    ZeroMeanCurvature,
     estimate_decay_rate,
+    monotone_quantities,
     quermassintegrals,
     radial_geometry,
     run_flow,
+    sphericity,
+    static_convexity,
     support_geometry,
     validate_radial_profile,
     validate_support_profile,
@@ -32,6 +37,7 @@ from curvelab import (
 from curvelab.flows import (
     area_evolution_consistency, _extrapolated_step, _kernel, _RadialKernel, _SupportKernel,
 )
+from curvelab.geometry import _radial_field, _support_field
 from curvelab.shapes import (
     random_convex_support, random_starshaped, sphere_radial, sphere_support, spheroid_support,
 )
@@ -555,11 +561,12 @@ def test_q_rate_matches_monotonicity_integrand():
 def test_each_accepted_state_is_assessed_once(monkeypatch):
     # a step builds the principal pair once per round of substep speeds and
     # once in its assessment; that build also gives the next step's start
-    # speed, the state's diagnostic row and the conserved integral, so no
-    # pair is built inside a row and no separate gradient is taken
+    # speed and the arrays of the state's diagnostic row (and the conserved
+    # integral), which a batch computes once from them, so no pair is built
+    # inside a row and no separate gradient is taken
     from curvelab import flows, geometry
 
-    counts = {"pair": 0, "speed": 0, "grad": 0, "derivatives": 0, "pair in row": 0}
+    counts = {"pair": 0, "speed": 0, "grad": 0, "derivatives": 0, "pair in row": 0, "rows": 0}
     in_row = [False]
     row = flows._diagnostic_row
     gradient, derivatives = SphericalGrid.gradient, SphericalGrid._derivatives
@@ -584,10 +591,11 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
         counts["derivatives"] += 1
         return derivatives(self, v, hessian)
 
-    def flagged_row(*args):
+    def flagged_row(kernel, parts, *rest):
         in_row[0] = True
+        counts["rows"] += len(parts)
         try:
-            return row(*args)
+            return row(kernel, parts, *rest)
         finally:
             in_row[0] = False
 
@@ -626,6 +634,7 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
         assert counts["pair"] == steps * (kind.levels - 1) + (steps + 1) + 1 == steps * kind.levels + 1 + 1
         assert counts["derivatives"] == counts["pair"]  # one derivative pass per build
         assert counts["grad"] == 0 and counts["pair in row"] == 0
+        assert counts["rows"] == len(trace.rows) == steps + 1  # each state's row computed once
 
 
 def _same_bits(a, b):
@@ -636,11 +645,10 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("shape", [(32,), (16, 32)], ids=["axisym 32", "full-s2 16x32"])
 @pytest.mark.parametrize("kind", ["radial", "support"])
 def test_assessed_build_serves_speed_geometry_and_row_bit_for_bit(kind, shape):
-    # the speed, geometry and row read from an assessment's build are the
-    # ones a fresh public build gives, and each step starts from the speed of
-    # the state it steps from
-    from curvelab.flows import _diagnostic_row
-
+    # the speed and geometry read from an assessment's build are the ones a
+    # fresh public build gives, and each step starts from the speed of the
+    # state it steps from; test_every_row_matches_the_public_functionals
+    # checks the rows read from it
     grid = SphericalGrid.axisym(2, *shape) if len(shape) == 1 else SphericalGrid.full_s2(*shape)
     rng = np.random.default_rng(4)
     if kind == "radial":
@@ -653,7 +661,8 @@ def test_assessed_build_serves_speed_geometry_and_row_bit_for_bit(kind, shape):
     u = grid.zonal_filter(field.values)
     build = kernel.assess(u)[3]
     assert _same_bits(kernel.speed(u, build), kernel.speed(u))
-    fresh, reused = public(ScalarField(grid, u)), kernel.geometry(u, build)
+    reused = _radial_field(grid, u, build) if kind == "radial" else _support_field(grid, u, build[0])
+    fresh = public(ScalarField(grid, u))
     for name in ("scalar", "grad", "kappa1", "kappa2", "area_factor", "support", "normal",
                  "position", "inverse_metric"):
         assert _same_bits(getattr(reused, name), getattr(fresh, name)), name
@@ -667,13 +676,183 @@ def test_assessed_build_serves_speed_geometry_and_row_bit_for_bit(kind, shape):
         c_max = kernel.assess(u)[1]
         if not 0.5 * a <= c_max <= a:
             a = c_max
-    final = trace.meta["final_state"]
-    assert _same_bits(final, u)
-    last = trace.rows[-1]
-    expected = _diagnostic_row(kernel, public(ScalarField(grid, final)), last["t"], last["dt"])
-    assert last.keys() == expected.keys()
-    for key, value in expected.items():
-        assert last[key] == value or (math.isnan(last[key]) and math.isnan(value)), key
+    assert _same_bits(trace.meta["final_state"], u)
+
+
+def reference_row(kernel, geom, t, dt) -> dict:
+    """One state's diagnostic row from the public functionals on its CurvatureField."""
+    state = geom.scalar
+    quermass = quermassintegrals(geom)
+    f_vals = kernel.profile.f(state)
+    try:
+        q_value, mk = monotone_quantities(geom, f_vals, kernel.config.k)
+    except ValueError:
+        q_value, _ = monotone_quantities(geom, f_vals, 1)
+        mk = float("nan")
+    try:
+        margin = static_convexity(geom).margin
+    except CurveLabError:
+        margin = float("nan")
+    weights = kernel.grid.weights
+    mean = float(np.sum(weights * state) / np.sum(weights))
+    r_lo, r_hi = geom.radius_stats()
+    row = {
+        "t": t,
+        "dt": dt,
+        "Q": q_value,
+        "M_k": mk,
+        "grad_max": float(np.sqrt(sum(c * c for c in geom.grad)).max()),
+        "oscillation": float((state.max() - state.min()) / mean),
+        "margin": margin,
+        "sphericity": sphericity(geom),
+        "r_min": r_lo,
+        "r_max": r_hi,
+        "area": geom.total_area(),
+        "volume": geom.volume(),
+    }
+    for j in range(geom.n + 1):
+        row[f"V_{j}"] = quermass[j]
+    return row
+
+
+def _same_rows(rows, expected):
+    """Equal keys in the same order and equal bits per value, NaN included."""
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        assert list(row) == list(want)
+        for key, value in want.items():
+            assert type(row[key]) is float and _same_bits(row[key], value), (row["t"], key)
+
+
+def recorded_rows(monkeypatch):
+    """Record each batch flows._diagnostic_row is handed: (states, ts, dts)."""
+    from curvelab import flows
+
+    batches, row = [], flows._diagnostic_row
+
+    def recording(kernel, parts, ts, dts):  # each state's row parts begin with the state
+        batches.append(([np.array(p[0]) for p in parts], list(ts), list(dts)))
+        return row(kernel, parts, ts, dts)
+
+    monkeypatch.setattr(flows, "_diagnostic_row", recording)
+    return batches
+
+
+ORACLE_RUNS = (
+    [("axisym", n, kind, k) for n in (2, 3) for kind in ("radial", "support") for k in range(1, n + 1)]
+    + [("full-s2", 2, kind, k) for kind in ("radial", "support") for k in (1, 2)]
+)
+
+
+@pytest.mark.parametrize("mode, n, kind, k", ORACLE_RUNS + [("axisym", 3, "forced", 3)],
+                         ids=lambda v: str(v))
+def test_every_row_matches_the_public_functionals(monkeypatch, mode, n, kind, k):
+    # rows are computed in stacked batches from the held builds; each must be
+    # the row the public functionals give on the state's own geometry, bit
+    # for bit, through several batches and a part-filled last one.  The
+    # forced support run at k = n has a non-constant profile: M_k is NaN.
+    from curvelab import flows
+
+    grid = SphericalGrid.axisym(n, 32) if mode == "axisym" else SphericalGrid.full_s2(16, 32)
+    rng = np.random.default_rng(10 * n + k)
+    if kind == "radial":
+        field, profile, public = random_starshaped(grid, rng, amp=0.1), SpeedProfile.power_exp_pinned(n, 1.0), radial_geometry
+    else:
+        field, public = random_convex_support(grid, rng, amp=0.05), support_geometry
+        profile = SpeedProfile.power(0.5) if kind == "forced" else (
+            SpeedProfile.affine_power(0.5, 1.0, n, k) if k < n else None)
+    config = FlowConfig(kind="support" if kind == "forced" else kind, k=k, t_end=0.5,
+                        output_interval=0.01, force=kind == "forced")
+    batches = recorded_rows(monkeypatch)
+    trace = run_flow(field, profile, config)
+    kernel = _kernel(grid, profile, config)
+    expected = [reference_row(kernel, public(ScalarField(grid, u)), t, dt)
+                for states, ts, dts in batches for u, t, dt in zip(states, ts, dts)]
+    _same_rows(trace.rows, expected)
+    full = -(-flows._ROW_BATCH_NODES // math.prod(grid.node_shape))
+    sizes = [len(states) for states, _, _ in batches]
+    assert sizes[:-1] == [full] * (len(sizes) - 1) and len(sizes) >= 3
+    assert 0 < sizes[-1] < full or full == 1
+    assert np.isnan(trace.values("M_k")).all() == (kind == "forced" or (kind == "radial" and k == n))
+
+
+def _broken_run(monkeypatch, kind, break_at):
+    """An adaptive axisym run to t = 0.45; break_at(step number) may break step 6."""
+    from curvelab import flows
+
+    grid = SphericalGrid.axisym(2, 32)
+    if kind == "radial":
+        initial, profile = ScalarField(grid, 1.0 + 0.1 * np.cos(2 * grid.theta)), SpeedProfile.power_exp_pinned(2, 1.0)
+    else:
+        initial, profile = sphere_support(grid, 1.0, center=0.1), None
+    config = FlowConfig(kind=kind, t_end=0.45, output_interval=0.01)
+    whole = run_flow(initial, profile, config)
+    break_at(flows, flows._RadialKernel if kind == "radial" else flows._SupportKernel)
+    with pytest.raises(StepCollapse) as err:
+        run_flow(initial, profile, config)
+    return whole, err.value
+
+
+@pytest.mark.parametrize("kind", ["radial", "support"])
+def test_step_collapse_flushes_the_queued_rows(monkeypatch, kind):
+    # the five rows queued before step 6 fails (a batch holds 8 of 32 nodes)
+    # are computed before StepCollapse leaves, equal to the unbroken run's
+    calls = []
+
+    def fail_step_6(flows, _):
+        step = flows._extrapolated_step
+
+        def failing(*args):
+            calls.append(args[2])
+            if len(calls) == 6:
+                raise NotStarshaped("step 6")
+            return step(*args)
+        monkeypatch.setattr(flows, "_extrapolated_step", failing)
+
+    whole, err = _broken_run(monkeypatch, kind, fail_step_6)
+    assert whole.meta["steps"] > 10 and isinstance(err.__cause__, NotStarshaped)
+    assert err.trace.meta["steps"] == 5
+    _same_rows(err.trace.rows, whole.rows[:6])
+
+
+@pytest.mark.parametrize("kind", ["radial", "support"])
+def test_step_floor_collapse_flushes_the_queued_rows(monkeypatch, kind):
+    # step 5's assessment reads c_max = 1e20, so step 6 falls below the floor
+    def blow_up_after_step_5(flows, kernel):
+        assess, calls = kernel.assess, []
+
+        def blown_up(self, u):
+            calls.append(1)
+            value, c_max, converged, build = assess(self, u)
+            return value, 1e20 if len(calls) == 6 else c_max, converged, build
+        monkeypatch.setattr(kernel, "assess", blown_up)
+
+    whole, err = _broken_run(monkeypatch, kind, blow_up_after_step_5)
+    assert "below the floor" in str(err) and err.__cause__ is None
+    assert err.trace.meta["steps"] == 5
+    _same_rows(err.trace.rows, whole.rows[:6])
+
+
+@pytest.mark.parametrize("grid", [SphericalGrid.axisym(2, 32), SphericalGrid.full_s2(16, 32)], ids=repr)
+def test_a_row_error_leaves_run_flow_with_its_type(monkeypatch, grid):
+    # a row error surfaces once its batch is computed, unwrapped: one state
+    # per batch on the 512-node sphere, eight on the axisymmetric grid
+    from curvelab import flows
+
+    row, queued = flows._diagnostic_row, []
+
+    def failing_row(kernel, parts, *rest):
+        queued.extend(parts)
+        if len(queued) >= 3:
+            raise ZeroMeanCurvature("the third queued state")
+        return row(kernel, parts, *rest)
+
+    monkeypatch.setattr(flows, "_diagnostic_row", failing_row)
+    r0 = random_starshaped(grid, np.random.default_rng(1), amp=0.1)
+    with pytest.raises(ZeroMeanCurvature, match="third queued state"):
+        run_flow(r0, SpeedProfile.power_exp_pinned(2, 1.0),
+                 FlowConfig(kind="radial", t_end=0.45, output_interval=0.01))
+    assert len(queued) == (3 if grid.mode == "full-s2" else 8)
 
 
 def _level_by_level_step(kernel, u, h, a, start):
