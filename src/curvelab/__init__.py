@@ -49,7 +49,6 @@ from .geometry import (
 )
 from .functionals import (
     DeficitReport,
-    QuermassVector,
     ball_quermass,
     ball_quermass_inverse,
     calibrate_sharp_constant,

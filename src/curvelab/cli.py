@@ -298,7 +298,7 @@ def _verify_sample(args):
             rep = michael_simon_deficit_H(geom, f_arg, grad_f)
         else:
             quermass = quermassintegrals(geom)
-            radius = ball_quermass_inverse(k - 1, quermass[k - 1], grid.n)
+            radius = ball_quermass_inverse(k - 1, float(quermass[k - 1]), grid.n)
             f_arg = f if profile is not None else radius ** (-(grid.n - k))
             f_of_r = (lambda r: profile.f(r)) if profile is not None else None
             rep = michael_simon_deficit_k(geom, f_arg, grad_f, k=k,

@@ -40,15 +40,15 @@ assessed from one build of its principal pair (curvatures radial, radii
 support) for its monitored integral (Q or M_k), its c_max and the
 convergence test; once the state is accepted, that one build also gives
 the next step's start speed and the arrays its diagnostic row reads.  Rows
-are computed in batches, one stacked pass over the queued states' arrays,
-so a row error surfaces once its batch is.  Each step is taken once: a
-geometry error raises StepCollapse, with the partial trace and every row
-queued before it.  A rise of the monitored integral is spatial
-discretization error, which a smaller step cannot remove: each rise above
-1e-8 relative is recorded as an event, and their sum relative to the start
-as meta["mono_rise"].  On full-s2 grids every substep's increment passes
-the zonal filter, so the pole-convergent phi columns do not force their
-own step size.
+are computed in batches: the public functionals on one CurvatureField that
+holds the queued states as a stack, so a row error surfaces once its batch
+is.  Each step is taken once: a geometry error raises StepCollapse, with the
+partial trace and every row queued before it.  A rise of the monitored
+integral is spatial discretization error, which a smaller step cannot
+remove: each rise above 1e-8 relative is recorded as an event, and their
+sum relative to the start as meta["mono_rise"].  On full-s2 grids every
+substep's increment passes the zonal filter, so the pole-convergent phi
+columns do not force their own step size.
 """
 
 from __future__ import annotations
@@ -65,17 +65,19 @@ from .errors import (
     ConvexityLost,
     DegenerateMetric,
     InsufficientData,
-    NonpositiveDensity,
     NotStarshaped,
     StepCollapse,
-    ZeroMeanCurvature,
 )
+from .functionals import _density_values, _mk_integral, _q_integral, quermassintegrals
 from .geometry import (
+    CurvatureField,
+    _convexity_margins,
     _radial_field,
     _radial_pair,
     _support_field,
     _support_radii,
     radial_geometry,
+    sphericity,
     static_convexity,
     support_geometry,
 )
@@ -336,7 +338,8 @@ def validate_support_profile(
 # of the stepper, and ``assess`` builds a candidate state's principal pair
 # once and returns (monotone integral, c_max at that state, converged,
 # build); ``speed`` and ``row_parts`` read a build the caller has, so an
-# accepted state is built only once.
+# accepted state is built only once, and ``row_field`` makes one
+# CurvatureField of a stack of row_parts.
 
 _GEOM_ERRORS = (NotStarshaped, ConvexityLost, DegenerateMetric)
 
@@ -384,8 +387,12 @@ class _RadialKernel:
         return value, c_max, converged, pair
 
     def row_parts(self, r: np.ndarray, pair) -> tuple:
-        """What r's diagnostic row reads: (r, kappa1, kappa2, rho, *grad)."""
+        """What r's diagnostic row reads, flat: (r, kappa1, kappa2, rho, *grad)."""
         return (r, *pair[:3], *pair[3])
+
+    def row_field(self, r, kappa1, kappa2, rho, *grad) -> CurvatureField:
+        """The CurvatureField of row_parts, or of a stack of them."""
+        return _radial_field(self.grid, r, (kappa1, kappa2, rho, grad))
 
 
 class _SupportKernel:
@@ -445,9 +452,15 @@ class _SupportKernel:
         return value, c_max, float((h.max() - h.min()) / hmean) < config.osc_tol, build
 
     def row_parts(self, h: np.ndarray, build) -> tuple:
-        """What h's diagnostic row reads: (h, rho1, rho2, *grad, sigma_1..sigma_n)."""
-        (rho1, rho2, _, grad), sig = build
-        return (h, rho1, rho2, *grad, *sig[1:])
+        """What h's diagnostic row reads, flat: (h, rho1, rho2, *b, *grad, sigma_1..sigma_n)."""
+        (rho1, rho2, b, grad), sig = build
+        return (h, rho1, rho2, *b, *grad, *sig[1:])
+
+    def row_field(self, h, rho1, rho2, *rest) -> CurvatureField:
+        """The CurvatureField of row_parts, or of a stack of them, with the build's sigma."""
+        dims = len(self.grid.node_shape)  # b has dims + 1 components, grad dims
+        b, grad, sig = rest[:dims + 1], rest[dims + 1:2 * dims + 1], rest[2 * dims + 1:]
+        return _support_field(self.grid, h, (rho1, rho2, b, grad), [1.0, *sig])
 
 
 def _kernel(grid: SphericalGrid, profile: SpeedProfile | None, config: "FlowConfig"):
@@ -615,61 +628,27 @@ _ROW_BATCH_NODES = 256
 
 
 def _diagnostic_row(kernel, parts, ts, dts) -> list:
-    """The diagnostic rows of accepted states, in one stacked pass over their row_parts.
+    """The diagnostic rows of accepted states: the public functionals on one stacked field.
 
-    One state's parts are read as views and several states' packed parts
-    stacked; each sum, min and max is reduced per state over its nodes, so
-    each column has the bits, and each error the type, that quermassintegrals,
-    monotone_quantities, static_convexity, sphericity and radius_stats give.
-    """
-    grid, n, k, count = kernel.grid, kernel.n, kernel.config.k, len(parts)
-
-    def per_state(x, reduce="sum"):  # over the contiguous node axis
-        return getattr(x.reshape(count, -1), reduce)(axis=1)
-
+    One state's row_parts are read as views, several states' packed parts
+    stacked, and kernel.row_field makes one CurvatureField of them.  Each
+    column has the bits, and each error the type, of a call on its state
+    alone, but a state with some h <= 0 gets a NaN margin and M_n under a
+    non-constant density is NaN."""
+    grid, count = kernel.grid, len(parts)
     fields = [part[None] for part in parts[0]] if count == 1 else np.stack(parts).swapaxes(0, 1)
-    radial, dims = isinstance(kernel, _RadialKernel), len(grid.node_shape)
-    u, first, second, grad = *fields[:3], fields[3 + radial:3 + radial + dims]
-    if radial:  # first, second = kappa1, kappa2
-        k1, k2, rho = first, second, fields[3]
-        area_factor, support, sig = u ** (n - 1) * rho, u * u / rho, sigma_pair(k1, k2, n)
-        volume = per_state(grid.weights * u ** (n + 1)) / (n + 1)
-    else:  # first, second = rho1, rho2, and the build holds sigma of 1 / rho
-        k1, k2, area_factor, support = 1.0 / first, 1.0 / second, first * second ** (n - 1), u
-        sig = [1.0, *fields[3 + dims:]]
-        volume = per_state(grid.weights * (u * area_factor)) / (n + 1)
-    r2 = 0.0  # |X|^2 of X = u xi (+ grad u on the frame, support), adding its components
-    for i in range(grid.xi().shape[-1]):  # one at a time in np.sum's order over the last axis
-        x = u * grid.xi()[..., i]
-        for d, e in zip(() if radial else grad, grid.frame()):
-            x = x + d * e[..., i]
-        r2 = r2 + x * x
-    w = grid.weights * area_factor
-    f = kernel.profile.f(u)
-    if (per_state(f, "min") <= 0.0).any():
-        raise NonpositiveDensity(f"density must be positive (min {f.min():.6g})")
-    if k < n:
-        mk = per_state(w * sig[k - 1] * f ** ((n - k + 1.0) / (n - k)))
-    else:  # M_n needs a constant profile, whose factor does not matter
-        f_lo, f_hi, mk = per_state(f, "min"), per_state(f, "max"), per_state(w * sig[k - 1])
-        mk[f_hi - f_lo > 1e-12 * (1.0 + f_hi)] = np.nan
-    with np.errstate(divide="ignore"):  # h = 0 gives a NaN margin
-        margin = per_state(np.minimum(k1, k2) - 1.0 / support, "min")
-    margin[per_state(support, "min") <= 0.0] = np.nan
-    H = k1 + (n - 1) * k2
-    scale = 1.0 + np.maximum(per_state(np.abs(k1), "max"), per_state(np.abs(k2), "max"))
-    if (per_state(np.abs(H), "min") <= 1e-15 * scale).any():
-        raise ZeroMeanCurvature("mean curvature vanishes at a node")
+    geom = kernel.row_field(*fields)
+    u = geom.scalar
+    f = _density_values(geom, kernel.profile.f(u))
+    r_min, r_max = geom.radius_stats()
     columns = {
-        "Q": per_state(w * f ** (n / (n - 1.0))), "M_k": mk,
-        "grad_max": np.sqrt(per_state(sum(c * c for c in grad), "max")),  # sqrt is monotone
-        "oscillation": (per_state(u, "max") - per_state(u, "min"))
-        / (per_state(grid.weights * u) / np.sum(grid.weights)),
-        "margin": margin,
-        "sphericity": per_state(n * (k1**2 + (n - 1) * k2**2) / H**2 - 1.0, "max"),
-        "r_min": np.sqrt(per_state(r2, "min")), "r_max": np.sqrt(per_state(r2, "max")),
-        "area": per_state(w), "volume": volume, "V_0": (n + 1) * volume,
-        **{f"V_{j}": per_state(w * sig[j - 1]) / math.comb(n, j - 1) for j in range(1, n + 1)},
+        "Q": _q_integral(geom, f), "M_k": _mk_integral(geom, f, kernel.config.k),
+        "grad_max": np.sqrt(grid.reduce(sum(c * c for c in geom.grad), "max")),  # sqrt is monotone
+        "oscillation": (grid.reduce(u, "max") - grid.reduce(u, "min"))
+        / (grid.integrate(u) / np.sum(grid.weights)),
+        "margin": _convexity_margins(geom)[0], "sphericity": sphericity(geom),
+        "r_min": r_min, "r_max": r_max, "area": geom.total_area(), "volume": geom.volume(),
+        **{f"V_{j}": v for j, v in enumerate(quermassintegrals(geom)[:-1])},
     }
     values = zip(ts, dts, *(column.tolist() for column in columns.values()))
     return [dict(zip(["t", "dt", *columns], row)) for row in values]
@@ -854,15 +833,10 @@ def area_evolution_consistency(
     kernel = _kernel(grid, profile, config)
 
     def rate(u, build):
-        geom = _radial_field(grid, u, build) if config.kind == "radial" else _support_field(grid, u, build[0])
+        geom = _radial_field(grid, u, build) if config.kind == "radial" else _support_field(grid, u, *build)
         speed = kernel.speed(u, build)
-        if config.kind == "radial":
-            v = u / geom.support
-            phi = speed / v
-        else:
-            phi = speed
-        w = grid.weights * geom.area_factor
-        return float(np.sum(w * geom.H * phi)), geom.total_area()
+        phi = speed / (u / geom.support) if config.kind == "radial" else speed  # v = r / <X, nu>
+        return float(np.sum(geom.area_weights * geom.H * phi)), geom.total_area()
 
     # states are treated exactly as the integrator treats accepted states
     state = grid.zonal_filter(initial.values)

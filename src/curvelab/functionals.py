@@ -1,5 +1,9 @@
 """Global functionals: quermassintegrals, monotone integrals, inequality deficits.
 
+quermassintegrals and monotone_quantities take a CurvatureField holding one
+surface or a stack of them and give one value per surface; the flows'
+diagnostic rows call them on a stack of states.  The deficits take one surface.
+
 Quermassintegral convention.  V_0 = (n+1) Vol(Omega) and V_j = int_M E_{j-1} dmu
 for j >= 1, so that on the ball of radius R every entry is
 V_j(B_R) = |S^n| R^(n+1-j).  Under the support flow with parameter k the entry
@@ -46,12 +50,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositiveDensity
-from .geometry import CurvatureField
+from .geometry import CurvatureField, _nan_where
 from .sphere_grid import ScalarField, sphere_area
 from .symfunc import require_cone, sigma_all
 
 __all__ = [
-    "QuermassVector",
     "DeficitReport",
     "sphere_area",
     "ball_quermass",
@@ -75,21 +78,6 @@ def ball_quermass_inverse(j: int, value: float, n: int) -> float:
 
 
 @dataclass(frozen=True)
-class QuermassVector:
-    """V_0..V_{n+1} under the boundary-integral convention V_j = int E_{j-1} dmu.
-
-    The top entry V_{n+1} = int E_n dmu is the Gauss-curvature integral,
-    constant |S^n| on convex bodies.
-    """
-
-    values: np.ndarray
-    n: int
-
-    def __getitem__(self, j: int) -> float:
-        return float(self.values[j])
-
-
-@dataclass(frozen=True)
 class DeficitReport:
     """Two sides of a sharp inequality plus their gap.
 
@@ -105,16 +93,14 @@ class DeficitReport:
     mode: str
 
 
-def quermassintegrals(geom: CurvatureField) -> QuermassVector:
-    """All quermassintegrals of the enclosed domain from one curvature field."""
-    n = geom.n
-    w = geom.grid.weights * geom.area_factor
-    sig = geom.sigma
-    values = np.empty(n + 2)
-    values[0] = (n + 1) * geom.volume()
-    for j in range(1, n + 2):
-        values[j] = float(np.sum(w * sig[j - 1])) / math.comb(n, j - 1)
-    return QuermassVector(values, n)
+def quermassintegrals(geom: CurvatureField) -> np.ndarray:
+    """V_0..V_{n+1} of the enclosed domain, shape (n + 2, *stack), from one curvature field;
+    V_{n+1} = int E_n dmu is the Gauss-curvature integral, |S^n| on convex bodies."""
+    n, sig = geom.n, geom.sigma
+    values = [(n + 1) * geom.volume()]
+    values += [geom.grid.reduce(geom.area_weights * sig[j - 1]) / math.comb(n, j - 1)
+               for j in range(1, n + 2)]
+    return np.array(values)
 
 
 def _density_values(geom: CurvatureField, f) -> np.ndarray:
@@ -128,10 +114,21 @@ def _density_values(geom: CurvatureField, f) -> np.ndarray:
     return f
 
 
-def _grad_components(geom: CurvatureField, grad_f):
-    if grad_f is None:
-        return tuple(np.zeros_like(g) for g in geom.grad)
-    return tuple(np.asarray(g, float) for g in grad_f)
+def _q_integral(geom: CurvatureField, f: np.ndarray):
+    """Q = int f^(n/(n-1)) dmu per surface, of positive density values f."""
+    n = geom.n
+    return geom.grid.reduce(geom.area_weights * f ** (n / (n - 1.0)))
+
+
+def _mk_integral(geom: CurvatureField, f: np.ndarray, k: int):
+    """M_k = int sigma_{k-1} f^((n-k+1)/(n-k)) dmu per surface, of positive density values f;
+    M_n = int sigma_{n-1} dmu where f is constant (see monotone_quantities), NaN elsewhere."""
+    n, grid = geom.n, geom.grid
+    weighted = geom.area_weights * geom.sigma[k - 1]
+    if k < n:
+        return grid.reduce(weighted * f ** ((n - k + 1.0) / (n - k)))
+    f_lo, f_hi = grid.reduce(f, "min"), grid.reduce(f, "max")
+    return _nan_where(f_hi - f_lo > 1e-12 * (1.0 + f_hi), grid.reduce(weighted))
 
 
 def michael_simon_deficit_H(geom: CurvatureField, f, grad_f=None) -> DeficitReport:
@@ -148,12 +145,10 @@ def michael_simon_deficit_H(geom: CurvatureField, f, grad_f=None) -> DeficitRepo
     metric of ``geom``.
     """
     f = _density_values(geom, f)
-    grads = _grad_components(geom, grad_f)
     n = geom.n
-    w = geom.grid.weights * geom.area_factor
-    tgs = geom.tangential_grad_sq(grads)
-    lhs = float(np.sum(w * np.sqrt(tgs + f**2 * geom.H**2)))
-    quantity = float(np.sum(w * f ** (n / (n - 1.0))))
+    tgs = 0.0 if grad_f is None else geom.tangential_grad_sq(grad_f)  # constant f: grad f = 0
+    lhs = float(np.sum(geom.area_weights * np.sqrt(tgs + f**2 * geom.H**2)))
+    quantity = _q_integral(geom, f)
     rhs = n * sphere_area(n) ** (1.0 / n) * quantity ** ((n - 1.0) / n)
     deficit = lhs - rhs
     return DeficitReport(lhs, rhs, deficit, deficit / abs(rhs), 1, "mean-curvature")
@@ -193,7 +188,7 @@ def michael_simon_deficit_k(
     k: int = 1,
     calibration: str = "sphere-calibrated",
     f_of_R=None,
-    quermass: QuermassVector | None = None,
+    quermass: np.ndarray | None = None,
 ) -> DeficitReport:
     """Sharp k-th mean curvature deficit (1 <= k <= n-1) on a closed hypersurface.
 
@@ -207,22 +202,19 @@ def michael_simon_deficit_k(
     if calibration not in CALIBRATIONS:
         raise ValueError(f"unknown calibration mode {calibration!r}")
     f = _density_values(geom, f)
-    grads = _grad_components(geom, grad_f)
 
     sig = geom.sigma
     require_cone(sig, float(np.maximum(np.abs(geom.kappa1).max(), np.abs(geom.kappa2).max())), k)
 
-    w = geom.grid.weights * geom.area_factor
-    sk = sig[k]
-    skm1 = sig[k - 1]
-    tgs = geom.tangential_grad_sq(grads)
-    lhs = float(np.sum(w * np.sqrt(sk**2 * f**2 + skm1**2 * tgs)))
+    sk, skm1 = sig[k], sig[k - 1]
+    tgs = 0.0 if grad_f is None else geom.tangential_grad_sq(grad_f)  # constant f: grad f = 0
+    lhs = float(np.sum(geom.area_weights * np.sqrt(sk**2 * f**2 + skm1**2 * tgs)))
 
     p = (n + 1.0 - k) / (n - k)
-    mk = float(np.sum(w * skm1 * f**p))
+    mk = _mk_integral(geom, f, k)
     if quermass is None:
         quermass = quermassintegrals(geom)
-    radius = ball_quermass_inverse(k - 1, quermass[k - 1], n)
+    radius = ball_quermass_inverse(k - 1, float(quermass[k - 1]), n)
     if f_of_R is None:
         if float(f.max() - f.min()) > 1e-12 * (1.0 + float(f.max())):
             raise ValueError("f_of_R must be supplied for non-constant densities")
@@ -249,7 +241,7 @@ def michael_simon_deficit_k(
 
 
 def monotone_quantities(geom: CurvatureField, f, k: int):
-    """The two flow-monitored integrals (Q, M_k).
+    """The two flow-monitored integrals (Q, M_k), per surface of ``geom``.
 
     Q = int f^(n/(n-1)) dmu decreases along the radial flow for every positive
     smooth f.  M_k = int sigma_{k-1} f^((n-k+1)/(n-k)) dmu decreases along the
@@ -257,16 +249,8 @@ def monotone_quantities(geom: CurvatureField, f, k: int):
     density must then be constant and M_n = int sigma_{n-1} dmu is returned
     (monotone for any constant factor).
     """
-    n = geom.n
     f = _density_values(geom, f)
-    w = geom.grid.weights * geom.area_factor
-    q = float(np.sum(w * f ** (n / (n - 1.0))))
-    skm1 = geom.sigma[k - 1]
-    if k == n:
-        if float(f.max() - f.min()) > 1e-12 * (1.0 + float(f.max())):
-            raise ValueError("k = n requires a constant density")
-        mk = float(np.sum(w * skm1))
-    else:
-        p = (n - k + 1.0) / (n - k)
-        mk = float(np.sum(w * skm1 * f**p))
-    return q, mk
+    mk = _mk_integral(geom, f, k)
+    if k == geom.n and np.isnan(mk).any():
+        raise ValueError("k = n requires a constant density")
+    return _q_integral(geom, f), mk

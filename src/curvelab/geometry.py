@@ -30,11 +30,15 @@ meridional and azimuthal values on axisymmetric ones).  _radial_pair and
 _support_radii compute that pair once per parametrization for both grid
 modes, from one derivative pass; _radial_field and _support_field finish a
 CurvatureField from it, so the flow kernels can build the pair once and
-reuse it for the speed, the assessment and the diagnostic row.
+reuse it for the speed, the assessment and the diagnostic row.  A field may
+hold a stack of surfaces, and static_convexity, sphericity and the field's
+integrals then give one value per surface: the diagnostic rows are these
+functionals on one field holding a batch of states.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -63,7 +67,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CurvatureField:
-    """Per-node extrinsic geometry of a hypersurface.
+    """Per-node extrinsic geometry of a hypersurface, or of a stack of them.
 
     The principal curvatures are the pair ``kappa1`` (multiplicity 1) and
     ``kappa2`` (multiplicity n - 1); on full-s2 grids they are the two
@@ -74,6 +78,12 @@ class CurvatureField:
     on full-s2 grids and (N, 2) meridian components (orbit direction,
     symmetry axis) on axisymmetric ones.  ``inverse_metric`` holds the rows
     of g^ij in the components of ``grad``.
+
+    The node arrays may carry leading stack axes, one surface per index, and
+    each method then gives one value per surface (a float for one surface)
+    with the bits of that surface alone.  ``normal``, ``position`` and
+    ``inverse_metric`` are formed on first read from ``metric_source`` (rho
+    radial, b support); ``sigma``, ``area_weights`` and the volume once.
     """
 
     grid: SphericalGrid
@@ -85,9 +95,7 @@ class CurvatureField:
     kappa2: np.ndarray
     area_factor: np.ndarray
     support: np.ndarray         # <X, nu> per node
-    normal: np.ndarray
-    position: np.ndarray
-    inverse_metric: tuple = dataclass_field(repr=False)
+    metric_source: object = dataclass_field(repr=False)
 
     @property
     def kappa(self) -> np.ndarray:
@@ -105,10 +113,52 @@ class CurvatureField:
         """|A|^2, the sum of the squared principal curvatures."""
         return self.kappa1**2 + (self.n - 1) * self.kappa2**2
 
-    @property
+    @functools.cached_property
     def sigma(self) -> list:
         """[sigma_0, ..., sigma_n] of the principal curvatures, per node."""
         return sigma_pair(self.kappa1, self.kappa2, self.n)
+
+    @functools.cached_property
+    def area_weights(self) -> np.ndarray:
+        """grid.weights * area_factor: the surface measure's node weights."""
+        return self.grid.weights * self.area_factor
+
+    def _position_components(self):
+        """The ambient components of X = u xi (+ sum_i (grad u)_i e_i, support), one at a time;
+        the terms are added in frame order, which fixes the round-off the artefacts record."""
+        xi, frame = self.grid.xi(), self.grid.frame()
+        for c in range(xi.shape[-1]):
+            x = self.scalar * xi[..., c]
+            for d, e in zip(() if self.kind == "radial" else self.grad, frame):
+                x = x + d * e[..., c]
+            yield x
+
+    @functools.cached_property
+    def position(self) -> np.ndarray:
+        return np.stack(list(self._position_components()), axis=-1)
+
+    @functools.cached_property
+    def normal(self) -> np.ndarray:
+        if self.kind == "support":
+            return self.grid.xi()
+        tangential = sum(d[..., None] * e for d, e in zip(self.grad, self.grid.frame()))
+        return (self.position - tangential) / self.metric_source[..., None]
+
+    @functools.cached_property
+    def inverse_metric(self) -> tuple:
+        """g^(-1): (delta_ij - d_i d_j / rho^2) / r^2 radial, b^(-2) support."""
+        if self.kind == "radial":
+            r, rho2 = self.scalar, self.metric_source * self.metric_source
+            return tuple(
+                tuple((float(i == j) - d_i * d_j / rho2) / (r * r) for j, d_j in enumerate(self.grad))
+                for i, d_i in enumerate(self.grad)
+            )
+        if self.grid.mode == "axisym":  # b is diagonal with entry rho1
+            return ((1.0 / self.metric_source[0] ** 2,),)
+        b11, b12, b22 = self.metric_source
+        det2 = self.area_factor * self.area_factor
+        off = -b12 * (b11 + b22) / det2
+        return ((b22 * b22 + b12 * b12) / det2, off), (off, (b11 * b11 + b12 * b12) / det2)
 
     def tangential_grad_sq(self, grad_f) -> np.ndarray:
         """|grad^M f|^2 = g^{ij} (grad f)_i (grad f)_j from frame components.
@@ -122,23 +172,24 @@ class CurvatureField:
                 out = out + g_ij * a_i * a_j
         return out
 
-    def total_area(self) -> float:
-        return self.grid.integrate(self.area_factor)
+    def total_area(self):
+        return self.grid.reduce(self.area_weights)
 
-    def volume(self) -> float:
-        """Volume of the enclosed domain.
+    def volume(self):
+        """Volume of the enclosed domain: the cone formula (1/(n+1)) int r^(n+1) for
+        radial bodies, the divergence identity (n+1) Vol = int <X, nu> dmu for support ones."""
+        return self._volume
 
-        Radial bodies use the cone formula (1/(n+1)) int r^(n+1); support
-        bodies the divergence identity (n+1) Vol = int <X, nu> dmu.
-        """
-        if self.kind == "radial":
-            return self.grid.integrate(self.scalar ** (self.n + 1)) / (self.n + 1)
-        return self.grid.integrate(self.support * self.area_factor) / (self.n + 1)
+    @functools.cached_property
+    def _volume(self):
+        cone = self.scalar ** (self.n + 1) if self.kind == "radial" else self.support * self.area_factor
+        return self.grid.integrate(cone) / (self.n + 1)
 
-    def radius_stats(self) -> tuple[float, float]:
-        """(min, max) of |X| over the surface."""
-        rr = np.sqrt(np.sum(self.position**2, axis=-1))
-        return float(rr.min()), float(rr.max())
+    def radius_stats(self):
+        """(min, max) of |X| over the surface; |X|^2 adds the squared
+        components one at a time, the order np.sum(X**2, axis=-1) adds in."""
+        rr = np.sqrt(sum(x * x for x in self._position_components()))
+        return self.grid.reduce(rr, "min"), self.grid.reduce(rr, "max")
 
 
 @dataclass(frozen=True)
@@ -216,41 +267,11 @@ def _radial_pair(grid: SphericalGrid, r: np.ndarray):
     return kap_lo, kap_hi, rho, (d1, d2)
 
 
-def _plus_ambient(start, grid: SphericalGrid, grad) -> np.ndarray:
-    """start + sum_i d_i e_i for gradient components d_i and grid.frame() e_i.
-
-    The terms are added one at a time in frame order; that order fixes the
-    round-off of the positions the trace artefacts record.
-    """
-    for d, e in zip(grad, grid.frame()):
-        start = start + d[..., None] * e
-    return start
-
-
-def _radial_first_order(grid: SphericalGrid, r: np.ndarray, rho: np.ndarray):
-    """(area_factor, position) of the radial graph r(xi) xi.
-
-    The area element r^(n-1) rho and the position r xi need only r and
-    rho = sqrt(r^2 + |grad r|^2), no curvature.
-    """
-    return r ** (grid.n - 1) * rho, r[..., None] * grid.xi()
-
-
 def _radial_field(grid: SphericalGrid, r: np.ndarray, pair) -> CurvatureField:
-    """Full extrinsic geometry of r(xi) xi from its _radial_pair result."""
-    n = grid.n
+    """Extrinsic geometry of r(xi) xi, or of a stack r, from its _radial_pair result."""
     kappa1, kappa2, rho, grad = pair
-    area_factor, position = _radial_first_order(grid, r, rho)
-    support = r * r / rho
-    normal = (position - _plus_ambient(0.0, grid, grad)) / rho[..., None]
-    rho2 = rho * rho
-    inverse_metric = tuple(
-        tuple((float(i == j) - d_i * d_j / rho2) / (r * r) for j, d_j in enumerate(grad))
-        for i, d_i in enumerate(grad)
-    )
     return CurvatureField(
-        grid, "radial", n, r, grad, kappa1, kappa2, area_factor, support,
-        normal, position, inverse_metric,
+        grid, "radial", grid.n, r, grad, kappa1, kappa2, r ** (grid.n - 1) * rho, r * r / rho, rho,
     )
 
 
@@ -290,25 +311,17 @@ def _support_radii(grid: SphericalGrid, h: np.ndarray):
     return rho1, rho2, b, grad
 
 
-def _support_field(grid: SphericalGrid, h: np.ndarray, radii) -> CurvatureField:
-    """Extrinsic geometry of the body with support function h from its _support_radii result."""
-    n = grid.n
+def _support_field(grid: SphericalGrid, h: np.ndarray, radii, sigma=None) -> CurvatureField:
+    """Extrinsic geometry of the body with support function h, or of a stack h,
+    from its _support_radii result; ``sigma`` is the build's sigma_pair of
+    the curvatures 1 / rho, when the caller has it."""
     rho1, rho2, b, grad = radii
-    area_factor = rho1 * rho2 ** (n - 1)
-    normal = grid.xi()
-    position = _plus_ambient(h[..., None] * normal, grid, grad)
-    # g^(-1) = b^(-2); b is diagonal with entry rho1 on axisymmetric grids
-    if grid.mode == "axisym":
-        inverse_metric = ((1.0 / rho1**2,),)
-    else:
-        b11, b12, b22 = b
-        det2 = area_factor * area_factor
-        off = -b12 * (b11 + b22) / det2
-        inverse_metric = ((b22 * b22 + b12 * b12) / det2, off), (off, (b11 * b11 + b12 * b12) / det2)
-    return CurvatureField(
-        grid, "support", n, h, grad, 1.0 / rho1, 1.0 / rho2, area_factor, h,
-        normal, position, inverse_metric,
+    field = CurvatureField(
+        grid, "support", grid.n, h, grad, 1.0 / rho1, 1.0 / rho2, rho1 * rho2 ** (grid.n - 1), h, b,
     )
+    if sigma is not None:
+        field.__dict__["sigma"] = sigma  # the cached property's value
+    return field
 
 
 def support_geometry(field: ScalarField) -> CurvatureField:
@@ -316,28 +329,44 @@ def support_geometry(field: ScalarField) -> CurvatureField:
     return _support_field(field.grid, field.values, _support_radii(field.grid, field.values))
 
 
+def _nan_where(mask, values):
+    """values with NaN where mask holds, per surface: a float for one surface."""
+    if not np.any(mask):
+        return values
+    values = np.where(mask, np.nan, values)
+    return float(values) if values.ndim == 0 else values
+
+
+def _convexity_margins(field: CurvatureField):
+    """(margin, node margins) of static_convexity; NaN margin where some h <= 0."""
+    grid, h = field.grid, field.support
+    with np.errstate(divide="ignore"):  # h = 0 at a node
+        node_margins = np.minimum(field.kappa1, field.kappa2) - 1.0 / h
+    return _nan_where(grid.reduce(h, "min") <= 0.0, grid.reduce(node_margins, "min")), node_margins
+
+
 def static_convexity(field: CurvatureField) -> StaticConvexityReport:
     """Margin of the static-convexity tensor h_ij - h^(-1) g_ij.
 
     In a g-orthonormal frame the tensor has eigenvalues kappa_i - 1/h, so the
-    report carries min_i kappa_i - 1/h per node and the global minimum.
+    report carries min_i kappa_i - 1/h per node and its minimum per surface.
     """
-    h = field.support
-    if h.min() <= 0.0:
+    margin, node_margins = _convexity_margins(field)
+    if np.isnan(margin).any():
         raise NonpositiveSupport(
-            f"support value must be positive everywhere (min {h.min():.6g})"
+            f"support value must be positive everywhere (min {field.support.min():.6g})"
         )
-    node_margins = np.minimum(field.kappa1, field.kappa2) - 1.0 / h
-    return StaticConvexityReport(margin=float(node_margins.min()), node_margins=node_margins)
+    return StaticConvexityReport(margin=margin, node_margins=node_margins)
 
 
-def sphericity(field: CurvatureField) -> float:
-    """Umbilicity defect max(n |A|^2 / H^2 - 1); zero exactly on round spheres."""
-    scale = 1.0 + float(np.maximum(np.abs(field.kappa1).max(), np.abs(field.kappa2).max()))
-    H = field.H
-    if np.any(np.abs(H) <= 1e-15 * scale):
+def sphericity(field: CurvatureField):
+    """Umbilicity defect max(n |A|^2 / H^2 - 1) per surface; zero exactly on round spheres."""
+    grid, H = field.grid, field.H
+    k_max = (grid.reduce(np.abs(kappa), "max") for kappa in (field.kappa1, field.kappa2))
+    scale = 1.0 + np.maximum(*k_max)
+    if np.any(grid.reduce(np.abs(H), "min") <= 1e-15 * scale):
         raise ZeroMeanCurvature("mean curvature vanishes at a node")
-    return float(np.max(field.n * field.A2 / H**2 - 1.0))
+    return grid.reduce(field.n * field.A2 / H**2 - 1.0, "max")
 
 
 def centroid(field: CurvatureField | ScalarField):
@@ -350,12 +379,11 @@ def centroid(field: CurvatureField | ScalarField):
     """
     grid = field.grid
     if isinstance(field, ScalarField):
-        r = field.values
+        r = field.values  # the area element and position of _radial_field
         rho = np.sqrt(r * r + sum(d * d for d in grid.gradient(r)))
-        area_factor, position = _radial_first_order(grid, r, rho)
+        w, position = grid.weights * (r ** (grid.n - 1) * rho), r[..., None] * grid.xi()
     else:
-        area_factor, position = field.area_factor, field.position
-    w = grid.weights * area_factor
+        w, position = field.area_weights, field.position
     area = np.sum(w)
     if grid.mode == "full-s2":
         return np.asarray([float(np.sum(w * position[..., i])) for i in range(3)]) / area

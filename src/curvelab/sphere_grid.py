@@ -214,8 +214,16 @@ class SphericalGrid:
         """
         return self._derivatives(v)[1]
 
-    def integrate(self, v) -> float:
-        return float(np.sum(self.weights * np.asarray(v, float)))
+    def integrate(self, v):
+        return self.reduce(self.weights * np.asarray(v, float))
+
+    def reduce(self, v, how: str = "sum"):
+        """Sum, "min" or "max" of the array v over the node axes, per field of a stack
+        along leading axes (a float for one field).  Each field reduces as one contiguous
+        axis, as np.sum reduces a lone field, so a stacked field keeps its bits."""
+        ufunc = {"sum": np.add, "min": np.minimum, "max": np.maximum}[how]  # what ndarray.sum/min/max run
+        out = ufunc.reduce(v.reshape(v.shape[: v.ndim - len(self.node_shape)] + (-1,)), axis=-1)
+        return float(out) if out.ndim == 0 else out
 
     def zonal_filter(self, v: np.ndarray) -> np.ndarray:
         """Remove zonal modes that the pole-converging phi rows cannot carry.

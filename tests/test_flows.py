@@ -41,6 +41,7 @@ from curvelab.geometry import _radial_field, _support_field
 from curvelab.shapes import (
     random_convex_support, random_starshaped, sphere_radial, sphere_support, spheroid_support,
 )
+from curvelab.sphere_grid import sphere_area
 from curvelab.symfunc import ek_derivative_eigen, elementary_symmetric, sigma_all
 
 
@@ -774,6 +775,45 @@ def test_every_row_matches_the_public_functionals(monkeypatch, mode, n, kind, k)
     assert sizes[:-1] == [full] * (len(sizes) - 1) and len(sizes) >= 3
     assert 0 < sizes[-1] < full or full == 1
     assert np.isnan(trace.values("M_k")).all() == (kind == "forced" or (kind == "radial" and k == n))
+
+
+SPHERE_RUNS = (
+    [("axisym", n, "support", k, 1.3) for n in (2, 3) for k in range(1, n + 1)]
+    + [("full-s2", 2, "support", k, 1.3) for k in (1, 2)]
+    + [(mode, n, "radial", k, radius) for mode, n in (("axisym", 2), ("axisym", 3), ("full-s2", 2))
+       for k in range(1, n + 1) for radius in (1.0, 1.3)]
+)
+
+
+@pytest.mark.parametrize("mode, n, kind, k, radius", SPHERE_RUNS, ids=lambda v: str(v))
+def test_sphere_rows_match_the_closed_forms(mode, n, kind, k, radius):
+    # an origin-centred sphere of radius R is stationary under the support
+    # flow and, at r* = R, under the radial flow with the pinned profile;
+    # every row must then hold the ball's closed forms, whatever code the
+    # rows and the public functionals share
+    grid = SphericalGrid.axisym(n, 32) if mode == "axisym" else SphericalGrid.full_s2(16, 32)
+    if kind == "support":
+        field, profile, f_R = sphere_support(grid, radius), None, 1.0
+    else:
+        field, profile = sphere_radial(grid, radius), SpeedProfile.power_exp_pinned(n, radius)
+        f_R = radius ** (1.0 - n)  # f(r*) = r*^(1-n) exp(0)
+    trace = run_flow(field, profile, FlowConfig(kind=kind, k=k, t_end=0.5, output_interval=0.01))
+    assert trace.status == "Converged" and len(trace.rows) >= 2
+    area = sphere_area(n) * radius**n
+    p = (n - k + 1.0) / (n - k) if k < n else 0.0
+    expected = {
+        "Q": f_R ** (n / (n - 1.0)) * area,
+        "M_k": math.comb(n, k - 1) * radius ** (1 - k) * f_R**p * area,
+        "area": area,
+        "volume": area * radius / (n + 1),
+        "r_min": radius,
+        "r_max": radius,
+        **{f"V_{j}": sphere_area(n) * radius ** (n + 1 - j) for j in range(n + 1)},
+    }
+    for row in trace.rows:
+        for key, value in expected.items():
+            assert row[key] == pytest.approx(value, rel=1e-12, abs=0.0), (row["t"], key)
+        assert abs(row["margin"]) <= 1e-12 and abs(row["sphericity"]) <= 1e-12, row["t"]
 
 
 def _broken_run(monkeypatch, kind, break_at):

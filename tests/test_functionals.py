@@ -1,5 +1,6 @@
 """Quermassintegrals and sharp-inequality deficits against sphere closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 
 from curvelab import (
     NonpositiveDensity,
+    NonpositiveSupport,
     ScalarField,
     SphericalGrid,
+    ZeroMeanCurvature,
     ball_quermass,
     ball_quermass_inverse,
     calibrate_sharp_constant,
@@ -17,10 +20,17 @@ from curvelab import (
     monotone_quantities,
     quermassintegrals,
     radial_geometry,
+    sphericity,
+    static_convexity,
     support_geometry,
 )
 from curvelab.errors import ConeViolation
+from curvelab.functionals import _mk_integral
+from curvelab.geometry import (
+    _convexity_margins, _radial_field, _radial_pair, _support_field, _support_radii,
+)
 from curvelab.shapes import (
+    random_convex_support,
     random_starshaped,
     sphere_radial,
     sphere_support,
@@ -61,14 +71,14 @@ def test_quermass_support_parametrization_matches():
     grid = SphericalGrid.axisym(3, 96)
     qr = quermassintegrals(radial_geometry(sphere_radial(grid, 1.4)))
     qs = quermassintegrals(support_geometry(sphere_support(grid, 1.4)))
-    assert np.allclose(qr.values, qs.values, rtol=1e-10)
+    assert np.allclose(qr, qs, rtol=1e-10)
 
 
 def test_quermass_nested_balls_monotone():
     grid = SphericalGrid.axisym(2, 48)
     q1 = quermassintegrals(radial_geometry(sphere_radial(grid, 1.0)))
     q2 = quermassintegrals(radial_geometry(sphere_radial(grid, 1.5)))
-    assert np.all(q2.values[:-1] > q1.values[:-1])
+    assert np.all(q2[:-1] > q1[:-1])
     # the top entry is the Gauss-curvature integral, scale invariant
     assert q2[3] == pytest.approx(q1[3], rel=1e-12)
 
@@ -245,3 +255,95 @@ def test_monotone_quantities_k_equals_n():
     assert mk == pytest.approx(2 * 4 * math.pi, rel=1e-10)
     with pytest.raises(ValueError):
         monotone_quantities(geom, 1.0 + 0.1 * np.cos(grid.theta)[:, None] ** 2, 2)
+
+
+# -- stacks of surfaces ----------------------------------------------------------
+
+STACK_GRIDS = [SphericalGrid.axisym(3, 32), SphericalGrid.full_s2(16, 32)]
+
+
+def _stack(kind, grid, states):
+    """One CurvatureField holding the stack of states, and each state's public field."""
+    if kind == "radial":
+        stacked, public = _radial_field(grid, states, _radial_pair(grid, states)), radial_geometry
+    else:
+        stacked, public = _support_field(grid, states, _support_radii(grid, states)), support_geometry
+    return stacked, [public(ScalarField(grid, u)) for u in states]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("grid", STACK_GRIDS, ids=repr)
+@pytest.mark.parametrize("kind", ["radial", "support"])
+def test_functionals_of_a_stack_equal_their_per_state_calls(kind, grid):
+    # each functional on a 3-state field gives, per state, the bits (and a
+    # float's type) of its call on that state's own field
+    rng = np.random.default_rng(7)
+    draw = random_starshaped if kind == "radial" else random_convex_support
+    states = np.stack([draw(grid, rng, amp=0.1).values for _ in range(3)])
+    stacked, singles = _stack(kind, grid, states)
+    densities = 1.0 + 0.1 * states
+    constants = np.array([0.5, 1.0, 2.0]).reshape((3,) + (1,) * len(grid.node_shape)) + 0.0 * states
+    calls = {
+        "quermassintegrals": lambda g, i: quermassintegrals(g),
+        "margin": lambda g, i: static_convexity(g).margin,
+        "node_margins": lambda g, i: static_convexity(g).node_margins,
+        "sphericity": lambda g, i: sphericity(g),
+        "area": lambda g, i: g.total_area(),
+        "volume": lambda g, i: g.volume(),
+        "radius_stats": lambda g, i: g.radius_stats(),
+        **{f"monotone k={k}": (lambda g, i, k=k: monotone_quantities(g, densities[i], k))
+           for k in range(1, grid.n)},
+        "monotone k=n": lambda g, i: monotone_quantities(g, constants[i], grid.n),
+    }
+    for name, call in calls.items():
+        whole = call(stacked, slice(None))
+        for i, single in enumerate(singles):
+            one = call(single, i)
+            if name == "quermassintegrals":
+                got = whole[:, i]
+            elif isinstance(whole, tuple):
+                got = tuple(part[i] for part in whole)
+                assert all(type(v) is float for v in one), name
+            else:
+                got = whole[i]
+                assert name == "node_margins" or type(one) is float, name
+            assert _same_bits(got, one), (name, i)
+
+
+def _off_centre(grid):
+    """A sphere's support function with h < 0 on part of the sphere: convex, origin outside."""
+    return sphere_support(grid, 0.5, center=0.8 if grid.mode == "axisym" else [0.0, 0.0, 0.8]).values
+
+
+@pytest.mark.parametrize("grid", STACK_GRIDS, ids=repr)
+def test_a_stack_with_one_bad_state_raises_that_states_error(grid):
+    rng = np.random.default_rng(8)
+    good = [random_convex_support(grid, rng, amp=0.1).values for _ in range(2)]
+    states = np.stack([good[0], _off_centre(grid), good[1]])
+    stacked, singles = _stack("support", grid, states)
+    # h <= 0 somewhere: the public margin raises, the rows' margin is NaN for that state
+    for field in (stacked, singles[1]):
+        with pytest.raises(NonpositiveSupport):
+            static_convexity(field)
+    assert np.isnan(_convexity_margins(stacked)[0]).tolist() == [False, True, False]
+
+    stacked, singles = _stack("support", grid, np.stack(good + [good[0]]))
+    kappa1 = stacked.kappa1.copy()
+    kappa1[1].flat[5] = -(grid.n - 1) * stacked.kappa2[1].flat[5]  # H = 0 at one node
+    with pytest.raises(ZeroMeanCurvature):
+        sphericity(dataclasses.replace(stacked, kappa1=kappa1))
+
+    densities = 1.0 + 0.1 * stacked.scalar
+    densities[2].flat[3] = 0.0
+    with pytest.raises(NonpositiveDensity):
+        monotone_quantities(stacked, densities, 1)
+    with pytest.raises(NonpositiveDensity):
+        monotone_quantities(singles[2], densities[2], 1)
+    # k = n needs a constant density on every state
+    with pytest.raises(ValueError, match="constant density"):
+        monotone_quantities(stacked, 1.0 + 0.1 * stacked.scalar, grid.n)
+    assert np.isnan(_mk_integral(stacked, 1.0 + 0.0 * stacked.scalar, grid.n)).tolist() == [False] * 3

@@ -11,7 +11,7 @@ PACKAGE = Path(curvelab.__file__).parent
 ALLOWED = {
     "geometry._radial_pair": "closed-form principal pair per mode",
     "geometry._support_radii": "eigenvalues of b per mode",
-    "geometry._support_field": "inverse metric b^-2 only",
+    "geometry.inverse_metric": "support inverse metric b^-2 only",
     "geometry.centroid": "returns the format SphericalGrid.project takes",
     "shapes.harmonic_mode": "Legendre vs associated Legendre harmonics",
     "shapes._mode_bank": "zonal vs full harmonic bank",
