@@ -32,7 +32,7 @@ reused; the Laplacian term stabilizes the stiff part
 (Smereka, J. Sci. Comput. 19 (2003)), so no Delta theta^2 bound applies; on
 a sphere Delta vanishes, the step is extrapolated explicit Euler on the
 radius ODE and the surface stays round.  An adaptive step is
-min(0.025, 0.025 / a), whatever the output interval, and one below
+min(0.025, 0.04 / a), whatever the output interval, and one below
 1e-12 max(1, t) raises StepCollapse; a diagnostic row is written at the
 first accepted state at or past each output time, and its dt column is the
 step that reached it.  Each candidate state is
@@ -475,11 +475,13 @@ def _kernel(grid: SphericalGrid, profile: SpeedProfile | None, config: "FlowConf
 # interval: _STEP_CAP as the radial sphere-ODE error at 4 levels is 2.2e-8
 # at 0.05 and 1.35e-9 at 0.025, and _SPREAD_CAP, the largest h * a, keeps
 # the solve from spreading a node's speed over more than about sqrt(h a) =
-# 0.16 rad (rough starts, where c_max falls by 1e4, left the flow's range
-# without it).  An adaptive step below _DT_FLOOR * max(1, t) raises
-# StepCollapse: c_max has blown up and t would stall.
+# 0.2 rad (rough starts, where c_max falls by 1e4, left the flow's range
+# without it; the amp-0.3 full-s2 16x32 rough start first leaves it at a
+# cap of 0.07).  So _STEP_CAP binds whenever a <= 1.6.  An adaptive step
+# below _DT_FLOOR * max(1, t) raises StepCollapse: c_max has blown up and
+# t would stall.
 _STEP_CAP = 0.025
-_SPREAD_CAP = 0.025
+_SPREAD_CAP = 0.04
 _DT_FLOOR = 1e-12
 
 

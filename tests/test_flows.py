@@ -456,6 +456,18 @@ def test_support_run_axisym_higher_dimension():
     assert 0.5 * (final["r_min"] + final["r_max"]) == pytest.approx(predicted, rel=1e-3)
 
 
+def _shape_mode_decay_rate_times_radius(h0, k):
+    """gamma R of a support run from h0: gamma fitted to the oscillation over t in [0.5, 1.5]."""
+    grid = h0.grid
+    trace = run_flow(h0, None, FlowConfig(kind="support", k=k, t_end=1.5, osc_tol=1e-12))
+    t, osc = trace.times, trace.values("oscillation")
+    late = t >= 0.5
+    gamma = -np.polyfit(t[late], np.log(osc[late]), 1)[0]
+    radius = float(np.sum(grid.weights * trace.meta["final_state"]) / np.sum(grid.weights))
+    assert late.sum() >= 30
+    return gamma * radius
+
+
 @pytest.mark.parametrize("n, k", [(n, k) for n in (2, 3, 4) for k in range(1, n + 1)])
 def test_support_shape_mode_decays_at_the_linearized_rate(n, k):
     # at a sphere of radius R, dF/dkappa_i = 1/n for every k, so h = R + eps Y_l
@@ -464,13 +476,19 @@ def test_support_shape_mode_decays_at_the_linearized_rate(n, k):
     # only moves R
     grid = SphericalGrid.axisym(n, 64)
     h0 = ScalarField(grid, 1.0 + 0.01 * 0.5 * (3.0 * np.cos(grid.theta) ** 2 - 1.0))
-    trace = run_flow(h0, None, FlowConfig(kind="support", k=k, t_end=1.5, osc_tol=1e-12))
-    t, osc = trace.times, trace.values("oscillation")
-    late = t >= 0.5
-    gamma = -np.polyfit(t[late], np.log(osc[late]), 1)[0]
-    radius = float(np.sum(grid.weights * trace.meta["final_state"]) / np.sum(grid.weights))
-    assert late.sum() >= 30
-    assert abs(gamma / (2.0 * (n + 1) / (n * radius)) - 1.0) < 0.01
+    assert abs(_shape_mode_decay_rate_times_radius(h0, k) / (2.0 * (n + 1) / n) - 1.0) < 0.01
+
+
+@pytest.mark.parametrize("m, k", [(m, k) for m in (1, 2) for k in (1, 2)])
+def test_support_shape_mode_decays_at_the_linearized_rate_on_full_s2(m, k):
+    # the non-zonal degree-2 modes sin theta cos theta cos phi (m = 1) and
+    # sin^2 theta cos 2 phi (m = 2) decay at 3 / R on S^2, as the zonal one
+    # does; 16x32 reads gamma 1.2% slow at m = 2, so the grid is 24x48
+    grid = SphericalGrid.full_s2(24, 48)
+    theta, phi = grid.theta[:, None], grid.phi[None, :]
+    mode = np.sin(theta) ** m * np.cos(theta) ** (2 - m) * np.cos(m * phi)
+    h0 = ScalarField(grid, 1.0 + 0.01 * mode)
+    assert abs(_shape_mode_decay_rate_times_radius(h0, k) / 3.0 - 1.0) < 0.01
 
 
 def test_temporal_order_on_sphere_ode():
@@ -623,10 +641,10 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
         counts.update(dict.fromkeys(counts, 0))
         trace = run_flow(initial, profile, config)
         steps = trace.meta["steps"]
-        # the step is min(0.025, 0.025 / a) whatever the output interval:
-        # support 0.12 / 0.025, radial 0.05 / 0.018 (a = max f / r^2 = 1.38
-        # near r = 0.9)
-        assert steps == (3 if kind is flows._RadialKernel else 5) and not trace.breaches
+        # the step is min(0.025, 0.04 / a) whatever the output interval:
+        # support 0.12 / 0.025, radial 0.05 / 0.025 (a = max f / r^2 = 1.38
+        # near r = 0.9, below 1.6, so the 0.025 cap binds)
+        assert steps == (2 if kind is flows._RadialKernel else 5) and not trace.breaches
         # the levels share the start's speed, which the accepted state's build
         # gives, and rounds 2..L take one speed of the stacked levels each
         assert counts["speed"] == steps * kind.levels
@@ -952,7 +970,7 @@ def test_output_rows_fall_on_every_interval_multiple():
 
 @pytest.mark.parametrize("interval", [0.01, 0.1])
 def test_rows_fall_at_the_first_step_past_each_output_time(interval):
-    # adaptive steps (0.018-0.025 here) cross output times: each output time
+    # adaptive steps (0.025 here) cross output times: each output time
     # gets one row, at the first accepted state at or past it, and the dt
     # column is the step that reached that state
     grid = SphericalGrid.axisym(2, 32)
@@ -962,7 +980,7 @@ def test_rows_fall_at_the_first_step_past_each_output_time(interval):
     t, dt, steps = trace.times, trace.values("dt"), trace.meta["steps"]
     assert trace.status == "TimeExhausted" and t[-1] == trace.t_final
     assert np.all(np.diff(t) > 0)
-    if interval < 0.018:  # every step crosses an output time
+    if interval < 0.025:  # every step crosses an output time
         assert dt[1:-1].min() > interval and len(trace.rows) == steps + 1
     else:
         assert len(trace.rows) < steps + 1
@@ -1209,3 +1227,22 @@ def test_radial_run_from_a_rough_start_converges(grid):
     assert float(r0.values.min()) < 0.2
     assert trace.status == "Converged"
     assert not trace.breaches
+
+
+def test_adaptive_step_is_the_smaller_of_the_two_caps():
+    # h = min(0.025, 0.04 / a): below a = 1.6 the accuracy cap binds, so a
+    # start with c_max in (1, 1.6) steps at 0.025 up to the clipped last step
+    profile = SpeedProfile.power_exp_pinned(2, 1.0)
+    grid = SphericalGrid.axisym(2, 32)
+    r0 = ScalarField(grid, 1.0 + 0.1 * np.cos(2 * grid.theta))
+    config = FlowConfig(kind="radial", t_end=0.26, output_interval=0.01)
+    assert 1.0 < _kernel(grid, profile, config).assess(grid.zonal_filter(r0.values))[1] < 1.6
+    dt = run_flow(r0, profile, config).values("dt")
+    assert len(dt) == 12 and np.all(dt[1:-1] == 0.025) and dt[-1] == pytest.approx(0.01)
+    # above it the spread cap binds: the rough starts' first step is 0.04 / c_max
+    for grid in (SphericalGrid.axisym(2, 64), SphericalGrid.full_s2(16, 32)):
+        r0 = random_starshaped(grid, np.random.default_rng(0), amp=0.3)
+        c_max = _kernel(grid, profile, config).assess(grid.zonal_filter(r0.values))[1]
+        assert c_max > 1.6
+        rough = FlowConfig(kind="radial", t_end=0.1 / c_max, output_interval=0.01 / c_max)
+        assert run_flow(r0, profile, rough).rows[1]["dt"] == 0.04 / c_max
