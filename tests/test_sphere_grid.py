@@ -95,6 +95,36 @@ def test_divergence_free_laplacian_integral():
     assert abs(grid.integrate(lap)) < 1e-8 * max(norm, 1.0)
 
 
+def _laplacian(grid, v):
+    hess = grid.hessian_components(v)
+    return hess[0] + (grid.n - 1) * hess[1] if grid.mode == "axisym" else hess[0] + hess[2]
+
+
+@pytest.mark.parametrize("grid", [SphericalGrid.full_s2(24, 48), SphericalGrid.axisym(2, 24)], ids=repr)
+def test_laplacian_sums_by_parts_under_the_weights(grid):
+    # the n = 2 weights are in detailed balance with the theta stencil, so on
+    # any fields the discrete Laplacian integrates to zero and is self-adjoint,
+    # to round-off against the integrals of the terms' magnitudes
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        u, v = rng.standard_normal((2,) + grid.node_shape)
+        lap_u, lap_v = _laplacian(grid, u), _laplacian(grid, v)
+        assert abs(grid.integrate(lap_v)) <= 1e-12 * grid.integrate(np.abs(lap_v))
+        scale = grid.integrate(np.abs(u * lap_v) + np.abs(v * lap_u))
+        assert abs(grid.integrate(u * lap_v - v * lap_u)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("mode, n", [("full-s2", 2)] + [("axisym", n) for n in range(2, 8)])
+@pytest.mark.parametrize("n_theta", [4, 5, 24, 64])
+def test_weights_are_positive_and_sum_to_the_sphere_area(mode, n, n_theta):
+    grid = SphericalGrid(mode, n, n_theta, 2 * n_theta if mode == "full-s2" else None)
+    assert (grid.weights > 0).all()
+    assert grid.weights.sum() == pytest.approx(sphere_area(n), rel=1e-13)
+    if n >= 3:  # summation by parts would need a negative pole weight: sin^(n-1) theta cells
+        raw = sphere_area(n - 1) * grid.sin_t ** (n - 1) * grid.dtheta
+        assert _same_bits(grid.weights, raw * (sphere_area(n) / raw.sum()))
+
+
 @pytest.mark.parametrize("mode", ["full-s2", "axisym"])
 def test_refinement_order_two(mode):
     errors = []
