@@ -369,22 +369,22 @@ def sphericity(field: CurvatureField):
     return grid.reduce(field.n * field.A2 / H**2 - 1.0, "max")
 
 
-def centroid(field: CurvatureField | ScalarField):
+def centroid(field: CurvatureField):
     """Area-weighted centroid of the surface (Steiner point approximation).
 
-    ``field`` is a CurvatureField, or a ScalarField read as a radial function
-    r, whose centroid is formed from r and one gradient without curvature.
     Returns a 3-vector on full-s2 grids.  On axisymmetric grids the orbit
     components vanish by symmetry and the axis component is returned alone.
     """
-    grid = field.grid
-    if isinstance(field, ScalarField):
-        r = field.values  # the area element and position of _radial_field
-        rho = np.sqrt(r * r + sum(d * d for d in grid.gradient(r)))
-        w, position = grid.weights * (r ** (grid.n - 1) * rho), r[..., None] * grid.xi()
-    else:
-        w, position = field.area_weights, field.position
+    grid, w, position = field.grid, field.area_weights, field.position
     area = np.sum(w)
     if grid.mode == "full-s2":
         return np.asarray([float(np.sum(w * position[..., i])) for i in range(3)]) / area
     return float(np.sum(w * position[..., 1]) / area)
+
+
+def _radial_centroid(grid: SphericalGrid, r: np.ndarray):
+    """centroid of the radial graph r xi from r and one gradient pass, with the area
+    element r^(n-1) rho of _radial_field and no position or curvature arrays."""
+    rho = np.sqrt(r * r + sum(d * d for d in grid.gradient(r)))
+    w = grid.weights * (r ** (grid.n - 1) * rho)
+    return grid.moment(w * r) / np.sum(w)

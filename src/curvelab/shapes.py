@@ -14,6 +14,9 @@ Random surfaces are low-degree zonal/spherical-harmonic perturbations of the
 unit sphere with coefficients drawn uniformly from [-amp, amp], rejection
 sampled against the geometric validity predicate, and recentred at the
 area-weighted centroid so that origin-dependent quantities are reproducible.
+A radial body is recentred by a Broyden secant solve for its translation to
+1e-9 base, and a draw whose solve fails is redrawn; a convex body takes one
+Steiner step.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import functools
 import numpy as np
 
 from .errors import ConvexityLost, NotStarshaped
-from .geometry import centroid, support_geometry
+from .geometry import _radial_centroid, centroid, support_geometry
 from .sphere_grid import ScalarField, SphericalGrid
 
 __all__ = [
@@ -142,6 +145,8 @@ def _mode_bank(grid: SphericalGrid, lmax: int):
 
 # rejection-sampling budget of the random generators
 _MAX_TRIES = 100
+# centroid evaluations random_starshaped's recentring may spend on one draw
+_RECENTRE_EVALS = 12
 
 
 @functools.lru_cache(maxsize=8)
@@ -167,6 +172,33 @@ def _convexity_normalized_modes(grid: SphericalGrid, lmax: int):
     return tuple(scaled)
 
 
+def _recentred(grid: SphericalGrid, r0: np.ndarray, base: float):
+    """r0 - <c, xi> with its centroid below 1e-9 base, or None.
+
+    c solves centroid(r0 - <c, xi>) = 0 by Broyden's secant update of the
+    inverse Jacobian (Broyden, Math. Comp. 19 (1965) 577-593), started at -I,
+    since a translation by c moves the centroid by -c: the first step is the
+    Steiner step c = centroid(r0).  None when an iterate has min r <= 0.05
+    base or _RECENTRE_EVALS centroids do not reach the tolerance.
+    """
+    f, tol = _radial_centroid(grid, r0), 1e-9 * base
+    shape, f = np.shape(f), np.atleast_1d(f)
+    c, r, inverse = np.zeros_like(f), r0, -np.eye(f.size)
+    for _ in range(_RECENTRE_EVALS - 1):
+        if np.abs(f).max() < tol:
+            return r
+        step = -(inverse @ f)
+        c = c + step
+        r = r0 - grid.project(c.reshape(shape))
+        if not r.min() > 0.05 * base:
+            return None
+        f_next = np.atleast_1d(_radial_centroid(grid, r))
+        y, s_inverse = f_next - f, step @ inverse
+        inverse = inverse + np.outer(step - inverse @ y, s_inverse) / (s_inverse @ y)
+        f = f_next
+    return r if np.abs(f).max() < tol else None
+
+
 def random_starshaped(
     grid: SphericalGrid,
     rng: np.random.Generator,
@@ -176,11 +208,11 @@ def random_starshaped(
 ) -> ScalarField:
     """Seeded random starshaped surface r = base (1 + sum a_i Y_i), a_i ~ U[-amp, amp].
 
-    Rejection-resamples until min r > 0.05 base (base must be positive);
-    recentring subtracts the first-order translation <c, xi> of the
-    area-weighted centroid, an O(amp^3) Steiner-point approximation, up to
-    12 times until the centroid is below 1e-9 base.  The centroid needs
-    only r and its gradient, so no curvature is computed.
+    Translated so that its area-weighted centroid is below 1e-9 base (see
+    _recentred, at most 12 centroids from r and one gradient each, with no
+    curvature).  Rejection-resamples the coefficients until min r > 0.05
+    base (base must be positive) before and during recentring, and when
+    recentring does not converge.
     """
     if not base > 0.0:
         raise ValueError(f"base radius must be positive, got {base!r}")
@@ -190,16 +222,9 @@ def random_starshaped(
         r = base * (1.0 + sum(a * y for a, y in zip(coeff, modes)))
         if r.min() <= 0.05 * base:
             continue
-        field = ScalarField(grid, r)
-        for _ in range(12):
-            c = centroid(field)
-            if float(np.max(np.abs(c))) < 1e-9 * base:
-                break
-            r = field.values - grid.project(c)
-            if r.min() <= 0.05 * base:
-                break
-            field = ScalarField(grid, r)
-        return field
+        r = _recentred(grid, r, base)
+        if r is not None:
+            return ScalarField(grid, r)
     raise NotStarshaped(f"no valid starshaped sample after {_MAX_TRIES} tries")
 
 

@@ -366,6 +366,16 @@ class SphericalGrid:
         want = "a scalar axis offset" if self.mode == "axisym" else "a 3-vector"
         raise ValueError(f"{self.mode} grids take {want}, got shape {c.shape}")
 
+    def moment(self, v):
+        """Sum over the nodes of v xi, in the format project takes: project's adjoint.
+
+        A 3-vector on full-s2 grids; the axis component alone on axisymmetric
+        ones, where the orbit components of an axisymmetric v vanish.
+        """
+        if self.mode == "axisym":
+            return float(v @ self.cos_t)
+        return v.reshape(-1) @ self._xi.reshape(-1, 3)
+
     def zonal(self, v) -> np.ndarray:
         """A new node array holding the per-row values v (one per colatitude)."""
         return np.broadcast_to(np.reshape(v, self._sin.shape), self.node_shape).astype(float)

@@ -1238,16 +1238,20 @@ def test_run_flow_rejects_a_bad_start_before_any_step(monkeypatch, grid):
             run_flow(initial, profile, FlowConfig(kind=kind, t_end=1.0))
 
 
-@pytest.mark.parametrize("grid", [SphericalGrid.axisym(2, 64), SphericalGrid.full_s2(16, 32)], ids=repr)
-def test_radial_run_from_a_rough_start_converges(grid):
-    # r_min starts at 0.19 (axisym) or 0.055 (full-s2), where c_max = f / r^2
+# amp-0.3 starts drawn with these seeds keep a small r_min once centred
+ROUGH_STARTS = [(SphericalGrid.axisym(2, 64), 0, 0.2), (SphericalGrid.full_s2(16, 32), 1, 0.06)]
+
+
+@pytest.mark.parametrize("grid, seed, r_min", ROUGH_STARTS, ids=[repr(g) for g, _, _ in ROUGH_STARTS])
+def test_radial_run_from_a_rough_start_converges(grid, seed, r_min):
+    # r_min starts at 0.195 (axisym) or 0.054 (full-s2), where c_max = f / r^2
     # is ~200 or ~1e4 times its final value; the step must follow c_max down
     # and keep h a small, or the solve smears the fast region's speed over
     # the body and r leaves its initial range
-    r0 = random_starshaped(grid, np.random.default_rng(0), amp=0.3)
+    r0 = random_starshaped(grid, np.random.default_rng(seed), amp=0.3)
     trace = run_flow(r0, SpeedProfile.power_exp_pinned(2, 1.0),
                      FlowConfig(kind="radial", t_end=3.0, output_interval=0.05))
-    assert float(r0.values.min()) < 0.2
+    assert float(r0.values.min()) < r_min
     assert trace.status == "Converged"
     assert not trace.breaches
 
@@ -1263,8 +1267,8 @@ def test_adaptive_step_is_the_smaller_of_the_two_caps():
     dt = run_flow(r0, profile, config).values("dt")
     assert len(dt) == 12 and np.all(dt[1:-1] == 0.025) and dt[-1] == pytest.approx(0.01)
     # above it the spread cap binds: the rough starts' first step is 0.04 / c_max
-    for grid in (SphericalGrid.axisym(2, 64), SphericalGrid.full_s2(16, 32)):
-        r0 = random_starshaped(grid, np.random.default_rng(0), amp=0.3)
+    for grid, seed, _ in ROUGH_STARTS:
+        r0 = random_starshaped(grid, np.random.default_rng(seed), amp=0.3)
         c_max = _kernel(grid, profile, config).assess(grid.zonal_filter(r0.values))[1]
         assert c_max > 1.6
         rough = FlowConfig(kind="radial", t_end=0.1 / c_max, output_interval=0.01 / c_max)

@@ -18,7 +18,6 @@ from curvelab import (
 )
 from curvelab.geometry import centroid
 from curvelab.shapes import (
-    _mode_bank,
     harmonic_mode,
     random_convex_support,
     random_starshaped,
@@ -398,38 +397,44 @@ def test_random_starshaped_reproducible_and_recentred():
     f2 = random_starshaped(grid, np.random.default_rng(5), amp=0.25)
     assert np.array_equal(f1.values, f2.values)
     geom = radial_geometry(f1)
-    assert np.abs(centroid(geom)).max() < 1e-4
-
-
-def starshaped_reference(grid, seed, amp, base=1.0):
-    """random_starshaped's draw and recentring on full geometry builds."""
-    rng = np.random.default_rng(seed)
-    modes = _mode_bank(grid, 4)
-    for _ in range(100):
-        coeff = rng.uniform(-amp, amp, size=len(modes))
-        r = base * (1.0 + sum(a * y for a, y in zip(coeff, modes)))
-        if r.min() > 0.05 * base:
-            break
-    else:
-        raise AssertionError("no starshaped draw")
-    field = ScalarField(grid, r)
-    for _ in range(12):
-        c = centroid(radial_geometry(field))
-        if np.abs(c).max() < 1e-9 * base:
-            break
-        r = field.values - grid.project(c)
-        if r.min() <= 0.05 * base:
-            break
-        field = ScalarField(grid, r)
-    return field.values
+    assert np.abs(centroid(geom)).max() < 1e-9
 
 
 @pytest.mark.parametrize("grid", [SphericalGrid.axisym(2, 40), SphericalGrid.full_s2(24, 48)],
                          ids=["axisym 40", "full-s2 24x48"])
-def test_random_starshaped_recentres_like_full_geometry_bit_for_bit(grid):
-    for seed, amp in ((0, 0.1), (1, 0.25), (2, 0.3), (0, 0.4)):  # full-s2 (0, 0.4) redraws 7 times
-        got = random_starshaped(grid, np.random.default_rng(seed), amp=amp).values
-        assert got.tobytes() == starshaped_reference(grid, seed, amp).tobytes()
+def test_random_starshaped_is_centred_to_its_tolerance(grid):
+    # the full-geometry centroid, not the recentring's own, must meet 1e-9 base
+    for seed, amp, base in ((0, 0.1, 1.0), (1, 0.25, 1.0), (2, 0.3, 1.0), (0, 0.4, 1.0), (3, 0.3, 2.5)):
+        field = random_starshaped(grid, np.random.default_rng(seed), amp=amp, base=base)
+        assert np.abs(centroid(radial_geometry(field))).max() < 1e-9 * base
+
+
+def test_random_starshaped_centres_rough_draws():
+    # amp 0.3 on full-s2 16x32 draws bodies with min r down to about 0.05
+    grid = SphericalGrid.full_s2(16, 32)
+    for seed in range(20):
+        field = random_starshaped(grid, np.random.default_rng(seed), amp=0.3)
+        assert field.values.min() > 0.05
+        assert np.abs(centroid(radial_geometry(field))).max() < 1e-9, seed
+
+
+def test_random_starshaped_redraws_when_recentring_does_not_converge(monkeypatch):
+    from curvelab import shapes
+
+    # with 5 centroids, amp-0.05 draws on 16x32 often stop above 1e-9 and are drawn again
+    monkeypatch.setattr(shapes, "_RECENTRE_EVALS", 5)
+    grid, rng, draws = SphericalGrid.full_s2(16, 32), np.random.default_rng(1), []
+
+    class CountingRng:
+        def uniform(self, *args, **kwargs):
+            draws.append(1)
+            return rng.uniform(*args, **kwargs)
+
+    field = random_starshaped(grid, CountingRng(), amp=0.05)
+    assert len(draws) > 1 and np.abs(centroid(radial_geometry(field))).max() < 1e-9
+    monkeypatch.setattr(shapes, "_RECENTRE_EVALS", 2)  # no draw is centred in 2
+    with pytest.raises(NotStarshaped, match="no valid starshaped sample"):
+        random_starshaped(grid, np.random.default_rng(1), amp=0.05)
 
 
 def test_random_starshaped_needs_a_positive_base():
