@@ -14,24 +14,10 @@ elementary symmetric functions that make the flows tick.
 """
 
 from . import errors
-from .errors import (
-    AssumptionViolated,
-    ConeViolation,
-    ConfigError,
-    ConvexityLost,
-    CurveLabError,
-    DegenerateMetric,
-    InsufficientData,
-    NonpositiveDensity,
-    NonpositiveSupport,
-    NotStarshaped,
-    StepCollapse,
-    ZeroMeanCurvature,
-)
+from .errors import ConfigError, CurveLabError, StepCollapse
 from .symfunc import (
     curvature_quotient,
     curvature_quotient_gradient,
-    ek_derivative_eigen,
     ek_derivative_tensor,
     elementary_symmetric,
     gamma_cone_member,
@@ -40,28 +26,21 @@ from .symfunc import (
 )
 from .sphere_grid import ScalarField, SphericalGrid
 from .geometry import (
-    CurvatureField,
-    StaticConvexityReport,
     radial_geometry,
     sphericity,
     static_convexity,
     support_geometry,
 )
 from .functionals import (
-    DeficitReport,
     ball_quermass,
     ball_quermass_inverse,
-    calibrate_sharp_constant,
     michael_simon_deficit_H,
     michael_simon_deficit_k,
     monotone_quantities,
     quermassintegrals,
-    sphere_area,
 )
 from .flows import (
-    DecayFit,
     FlowConfig,
-    FlowTrace,
     SpeedProfile,
     estimate_decay_rate,
     run_flow,

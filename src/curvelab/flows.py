@@ -37,13 +37,13 @@ radial and (0.1, 0.035) support, whatever the output interval, and one below
 1e-12 max(1, t) raises StepCollapse; a diagnostic row is written at the
 first accepted state at or past each output time, and its dt column is the
 step that reached it.  Each candidate state is
-assessed from one build of its principal pair (curvatures radial, radii
-support) for its monitored integral (Q or M_k), its c_max and the
-convergence test; once the state is accepted, that one build also gives
-the next step's start speed and the arrays its diagnostic row reads.  Rows
-are computed in batches: the public functionals on one CurvatureField that
-holds the queued states as a stack, so a row error surfaces once its batch
-is.  Each step is taken once: a geometry error raises StepCollapse, with the
+assessed from one build, a CurvatureField: its monitored integral (Q or
+M_k, the functional its trace column reads), its c_max and the convergence
+test; once the state is accepted, that field also gives the next step's
+start speed.  The substep speeds build the principal pair alone.  Rows are
+computed in batches: the public functionals on one CurvatureField, the
+build of a state that fills a batch alone or one build of the held states'
+stack, so a row error surfaces once its batch is.  Each step is taken once: a geometry error raises StepCollapse, with the
 partial trace and every row queued before it.  A rise of the monitored
 integral is recorded: each rise above 1e-8 relative as an event, and their
 sum relative to the start as meta["mono_rise"].  A rise that a smaller step
@@ -338,11 +338,11 @@ def validate_support_profile(
 # stepper kernels
 #
 # A kernel evaluates one flow on one grid: ``speed`` is the right-hand side
-# of the stepper, and ``assess`` builds a candidate state's principal pair
-# once and returns (monotone integral, c_max at that state, converged,
-# build); ``speed`` and ``row_parts`` read a build the caller has, so an
-# accepted state is built only once, and ``row_field`` makes one
-# CurvatureField of a stack of row_parts.
+# of the stepper, ``build`` makes the CurvatureField of a state or of a
+# stack of states, and ``assess`` builds a candidate state once and returns
+# (monotone integral, c_max at that state, converged, field).  ``speed``
+# reads a field the caller has, so an accepted state is built only once;
+# without one it builds the principal pair alone.
 
 _GEOM_ERRORS = (NotStarshaped, ConvexityLost, DegenerateMetric)
 
@@ -364,49 +364,46 @@ class _RadialKernel:
         self.config = config
         self.n = grid.n
 
-    def speed(self, r: np.ndarray, pair=None) -> np.ndarray:
-        """dr/dt at r, or at each state of a stack r, from its _radial_pair
-        when the caller has built it."""
+    def build(self, r: np.ndarray) -> CurvatureField:
+        """The CurvatureField of r, or of a stack r."""
+        return _radial_field(self.grid, r, _radial_pair(self.grid, r))
+
+    def speed(self, r: np.ndarray, geom: CurvatureField | None = None) -> np.ndarray:
+        """dr/dt at r, or at each state of a stack r, from its field when the
+        caller has built it."""
         n = self.n
-        kappa1, kappa2, rho, _ = _radial_pair(self.grid, r) if pair is None else pair
+        if geom is None:
+            kappa1, kappa2, rho, _ = _radial_pair(self.grid, r)
+        else:
+            kappa1, kappa2, rho = geom.kappa1, geom.kappa2, geom.metric_source
         H = kappa1 + (n - 1) * kappa2
         v = rho / r  # sqrt(1 + |grad r|^2 / r^2)
         f, fp = self.profile.f_df(r)
         return -(f * H + n / (n - 1.0) * fp * v) * v
 
     def assess(self, r: np.ndarray):
-        """(Q, c_max = max f / r^2, converged, pair) from one _radial_pair of r.
+        """(Q, c_max = max f / r^2, converged, field) from one build of r.
 
         Q = int f^(n/(n-1)) dmu; the run has converged once max |grad r| <
         grad_tol and |fhat(mean r)| < hatf_tol.  A state with a nonpositive
         or non-finite radius raises NotStarshaped or DegenerateMetric.
         """
         g, n, config = self.grid, self.n, self.config
-        pair = _radial_pair(g, r)
-        _, _, rho, grad = pair
+        geom = self.build(r)
         f = self.profile.f(r)
-        dmu = r ** (n - 1) * rho
-        value = float(np.sum(g.weights * f ** (n / (n - 1.0)) * dmu))
         c_max = float(np.max(f / (r * r)))
         rmean = float(np.sum(g.weights * r) / np.sum(g.weights))
         hat = abs(float(self.profile.hat(rmean, n)))
-        grad_max = float(np.sqrt(sum(d * d for d in grad)).max())
+        grad_max = float(np.sqrt(sum(d * d for d in geom.grad)).max())
         converged = grad_max < config.grad_tol and hat < config.hatf_tol
-        return value, c_max, converged, pair
-
-    def row_parts(self, r: np.ndarray, pair) -> tuple:
-        """What r's diagnostic row reads, flat: (r, kappa1, kappa2, rho, *grad)."""
-        return (r, *pair[:3], *pair[3])
-
-    def row_field(self, r, kappa1, kappa2, rho, *grad) -> CurvatureField:
-        """The CurvatureField of row_parts, or of a stack of them."""
-        return _radial_field(self.grid, r, (kappa1, kappa2, rho, grad))
+        return _q_integral(geom, f), c_max, converged, geom
 
 
 class _SupportKernel:
     """Fused support-flow evaluations: dh/dt = 1 - h E_k / E_{k-1}.
 
-    Works from the principal radii alone, so no step builds a full geometry.
+    An unassessed speed builds the principal radii and their sigma alone;
+    an assessed state's field gives its speed and its diagnostic row.
     """
 
     # depth 2 misses AC-10's support probe (2.17e-2 against 1e-2); depth 4
@@ -429,34 +426,34 @@ class _SupportKernel:
         self.n = grid.n
         self.k = config.k
 
-    def _radii(self, h: np.ndarray):
-        """The build of h: its _support_radii and sigma_0..sigma_n of the curvatures."""
-        radii = _support_radii(self.grid, h)
-        return radii, sigma_pair(1.0 / radii[0], 1.0 / radii[1], self.n)
+    def build(self, h: np.ndarray) -> CurvatureField:
+        """The CurvatureField of h, or of a stack h."""
+        return _support_field(self.grid, h, _support_radii(self.grid, h))
 
-    def speed(self, h: np.ndarray, build=None) -> np.ndarray:
-        """dh/dt at h, or at each state of a stack h, from its build when the
-        caller has made it."""
-        _, sig = self._radii(h) if build is None else build
+    def speed(self, h: np.ndarray, geom: CurvatureField | None = None) -> np.ndarray:
+        """dh/dt at h, or at each state of a stack h, from its field when the
+        caller has built it."""
+        if geom is None:
+            rho1, rho2, _, _ = _support_radii(self.grid, h)
+            sig = sigma_pair(1.0 / rho1, 1.0 / rho2, self.n)
+        else:
+            sig = geom.sigma
         return 1.0 - h * sigma_quotient(sig, self.k)
 
     def assess(self, h: np.ndarray):
-        """(M_k, c_max, converged, build) from one build of the radii.
+        """(M_k, c_max, converged, field) from one build of h.
 
-        M_k = int sigma_{k-1} g(h) dmu with g = f^((n-k+1)/(n-k)); the run has
-        converged once (max h - min h) / mean h < osc_tol.  The principal
-        coefficients h kappa_i^2 dF/dkappa_i take dF/dkappa from the sigma
-        pair: d sigma_j / d kappa1 = C(n-1, j-1) kappa2^(j-1), and d sigma_j /
+        M_k = int sigma_{k-1} g(h) dmu with g = f^((n-k+1)/(n-k)), and g = 1
+        at k = n, which admits constant profiles only; the run has converged
+        once (max h - min h) / mean h < osc_tol.  The principal coefficients
+        h kappa_i^2 dF/dkappa_i take dF/dkappa from the sigma pair:
+        d sigma_j / d kappa1 = C(n-1, j-1) kappa2^(j-1), and d sigma_j /
         d kappa2 is sigma_(j-1) of the curvatures less one kappa2.
         """
         g, n, k, config = self.grid, self.n, self.k, self.config
-        build = self._radii(h)
-        (rho1, rho2, _, _), sig = build
-        # k = n admits constant profiles only, and constant factors do not matter
-        g_factor = 1.0 if k == n else self.profile.f(h) ** ((n - k + 1.0) / (n - k))
-        dmu = rho1 * rho2 ** (n - 1)
-        value = float(np.sum(g.weights * sig[k - 1] * g_factor * dmu))
-        kap1, kap2 = 1.0 / rho1, 1.0 / rho2
+        geom = self.build(h)
+        value = _mk_integral(geom, np.ones_like(h) if k == n else self.profile.f(h), k)
+        kap1, kap2, sig = geom.kappa1, geom.kappa2, geom.sigma
         less2 = sigma_pair(kap1, kap2, n - 1)
         # d sigma_k (d) and d sigma_(k-1) (e) by kappa1 and by one kappa2
         d1, d2 = math.comb(n - 1, k - 1) * kap2 ** (k - 1), less2[k - 1]
@@ -466,18 +463,7 @@ class _SupportKernel:
         c2 = kap2**2 * scale * (d2 * sig[k - 1] - sig[k] * e2)
         c_max = float(np.max(np.abs(h) * np.maximum(c1, c2)))
         hmean = float(np.sum(g.weights * h) / np.sum(g.weights))
-        return value, c_max, float((h.max() - h.min()) / hmean) < config.osc_tol, build
-
-    def row_parts(self, h: np.ndarray, build) -> tuple:
-        """What h's diagnostic row reads, flat: (h, rho1, rho2, *b, *grad, sigma_1..sigma_n)."""
-        (rho1, rho2, b, grad), sig = build
-        return (h, rho1, rho2, *b, *grad, *sig[1:])
-
-    def row_field(self, h, rho1, rho2, *rest) -> CurvatureField:
-        """The CurvatureField of row_parts, or of a stack of them, with the build's sigma."""
-        dims = len(self.grid.node_shape)  # b has dims + 1 components, grad dims
-        b, grad, sig = rest[:dims + 1], rest[dims + 1:2 * dims + 1], rest[2 * dims + 1:]
-        return _support_field(self.grid, h, (rho1, rho2, b, grad), [1.0, *sig])
+        return value, c_max, float((h.max() - h.min()) / hmean) < config.osc_tol, geom
 
 
 def _kernel(grid: SphericalGrid, profile: SpeedProfile | None, config: "FlowConfig"):
@@ -643,17 +629,16 @@ class FlowTrace:
 _ROW_BATCH_NODES = 256
 
 
-def _diagnostic_row(kernel, parts, ts, dts) -> list:
+def _diagnostic_row(kernel, states, builds, ts, dts) -> list:
     """The diagnostic rows of accepted states: the public functionals on one stacked field.
 
-    One state's row_parts are read as views, several states' packed parts
-    stacked, and kernel.row_field makes one CurvatureField of them.  Each
-    column has the bits, and each error the type, of a call on its state
-    alone, but a state with some h <= 0 gets a NaN margin and M_n under a
-    non-constant density is NaN."""
-    grid, count = kernel.grid, len(parts)
-    fields = [part[None] for part in parts[0]] if count == 1 else np.stack(parts).swapaxes(0, 1)
-    geom = kernel.row_field(*fields)
+    A state that fills a batch alone brings its build; states that share a
+    batch bring no build, and kernel.build makes one field of their stack.
+    Each column has the bits, and each error the type, of a call on its
+    state alone, but a state with some h <= 0 gets a NaN margin and M_n
+    under a non-constant density is NaN."""
+    grid = kernel.grid
+    geom = builds[0] if builds[0] is not None else kernel.build(np.stack(states))
     u = geom.scalar
     f = _density_values(geom, kernel.profile.f(u))
     r_min, r_max = geom.radius_stats()
@@ -666,7 +651,7 @@ def _diagnostic_row(kernel, parts, ts, dts) -> list:
         "r_min": r_min, "r_max": r_max, "area": geom.total_area(), "volume": geom.volume(),
         **{f"V_{j}": v for j, v in enumerate(quermassintegrals(geom)[:-1])},
     }
-    values = zip(ts, dts, *(column.tolist() for column in columns.values()))
+    values = zip(ts, dts, *(np.atleast_1d(column).tolist() for column in columns.values()))
     return [dict(zip(["t", "dt", *columns], row)) for row in values]
 
 
@@ -725,9 +710,8 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
     next_output = output_interval
     row_tol = 1e-9 * output_interval  # t += dt drifts off the output times and t_end
 
-    def queue_row(state, build, t, dt):  # a batch of several states holds packed copies, not builds
-        parts = kernel.row_parts(state, build)
-        queue.append((np.stack(parts) if state.size < _ROW_BATCH_NODES else parts, t, dt))
+    def queue_row(state, build, t, dt):  # states that share a batch are built there, as one stack
+        queue.append((state, build if state.size >= _ROW_BATCH_NODES else None, t, dt))
 
     def flush(at_nodes=0):
         if queue and len(queue) * state.size >= at_nodes:
@@ -743,7 +727,7 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
         finish("error:StepCollapse")
         raise StepCollapse(message, trace) from cause
 
-    queue = []  # (row parts, t, dt) of the states awaiting their rows
+    queue = []  # (state, build or None, t, dt) of the states awaiting their rows
     queue_row(state, build, 0.0, 0.0)
     status = "TimeExhausted"
     while t < config.t_end - row_tol:
@@ -756,8 +740,10 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
                 collapse(f"adaptive step {dt:.3g} at t = {t:.6g} is below the floor")
         dt = min(dt, config.t_end - t)
         # the state's build gives the start speed and is dropped: holding it
-        # across the step (or a batch's queued builds, radial-axisym) or taking
-        # the speed inside assess raised peak RSS by 0.1-0.2 MB
+        # across the step or taking the speed inside assess raised peak RSS by
+        # 0.1-0.2 MB, and queueing the builds of 40-node states (radial-axisym)
+        # raised it by about 0.19 MB in 10 of 10 pairs, where holding the
+        # states and building each batch once did not
         start, build = kernel.speed(state, build), None
         try:
             new_state = _extrapolated_step(kernel, state, dt, a, start)
@@ -848,10 +834,8 @@ def area_evolution_consistency(
     grid = initial.grid
     kernel = _kernel(grid, profile, config)
 
-    def rate(u, build):
-        geom = _radial_field(grid, u, build) if config.kind == "radial" else _support_field(grid, u, *build)
-        speed = kernel.speed(u, build)
-        phi = speed / (u / geom.support) if config.kind == "radial" else speed  # v = r / <X, nu>
+    def rate(u, geom):
+        phi = kernel.speed(u, geom) / (u / geom.support)  # v = r / <X, nu>; 1 for support, h = <X, nu>
         return float(np.sum(geom.area_weights * geom.H * phi)), geom.total_area()
 
     # states are treated exactly as the integrator treats accepted states

@@ -29,11 +29,11 @@ multiplicities 1 and n - 1 (the 2x2 eigenvalues on full-s2 grids, the
 meridional and azimuthal values on axisymmetric ones).  _radial_pair and
 _support_radii compute that pair once per parametrization for both grid
 modes, from one derivative pass; _radial_field and _support_field finish a
-CurvatureField from it, so the flow kernels can build the pair once and
-reuse it for the speed, the assessment and the diagnostic row.  A field may
-hold a stack of surfaces, and static_convexity, sphericity and the field's
-integrals then give one value per surface: the diagnostic rows are these
-functionals on one field holding a batch of states.
+CurvatureField from it, which is a flow kernel's build of a state: its
+assessment, its start speed and its diagnostic row read that one field.  A
+field may hold a stack of surfaces, and static_convexity, sphericity and
+the field's integrals then give one value per surface: the diagnostic rows
+are these functionals on one field holding a batch of states.
 """
 
 from __future__ import annotations
@@ -311,17 +311,13 @@ def _support_radii(grid: SphericalGrid, h: np.ndarray):
     return rho1, rho2, b, grad
 
 
-def _support_field(grid: SphericalGrid, h: np.ndarray, radii, sigma=None) -> CurvatureField:
+def _support_field(grid: SphericalGrid, h: np.ndarray, radii) -> CurvatureField:
     """Extrinsic geometry of the body with support function h, or of a stack h,
-    from its _support_radii result; ``sigma`` is the build's sigma_pair of
-    the curvatures 1 / rho, when the caller has it."""
+    from its _support_radii result."""
     rho1, rho2, b, grad = radii
-    field = CurvatureField(
+    return CurvatureField(
         grid, "support", grid.n, h, grad, 1.0 / rho1, 1.0 / rho2, rho1 * rho2 ** (grid.n - 1), h, b,
     )
-    if sigma is not None:
-        field.__dict__["sigma"] = sigma  # the cached property's value
-    return field
 
 
 def support_geometry(field: ScalarField) -> CurvatureField:

@@ -9,20 +9,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from curvelab import (
-    AssumptionViolated,
-    ConvexityLost,
     CurveLabError,
-    DegenerateMetric,
     FlowConfig,
-    FlowTrace,
-    InsufficientData,
-    NonpositiveSupport,
-    NotStarshaped,
     ScalarField,
     SphericalGrid,
     SpeedProfile,
     StepCollapse,
-    ZeroMeanCurvature,
     estimate_decay_rate,
     monotone_quantities,
     quermassintegrals,
@@ -34,10 +26,18 @@ from curvelab import (
     validate_radial_profile,
     validate_support_profile,
 )
-from curvelab.flows import (
-    area_evolution_consistency, _extrapolated_step, _kernel, _RadialKernel, _SupportKernel,
+from curvelab.errors import (
+    AssumptionViolated,
+    ConvexityLost,
+    DegenerateMetric,
+    InsufficientData,
+    NonpositiveSupport,
+    NotStarshaped,
+    ZeroMeanCurvature,
 )
-from curvelab.geometry import _radial_field, _support_field
+from curvelab.flows import (
+    FlowTrace, area_evolution_consistency, _extrapolated_step, _kernel, _RadialKernel, _SupportKernel,
+)
 from curvelab.shapes import (
     random_convex_support, random_starshaped, sphere_radial, sphere_support, spheroid_support,
 )
@@ -597,9 +597,9 @@ def test_q_rate_matches_monotonicity_integrand():
 def test_each_accepted_state_is_assessed_once(monkeypatch):
     # a step builds the principal pair once per round of substep speeds and
     # once in its assessment; that build also gives the next step's start
-    # speed and the arrays of the state's diagnostic row (and the conserved
-    # integral), which a batch computes once from them, so no pair is built
-    # inside a row and no separate gradient is taken
+    # speed, and the diagnostic row (and the conserved integral) of a state
+    # that fills a batch alone; states that share a batch are built once
+    # more there, as one stack, and no separate gradient is taken
     from curvelab import flows, geometry
 
     counts = {"pair": 0, "speed": 0, "grad": 0, "derivatives": 0, "pair in row": 0, "rows": 0}
@@ -615,9 +615,9 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
             return build(*args)
         return wrapped
 
-    def counted_speed(self, u, build=None):
+    def counted_speed(self, u, geom=None):
         counts["speed"] += 1
-        return speeds[type(self)](self, u, build)
+        return speeds[type(self)](self, u, geom)
 
     def counted_gradient(self, v):
         counts["grad"] += 1
@@ -627,11 +627,11 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
         counts["derivatives"] += 1
         return derivatives(self, v, hessian)
 
-    def flagged_row(kernel, parts, *rest):
+    def flagged_row(kernel, states, *rest):
         in_row[0] = True
-        counts["rows"] += len(parts)
+        counts["rows"] += len(states)
         try:
-            return row(kernel, parts, *rest)
+            return row(kernel, states, *rest)
         finally:
             in_row[0] = False
 
@@ -668,10 +668,13 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
         # gives, and rounds 2..L take one speed of the stacked levels each
         assert counts["speed"] == steps * kind.levels
         # one build per round's speed, one assessment of the start and of
-        # each accepted step, and the start-up check of the initial field
-        assert counts["pair"] == steps * (kind.levels - 1) + (steps + 1) + 1 == steps * kind.levels + 1 + 1
+        # each accepted step, the start-up check of the initial field and,
+        # radial, one stacked build of the three 32-node states' one batch
+        # (the 512-node support states each fill a batch alone)
+        batches = 1 if kind is flows._RadialKernel else 0
+        assert counts["pair"] == steps * (kind.levels - 1) + (steps + 1) + 1 + batches
         assert counts["derivatives"] == counts["pair"]  # one derivative pass per build
-        assert counts["grad"] == 0 and counts["pair in row"] == 0
+        assert counts["grad"] == 0 and counts["pair in row"] == batches
         assert counts["rows"] == len(trace.rows) == steps + 1  # each state's row computed once
 
 
@@ -683,7 +686,7 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("shape", [(32,), (16, 32)], ids=["axisym 32", "full-s2 16x32"])
 @pytest.mark.parametrize("kind", ["radial", "support"])
 def test_assessed_build_serves_speed_geometry_and_row_bit_for_bit(kind, shape):
-    # the speed and geometry read from an assessment's build are the ones a
+    # the speed and geometry read from an assessment's field are the ones a
     # fresh public build gives, and each step starts from the speed of the
     # state it steps from; test_every_row_matches_the_public_functionals
     # checks the rows read from it
@@ -697,9 +700,8 @@ def test_assessed_build_serves_speed_geometry_and_row_bit_for_bit(kind, shape):
     kernel = _kernel(grid, profile, config)
 
     u = grid.zonal_filter(field.values)
-    build = kernel.assess(u)[3]
-    assert _same_bits(kernel.speed(u, build), kernel.speed(u))
-    reused = _radial_field(grid, u, build) if kind == "radial" else _support_field(grid, u, build[0])
+    reused = kernel.assess(u)[3]
+    assert _same_bits(kernel.speed(u, reused), kernel.speed(u))
     fresh = public(ScalarField(grid, u))
     for name in ("scalar", "grad", "kappa1", "kappa2", "area_factor", "support", "normal",
                  "position", "inverse_metric"):
@@ -768,9 +770,9 @@ def recorded_rows(monkeypatch):
 
     batches, row = [], flows._diagnostic_row
 
-    def recording(kernel, parts, ts, dts):  # each state's row parts begin with the state
-        batches.append(([np.array(p[0]) for p in parts], list(ts), list(dts)))
-        return row(kernel, parts, ts, dts)
+    def recording(kernel, states, builds, ts, dts):
+        batches.append(([np.array(u) for u in states], list(ts), list(dts)))
+        return row(kernel, states, builds, ts, dts)
 
     monkeypatch.setattr(flows, "_diagnostic_row", recording)
     return batches
@@ -785,7 +787,7 @@ ORACLE_RUNS = (
 @pytest.mark.parametrize("mode, n, kind, k", ORACLE_RUNS + [("axisym", 3, "forced", 3)],
                          ids=lambda v: str(v))
 def test_every_row_matches_the_public_functionals(monkeypatch, mode, n, kind, k):
-    # rows are computed in stacked batches from the held builds; each must be
+    # rows are computed in stacked batches of the held states; each must be
     # the row the public functionals give on the state's own geometry, bit
     # for bit, through several batches and a part-filled last one (support
     # steps are 0.06 to 0.1, so support runs go to t = 1.7 with convergence
@@ -815,6 +817,45 @@ def test_every_row_matches_the_public_functionals(monkeypatch, mode, n, kind, k)
     assert sizes[:-1] == [full] * (len(sizes) - 1) and len(sizes) >= 3
     assert 0 < sizes[-1] < full or full == 1
     assert np.isnan(trace.values("M_k")).all() == (kind == "forced" or (kind == "radial" and k == n))
+
+
+MONITORED_GRIDS = {"axisym n=2 40": lambda: SphericalGrid.axisym(2, 40),
+                   "full-s2 24x48": lambda: SphericalGrid.full_s2(24, 48),
+                   "axisym n=3 32": lambda: SphericalGrid.axisym(3, 32)}
+
+
+@pytest.mark.parametrize("kind", ["radial", "support"])
+@pytest.mark.parametrize("grid_id", list(MONITORED_GRIDS))
+def test_the_monitored_integral_is_the_trace_column(monkeypatch, grid_id, kind):
+    # run_flow checks for a rise the value that trace.csv records: with an
+    # output interval below every step each accepted state gets a row, and
+    # each assessed Q (radial) or M_k (support, k = 2) is that row's column,
+    # bit for bit
+    from curvelab import flows
+
+    grid = MONITORED_GRIDS[grid_id]()
+    n, k = grid.n, 2
+    kernel = flows._RadialKernel if kind == "radial" else flows._SupportKernel
+    assess, monitored = kernel.assess, []
+
+    def recorded(self, u):
+        result = assess(self, u)
+        monitored.append(result[0])
+        return result
+
+    monkeypatch.setattr(kernel, "assess", recorded)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        if kind == "radial":
+            field, profile = random_starshaped(grid, rng, amp=0.2), SpeedProfile.power_exp_pinned(n, 1.0)
+        else:
+            field = random_convex_support(grid, rng, amp=0.1)
+            profile = SpeedProfile.affine_power(0.5, 1.0, n, k) if k < n else None
+        config = FlowConfig(kind=kind, k=k, t_end=0.3 if kind == "radial" else 0.5, output_interval=1e-4)
+        monitored.clear()
+        trace = run_flow(field, profile, config)
+        assert len(trace.rows) == trace.meta["steps"] + 1 == len(monitored)
+        assert _same_bits(monitored, trace.values("Q" if kind == "radial" else "M_k")), seed
 
 
 SPHERE_RUNS = (
@@ -922,11 +963,11 @@ def test_a_row_error_leaves_run_flow_with_its_type(monkeypatch, grid):
 
     row, queued = flows._diagnostic_row, []
 
-    def failing_row(kernel, parts, *rest):
-        queued.extend(parts)
+    def failing_row(kernel, states, *rest):
+        queued.extend(states)
         if len(queued) >= 3:
             raise ZeroMeanCurvature("the third queued state")
-        return row(kernel, parts, *rest)
+        return row(kernel, states, *rest)
 
     monkeypatch.setattr(flows, "_diagnostic_row", failing_row)
     r0 = random_starshaped(grid, np.random.default_rng(1), amp=0.1)
@@ -1080,8 +1121,6 @@ def test_step_collapse_carries_partial_trace():
 
 
 def test_kernels_reject_non_finite_states():
-    from curvelab import DegenerateMetric
-
     for grid in (SphericalGrid.axisym(3, 32), SphericalGrid.full_s2(16, 32)):
         state = np.ones(grid.node_shape)
         state.flat[5] = np.nan

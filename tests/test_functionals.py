@@ -7,14 +7,10 @@ import numpy as np
 import pytest
 
 from curvelab import (
-    NonpositiveDensity,
-    NonpositiveSupport,
     ScalarField,
     SphericalGrid,
-    ZeroMeanCurvature,
     ball_quermass,
     ball_quermass_inverse,
-    calibrate_sharp_constant,
     michael_simon_deficit_H,
     michael_simon_deficit_k,
     monotone_quantities,
@@ -24,8 +20,8 @@ from curvelab import (
     static_convexity,
     support_geometry,
 )
-from curvelab.errors import ConeViolation
-from curvelab.functionals import _mk_integral
+from curvelab.errors import ConeViolation, NonpositiveDensity, NonpositiveSupport, ZeroMeanCurvature
+from curvelab.functionals import _mk_integral, calibrate_sharp_constant
 from curvelab.geometry import (
     _convexity_margins, _radial_field, _radial_pair, _support_field, _support_radii,
 )

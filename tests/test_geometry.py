@@ -6,9 +6,6 @@ import numpy as np
 import pytest
 
 from curvelab import (
-    NonpositiveSupport,
-    NotStarshaped,
-    ConvexityLost,
     ScalarField,
     SphericalGrid,
     radial_geometry,
@@ -16,6 +13,7 @@ from curvelab import (
     static_convexity,
     support_geometry,
 )
+from curvelab.errors import ConvexityLost, NonpositiveSupport, NotStarshaped
 from curvelab.geometry import centroid
 from curvelab.shapes import (
     harmonic_mode,

@@ -8,16 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvelab import (
-    ConeViolation,
     curvature_quotient,
     curvature_quotient_gradient,
-    ek_derivative_eigen,
     ek_derivative_tensor,
     elementary_symmetric,
     gamma_cone_member,
     newton_maclaurin_gap,
 )
-from curvelab.symfunc import sigma_all
+from curvelab.errors import ConeViolation
+from curvelab.symfunc import ek_derivative_eigen, sigma_all
 
 
 def sigma_bruteforce(kappa, k):
