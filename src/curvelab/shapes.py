@@ -26,7 +26,7 @@ import functools
 import numpy as np
 
 from .errors import ConvexityLost, NotStarshaped
-from .geometry import _radial_centroid, centroid, support_geometry
+from .geometry import _eig2, _radial_centroid, centroid, support_geometry
 from .sphere_grid import ScalarField, SphericalGrid
 
 __all__ = [
@@ -163,11 +163,10 @@ def _convexity_normalized_modes(grid: SphericalGrid, lmax: int):
     for y in _mode_bank(grid, lmax):
         hess = grid.hessian_components(y)
         if grid.mode == "axisym":
-            bound = max(np.abs(hess[0] + y).max(), np.abs(hess[1] + y).max())
+            radii = (hess[0] + y, hess[1] + y)
         else:
-            mean = 0.5 * (hess[0] + hess[2]) + y
-            disc = np.sqrt(0.25 * (hess[0] - hess[2]) ** 2 + hess[1] ** 2)
-            bound = max(np.abs(mean + disc).max(), np.abs(mean - disc).max())
+            radii = _eig2(hess[0] + y, hess[1], hess[2] + y)
+        bound = max(np.abs(rho).max() for rho in radii)
         scaled.append(y / max(bound, 1.0))
     return tuple(scaled)
 
