@@ -43,8 +43,9 @@ test; once the state is accepted, that field also gives the next step's
 start speed.  The substep speeds build the principal pair alone.  Rows are
 computed in batches: the public functionals on one CurvatureField, the
 build of a state that fills a batch alone or one build of the held states'
-stack, so a row error surfaces once its batch is.  Each step is taken once: a geometry error raises StepCollapse, with the
-partial trace and every row queued before it.  A rise of the monitored
+stack, so a row error surfaces once its batch is.  Each step is taken once:
+a geometry error raises StepCollapse, with the partial trace and every row
+queued before it.  A rise of the monitored
 integral is recorded: each rise above 1e-8 relative as an event, and their
 sum relative to the start as meta["mono_rise"].  A rise that a smaller step
 does not remove is spatial error; on S^2 the summation-by-parts weights

@@ -819,21 +819,16 @@ def test_every_row_matches_the_public_functionals(monkeypatch, mode, n, kind, k)
     assert np.isnan(trace.values("M_k")).all() == (kind == "forced" or (kind == "radial" and k == n))
 
 
-MONITORED_GRIDS = {"axisym n=2 40": lambda: SphericalGrid.axisym(2, 40),
-                   "full-s2 24x48": lambda: SphericalGrid.full_s2(24, 48),
-                   "axisym n=3 32": lambda: SphericalGrid.axisym(3, 32)}
-
-
 @pytest.mark.parametrize("kind", ["radial", "support"])
-@pytest.mark.parametrize("grid_id", list(MONITORED_GRIDS))
-def test_the_monitored_integral_is_the_trace_column(monkeypatch, grid_id, kind):
+@pytest.mark.parametrize("grid", [SphericalGrid.axisym(2, 40), SphericalGrid.full_s2(24, 48),
+                                  SphericalGrid.axisym(3, 32)], ids=repr)
+def test_the_monitored_integral_is_the_trace_column(monkeypatch, grid, kind):
     # run_flow checks for a rise the value that trace.csv records: with an
     # output interval below every step each accepted state gets a row, and
     # each assessed Q (radial) or M_k (support, k = 2) is that row's column,
     # bit for bit
     from curvelab import flows
 
-    grid = MONITORED_GRIDS[grid_id]()
     n, k = grid.n, 2
     kernel = flows._RadialKernel if kind == "radial" else flows._SupportKernel
     assess, monitored = kernel.assess, []
