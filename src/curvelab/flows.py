@@ -27,16 +27,19 @@ extrapolated over the substeps h/1, ..., h/L to order L (Deuflhard, SIAM
 Rev. 27 (1985)): L = 4 radial, 3 support.  The levels run in lockstep on
 one stack of states, so a step makes L speed calls and L solves, each on
 the levels it moves.  Z is the zonal filter, Delta the grid's Laplacian and
-a = c_max, held until c_max leaves [a/2, a] so the solve's inverses are
-reused; the Laplacian term stabilizes the stiff part
-(Smereka, J. Sci. Comput. 19 (2003)), so no Delta theta^2 bound applies; on
-a sphere Delta vanishes, the step is extrapolated explicit Euler on the
-radius ODE and the surface stays round.  An adaptive step is
-min(step, spread / a) for the kernel's caps = (step, spread), (0.025, 0.04)
-radial and (0.1, 0.035) support, whatever the output interval, and one below
-1e-12 max(1, t) raises StepCollapse; a diagnostic row is written at the
-first accepted state at or past each output time, and its dt column is the
-step that reached it.  Each candidate state is
+a = c_max.  The solve's keys are s a = sigma / j for the step's spread
+sigma = a h, which is the spread cap itself while that cap sets the step,
+so a then follows c_max after every step on the same inverses.  Where the
+step cap or dt_fixed sets the step, a new a means new keys and a new
+Thomas sweep, and a is held while c_max stays in [a/2, a].  The Laplacian
+term stabilizes the stiff part (Smereka, J. Sci. Comput. 19 (2003)), so no
+Delta theta^2 bound applies; on a sphere Delta vanishes, the step is
+extrapolated explicit Euler on the radius ODE and the surface stays round.
+An adaptive step is min(step, spread / a) for the kernel's caps = (step,
+spread), (0.025, 0.04) radial and (0.1, 0.035) support, whatever the output
+interval, and one below 1e-12 max(1, t) raises StepCollapse; a diagnostic
+row is written at the first accepted state at or past each output time, and
+its dt column is the step that reached it.  Each candidate state is
 assessed from one build, a CurvatureField: its monitored integral (Q or
 M_k, the functional its trace column reads), its c_max and the convergence
 test; once the state is accepted, that field also gives the next step's
@@ -413,11 +416,12 @@ class _SupportKernel:
     # (step, spread) caps: with the summation-by-parts weights M_2 no longer
     # rises on S^2 grids, so the radial ODE's 0.025 does not bind here.  Over
     # the support-s2 inputs (seeds 1-20, 80 bodies) these caps record no
-    # monotone breach, mono_rise 0 and V_1 drift <= 4.0e-4.  The spread cap
-    # sets most steps (a is near 0.6 there); on the amp-0.3 full-s2 24x48
-    # rough starts (seeds 0-7, k = 1, 2) 0.035 keeps each run's V_{k-1}
-    # drift within 4.5% of what (0.025, 0.04) gives, where 0.04 reads +5.9%
-    # and 0.05 +18%
+    # monotone breach, mono_rise 0 and V_1 drift <= 4.0e-4 in median 35.5
+    # steps.  The spread cap sets every step there (c_max falls from about 1
+    # to 0.5, and a follows it); on the amp-0.3 full-s2 24x48 rough starts
+    # (seeds 0-7, k = 1, 2) 0.035 gives each run's V_{k-1} drift at
+    # 0.95-1.00 of what (0.025, 0.04) gives, where 0.04 reads up to +1.3%
+    # and 0.05 up to +13%
     caps = (0.1, 0.035)
 
     def __init__(self, grid: SphericalGrid, profile: SpeedProfile, config: "FlowConfig"):
@@ -486,23 +490,25 @@ def _kernel(grid: SphericalGrid, profile: SpeedProfile | None, config: "FlowConf
 _DT_FLOOR = 1e-12
 
 
-def _extrapolated_step(kernel, u: np.ndarray, h: float, a: float, start: np.ndarray) -> np.ndarray:
+def _extrapolated_step(kernel, u: np.ndarray, h: float, spread: float, start: np.ndarray) -> np.ndarray:
     """One linearly implicit Euler step of du/dt = kernel.speed(u), extrapolated.
 
     Level j takes j substeps y += R(s a)(s speed(y)) of s = h / j, with
-    R(s a) = (I - s a Z Delta Z)^-1 Z the grid's resolvent; the levels share
-    start = speed(u), which the caller has from u's build.  The levels run in
-    lockstep on one stack of states: round 1 moves every level from u, and
-    round i moves levels i..L with one speed call on their stacked states
-    and one resolvent call, whose keys a h / j are the trailing part of
-    round 1's.  Each level sees the arithmetic of a level-by-level loop, so
-    the result has its bits.  For any fixed a the error expands in powers of
-    h, so the Aitken-Neville tableau over the kernel's levels has that
-    order.  The result is zonal-filtered when u is.
+    R(s a) = (I - s a Z Delta Z)^-1 Z the grid's resolvent and the key
+    s a = spread / j for the step's spread a h, so steps of one spread share
+    their keys bit for bit; the levels share start = speed(u), which the
+    caller has from u's build.  The levels run in lockstep on one stack of
+    states: round 1 moves every level from u, and round i moves levels
+    i..L with one speed call on their stacked states and one resolvent
+    call, whose keys are the trailing part of round 1's.  Each level sees
+    the arithmetic of a level-by-level loop, so the result has its bits.
+    For any fixed a the error expands in powers of h, so the Aitken-Neville
+    tableau over the kernel's levels has that order.  The result is
+    zonal-filtered when u is.
     """
     levels = kernel.levels
     substeps = [h / j for j in range(1, levels + 1)]
-    keys = [a * s for s in substeps]
+    keys = [spread / j for j in range(1, levels + 1)]
     s = np.reshape(substeps, (levels,) + (1,) * u.ndim)
     y = kernel.grid.resolvent(s * start, keys)
     y += u
@@ -703,7 +709,7 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
     state = grid.zonal_filter(initial.values).copy()  # final_state is never the caller's array
     t = 0.0
     steps = 0
-    # a, the step's Laplacian scale, is c_max held while c_max stays in [a/2, a]
+    # a, the step's Laplacian scale, is c_max; it is held only where a new a means new keys
     mono_prev, a, _, build = kernel.assess(state)
     mono_scale = max(abs(mono_prev), 1e-300)
     rise = 0.0  # the monitored integral's cumulative positive variation
@@ -739,7 +745,10 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
             dt = min(kernel.caps[0], kernel.caps[1] / a)
             if dt < _DT_FLOOR * max(1.0, t):  # at least 4e3 ulps of t, so t + dt > t too
                 collapse(f"adaptive step {dt:.3g} at t = {t:.6g} is below the floor")
+        # the spread cap sets the step: its spread a dt is caps[1] whatever a is
+        follow = not config.dt_fixed and dt < kernel.caps[0] and dt <= config.t_end - t
         dt = min(dt, config.t_end - t)
+        spread = kernel.caps[1] if follow else a * dt
         # the state's build gives the start speed and is dropped: holding it
         # across the step or taking the speed inside assess raised peak RSS by
         # 0.1-0.2 MB, and queueing the builds of 40-node states (radial-axisym)
@@ -747,7 +756,7 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
         # states and building each batch once did not
         start, build = kernel.speed(state, build), None
         try:
-            new_state = _extrapolated_step(kernel, state, dt, a, start)
+            new_state = _extrapolated_step(kernel, state, dt, spread, start)
             mono_new, c_max, converged, build = kernel.assess(new_state)
         except _GEOM_ERRORS as exc:
             collapse(f"step from t = {t:.6g} failed at dt = {dt:.3g}: {exc}", exc)
@@ -756,7 +765,7 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
             trace.breaches.append(BreachEvent(t + dt, "monotone", breach, breach / max(abs(mono_prev), 1e-300)))
         rise += max(breach, 0.0)
         state, mono_prev = new_state, mono_new
-        if not 0.5 * a <= c_max <= a:  # a new a means new resolvent keys
+        if follow or not 0.5 * a <= c_max <= a:  # elsewhere a new a means new resolvent keys
             a = c_max
         t += dt
         steps += 1
@@ -843,7 +852,7 @@ def area_evolution_consistency(
     state = grid.zonal_filter(initial.values)
     _, c_max, _, build = kernel.assess(state)
     dt = 2.0 / (c_max * grid.laplacian_bound()) / 10.0
-    new_state = _extrapolated_step(kernel, state, dt, c_max, kernel.speed(state, build))
+    new_state = _extrapolated_step(kernel, state, dt, c_max * dt, kernel.speed(state, build))
 
     rate0, area0 = rate(state, build)
     rate1, area1 = rate(new_state, kernel.assess(new_state)[3])

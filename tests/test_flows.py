@@ -587,7 +587,7 @@ def test_q_rate_matches_monotonicity_integrand():
 
     _, c_max, _, build = kernel.assess(r)
     dt = 0.2 * 2.0 / (c_max * grid.laplacian_bound())  # a fifth of the forward-Euler limit
-    r1 = _extrapolated_step(kernel, r, dt, c_max, kernel.speed(r, build))
+    r1 = _extrapolated_step(kernel, r, dt, c_max * dt, kernel.speed(r, build))
     fd = (q_value(r1) - q_value(r)) / dt
     predicted = 0.5 * (integrand(r) + integrand(r1))
     assert predicted < 0
@@ -659,8 +659,8 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
         trace = run_flow(initial, profile, config)
         steps = trace.meta["steps"]
         # the step is min(caps[0], caps[1] / a) whatever the output interval:
-        # support four steps of 0.035 / 0.631 = 0.0555 and a clipped fifth to
-        # 0.25 (the spread cap binds above a = 0.35), radial 0.05 / 0.025
+        # support four steps of 0.035 / c_max = 0.055-0.063 and a clipped fifth
+        # to 0.25 (the spread cap binds above a = 0.35), radial 0.05 / 0.025
         # (a = max f / r^2 = 1.38 near r = 0.9, below 1.6, so the 0.025 cap
         # binds)
         assert steps == (2 if kind is flows._RadialKernel else 5) and not trace.breaches
@@ -683,13 +683,40 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def recorded_run(monkeypatch, kernel):
+    """Record each assessed c_max, each step's (h, spread) and each Thomas sweep of the runs that follow."""
+    from curvelab import flows, sphere_grid
+
+    assess, step, inverse = kernel.assess, flows._extrapolated_step, sphere_grid._tridiagonal_inverse
+    log = {"c_max": [], "steps": [], "sweeps": 0}
+
+    def assessed(self, u):
+        result = assess(self, u)
+        log["c_max"].append(result[1])
+        return result
+
+    def stepped(kernel, u, h, spread, start):
+        log["steps"].append((h, spread))
+        return step(kernel, u, h, spread, start)
+
+    def swept(*diagonals):
+        log["sweeps"] += 1
+        return inverse(*diagonals)
+
+    monkeypatch.setattr(kernel, "assess", assessed)
+    monkeypatch.setattr(flows, "_extrapolated_step", stepped)
+    monkeypatch.setattr(sphere_grid, "_tridiagonal_inverse", swept)
+    return log
+
+
 @pytest.mark.parametrize("shape", [(32,), (16, 32)], ids=["axisym 32", "full-s2 16x32"])
 @pytest.mark.parametrize("kind", ["radial", "support"])
-def test_assessed_build_serves_speed_geometry_and_row_bit_for_bit(kind, shape):
+def test_assessed_build_serves_speed_geometry_and_row_bit_for_bit(monkeypatch, kind, shape):
     # the speed and geometry read from an assessment's field are the ones a
     # fresh public build gives, and each step starts from the speed of the
-    # state it steps from; test_every_row_matches_the_public_functionals
-    # checks the rows read from it
+    # state it steps from: replaying the (h, spread) of run_flow's steps
+    # from fresh speeds gives its final state; test_every_row_matches_the_
+    # public_functionals checks the rows read from it
     grid = SphericalGrid.axisym(2, *shape) if len(shape) == 1 else SphericalGrid.full_s2(*shape)
     rng = np.random.default_rng(4)
     if kind == "radial":
@@ -707,15 +734,13 @@ def test_assessed_build_serves_speed_geometry_and_row_bit_for_bit(kind, shape):
                  "position", "inverse_metric"):
         assert _same_bits(getattr(reused, name), getattr(fresh, name)), name
 
+    log = recorded_run(monkeypatch, type(kernel))
     trace = run_flow(field, profile, config)
     steps = trace.meta["steps"]
     assert steps == 3 and len(trace.rows) == steps + 1
-    a = kernel.assess(u)[1]
-    for row in trace.rows[1:]:  # run_flow's steps, each speed evaluated afresh
-        u = _extrapolated_step(kernel, u, row["dt"], a, kernel.speed(u))
-        c_max = kernel.assess(u)[1]
-        if not 0.5 * a <= c_max <= a:
-            a = c_max
+    assert [h for h, _ in log["steps"]] == trace.values("dt")[1:].tolist()
+    for h, spread in log["steps"]:  # run_flow's steps, each speed evaluated afresh
+        u = _extrapolated_step(kernel, u, h, spread, kernel.speed(u))
     assert _same_bits(trace.meta["final_state"], u)
 
 
@@ -972,7 +997,7 @@ def test_a_row_error_leaves_run_flow_with_its_type(monkeypatch, grid):
     assert len(queued) == (3 if grid.mode == "full-s2" else 8)
 
 
-def _level_by_level_step(kernel, u, h, a, start):
+def _level_by_level_step(kernel, u, h, spread, start):
     """The extrapolated step one level at a time, one state per speed and resolvent call."""
     def solve(v, key):
         return kernel.grid.resolvent(v[None], [key])[0]
@@ -980,9 +1005,9 @@ def _level_by_level_step(kernel, u, h, a, start):
     row = []
     for j in range(1, kernel.levels + 1):
         s = h / j
-        y = u + solve(s * start, a * s)
+        y = u + solve(s * start, spread / j)
         for _ in range(j - 1):
-            y = y + solve(s * kernel.speed(y), a * s)
+            y = y + solve(s * kernel.speed(y), spread / j)
         new = [y]
         for k in range(1, j):
             new.append(new[-1] + (new[-1] - row[k - 1]) * ((j - k) / k))
@@ -1003,9 +1028,10 @@ def test_lockstep_step_matches_level_by_level_bit_for_bit(kind, shape):
     u = grid.zonal_filter(field.values)
     _, a, _, build = kernel.assess(u)
     start = kernel.speed(u, build)
-    for h in (0.005, 0.025):
-        assert _same_bits(_extrapolated_step(kernel, u, h, a, start),
-                          _level_by_level_step(kernel, u, h, a, start))
+    cap = kernel.caps[1]  # a step the spread cap sets, and a smaller one
+    for h, spread in ((cap / a, cap), (0.005, a * 0.005)):
+        assert _same_bits(_extrapolated_step(kernel, u, h, spread, start),
+                          _level_by_level_step(kernel, u, h, spread, start))
 
 
 def test_trace_timestamps_strictly_increasing():
@@ -1195,7 +1221,7 @@ def test_failed_step_collapses_at_once(monkeypatch, kind):
         candidate = 1.0 + 2.0 * np.cos(3 * grid.theta)  # not convex
     calls = []
 
-    def broken_step(kernel, u, h, a, start):
+    def broken_step(kernel, u, h, spread, start):
         calls.append(h)
         return candidate.copy()
 
@@ -1317,3 +1343,53 @@ def test_adaptive_step_is_the_smaller_of_the_two_caps():
         c_max = _kernel(grid, None, config).assess(grid.zonal_filter(h0.values))[1]
         dt = run_flow(h0, None, config).rows[1]["dt"]
         assert dt == min(0.1, 0.035 / c_max) and (dt == 0.1) == (radius == 2.0)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_follows_c_max_under_the_spread_cap_on_one_sweep(monkeypatch, k):
+    # while the spread cap sets the step its spread is caps[1], whatever a
+    # is, so a follows c_max at no new sweep: a spheroid whose c_max falls
+    # from 2.65 to 0.53 (never below 0.35, where the step cap would bind)
+    # steps at caps[1] / c_max of each state it steps from, on one key set
+    log = recorded_run(monkeypatch, _SupportKernel)
+    grid = SphericalGrid.axisym(2, 32)  # a fresh grid holds no inverses
+    trace = run_flow(spheroid_support(grid, 1.3, 0.8), None, FlowConfig(kind="support", k=k, t_end=6.0))
+    c_max, cap = log["c_max"], _SupportKernel.caps[1]
+    assert trace.status == "Converged" and not trace.breaches
+    assert c_max[0] > 4 * c_max[-1] and min(c_max) > cap / _SupportKernel.caps[0]
+    assert log["steps"] == [(cap / c, cap) for c in c_max[:trace.meta["steps"]]]
+    assert log["sweeps"] == 1
+
+
+def test_radial_steps_at_the_step_cap_once_c_max_reaches_it(monkeypatch):
+    # a start with c_max in (1.6, 2] takes spread-capped steps 0.04 / c_max
+    # until a state's c_max is <= 1.6; every later step is 0.025, and the
+    # run sweeps twice: for the spread-capped keys and, once, for the new a
+    log = recorded_run(monkeypatch, _RadialKernel)
+    grid = SphericalGrid.axisym(2, 40)
+    r0 = ScalarField(grid, 1.0 + 0.2 * np.cos(2 * grid.theta))
+    trace = run_flow(r0, SpeedProfile.power_exp_pinned(2, 1.0),
+                     FlowConfig(kind="radial", t_end=6.0, output_interval=0.05))
+    c_max, (step_cap, spread_cap) = log["c_max"], _RadialKernel.caps
+    assert trace.status == "Converged" and not trace.breaches
+    assert 1.6 < c_max[0] <= 2.0
+    first = next(i for i, c in enumerate(c_max) if c <= 1.6)
+    assert 0 < first < trace.meta["steps"] - 10
+    assert [h for h, _ in log["steps"][:first]] == [spread_cap / c for c in c_max[:first]]
+    assert all(h == step_cap for h, _ in log["steps"][first:])
+    assert log["sweeps"] == 2
+
+
+def test_fixed_steps_hold_a_while_c_max_stays_in_its_band(monkeypatch):
+    # a fixed step's spread is a dt_fixed, so a new a means a new sweep and a
+    # is held while c_max stays in [a/2, a]: the spheroid's c_max 2.65 first
+    # falls below half after the third step (1.19) and stays above 0.6 to
+    # t = 0.5, so the ten steps take two key sets
+    log = recorded_run(monkeypatch, _SupportKernel)
+    grid = SphericalGrid.axisym(2, 32)
+    trace = run_flow(spheroid_support(grid, 1.3, 0.8), None,
+                     FlowConfig(kind="support", k=2, t_end=0.5, dt_fixed=0.05))
+    c_max = log["c_max"]
+    assert trace.meta["steps"] == 10 and c_max[2] > 0.5 * c_max[0] > c_max[3] and min(c_max) > 0.5 * c_max[3]
+    assert log["steps"] == [(0.05, c_max[0] * 0.05)] * 3 + [(0.05, c_max[3] * 0.05)] * 7
+    assert log["sweeps"] == 2
