@@ -10,8 +10,12 @@ Matrix arguments are handled through their eigenvalues: a symmetric operator
 is diagonalized with LAPACK ``eigh`` and derivative tensors are rotated back
 to the original frame.  Evaluation uses the product-expansion recurrence over
 entries, which is exact at the small dimensions (n <= 8) this package targets.
-It runs on Python floats for one vector and on numpy columns for a batch, with
-the same IEEE rounding, so a vector and its row in a batch agree bit for bit.
+The input's ndim picks the path.  One vector stays on Python floats from its
+entries to the answer, through the cone check, E_k, the eigenvalue derivatives
+and the Newton-MacLaurin gaps, since numpy's per-call cost would dominate
+there; only a returned array is packed.  A batch runs the same recurrence on
+numpy columns, with the same IEEE rounding, so a vector and its row in a batch
+agree bit for bit.
 
 Every surface the package builds has two distinct principal values per node,
 k1 of multiplicity 1 and k2 of multiplicity n - 1 (the two eigenvalues on
@@ -42,20 +46,37 @@ __all__ = [
 ]
 
 
+def _sigmas(entries) -> list:
+    """[sigma_0, ..., sigma_n] of n entries by the product-expansion recurrence.
+
+    The entries are Python floats for one vector or numpy arrays (the columns
+    of a batch); both take the same IEEE operations in the same order.
+    """
+    sig = [1.0] + [0.0] * len(entries)
+    for i, x in enumerate(entries):
+        for j in range(i + 1, 0, -1):
+            sig[j] = sig[j] + x * sig[j - 1]
+    return sig
+
+
+def _leave_one_out(values: list) -> list:
+    """For each p, [sigma_0, ..., sigma_{n-1}] of the n - 1 values other than values[p]."""
+    return [_sigmas(values[:p] + values[p + 1:]) for p in range(len(values))]
+
+
 def sigma_all(kappa) -> np.ndarray:
     """All sigma_j, j = 0..n, computed along the trailing axis.
 
     Accepts batched input of shape (..., n) and returns shape (..., n + 1),
     so per-node curvature data can be reduced in one call.  One vector runs
-    on Python floats, where numpy's per-call cost would dominate.
+    the recurrence on Python floats and is packed once; a batch runs it on
+    the numpy columns of its trailing axis.
     """
     kappa = np.asarray(kappa, dtype=float)
-    n = kappa.shape[-1]
-    sig = [1.0] + [0.0] * n
-    for i, x in enumerate(kappa.tolist() if kappa.ndim == 1 else np.moveaxis(kappa, -1, 0)):
-        for j in range(i + 1, 0, -1):
-            sig[j] = sig[j] + x * sig[j - 1]
-    out = np.empty(kappa.shape[:-1] + (n + 1,))
+    if kappa.ndim == 1:
+        return np.array(_sigmas(kappa.tolist()))
+    sig = _sigmas(np.moveaxis(kappa, -1, 0))
+    out = np.empty(kappa.shape[:-1] + (len(sig),))
     for j, s in enumerate(sig):
         out[..., j] = s
     return out
@@ -91,25 +112,32 @@ def sigma_quotient(sig, k: int):
 def require_cone(sig, scale: float, k: int) -> None:
     """Raise ConeViolation unless E_i > 1e-12 (1 + scale^i) for i = 1..k everywhere.
 
-    ``sig[j]`` holds sigma_j, j = 0..n, at one node or over many; ``scale``
-    is max |kappa|, which makes the strictness floor of the Garding cone
-    Gamma_k^+ scale-aware.
+    ``sig[j]`` holds sigma_j, j = 0..n, as a float at one node or an array
+    over many; ``scale`` is max |kappa|, which makes the strictness floor of
+    the Garding cone Gamma_k^+ scale-aware.  A NaN E_i is not clear of its
+    floor, and a floor past the float range is +inf, so both are rejected.
     """
     n = len(sig) - 1
     for i in range(1, k + 1):
-        floor = 1e-12 * (1.0 + scale**i)
-        if np.minimum.reduce(sig[i], axis=None) / math.comb(n, i) <= floor:
-            raise ConeViolation(f"E_{i} <= {floor:.3g}; kappa leaves Gamma_{k}^+")
+        try:
+            floor = 1e-12 * (1.0 + float(scale) ** i)
+        except OverflowError:
+            floor = math.inf
+        low = sig[i]
+        if isinstance(low, np.ndarray):
+            low = np.minimum.reduce(low, axis=None)
+        if not low / math.comb(n, i) > floor:
+            raise ConeViolation(f"E_{i} is not above {floor:.3g}; kappa leaves Gamma_{k}^+")
 
 
 def _sigma_in_cone(kappa, k: int):
-    """(kappa, [sigma_0, ..., sigma_n] as floats) for one vector that must lie in Gamma_k^+."""
-    kappa = np.asarray(kappa, dtype=float)
-    if not 1 <= k <= kappa.size:
+    """(entries, [sigma_0, ..., sigma_n]) as Python floats for one vector that must lie in Gamma_k^+."""
+    values = np.asarray(kappa, dtype=float).tolist()
+    if not 1 <= k <= len(values):
         raise ValueError("k must satisfy 1 <= k <= n")
-    sig = sigma_all(kappa).tolist()
-    require_cone(sig, max(map(abs, kappa.tolist())), k)
-    return kappa, sig
+    sig = _sigmas(values)
+    require_cone(sig, max(map(abs, values)), k)
+    return values, sig
 
 
 def elementary_symmetric(kappa, k: int):
@@ -120,23 +148,29 @@ def elementary_symmetric(kappa, k: int):
         raise ValueError("k must be nonnegative")
     if k > n:
         return np.zeros(kappa.shape[:-1])[()] if kappa.ndim > 1 else 0.0
-    value = sigma_all(kappa)[..., k] / math.comb(n, k)
-    return value[()] if value.ndim == 0 else value
+    if kappa.ndim == 1:
+        return np.float64(_sigmas(kappa.tolist())[k] / math.comb(n, k))
+    return sigma_all(kappa)[..., k] / math.comb(n, k)
 
 
 def ek_derivative_eigen(kappa, k: int) -> np.ndarray:
     """Eigenvalue derivatives dE_k / dkappa_p, batched over leading axes.
 
-    Equals C(n,k)^-1 * sigma_{k-1} of the remaining n-1 entries.  Row p of
-    the (n, n-1) index, the off-diagonal columns of an n x n grid, skips
-    entry p, so one sigma_all call covers every p.
+    Equals C(n,k)^-1 * sigma_{k-1} of the remaining n-1 entries.  One vector
+    runs its n leave-one-out lists through the recurrence on Python floats.
+    A batch gathers them with an (n, n-1) index, the off-diagonal columns of
+    an n x n grid, whose row p skips entry p, so one sigma_all call covers
+    every p.
     """
     kappa = np.asarray(kappa, dtype=float)
     n = kappa.shape[-1]
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
+    c = math.comb(n, k)
+    if kappa.ndim == 1:
+        return np.array([rest[k - 1] / c for rest in _leave_one_out(kappa.tolist())])
     rest = kappa[..., np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)]
-    return sigma_all(rest)[..., k - 1] / math.comb(n, k)
+    return sigma_all(rest)[..., k - 1] / c
 
 
 def ek_derivative_tensor(a, k: int) -> np.ndarray:
@@ -176,14 +210,20 @@ def curvature_quotient(kappa, k: int) -> float:
 
 
 def curvature_quotient_gradient(kappa, k: int) -> np.ndarray:
-    """Per-eigenvalue gradient dF/dkappa_p of F = E_k / E_{k-1}."""
-    kappa, sig = _sigma_in_cone(kappa, k)
-    n = kappa.size
-    dk = ek_derivative_eigen(kappa, k)
+    """Per-eigenvalue gradient dF/dkappa_p of F = E_k / E_{k-1}.
+
+    dE_k / dkappa_p and dE_{k-1} / dkappa_p are sigma_{k-1} and sigma_{k-2}
+    of the entries other than kappa_p, read from one leave-one-out pass.
+    """
+    values, sig = _sigma_in_cone(kappa, k)
+    n = len(values)
     if k == 1:
-        return dk
-    ek, ekm1 = sig[k] / math.comb(n, k), sig[k - 1] / math.comb(n, k - 1)
-    return (dk * ekm1 - ek * ek_derivative_eigen(kappa, k - 1)) / ekm1**2
+        return np.full(n, 1.0 / n)
+    ck, ckm1 = math.comb(n, k), math.comb(n, k - 1)
+    ek, ekm1 = sig[k] / ck, sig[k - 1] / ckm1
+    den = ekm1**2
+    return np.array([(rest[k - 1] / ck * ekm1 - ek * (rest[k - 2] / ckm1)) / den
+                     for rest in _leave_one_out(values)])
 
 
 def newton_maclaurin_gap(kappa, k: int, m: int) -> float:
@@ -194,8 +234,8 @@ def newton_maclaurin_gap(kappa, k: int, m: int) -> float:
     """
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
-    kappa, sig = _sigma_in_cone(kappa, k)
-    n = kappa.size
+    values, sig = _sigma_in_cone(kappa, k)
+    n = len(values)
 
     def e(j):
         return sig[j] / math.comb(n, j) if j <= n else 0.0

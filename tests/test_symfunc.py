@@ -16,7 +16,7 @@ from curvelab import (
     newton_maclaurin_gap,
 )
 from curvelab.errors import ConeViolation
-from curvelab.symfunc import ek_derivative_eigen, sigma_all
+from curvelab.symfunc import ek_derivative_eigen, require_cone, sigma_all, sigma_quotient
 
 
 def sigma_bruteforce(kappa, k):
@@ -84,16 +84,35 @@ def test_batched_matches_scalar():
 @given(st.integers(0, 7).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n), min_size=1, max_size=5))))
 def test_sigma_all_vector_equals_its_batch_row_bit_for_bit(case):
-    # one vector runs the recurrence on Python floats, a batch on numpy columns
+    # one vector runs the recurrence on Python floats, a batch on numpy columns;
+    # the scalar API on one vector must give what the batch row gives
     n, rows = case
     batch = np.array(rows, dtype=float).reshape(len(rows), n)
     sig = sigma_all(batch)
     assert sig.shape == (len(rows), n + 1)
-    for row, want in zip(batch, sig):
+    derivs = [None] + [ek_derivative_eigen(batch, k) for k in range(1, n + 1)]
+    for r, (row, want) in enumerate(zip(batch, sig)):
         got = sigma_all(row)
         assert got.shape == (n + 1,) and got.tobytes() == want.tobytes()
         brute = [sigma_bruteforce(row, k) for k in range(n + 1)]
         assert got == pytest.approx(brute, rel=1e-12, abs=1e-9)
+        e = [float(want[j]) / math.comb(n, j) for j in range(n + 1)] + [0.0]
+        for k in range(n + 1):
+            value = elementary_symmetric(row, k)
+            assert type(value) is np.float64
+            assert value.tobytes() == elementary_symmetric(batch, k)[r].tobytes()
+        for k in range(1, n + 1):
+            if not gamma_cone_member(row, k):
+                continue
+            assert curvature_quotient(row, k) == sigma_quotient(want, k)
+            for m in range(k, n + 1):
+                assert newton_maclaurin_gap(row, k, m) == e[k] * e[m] - e[m + 1] * e[k - 1]
+            grad = curvature_quotient_gradient(row, k)
+            if k > 1:
+                want_grad = (derivs[k][r] * e[k - 1] - e[k] * derivs[k - 1][r]) / e[k - 1] ** 2
+            else:
+                want_grad = derivs[k][r]
+            assert grad.shape == (n,) and grad.tobytes() == want_grad.tobytes()
 
 
 def test_sigma_all_shapes():
@@ -249,6 +268,40 @@ def test_quotient_upper_quadratic_bound_fails_outside_positive_cone():
 
 
 # -- Garding cone -------------------------------------------------------------
+
+
+def _accepts(check, kappa, k):
+    """Whether one of symfunc's cone checks lets kappa through as a member of Gamma_k^+."""
+    if check == "gamma_cone_member":
+        return gamma_cone_member(kappa, k)
+    calls = {
+        "curvature_quotient": lambda: curvature_quotient(kappa, k),
+        "curvature_quotient_gradient": lambda: curvature_quotient_gradient(kappa, k),
+        "newton_maclaurin_gap": lambda: newton_maclaurin_gap(kappa, k, len(kappa)),
+        # two nodes, kappa and its reversal, with the scale as np.float64
+        "require_cone_batched": lambda: require_cone(
+            list(np.stack([sigma_all(kappa), sigma_all(kappa[::-1])], axis=-1)), np.max(np.abs(kappa)), k),
+    }
+    try:
+        calls[check]()
+    except ConeViolation:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("check", ["gamma_cone_member", "curvature_quotient", "curvature_quotient_gradient",
+                                   "newton_maclaurin_gap", "require_cone_batched"])
+@pytest.mark.parametrize("kappa, k, member", [
+    ([math.nan, 1.0], 1, False),
+    ([1.0, math.nan], 2, False),
+    ([1.0, 2.0, math.nan], 1, False),
+    ([math.inf, 1.0], 1, False),
+    ([1e200, 1.0], 2, False),  # the E_2 floor 1e-12 (1 + 1e400) is past the float range
+    ([1e200, 1e200], 2, False),
+    ([1e200, 1.0], 1, True),  # the E_1 floor 1e188 is finite and E_1 clears it
+], ids=["nan-first", "nan-last", "nan-n3", "inf", "huge-k2", "huge-pair-k2", "huge-k1"])
+def test_cone_checks_reject_nan_and_floors_past_the_float_range(check, kappa, k, member):
+    assert _accepts(check, kappa, k) is member
 
 
 def test_cone_membership_examples():
