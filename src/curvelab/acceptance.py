@@ -204,7 +204,6 @@ def ac3(samples=1000):
     c = _Checker("AC-3 Newton-MacLaurin")
     rng = np.random.default_rng(SEED_IDENTITIES + 1)
     min_gap = np.inf
-    min_nonconst = np.inf
     for _ in range(samples):
         n = int(rng.integers(2, 8))
         kappa = rng.uniform(0.05, 3.0, size=n)
@@ -212,10 +211,9 @@ def ac3(samples=1000):
             for m in range(k, n + 1):
                 g = newton_maclaurin_gap(kappa, k, m)
                 min_gap = min(min_gap, g)
-                min_nonconst = min(min_nonconst, g)
     c.check("no negative gaps", min_gap >= -1e-12, f"min gap = {min_gap:.2e} >= -1e-12")
-    c.check("strictness off constants", min_nonconst > 1e-12,
-            f"min gap on non-constant vectors = {min_nonconst:.2e} > 1e-12")
+    c.check("strictness off constants", min_gap > 1e-12,
+            f"min gap on non-constant vectors = {min_gap:.2e} > 1e-12")
     worst_const = 0.0
     for const in (0.3, 1.0, 2.7):
         kappa = np.full(5, const)
@@ -501,7 +499,7 @@ def ac10():
     out = area_evolution_consistency(data5["r0"], data5["profile"],
                                      FlowConfig(kind="radial", t_end=1.0))
     c.check("radial run", out["rel_error"] < 0.01,
-            f"rel error = {out['rel_error']:.2e} < 1e-2 at dt = Euler step/10")
+            f"rel error = {out['rel_error']:.2e} < 1e-2 at dt = adaptive step/1000")
 
     # support side on the k=1 run (the k=2 flow conserves area, so a relative
     # area-rate comparison is degenerate there); probed at the first trace

@@ -26,18 +26,19 @@ linearly implicit Euler steps u += (I - s a Z Delta Z)^-1 Z (s speed(u)),
 extrapolated over the substeps h/1, ..., h/L to order L (Deuflhard, SIAM
 Rev. 27 (1985)): L = 4 radial, 3 support.  The levels run in lockstep on
 one stack of states, so a step makes L speed calls and L solves, each on
-the levels it moves.  Z is the zonal filter, Delta the grid's Laplacian and
-a = c_max.  The solve's keys are s a = sigma / j for the step's spread
-sigma = a h, which is the spread cap itself while that cap sets the step,
-so a then follows c_max after every step on the same inverses.  Where the
-step cap or dt_fixed sets the step, a new a means new keys and a new
-Thomas sweep, and a is held while c_max stays in [a/2, a].  The Laplacian
-term stabilizes the stiff part (Smereka, J. Sci. Comput. 19 (2003)), so no
-Delta theta^2 bound applies; on a sphere Delta vanishes, the step is
-extrapolated explicit Euler on the radius ODE and the surface stays round.
-An adaptive step is min(step, spread / a) for the kernel's caps = (step,
-spread), (0.025, 0.04) radial and (0.1, 0.035) support, whatever the output
-interval, and one below 1e-12 max(1, t) raises StepCollapse; a diagnostic
+the levels it moves.  Z is the zonal filter and Delta the grid's Laplacian.
+An adaptive step is h = min(step, spread / c_max) for the kernel's caps =
+(step, spread), (0.025, 0.04) radial and (0.1, 0.035) support, whatever the
+output interval, and one below 1e-12 max(1, t) raises StepCollapse.  Its
+keys are s a = spread / j, so every adaptive run solves on one key set:
+a = spread / h is c_max where the spread cap sets the step and
+spread / step (1.6 radial, 0.35 support) where the step cap does.  Steps
+of dt_fixed, and one clipped at t_end, key at a h with a = c_max, held
+while c_max stays in [a/2, a], since a new a means a new Thomas sweep.
+The Laplacian term stabilizes the stiff part (Smereka, J. Sci. Comput. 19
+(2003)), so no Delta theta^2 bound applies; on a sphere Delta vanishes, the
+step is extrapolated explicit Euler on the radius ODE and the surface stays
+round.  A diagnostic
 row is written at the first accepted state at or past each output time, and
 its dt column is the step that reached it.  Each candidate state is
 assessed from one build, a CurvatureField: its monitored integral (Q or
@@ -479,14 +480,15 @@ def _kernel(grid: SphericalGrid, profile: SpeedProfile | None, config: "FlowConf
     return kernel(grid, profile or SpeedProfile.constant(1.0), config)
 
 
-# The adaptive step is min(step, spread / a) for the kernel's caps = (step,
-# spread), whatever the output interval: the step cap bounds the time error,
-# and the spread cap, the largest h * a, keeps the solve from spreading a
-# node's speed over more than about sqrt(h a) rad (0.2 radial, 0.19
-# support; rough starts, where c_max falls by 1e4, left the flow's range
-# without it).  So the step cap binds whenever a <= spread / step: 1.6
-# radial, 0.35 support.  An adaptive step below _DT_FLOOR * max(1, t) raises
-# StepCollapse: c_max has blown up and t would stall.
+# The adaptive step is min(step, spread / c_max) for the kernel's caps =
+# (step, spread), whatever the output interval: the step cap bounds the time
+# error, and the spread cap, the largest h * a, keeps the solve from
+# spreading a node's speed over more than about sqrt(h a) rad (0.2 radial,
+# 0.19 support; rough starts, where c_max falls by 1e4, left the flow's range
+# without it).  So the step cap binds whenever c_max <= spread / step: 1.6
+# radial, 0.35 support, and the step then runs at that a.  An adaptive step
+# below _DT_FLOOR * max(1, t) raises StepCollapse: c_max has blown up and t
+# would stall.
 _DT_FLOOR = 1e-12
 
 
@@ -709,7 +711,7 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
     state = grid.zonal_filter(initial.values).copy()  # final_state is never the caller's array
     t = 0.0
     steps = 0
-    # a, the step's Laplacian scale, is c_max; it is held only where a new a means new keys
+    # a is c_max; it is held only where a fixed or clipped step keys at a dt
     mono_prev, a, _, build = kernel.assess(state)
     mono_scale = max(abs(mono_prev), 1e-300)
     rise = 0.0  # the monitored integral's cumulative positive variation
@@ -745,8 +747,8 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
             dt = min(kernel.caps[0], kernel.caps[1] / a)
             if dt < _DT_FLOOR * max(1.0, t):  # at least 4e3 ulps of t, so t + dt > t too
                 collapse(f"adaptive step {dt:.3g} at t = {t:.6g} is below the floor")
-        # the spread cap sets the step: its spread a dt is caps[1] whatever a is
-        follow = not config.dt_fixed and dt < kernel.caps[0] and dt <= config.t_end - t
+        # an adaptive step keys at caps[1], whichever cap sets it
+        follow = not config.dt_fixed and dt <= config.t_end - t
         dt = min(dt, config.t_end - t)
         spread = kernel.caps[1] if follow else a * dt
         # the state's build gives the start speed and is dropped: holding it
@@ -765,7 +767,7 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
             trace.breaches.append(BreachEvent(t + dt, "monotone", breach, breach / max(abs(mono_prev), 1e-300)))
         rise += max(breach, 0.0)
         state, mono_prev = new_state, mono_new
-        if follow or not 0.5 * a <= c_max <= a:  # elsewhere a new a means new resolvent keys
+        if follow or not 0.5 * a <= c_max <= a:  # a fixed or clipped step keys at a dt
             a = c_max
         t += dt
         steps += 1
@@ -836,10 +838,10 @@ def area_evolution_consistency(
     """Compare finite-difference d(area)/dt with the first-variation integral.
 
     The surface measure evolves by d(dmu)/dt = n E_1 Phi dmu = H Phi dmu for
-    normal speed Phi.  One extrapolated step at a tenth of the forward-Euler
-    limit 2 / (c_max lambda_L) is taken; the finite difference of the total
-    area is matched against the average of int H Phi dmu at the two
-    endpoints.
+    normal speed Phi.  One extrapolated step at 1e-3 of the kernel's
+    adaptive step min(step, spread / c_max) is taken; the finite difference
+    of the total area is matched against the average of int H Phi dmu at
+    the two endpoints.
     """
     grid = initial.grid
     kernel = _kernel(grid, profile, config)
@@ -851,7 +853,7 @@ def area_evolution_consistency(
     # states are treated exactly as the integrator treats accepted states
     state = grid.zonal_filter(initial.values)
     _, c_max, _, build = kernel.assess(state)
-    dt = 2.0 / (c_max * grid.laplacian_bound()) / 10.0
+    dt = min(kernel.caps[0], kernel.caps[1] / c_max) / 1000.0
     new_state = _extrapolated_step(kernel, state, dt, c_max * dt, kernel.speed(state, build))
 
     rate0, area0 = rate(state, build)

@@ -23,9 +23,12 @@ and j + 1, w_(j+1) / w_j = c_j / a_(j+1).  The discrete Laplacian is then
 self-adjoint under the weights and integrates to zero (summation by parts;
 Strand, J. Comput. Phys. 110 (1994) 47-67), so M_2 = int (Delta h + 2 h) dmu
 of the k = 2 support flow keeps its continuum monotonicity on the grid; the
-profile stays within 0.4% of sin(theta) at 24 rows.  For n >= 3 the factor
-n - 1 on cot(theta) makes a_0 negative, and the weights stay
-sin^(n-1)(theta)-weighted cell areas.
+profile stays within 0.4% of sin(theta) at 24 rows.  For n >= 3 the weights
+stay sin^(n-1)(theta)-weighted cell areas.  There the stencil carries n - 1
+on cot(theta); the ghost row folds a_0 into the diagonal, so the balance
+needs a_j > 0 for j >= 1 only, and a_1 ~ (1 - (n-1)/3)/dtheta^2 is positive
+for n = 3, about zero at n = 4 and negative for n >= 5.  The n = 3 weights
+are not switched yet.
 
 The grid also owns its embedding in R^(n+1), so no other module branches on
 the mode to place a surface: xi() gives the node directions, frame() the
@@ -63,7 +66,7 @@ def _tridiagonal_inverse(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> 
     [matrix | I] row by row, then back-substitutes, without pivoting: the
     pivots of I - s Z Delta Z stay at or above 1 (rows are diagonally
     dominant for n <= 3, and the pivots were checked for n = 5, 6 up to
-    s lambda_L = 1e5).
+    s times the spectral radius of Z Delta Z = 1e5).
     """
     count, size = diag.shape
     out = np.broadcast_to(np.eye(size), (count, size, size)).copy()
@@ -135,8 +138,8 @@ class SphericalGrid:
             # near the poles; the filter mask removes them (see zonal_filter).
             # Keeping m <= 2 everywhere leaves smooth low-degree fields
             # untouched to round-off; the pole rows' retained modes then sit
-            # at most ~1.6x above the theta-direction eigenvalue budget, which
-            # laplacian_bound carries into the step size.
+            # at most ~1.6x above the theta-direction eigenvalue budget; the
+            # steppers take the Laplacian term implicitly, so no step depends on it.
             m = np.arange(self.n_phi // 2 + 1)
             m_keep = np.maximum(2.0, np.ceil(self.sin_t * self.n_phi / 2.0))
             self._zonal_mask = (m[None, :] <= m_keep[:, None]).astype(float)
@@ -264,8 +267,8 @@ class SphericalGrid:
         mask on both sides then applies Z to the input and clears what the
         FFT round trip leaves in the filtered rows.  Axisymmetric grids have
         the single block of m = 0.  The stencils reach one row either side,
-        so the blocks are tridiagonal.  Built anew on each call; the cached
-        laplacian_bound and resolvent keep only what they need of them.
+        so the blocks are tridiagonal.  Built anew on each call; the
+        resolvent caches only their diagonals.
         """
         responses = []
         for j in range(self.n_theta):
@@ -281,18 +284,12 @@ class SphericalGrid:
         return np.fft.rfft(response, axis=1).real.transpose(1, 0, 2) * mask[:, :, None] * mask[:, None, :]
 
     @functools.lru_cache(maxsize=8)
-    def laplacian_bound(self) -> float:
-        """Largest |eigenvalue| of Z Delta Z, the spectral radius of its blocks.
+    def _laplacian_diagonals(self):
+        """(sub, diag, super) diagonals of laplacian_blocks().
 
-        The area-rate check sizes its one step by it; no flow step reads it.
         Cached per grid like the shapes' mode bank; equal grids share an
         entry.
         """
-        return float(np.abs(np.linalg.eigvals(self.laplacian_blocks())).max())
-
-    @functools.lru_cache(maxsize=8)
-    def _laplacian_diagonals(self):
-        """(sub, diag, super) diagonals of laplacian_blocks(), cached like laplacian_bound."""
         blocks = self.laplacian_blocks()
         return tuple(np.diagonal(blocks, k, axis1=1, axis2=2).copy() for k in (-1, 0, 1))
 

@@ -222,6 +222,11 @@ def test_kernel_speed_matches_public_op():
         assert trace.meta["conserved_initial"] == pytest.approx(quermass[k - 1], rel=1e-12)
 
 
+def laplacian_radius(grid):
+    """lambda_L, the spectral radius of Z Delta Z, from its dense zonal blocks."""
+    return float(np.abs(np.linalg.eigvals(grid.laplacian_blocks())).max())
+
+
 def filtered_jacobian(kernel, u, eps=1e-6):
     """Dense zonal_filter o d(speed)/du at u, by central differences."""
     cols = []
@@ -250,7 +255,7 @@ def test_euler_step_covers_the_linearized_speed(kind, k, amp):
     config = FlowConfig(kind=kind, k=k, t_end=1.0)
     kernel = _kernel(grid, profile, config)
     u = grid.zonal_filter(field.values)
-    bound = kernel.assess(u)[1] * grid.laplacian_bound()
+    bound = kernel.assess(u)[1] * laplacian_radius(grid)
     radius = np.abs(np.linalg.eigvals(filtered_jacobian(kernel, u))).max()
     assert bound >= 0.99 * radius
 
@@ -548,9 +553,12 @@ def test_decay_rate_flat_trace_insufficient():
 def test_area_evolution_consistency_radial_and_support():
     grid = SphericalGrid.axisym(2, 96)
     r0 = ScalarField(grid, 1.0 + 0.1 * np.cos(2 * grid.theta))
-    out = area_evolution_consistency(r0, SpeedProfile.power_exp_pinned(2, 1.0),
-                                     FlowConfig(kind="radial", t_end=1.0))
+    profile, config = SpeedProfile.power_exp_pinned(2, 1.0), FlowConfig(kind="radial", t_end=1.0)
+    out = area_evolution_consistency(r0, profile, config)
     assert out["rel_error"] < 0.01
+    # the probe is 1e-3 of the kernel's adaptive step from that state
+    c_max = _kernel(grid, profile, config).assess(grid.zonal_filter(r0.values))[1]
+    assert out["dt"] == min(_RadialKernel.caps[0], _RadialKernel.caps[1] / c_max) / 1000
 
     # support side: the Gauss-map parametrization adds a tangential
     # reparametrization term to the discrete area rate; it vanishes at
@@ -586,7 +594,7 @@ def test_q_rate_matches_monotonicity_integrand():
         return -float(np.sum(w * f ** (1.0 / (n - 1.0)) * term**2))
 
     _, c_max, _, build = kernel.assess(r)
-    dt = 0.2 * 2.0 / (c_max * grid.laplacian_bound())  # a fifth of the forward-Euler limit
+    dt = 0.2 * 2.0 / (c_max * laplacian_radius(grid))  # a fifth of the forward-Euler limit
     r1 = _extrapolated_step(kernel, r, dt, c_max * dt, kernel.speed(r, build))
     fd = (q_value(r1) - q_value(r)) / dt
     predicted = 0.5 * (integrand(r) + integrand(r1))
@@ -1363,8 +1371,9 @@ def test_a_follows_c_max_under_the_spread_cap_on_one_sweep(monkeypatch, k):
 
 def test_radial_steps_at_the_step_cap_once_c_max_reaches_it(monkeypatch):
     # a start with c_max in (1.6, 2] takes spread-capped steps 0.04 / c_max
-    # until a state's c_max is <= 1.6; every later step is 0.025, and the
-    # run sweeps twice: for the spread-capped keys and, once, for the new a
+    # until a state's c_max is <= 1.6; every later step is 0.025.  Each
+    # step keys at the spread cap 0.04, whichever cap sets it, so the run
+    # sweeps once
     log = recorded_run(monkeypatch, _RadialKernel)
     grid = SphericalGrid.axisym(2, 40)
     r0 = ScalarField(grid, 1.0 + 0.2 * np.cos(2 * grid.theta))
@@ -1377,7 +1386,8 @@ def test_radial_steps_at_the_step_cap_once_c_max_reaches_it(monkeypatch):
     assert 0 < first < trace.meta["steps"] - 10
     assert [h for h, _ in log["steps"][:first]] == [spread_cap / c for c in c_max[:first]]
     assert all(h == step_cap for h, _ in log["steps"][first:])
-    assert log["sweeps"] == 2
+    assert all(spread == spread_cap for _, spread in log["steps"])
+    assert log["sweeps"] == 1
 
 
 def test_fixed_steps_hold_a_while_c_max_stays_in_its_band(monkeypatch):

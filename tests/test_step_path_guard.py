@@ -1,9 +1,9 @@
-"""The flow steps run without LAPACK: nothing run_flow reaches calls np.linalg.
+"""The flow steps run without LAPACK: nothing run_flow or the area-rate check
+reaches calls np.linalg.
 
 A first np.linalg call maps LAPACK's pages into the process, which showed as
 peak memory on flow runs.  Calls are followed by name across the package,
-which over-approximates the call graph.  Nothing is exempt: no step is sized
-by SphericalGrid.laplacian_bound (np.linalg.eigvals), so a run never reaches it.
+which over-approximates the call graph.  Nothing is exempt.
 """
 
 import ast
@@ -54,9 +54,10 @@ def test_run_flow_reaches_no_np_linalg():
         definitions.update(functions(ast.parse(path.read_text(), str(path)), path.stem))
     assert "flows._extrapolated_step" in definitions
     assert reached_linalg_users(definitions, "flows.run_flow") == []
+    assert reached_linalg_users(definitions, "flows.area_evolution_consistency") == []
     snippet = ("import numpy as np\nclass SphericalGrid:\n    def solve(self, v):\n        return np.linalg.inv(v)\n"
-               "    def laplacian_bound(self):\n        return np.linalg.eigvals(1)\n"
-               "def step(g, v):\n    return g.laplacian_bound() + g.solve(v)\n")
+               "    def spectrum(self):\n        return np.linalg.eigvals(1)\n"
+               "def step(g, v):\n    return g.spectrum() + g.solve(v)\n")
     probe = functions(ast.parse(snippet), "sphere_grid")
     assert reached_linalg_users(probe, "sphere_grid.step") == [
-        "sphere_grid.SphericalGrid.laplacian_bound", "sphere_grid.SphericalGrid.solve"]
+        "sphere_grid.SphericalGrid.solve", "sphere_grid.SphericalGrid.spectrum"]
