@@ -206,6 +206,24 @@ def dense_filtered_laplacian(grid):
 
 
 @pytest.mark.parametrize("grid", LAPLACIAN_GRIDS, ids=repr)
+def test_laplacian_blocks_carry_the_dense_spectrum(grid):
+    # the zonal blocks split Z Delta Z without loss: a block 0 < m < n_phi / 2
+    # stands for a cos and a sin mode, so it counts twice, and their pooled
+    # eigenvalues are the dense operator's; lambda_L, read off the blocks by
+    # the flow tests, is then the dense spectral radius
+    blocks = grid.laplacian_blocks()
+    counts = np.ones(len(blocks), dtype=int)
+    if grid.mode == "full-s2":
+        counts[1:(grid.n_phi + 1) // 2] = 2
+    pooled = np.concatenate([np.repeat(np.linalg.eigvals(b), c) for b, c in zip(blocks, counts)])
+    dense = np.linalg.eigvals(dense_filtered_laplacian(grid))
+    assert pooled.size == dense.size
+    lambda_l = float(np.abs(dense).max())
+    assert float(np.abs(pooled).max()) == pytest.approx(lambda_l, rel=1e-9)
+    assert np.abs(np.sort_complex(pooled) - np.sort_complex(dense)).max() < 1e-9 * lambda_l
+
+
+@pytest.mark.parametrize("grid", LAPLACIAN_GRIDS, ids=repr)
 def test_resolvent_matches_dense_solve(grid):
     # the Thomas sweep needs tridiagonal blocks; s lambda_L, with lambda_L
     # the blocks' spectral radius, spans the extrapolated step's range, up
