@@ -1,6 +1,7 @@
 """The one writer of artefact files: overwrite in place, never truncate on open."""
 
 import contextlib
+import csv
 import os
 
 
@@ -23,3 +24,12 @@ def overwrite(path, newline=None):
             yield handle
         finally:
             handle.truncate()
+
+
+def write_csv(path, header, rows):
+    """Overwrite ``path`` with an RFC 4180 table: floats as repr(float(x)), their
+    round-trip form, and integers and strings as they are."""
+    with overwrite(path, newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)

@@ -18,9 +18,9 @@ round-trip precision; every JSON artifact embeds the config hash and seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
-from ._artifacts import overwrite
+from ._artifacts import overwrite, write_csv
 from .errors import ConfigError, CurveLabError, StepCollapse
 from .flows import FlowConfig, SpeedProfile, estimate_decay_rate, run_flow
 from .functionals import (
@@ -87,11 +87,14 @@ def config_hash(cfg: dict) -> str:
 def load_config(path: str) -> dict:
     try:
         with open(path) as handle:
-            return json.load(handle)
+            cfg = json.load(handle)
     except FileNotFoundError:
         raise ConfigError("config", f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"config is not valid JSON: {exc}")
+    if not isinstance(cfg, dict):
+        raise ConfigError("config", f"config must be a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
 def build_grid(cfg: dict) -> SphericalGrid:
@@ -156,6 +159,8 @@ def build_initial(cfg: dict, grid: SphericalGrid, rng: np.random.Generator,
                 raise ConfigError("initial.amplitude",
                                   "harmonic amplitude must lie in (0, 0.45]")
             base = cfg.get("base", 1.0)
+            if not base > 0:
+                raise ValueError(f"harmonic base must be positive, got {base!r}")
             mode = harmonic_mode(grid, ell, cfg.get("m", 0), cfg.get("phase", "cos"))
             return ScalarField(grid, base * (1.0 + amp * mode))
         if shape == "random":
@@ -326,6 +331,9 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
     calibration = _one_of(cfg, "calibration", "sphere-calibrated", CALIBRATIONS)
     _one_of(cfg, "parametrization", "radial", ("radial", "support"))
     _one_of(cfg, "functional", "H", ("H", "k"))
+    amplitude = cfg.get("amplitude", 0.3)
+    if isinstance(amplitude, bool) or not (isinstance(amplitude, (int, float)) and 0 < amplitude < math.inf):
+        raise ConfigError("amplitude", f"amplitude must be a positive finite number, got {amplitude!r}")
     profile = build_profile(cfg.get("profile") or None)
     jobs = [(i, cfg, grid, seed, k, calibration, profile) for i in range(samples)]
     workers = _worker_count()
@@ -335,16 +343,9 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
     else:
         rows = [_verify_sample(job) for job in jobs]
 
-    with overwrite(out_dir / "verify.csv", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(VERIFY_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                row["sample_id"], row["n"], row["k"],
-                repr(float(row["sphericity"])), repr(float(row["f_variation"])),
-                repr(float(row["lhs"])), repr(float(row["rhs"])),
-                repr(float(row["deficit"])), row["mode"], row["status"],
-            ])
+    write_csv(out_dir / "verify.csv", VERIFY_COLUMNS, (
+        [row[c] if c in ("sample_id", "n", "k", "mode", "status") else float(row[c]) for c in VERIFY_COLUMNS]
+        for row in rows))
     good = [r for r in rows if r["status"] == "ok"]
     summary = {
         "command": "verify",
@@ -429,6 +430,8 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+        if not (_is_int(seed) and seed >= 0):
+            raise ConfigError("seed", f"seed must be a nonnegative integer, got {seed!r}")
         if args.command == "flow":
             return cmd_flow(cfg, out_dir, seed, args.force)
         if args.command == "verify":

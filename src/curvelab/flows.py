@@ -44,7 +44,8 @@ its dt column is the step that reached it.  Each candidate state is
 assessed from one build, a CurvatureField: its monitored integral (Q or
 M_k, the functional its trace column reads), its c_max and the convergence
 test; once the state is accepted, that field also gives the next step's
-start speed.  The substep speeds build the principal pair alone.  Rows are
+start speed, and each round of substeps reads one build of its levels'
+stacked states, so a kernel's speed reads nothing but a field.  Rows are
 computed in batches: the public functionals on one CurvatureField, the
 build of a state that fills a batch alone or one build of the held states'
 stack, so a row error surfaces once its batch is.  Each step is taken once:
@@ -61,13 +62,12 @@ columns do not force their own step size.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from ._artifacts import overwrite
+from ._artifacts import write_csv
 from .errors import (
     AssumptionViolated,
     ConvexityLost,
@@ -81,9 +81,7 @@ from .geometry import (
     CurvatureField,
     _convexity_margins,
     _radial_field,
-    _radial_pair,
     _support_field,
-    _support_radii,
     radial_geometry,
     sphericity,
     static_convexity,
@@ -342,17 +340,25 @@ def validate_support_profile(
 # ---------------------------------------------------------------------------
 # stepper kernels
 #
-# A kernel evaluates one flow on one grid: ``speed`` is the right-hand side
-# of the stepper, ``build`` makes the CurvatureField of a state or of a
-# stack of states, and ``assess`` builds a candidate state once and returns
-# (monotone integral, c_max at that state, converged, field).  ``speed``
-# reads a field the caller has, so an accepted state is built only once;
-# without one it builds the principal pair alone.
+# A kernel evaluates one flow on one grid: ``build`` makes the
+# CurvatureField of a state or of a stack of states, ``speed`` is the
+# right-hand side of the stepper at the states of one such field, and
+# ``assess`` builds a candidate state once and returns (monotone integral,
+# c_max at that state, converged, field), so an accepted state is built
+# only once.
 
 _GEOM_ERRORS = (NotStarshaped, ConvexityLost, DegenerateMetric)
 
 
-class _RadialKernel:
+class _Kernel:
+    """One flow on one grid: its profile and config, with n = grid.n and k = config.k."""
+
+    def __init__(self, grid: SphericalGrid, profile: SpeedProfile, config: "FlowConfig"):
+        self.grid, self.profile, self.config = grid, profile, config
+        self.n, self.k = grid.n, config.k
+
+
+class _RadialKernel(_Kernel):
     """Fused radial-flow evaluations: dr/dt = -(f H + n/(n-1) f' v) v."""
 
     # the extrapolated step's depth and order: AC-11's sphere ODE needs order 4
@@ -363,28 +369,16 @@ class _RadialKernel:
     # range at a spread cap of 0.07
     caps = (0.025, 0.04)
 
-    def __init__(self, grid: SphericalGrid, profile: SpeedProfile, config: "FlowConfig"):
-        self.grid = grid
-        self.profile = profile
-        self.config = config
-        self.n = grid.n
-
     def build(self, r: np.ndarray) -> CurvatureField:
         """The CurvatureField of r, or of a stack r."""
-        return _radial_field(self.grid, r, _radial_pair(self.grid, r))
+        return _radial_field(self.grid, r)
 
-    def speed(self, r: np.ndarray, geom: CurvatureField | None = None) -> np.ndarray:
-        """dr/dt at r, or at each state of a stack r, from its field when the
-        caller has built it."""
-        n = self.n
-        if geom is None:
-            kappa1, kappa2, rho, _ = _radial_pair(self.grid, r)
-        else:
-            kappa1, kappa2, rho = geom.kappa1, geom.kappa2, geom.metric_source
-        H = kappa1 + (n - 1) * kappa2
-        v = rho / r  # sqrt(1 + |grad r|^2 / r^2)
+    def speed(self, geom: CurvatureField) -> np.ndarray:
+        """dr/dt at the state, or at each state of the stack, that geom was built from."""
+        n, r = self.n, geom.scalar
+        v = geom.metric_source / r  # rho / r = sqrt(1 + |grad r|^2 / r^2)
         f, fp = self.profile.f_df(r)
-        return -(f * H + n / (n - 1.0) * fp * v) * v
+        return -(f * geom.H + n / (n - 1.0) * fp * v) * v
 
     def assess(self, r: np.ndarray):
         """(Q, c_max = max f / r^2, converged, field) from one build of r.
@@ -404,12 +398,8 @@ class _RadialKernel:
         return _q_integral(geom, f), c_max, converged, geom
 
 
-class _SupportKernel:
-    """Fused support-flow evaluations: dh/dt = 1 - h E_k / E_{k-1}.
-
-    An unassessed speed builds the principal radii and their sigma alone;
-    an assessed state's field gives its speed and its diagnostic row.
-    """
+class _SupportKernel(_Kernel):
+    """Fused support-flow evaluations: dh/dt = 1 - h E_k / E_{k-1}."""
 
     # depth 2 misses AC-10's support probe (2.17e-2 against 1e-2); depth 4
     # takes the same steps at one more speed call each
@@ -425,26 +415,15 @@ class _SupportKernel:
     # and 0.05 up to +13%
     caps = (0.1, 0.035)
 
-    def __init__(self, grid: SphericalGrid, profile: SpeedProfile, config: "FlowConfig"):
-        self.grid = grid
-        self.profile = profile
-        self.config = config
-        self.n = grid.n
-        self.k = config.k
-
     def build(self, h: np.ndarray) -> CurvatureField:
         """The CurvatureField of h, or of a stack h."""
-        return _support_field(self.grid, h, _support_radii(self.grid, h))
+        return _support_field(self.grid, h)
 
-    def speed(self, h: np.ndarray, geom: CurvatureField | None = None) -> np.ndarray:
-        """dh/dt at h, or at each state of a stack h, from its field when the
-        caller has built it."""
-        if geom is None:
-            rho1, rho2, _, _ = _support_radii(self.grid, h)
-            sig = sigma_pair(1.0 / rho1, 1.0 / rho2, self.n)
-        else:
-            sig = geom.sigma
-        return 1.0 - h * sigma_quotient(sig, self.k)
+    def speed(self, geom: CurvatureField) -> np.ndarray:
+        """dh/dt at the state, or at each state of the stack, that geom was built from."""
+        speed = sigma_quotient(geom.sigma, self.k)
+        speed *= geom.scalar  # in place: a temporary beside the live field raised support-s2's peak memory
+        return np.subtract(1.0, speed, out=speed)
 
     def assess(self, h: np.ndarray):
         """(M_k, c_max, converged, field) from one build of h.
@@ -493,7 +472,7 @@ _DT_FLOOR = 1e-12
 
 
 def _extrapolated_step(kernel, u: np.ndarray, h: float, spread: float, start: np.ndarray) -> np.ndarray:
-    """One linearly implicit Euler step of du/dt = kernel.speed(u), extrapolated.
+    """One linearly implicit Euler step of du/dt = speed(u), extrapolated.
 
     Level j takes j substeps y += R(s a)(s speed(y)) of s = h / j, with
     R(s a) = (I - s a Z Delta Z)^-1 Z the grid's resolvent and the key
@@ -501,7 +480,7 @@ def _extrapolated_step(kernel, u: np.ndarray, h: float, spread: float, start: np
     their keys bit for bit; the levels share start = speed(u), which the
     caller has from u's build.  The levels run in lockstep on one stack of
     states: round 1 moves every level from u, and round i moves levels
-    i..L with one speed call on their stacked states and one resolvent
+    i..L with one build and speed of their stacked states and one resolvent
     call, whose keys are the trailing part of round 1's.  Each level sees
     the arithmetic of a level-by-level loop, so the result has its bits.
     For any fixed a the error expands in powers of h, so the Aitken-Neville
@@ -515,7 +494,7 @@ def _extrapolated_step(kernel, u: np.ndarray, h: float, spread: float, start: np
     y = kernel.grid.resolvent(s * start, keys)
     y += u
     for i in range(1, levels):  # round i + 1 moves levels i + 1..L
-        y[i:] += kernel.grid.resolvent(s[i:] * kernel.speed(y[i:]), keys[i:])
+        y[i:] += kernel.grid.resolvent(s[i:] * kernel.speed(kernel.build(y[i:])), keys[i:])
     row = []
     for j in range(1, levels + 1):
         new = [y[j - 1]]
@@ -603,11 +582,7 @@ class FlowTrace:
         return np.asarray([row[key] for row in self.rows])
 
     def write_csv(self, path):
-        with overwrite(path, newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow([repr(float(row[c])) for c in self.columns])
+        write_csv(path, self.columns, ([float(row[c]) for c in self.columns] for row in self.rows))
 
     def summary(self) -> dict:
         out = {
@@ -756,7 +731,7 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
         # 0.1-0.2 MB, and queueing the builds of 40-node states (radial-axisym)
         # raised it by about 0.19 MB in 10 of 10 pairs, where holding the
         # states and building each batch once did not
-        start, build = kernel.speed(state, build), None
+        start, build = kernel.speed(build), None
         try:
             new_state = _extrapolated_step(kernel, state, dt, spread, start)
             mono_new, c_max, converged, build = kernel.assess(new_state)
@@ -846,18 +821,18 @@ def area_evolution_consistency(
     grid = initial.grid
     kernel = _kernel(grid, profile, config)
 
-    def rate(u, geom):
-        phi = kernel.speed(u, geom) / (u / geom.support)  # v = r / <X, nu>; 1 for support, h = <X, nu>
+    def rate(geom):
+        phi = kernel.speed(geom) / (geom.scalar / geom.support)  # v = r / <X, nu>; 1 for support, h = <X, nu>
         return float(np.sum(geom.area_weights * geom.H * phi)), geom.total_area()
 
     # states are treated exactly as the integrator treats accepted states
     state = grid.zonal_filter(initial.values)
     _, c_max, _, build = kernel.assess(state)
     dt = min(kernel.caps[0], kernel.caps[1] / c_max) / 1000.0
-    new_state = _extrapolated_step(kernel, state, dt, c_max * dt, kernel.speed(state, build))
+    new_state = _extrapolated_step(kernel, state, dt, c_max * dt, kernel.speed(build))
 
-    rate0, area0 = rate(state, build)
-    rate1, area1 = rate(new_state, kernel.assess(new_state)[3])
+    rate0, area0 = rate(build)
+    rate1, area1 = rate(kernel.build(new_state))
     fd = (area1 - area0) / dt
     integral = 0.5 * (rate0 + rate1)
     return {

@@ -9,13 +9,16 @@ Two parametrizations of a closed hypersurface M in R^(n+1) are supported:
 * inverse Gauss map: X(nu) = h(nu) nu + grad h(nu) for a support function h,
   with principal curvature radii the eigenvalues of b = hess(h) + h e.
 
-Principal curvatures of the radial graph come from the symmetric matrix
-lambda = g^(-1/2) h g^(-1/2), with the inverse square root in closed form
+Principal curvatures of the radial graph are the eigenvalues of the shape
+operator g^(-1) h.  With d = grad r and rho = sqrt(r^2 + |d|^2),
+g^(-1) = (e - d x d / rho^2) / r^2, so g^(-1) h = a / r^2 with
 
-    g^(-1/2) = r^(-1) [e - grad r x grad r / (rho (rho + r))],  rho = sqrt(r^2 + |grad r|^2),
+    a = h - d (h d)^T / rho^2,
 
-which squares exactly to g^(-1).  Everything is evaluated per node in the
-orthonormal frame of the round metric, so e_ij = delta_ij throughout.
+whose eigenvalues are real (g^(-1) h is similar to the symmetric
+g^(-1/2) h g^(-1/2)) and closed-form in its trace and determinant.
+Everything is evaluated per node in the orthonormal frame of the round
+metric, so e_ij = delta_ij throughout.
 
 The inverse metric is kept as components g^ij that match the gradient tuple
 of SphericalGrid.gradient, (g^11,) on axisymmetric grids and the symmetric
@@ -26,14 +29,14 @@ vectors (position, normal) come from the grid's embedding, xi() and frame().
 
 Every surface here has two distinct principal values per node, of
 multiplicities 1 and n - 1 (the 2x2 eigenvalues on full-s2 grids, the
-meridional and azimuthal values on axisymmetric ones).  _radial_pair and
-_support_radii compute that pair once per parametrization for both grid
-modes, from one derivative pass; _radial_field and _support_field finish a
-CurvatureField from it, which is a flow kernel's build of a state: its
-assessment, its start speed and its diagnostic row read that one field.  A
-field may hold a stack of surfaces, and static_convexity, sphericity and
-the field's integrals then give one value per surface: the diagnostic rows
-are these functionals on one field holding a batch of states.
+meridional and azimuthal values on axisymmetric ones).  _radial_field and
+_support_field build a CurvatureField, that pair included, from one
+derivative pass for both grid modes (_principal_radii is the support one's
+algebra, unchecked); it is a flow kernel's build of a state, read by its
+assessment, speed and diagnostic row.  A field may hold a stack of
+surfaces, and static_convexity, sphericity and the field's integrals then
+give one value per surface: the diagnostic rows and substep speeds each
+read one field of a stack of states.
 """
 
 from __future__ import annotations
@@ -208,10 +211,11 @@ class StaticConvexityReport:
     node_margins: np.ndarray
 
 
-def _eig2(a11, a12, a22):
-    """Eigenvalues (lower, upper) of symmetric 2x2 matrices, in closed form."""
+def _eig2(a11, a12, a21, a22):
+    """Eigenvalues (lower, upper) of 2x2 matrices with a real spectrum, in closed form;
+    the discriminant, ~0 at umbilic nodes, is clamped at 0 against rounding."""
     mean = 0.5 * (a11 + a22)
-    disc = np.sqrt(0.25 * (a11 - a22) ** 2 + a12**2)
+    disc = np.sqrt(np.maximum(0.25 * (a11 - a22) ** 2 + a12 * a21, 0.0))
     return mean - disc, mean + disc
 
 
@@ -224,14 +228,12 @@ def _check_starshaped(r: np.ndarray):
         raise NotStarshaped(f"radial function must be positive; min r = {lo:.6g}")
 
 
-def _radial_pair(grid: SphericalGrid, r: np.ndarray):
-    """Principal curvature pair of the radial graph r(xi) xi.
+def _radial_field(grid: SphericalGrid, r: np.ndarray) -> CurvatureField:
+    """Extrinsic geometry of the radial graph r(xi) xi, or of a stack r.
 
-    Returns (kappa1, kappa2, rho, grad) with rho = sqrt(r^2 + |grad r|^2) and
-    grad the orthonormal-frame gradient of r.  Axisymmetric grids give the
-    meridional curvature and the (n-1)-fold azimuthal one; full-s2 grids the
-    eigenvalues of lambda = g^(-1/2) h g^(-1/2), ascending.  r may be a
-    stack of radial functions along a leading axis, as for
+    Axisymmetric grids give the meridional curvature and the (n-1)-fold
+    azimuthal one; full-s2 grids the eigenvalues of g^(-1) b, ascending.  r
+    may be a stack of radial functions along a leading axis, as for
     SphericalGrid._derivatives; a bad radius in any of them raises.
     """
     _check_starshaped(r)
@@ -241,35 +243,21 @@ def _radial_pair(grid: SphericalGrid, r: np.ndarray):
         q = r1 * r1
         rho2 = r * r + q
         rho = np.sqrt(rho2)
-        kap_m = (r * r + 2.0 * q - r * r2) / (rho2 * rho)
-        kap_a = (1.0 - (r1 / r) * grid.cot_t) / rho
-        return kap_m, kap_a, rho, (r1,)
-
-    d1, d2 = grad
-    h11, h12, h22 = hess
-    rho = np.sqrt(r * r + (d1 * d1 + d2 * d2))
-
-    # second fundamental form (orthonormal frame of the round metric)
-    b11 = (r * r + 2.0 * d1 * d1 - r * h11) / rho
-    b12 = (2.0 * d1 * d2 - r * h12) / rho
-    b22 = (r * r + 2.0 * d2 * d2 - r * h22) / rho
-
-    # lambda = S b S with S = g^(-1/2) = a I + c (dr x dr)
-    a = 1.0 / r
-    c = -1.0 / (r * rho * (rho + r))
-    w1 = b11 * d1 + b12 * d2
-    w2 = b12 * d1 + b22 * d2
-    dw = d1 * w1 + d2 * w2
-    l11 = a * a * b11 + 2.0 * a * c * d1 * w1 + c * c * dw * d1 * d1
-    l12 = a * a * b12 + a * c * (d1 * w2 + d2 * w1) + c * c * dw * d1 * d2
-    l22 = a * a * b22 + 2.0 * a * c * d2 * w2 + c * c * dw * d2 * d2
-    kap_lo, kap_hi = _eig2(l11, l12, l22)
-    return kap_lo, kap_hi, rho, (d1, d2)
-
-
-def _radial_field(grid: SphericalGrid, r: np.ndarray, pair) -> CurvatureField:
-    """Extrinsic geometry of r(xi) xi, or of a stack r, from its _radial_pair result."""
-    kappa1, kappa2, rho, grad = pair
+        kappa1 = (r * r + 2.0 * q - r * r2) / (rho2 * rho)
+        kappa2 = (1.0 - (r1 / r) * grid.cot_t) / rho
+    else:
+        (d1, d2), (h11, h12, h22) = grad, hess
+        rho2 = r * r + (d1 * d1 + d2 * d2)
+        rho = np.sqrt(rho2)
+        # second fundamental form (orthonormal frame of the round metric)
+        b11 = (r * r + 2.0 * d1 * d1 - r * h11) / rho
+        b12 = (2.0 * d1 * d2 - r * h12) / rho
+        b22 = (r * r + 2.0 * d2 * d2 - r * h22) / rho
+        # g^(-1) b = a / r^2 with a = b - d (b d)^T / rho^2
+        w1 = (b11 * d1 + b12 * d2) / rho2
+        w2 = (b12 * d1 + b22 * d2) / rho2
+        lo, hi = _eig2(b11 - d1 * w1, b12 - d1 * w2, b12 - d2 * w1, b22 - d2 * w2)
+        kappa1, kappa2 = lo / (r * r), hi / (r * r)
     return CurvatureField(
         grid, "radial", grid.n, r, grad, kappa1, kappa2, r ** (grid.n - 1) * rho, r * r / rho, rho,
     )
@@ -277,44 +265,43 @@ def _radial_field(grid: SphericalGrid, r: np.ndarray, pair) -> CurvatureField:
 
 def radial_geometry(field: ScalarField) -> CurvatureField:
     """Full extrinsic geometry of the starshaped graph r(xi) xi."""
-    return _radial_field(field.grid, field.values, _radial_pair(field.grid, field.values))
+    return _radial_field(field.grid, field.values)
 
 
-def _support_radii(grid: SphericalGrid, h: np.ndarray):
-    """Principal radii of curvature of the body with support function h.
+def _principal_radii(grid: SphericalGrid, h: np.ndarray):
+    """Principal radii of curvature of the body with support function h, unchecked.
 
     The radii are the eigenvalues of b = hess(h) + h e.  Returns
     (rho1, rho2, b, grad): rho1 has multiplicity 1 and rho2 multiplicity
     n - 1 (axisymmetric grids: meridional and azimuthal, b = (rho1, rho2));
     on full-s2 grids they are the eigenvalues ascending and b holds the
     frame components (b11, b12, b22).  grad is the orthonormal-frame
-    gradient of h, from the same derivative pass as the Hessian.  h may be
-    a stack of support functions along a leading axis, as for
+    gradient of h, from the same derivative pass as the Hessian.
+    """
+    grad, hess = grid._derivatives(h)
+    if grid.mode == "axisym":
+        b = (hess[0] + h, hess[1] + h)
+        return (*b, b, grad)
+    b = (hess[0] + h, hess[1], hess[2] + h)
+    return (*_eig2(b[0], b[1], b[1], b[2]), b, grad)
+
+
+def _support_field(grid: SphericalGrid, h: np.ndarray) -> CurvatureField:
+    """Extrinsic geometry of the body with support function h, or of a stack h.
+
+    h may be a stack of support functions along a leading axis, as for
     SphericalGrid._derivatives; each is checked against its own scale.
     """
     # one scale per support function; NaN or inf when an entry is not finite
     scale = np.abs(h).reshape(-1, math.prod(grid.node_shape)).max(axis=1)
     if not np.isfinite(scale).all():
         raise DegenerateMetric("support function has non-finite entries")
-    grad, hess = grid._derivatives(h)
-    if grid.mode == "axisym":
-        b = (hess[0] + h, hess[1] + h)
-        rho1, rho2 = b
-    else:
-        b = (hess[0] + h, hess[1], hess[2] + h)
-        rho1, rho2 = _eig2(*b)
+    rho1, rho2, b, grad = _principal_radii(grid, h)
     rho_min = np.minimum(*(rho.reshape(scale.shape + (-1,)).min(axis=1) for rho in (rho1, rho2)))
     if (rho_min <= 1e-10 * (1.0 + scale)).any():
         raise ConvexityLost(
             f"support Hessian b lost positivity (min radius {rho_min.min():.6g})"
         )
-    return rho1, rho2, b, grad
-
-
-def _support_field(grid: SphericalGrid, h: np.ndarray, radii) -> CurvatureField:
-    """Extrinsic geometry of the body with support function h, or of a stack h,
-    from its _support_radii result."""
-    rho1, rho2, b, grad = radii
     return CurvatureField(
         grid, "support", grid.n, h, grad, 1.0 / rho1, 1.0 / rho2, rho1 * rho2 ** (grid.n - 1), h, b,
     )
@@ -322,7 +309,7 @@ def _support_field(grid: SphericalGrid, h: np.ndarray, radii) -> CurvatureField:
 
 def support_geometry(field: ScalarField) -> CurvatureField:
     """Extrinsic geometry of a strictly convex body from its support function."""
-    return _support_field(field.grid, field.values, _support_radii(field.grid, field.values))
+    return _support_field(field.grid, field.values)
 
 
 def _nan_where(mask, values):

@@ -26,7 +26,7 @@ import functools
 import numpy as np
 
 from .errors import ConvexityLost, NotStarshaped
-from .geometry import _eig2, _radial_centroid, centroid, support_geometry
+from .geometry import _principal_radii, _radial_centroid, centroid, support_geometry
 from .sphere_grid import ScalarField, SphericalGrid
 
 __all__ = [
@@ -42,12 +42,20 @@ __all__ = [
 ]
 
 
+def _check_positive(*sizes):
+    """ValueError unless each (name, size) is positive: a negative axis would be squared into its mirror body."""
+    for name, value in sizes:
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
+
+
 def sphere_radial(grid: SphericalGrid, radius: float = 1.0, center=None) -> ScalarField:
     """Radial function of a sphere, optionally off-centre (|center| < radius).
 
     ``center`` is a 3-vector on full-s2 grids or an axis offset (scalar) on
     axisymmetric grids (see SphericalGrid.project).
     """
+    _check_positive(("radius", radius))
     if center is None:
         return ScalarField(grid, np.full(grid.node_shape, float(radius)))
     proj = grid.project(center)
@@ -60,6 +68,7 @@ def sphere_radial(grid: SphericalGrid, radius: float = 1.0, center=None) -> Scal
 
 def sphere_support(grid: SphericalGrid, radius: float = 1.0, center=None) -> ScalarField:
     """Support function of a sphere: h = R + <center, nu>."""
+    _check_positive(("radius", radius))
     h = np.full(grid.node_shape, float(radius))
     if center is not None:
         h = h + grid.project(center)
@@ -68,12 +77,14 @@ def sphere_support(grid: SphericalGrid, radius: float = 1.0, center=None) -> Sca
 
 def spheroid_radial(grid: SphericalGrid, c_axis: float, b_equator: float) -> ScalarField:
     """Radial function of the spheroid with polar semi-axis c, equatorial b."""
+    _check_positive(("c_axis", c_axis), ("b_equator", b_equator))
     r = 1.0 / np.sqrt(grid.sin_t**2 / b_equator**2 + grid.cos_t**2 / c_axis**2)
     return ScalarField(grid, grid.zonal(r))
 
 
 def spheroid_support(grid: SphericalGrid, c_axis: float, b_equator: float) -> ScalarField:
     """Support function of the same spheroid, h(nu) = sqrt(c^2 nu_z^2 + b^2 |nu_perp|^2)."""
+    _check_positive(("c_axis", c_axis), ("b_equator", b_equator))
     h = np.sqrt(c_axis**2 * grid.cos_t**2 + b_equator**2 * grid.sin_t**2)
     return ScalarField(grid, grid.zonal(h))
 
@@ -161,12 +172,7 @@ def _convexity_normalized_modes(grid: SphericalGrid, lmax: int):
     """
     scaled = []
     for y in _mode_bank(grid, lmax):
-        hess = grid.hessian_components(y)
-        if grid.mode == "axisym":
-            radii = (hess[0] + y, hess[1] + y)
-        else:
-            radii = _eig2(hess[0] + y, hess[1], hess[2] + y)
-        bound = max(np.abs(rho).max() for rho in radii)
+        bound = max(np.abs(rho).max() for rho in _principal_radii(grid, y)[:2])
         scaled.append(y / max(bound, 1.0))
     return tuple(scaled)
 
@@ -213,8 +219,7 @@ def random_starshaped(
     base (base must be positive) before and during recentring, and when
     recentring does not converge.
     """
-    if not base > 0.0:
-        raise ValueError(f"base radius must be positive, got {base!r}")
+    _check_positive(("base radius", base))
     modes = _mode_bank(grid, lmax)
     for _ in range(_MAX_TRIES):
         coeff = rng.uniform(-amp, amp, size=len(modes))
@@ -239,8 +244,9 @@ def random_convex_support(
     Modes are convexity-normalized (see _convexity_normalized_modes), so at
     amp < 1 most draws remain strictly convex; draws that still fail the
     convexity filter, before or after recentring at the centroid, are
-    resampled.
+    resampled.  base must be positive.
     """
+    _check_positive(("base radius", base))
     modes = _convexity_normalized_modes(grid, lmax)
     for _ in range(_MAX_TRIES):
         coeff = rng.uniform(-amp, amp, size=len(modes))

@@ -106,7 +106,9 @@ def sigma_pair(k1, k2, n: int) -> list:
 def sigma_quotient(sig, k: int):
     """F = E_k / E_{k-1} from sig[j] = sigma_j, j = 0..n."""
     n = len(sig) - 1
-    return sig[k] / sig[k - 1] * (math.comb(n, k - 1) / math.comb(n, k))
+    quotient = sig[k] / sig[k - 1]
+    quotient *= math.comb(n, k - 1) / math.comb(n, k)  # in place, as in the support speed
+    return quotient
 
 
 def require_cone(sig, scale: float, k: int) -> None:

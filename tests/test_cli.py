@@ -295,6 +295,29 @@ FIELD_AXISYM_16_SPHERE = Path(__file__).parent / "data" / "field_axisym_16_spher
     pytest.param("verify", VERIFY_CFG, {"profile": {"kind": "constant", "value": -1}},
                  id="verify-constant-value-negative"),
     pytest.param("verify", VERIFY_CFG, {"profile": {"kind": "bogus"}}, id="verify-profile-kind"),
+    pytest.param("flow", RADIAL_CFG, {"seed": -1}, id="flow-seed-negative"),
+    pytest.param("flow", RADIAL_CFG, {"seed": "abc"}, id="flow-seed-string"),
+    pytest.param("verify", VERIFY_CFG, {"seed": -1}, id="verify-seed-negative"),
+    pytest.param("verify", VERIFY_CFG, {"seed": 1.5}, id="verify-seed-not-int"),
+    pytest.param("verify", VERIFY_CFG, {"amplitude": "abc"}, id="verify-amplitude-string"),
+    pytest.param("verify", VERIFY_CFG, {"amplitude": -0.3}, id="verify-amplitude-negative"),
+    pytest.param("verify", VERIFY_CFG, {"amplitude": 0}, id="verify-amplitude-zero"),
+    pytest.param("verify", VERIFY_CFG, {"amplitude": float("nan")}, id="verify-amplitude-nan"),
+    pytest.param("verify", VERIFY_CFG, {"amplitude": float("inf")}, id="verify-amplitude-inf"),
+    pytest.param("verify", VERIFY_CFG, {"amplitude": True}, id="verify-amplitude-bool"),
+    pytest.param("flow", RADIAL_CFG, {"kind": "support", "initial": {"shape": "spheroid", "c_axis": -1.3,
+                                                                     "b_equator": 1.0}},
+                 id="flow-support-spheroid-c-negative"),
+    pytest.param("flow", RADIAL_CFG, {"initial": {"shape": "spheroid", "c_axis": 1.2, "b_equator": 0.0}},
+                 id="flow-radial-spheroid-b-zero"),
+    pytest.param("flow", RADIAL_CFG, {"initial": {"shape": "sphere", "radius": 0.0}}, id="flow-sphere-radius-zero"),
+    pytest.param("flow", RADIAL_CFG, {"kind": "support", "initial": {"shape": "sphere", "radius": -1.0}},
+                 id="flow-support-sphere-radius-negative"),
+    pytest.param("flow", RADIAL_CFG, {"initial": {"shape": "harmonic", "ell": 2, "amplitude": 0.1, "base": 0.0}},
+                 id="flow-harmonic-base-zero"),
+    pytest.param("flow", RADIAL_CFG, {"kind": "support", "initial": {"shape": "random", "amplitude": 0.1,
+                                                                     "base": -1.0}},
+                 id="flow-support-random-base-negative"),
 ])
 def test_malformed_config_exit_64(tmp_path, capsys, command, base, change):
     # each must stop with a ConfigError before any work, not with an
@@ -302,3 +325,17 @@ def test_malformed_config_exit_64(tmp_path, capsys, command, base, change):
     path = write_config(tmp_path, "cfg.json", dict(base, **change))
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 64
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["flow", "verify"])
+def test_config_that_is_no_object_exit_64(tmp_path, capsys, command):
+    path = write_config(tmp_path, "cfg.json", [1, 2])
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 64
+    assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg", [("flow", RADIAL_CFG), ("verify", VERIFY_CFG)], ids=["flow", "verify"])
+def test_negative_seed_flag_exit_64(tmp_path, capsys, command, cfg):
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out"), "--seed", "-1"]) == 64
+    assert "configuration error [seed]" in capsys.readouterr().err

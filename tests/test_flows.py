@@ -136,8 +136,13 @@ def support_config(k):
     return FlowConfig(kind="support", k=k, t_end=1.0)
 
 
+def build_speed(kernel, u):
+    """The kernel's speed at u, from u's build."""
+    return kernel.speed(kernel.build(u))
+
+
 def support_speed(field, k):
-    return _SupportKernel(field.grid, SpeedProfile.constant(1.0), support_config(k)).speed(field.values)
+    return build_speed(_SupportKernel(field.grid, SpeedProfile.constant(1.0), support_config(k)), field.values)
 
 
 def test_radial_speed_sphere_examples():
@@ -145,15 +150,15 @@ def test_radial_speed_sphere_examples():
     n = 2
     # stationary at the pinned radius
     prof = SpeedProfile.power_exp_pinned(n, 1.0)
-    speed = _RadialKernel(grid, prof, RADIAL).speed(sphere_radial(grid, 1.0).values)
+    speed = build_speed(_RadialKernel(grid, prof, RADIAL), sphere_radial(grid, 1.0).values)
     assert np.abs(speed).max() < 1e-12
     # pure mean curvature rate for f = 1
-    speed = _RadialKernel(grid, SpeedProfile.constant(1.0), RADIAL).speed(sphere_radial(grid, 2.0).values)
+    speed = build_speed(_RadialKernel(grid, SpeedProfile.constant(1.0), RADIAL), sphere_radial(grid, 2.0).values)
     assert np.allclose(speed, -n / 2.0, atol=1e-10)
     # equality profile: every sphere stationary
     kernel = _RadialKernel(grid, SpeedProfile.power(1.0 - n, domain=(0.5, 2.0)), RADIAL)
     for radius in (0.8, 1.0, 1.6):
-        assert np.abs(kernel.speed(sphere_radial(grid, radius).values)).max() < 1e-12
+        assert np.abs(build_speed(kernel, sphere_radial(grid, radius).values)).max() < 1e-12
 
 
 def test_radial_speed_matches_sphere_ode_form():
@@ -161,7 +166,7 @@ def test_radial_speed_matches_sphere_ode_form():
     grid = SphericalGrid.axisym(2, 32)
     prof = SpeedProfile.power_exp_pinned(2, 1.0)
     for radius in (0.8, 1.3):
-        speed = _RadialKernel(grid, prof, RADIAL).speed(sphere_radial(grid, radius).values)
+        speed = build_speed(_RadialKernel(grid, prof, RADIAL), sphere_radial(grid, radius).values)
         expected = -2.0 * radius * float(prof.hat(radius, 2))
         assert np.allclose(speed, expected, rtol=1e-12)
 
@@ -203,7 +208,7 @@ def test_kernel_speed_matches_public_op():
     vals = 1.0 + 0.15 * np.cos(2 * grid.theta)
     kernel = _RadialKernel(grid, prof, RADIAL)
     oracle = radial_speed_oracle(ScalarField(grid, vals), prof)
-    assert np.abs(kernel.speed(vals) - oracle).max() < 1e-13
+    assert np.abs(build_speed(kernel, vals) - oracle).max() < 1e-13
 
     g2 = SphericalGrid.full_s2(24, 48)
     h = random_convex_support(g2, np.random.default_rng(3), amp=0.06)
@@ -216,7 +221,7 @@ def test_kernel_speed_matches_public_op():
     quermass = quermassintegrals(support_geometry(h))
     for k in (1, 2, 3, 4):
         kernel = _SupportKernel(g3, SpeedProfile.constant(1.0), support_config(k))
-        assert np.abs(kernel.speed(h.values) - support_speed_oracle(h, k)).max() < 1e-12
+        assert np.abs(build_speed(kernel, h.values) - support_speed_oracle(h, k)).max() < 1e-12
         # a run's conserved quermassintegral agrees with the geometry route
         trace = run_flow(h, None, FlowConfig(kind="support", k=k, t_end=0.01, output_interval=0.01))
         assert trace.meta["conserved_initial"] == pytest.approx(quermass[k - 1], rel=1e-12)
@@ -234,7 +239,7 @@ def filtered_jacobian(kernel, u, eps=1e-6):
         du = np.zeros(u.size)
         du[i] = eps
         du = du.reshape(u.shape)
-        diff = (kernel.speed(u + du) - kernel.speed(u - du)) / (2.0 * eps)
+        diff = (build_speed(kernel, u + du) - build_speed(kernel, u - du)) / (2.0 * eps)
         cols.append(kernel.grid.zonal_filter(diff).ravel())
     return np.array(cols).T
 
@@ -595,7 +600,7 @@ def test_q_rate_matches_monotonicity_integrand():
 
     _, c_max, _, build = kernel.assess(r)
     dt = 0.2 * 2.0 / (c_max * laplacian_radius(grid))  # a fifth of the forward-Euler limit
-    r1 = _extrapolated_step(kernel, r, dt, c_max * dt, kernel.speed(r, build))
+    r1 = _extrapolated_step(kernel, r, dt, c_max * dt, kernel.speed(build))
     fd = (q_value(r1) - q_value(r)) / dt
     predicted = 0.5 * (integrand(r) + integrand(r1))
     assert predicted < 0
@@ -603,14 +608,14 @@ def test_q_rate_matches_monotonicity_integrand():
 
 
 def test_each_accepted_state_is_assessed_once(monkeypatch):
-    # a step builds the principal pair once per round of substep speeds and
+    # a step builds a CurvatureField once per round of substep speeds and
     # once in its assessment; that build also gives the next step's start
     # speed, and the diagnostic row (and the conserved integral) of a state
     # that fills a batch alone; states that share a batch are built once
     # more there, as one stack, and no separate gradient is taken
     from curvelab import flows, geometry
 
-    counts = {"pair": 0, "speed": 0, "grad": 0, "derivatives": 0, "pair in row": 0, "rows": 0}
+    counts = {"build": 0, "speed": 0, "grad": 0, "derivatives": 0, "build in row": 0, "rows": 0}
     in_row = [False]
     row = flows._diagnostic_row
     gradient, derivatives = SphericalGrid.gradient, SphericalGrid._derivatives
@@ -618,14 +623,14 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
 
     def counted(build):
         def wrapped(*args):
-            counts["pair"] += 1
-            counts["pair in row"] += in_row[0]
+            counts["build"] += 1
+            counts["build in row"] += in_row[0]
             return build(*args)
         return wrapped
 
-    def counted_speed(self, u, geom=None):
+    def counted_speed(self, geom):
         counts["speed"] += 1
-        return speeds[type(self)](self, u, geom)
+        return speeds[type(self)](self, geom)
 
     def counted_gradient(self, v):
         counts["grad"] += 1
@@ -650,8 +655,8 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
     for grid in (s2, axisym):  # the resolvent's Laplacian takes derivatives once per grid
         grid._laplacian_diagonals()
     for module in (flows, geometry):  # kernel builds, and the start-up geometry
-        monkeypatch.setattr(module, "_support_radii", counted(module._support_radii))
-        monkeypatch.setattr(module, "_radial_pair", counted(module._radial_pair))
+        monkeypatch.setattr(module, "_support_field", counted(module._support_field))
+        monkeypatch.setattr(module, "_radial_field", counted(module._radial_field))
     for kind in speeds:
         monkeypatch.setattr(kind, "speed", counted_speed)
     monkeypatch.setattr(SphericalGrid, "gradient", counted_gradient)
@@ -680,9 +685,9 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
         # radial, one stacked build of the three 32-node states' one batch
         # (the 512-node support states each fill a batch alone)
         batches = 1 if kind is flows._RadialKernel else 0
-        assert counts["pair"] == steps * (kind.levels - 1) + (steps + 1) + 1 + batches
-        assert counts["derivatives"] == counts["pair"]  # one derivative pass per build
-        assert counts["grad"] == 0 and counts["pair in row"] == batches
+        assert counts["build"] == steps * (kind.levels - 1) + (steps + 1) + 1 + batches
+        assert counts["derivatives"] == counts["build"]  # one derivative pass per build
+        assert counts["grad"] == 0 and counts["build in row"] == batches
         assert counts["rows"] == len(trace.rows) == steps + 1  # each state's row computed once
 
 
@@ -736,7 +741,7 @@ def test_assessed_build_serves_speed_geometry_and_row_bit_for_bit(monkeypatch, k
 
     u = grid.zonal_filter(field.values)
     reused = kernel.assess(u)[3]
-    assert _same_bits(kernel.speed(u, reused), kernel.speed(u))
+    assert _same_bits(kernel.speed(reused), build_speed(kernel, u))
     fresh = public(ScalarField(grid, u))
     for name in ("scalar", "grad", "kappa1", "kappa2", "area_factor", "support", "normal",
                  "position", "inverse_metric"):
@@ -748,7 +753,7 @@ def test_assessed_build_serves_speed_geometry_and_row_bit_for_bit(monkeypatch, k
     assert steps == 3 and len(trace.rows) == steps + 1
     assert [h for h, _ in log["steps"]] == trace.values("dt")[1:].tolist()
     for h, spread in log["steps"]:  # run_flow's steps, each speed evaluated afresh
-        u = _extrapolated_step(kernel, u, h, spread, kernel.speed(u))
+        u = _extrapolated_step(kernel, u, h, spread, build_speed(kernel, u))
     assert _same_bits(trace.meta["final_state"], u)
 
 
@@ -1015,7 +1020,7 @@ def _level_by_level_step(kernel, u, h, spread, start):
         s = h / j
         y = u + solve(s * start, spread / j)
         for _ in range(j - 1):
-            y = y + solve(s * kernel.speed(y), spread / j)
+            y = y + solve(s * build_speed(kernel, y), spread / j)
         new = [y]
         for k in range(1, j):
             new.append(new[-1] + (new[-1] - row[k - 1]) * ((j - k) / k))
@@ -1035,7 +1040,7 @@ def test_lockstep_step_matches_level_by_level_bit_for_bit(kind, shape):
     kernel = _kernel(grid, profile, FlowConfig(kind=kind, k=2, t_end=1.0))
     u = grid.zonal_filter(field.values)
     _, a, _, build = kernel.assess(u)
-    start = kernel.speed(u, build)
+    start = kernel.speed(build)
     cap = kernel.caps[1]  # a step the spread cap sets, and a smaller one
     for h, spread in ((cap / a, cap), (0.005, a * 0.005)):
         assert _same_bits(_extrapolated_step(kernel, u, h, spread, start),
@@ -1154,9 +1159,9 @@ def test_kernels_reject_non_finite_states():
         state = np.ones(grid.node_shape)
         state.flat[5] = np.nan
         with pytest.raises(DegenerateMetric):
-            _RadialKernel(grid, SpeedProfile.power_exp_pinned(grid.n, 1.0), RADIAL).speed(state)
+            build_speed(_RadialKernel(grid, SpeedProfile.power_exp_pinned(grid.n, 1.0), RADIAL), state)
         with pytest.raises(DegenerateMetric):
-            _SupportKernel(grid, SpeedProfile.constant(1.0), support_config(1)).speed(state)
+            build_speed(_SupportKernel(grid, SpeedProfile.constant(1.0), support_config(1)), state)
 
 
 def test_flow_config_validation():

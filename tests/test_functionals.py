@@ -22,9 +22,7 @@ from curvelab import (
 )
 from curvelab.errors import ConeViolation, NonpositiveDensity, NonpositiveSupport, ZeroMeanCurvature
 from curvelab.functionals import _mk_integral, calibrate_sharp_constant
-from curvelab.geometry import (
-    _convexity_margins, _radial_field, _radial_pair, _support_field, _support_radii,
-)
+from curvelab.geometry import _convexity_margins, _radial_field, _support_field
 from curvelab.shapes import (
     random_convex_support,
     random_starshaped,
@@ -261,9 +259,9 @@ STACK_GRIDS = [SphericalGrid.axisym(3, 32), SphericalGrid.full_s2(16, 32)]
 def _stack(kind, grid, states):
     """One CurvatureField holding the stack of states, and each state's public field."""
     if kind == "radial":
-        stacked, public = _radial_field(grid, states, _radial_pair(grid, states)), radial_geometry
+        stacked, public = _radial_field(grid, states), radial_geometry
     else:
-        stacked, public = _support_field(grid, states, _support_radii(grid, states)), support_geometry
+        stacked, public = _support_field(grid, states), support_geometry
     return stacked, [public(ScalarField(grid, u)) for u in states]
 
 

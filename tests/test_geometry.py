@@ -1,6 +1,7 @@
 """Curvature pipelines against closed-form sphere/spheroid oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,40 @@ def test_mean_curvature_direct_formula_consistency():
     vals = 1.0 + 0.2 * harmonic_mode(axi, 2) - 0.1 * harmonic_mode(axi, 4)
     field = ScalarField(axi, vals)
     assert np.abs(radial_geometry(field).H - radial_mean_curvature_direct(field)).max() < 1e-8
+
+
+@pytest.mark.parametrize("shape", [(16, 32), (48, 96)])
+def test_radial_pair_is_the_spectrum_of_the_shape_operator(shape):
+    # the full-s2 pair against eig(g^-1 b) per node, with g = r^2 e + dr dr^T and
+    # b = (r^2 e + 2 dr dr^T - r hess r) / rho from the same discrete derivatives
+    grid = SphericalGrid.full_s2(*shape)
+    for seed in range(4):
+        r = random_starshaped(grid, np.random.default_rng(seed), amp=0.3).values
+        geom = radial_geometry(ScalarField(grid, r))
+        d = np.stack(grid.gradient(r), axis=-1)
+        h11, h12, h22 = grid.hessian_components(r)
+        hess = np.stack([np.stack([h11, h12], -1), np.stack([h12, h22], -1)], -1)
+        dd, rr = d[..., :, None] * d[..., None, :], (r * r)[..., None, None]
+        rho = np.sqrt(r * r + np.sum(d * d, axis=-1))[..., None, None]
+        g, b = rr * np.eye(2) + dd, (rr * np.eye(2) + 2.0 * dd - r[..., None, None] * hess) / rho
+        dense = np.sort(np.linalg.eigvals(np.linalg.solve(g, b)).real, axis=-1)
+        pair = np.stack([geom.kappa1, geom.kappa2], axis=-1)
+        assert np.abs(pair - dense).max() / np.abs(dense).max() < 1e-13
+
+
+def test_umbilic_nodes_raise_no_warning():
+    # at an umbilic node the discriminant is ~0, and a12 a21 of the non-symmetric
+    # g^-1 b is no square, so it can round below 0; the pair clamps it
+    from curvelab.geometry import _eig2
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _eig2(1.0, 1e-8, -1e-8 * (1.0 + 1e-6), 1.0) == (1.0, 1.0)
+        for shape in ((8, 16), (32, 64), (96, 192)):
+            grid = SphericalGrid.full_s2(*shape)
+            for center in ([0.15, 0.1, 0.2], [0.0, -0.3, 0.05]):
+                geom = radial_geometry(sphere_radial(grid, 1.3, center))
+                assert np.isfinite(geom.kappa).all()
 
 
 def test_minkowski_identity_on_convex_bodies():

@@ -9,13 +9,12 @@ PACKAGE = Path(curvelab.__file__).parent
 
 # module.function -> why it may branch on the grid mode
 ALLOWED = {
-    "geometry._radial_pair": "closed-form principal pair per mode",
-    "geometry._support_radii": "eigenvalues of b per mode",
+    "geometry._radial_field": "closed-form principal pair per mode",
+    "geometry._principal_radii": "eigenvalues of b per mode",
     "geometry.inverse_metric": "support inverse metric b^-2 only",
     "geometry.centroid": "returns the format SphericalGrid.project takes",
     "shapes.harmonic_mode": "Legendre vs associated Legendre harmonics",
     "shapes._mode_bank": "zonal vs full harmonic bank",
-    "shapes._convexity_normalized_modes": "eigenvalue range per mode",
     "cli.build_grid": "reads the mode a config names",
 }
 
