@@ -123,8 +123,11 @@ class _Checker:
     def check(self, label, ok, detail):
         self.result.lines.append(CheckLine(label, bool(ok), detail))
 
-    def budget(self, limit_s):
+    def budget(self, limit_s, shared=None):
+        """Wall time against limit_s; a cached run it reads (``shared``) counts once."""
         elapsed = time.perf_counter() - self._t0
+        if shared is not None and shared["started"] < self._t0:
+            elapsed += shared["runtime"]
         self.check("runtime budget", elapsed < limit_s, f"{elapsed:.1f} s < {limit_s} s")
 
     def done(self):
@@ -256,7 +259,7 @@ def _ac5_run():
     config = FlowConfig(kind="radial", t_end=6.0, output_interval=0.01)
     t0 = time.perf_counter()
     trace = run_flow(r0, profile, config)
-    return dict(trace=trace, runtime=time.perf_counter() - t0, grid=grid, profile=profile, r0=r0)
+    return dict(trace=trace, started=t0, runtime=time.perf_counter() - t0, grid=grid, profile=profile, r0=r0)
 
 
 def ac5():
@@ -274,7 +277,7 @@ def ac5():
             f"{len(breaches)} breaches above 1e-8 Q; max recorded step growth {growth:.1e}")
     q_err = abs(q[-1] - 4 * math.pi) / (4 * math.pi)
     c.check("final Q near |S^2|", q_err < 5e-3, f"|Q_final - 4pi|/4pi = {q_err:.2e} < 5e-3")
-    c.check("runtime budget", data["runtime"] < 60.0, f"{data['runtime']:.1f} s < 60 s")
+    c.budget(60, data)
     return c.done()
 
 
@@ -292,7 +295,7 @@ def _ac6_runs():
     h0 = random_convex_support(grid, np.random.default_rng(SEED_AC6), amp=0.1)
     t0 = time.perf_counter()
     traces = {k: run_flow(h0, None, _ac6_config(k)) for k in (1, 2)}
-    return dict(k1=traces[1], k2=traces[2], runtime=time.perf_counter() - t0, grid=grid, h0=h0)
+    return dict(k1=traces[1], k2=traces[2], started=t0, runtime=time.perf_counter() - t0, grid=grid, h0=h0)
 
 
 def ac6_flow():
@@ -318,7 +321,7 @@ def ac6_flow():
         match = abs(v_final - ball) / ball
         c.check(f"k={k} V_(k-1) matches round value", match < 5e-3,
                 f"|V - z(R_final)|/z = {match:.2e} < 5e-3")
-    c.check("runtime budget", data["runtime"] < 120.0, f"{data['runtime']:.1f} s < 120 s")
+    c.budget(120, data)
     return c.done()
 
 
@@ -377,7 +380,7 @@ def _ac7_samples():
         field = random_starshaped(grid, rng, amp=amp)
         geom = radial_geometry(field)
         samples.append((field, geom, sphericity(geom)))
-    return dict(geoms=samples, runtime=time.perf_counter() - t0, grid=grid)
+    return dict(geoms=samples, started=t0, runtime=time.perf_counter() - t0, grid=grid)
 
 
 def ac7_constant_density():
@@ -394,9 +397,7 @@ def ac7_constant_density():
             f"min rel deficit = {worst:.2e} >= -1e-3 over 50 samples")
     c.check("rigidity conditional", rigid_ok,
             "every sample with rel deficit < 1e-4 has sphericity < 1e-2")
-    elapsed = data["runtime"] + (time.perf_counter() - c._t0)
-    c.check("runtime budget", elapsed < 120.0,
-            f"{elapsed:.1f} s including sampling < 120 s")
+    c.budget(120, data)
     return c.done()
 
 
@@ -525,15 +526,19 @@ def ac10():
 
 
 def ac11():
-    from scipy.integrate import solve_ivp
     c = _Checker("AC-11 temporal order")
     grid = SphericalGrid.axisym(2, 16)
     profile = SpeedProfile.power_exp_pinned(2, 1.0)
 
-    def rhs(t, y):
-        return [-2.0 * y[0] * float(profile.hat(y[0], 2))]
+    def rhs(r):
+        return -2.0 * r * float(profile.hat(r, 2))
 
-    ref = solve_ivp(rhs, (0.0, 0.2), [1.3], rtol=1e-13, atol=1e-15).y[0, -1]
+    ref, h = 1.3, 1e-4  # the sphere's radius ODE to t = 0.2 by classical RK4
+    for _ in range(2000):
+        k1 = rhs(ref)
+        k2 = rhs(ref + 0.5 * h * k1)
+        k3 = rhs(ref + 0.5 * h * k2)
+        ref += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + rhs(ref + h * k3))
     errs = []
     for dt in (0.02, 0.01):
         config = FlowConfig(kind="radial", t_end=0.2, dt_fixed=dt, output_interval=0.2)

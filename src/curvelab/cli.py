@@ -184,8 +184,10 @@ def build_initial(cfg: dict, grid: SphericalGrid, rng: np.random.Generator,
     raise ConfigError("initial.shape", f"unknown initial shape {shape!r}")
 
 
-def _write_json(path: Path, payload: dict):
-    payload = dict(payload)
+def _write_json(path: Path, command: str, cfg: dict, seed: int, payload: dict):
+    """Write an artefact: the head every one opens with, the payload, its schema."""
+    payload = {"command": command, "config_hash": config_hash(cfg), "seed": seed,
+               "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"), **payload}
     payload["schema"] = payload.get("schema", SCHEMA_VERSION)
     with overwrite(path) as handle:
         json.dump(payload, handle, indent=2, default=float)
@@ -234,19 +236,14 @@ def cmd_flow(cfg: dict, out_dir: Path, seed: int, force: bool) -> int:
         raise ConfigError("run", str(exc))
 
     status = 1
-    summary = {
-        "command": "flow",
-        "config_hash": config_hash(cfg),
-        "seed": seed,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
+    summary = {}
     try:
         trace = run_flow(initial, profile, flow_config)
     except StepCollapse as exc:
         trace = exc.trace
         summary["error"] = str(exc)
     except CurveLabError as exc:
-        _write_json(out_dir / "summary.json", {**summary, "status": "error", "error": str(exc)})
+        _write_json(out_dir / "summary.json", "flow", cfg, seed, {"status": "error", "error": str(exc)})
         print(f"flow failed: {exc}", file=sys.stderr)
         return 1
     else:
@@ -261,7 +258,7 @@ def cmd_flow(cfg: dict, out_dir: Path, seed: int, force: bool) -> int:
     except CurveLabError:
         summary["gamma"] = None
     summary.pop("final_state", None)
-    _write_json(out_dir / "summary.json", summary)
+    _write_json(out_dir / "summary.json", "flow", cfg, seed, summary)
     print(f"{trace.status}: t_final = {trace.t_final:.4f}, "
           f"{len(trace.breaches)} breach events, artifacts in {out_dir}")
     return status
@@ -348,16 +345,12 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
         for row in rows))
     good = [r for r in rows if r["status"] == "ok"]
     summary = {
-        "command": "verify",
-        "config_hash": config_hash(cfg),
-        "seed": seed,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "samples": samples,
         "evaluated": len(good),
         "flagged": len(rows) - len(good),
         "min_rel_deficit": min((r["rel_deficit"] for r in good), default=None),
     }
-    _write_json(out_dir / "summary.json", summary)
+    _write_json(out_dir / "summary.json", "verify", cfg, seed, summary)
     print(f"verify: {len(good)}/{samples} samples evaluated, "
           f"min relative deficit {summary['min_rel_deficit']}, artifacts in {out_dir}")
     return 0
@@ -368,19 +361,10 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
 
 
 def cmd_identities(cfg: dict, out_dir: Path, seed: int) -> int:
-    report = {
-        "command": "identities",
-        "config_hash": config_hash(cfg),
-        "seed": seed,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-    for name in ("AC-2", "AC-3", "AC-4"):
-        result = acceptance.CRITERIA[name]()
-        key = {"AC-2": "trace_identities", "AC-3": "newton_maclaurin", "AC-4": "minkowski"}[name]
-        report[key] = result.to_dict()
-    report["all_passed"] = all(report[k]["passed"] for k in
-                               ("trace_identities", "newton_maclaurin", "minkowski"))
-    _write_json(out_dir / "identities.json", report)
+    keys = {"AC-2": "trace_identities", "AC-3": "newton_maclaurin", "AC-4": "minkowski"}
+    report = {key: acceptance.CRITERIA[name]().to_dict() for name, key in keys.items()}
+    report["all_passed"] = all(result["passed"] for result in report.values())
+    _write_json(out_dir / "identities.json", "identities", cfg, seed, report)
     print(f"identities: {'all passed' if report['all_passed'] else 'FAILURES'}, "
           f"artifacts in {out_dir}")
     return 0
@@ -394,15 +378,11 @@ def cmd_report(cfg: dict, out_dir: Path, seed: int) -> int:
     names = cfg.get("criteria")
     results = acceptance.run_battery(names)
     payload = {
-        "command": "report",
-        "config_hash": config_hash(cfg),
-        "seed": seed,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "criteria": [r.to_dict() for r in results],
         "passed": sum(r.passed for r in results),
         "total": len(results),
     }
-    _write_json(out_dir / "report.json", payload)
+    _write_json(out_dir / "report.json", "report", cfg, seed, payload)
     return 0 if payload["passed"] == payload["total"] else 1
 
 

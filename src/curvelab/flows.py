@@ -216,25 +216,21 @@ class SpeedProfile:
 
     @classmethod
     def tabulated(cls, x, values, domain=None) -> "SpeedProfile":
-        """Cubic-spline profile through (x, values) samples.
+        """Not-a-knot cubic-spline profile through (x, values) samples.
 
-        The analytic spline derivative is checked against central finite
-        differences of the interpolant at load; a mismatch indicates a
-        corrupt table.
+        Beyond the table the end cubics extend it.  The analytic spline
+        derivative is checked against central finite differences of the
+        interpolant at load; a mismatch indicates a corrupt table.
         """
-        from scipy.interpolate import CubicSpline
         x = np.asarray(x, float)
         values = np.asarray(values, float)
-        if x.ndim != 1 or x.size < 4 or values.shape != x.shape:
-            raise ValueError("tabulated profile needs >= 4 aligned samples")
+        if x.ndim != 1 or x.size < 4 or values.shape != x.shape or not np.isfinite([x, values]).all():
+            raise ValueError("tabulated profile needs >= 4 aligned, finite samples")
         if np.any(np.diff(x) <= 0):
             raise ValueError("sample abscissae must be strictly increasing")
-        spline = CubicSpline(x, values)
-        d1 = spline.derivative(1)
-        d2 = spline.derivative(2)
         if domain is None:
             domain = (float(x[0]), float(x[-1]))
-        prof = cls((spline, d1, d2), domain)
+        prof = cls(_not_a_knot_spline(x, values), domain)
         xs = np.linspace(domain[0], domain[1], 101)[1:-1]
         eps = 1e-5 * (domain[1] - domain[0])
         fd = (prof.f(xs + eps) - prof.f(xs - eps)) / (2 * eps)
@@ -242,6 +238,44 @@ class SpeedProfile:
         if np.abs(fd - prof.df(xs)).max() > 1e-6 * scale:
             raise ValueError("tabulated profile failed the derivative consistency check")
         return prof
+
+
+def _not_a_knot_spline(x, y):
+    """(f, f', f'') of the not-a-knot cubic spline through (x, y) (de Boor, A
+    Practical Guide to Splines, ch. IV): f = ((c3 t + c2) t + s) t + y at
+    t = x - x_i, with the end cubics beyond the table.  The knot slopes s solve
+    one tridiagonal system; its first and last rows make f''' continuous at
+    x[1] and x[-2].  A Thomas sweep solves it: with these end rows every pivot
+    stays positive, so no pivoting is needed."""
+    h, size = np.diff(x), x.size
+    delta = np.diff(y) / h
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    diag = np.r_[h[1], 2.0 * (h[:-1] + h[1:]), h[-2]]
+    upper, lower = np.r_[d0, h[:-1]], np.r_[h[1:], d1]
+    s = np.r_[((h[0] + 2.0 * d0) * h[1] * delta[0] + h[0] ** 2 * delta[1]) / d0,
+              3.0 * (h[1:] * delta[:-1] + h[:-1] * delta[1:]),
+              (h[-1] ** 2 * delta[-2] + (2.0 * d1 + h[-1]) * h[-2] * delta[-1]) / d1]
+    for i in range(1, size):  # s holds the right-hand side until the sweep is done
+        w = lower[i - 1] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        s[i] -= w * s[i - 1]
+    s[-1] /= diag[-1]
+    for i in range(size - 2, -1, -1):
+        s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+    c3 = (s[:-1] + s[1:] - 2.0 * delta) / h
+    coeffs = np.stack([c3 / h, (delta - s[:-1]) / h - c3, s[:-1], y[:-1]])
+
+    def horner(c):
+        def evaluate(xq):
+            j = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, size - 2)
+            t, out = xq - x[j], c[0][j]
+            for row in c[1:]:
+                out = out * t + row[j]
+            return out
+        return evaluate
+
+    df, d2f = coeffs[:3] * [[3.0], [2.0], [1.0]], coeffs[:2] * [[6.0], [2.0]]
+    return horner(coeffs), horner(df), horner(d2f)
 
 
 @dataclass(frozen=True)

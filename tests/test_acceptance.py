@@ -7,6 +7,8 @@ and for non-constant densities the sphere-area constant gives way to
 Brendle's ball constant.  The check details carry the measured values.
 """
 
+import time
+
 import pytest
 
 from curvelab import acceptance
@@ -51,6 +53,16 @@ def test_ac6_static_convexity_margin_literal():
 
 def test_ac7_deficit_fuzz_constant_density():
     _run(acceptance.ac7_constant_density)
+
+
+def test_ac7_runtime_budget_counts_the_sampling_once():
+    # a fresh call draws the samples on the criterion's own clock
+    acceptance._ac7_samples.cache_clear()
+    start = time.perf_counter()
+    result = acceptance.ac7_constant_density()
+    wall = time.perf_counter() - start
+    budget = next(line for line in result.lines if line.label == "runtime budget")
+    assert float(budget.detail.split()[0]) <= wall + 0.05  # printed to 0.1 s
 
 
 def test_ac7_deficit_fuzz_pinned_profile_literal():

@@ -216,7 +216,7 @@ def test_config_file_missing(tmp_path, capsys):
     assert main(["flow", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 64
 
 
-VERIFY_CFG = {
+VERIFY_AXISYM_CFG = {
     "samples": 2,
     "k": 1,
     "parametrization": "radial",
@@ -234,13 +234,13 @@ FIELD_AXISYM_16_SPHERE = Path(__file__).parent / "data" / "field_axisym_16_spher
 
 
 @pytest.mark.parametrize("command, base, change", [
-    pytest.param("verify", VERIFY_CFG, {"k": 3}, id="verify-k-above-n-1"),
-    pytest.param("verify", VERIFY_CFG, {"k": 1.5}, id="verify-k-not-int"),
-    pytest.param("verify", VERIFY_CFG, {"calibration": "bogus"}, id="verify-calibration"),
-    pytest.param("verify", VERIFY_CFG, {"parametrization": "bogus"}, id="verify-parametrization"),
-    pytest.param("verify", VERIFY_CFG, {"functional": "bogus"}, id="verify-functional"),
-    pytest.param("verify", VERIFY_CFG, {"samples": 2.5}, id="verify-samples-not-int"),
-    pytest.param("verify", VERIFY_CFG, {"grid": {"mode": "axisym", "n": 2, "n_theta": 2}},
+    pytest.param("verify", VERIFY_AXISYM_CFG, {"k": 3}, id="verify-k-above-n-1"),
+    pytest.param("verify", VERIFY_AXISYM_CFG, {"k": 1.5}, id="verify-k-not-int"),
+    pytest.param("verify", VERIFY_AXISYM_CFG, {"calibration": "bogus"}, id="verify-calibration"),
+    pytest.param("verify", VERIFY_AXISYM_CFG, {"parametrization": "bogus"}, id="verify-parametrization"),
+    pytest.param("verify", VERIFY_AXISYM_CFG, {"functional": "bogus"}, id="verify-functional"),
+    pytest.param("verify", VERIFY_AXISYM_CFG, {"samples": 2.5}, id="verify-samples-not-int"),
+    pytest.param("verify", VERIFY_AXISYM_CFG, {"grid": {"mode": "axisym", "n": 2, "n_theta": 2}},
                  id="verify-n-theta-too-small"),
     pytest.param("flow", RADIAL_CFG, {"grid": {"mode": "axisym", "n": 2, "n_theta": "32"}},
                  id="flow-n-theta-string"),
@@ -292,19 +292,19 @@ FIELD_AXISYM_16_SPHERE = Path(__file__).parent / "data" / "field_axisym_16_spher
                                       "initial": {"shape": "harmonic", "ell": 2, "amplitude": 0.1, "m": 1,
                                                   "phase": "tan"}},
                  id="flow-harmonic-phase"),
-    pytest.param("verify", VERIFY_CFG, {"profile": {"kind": "constant", "value": -1}},
+    pytest.param("verify", VERIFY_AXISYM_CFG, {"profile": {"kind": "constant", "value": -1}},
                  id="verify-constant-value-negative"),
-    pytest.param("verify", VERIFY_CFG, {"profile": {"kind": "bogus"}}, id="verify-profile-kind"),
+    pytest.param("verify", VERIFY_AXISYM_CFG, {"profile": {"kind": "bogus"}}, id="verify-profile-kind"),
     pytest.param("flow", RADIAL_CFG, {"seed": -1}, id="flow-seed-negative"),
     pytest.param("flow", RADIAL_CFG, {"seed": "abc"}, id="flow-seed-string"),
-    pytest.param("verify", VERIFY_CFG, {"seed": -1}, id="verify-seed-negative"),
-    pytest.param("verify", VERIFY_CFG, {"seed": 1.5}, id="verify-seed-not-int"),
-    pytest.param("verify", VERIFY_CFG, {"amplitude": "abc"}, id="verify-amplitude-string"),
-    pytest.param("verify", VERIFY_CFG, {"amplitude": -0.3}, id="verify-amplitude-negative"),
-    pytest.param("verify", VERIFY_CFG, {"amplitude": 0}, id="verify-amplitude-zero"),
-    pytest.param("verify", VERIFY_CFG, {"amplitude": float("nan")}, id="verify-amplitude-nan"),
-    pytest.param("verify", VERIFY_CFG, {"amplitude": float("inf")}, id="verify-amplitude-inf"),
-    pytest.param("verify", VERIFY_CFG, {"amplitude": True}, id="verify-amplitude-bool"),
+    pytest.param("verify", VERIFY_AXISYM_CFG, {"seed": -1}, id="verify-seed-negative"),
+    pytest.param("verify", VERIFY_AXISYM_CFG, {"seed": 1.5}, id="verify-seed-not-int"),
+    pytest.param("verify", VERIFY_AXISYM_CFG, {"amplitude": "abc"}, id="verify-amplitude-string"),
+    pytest.param("verify", VERIFY_AXISYM_CFG, {"amplitude": -0.3}, id="verify-amplitude-negative"),
+    pytest.param("verify", VERIFY_AXISYM_CFG, {"amplitude": 0}, id="verify-amplitude-zero"),
+    pytest.param("verify", VERIFY_AXISYM_CFG, {"amplitude": float("nan")}, id="verify-amplitude-nan"),
+    pytest.param("verify", VERIFY_AXISYM_CFG, {"amplitude": float("inf")}, id="verify-amplitude-inf"),
+    pytest.param("verify", VERIFY_AXISYM_CFG, {"amplitude": True}, id="verify-amplitude-bool"),
     pytest.param("flow", RADIAL_CFG, {"kind": "support", "initial": {"shape": "spheroid", "c_axis": -1.3,
                                                                      "b_equator": 1.0}},
                  id="flow-support-spheroid-c-negative"),
@@ -334,7 +334,7 @@ def test_config_that_is_no_object_exit_64(tmp_path, capsys, command):
     assert "JSON object" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, cfg", [("flow", RADIAL_CFG), ("verify", VERIFY_CFG)], ids=["flow", "verify"])
+@pytest.mark.parametrize("command, cfg", [("flow", RADIAL_CFG), ("verify", VERIFY_AXISYM_CFG)], ids=["flow", "verify"])
 def test_negative_seed_flag_exit_64(tmp_path, capsys, command, cfg):
     path = write_config(tmp_path, "cfg.json", cfg)
     assert main([command, "--config", path, "--out", str(tmp_path / "out"), "--seed", "-1"]) == 64

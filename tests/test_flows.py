@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 
 from curvelab import (
     CurveLabError,
@@ -108,6 +109,35 @@ def test_tabulated_profile_rejects_bad_tables():
         SpeedProfile.tabulated(x[::-1], np.exp(x))
     with pytest.raises(ValueError):
         SpeedProfile.tabulated(x[:3], np.exp(x[:3]))
+    for bad in (np.nan, np.inf):  # one would spread to every knot slope
+        with pytest.raises(ValueError):
+            SpeedProfile.tabulated(x, np.where(x == x[4], bad, np.exp(x)))
+        with pytest.raises(ValueError):
+            SpeedProfile.tabulated(np.where(x == x[-1], bad, x), np.exp(x))
+
+
+@pytest.mark.parametrize("x, values", [
+    (np.linspace(0.5, 2.0, 41), np.exp(np.linspace(0.5, 2.0, 41))),
+    (np.array([0.5, 0.9, 1.4, 2.0]), np.array([1.0, 1.3, 1.2, 1.7])),
+], ids=["41-samples", "4-samples"])
+def test_tabulated_profile_is_the_not_a_knot_spline(x, values):
+    # scipy's CubicSpline (not-a-knot by default) is the oracle, inside the
+    # table and on the end cubics up to 0.3 beyond it
+    profile, spline = SpeedProfile.tabulated(x, values), CubicSpline(x, values)
+    xs = np.concatenate([np.linspace(x[0] - 0.3, x[-1] + 0.3, 401), x])
+    for order, derivative in enumerate((profile.f, profile.df, profile.d2f)):
+        expected = spline(xs, order)
+        assert np.abs(derivative(xs) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_radial_run_with_a_tabulated_pinned_profile_converges():
+    grid, pinned = SphericalGrid.axisym(2, 40), SpeedProfile.power_exp_pinned(2, 1.0)
+    x = np.linspace(0.5, 1.8, 41)
+    r0 = ScalarField(grid, 1.0 + 0.2 * np.cos(2 * grid.theta))
+    trace = run_flow(r0, SpeedProfile.tabulated(x, pinned.f(x)), FlowConfig(kind="radial", t_end=6.0))
+    assert trace.status == "Converged"
+    assert not trace.breaches
+    assert np.abs(trace.meta["final_state"] - trace.meta["r_star"]).max() < 2e-3
 
 
 # -- pointwise speeds ---------------------------------------------------------------

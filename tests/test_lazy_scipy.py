@@ -1,4 +1,4 @@
-"""scipy is imported only by the two functions that need it, never at module level."""
+"""curvelab runs on numpy alone: no module of the package imports scipy."""
 
 import ast
 import json
@@ -10,9 +10,6 @@ from pathlib import Path
 import curvelab
 
 PACKAGE = Path(curvelab.__file__).parent
-
-# the only callers of scipy: a tabulated speed profile and AC-11's reference ODE
-SCIPY_CALLERS = {("flows.py", "SpeedProfile.tabulated"), ("acceptance.py", "ac11")}
 
 
 def scipy_imports(tree):
@@ -39,13 +36,12 @@ def scipy_imports(tree):
     return found
 
 
-def test_scipy_is_imported_only_by_its_two_callers():
+def test_the_package_imports_no_scipy():
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for line, function in scipy_imports(ast.parse(path.read_text(), str(path))):
-            if (path.name, function) not in SCIPY_CALLERS:
-                found.setdefault(path.name, []).append((line, function))
-    assert found == {}, f"scipy imported outside {sorted(SCIPY_CALLERS)}: {found}"
+            found.setdefault(path.name, []).append((line, function))
+    assert found == {}, f"scipy imported by the package: {found}"
     snippet = (
         "import scipy\nfrom scipy.special import lpmv\nimport scipy.sparse as sp\n"
         "try:\n    import scipy.fft\nexcept ImportError:\n    pass\n"
@@ -92,5 +88,20 @@ r0 = random_starshaped(SphericalGrid.axisym(2, 16), rng, amp=0.05)
 profile = SpeedProfile.power_exp_pinned(2, 1.0)
 assert run_flow(r0, profile, FlowConfig(kind="radial", t_end=0.01)).rows
 assert cli.main(["verify", "--config", {str(config)!r}, "--out", {str(tmp_path / "out")!r}]) == 0
+"""
+    assert loaded_scipy_modules(probe) == "[]"
+
+
+def test_tabulated_profiles_and_ac11_load_no_scipy():
+    # the not-a-knot spline and AC-11's RK4 reference are numpy
+    probe = """
+import numpy as np
+from curvelab import acceptance
+from curvelab.flows import SpeedProfile
+
+x = np.linspace(0.5, 2.0, 41)
+profile = SpeedProfile.tabulated(x, np.exp(x))
+assert all(np.isfinite(d(x + 0.01)).all() for d in (profile.f, profile.df, profile.d2f))
+assert acceptance.ac11().passed
 """
     assert loaded_scipy_modules(probe) == "[]"
