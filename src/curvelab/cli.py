@@ -24,7 +24,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +334,7 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
     jobs = [(i, cfg, grid, seed, k, calibration, profile) for i in range(samples)]
     workers = _worker_count()
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only here: it loads logging
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_verify_sample, jobs))
     else:

@@ -63,6 +63,7 @@ columns do not force their own step size.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -567,12 +568,13 @@ class FlowConfig:
             raise ValueError(f"unknown flow kind {self.kind!r}")
         if isinstance(self.k, bool) or not isinstance(self.k, int):
             raise ValueError(f"k must be an integer, got {self.k!r}")
-        if not 0.0 < self.cfl <= 0.5:  # false for NaN and inf too
-            raise ValueError("cfl must lie in (0, 0.5]")
-        for name in ("t_end", "grad_tol", "hatf_tol", "osc_tol", "output_interval", "dt_fixed"):
+        for name in ("t_end", "cfl", "grad_tol", "hatf_tol", "osc_tol", "output_interval", "dt_fixed"):
             value = getattr(self, name)
-            if value is not None and not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite")
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and 0 < value < math.inf or value is None and name in ("output_interval", "dt_fixed")):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        if not self.cfl <= 0.5:
+            raise ValueError("cfl must lie in (0, 0.5]")
 
 
 @dataclass(frozen=True)

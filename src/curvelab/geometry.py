@@ -365,9 +365,11 @@ def centroid(field: CurvatureField):
     return float(np.sum(w * position[..., 1]) / area)
 
 
-def _radial_centroid(grid: SphericalGrid, r: np.ndarray):
-    """centroid of the radial graph r xi from r and one gradient pass, with the area
-    element r^(n-1) rho of _radial_field and no position or curvature arrays."""
-    rho = np.sqrt(r * r + sum(d * d for d in grid.gradient(r)))
-    w = grid.weights * (r ** (grid.n - 1) * rho)
-    return grid.moment(w * r) / np.sum(w)
+def _radial_centroid(grid: SphericalGrid, r: np.ndarray, grad):
+    """centroid of the radial graph r xi from r and its gradient components grad, with
+    the area element r^(n-1) rho of _radial_field and no position or curvature arrays."""
+    w = r * r  # rho^2, summed in place
+    for d in grad:
+        w += d * d
+    w = grid.weights * (r ** (grid.n - 1) * np.sqrt(w, out=w))
+    return grid.moment(w * r) / w.sum()

@@ -14,9 +14,9 @@ Random surfaces are low-degree zonal/spherical-harmonic perturbations of the
 unit sphere with coefficients drawn uniformly from [-amp, amp], rejection
 sampled against the geometric validity predicate, and recentred at the
 area-weighted centroid so that origin-dependent quantities are reproducible.
-A radial body is recentred by a Broyden secant solve for its translation to
-1e-9 base, and a draw whose solve fails is redrawn; a convex body takes one
-Steiner step.
+A draw is one product with a stacked mode bank.  A radial body is recentred
+to 1e-9 base by a Broyden solve for its translation, on one stencil pass; a
+draw whose solve fails is redrawn.  A convex body takes one Steiner step.
 """
 
 from __future__ import annotations
@@ -42,11 +42,14 @@ __all__ = [
 ]
 
 
-def _check_positive(*sizes):
-    """ValueError unless each (name, size) is positive: a negative axis would be squared into its mirror body."""
+def _check_positive(*sizes, amp=0.0):
+    """ValueError unless each (name, size) is positive, since a negative axis would be squared
+    into its mirror body, and the draw amplitude amp is finite and >= 0 (0 draws the sphere)."""
     for name, value in sizes:
         if not value > 0.0:
             raise ValueError(f"{name} must be positive, got {value!r}")
+    if not 0.0 <= amp < np.inf:
+        raise ValueError(f"amp must be finite and >= 0, got {amp!r}")
 
 
 def sphere_radial(grid: SphericalGrid, radius: float = 1.0, center=None) -> ScalarField:
@@ -138,20 +141,16 @@ def harmonic_mode(grid: SphericalGrid, ell: int, m: int = 0, phase: str = "cos")
 
 
 @functools.lru_cache(maxsize=8)
-def _mode_bank(grid: SphericalGrid, lmax: int):
-    """Unit-sup harmonics of degree 1..lmax, cached per (grid, lmax) and read-only."""
-    modes = []
-    for ell in range(1, lmax + 1):
-        if grid.mode == "axisym":
-            modes.append(harmonic_mode(grid, ell))
-        else:
-            for m in range(0, ell + 1):
-                modes.append(harmonic_mode(grid, ell, m, "cos"))
-                if m > 0:
-                    modes.append(harmonic_mode(grid, ell, m, "sin"))
-    for y in modes:
-        y.flags.writeable = False
-    return tuple(modes)
+def _mode_bank(grid: SphericalGrid, lmax: int) -> np.ndarray:
+    """Unit-sup harmonics of degree 1..lmax stacked on axis 0; read-only, cached per (grid, lmax)."""
+    full = grid.mode != "axisym"  # axisymmetric grids carry m = 0 alone
+    args = [(ell, m, phase) for ell in range(1, lmax + 1) for m in range(full * ell + 1)
+            for phase in ("cos", "sin")[: 1 + (m > 0)]]
+    bank = np.empty((len(args),) + grid.node_shape)
+    for y, arg in zip(bank, args):  # filled in place: no second copy of the bank
+        y[...] = harmonic_mode(grid, *arg)
+    bank.flags.writeable = False
+    return bank
 
 
 # rejection-sampling budget of the random generators
@@ -167,14 +166,13 @@ def _convexity_normalized_modes(grid: SphericalGrid, lmax: int):
     The radii of h = 1 + sum a_i Y_i are the eigenvalues of
     I + sum a_i (hess Y_i + Y_i I); normalizing each mode by the sup of the
     eigenvalue range of (hess Y + Y I) keeps coefficient budgets meaningful
-    for convexity filtering.  Cached per (grid, lmax); equal grids share an
-    entry.
+    for convexity filtering.  Stacked and read-only like _mode_bank, and
+    cached per (grid, lmax); equal grids share an entry.
     """
-    scaled = []
-    for y in _mode_bank(grid, lmax):
-        bound = max(np.abs(rho).max() for rho in _principal_radii(grid, y)[:2])
-        scaled.append(y / max(bound, 1.0))
-    return tuple(scaled)
+    bounds = [max(np.abs(rho).max() for rho in _principal_radii(grid, y)[:2]) for y in _mode_bank(grid, lmax)]
+    scaled = _mode_bank(grid, lmax) / np.maximum(bounds, 1.0).reshape((-1,) + (1,) * len(grid.node_shape))
+    scaled.flags.writeable = False
+    return scaled
 
 
 def _recentred(grid: SphericalGrid, r0: np.ndarray, base: float):
@@ -184,9 +182,11 @@ def _recentred(grid: SphericalGrid, r0: np.ndarray, base: float):
     inverse Jacobian (Broyden, Math. Comp. 19 (1965) 577-593), started at -I,
     since a translation by c moves the centroid by -c: the first step is the
     Steiner step c = centroid(r0).  None when an iterate has min r <= 0.05
-    base or _RECENTRE_EVALS centroids do not reach the tolerance.
+    base or _RECENTRE_EVALS centroids do not reach the tolerance.  By linearity
+    an iterate's gradient is grad r0, one stencil pass, minus grid._project_gradient(c).
     """
-    f, tol = _radial_centroid(grid, r0), 1e-9 * base
+    grad0 = grid.gradient(r0)
+    f, tol = _radial_centroid(grid, r0, grad0), 1e-9 * base
     shape, f = np.shape(f), np.atleast_1d(f)
     c, r, inverse = np.zeros_like(f), r0, -np.eye(f.size)
     for _ in range(_RECENTRE_EVALS - 1):
@@ -197,7 +197,8 @@ def _recentred(grid: SphericalGrid, r0: np.ndarray, base: float):
         r = r0 - grid.project(c.reshape(shape))
         if not r.min() > 0.05 * base:
             return None
-        f_next = np.atleast_1d(_radial_centroid(grid, r))
+        grad = [g0 - g for g0, g in zip(grad0, grid._project_gradient(c.reshape(shape)))]
+        f_next = np.atleast_1d(_radial_centroid(grid, r, grad))
         y, s_inverse = f_next - f, step @ inverse
         inverse = inverse + np.outer(step - inverse @ y, s_inverse) / (s_inverse @ y)
         f = f_next
@@ -214,16 +215,16 @@ def random_starshaped(
     """Seeded random starshaped surface r = base (1 + sum a_i Y_i), a_i ~ U[-amp, amp].
 
     Translated so that its area-weighted centroid is below 1e-9 base (see
-    _recentred, at most 12 centroids from r and one gradient each, with no
+    _recentred, at most 12 centroids and one stencil pass, with no
     curvature).  Rejection-resamples the coefficients until min r > 0.05
-    base (base must be positive) before and during recentring, and when
-    recentring does not converge.
+    base before and during recentring, and when recentring does not
+    converge.  base must be positive and amp finite and >= 0.
     """
-    _check_positive(("base radius", base))
+    _check_positive(("base radius", base), amp=amp)
     modes = _mode_bank(grid, lmax)
     for _ in range(_MAX_TRIES):
         coeff = rng.uniform(-amp, amp, size=len(modes))
-        r = base * (1.0 + sum(a * y for a, y in zip(coeff, modes)))
+        r = base * (1.0 + (coeff @ modes.reshape(len(coeff), -1)).reshape(grid.node_shape))
         if r.min() <= 0.05 * base:
             continue
         r = _recentred(grid, r, base)
@@ -244,13 +245,13 @@ def random_convex_support(
     Modes are convexity-normalized (see _convexity_normalized_modes), so at
     amp < 1 most draws remain strictly convex; draws that still fail the
     convexity filter, before or after recentring at the centroid, are
-    resampled.  base must be positive.
+    resampled.  base must be positive and amp finite and >= 0.
     """
-    _check_positive(("base radius", base))
+    _check_positive(("base radius", base), amp=amp)
     modes = _convexity_normalized_modes(grid, lmax)
     for _ in range(_MAX_TRIES):
         coeff = rng.uniform(-amp, amp, size=len(modes))
-        h = base * (1.0 + sum(a * y for a, y in zip(coeff, modes)))
+        h = base * (1.0 + (coeff @ modes.reshape(len(coeff), -1)).reshape(grid.node_shape))
         field = ScalarField(grid, h)
         try:
             geom = support_geometry(field)

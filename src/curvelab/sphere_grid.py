@@ -359,9 +359,19 @@ class SphericalGrid:
         if self.mode == "axisym" and c.shape == ():
             return float(c) * self.cos_t
         if self.mode == "full-s2" and c.shape == (3,):
-            return self.xi() @ c
+            return (self._xi.reshape(-1, 3) @ c).reshape(self.node_shape)
         want = "a scalar axis offset" if self.mode == "axisym" else "a 3-vector"
         raise ValueError(f"{self.mode} grids take {want}, got shape {c.shape}")
+
+    def _project_gradient(self, c):
+        """gradient(project(c)) with no stencil pass: the central differences of
+        <c, xi>, ghost rows included, are <c, e> sin(d) / d for each frame vector e
+        and its spacing d, since (xi(t + d) - xi(t - d)) / 2d = e_t sin(d) / d."""
+        if self.mode == "axisym":
+            return [-math.sin(self.dtheta) / self.dtheta * float(c) * self.sin_t]
+        c = np.asarray(c, float)
+        scales = (math.sin(self.dtheta) / self.dtheta, math.sin(self.dphi) / self.dphi)
+        return [(e.reshape(-1, 3) @ (s * c)).reshape(self.node_shape) for e, s in zip(self._frame, scales)]
 
     def moment(self, v):
         """Sum over the nodes of v xi, in the format project takes: project's adjoint.

@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curvelab
 from curvelab.cli import main
 
 
@@ -192,6 +196,18 @@ def test_verify_threads_env(tmp_path, monkeypatch):
     assert (tmp_path / "a/verify.csv").read_bytes() == (tmp_path / "b/verify.csv").read_bytes()
 
 
+def test_cli_and_a_one_thread_flow_load_no_thread_pool(tmp_path):
+    # concurrent.futures, and the logging it imports, load only for CURVELAB_THREADS > 1
+    path = write_config(tmp_path, "flow.json", dict(RADIAL_CFG, run={"t_end": 0.05}))
+    probe = (f"import sys\nimport curvelab.cli\nassert 'concurrent.futures' not in sys.modules\n"
+             f"curvelab.cli.main(['flow', '--config', {path!r}, '--out', {str(tmp_path / 'run')!r}])\n"
+             "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'logging'))))")
+    env = dict(os.environ, PYTHONPATH=str(Path(curvelab.__file__).parent.parent), CURVELAB_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "run/trace.csv").exists()
+
+
 def test_identities_battery(tmp_path):
     path = write_config(tmp_path, "ids.json", {"seed": 1})
     assert main(["identities", "--config", path, "--out", str(tmp_path / "i")]) == 0
@@ -253,6 +269,11 @@ FIELD_AXISYM_16_SPHERE = Path(__file__).parent / "data" / "field_axisym_16_spher
     pytest.param("flow", RADIAL_CFG, {"k": 5}, id="flow-radial-k-above-n"),
     pytest.param("flow", RADIAL_CFG, {"k": 0}, id="flow-radial-k-zero"),
     pytest.param("flow", RADIAL_CFG, {"run": {"t_end": float("nan")}}, id="flow-t-end-nan"),
+    pytest.param("flow", RADIAL_CFG, {"run": {"t_end": 6.0, "dt_fixed": True, "output_interval": True}},
+                 id="flow-dt-fixed-and-output-interval-true"),
+    pytest.param("flow", RADIAL_CFG, {"run": {"t_end": True}}, id="flow-t-end-true"),
+    pytest.param("flow", RADIAL_CFG, {"run": {"t_end": 6.0, "cfl": False}}, id="flow-cfl-false"),
+    pytest.param("flow", RADIAL_CFG, {"run": {"t_end": "6"}}, id="flow-t-end-string"),
     pytest.param("flow", RADIAL_CFG, {"initial": {"shape": "sphere", "center": [0.0, 0.0, 0.1]}},
                  id="flow-axisym-vector-center"),
     pytest.param("flow", RADIAL_CFG, {"grid": {"mode": "full-s2", "n": 2, "n_theta": 16, "n_phi": 32},

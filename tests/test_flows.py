@@ -1215,11 +1215,24 @@ def test_flow_config_validation():
         FlowConfig(kind="radial", t_end=1.0, dt_fixed=0.0)
     with pytest.raises(ValueError):
         FlowConfig(kind="radial", t_end=1.0, output_interval=-0.1)
-    # a NaN t_end would take no step, an infinite one would run until convergence
-    for name in ("t_end", "cfl", "grad_tol", "hatf_tol", "osc_tol", "output_interval", "dt_fixed"):
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError):
-                FlowConfig(**{"kind": "radial", "t_end": 1.0, name: bad})
+
+
+@pytest.mark.parametrize("name", ["t_end", "cfl", "grad_tol", "hatf_tol", "osc_tol", "output_interval", "dt_fixed"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True, False, "0.1", [0.1], 1j],
+                         ids=["nan", "inf", "true", "false", "string", "list", "complex"])
+def test_flow_config_rejects_non_finite_boolean_and_non_real_values(name, bad):
+    # a NaN t_end would take no step, an infinite one would run until convergence;
+    # a JSON true would run as 1: a dt_fixed and output_interval of true ran one
+    # 0.2 step and ended TimeExhausted
+    with pytest.raises(ValueError, match=name):
+        FlowConfig(**{"kind": "radial", "t_end": 1.0, name: bad})
+
+
+@pytest.mark.parametrize("name", ["t_end", "cfl", "grad_tol", "hatf_tol", "osc_tol"])
+def test_flow_config_needs_its_required_numbers(name):
+    with pytest.raises(ValueError, match=name):
+        FlowConfig(**{"kind": "radial", "t_end": 1.0, name: None})
+    assert FlowConfig(kind="radial", t_end=1, output_interval=None, dt_fixed=np.float64(0.1)).t_end == 1
 
 
 def test_radial_assess_rejects_nonstarshaped_states():

@@ -475,6 +475,45 @@ def test_random_starshaped_needs_a_positive_base():
         random_starshaped(SphericalGrid.axisym(2, 16), np.random.default_rng(0), amp=0.1, base=0.0)
 
 
+@pytest.mark.parametrize("generator", [random_starshaped, random_convex_support])
+@pytest.mark.parametrize("amp", [math.nan, math.inf, -math.inf, -0.1])
+def test_random_generators_reject_a_bad_amplitude(generator, amp):
+    with pytest.raises(ValueError, match="amp"):
+        generator(SphericalGrid.axisym(2, 16), np.random.default_rng(0), amp=amp)
+
+
+@pytest.mark.parametrize("generator", [random_starshaped, random_convex_support])
+@pytest.mark.parametrize("grid", [SphericalGrid.axisym(2, 16), SphericalGrid.full_s2(8, 16)], ids=repr)
+def test_random_generators_draw_the_base_sphere_at_zero_amplitude(generator, grid):
+    field = generator(grid, np.random.default_rng(0), amp=0.0, base=1.5)
+    assert np.abs(field.values - 1.5).max() <= 1e-14  # recentred on the sphere's own round-off
+
+
+@pytest.mark.parametrize("grid", [SphericalGrid.full_s2(48, 96), SphericalGrid.axisym(2, 40),
+                                  SphericalGrid.axisym(4, 12)], ids=repr)
+def test_random_starshaped_draws_the_per_mode_sum_as_one_bank_product(monkeypatch, grid):
+    from curvelab import shapes
+
+    monkeypatch.setattr(shapes, "_recentred", lambda grid, r, base: r)  # the body as drawn
+    modes, draws = list(shapes._mode_bank(grid, 4)), []
+
+    class RecordingRng:
+        def __init__(self, seed):
+            self.rng = np.random.default_rng(seed)
+
+        def uniform(self, *args, **kwargs):
+            draws.append(self.rng.uniform(*args, **kwargs))
+            return draws[-1]
+
+    for seed in range(5):
+        body = random_starshaped(grid, RecordingRng(seed), amp=0.3, base=1.7).values
+        summed = 1.7 * (1.0 + sum(a * y for a, y in zip(draws[-1], modes)))
+        # in ulp of the scale the sums round at, base (1 + sum |a_i Y_i|): a body
+        # value near 0 is a cancellation, not a 4-ulp result of either sum
+        scale = 1.7 * (1.0 + sum(abs(a * y) for a, y in zip(draws[-1], modes)))
+        assert np.all(np.abs(body - summed) <= 4 * np.spacing(scale))
+
+
 def test_random_convex_support_is_convex():
     grid = SphericalGrid.full_s2(32, 64)
     for seed in range(4):

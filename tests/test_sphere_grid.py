@@ -321,18 +321,27 @@ def test_random_starshaped_builds_its_mode_bank_once(monkeypatch):
         shapes.random_starshaped(grid, np.random.default_rng(seed), amp=0.1)
     assert len(calls) == 24  # degrees 1..4: 3 + 5 + 7 + 9 modes, once
     bank = shapes._mode_bank(grid, 4)
+    assert bank.shape == (24, 16, 32) and not bank.flags.writeable
     assert all(not y.flags.writeable for y in bank)
+    for i, args in enumerate(calls):
+        assert np.array_equal(bank[i], real(*args))
+    convex = shapes._convexity_normalized_modes(grid, 4)
+    assert convex.shape == bank.shape and not convex.flags.writeable
 
 
 def test_random_starshaped_recentres_in_few_gradient_passes(monkeypatch):
     # the 300 samples of the verify-fuzz benchmark at seed 1: `curvelab verify`
     # draws sample i of a config seeded s from SeedSequence([s, i]) at amp 0.3 u^2,
-    # and config j of the benchmark has s from SeedSequence([1, j])
+    # and config j of the benchmark has s from SeedSequence([1, j]); each draw
+    # takes one stencil pass, for the drawn body, and the translations' gradients
+    # in closed form
     from curvelab import shapes
 
-    passes, starts = [], []
+    passes, evals, starts = [], [], []
     real = SphericalGrid._derivatives
     monkeypatch.setattr(SphericalGrid, "_derivatives", lambda *a, **k: passes.append(1) or real(*a, **k))
+    centroid = shapes._radial_centroid
+    monkeypatch.setattr(shapes, "_radial_centroid", lambda *a: evals.append(1) or centroid(*a))
 
     class MarkedRng:
         """An rng that marks where each coefficient draw starts."""
@@ -341,7 +350,7 @@ def test_random_starshaped_recentres_in_few_gradient_passes(monkeypatch):
             self.rng = rng
 
         def uniform(self, *args, **kwargs):
-            starts.append(len(passes))
+            starts.append((len(passes), len(evals)))
             return self.rng.uniform(*args, **kwargs)
 
     grid, per_draw = SphericalGrid.full_s2(48, 96), []
@@ -351,8 +360,27 @@ def test_random_starshaped_recentres_in_few_gradient_passes(monkeypatch):
             rng = np.random.default_rng(np.random.SeedSequence([seed, sample]))
             amp = 0.3 * float(rng.uniform(0.05, 1.0)) ** 2
             shapes.random_starshaped(grid, MarkedRng(rng), amp=amp)
-            per_draw.append(len(passes) - starts[-1])  # the draw it returned
+            assert len(passes) - starts[-1][0] == 1  # the draw it returned
+            per_draw.append(len(evals) - starts[-1][1])
     assert np.mean(per_draw) <= 7.0 and max(per_draw) <= 10
+
+
+@pytest.mark.parametrize("grid", [
+    SphericalGrid.axisym(2, 40), SphericalGrid.axisym(3, 24), SphericalGrid.axisym(4, 12),
+    SphericalGrid.full_s2(8, 16), SphericalGrid.full_s2(14, 16), SphericalGrid.full_s2(48, 96),
+], ids=repr)
+def test_project_gradient_is_the_stencil_gradient_of_project(grid):
+    # central differences of <c, xi> are <c, e> sin(d) / d, ghost rows included
+    rng = np.random.default_rng(7)
+    for scale in (1e-3, 0.3, 2.0):
+        c = scale * rng.normal(size=np.shape(grid.moment(np.ones(grid.node_shape))))
+        stencil = grid.gradient(grid.project(c))
+        closed = grid._project_gradient(c)
+        assert len(closed) == len(stencil)
+        top = max(np.abs(g).max() for g in stencil)
+        for got, want in zip(closed, stencil):
+            assert got.shape == grid.node_shape
+            assert np.abs(got - want).max() <= 1e-13 * top
 
 
 @pytest.mark.parametrize("grid", [SphericalGrid.full_s2(8, 16), SphericalGrid.axisym(3, 12)], ids=repr)
