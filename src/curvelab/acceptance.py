@@ -1,8 +1,13 @@
 """Acceptance battery: the thirteen desk-scale verification criteria.
 
 Each ``ac*`` function runs one criterion at its pinned configuration and
-tolerances and returns a CriterionResult with one pass/fail line per
-sub-assertion.  ``run_battery`` executes a selection and prints the table.
+tolerances and returns a CriterionResult with one CheckLine per gate.  A
+gate is ``value op bound``, each stated once: the measured value, an
+operator from ``_GATES`` and the bound.  Those three fields alone decide
+``passed`` (a NaN value fails every gate) and render ``detail``, after
+which an optional note gives context; ``report.json`` and
+``identities.json`` carry every field.  ``run_battery`` executes a
+selection and prints the table.
 
 Two criteria take their form from a mathematical obstruction:
 
@@ -29,8 +34,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -75,12 +81,36 @@ SEED_AC6 = 7
 SEED_AC7 = 20250809
 SEED_AC8 = 31415
 
+_GATES = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "==": operator.eq,
+    "in": lambda value, bound: bound[0] <= value <= bound[1],  # a closed interval
+}
+
+
+def _shown(x) -> str:
+    if isinstance(x, tuple):
+        return "[" + ", ".join(map(_shown, x)) + "]"
+    return f"{x:.3g}" if isinstance(x, float) else str(x)
+
 
 @dataclass
 class CheckLine:
+    """One gate, ``value op bound``; ``passed`` and ``detail`` follow from those fields."""
+
     label: str
-    passed: bool
-    detail: str
+    value: float | int | str
+    op: str
+    bound: float | int | str | tuple
+    note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return bool(_GATES[self.op](self.value, self.bound))
+
+    @property
+    def detail(self) -> str:
+        gate = f"{_shown(self.value)} {self.op} {_shown(self.bound)}"
+        return f"{gate}; {self.note}" if self.note else gate
 
     def __str__(self):
         mark = "PASS" if self.passed else "FAIL"
@@ -108,10 +138,7 @@ class CriterionResult:
             "name": self.name,
             "passed": self.passed,
             "runtime_s": self.runtime_s,
-            "checks": [
-                {"label": c.label, "passed": c.passed, "detail": c.detail}
-                for c in self.lines
-            ],
+            "checks": [{**asdict(c), "passed": c.passed, "detail": c.detail} for c in self.lines],
         }
 
 
@@ -120,15 +147,24 @@ class _Checker:
         self.result = CriterionResult(name)
         self._t0 = time.perf_counter()
 
-    def check(self, label, ok, detail):
-        self.result.lines.append(CheckLine(label, bool(ok), detail))
+    def check(self, label, value, op, bound, note=""):
+        self.result.lines.append(CheckLine(label, value, op, bound, note))
 
     def budget(self, limit_s, shared=None):
         """Wall time against limit_s; a cached run it reads (``shared``) counts once."""
         elapsed = time.perf_counter() - self._t0
         if shared is not None and shared["started"] < self._t0:
             elapsed += shared["runtime"]
-        self.check("runtime budget", elapsed < limit_s, f"{elapsed:.1f} s < {limit_s} s")
+        self.check("runtime budget", elapsed, "<", limit_s, "wall seconds")
+
+    def flow(self, prefix, trace, column):
+        """A flow ends Converged and its monitored integral ``column`` never rises."""
+        self.check(f"{prefix}terminal status", trace.status, "==", "Converged", f"at t = {trace.t_final:.3f}")
+        values = trace.values(column)
+        growth = float(np.max(np.diff(values) / np.abs(values[:-1]))) if len(values) > 1 else 0.0
+        breaches = sum(b.kind == "monotone" for b in trace.breaches)
+        self.check(f"{prefix}{column} monotone breaches", breaches, "==", 0)
+        self.check(f"{prefix}{column} max step growth", growth, "<=", 1e-8, "relative, over the trace rows")
 
     def done(self):
         self.result.runtime_s = time.perf_counter() - self._t0
@@ -143,10 +179,8 @@ def ac1():
     c = _Checker("AC-1 curvature oracle")
     grid = SphericalGrid.full_s2(64, 128)
     geom = radial_geometry(sphere_radial(grid, 1.0))
-    kerr = float(np.abs(geom.kappa - 1.0).max())
-    herr = float(np.abs(geom.H - 2.0).max())
-    c.check("unit sphere kappa", kerr < 1e-8, f"max|kappa-1| = {kerr:.2e} < 1e-8")
-    c.check("unit sphere H", herr < 1e-8, f"max|H-2| = {herr:.2e} < 1e-8")
+    c.check("unit sphere kappa", float(np.abs(geom.kappa - 1.0).max()), "<", 1e-8, "max |kappa - 1|")
+    c.check("unit sphere H", float(np.abs(geom.H - 2.0).max()), "<", 1e-8, "max |H - 2|")
 
     errs = []
     for nt in (64, 128):
@@ -155,9 +189,8 @@ def ac1():
         km, ka = spheroid_curvatures_radial(g.theta, 1.2, 1.0)
         oracle = np.sort(np.stack([km, ka], -1), -1)
         errs.append(float((np.abs(geo.kappa - oracle[:, None, :]) / oracle[:, None, :]).max()))
-    order = math.log2(errs[0] / errs[1])
-    c.check("spheroid vs closed form", errs[0] < 2e-3, f"max rel err = {errs[0]:.2e} < 2e-3 at 64x128")
-    c.check("spheroid refinement order", 1.7 <= order <= 2.3, f"order = {order:.2f} in [1.7, 2.3]")
+    c.check("spheroid vs closed form", errs[0], "<", 2e-3, "max relative error at 64x128")
+    c.check("spheroid refinement order", math.log2(errs[0] / errs[1]), "in", (1.7, 2.3), "64x128 to 128x256")
     c.budget(5.0)
     return c.done()
 
@@ -193,8 +226,8 @@ def ac2(samples=1000):
         ]
         for got, want in pairs:
             worst = max(worst, abs(got - want) / (1.0 + abs(want)))
-    c.check("identity residuals", worst < 1e-10,
-            f"max rel residual = {worst:.2e} < 1e-10 over {samples} matrices, n in 2..6")
+    c.check("identity residuals", worst, "<", 1e-10,
+            f"max relative residual over {samples} matrices, n in 2..6")
     c.budget(5.0)
     return c.done()
 
@@ -214,17 +247,15 @@ def ac3(samples=1000):
             for m in range(k, n + 1):
                 g = newton_maclaurin_gap(kappa, k, m)
                 min_gap = min(min_gap, g)
-    c.check("no negative gaps", min_gap >= -1e-12, f"min gap = {min_gap:.2e} >= -1e-12")
-    c.check("strictness off constants", min_gap > 1e-12,
-            f"min gap on non-constant vectors = {min_gap:.2e} > 1e-12")
+    c.check("no negative gaps", min_gap, ">=", -1e-12, "min gap")
+    c.check("strictness off constants", min_gap, ">", 1e-12, "min gap on non-constant vectors")
     worst_const = 0.0
     for const in (0.3, 1.0, 2.7):
         kappa = np.full(5, const)
         for k in range(1, 5):
             for m in range(k, 5):
                 worst_const = max(worst_const, abs(newton_maclaurin_gap(kappa, k, m)))
-    c.check("equality on constants", worst_const < 1e-12,
-            f"max |gap| on constant vectors = {worst_const:.2e} < 1e-12")
+    c.check("equality on constants", worst_const, "<", 1e-12, "max |gap| on constant vectors")
     return c.done()
 
 
@@ -242,9 +273,8 @@ def ac4():
             lhs = quermassintegrals(geom)[k]  # int E_(k-1) dmu
             rhs = grid.reduce(geom.area_weights * geom.support * geom.sigma[k]) / math.comb(2, k)
             res.append(abs(lhs - rhs) / abs(lhs))
-        order = math.log2(res[0] / res[1])
-        c.check(f"k={k} coarse residual", res[0] < 5e-3, f"rel residual = {res[0]:.2e} < 5e-3 at 48x96")
-        c.check(f"k={k} convergence order", order >= 1.7, f"order = {order:.2f} >= 1.7")
+        c.check(f"k={k} coarse residual", res[0], "<", 5e-3, "relative residual at 48x96")
+        c.check(f"k={k} convergence order", math.log2(res[0] / res[1]), ">=", 1.7, "48x96 to 96x192")
     return c.done()
 
 
@@ -266,17 +296,11 @@ def ac5():
     c = _Checker("AC-5 radial flow convergence")
     data = _ac5_run()
     trace = data["trace"]
-    c.check("terminates Converged", trace.status == "Converged",
-            f"status = {trace.status} at t = {trace.t_final:.3f}")
+    c.flow("", trace, "Q")
     rerr = float(np.abs(trace.meta["final_state"] - 1.0).max())
-    c.check("final radius", rerr < 2e-3, f"max|r_final - 1| = {rerr:.2e} < 2e-3")
-    q = trace.values("Q")
-    breaches = [b for b in trace.breaches if b.kind == "monotone"]
-    growth = float(np.max(np.diff(q) / np.abs(q[:-1]))) if len(q) > 1 else 0.0
-    c.check("Q nonincreasing", not breaches and growth <= 1e-8,
-            f"{len(breaches)} breaches above 1e-8 Q; max recorded step growth {growth:.1e}")
-    q_err = abs(q[-1] - 4 * math.pi) / (4 * math.pi)
-    c.check("final Q near |S^2|", q_err < 5e-3, f"|Q_final - 4pi|/4pi = {q_err:.2e} < 5e-3")
+    c.check("final radius", rerr, "<", 2e-3, "max |r_final - 1|")
+    q_err = abs(trace.values("Q")[-1] - 4 * math.pi) / (4 * math.pi)
+    c.check("final Q near |S^2|", q_err, "<", 5e-3, "|Q_final - 4pi| / 4pi")
     c.budget(60, data)
     return c.done()
 
@@ -302,25 +326,16 @@ def ac6_flow():
     c = _Checker("AC-6 support flow: conservation, monotonicity, convergence")
     data = _ac6_runs()
     for k in (1, 2):
-        trace = data["k1" if k == 1 else "k2"]
-        drift = trace.meta["conserved_drift"]
-        c.check(f"k={k} V_(k-1) drift", drift < 1e-3, f"relative drift = {drift:.2e} < 1e-3")
-        mk = trace.values("M_k")
-        growth = float(np.max(np.diff(mk) / np.abs(mk[:-1]))) if len(mk) > 1 else 0.0
-        breaches = [b for b in trace.breaches if b.kind == "monotone"]
-        c.check(f"k={k} monotone integral", not breaches and growth <= 1e-8,
-                f"{len(breaches)} breaches; max step growth {growth:.1e}")
-        c.check(f"k={k} converged", trace.status == "Converged",
-                f"status = {trace.status} at t = {trace.t_final:.2f}")
+        trace = data[f"k{k}"]
+        c.flow(f"k={k} ", trace, "M_k")
+        c.check(f"k={k} V_(k-1) drift", trace.meta["conserved_drift"], "<", 1e-3, "relative")
         final = trace.rows[-1]
-        osc = (final["r_max"] - final["r_min"]) / (0.5 * (final["r_max"] + final["r_min"]))
-        c.check(f"k={k} final oscillation", osc < 1e-3, f"(r_max-r_min)/r_avg = {osc:.2e} < 1e-3")
         r_final = 0.5 * (final["r_max"] + final["r_min"])
-        v_final = final[f"V_{k-1}"]
+        c.check(f"k={k} final oscillation", (final["r_max"] - final["r_min"]) / r_final, "<", 1e-3,
+                "(r_max - r_min) / r_avg")
         ball = ball_quermass(k - 1, r_final, 2)
-        match = abs(v_final - ball) / ball
-        c.check(f"k={k} V_(k-1) matches round value", match < 5e-3,
-                f"|V - z(R_final)|/z = {match:.2e} < 5e-3")
+        c.check(f"k={k} V_(k-1) matches round value", abs(final[f"V_{k-1}"] - ball) / ball, "<", 5e-3,
+                "|V - z(R_final)| / z")
     c.budget(120, data)
     return c.done()
 
@@ -334,16 +349,12 @@ def ac6_static_margin():
     """
     c = _Checker("AC-6 static-convexity margin")
     data = _ac6_runs()
-    margin0 = data["k1"].meta["initial_margin"]
-    c.check("initial margin < 0", margin0 < 0.0,
-            f"margin = {margin0:.3f}; only origin-centred spheres have margin >= 0")
+    c.check("initial margin", data["k1"].meta["initial_margin"], "<", 0.0,
+            "only origin-centred spheres are static convex")
     for k in (1, 2):
         margins = data[f"k{k}"].values("margin")
-        worst = float(np.max(margins))
-        c.check(f"k={k} margin <= 1e-6 throughout", worst <= 1e-6,
-                f"max margin = {worst:.2e} <= 1e-6 over {len(margins)} rows")
-        c.check(f"k={k} final margin near 0", abs(margins[-1]) < 1e-3,
-                f"|final margin| = {abs(margins[-1]):.2e} < 1e-3 as the body rounds")
+        c.check(f"k={k} max margin", float(np.max(margins)), "<=", 1e-6, f"over {len(margins)} rows")
+        c.check(f"k={k} final |margin|", abs(margins[-1]), "<", 1e-3, "as the body rounds")
 
     # the monitor against its closed form on a spheroid (c = 1.2, b = 1)
     grid = data["grid"]
@@ -351,8 +362,8 @@ def ac6_static_margin():
     k_merid, k_azim = spheroid_curvatures_support(grid.theta, 1.2, 1.0)
     oracle = np.minimum(k_merid, k_azim)[:, None] - 1.0 / h.values
     err = float(np.abs(static_convexity(support_geometry(h)).node_margins - oracle).max())
-    c.check("spheroid margin vs closed form", err < 1e-3,
-            f"max node error = {err:.2e} < 1e-3 (closed-form margin {oracle.min():.3f})")
+    c.check("spheroid margin vs closed form", err, "<", 1e-3,
+            f"max node error; closed-form margin {oracle.min():.3f}")
 
     # preservation on data meeting the hypothesis: origin-centred spheres
     worst = np.inf
@@ -360,8 +371,8 @@ def ac6_static_margin():
         h0 = sphere_support(grid, radius)
         for k in (1, 2):
             worst = min(worst, float(np.min(run_flow(h0, None, _ac6_config(k)).values("margin"))))
-    c.check("static convexity preserved", worst >= -1e-6,
-            f"min margin = {worst:.2e} >= -1e-6 on runs from spheres R = 0.7, 1.3, k = 1, 2 "
+    c.check("static convexity preserved", worst, ">=", -1e-6,
+            "min margin on runs from spheres R = 0.7, 1.3, k = 1, 2 "
             "(static convex means round here, so preserved means stationary)")
     return c.done()
 
@@ -386,17 +397,11 @@ def _ac7_samples():
 def ac7_constant_density():
     c = _Checker("AC-7 deficit fuzz, f = 1")
     data = _ac7_samples()
-    worst = np.inf
-    rigid_ok = True
-    for _, geom, sph in data["geoms"]:
-        rep = michael_simon_deficit_H(geom, 1.0)
-        worst = min(worst, rep.rel_deficit)
-        if rep.rel_deficit < 1e-4 and sph >= 1e-2:
-            rigid_ok = False
-    c.check("deficits bounded below", worst >= -1e-3,
-            f"min rel deficit = {worst:.2e} >= -1e-3 over 50 samples")
-    c.check("rigidity conditional", rigid_ok,
-            "every sample with rel deficit < 1e-4 has sphericity < 1e-2")
+    deficits = [michael_simon_deficit_H(geom, 1.0).rel_deficit for _, geom, _ in data["geoms"]]
+    c.check("deficits bounded below", min(deficits), ">=", -1e-3, "min relative deficit over 50 samples")
+    violations = sum(d < 1e-4 and sph >= 1e-2 for d, (_, _, sph) in zip(deficits, data["geoms"]))
+    c.check("rigidity violations", violations, "==", 0,
+            "samples with relative deficit < 1e-4 and sphericity >= 1e-2")
     c.budget(120, data)
     return c.done()
 
@@ -422,20 +427,16 @@ def ac7_profile_density():
     samples = data["geoms"]
     worst = min(rel_deficit(field, geom) for field, geom, _ in samples)
     min_q = min(monotone_quantities(geom, profile.f(field.values), 1)[0] for field, geom, _ in samples)
-    c.check("Brendle's bound", worst >= -0.5,
-            f"min rel deficit = {worst:.2e} >= (|B^2|/|S^2|)^(1/2) - 1 = -1/2 over 50 samples")
+    c.check("Brendle's bound", worst, ">=", -0.5, "min relative deficit over 50 samples; ball constant")
     for eps in (0.05, 0.1):
-        field = sphere_radial(data["grid"], 1.0, center=(0.0, 0.0, eps))
-        got = rel_deficit(field)
+        got = rel_deficit(sphere_radial(data["grid"], 1.0, center=(0.0, 0.0, eps)))
         want = -eps**2 / 12.0
-        err = abs(got / want - 1.0)
-        c.check(f"translated sphere eps={eps}", err < 0.02,
-                f"rel deficit = {got:.4e} vs -eps^2/12 = {want:.4e}: rel error {err:.2%} < 2%")
+        c.check(f"translated sphere eps={eps}", abs(got / want - 1.0), "<", 0.02,
+                f"relative error of the deficit {got:.4e} against -eps^2/12 = {want:.4e}")
     equality = max(abs(rel_deficit(sphere_radial(data["grid"], r))) for r in (0.8, 1.0, 1.3))
-    c.check("equality on centred spheres", equality < 1e-10,
-            f"max |rel deficit| = {equality:.2e} < 1e-10 for R = 0.8, 1, 1.3")
-    c.check("flow-provable reduced bound", min_q >= 4 * math.pi * (1 - 1e-12),
-            f"min int f^2 dmu = {min_q:.6f} >= |S^2| = {4 * math.pi:.6f}")
+    c.check("equality on centred spheres", equality, "<", 1e-10, "max |relative deficit| for R = 0.8, 1, 1.3")
+    c.check("flow-provable reduced bound", min_q / (4 * math.pi) - 1.0, ">=", -1e-12,
+            "min int f^2 dmu / |S^2| - 1 over 50 samples")
     return c.done()
 
 
@@ -459,14 +460,11 @@ def ac8():
         rep = michael_simon_deficit_k(geom, radius ** (-(n - k)), k=k, quermass=quermass)
         worst = min(worst, rep.rel_deficit)
         margins.append(static_convexity(geom).margin)
-    c.check("deficits bounded below", worst >= -1e-3,
-            f"min rel deficit = {worst:.2e} >= -1e-3 over 50 convex bodies "
-            f"(static margins in [{min(margins):.2f}, {max(margins):.2f}]; "
-            "strictly positive margins exist only for round spheres)")
-    geom = radial_geometry(sphere_radial(grid, 1.0))
-    rep = michael_simon_deficit_k(geom, 1.0, k=k)
-    c.check("unit sphere idempotence", abs(rep.deficit) < 1e-10,
-            f"|deficit| = {abs(rep.deficit):.2e} < 1e-10")
+    c.check("deficits bounded below", worst, ">=", -1e-3,
+            f"min relative deficit over 50 convex bodies (static margins in [{min(margins):.2f}, "
+            f"{max(margins):.2f}]; strictly positive margins exist only for round spheres)")
+    rep = michael_simon_deficit_k(radial_geometry(sphere_radial(grid, 1.0)), 1.0, k=k)
+    c.check("unit sphere idempotence", abs(rep.deficit), "<", 1e-10, "|deficit|")
     return c.done()
 
 
@@ -478,15 +476,15 @@ def ac9():
     c = _Checker("AC-9 exponential decay")
     data = _ac5_run()
     fit = estimate_decay_rate(data["trace"])
-    c.check("positive rate", fit.gamma > 0.0, f"gamma = {fit.gamma:.3f} > 0")
-    c.check("fit quality", fit.r_squared > 0.95, f"R^2 = {fit.r_squared:.5f} > 0.95")
+    c.check("decay rate", fit.gamma, ">", 0.0, "gamma")
+    c.check("fit quality", fit.r_squared, ">", 0.95, "R^2")
     # the even start's lowest non-radial mode, ell = 2, linearized about r*
     p, n, ell, r = data["profile"], 2, 2, data["trace"].meta["r_star"]
     dhat = (n - 1) * (p.df(r) / r**2 - 2 * p.f(r) / r**3) + p.d2f(r) / r - p.df(r) / r**2
     rate = float(n / (n - 1) * r * dhat + p.f(r) * ell * (ell + n - 1) / r**2)
-    err = abs(fit.gamma / rate - 1.0)
-    c.check("linearized rate", err < 0.02, f"gamma = {fit.gamma:.3f} vs (n/(n-1)) r* fhat'(r*) + "
-            f"f(r*) l(l+n-1)/r*^2 = {rate:.3f}: rel error {err:.2%} < 2%")
+    c.check("linearized rate", abs(fit.gamma / rate - 1.0), "<", 0.02,
+            f"relative error of gamma = {fit.gamma:.3f} against "
+            f"(n/(n-1)) r* fhat'(r*) + f(r*) l(l+n-1)/r*^2 = {rate:.3f}")
     return c.done()
 
 
@@ -499,8 +497,7 @@ def ac10():
     data5 = _ac5_run()
     out = area_evolution_consistency(data5["r0"], data5["profile"],
                                      FlowConfig(kind="radial", t_end=1.0))
-    c.check("radial run", out["rel_error"] < 0.01,
-            f"rel error = {out['rel_error']:.2e} < 1e-2 at dt = adaptive step/1000")
+    c.check("radial run", out["rel_error"], "<", 0.01, "relative error at dt = adaptive step/1000")
 
     # support side on the k=1 run (the k=2 flow conserves area, so a relative
     # area-rate comparison is degenerate there); probed at the first trace
@@ -516,8 +513,7 @@ def ac10():
     )
     state = ScalarField(data6["grid"], probe.meta["final_state"])
     out = area_evolution_consistency(state, None, FlowConfig(kind="support", k=1, t_end=1.0))
-    c.check("support run", out["rel_error"] < 0.01,
-            f"rel error = {out['rel_error']:.2e} < 1e-2 at t = {t_probe:.2f}")
+    c.check("support run", out["rel_error"], "<", 0.01, f"relative error at t = {t_probe:.2f}")
     return c.done()
 
 
@@ -544,9 +540,7 @@ def ac11():
         config = FlowConfig(kind="radial", t_end=0.2, dt_fixed=dt, output_interval=0.2)
         trace = run_flow(sphere_radial(grid, 1.3), profile, config)
         errs.append(abs(float(trace.meta["final_state"][0]) - ref))
-    ratio = errs[0] / errs[1]
-    c.check("error ratio under dt halving", 12.0 <= ratio <= 20.0,
-            f"ratio = {ratio:.2f} in [12, 20] (order 4: ~16)")
+    c.check("error ratio under dt halving", errs[0] / errs[1], "in", (12.0, 20.0), "order 4 gives about 16")
     return c.done()
 
 

@@ -10,14 +10,16 @@ report      run the acceptance battery and print its table; writes report.json
 Shared flags: --config PATH (JSON), --out DIR, --seed U64 (overrides the config
 seed), --force (run flows despite profile admissibility failures).  The
 environment variable CURVELAB_THREADS sets the worker count for fuzz suites.
-Exit codes: 0 success/Converged, 2 TimeExhausted, 1 runtime failure, 64 bad
-configuration.  CSV artifacts are RFC 4180 with '.' decimals at full
+Exit codes: 0 success/Converged, 2 TimeExhausted, 1 runtime failure or a
+failed criterion, 64 bad configuration (an unknown key in a flow's run
+block included).  CSV artifacts are RFC 4180 with '.' decimals at full
 round-trip precision; every JSON artifact embeds the config hash and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -207,32 +209,19 @@ def _worker_count() -> int:
 
 def cmd_flow(cfg: dict, out_dir: Path, seed: int, force: bool) -> int:
     kind = _require(cfg, "kind")
-    n = _require(cfg, "n")
-    grid = build_grid(_require(cfg, "grid"))
-    if grid.n != n:
-        raise ConfigError("n", f"n = {n} disagrees with grid.n = {grid.n}")
+    n = _require(cfg, "n", integer=True)
     k = cfg.get("k", 1)
     if not (_is_int(k) and 1 <= k <= n):
         raise ConfigError("k", f"{kind} flow needs an integer 1 <= k <= n, got k = {k!r}")
-    rng = np.random.default_rng(seed)
-    initial = build_initial(_require(cfg, "initial"), grid, rng, kind)
-    profile = build_profile(cfg.get("profile"))
-    run_cfg = cfg.get("run", {})
-    try:
-        flow_config = FlowConfig(
-            kind=kind,
-            k=k,
-            t_end=_require(run_cfg, "t_end", "run"),
-            cfl=run_cfg.get("cfl", 0.2),
-            grad_tol=run_cfg.get("grad_tol", 1e-5),
-            hatf_tol=run_cfg.get("hatf_tol", 5e-4),
-            osc_tol=run_cfg.get("osc_tol", 1e-4),
-            output_interval=run_cfg.get("output_interval"),
-            dt_fixed=run_cfg.get("dt_fixed"),
-            force=force,
-        )
+    try:  # the run block is FlowConfig's fields, whole: an unknown key stops here
+        flow_config = FlowConfig(kind=kind, k=k, force=force, **cfg.get("run", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError("run", str(exc))
+    grid = build_grid(_require(cfg, "grid"))
+    if grid.n != n:
+        raise ConfigError("n", f"n = {n} disagrees with grid.n = {grid.n}")
+    initial = build_initial(_require(cfg, "initial"), grid, np.random.default_rng(seed), kind)
+    profile = build_profile(cfg.get("profile"))
 
     status = 1
     summary = {}
@@ -367,7 +356,7 @@ def cmd_identities(cfg: dict, out_dir: Path, seed: int) -> int:
     _write_json(out_dir / "identities.json", "identities", cfg, seed, report)
     print(f"identities: {'all passed' if report['all_passed'] else 'FAILURES'}, "
           f"artifacts in {out_dir}")
-    return 0
+    return 0 if report["all_passed"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +379,9 @@ def cmd_report(cfg: dict, out_dir: Path, seed: int) -> int:
 # entry point
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: its subparsers form reference cycles."""
     parser = argparse.ArgumentParser(
         prog="curvelab",
         description="curvature-flow laboratory: flows, deficit fuzzing, identity batteries",
@@ -403,7 +394,11 @@ def main(argv=None) -> int:
         cmd.add_argument("--seed", type=int, default=None, help="RNG seed (overrides config)")
         cmd.add_argument("--force", action="store_true",
                          help="run flows despite profile admissibility failures")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config) if args.config else {}

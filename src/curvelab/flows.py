@@ -34,7 +34,10 @@ keys are s a = spread / j, so every adaptive run solves on one key set:
 a = spread / h is c_max where the spread cap sets the step and
 spread / step (1.6 radial, 0.35 support) where the step cap does.  Steps
 of dt_fixed, and one clipped at t_end, key at a h with a = c_max, held
-while c_max stays in [a/2, a], since a new a means a new Thomas sweep.
+while c_max stays in [a/2, a], since a new a means a new Thomas sweep.  A
+step is clipped only where t_end - t falls short of it by more than 1e-9 of
+the output interval; a smaller shortfall is t's round-off, and the step is
+taken whole.
 The Laplacian term stabilizes the stiff part (Smereka, J. Sci. Comput. 19
 (2003)), so no Delta theta^2 bound applies; on a sphere Delta vanishes, the
 step is extrapolated explicit Euler on the radius ODE and the surface stays
@@ -758,9 +761,12 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
             dt = min(kernel.caps[0], kernel.caps[1] / a)
             if dt < _DT_FLOOR * max(1.0, t):  # at least 4e3 ulps of t, so t + dt > t too
                 collapse(f"adaptive step {dt:.3g} at t = {t:.6g} is below the floor")
-        # an adaptive step keys at caps[1], whichever cap sets it
-        follow = not config.dt_fixed and dt <= config.t_end - t
-        dt = min(dt, config.t_end - t)
+        # an adaptive step keys at caps[1], whichever cap sets it; a remainder
+        # within row_tol of the step is t's round-off, so the step is taken whole
+        clip = dt > config.t_end - t + row_tol
+        follow = not (config.dt_fixed or clip)
+        if clip:
+            dt = config.t_end - t
         spread = kernel.caps[1] if follow else a * dt
         # the state's build gives the start speed and is dropped: holding it
         # across the step or taking the speed inside assess raised peak RSS by

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: exit codes, artifacts, reproducibility."""
 
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import curvelab
+from curvelab import acceptance
 from curvelab.cli import main
 
 
@@ -84,6 +86,16 @@ def test_flow_zero_fixed_step_exit_64(tmp_path, capsys):
     path = write_config(tmp_path, "flow.json", cfg)
     assert main(["flow", "--config", path, "--out", str(tmp_path / "run")]) == 64
     assert "dt_fixed" in capsys.readouterr().err
+
+
+def test_flow_unknown_run_key_exit_64_before_the_grid_is_built(tmp_path, capsys):
+    # the run block goes to FlowConfig whole, so a misspelt key stops the
+    # run where it used to run on the default it meant to set
+    cfg = dict(RADIAL_CFG, grid={"mode": "bogus"}, run={"t_end": 0.05, "grad_tl": 1e-2})
+    path = write_config(tmp_path, "flow.json", cfg)
+    assert main(["flow", "--config", path, "--out", str(tmp_path / "run")]) == 64
+    err = capsys.readouterr().err
+    assert "configuration error [run]" in err and "grad_tl" in err
 
 
 def test_flow_inadmissible_profile_needs_force(tmp_path):
@@ -208,6 +220,22 @@ def test_cli_and_a_one_thread_flow_load_no_thread_pool(tmp_path):
     assert (tmp_path / "run/trace.csv").exists()
 
 
+def test_repeated_main_calls_leave_no_parser_for_the_cyclic_collector(tmp_path):
+    path = write_config(tmp_path, "verify.json", VERIFY_AXISYM_CFG)
+    argv = ["verify", "--config", path, "--out", str(tmp_path / "v")]
+    assert main(argv) == 0  # warm-up
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        leaked = [type(obj).__name__ for obj in gc.garbage if type(obj).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []
+
+
 def test_identities_battery(tmp_path):
     path = write_config(tmp_path, "ids.json", {"seed": 1})
     assert main(["identities", "--config", path, "--out", str(tmp_path / "i")]) == 0
@@ -218,6 +246,18 @@ def test_identities_battery(tmp_path):
     assert report["minkowski"]["passed"]
 
 
+def test_identities_exit_1_when_a_criterion_fails(tmp_path, monkeypatch):
+    gate = acceptance.CheckLine("no negative gaps", -0.5, ">=", -1e-12)
+    failing = acceptance.CriterionResult("AC-3 stub", [gate])
+    monkeypatch.setitem(acceptance.CRITERIA, "AC-3", lambda: failing)
+    path = write_config(tmp_path, "ids.json", {"seed": 1})
+    assert main(["identities", "--config", path, "--out", str(tmp_path / "i")]) == 1
+    report = json.loads((tmp_path / "i/identities.json").read_text())
+    assert not report["all_passed"] and report["trace_identities"]["passed"]
+    check = report["newton_maclaurin"]["checks"][0]
+    assert (check["value"], check["op"], check["bound"], check["passed"]) == (-0.5, ">=", -1e-12, False)
+
+
 def test_report_subset(tmp_path, capsys):
     path = write_config(tmp_path, "rep.json", {"criteria": ["AC-1", "AC-4", "AC-11"]})
     code = main(["report", "--config", path, "--out", str(tmp_path / "rep")])
@@ -226,6 +266,10 @@ def test_report_subset(tmp_path, capsys):
     assert "AC-1" in out and "3/3 criteria passed" in out
     payload = json.loads((tmp_path / "rep/report.json").read_text())
     assert payload["passed"] == payload["total"] == 3
+    for criterion in payload["criteria"]:
+        for check in criterion["checks"]:
+            assert {"label", "value", "op", "bound", "passed", "detail"} <= check.keys()
+            assert isinstance(check["value"], (int, float)) and check["passed"]
 
 
 def test_config_file_missing(tmp_path, capsys):
@@ -274,6 +318,7 @@ FIELD_AXISYM_16_SPHERE = Path(__file__).parent / "data" / "field_axisym_16_spher
     pytest.param("flow", RADIAL_CFG, {"run": {"t_end": True}}, id="flow-t-end-true"),
     pytest.param("flow", RADIAL_CFG, {"run": {"t_end": 6.0, "cfl": False}}, id="flow-cfl-false"),
     pytest.param("flow", RADIAL_CFG, {"run": {"t_end": "6"}}, id="flow-t-end-string"),
+    pytest.param("flow", RADIAL_CFG, {"run": {"t_end": 0.05, "grad_tl": 1e-2}}, id="flow-run-unknown-key"),
     pytest.param("flow", RADIAL_CFG, {"initial": {"shape": "sphere", "center": [0.0, 0.0, 0.1]}},
                  id="flow-axisym-vector-center"),
     pytest.param("flow", RADIAL_CFG, {"grid": {"mode": "full-s2", "n": 2, "n_theta": 16, "n_phi": 32},

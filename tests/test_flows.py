@@ -1451,3 +1451,19 @@ def test_fixed_steps_hold_a_while_c_max_stays_in_its_band(monkeypatch):
     assert trace.meta["steps"] == 10 and c_max[2] > 0.5 * c_max[0] > c_max[3] and min(c_max) > 0.5 * c_max[3]
     assert log["steps"] == [(0.05, c_max[0] * 0.05)] * 3 + [(0.05, c_max[3] * 0.05)] * 7
     assert log["sweeps"] == 2
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_round_off_remainder_is_stepped_whole_and_a_real_clip_keys_at_a_dt(monkeypatch, k):
+    # after 19 steps of 0.05, t_end - t = 1 - t is 0.05 less 3e-16: the 20th
+    # step is still 0.05, so it keeps its key and the run sweeps 3 times, not 4
+    log = recorded_run(monkeypatch, _SupportKernel)
+    h0 = spheroid_support(SphericalGrid.axisym(2, 32), 1.3, 0.8)
+    trace = run_flow(h0, None, FlowConfig(kind="support", k=k, t_end=1.0, dt_fixed=0.05))
+    assert trace.meta["steps"] == 20 and [h for h, _ in log["steps"]] == [0.05] * 20
+    assert log["sweeps"] == 3
+    # a remainder shorter by more than round-off is clipped, keyed at the held a times its dt
+    log["steps"].clear()
+    run_flow(h0, None, FlowConfig(kind="support", k=k, t_end=0.98, dt_fixed=0.05))
+    (h_prev, spread_prev), (h, spread) = log["steps"][-2:]
+    assert h == pytest.approx(0.03) and spread == pytest.approx(spread_prev / h_prev * h, rel=1e-14)
