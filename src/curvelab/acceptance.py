@@ -211,11 +211,11 @@ def _random_cone_matrix(rng):
     return 0.5 * (a + a.T), kappa, n, k
 
 
-def ac2(samples=1000):
+def ac2():
     c = _Checker("AC-2 trace identities")
     rng = np.random.default_rng(SEED_IDENTITIES)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(1000):
         a, kappa, n, k = _random_cone_matrix(rng)
         d = ek_derivative_tensor(a, k)
         e = [elementary_symmetric(np.sort(np.linalg.eigvalsh(a)), j) for j in range(n + 2)]
@@ -227,7 +227,7 @@ def ac2(samples=1000):
         for got, want in pairs:
             worst = max(worst, abs(got - want) / (1.0 + abs(want)))
     c.check("identity residuals", worst, "<", 1e-10,
-            f"max relative residual over {samples} matrices, n in 2..6")
+            "max relative residual over 1000 matrices, n in 2..6")
     c.budget(5.0)
     return c.done()
 
@@ -236,11 +236,11 @@ def ac2(samples=1000):
 # AC-3: Newton-MacLaurin battery
 
 
-def ac3(samples=1000):
+def ac3():
     c = _Checker("AC-3 Newton-MacLaurin")
     rng = np.random.default_rng(SEED_IDENTITIES + 1)
     min_gap = np.inf
-    for _ in range(samples):
+    for _ in range(1000):
         n = int(rng.integers(2, 8))
         kappa = rng.uniform(0.05, 3.0, size=n)
         for k in range(1, n + 1):
@@ -561,15 +561,13 @@ CRITERIA = {
 }
 
 
-def run_battery(names=None, printer=print):
-    """Run the selected criteria (all by default); returns the result list."""
+def run_battery(names=None):
+    """Run the selected criteria (all by default), printing each; returns the result list."""
     results = []
     for name, fn in CRITERIA.items():
-        if names and name not in names:
-            continue
-        result = fn()
-        results.append(result)
-        printer(str(result))
+        if not names or name in names:
+            results.append(fn())
+            print(results[-1])
     passed = sum(r.passed for r in results)
-    printer(f"{passed}/{len(results)} criteria passed")
+    print(f"{passed}/{len(results)} criteria passed")
     return results

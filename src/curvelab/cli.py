@@ -118,25 +118,23 @@ def build_profile(cfg: dict | None) -> SpeedProfile | None:
         return None
     kind = _require(cfg, "kind", "profile")
     try:
-        domain = tuple(cfg.get("domain", ())) or None
+        domain = tuple(cfg.get("domain", ()))
+        domain_arg = {"domain": domain} if domain else {}  # else the profile's own default
         if kind == "constant":
-            return SpeedProfile.constant(_require(cfg, "value", "profile"),
-                                         domain or (1e-2, 100.0))
+            return SpeedProfile.constant(_require(cfg, "value", "profile"), **domain_arg)
         if kind == "power-exp-pinned":
             return SpeedProfile.power_exp_pinned(
-                _require(cfg, "n", "profile"), cfg.get("r_star", 1.0), domain)
+                _require(cfg, "n", "profile"), cfg.get("r_star", 1.0), **domain_arg)
         if kind == "power":
-            return SpeedProfile.power(_require(cfg, "exponent", "profile"),
-                                      domain or (1e-2, 100.0))
+            return SpeedProfile.power(_require(cfg, "exponent", "profile"), **domain_arg)
         if kind == "affine-power":
             return SpeedProfile.affine_power(
                 _require(cfg, "a", "profile"), _require(cfg, "b", "profile"),
-                _require(cfg, "n", "profile"), _require(cfg, "k", "profile"),
-                domain or (1e-2, 100.0))
+                _require(cfg, "n", "profile"), _require(cfg, "k", "profile"), **domain_arg)
         if kind == "tabulated":
             return SpeedProfile.tabulated(_require(cfg, "x", "profile"),
-                                          _require(cfg, "f", "profile"), domain)
-    except (TypeError, ValueError) as exc:  # values the profile cannot take
+                                          _require(cfg, "f", "profile"), **domain_arg)
+    except (TypeError, ValueError, IndexError) as exc:  # values the profile cannot take
         raise ConfigError("profile", str(exc))
     raise ConfigError("profile.kind", f"unknown profile kind {kind!r}")
 
@@ -146,6 +144,10 @@ def build_initial(cfg: dict, grid: SphericalGrid, rng: np.random.Generator,
     shape = _require(cfg, "shape", "initial")
     radial = parametrization == "radial"
     try:
+        if shape in ("harmonic", "random"):
+            amp = _require(cfg, "amplitude", "initial")
+            if not 0 < amp <= 0.45:
+                raise ConfigError("initial.amplitude", f"{shape} amplitude must lie in (0, 0.45]")
         if shape == "sphere":
             maker = sphere_radial if radial else sphere_support
             return maker(grid, cfg.get("radius", 1.0), cfg.get("center"))
@@ -155,20 +157,12 @@ def build_initial(cfg: dict, grid: SphericalGrid, rng: np.random.Generator,
             return (spheroid_radial if radial else spheroid_support)(grid, c_axis, b_eq)
         if shape == "harmonic":
             ell = _require(cfg, "ell", "initial")
-            amp = _require(cfg, "amplitude", "initial")
-            if not 0 < amp <= 0.45:
-                raise ConfigError("initial.amplitude",
-                                  "harmonic amplitude must lie in (0, 0.45]")
             base = cfg.get("base", 1.0)
             if not base > 0:
                 raise ValueError(f"harmonic base must be positive, got {base!r}")
             mode = harmonic_mode(grid, ell, cfg.get("m", 0), cfg.get("phase", "cos"))
             return ScalarField(grid, base * (1.0 + amp * mode))
         if shape == "random":
-            amp = _require(cfg, "amplitude", "initial")
-            if not 0 < amp <= 0.45:
-                raise ConfigError("initial.amplitude",
-                                  "random amplitude must lie in (0, 0.45]")
             maker = random_starshaped if radial else random_convex_support
             return maker(grid, rng, amp=amp, base=cfg.get("base", 1.0),
                          lmax=cfg.get("lmax", 4))
@@ -262,19 +256,16 @@ VERIFY_COLUMNS = [
 
 
 def _verify_sample(args):
-    index, cfg, grid, seed, k, calibration, profile = args
+    """One row of verify.csv; a sample that raises keeps NaN in the columns it did not reach."""
+    index, grid, seed, k, calibration, profile, parametrization, functional, amp_max = args
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-    row = {"sample_id": index, "n": grid.n, "k": k, "mode": calibration, "status": "ok"}
+    row = {"sample_id": index, "n": grid.n, "k": k, "mode": calibration, "status": "ok",
+           **dict.fromkeys(("sphericity", "f_variation", "lhs", "rhs", "deficit", "rel_deficit"), math.nan)}
+    radial = parametrization == "radial"
     try:
-        parametrization = cfg.get("parametrization", "radial")
-        amp_max = cfg.get("amplitude", 0.3)
         amp = amp_max * float(rng.uniform(0.05, 1.0)) ** 2
-        if parametrization == "radial":
-            field = random_starshaped(grid, rng, amp=amp)
-            geom = radial_geometry(field)
-        else:
-            field = random_convex_support(grid, rng, amp=amp)
-            geom = support_geometry(field)
+        field = (random_starshaped if radial else random_convex_support)(grid, rng, amp=amp)
+        geom = (radial_geometry if radial else support_geometry)(field)
         row["sphericity"] = sphericity(geom)
         if profile is not None:
             f = profile.f(field.values)
@@ -283,25 +274,20 @@ def _verify_sample(args):
         else:
             grad_f = None
             row["f_variation"] = 0.0
-        if k == 1 and cfg.get("functional", "H") == "H":
+        if k == 1 and functional == "H":
             f_arg = f if profile is not None else 1.0
             rep = michael_simon_deficit_H(geom, f_arg, grad_f)
         else:
             quermass = quermassintegrals(geom)
             radius = ball_quermass_inverse(k - 1, float(quermass[k - 1]), grid.n)
             f_arg = f if profile is not None else radius ** (-(grid.n - k))
-            f_of_r = (lambda r: profile.f(r)) if profile is not None else None
             rep = michael_simon_deficit_k(geom, f_arg, grad_f, k=k,
-                                          calibration=calibration,
-                                          quermass=quermass, f_of_R=f_of_r)
+                                          calibration=calibration, quermass=quermass,
+                                          f_of_R=profile.f if profile is not None else None)
         row.update(lhs=rep.lhs, rhs=rep.rhs, deficit=rep.deficit,
                    rel_deficit=rep.rel_deficit)
     except CurveLabError as exc:
         row["status"] = f"error:{type(exc).__name__}"
-        row.update(sphericity=row.get("sphericity", float("nan")),
-                   f_variation=row.get("f_variation", float("nan")),
-                   lhs=float("nan"), rhs=float("nan"), deficit=float("nan"),
-                   rel_deficit=float("nan"))
     return row
 
 
@@ -314,13 +300,14 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
     if not (_is_int(k) and 1 <= k <= grid.n - 1):
         raise ConfigError("k", f"verify needs an integer 1 <= k <= n - 1 = {grid.n - 1}, got {k!r}")
     calibration = _one_of(cfg, "calibration", "sphere-calibrated", CALIBRATIONS)
-    _one_of(cfg, "parametrization", "radial", ("radial", "support"))
-    _one_of(cfg, "functional", "H", ("H", "k"))
+    parametrization = _one_of(cfg, "parametrization", "radial", ("radial", "support"))
+    functional = _one_of(cfg, "functional", "H", ("H", "k"))
     amplitude = cfg.get("amplitude", 0.3)
     if isinstance(amplitude, bool) or not (isinstance(amplitude, (int, float)) and 0 < amplitude < math.inf):
         raise ConfigError("amplitude", f"amplitude must be a positive finite number, got {amplitude!r}")
     profile = build_profile(cfg.get("profile") or None)
-    jobs = [(i, cfg, grid, seed, k, calibration, profile) for i in range(samples)]
+    jobs = [(i, grid, seed, k, calibration, profile, parametrization, functional, amplitude)
+            for i in range(samples)]
     workers = _worker_count()
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # only here: it loads logging

@@ -29,15 +29,15 @@ one stack of states, so a step makes L speed calls and L solves, each on
 the levels it moves.  Z is the zonal filter and Delta the grid's Laplacian.
 An adaptive step is h = min(step, spread / c_max) for the kernel's caps =
 (step, spread), (0.025, 0.04) radial and (0.1, 0.035) support, whatever the
-output interval, and one below 1e-12 max(1, t) raises StepCollapse.  Its
-keys are s a = spread / j, so every adaptive run solves on one key set:
-a = spread / h is c_max where the spread cap sets the step and
-spread / step (1.6 radial, 0.35 support) where the step cap does.  Steps
-of dt_fixed, and one clipped at t_end, key at a h with a = c_max, held
+output interval; one below 1e-12 max(1, t) raises StepCollapse.  The spread
+sets the time error, about C spread^L; the step cap guards the round mode
+(the sphere ODE).  The keys are s a = spread / j, so every adaptive run
+solves on one key set: a = spread / h is c_max where the spread cap sets the
+step and spread / step (1.6 radial, 0.35 support) where the step cap does.
+Steps of dt_fixed, and one clipped at t_end, key at a h with a = c_max, held
 while c_max stays in [a/2, a], since a new a means a new Thomas sweep.  A
 step is clipped only where t_end - t falls short of it by more than 1e-9 of
-the output interval; a smaller shortfall is t's round-off, and the step is
-taken whole.
+the output interval; a smaller shortfall is t's round-off.
 The Laplacian term stabilizes the stiff part (Smereka, J. Sci. Comput. 19
 (2003)), so no Delta theta^2 bound applies; on a sphere Delta vanishes, the
 step is extrapolated explicit Euler on the radius ODE and the surface stays
@@ -86,13 +86,11 @@ from .geometry import (
     _convexity_margins,
     _radial_field,
     _support_field,
-    radial_geometry,
     sphericity,
     static_convexity,
-    support_geometry,
 )
 from .sphere_grid import ScalarField, SphericalGrid
-from .symfunc import sigma_pair, sigma_quotient
+from .symfunc import _pair_leave_one_out, sigma_quotient
 
 __all__ = [
     "SpeedProfile",
@@ -290,16 +288,17 @@ class SupportProfileReport:
     detail: str
 
 
-def validate_radial_profile(profile: SpeedProfile, n: int, interval=None, samples: int = 2001) -> float:
+def validate_radial_profile(profile: SpeedProfile, n: int) -> float:
     """Check that fhat is strictly increasing with a sign change; return its zero.
 
-    Raises AssumptionViolated with kind "not-increasing" (monotonicity fails,
+    fhat is sampled at 2001 points of the profile's domain.  Raises
+    AssumptionViolated with kind "not-increasing" (monotonicity fails,
     ``where`` holds the offending subinterval) or "no-zero" (no strict sign
     change, including the degenerate profile with fhat identically zero).
-    The zero is bracketed and bisected to 1e-10.
+    The zero is bracketed there and bisected to 1e-10.
     """
-    lo, hi = interval if interval is not None else profile.domain
-    xs = np.linspace(lo, hi, samples)
+    lo, hi = profile.domain
+    xs = np.linspace(lo, hi, 2001)
     fv = profile.f(xs)
     if fv.min() <= 0:
         raise AssumptionViolated("not-positive", "profile must be positive on the interval")
@@ -340,17 +339,14 @@ def validate_radial_profile(profile: SpeedProfile, n: int, interval=None, sample
     return 0.5 * (a + b)
 
 
-def validate_support_profile(
-    profile: SpeedProfile, n: int, k: int, interval=None, samples: int = 2001
-) -> SupportProfileReport:
+def validate_support_profile(profile: SpeedProfile, n: int, k: int) -> SupportProfileReport:
     """Check that g = f^((n-k+1)/(n-k)) is nondecreasing and convex in h.
 
-    Constant profiles pass for every k (g is then constant, the non-strict
-    case).  For k = n the exponent is undefined, so only constant profiles
-    are admissible.
+    g is sampled at 2001 points of the profile's domain.  Constant profiles
+    pass for every k (g is then constant, the non-strict case).  For k = n
+    the exponent is undefined, so only constant profiles are admissible.
     """
-    lo, hi = interval if interval is not None else profile.domain
-    xs = np.linspace(lo, hi, samples)
+    xs = np.linspace(*profile.domain, 2001)
     fv = profile.f(xs)
     if fv.min() <= 0:
         return SupportProfileReport(False, "profile must be positive on the interval")
@@ -401,10 +397,10 @@ class _RadialKernel(_Kernel):
 
     # the extrapolated step's depth and order: AC-11's sphere ODE needs order 4
     levels = 4
-    # (step, spread) caps of the adaptive step (see _DT_FLOOR): the sphere
-    # ODE's error at 4 levels is 1.35e-9 at 0.025 and 2.2e-8 at 0.05 (gate
-    # 1e-8); the amp-0.3 full-s2 16x32 rough start first leaves the flow's
-    # range at a spread cap of 0.07
+    # (step, spread) caps of the adaptive step (see _DT_FLOOR): the step cap
+    # guards the round mode, where the sphere ODE errs by 1.35e-9 at 0.025
+    # and 2.2e-8 at 0.05 at 4 levels (gate 1e-8); the amp-0.3 full-s2 16x32
+    # rough start first leaves the flow's range at a spread cap of 0.07
     caps = (0.025, 0.04)
 
     def build(self, r: np.ndarray) -> CurvatureField:
@@ -442,15 +438,15 @@ class _SupportKernel(_Kernel):
     # depth 2 misses AC-10's support probe (2.17e-2 against 1e-2); depth 4
     # takes the same steps at one more speed call each
     levels = 3
-    # (step, spread) caps: with the summation-by-parts weights M_2 no longer
-    # rises on S^2 grids, so the radial ODE's 0.025 does not bind here.  Over
-    # the support-s2 inputs (seeds 1-20, 80 bodies) these caps record no
-    # monotone breach, mono_rise 0 and V_1 drift <= 4.0e-4 in median 35.5
-    # steps.  The spread cap sets every step there (c_max falls from about 1
-    # to 0.5, and a follows it); on the amp-0.3 full-s2 24x48 rough starts
-    # (seeds 0-7, k = 1, 2) 0.035 gives each run's V_{k-1} drift at
-    # 0.95-1.00 of what (0.025, 0.04) gives, where 0.04 reads up to +1.3%
-    # and 0.05 up to +13%
+    # (step, spread) caps (see _DT_FLOOR): with the summation-by-parts weights
+    # M_2 no longer rises on S^2 grids, and the radial sphere ODE's round-mode
+    # cap 0.025 is not needed here.  Over the support-s2 inputs (seeds 1-20,
+    # 80 bodies) these caps record no monotone breach, mono_rise 0 and V_1
+    # drift <= 4.0e-4 in median 35.5 steps.  The spread cap sets every step
+    # there (c_max falls from about 1 to 0.5, and a follows it); on the
+    # amp-0.3 full-s2 24x48 rough starts (seeds 0-7, k = 1, 2) 0.035 gives
+    # each run's V_{k-1} drift at 0.95-1.00 of what (0.025, 0.04) gives, where
+    # 0.04 reads up to +1.3% and 0.05 up to +13%
     caps = (0.1, 0.035)
 
     def build(self, h: np.ndarray) -> CurvatureField:
@@ -469,18 +465,17 @@ class _SupportKernel(_Kernel):
         M_k = int sigma_{k-1} g(h) dmu with g = f^((n-k+1)/(n-k)), and g = 1
         at k = n, which admits constant profiles only; the run has converged
         once (max h - min h) / mean h < osc_tol.  The principal coefficients
-        h kappa_i^2 dF/dkappa_i take dF/dkappa from the sigma pair:
-        d sigma_j / d kappa1 = C(n-1, j-1) kappa2^(j-1), and d sigma_j /
-        d kappa2 is sigma_(j-1) of the curvatures less one kappa2.
+        h kappa_i^2 dF/dkappa_i take dF/dkappa from the leave-one-out sigmas
+        of the curvature pair.
         """
         g, n, k, config = self.grid, self.n, self.k, self.config
         geom = self.build(h)
         value = _mk_integral(geom, np.ones_like(h) if k == n else self.profile.f(h), k)
         kap1, kap2, sig = geom.kappa1, geom.kappa2, geom.sigma
-        less2 = sigma_pair(kap1, kap2, n - 1)
+        less1, less2 = _pair_leave_one_out(kap1, kap2, n)
         # d sigma_k (d) and d sigma_(k-1) (e) by kappa1 and by one kappa2
-        d1, d2 = math.comb(n - 1, k - 1) * kap2 ** (k - 1), less2[k - 1]
-        e1, e2 = (math.comb(n - 1, k - 2) * kap2 ** (k - 2), less2[k - 2]) if k > 1 else (0.0, 0.0)
+        d1, d2 = less1[k - 1], less2[k - 1]
+        e1, e2 = (less1[k - 2], less2[k - 2]) if k > 1 else (0.0, 0.0)
         scale = math.comb(n, k - 1) / math.comb(n, k) / sig[k - 1] ** 2
         c1 = kap1**2 * scale * (d1 * sig[k - 1] - sig[k] * e1)
         c2 = kap2**2 * scale * (d2 * sig[k - 1] - sig[k] * e2)
@@ -498,14 +493,14 @@ def _kernel(grid: SphericalGrid, profile: SpeedProfile | None, config: "FlowConf
 
 
 # The adaptive step is min(step, spread / c_max) for the kernel's caps =
-# (step, spread), whatever the output interval: the step cap bounds the time
-# error, and the spread cap, the largest h * a, keeps the solve from
-# spreading a node's speed over more than about sqrt(h a) rad (0.2 radial,
-# 0.19 support; rough starts, where c_max falls by 1e4, left the flow's range
-# without it).  So the step cap binds whenever c_max <= spread / step: 1.6
-# radial, 0.35 support, and the step then runs at that a.  An adaptive step
-# below _DT_FLOOR * max(1, t) raises StepCollapse: c_max has blown up and t
-# would stall.
+# (step, spread), whatever the output interval.  The spread cap, the largest
+# h * a, sets the time error (about C spread^L; cutting the step cap 8x alone
+# made it 2-3x worse) and keeps the solve from spreading a node's speed over
+# about sqrt(h a) rad (0.2 radial, 0.19 support; rough starts, where c_max
+# falls by 1e4, left the flow's range without it).  The step cap guards the
+# round mode, where Delta vanishes; it binds whenever c_max <= spread / step
+# (1.6 radial, 0.35 support).  A step below _DT_FLOOR * max(1, t) raises
+# StepCollapse: c_max has blown up and t would stall.
 _DT_FLOOR = 1e-12
 
 
@@ -521,9 +516,9 @@ def _extrapolated_step(kernel, u: np.ndarray, h: float, spread: float, start: np
     i..L with one build and speed of their stacked states and one resolvent
     call, whose keys are the trailing part of round 1's.  Each level sees
     the arithmetic of a level-by-level loop, so the result has its bits.
-    For any fixed a the error expands in powers of h, so the Aitken-Neville
-    tableau over the kernel's levels has that order.  The result is
-    zonal-filtered when u is.
+    At a fixed a the Aitken-Neville tableau over the kernel's L levels has
+    order L in h; an adaptive step holds the spread a h instead, and its
+    error goes as C spread^L.  The result is zonal-filtered when u is.
     """
     levels = kernel.levels
     substeps = [h / j for j in range(1, levels + 1)]
@@ -708,7 +703,7 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
                 raise
             trace.meta["profile_violation"] = f"{exc.kind}: {exc}"
             r_star = None
-        geom0 = radial_geometry(initial)  # raises NotStarshaped on bad input
+        kernel.build(initial.values)  # the unfiltered start: NotStarshaped on bad input
         r0 = initial.values
         lo = min(r_star, float(r0.min())) if r_star is not None else float(r0.min())
         hi = max(r_star, float(r0.max())) if r_star is not None else float(r0.max())
@@ -718,7 +713,7 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
         trace.meta["profile_report"] = report.detail
         if not report.ok and not config.force:
             raise AssumptionViolated("support-profile", report.detail)
-        geom0 = support_geometry(initial)  # raises ConvexityLost on bad input
+        geom0 = kernel.build(initial.values)  # the unfiltered start: ConvexityLost on bad input
         trace.meta["initial_margin"] = static_convexity(geom0).margin
         range_band = None
 
@@ -797,9 +792,9 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
                 )
 
         if converged or t >= min(next_output, config.t_end) - row_tol:  # the last state too
-            queue_row(state, build, t, dt)
-            while next_output <= t + row_tol:
-                next_output += output_interval
+            queue_row(state, build, t, dt)  # then the first output time past t, in closed form
+            # (a float //: a subnormal interval's infinite quotient gives inf, not OverflowError)
+            next_output = ((t + row_tol) // output_interval + 1) * output_interval
         if converged:
             status = "Converged"
             break
@@ -827,15 +822,15 @@ class DecayFit:
     n_samples: int
 
 
-def estimate_decay_rate(trace: FlowTrace, min_samples: int = 10) -> DecayFit:
-    """Fit log(max |grad r|) against t over the final half of the run."""
+def estimate_decay_rate(trace: FlowTrace) -> DecayFit:
+    """Fit log(max |grad r|) against t over the final half of a run with >= 10 positive samples."""
     t = trace.times
     g = trace.values("grad_max")
     mask = np.isfinite(g) & (g > 0.0)
     t, g = t[mask], g[mask]
-    if t.size < min_samples:
+    if t.size < 10:
         raise InsufficientData(
-            f"need at least {min_samples} positive gradient samples, have {t.size}"
+            f"need at least 10 positive gradient samples, have {t.size}"
         )
     half = t.size // 2
     t, g = t[half:], np.log(g[half:])

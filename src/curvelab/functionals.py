@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import NonpositiveDensity
 from .geometry import CurvatureField, _nan_where
-from .sphere_grid import ScalarField, sphere_area
+from .sphere_grid import sphere_area
 from .symfunc import require_cone, sigma_all
 
 __all__ = [
@@ -104,8 +104,6 @@ def quermassintegrals(geom: CurvatureField) -> np.ndarray:
 
 
 def _density_values(geom: CurvatureField, f) -> np.ndarray:
-    if isinstance(f, ScalarField):
-        f = f.values
     f = np.asarray(f, float)
     if f.ndim == 0:
         f = np.full(geom.grid.node_shape, float(f))
@@ -192,9 +190,9 @@ def michael_simon_deficit_k(
 ) -> DeficitReport:
     """Sharp k-th mean curvature deficit (1 <= k <= n-1) on a closed hypersurface.
 
-    ``f_of_R`` supplies the density's value at the comparison radius R
-    (a float or a callable of R); it defaults to the constant value of f and
-    must be given explicitly for non-constant densities.
+    ``f_of_R`` supplies the density's value at the comparison radius R as a
+    callable of R; it defaults to the constant value of f and must be given
+    for non-constant densities.
     """
     n = geom.n
     if not 1 <= k <= n - 1:
@@ -215,14 +213,9 @@ def michael_simon_deficit_k(
     if quermass is None:
         quermass = quermassintegrals(geom)
     radius = ball_quermass_inverse(k - 1, float(quermass[k - 1]), n)
-    if f_of_R is None:
-        if float(f.max() - f.min()) > 1e-12 * (1.0 + float(f.max())):
-            raise ValueError("f_of_R must be supplied for non-constant densities")
-        f_r = float(f.flat[0])
-    elif callable(f_of_R):
-        f_r = float(f_of_R(radius))
-    else:
-        f_r = float(f_of_R)
+    if f_of_R is None and float(f.max() - f.min()) > 1e-12 * (1.0 + float(f.max())):
+        raise ValueError("f_of_R must be supplied for non-constant densities")
+    f_r = float(f.flat[0] if f_of_R is None else f_of_R(radius))
 
     if calibration == "paper-literal":
         b_coef = math.comb(n, k)

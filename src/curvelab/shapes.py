@@ -42,14 +42,16 @@ __all__ = [
 ]
 
 
-def _check_positive(*sizes, amp=0.0):
+def _check_positive(*sizes, amp=0.0, lmax=1):
     """ValueError unless each (name, size) is positive, since a negative axis would be squared
-    into its mirror body, and the draw amplitude amp is finite and >= 0 (0 draws the sphere)."""
+    into its mirror body, amp is finite and >= 0 (0 draws the sphere) and lmax an integer >= 1."""
     for name, value in sizes:
         if not value > 0.0:
             raise ValueError(f"{name} must be positive, got {value!r}")
     if not 0.0 <= amp < np.inf:
         raise ValueError(f"amp must be finite and >= 0, got {amp!r}")
+    if isinstance(lmax, bool) or not isinstance(lmax, (int, np.integer)) or lmax < 1:
+        raise ValueError(f"lmax must be an integer >= 1, got {lmax!r}")
 
 
 def sphere_radial(grid: SphericalGrid, radius: float = 1.0, center=None) -> ScalarField:
@@ -218,9 +220,9 @@ def random_starshaped(
     _recentred, at most 12 centroids and one stencil pass, with no
     curvature).  Rejection-resamples the coefficients until min r > 0.05
     base before and during recentring, and when recentring does not
-    converge.  base must be positive and amp finite and >= 0.
+    converge.  base must be positive, amp finite and >= 0 and lmax an integer >= 1.
     """
-    _check_positive(("base radius", base), amp=amp)
+    _check_positive(("base radius", base), amp=amp, lmax=lmax)
     modes = _mode_bank(grid, lmax)
     for _ in range(_MAX_TRIES):
         coeff = rng.uniform(-amp, amp, size=len(modes))
@@ -245,9 +247,9 @@ def random_convex_support(
     Modes are convexity-normalized (see _convexity_normalized_modes), so at
     amp < 1 most draws remain strictly convex; draws that still fail the
     convexity filter, before or after recentring at the centroid, are
-    resampled.  base must be positive and amp finite and >= 0.
+    resampled.  base must be positive, amp finite and >= 0 and lmax an integer >= 1.
     """
-    _check_positive(("base radius", base), amp=amp)
+    _check_positive(("base radius", base), amp=amp, lmax=lmax)
     modes = _convexity_normalized_modes(grid, lmax)
     for _ in range(_MAX_TRIES):
         coeff = rng.uniform(-amp, amp, size=len(modes))

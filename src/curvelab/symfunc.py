@@ -64,6 +64,13 @@ def _leave_one_out(values: list) -> list:
     return [_sigmas(values[:p] + values[p + 1:]) for p in range(len(values))]
 
 
+def _pair_leave_one_out(k1, k2, n: int) -> tuple:
+    """_leave_one_out of {k1, k2 x (n-1)}, entrywise: the lists of the values other than k1
+    and other than one k2, whose entry j - 1 is d sigma_j by that value."""
+    less1 = [1.0] + [math.comb(n - 1, j) * k2**j for j in range(1, n)]
+    return less1, sigma_pair(k1, k2, n - 1)
+
+
 def sigma_all(kappa) -> np.ndarray:
     """All sigma_j, j = 0..n, computed along the trailing axis.
 

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import curvelab
-from curvelab import acceptance
+from curvelab import SpeedProfile, SphericalGrid, acceptance, michael_simon_deficit_k, support_geometry
 from curvelab.cli import main
+from curvelab.shapes import random_convex_support
 
 
 def write_config(tmp_path, name, payload):
@@ -190,6 +191,31 @@ def test_verify_error_isolation(tmp_path):
     assert len(statuses) == 10
     assert any(s.startswith("error:") for s in statuses)
     assert any(s == "ok" for s in statuses)
+
+
+@pytest.mark.parametrize("profile_cfg, profile", [
+    ({"kind": "power", "exponent": 0.5}, SpeedProfile.power(0.5)),
+    ({"kind": "affine-power", "a": 1.0, "b": 0.5, "n": 3, "k": 2}, SpeedProfile.affine_power(1.0, 0.5, 3, 2)),
+], ids=["power", "affine-power"])
+def test_verify_support_bodies_under_a_profile_at_k2(tmp_path, profile_cfg, profile):
+    # the k-deficit of convex bodies under a non-constant density f(h), whose
+    # value at the comparison radius R the suite takes from the profile
+    cfg = {"samples": 3, "k": 2, "functional": "k", "parametrization": "support", "amplitude": 0.2,
+           "grid": {"mode": "axisym", "n": 3, "n_theta": 48}, "profile": profile_cfg, "seed": 4}
+    path = write_config(tmp_path, "verify.json", cfg)
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "v")]) == 0
+    with open(tmp_path / "v/verify.csv") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["status"] for row in rows] == ["ok"] * 3
+    assert all(float(row["f_variation"]) > 0.0 for row in rows)
+    # sample 0 drawn and evaluated again through the library
+    grid = SphericalGrid.axisym(3, 48)
+    rng = np.random.default_rng(np.random.SeedSequence([4, 0]))
+    field = random_convex_support(grid, rng, amp=0.2 * float(rng.uniform(0.05, 1.0)) ** 2)
+    geom = support_geometry(field)
+    grad_f = tuple(profile.df(field.values) * g for g in geom.grad)
+    rep = michael_simon_deficit_k(geom, profile.f(field.values), grad_f, k=2, f_of_R=profile.f)
+    assert (float(rows[0]["lhs"]), float(rows[0]["rhs"])) == (rep.lhs, rep.rhs)
 
 
 def test_verify_threads_env(tmp_path, monkeypatch):
@@ -384,6 +410,11 @@ FIELD_AXISYM_16_SPHERE = Path(__file__).parent / "data" / "field_axisym_16_spher
     pytest.param("flow", RADIAL_CFG, {"kind": "support", "initial": {"shape": "random", "amplitude": 0.1,
                                                                      "base": -1.0}},
                  id="flow-support-random-base-negative"),
+    *(pytest.param("flow", RADIAL_CFG, {"kind": kind, "initial": {"shape": "random", "amplitude": 0.1, "lmax": lmax}},
+                   id=f"flow-{kind}-random-lmax-{lmax}")
+      for kind in ("radial", "support") for lmax in (0, -1, 2.5, True)),
+    pytest.param("flow", RADIAL_CFG, {"profile": {"kind": "power-exp-pinned", "n": 2, "domain": [0.5]}},
+                 id="flow-profile-domain-one-entry"),
 ])
 def test_malformed_config_exit_64(tmp_path, capsys, command, base, change):
     # each must stop with a ConfigError before any work, not with an

@@ -2,6 +2,10 @@
 
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
+import curvelab
 from curvelab import (
     CurveLabError,
     FlowConfig,
@@ -16,6 +21,7 @@ from curvelab import (
     SphericalGrid,
     SpeedProfile,
     StepCollapse,
+    curvature_quotient_gradient,
     estimate_decay_rate,
     monotone_quantities,
     quermassintegrals,
@@ -293,6 +299,21 @@ def test_euler_step_covers_the_linearized_speed(kind, k, amp):
     bound = kernel.assess(u)[1] * laplacian_radius(grid)
     radius = np.abs(np.linalg.eigvals(filtered_jacobian(kernel, u))).max()
     assert bound >= 0.99 * radius
+
+
+@pytest.mark.parametrize("grid, k", [
+    (SphericalGrid.axisym(3, 16), 1), (SphericalGrid.axisym(3, 16), 2), (SphericalGrid.axisym(3, 16), 3),
+    (SphericalGrid.full_s2(8, 16), 1), (SphericalGrid.full_s2(8, 16), 2),
+], ids=repr)
+def test_support_c_max_is_the_vector_quotient_gradient_at_the_worst_node(grid, k):
+    # assess reads dF/dkappa from the curvature pair's leave-one-out sigmas;
+    # the vector form reads it from each node's whole curvature vector
+    h = random_convex_support(grid, np.random.default_rng(k), amp=0.2).values
+    _, c_max, _, geom = _kernel(grid, None, FlowConfig(kind="support", k=k, t_end=1.0)).assess(h)
+    kappa = geom.kappa.reshape(-1, grid.n)
+    want = max(hv * float(np.max(row**2 * curvature_quotient_gradient(row, k)))
+               for hv, row in zip(h.ravel(), kappa))
+    assert c_max == pytest.approx(want, rel=1e-12)
 
 
 # -- integration runs ------------------------------------------------------------------
@@ -1115,6 +1136,27 @@ def test_rows_fall_at_the_first_step_past_each_output_time(interval):
     for t_out in interval * np.arange(1, round(trace.t_final / interval) + 1):
         hits = (t - dt < t_out - 1e-12) & (t >= t_out - 1e-12)
         assert hits.sum() == 1, t_out
+
+
+def test_tiny_output_intervals_neither_stall_nor_skip_rows():
+    # the next output time is computed in closed form: a loop that adds a
+    # 1e-19 interval to itself stalls near 9e-4 and never passes t, so the
+    # probe runs in a child process, where a stall times out
+    probe = """
+from curvelab.flows import FlowConfig, SpeedProfile, run_flow
+from curvelab.shapes import sphere_radial
+from curvelab.sphere_grid import SphericalGrid
+
+r0, profile = sphere_radial(SphericalGrid.axisym(2, 16), 1.3), SpeedProfile.power_exp_pinned(2, 1.0)
+for interval in (1e-19, 1e-8):
+    trace = run_flow(r0, profile, FlowConfig(kind="radial", t_end=0.2, output_interval=interval))
+    print(trace.meta["steps"], len(trace.rows), trace.t_final)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(curvelab.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         timeout=10, env=env)
+    # a row at every step; the ninth step is the sliver that t's round-off leaves
+    assert out.stdout.split() == ["9", "10", "0.2"] * 2
 
 
 def test_trace_csv_round_trip(tmp_path):

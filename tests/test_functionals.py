@@ -216,8 +216,10 @@ def test_deficit_k_requires_f_of_R_for_varying_density():
     f = 1.0 + 0.1 * np.cos(grid.theta) ** 2
     with pytest.raises(ValueError):
         michael_simon_deficit_k(geom, f, k=2)
-    rep = michael_simon_deficit_k(geom, f, k=2, f_of_R=1.05)
+    radii = []
+    rep = michael_simon_deficit_k(geom, f, k=2, f_of_R=lambda radius: radii.append(radius) or 1.05)
     assert np.isfinite(rep.deficit)
+    assert radii == [pytest.approx(1.0, rel=1e-3)]  # called once, at the comparison radius
 
 
 # -- monotone quantities -------------------------------------------------------------

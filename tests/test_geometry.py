@@ -483,6 +483,14 @@ def test_random_generators_reject_a_bad_amplitude(generator, amp):
 
 
 @pytest.mark.parametrize("generator", [random_starshaped, random_convex_support])
+@pytest.mark.parametrize("lmax", [0, -1, 2.5, True])
+def test_random_generators_reject_a_bad_lmax(generator, lmax):
+    # 0 and -1 drew from an empty mode bank, 2.5 failed inside range() and True drew as 1
+    with pytest.raises(ValueError, match="lmax must be an integer >= 1"):
+        generator(SphericalGrid.axisym(2, 16), np.random.default_rng(0), amp=0.1, lmax=lmax)
+
+
+@pytest.mark.parametrize("generator", [random_starshaped, random_convex_support])
 @pytest.mark.parametrize("grid", [SphericalGrid.axisym(2, 16), SphericalGrid.full_s2(8, 16)], ids=repr)
 def test_random_generators_draw_the_base_sphere_at_zero_amplitude(generator, grid):
     field = generator(grid, np.random.default_rng(0), amp=0.0, base=1.5)

@@ -16,7 +16,15 @@ from curvelab import (
     newton_maclaurin_gap,
 )
 from curvelab.errors import ConeViolation
-from curvelab.symfunc import ek_derivative_eigen, require_cone, sigma_all, sigma_quotient
+from curvelab.symfunc import (
+    _leave_one_out,
+    _pair_leave_one_out,
+    ek_derivative_eigen,
+    require_cone,
+    sigma_all,
+    sigma_pair,
+    sigma_quotient,
+)
 
 
 def sigma_bruteforce(kappa, k):
@@ -121,6 +129,42 @@ def test_sigma_all_shapes():
     assert sigma_all([2.5]).tolist() == [1.0, 2.5]
     assert sigma_all((1.0, 2.0, 3.0)).tolist() == [1.0, 6.0, 11.0, 6.0]
     assert sigma_all(np.ones((2, 3, 2))).shape == (2, 3, 3)
+
+
+# -- the curvature pair {k1, k2 x (n-1)} --------------------------------------
+
+
+def assert_lists_close(got, want):
+    """Entrywise agreement to round-off of two lists of per-node arrays (or floats)."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        g, w = np.broadcast_arrays(g, w)
+        assert np.abs(g - w).max() <= 1e-13 * (1.0 + np.abs(w).max())
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_sigma_pair_is_sigma_all_of_the_pair_vector(n):
+    k1, k2 = np.random.default_rng(n).uniform(-1.0, 2.0, size=(2, 5, 3))
+    want = sigma_all(np.stack([k1] + [k2] * (n - 1), axis=-1))
+    assert_lists_close(sigma_pair(k1, k2, n), [want[..., j] for j in range(n + 1)])
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_pair_leave_one_out_is_the_leave_one_out_of_the_pair_vector(n):
+    k1, k2 = np.random.default_rng(10 + n).uniform(-1.0, 2.0, size=(2, 5, 3))
+    lists = _leave_one_out([k1] + [k2] * (n - 1))
+    less1, less2 = _pair_leave_one_out(k1, k2, n)
+    assert len(less1) == len(less2) == n  # sigma_0..sigma_(n-1) of n - 1 values
+    assert_lists_close(less1, lists[0])
+    for rest in lists[1:]:  # every copy of k2 leaves the same list
+        assert_lists_close(less2, rest)
+    # entry j - 1 is d sigma_j by that value, at one vector by central differences
+    kappa, eps = np.array([k1[0, 0]] + [k2[0, 0]] * (n - 1)), 1e-6
+    for p, less in ((0, less1), (1, less2)):
+        step = np.eye(n)[p] * eps
+        fd = (sigma_all(kappa + step) - sigma_all(kappa - step))[1:] / (2 * eps)
+        got = [np.broadcast_to(s, k1.shape)[0, 0] for s in less]
+        assert np.allclose(got, fd, rtol=1e-7, atol=1e-8)
 
 
 # -- derivative tensor -------------------------------------------------------
