@@ -49,7 +49,6 @@ from .flows import (
 )
 from .functionals import (
     ball_quermass,
-    ball_quermass_inverse,
     michael_simon_deficit_H,
     michael_simon_deficit_k,
     monotone_quantities,
@@ -455,9 +454,7 @@ def ac8():
         amp = 0.35 * float(rng.uniform(0.1, 1.0)) ** 2
         field = random_convex_support(grid, rng, amp=amp)
         geom = support_geometry(field)
-        quermass = quermassintegrals(geom)
-        radius = ball_quermass_inverse(k - 1, float(quermass[k - 1]), n)
-        rep = michael_simon_deficit_k(geom, radius ** (-(n - k)), k=k, quermass=quermass)
+        rep = michael_simon_deficit_k(geom, k=k)  # the matched density R^-(n-k)
         worst = min(worst, rep.rel_deficit)
         margins.append(static_convexity(geom).margin)
     c.check("deficits bounded below", worst, ">=", -1e-3,

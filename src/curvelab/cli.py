@@ -36,10 +36,8 @@ from .errors import ConfigError, CurveLabError, StepCollapse
 from .flows import FlowConfig, SpeedProfile, estimate_decay_rate, run_flow
 from .functionals import (
     CALIBRATIONS,
-    ball_quermass_inverse,
     michael_simon_deficit_H,
     michael_simon_deficit_k,
-    quermassintegrals,
 )
 from .geometry import radial_geometry, sphericity, support_geometry
 from .shapes import (
@@ -271,18 +269,14 @@ def _verify_sample(args):
             f = profile.f(field.values)
             grad_f = tuple(profile.df(field.values) * g for g in geom.grad)
             row["f_variation"] = float((f.max() - f.min()) / f.mean())
-        else:
-            grad_f = None
+        else:  # each deficit's own constant density
+            f = grad_f = None
             row["f_variation"] = 0.0
         if k == 1 and functional == "H":
-            f_arg = f if profile is not None else 1.0
-            rep = michael_simon_deficit_H(geom, f_arg, grad_f)
+            rep = michael_simon_deficit_H(geom, f, grad_f)
         else:
-            quermass = quermassintegrals(geom)
-            radius = ball_quermass_inverse(k - 1, float(quermass[k - 1]), grid.n)
-            f_arg = f if profile is not None else radius ** (-(grid.n - k))
-            rep = michael_simon_deficit_k(geom, f_arg, grad_f, k=k,
-                                          calibration=calibration, quermass=quermass,
+            rep = michael_simon_deficit_k(geom, f, grad_f, k=k,
+                                          calibration=calibration,
                                           f_of_R=profile.f if profile is not None else None)
         row.update(lhs=rep.lhs, rhs=rep.rhs, deficit=rep.deficit,
                    rel_deficit=rep.rel_deficit)

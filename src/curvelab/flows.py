@@ -37,7 +37,7 @@ step and spread / step (1.6 radial, 0.35 support) where the step cap does.
 Steps of dt_fixed, and one clipped at t_end, key at a h with a = c_max, held
 while c_max stays in [a/2, a], since a new a means a new Thomas sweep.  A
 step is clipped only where t_end - t falls short of it by more than 1e-9 of
-the output interval; a smaller shortfall is t's round-off.
+t_end; a smaller shortfall is t's round-off.
 The Laplacian term stabilizes the stiff part (Smereka, J. Sci. Comput. 19
 (2003)), so no Delta theta^2 bound applies; on a sphere Delta vanishes, the
 step is extrapolated explicit Euler on the radius ODE and the surface stays
@@ -144,12 +144,6 @@ class SpeedProfile:
         x = np.asarray(x, float)
         f, df = self.f_df(x)
         return (n - 1) * f / x**2 + df / x
-
-    @property
-    def is_constant(self) -> bool:
-        lo, hi = self.domain
-        xs = np.linspace(lo, hi, 17)
-        return float(np.abs(self.df(xs)).max()) <= 1e-14 * (1.0 + float(np.abs(self.f(xs)).max()))
 
     @classmethod
     def constant(cls, value: float, domain=(1e-2, 100.0)) -> "SpeedProfile":
@@ -300,8 +294,8 @@ def validate_radial_profile(profile: SpeedProfile, n: int) -> float:
     lo, hi = profile.domain
     xs = np.linspace(lo, hi, 2001)
     fv = profile.f(xs)
-    if fv.min() <= 0:
-        raise AssumptionViolated("not-positive", "profile must be positive on the interval")
+    if not 0.0 < fv.min() <= fv.max() < math.inf:  # NaN fails every comparison
+        raise AssumptionViolated("not-positive", "profile must be positive and finite on the interval")
     fh = profile.hat(xs, n)
     scale = float(np.abs(fh).max())
     if scale <= 1e-14 * (1.0 + float(np.abs(fv).max())):
@@ -342,15 +336,15 @@ def validate_radial_profile(profile: SpeedProfile, n: int) -> float:
 def validate_support_profile(profile: SpeedProfile, n: int, k: int) -> SupportProfileReport:
     """Check that g = f^((n-k+1)/(n-k)) is nondecreasing and convex in h.
 
-    g is sampled at 2001 points of the profile's domain.  Constant profiles
-    pass for every k (g is then constant, the non-strict case).  For k = n
-    the exponent is undefined, so only constant profiles are admissible.
+    f and f' are sampled at 2001 points of the profile's domain.  Where f'
+    vanishes at every sample, f is constant and passes for every k (the
+    non-strict case); for k = n the exponent is undefined, so only these pass.
     """
     xs = np.linspace(*profile.domain, 2001)
-    fv = profile.f(xs)
-    if fv.min() <= 0:
-        return SupportProfileReport(False, "profile must be positive on the interval")
-    if profile.is_constant:
+    fv, f1 = profile.f(xs), profile.df(xs)
+    if not 0.0 < fv.min() <= fv.max() < math.inf:  # NaN fails every comparison
+        return SupportProfileReport(False, "profile must be positive and finite on the interval")
+    if float(np.abs(f1).max()) <= 1e-14 * (1.0 + float(fv.max())):
         return SupportProfileReport(True, "constant profile: g constant (non-strict pass)")
     if k >= n:
         return SupportProfileReport(
@@ -358,7 +352,6 @@ def validate_support_profile(profile: SpeedProfile, n: int, k: int) -> SupportPr
             "for non-constant profiles"
         )
     p = (n - k + 1.0) / (n - k)
-    f1 = profile.df(xs)
     f2 = profile.d2f(xs)
     g1 = p * fv ** (p - 1.0) * f1
     g2 = p * (p - 1.0) * fv ** (p - 2.0) * f1**2 + p * fv ** (p - 1.0) * f2
@@ -724,9 +717,9 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
     mono_prev, a, _, build = kernel.assess(state)
     mono_scale = max(abs(mono_prev), 1e-300)
     rise = 0.0  # the monitored integral's cumulative positive variation
-    output_interval = config.output_interval or config.t_end / 400.0
+    row_tol = 1e-9 * config.t_end  # t += dt drifts off the output times and t_end
+    output_interval = max(config.output_interval or config.t_end / 400.0, row_tol)
     next_output = output_interval
-    row_tol = 1e-9 * output_interval  # t += dt drifts off the output times and t_end
 
     def queue_row(state, build, t, dt):  # states that share a batch are built there, as one stack
         queue.append((state, build if state.size >= _ROW_BATCH_NODES else None, t, dt))
@@ -793,7 +786,7 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
 
         if converged or t >= min(next_output, config.t_end) - row_tol:  # the last state too
             queue_row(state, build, t, dt)  # then the first output time past t, in closed form
-            # (a float //: a subnormal interval's infinite quotient gives inf, not OverflowError)
+            # (an interval of at least row_tol keeps the quotient below about 1e9)
             next_output = ((t + row_tol) // output_interval + 1) * output_interval
         if converged:
             status = "Converged"

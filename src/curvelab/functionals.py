@@ -107,8 +107,8 @@ def _density_values(geom: CurvatureField, f) -> np.ndarray:
     f = np.asarray(f, float)
     if f.ndim == 0:
         f = np.full(geom.grid.node_shape, float(f))
-    if f.min() <= 0.0:
-        raise NonpositiveDensity(f"density must be positive (min {f.min():.6g})")
+    if not 0.0 < f.min() <= f.max() < math.inf:  # NaN fails every comparison
+        raise NonpositiveDensity(f"density must be positive and finite (range {f.min():.6g} to {f.max():.6g})")
     return f
 
 
@@ -129,7 +129,7 @@ def _mk_integral(geom: CurvatureField, f: np.ndarray, k: int):
     return _nan_where(f_hi - f_lo > 1e-12 * (1.0 + f_hi), grid.reduce(weighted))
 
 
-def michael_simon_deficit_H(geom: CurvatureField, f, grad_f=None) -> DeficitReport:
+def michael_simon_deficit_H(geom: CurvatureField, f=None, grad_f=None) -> DeficitReport:
     """Mean-curvature Sobolev deficit on a closed hypersurface.
 
     The rhs uses the sphere-area constant n |S^n|^(1/n): for constant f the
@@ -138,11 +138,11 @@ def michael_simon_deficit_H(geom: CurvatureField, f, grad_f=None) -> DeficitRepo
     f = r^-1 exp((r-1)^2/2) gives rel_deficit -eps^2/12 + O(eps^4)); Brendle's
     proven bound is rel_deficit >= (|B^n| / |S^n|)^(1/n) - 1.
 
-    ``grad_f`` holds the parameter-sphere frame components of grad f (None
-    means f is constant); the tangential gradient is formed with the induced
-    metric of ``geom``.
+    No ``f`` means f = 1.  ``grad_f`` holds the parameter-sphere frame
+    components of grad f (None means f is constant); the tangential gradient
+    is formed with the induced metric of ``geom``.
     """
-    f = _density_values(geom, f)
+    f = _density_values(geom, 1.0 if f is None else f)
     n = geom.n
     tgs = 0.0 if grad_f is None else geom.tangential_grad_sq(grad_f)  # constant f: grad f = 0
     lhs = float(np.sum(geom.area_weights * np.sqrt(tgs + f**2 * geom.H**2)))
@@ -181,25 +181,25 @@ def calibrate_sharp_constant(n: int, k: int) -> float:
 
 def michael_simon_deficit_k(
     geom: CurvatureField,
-    f,
+    f=None,
     grad_f=None,
     k: int = 1,
     calibration: str = "sphere-calibrated",
     f_of_R=None,
-    quermass: np.ndarray | None = None,
 ) -> DeficitReport:
     """Sharp k-th mean curvature deficit (1 <= k <= n-1) on a closed hypersurface.
 
-    ``f_of_R`` supplies the density's value at the comparison radius R as a
-    callable of R; it defaults to the constant value of f and must be given
-    for non-constant densities.
+    No ``f`` means the matched constant density R^-(n-k), R the comparison
+    radius.  ``f_of_R`` gives f(R) as a callable of R; it defaults to the
+    constant value of f and must be given for non-constant densities.
     """
     n = geom.n
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n - 1")
     if calibration not in CALIBRATIONS:
         raise ValueError(f"unknown calibration mode {calibration!r}")
-    f = _density_values(geom, f)
+    radius = ball_quermass_inverse(k - 1, float(quermassintegrals(geom)[k - 1]), n)
+    f = _density_values(geom, radius ** (k - n) if f is None else f)
 
     sig = geom.sigma
     require_cone(sig, float(np.maximum(np.abs(geom.kappa1).max(), np.abs(geom.kappa2).max())), k)
@@ -210,9 +210,6 @@ def michael_simon_deficit_k(
 
     p = (n + 1.0 - k) / (n - k)
     mk = _mk_integral(geom, f, k)
-    if quermass is None:
-        quermass = quermassintegrals(geom)
-    radius = ball_quermass_inverse(k - 1, float(quermass[k - 1]), n)
     if f_of_R is None and float(f.max() - f.min()) > 1e-12 * (1.0 + float(f.max())):
         raise ValueError("f_of_R must be supplied for non-constant densities")
     f_r = float(f.flat[0] if f_of_R is None else f_of_R(radius))

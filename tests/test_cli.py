@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -105,6 +106,33 @@ def test_flow_inadmissible_profile_needs_force(tmp_path):
     path = write_config(tmp_path, "flow.json", cfg)
     assert main(["flow", "--config", path, "--out", str(tmp_path / "a")]) == 1
     assert main(["flow", "--config", path, "--out", str(tmp_path / "b"), "--force"]) == 2
+
+
+@pytest.mark.parametrize("profile", [
+    {"kind": "constant", "value": float("nan")},
+    {"kind": "constant", "value": float("inf")},
+    {"kind": "affine-power", "a": float("nan"), "b": 0.5, "n": 2, "k": 1},
+], ids=["constant-nan", "constant-infinity", "affine-power-a-nan"])
+def test_flow_with_a_non_finite_profile_exit_1(tmp_path, capsys, profile):
+    # run, such a profile gives NaN or inf Q and M_k columns and no breach
+    cfg = dict(RADIAL_CFG, kind="support", profile=profile, run={"t_end": 0.2})
+    path = write_config(tmp_path, "flow.json", cfg)
+    assert main(["flow", "--config", path, "--out", str(tmp_path / "run")]) == 1
+    assert "positive and finite" in capsys.readouterr().err
+    assert json.loads((tmp_path / "run" / "summary.json").read_text())["status"] == "error"
+    assert not (tmp_path / "run" / "trace.csv").exists()
+
+
+def test_flow_from_a_field_file_on_the_config_grid(tmp_path):
+    # the unit sphere of the file and the config's own unit sphere give the same trace
+    base = dict(RADIAL_CFG, grid={"mode": "axisym", "n": 2, "n_theta": 16}, run={"t_end": 0.5},
+                profile={"kind": "power-exp-pinned", "n": 2, "r_star": 0.8})
+    for name, initial in (("file", {"shape": "file", "path": str(FIELD_AXISYM_16_SPHERE)}),
+                          ("sphere", {"shape": "sphere", "radius": 1.0})):
+        path = write_config(tmp_path, f"{name}.json", dict(base, initial=initial))
+        assert main(["flow", "--config", path, "--out", str(tmp_path / name)]) == 2
+    trace = (tmp_path / "file" / "trace.csv").read_bytes()
+    assert trace == (tmp_path / "sphere" / "trace.csv").read_bytes() and trace.count(b"\n") > 2
 
 
 def test_flow_reproducible_csv(tmp_path):
@@ -216,6 +244,20 @@ def test_verify_support_bodies_under_a_profile_at_k2(tmp_path, profile_cfg, prof
     grad_f = tuple(profile.df(field.values) * g for g in geom.grad)
     rep = michael_simon_deficit_k(geom, profile.f(field.values), grad_f, k=2, f_of_R=profile.f)
     assert (float(rows[0]["lhs"]), float(rows[0]["rhs"])) == (rep.lhs, rep.rhs)
+
+
+@pytest.mark.parametrize("functional, k, parametrization", [("H", 1, "radial"), ("k", 2, "support")])
+def test_verify_with_a_nan_profile_flags_every_row(tmp_path, functional, k, parametrization):
+    # evaluated, a NaN density gives rows of NaN marked ok and a NaN min_rel_deficit
+    cfg = {"samples": 3, "k": k, "functional": functional, "parametrization": parametrization,
+           "grid": {"mode": "axisym", "n": 3, "n_theta": 32}, "seed": 4,
+           "profile": {"kind": "constant", "value": float("nan")}}
+    path = write_config(tmp_path, "verify.json", cfg)
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "v")]) == 0
+    with open(tmp_path / "v/verify.csv") as handle:
+        assert [row["status"] for row in csv.DictReader(handle)] == ["error:NonpositiveDensity"] * 3
+    summary = json.loads((tmp_path / "v/summary.json").read_text())
+    assert (summary["evaluated"], summary["flagged"], summary["min_rel_deficit"]) == (0, 3, None)
 
 
 def test_verify_threads_env(tmp_path, monkeypatch):
@@ -436,3 +478,17 @@ def test_negative_seed_flag_exit_64(tmp_path, capsys, command, cfg):
     path = write_config(tmp_path, "cfg.json", cfg)
     assert main([command, "--config", path, "--out", str(tmp_path / "out"), "--seed", "-1"]) == 64
     assert "configuration error [seed]" in capsys.readouterr().err
+
+
+CONFIGS = Path(__file__).parent.parent / "configs"
+
+
+@pytest.mark.parametrize("command, name, artefact, sha256", [
+    ("flow", "radial_pinned", "trace.csv", "d5008ac4fc84ed24816bbd23e05728b2aeff60914fd63b544045f7ef02358699"),
+    ("flow", "support_k2", "trace.csv", "3117f4af8349db28c3e82a9b7e1900eba78c80ae466da22c31fd7c34d5767233"),
+    ("verify", "verify_k1", "verify.csv", "de519c6275275c60f374daeda3e2f8ae352ffc96463f89c666cd79adc22aa58f"),
+])
+def test_committed_configs_reproduce_their_pinned_artefacts(tmp_path, command, name, artefact, sha256):
+    # the CSV bytes of the committed configs; a change here changes every published run
+    assert main([command, "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / artefact).read_bytes()).hexdigest() == sha256

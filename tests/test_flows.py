@@ -107,6 +107,31 @@ def test_support_profile_validation():
     # non-constant profile at k = n: exponent undefined
     undef = validate_support_profile(SpeedProfile.affine_power(1.0, 1.0, 3, 1), 3, 3)
     assert not undef.ok
+    concave = validate_support_profile(SpeedProfile.power(0.5), 3, 1)  # g = h^0.75
+    assert not concave.ok and concave.detail.startswith("g is concave near h = ")
+
+
+@pytest.mark.parametrize("profile", [
+    SpeedProfile.constant(math.nan), SpeedProfile.constant(math.inf), SpeedProfile.power(math.nan),
+    SpeedProfile.affine_power(math.nan, 1.0, 2, 1),
+], ids=["constant-nan", "constant-inf", "power-nan", "affine-power-a-nan"])
+def test_profile_validators_reject_non_finite_values(profile):
+    # NaN fails every comparison, so "f > 0" alone lets a NaN profile read as admissible
+    for n, k in ((2, 1), (2, 2), (3, 1)):
+        report = validate_support_profile(profile, n, k)
+        assert (report.ok, report.detail) == (False, "profile must be positive and finite on the interval")
+    with pytest.raises(AssumptionViolated, match="positive and finite") as err:
+        validate_radial_profile(profile, 2)
+    assert err.value.kind == "not-positive"
+
+
+def test_run_flow_rejects_an_inadmissible_support_profile_unless_forced():
+    start, profile = sphere_support(SphericalGrid.axisym(2, 16), 1.2), SpeedProfile.power(-1.0)
+    with pytest.raises(AssumptionViolated) as err:
+        run_flow(start, profile, FlowConfig(kind="support", t_end=0.05))
+    assert err.value.kind == "support-profile" and str(err.value).startswith("g is decreasing")
+    trace = run_flow(start, profile, FlowConfig(kind="support", t_end=0.05, force=True))
+    assert trace.meta["profile_report"] == str(err.value) and trace.rows
 
 
 def test_tabulated_profile_rejects_bad_tables():
@@ -1148,15 +1173,15 @@ from curvelab.shapes import sphere_radial
 from curvelab.sphere_grid import SphericalGrid
 
 r0, profile = sphere_radial(SphericalGrid.axisym(2, 16), 1.3), SpeedProfile.power_exp_pinned(2, 1.0)
-for interval in (1e-19, 1e-8):
+for interval in (5e-324, 1e-300, 1e-19, 1e-8):
     trace = run_flow(r0, profile, FlowConfig(kind="radial", t_end=0.2, output_interval=interval))
     print(trace.meta["steps"], len(trace.rows), trace.t_final)
 """
     env = dict(os.environ, PYTHONPATH=str(Path(curvelab.__file__).parent.parent))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                          timeout=10, env=env)
-    # a row at every step; the ninth step is the sliver that t's round-off leaves
-    assert out.stdout.split() == ["9", "10", "0.2"] * 2
+    # a row at every step; t's round-off, within 1e-9 of t_end, takes no sliver step
+    assert out.stdout.split() == ["8", "9", "0.19999999999999998"] * 4
 
 
 def test_trace_csv_round_trip(tmp_path):

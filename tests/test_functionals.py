@@ -136,6 +136,20 @@ def test_deficit_H_rejects_nonpositive_density():
         michael_simon_deficit_H(geom, 0.0)
 
 
+@pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf, "one-nan-node"])
+def test_deficits_and_monotone_quantities_reject_non_finite_densities(f):
+    # NaN fails every comparison, so "min > 0" alone lets a NaN density through as NaN rows
+    grid = SphericalGrid.axisym(3, 32)
+    geom = radial_geometry(sphere_radial(grid, 1.0))
+    if f == "one-nan-node":
+        f = np.ones(grid.node_shape)
+        f[5] = math.nan
+    for evaluate in (lambda: michael_simon_deficit_H(geom, f), lambda: michael_simon_deficit_k(geom, f, k=2),
+                     lambda: monotone_quantities(geom, f, 1)):
+        with pytest.raises(NonpositiveDensity, match="positive and finite"):
+            evaluate()
+
+
 def test_deficit_H_scaling_covariance():
     grid = SphericalGrid.full_s2(32, 64)
     rels = []
@@ -178,6 +192,22 @@ def test_deficit_k_matched_family_all_radii():
         geom = radial_geometry(sphere_radial(grid, radius))
         rep = michael_simon_deficit_k(geom, radius ** (-(n - k)), k=k)
         assert abs(rep.rel_deficit) < 1e-10
+
+
+def test_deficits_without_a_density_take_their_matched_constant():
+    # no f: f = 1 for the H deficit, f = R^-(n-k) at the comparison radius R for the k deficit
+    for n, grid_nodes in ((3, 96), (4, 48)):
+        grid = SphericalGrid.axisym(n, grid_nodes)
+        geom = support_geometry(random_convex_support(grid, np.random.default_rng(n), amp=0.1))
+        assert michael_simon_deficit_H(geom) == michael_simon_deficit_H(geom, 1.0)
+        for k in range(1, n):
+            radius = ball_quermass_inverse(k - 1, float(quermassintegrals(geom)[k - 1]), n)
+            for mode in ("sphere-calibrated", "paper-literal"):
+                matched = michael_simon_deficit_k(geom, radius ** (k - n), k=k, calibration=mode)
+                assert michael_simon_deficit_k(geom, k=k, calibration=mode) == matched, (n, k, mode)
+        for radius in (0.5, 2.0):  # the sphere equality case at every radius
+            sphere = radial_geometry(sphere_radial(grid, radius))
+            assert all(abs(michael_simon_deficit_k(sphere, k=k).rel_deficit) < 1e-10 for k in range(1, n))
 
 
 def test_deficit_k_paper_literal_mode_differs():

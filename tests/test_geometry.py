@@ -522,6 +522,23 @@ def test_random_starshaped_draws_the_per_mode_sum_as_one_bank_product(monkeypatc
         assert np.all(np.abs(body - summed) <= 4 * np.spacing(scale))
 
 
+def test_random_convex_support_redraws_and_gives_up():
+    # at amp 2.0 most axisym draws lose convexity and are drawn again; at
+    # amp 1.0 on full-s2 12x24 none of the 100 draws is convex
+    for seed in range(3):
+        rng, draws = np.random.default_rng(seed), []
+
+        class CountingRng:
+            def uniform(self, *args, **kwargs):
+                draws.append(1)
+                return rng.uniform(*args, **kwargs)
+
+        field = random_convex_support(SphericalGrid.axisym(2, 24), CountingRng(), amp=2.0)
+        assert len(draws) > 1 and support_geometry(field).kappa.min() > 0
+    with pytest.raises(ConvexityLost, match="no valid convex sample after 100 tries"):
+        random_convex_support(SphericalGrid.full_s2(12, 24), np.random.default_rng(0), amp=1.0)
+
+
 def test_random_convex_support_is_convex():
     grid = SphericalGrid.full_s2(32, 64)
     for seed in range(4):
