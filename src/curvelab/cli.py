@@ -268,7 +268,6 @@ def _verify_sample(args):
         if profile is not None:
             f = profile.f(field.values)
             grad_f = tuple(profile.df(field.values) * g for g in geom.grad)
-            row["f_variation"] = float((f.max() - f.min()) / f.mean())
         else:  # each deficit's own constant density
             f = grad_f = None
             row["f_variation"] = 0.0
@@ -278,6 +277,8 @@ def _verify_sample(args):
             rep = michael_simon_deficit_k(geom, f, grad_f, k=k,
                                           calibration=calibration,
                                           f_of_R=profile.f if profile is not None else None)
+        if f is not None:  # after the deficit, which rejects a non-finite density
+            row["f_variation"] = float((f.max() - f.min()) / f.mean())
         row.update(lhs=rep.lhs, rhs=rep.rhs, deficit=rep.deficit,
                    rel_deficit=rep.rel_deficit)
     except CurveLabError as exc:

@@ -24,16 +24,16 @@ Stepping.  c_max is the largest principal coefficient of the linearized
 speed (f / r^2 radial, h kappa_i^2 dF/dkappa_i support).  Both flows take
 linearly implicit Euler steps u += (I - s a Z Delta Z)^-1 Z (s speed(u)),
 extrapolated over the substeps h/1, ..., h/L to order L (Deuflhard, SIAM
-Rev. 27 (1985)): L = 4 radial, 3 support.  The levels run in lockstep on
+Rev. 27 (1985)): L = 4 for both flows.  The levels run in lockstep on
 one stack of states, so a step makes L speed calls and L solves, each on
 the levels it moves.  Z is the zonal filter and Delta the grid's Laplacian.
 An adaptive step is h = min(step, spread / c_max) for the kernel's caps =
-(step, spread), (0.025, 0.04) radial and (0.1, 0.035) support, whatever the
+(step, spread), (0.025, 0.04) radial and (0.15, 0.07) support, whatever the
 output interval; one below 1e-12 max(1, t) raises StepCollapse.  The spread
 sets the time error, about C spread^L; the step cap guards the round mode
 (the sphere ODE).  The keys are s a = spread / j, so every adaptive run
 solves on one key set: a = spread / h is c_max where the spread cap sets the
-step and spread / step (1.6 radial, 0.35 support) where the step cap does.
+step and spread / step (1.6 radial, 0.47 support) where the step cap does.
 Steps of dt_fixed, and one clipped at t_end, key at a h with a = c_max, held
 while c_max stays in [a/2, a], since a new a means a new Thomas sweep.  A
 step is clipped only where t_end - t falls short of it by more than 1e-9 of
@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -380,6 +381,11 @@ _GEOM_ERRORS = (NotStarshaped, ConvexityLost, DegenerateMetric)
 class _Kernel:
     """One flow on one grid: its profile and config, with n = grid.n and k = config.k."""
 
+    # the extrapolated step's depth and order in h: AC-11's sphere ODE needs
+    # order 4, and the support flow's time error, about C spread^L, lets
+    # its spread double over 3 levels' (see _SupportKernel.caps)
+    levels = 4
+
     def __init__(self, grid: SphericalGrid, profile: SpeedProfile, config: "FlowConfig"):
         self.grid, self.profile, self.config = grid, profile, config
         self.n, self.k = grid.n, config.k
@@ -388,8 +394,6 @@ class _Kernel:
 class _RadialKernel(_Kernel):
     """Fused radial-flow evaluations: dr/dt = -(f H + n/(n-1) f' v) v."""
 
-    # the extrapolated step's depth and order: AC-11's sphere ODE needs order 4
-    levels = 4
     # (step, spread) caps of the adaptive step (see _DT_FLOOR): the step cap
     # guards the round mode, where the sphere ODE errs by 1.35e-9 at 0.025
     # and 2.2e-8 at 0.05 at 4 levels (gate 1e-8); the amp-0.3 full-s2 16x32
@@ -428,19 +432,19 @@ class _RadialKernel(_Kernel):
 class _SupportKernel(_Kernel):
     """Fused support-flow evaluations: dh/dt = 1 - h E_k / E_{k-1}."""
 
-    # depth 2 misses AC-10's support probe (2.17e-2 against 1e-2); depth 4
-    # takes the same steps at one more speed call each
-    levels = 3
-    # (step, spread) caps (see _DT_FLOOR): with the summation-by-parts weights
-    # M_2 no longer rises on S^2 grids, and the radial sphere ODE's round-mode
-    # cap 0.025 is not needed here.  Over the support-s2 inputs (seeds 1-20,
-    # 80 bodies) these caps record no monotone breach, mono_rise 0 and V_1
-    # drift <= 4.0e-4 in median 35.5 steps.  The spread cap sets every step
-    # there (c_max falls from about 1 to 0.5, and a follows it); on the
-    # amp-0.3 full-s2 24x48 rough starts (seeds 0-7, k = 1, 2) 0.035 gives
-    # each run's V_{k-1} drift at 0.95-1.00 of what (0.025, 0.04) gives, where
-    # 0.04 reads up to +1.3% and 0.05 up to +13%
-    caps = (0.1, 0.035)
+    # (step, spread) caps (see _DT_FLOOR); with the summation-by-parts weights
+    # M_2 does not rise on S^2 grids, so the radial round-mode cap 0.025 is
+    # not needed here.  Measured over the support-s2 inputs (k = 2, seeds
+    # 1-2, units 0-9), the amp-0.3 full-s2 24x48 rough starts (seeds 0-7,
+    # k = 1, 2) and the translated sphere's spatial order (gate 1.9):
+    #   levels, caps     median steps  max V_1 drift  rough max drift  order k = 1, 2
+    #   3, (0.1, 0.035)  36            3.75e-4        3.19e-3          1.960, 1.961
+    #   3, (0.1, 0.05)   25            3.80e-4        3.31e-3          1.877, 1.878
+    #   4, (0.1, 0.05)   25            3.70e-4        3.12e-3          1.994, 1.995
+    #   4, (0.15, 0.07)  18            3.70e-4        3.16e-3          1.990, 1.990
+    # with no breach in any run: a larger spread fails the order gate at 3
+    # levels, and at 4 it halves the steps
+    caps = (0.15, 0.07)
 
     def build(self, h: np.ndarray) -> CurvatureField:
         """The CurvatureField of h, or of a stack h."""
@@ -489,10 +493,10 @@ def _kernel(grid: SphericalGrid, profile: SpeedProfile | None, config: "FlowConf
 # (step, spread), whatever the output interval.  The spread cap, the largest
 # h * a, sets the time error (about C spread^L; cutting the step cap 8x alone
 # made it 2-3x worse) and keeps the solve from spreading a node's speed over
-# about sqrt(h a) rad (0.2 radial, 0.19 support; rough starts, where c_max
+# about sqrt(h a) rad (0.2 radial, 0.26 support; rough starts, where c_max
 # falls by 1e4, left the flow's range without it).  The step cap guards the
 # round mode, where Delta vanishes; it binds whenever c_max <= spread / step
-# (1.6 radial, 0.35 support).  A step below _DT_FLOOR * max(1, t) raises
+# (1.6 radial, 0.47 support).  A step below _DT_FLOOR * max(1, t) raises
 # StepCollapse: c_max has blown up and t would stall.
 _DT_FLOOR = 1e-12
 
@@ -564,6 +568,8 @@ class FlowConfig:
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
             if not (real and 0 < value < math.inf or value is None and name in ("output_interval", "dt_fixed")):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        if self.t_end < sys.float_info.min:  # run_flow's 1e-9 t_end and t_end / 400 would be 0
+            raise ValueError(f"t_end must be at least {sys.float_info.min!r}, got {self.t_end!r}")
         if not self.cfl <= 0.5:
             raise ValueError("cfl must lie in (0, 0.5]")
 

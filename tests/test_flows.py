@@ -460,8 +460,9 @@ def test_recentring_area_rise_converges_in_space():
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_support_temporal_order(k):
-    # fixed steps on a translated sphere against a 1024-step reference: the
-    # support step's 3 levels give order 3, ~8x per halving
+    # fixed steps on a translated sphere against a 1024-step reference (within
+    # 2.3e-13 of a 2048-step one): the support step's 4 levels give order 4,
+    # ~16x per halving; 8 -> 16 steps reads 12.2 (k = 1) and 13.0 (k = 2)
     grid = SphericalGrid.full_s2(16, 32)
     h0 = sphere_support(grid, 1.3, center=np.array([0.1, -0.05, 0.08]))
 
@@ -471,8 +472,29 @@ def test_support_temporal_order(k):
         return run_flow(h0, None, config).meta["final_state"]
 
     ref = final(1024)
-    errs = [float(np.abs(final(steps) - ref).max()) for steps in (16, 32)]
-    assert 6.0 <= errs[0] / errs[1] <= 10.0
+    errs = [float(np.abs(final(steps) - ref).max()) for steps in (8, 16)]
+    assert 11.0 <= errs[0] / errs[1] <= 20.0
+
+
+def test_adaptive_support_time_error_falls_with_the_caps(monkeypatch):
+    # an adaptive step holds the spread a h, not a, so its time error goes as
+    # C spread^L: scaling both caps by 1, 1/2 and 1/4 takes a support-s2 body
+    # to t = 1 in 9, 17 and 32 steps, 1.3e-6, 2.4e-7 and 2.8e-8 from a
+    # 256-step dt_fixed reference (itself 9e-11 from a 2048-step one); the
+    # last halving reads order 3.07, and 1.19 with level L's result taken
+    # unextrapolated
+    grid = SphericalGrid.full_s2(24, 48)
+    h0 = random_convex_support(grid, np.random.default_rng(np.random.SeedSequence([1, 0])), amp=0.1)
+
+    def final(**step):
+        config = FlowConfig(kind="support", k=2, t_end=1.0, osc_tol=1e-12, output_interval=1.0, **step)
+        return run_flow(h0, None, config).meta["final_state"]
+
+    ref, (step, spread), errs = final(dt_fixed=1.0 / 256), _SupportKernel.caps, []
+    for scale in (1, 2, 4):
+        monkeypatch.setattr(_SupportKernel, "caps", (step / scale, spread / scale))
+        errs.append(float(np.abs(final() - ref).max()))
+    assert math.log2(errs[1] / errs[2]) >= 2.5
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -543,12 +565,12 @@ def test_support_run_axisym_higher_dimension():
 
 
 def _shape_mode_decay_rate_times_radius(h0, k):
-    """gamma R of a support run from h0: gamma fitted to the oscillation over t in [0.5, 4].
+    """gamma R of a support run from h0: gamma fitted to the oscillation over t in [0.5, 6].
 
-    Rows fall one per step, and support steps near a unit sphere are 0.07
-    (n = 2) to 0.1, so the window spans 3.5 time units to hold 30 rows."""
+    Rows fall one per step, and support steps near a unit sphere are 0.14
+    (n = 2) to 0.15, so the window spans 5.5 time units to hold 30 rows."""
     grid = h0.grid
-    trace = run_flow(h0, None, FlowConfig(kind="support", k=k, t_end=4.0, osc_tol=1e-12))
+    trace = run_flow(h0, None, FlowConfig(kind="support", k=k, t_end=6.0, osc_tol=1e-12))
     t, osc = trace.times, trace.values("oscillation")
     late = t >= 0.5
     gamma = -np.polyfit(t[late], np.log(osc[late]), 1)[0]
@@ -740,7 +762,7 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
     monkeypatch.setattr(flows, "_diagnostic_row", flagged_row)
 
     for initial, profile, config, kind in (
-            (h0, None, FlowConfig(kind="support", k=2, t_end=0.25, output_interval=0.01),
+            (h0, None, FlowConfig(kind="support", k=2, t_end=0.55, output_interval=0.01),
              flows._SupportKernel),
             (r0, SpeedProfile.power_exp_pinned(2, 1.0),
              FlowConfig(kind="radial", t_end=0.05, output_interval=0.01), flows._RadialKernel)):
@@ -748,10 +770,10 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
         trace = run_flow(initial, profile, config)
         steps = trace.meta["steps"]
         # the step is min(caps[0], caps[1] / a) whatever the output interval:
-        # support four steps of 0.035 / c_max = 0.055-0.063 and a clipped fifth
-        # to 0.25 (the spread cap binds above a = 0.35), radial 0.05 / 0.025
-        # (a = max f / r^2 = 1.38 near r = 0.9, below 1.6, so the 0.025 cap
-        # binds)
+        # support four steps of caps[1] / c_max = 0.111-0.133 and a clipped
+        # fifth to 0.55 (the spread cap binds above a = 0.47), radial 0.05 /
+        # 0.025 (a = max f / r^2 = 1.38 near r = 0.9, below 1.6, so the 0.025
+        # cap binds)
         assert steps == (2 if kind is flows._RadialKernel else 5) and not trace.breaches
         # the levels share the start's speed, which the accepted state's build
         # gives, and rounds 2..L take one speed of the stacked levels each
@@ -904,9 +926,9 @@ def test_every_row_matches_the_public_functionals(monkeypatch, mode, n, kind, k)
     # rows are computed in stacked batches of the held states; each must be
     # the row the public functionals give on the state's own geometry, bit
     # for bit, through several batches and a part-filled last one (support
-    # steps are 0.06 to 0.1, so support runs go to t = 1.7 with convergence
-    # off: 17 to 28 steps).  The forced support run at k = n has a
-    # non-constant profile: M_k is NaN.
+    # steps are 0.095 to the step cap 0.15, so support runs go to 20 step
+    # caps with convergence off: 20 to 23 steps).  The forced support run at
+    # k = n has a non-constant profile: M_k is NaN.
     from curvelab import flows
 
     grid = SphericalGrid.axisym(n, 32) if mode == "axisym" else SphericalGrid.full_s2(16, 32)
@@ -919,7 +941,7 @@ def test_every_row_matches_the_public_functionals(monkeypatch, mode, n, kind, k)
             SpeedProfile.affine_power(0.5, 1.0, n, k) if k < n else None)
     config = FlowConfig(kind="support" if kind == "forced" else kind, k=k, output_interval=0.01,
                         force=kind == "forced", **({"t_end": 0.5} if kind == "radial" else
-                                                  {"t_end": 1.7, "osc_tol": 1e-12}))
+                                                  {"t_end": 20 * _SupportKernel.caps[0], "osc_tol": 1e-12}))
     batches = recorded_rows(monkeypatch)
     trace = run_flow(field, profile, config)
     kernel = _kernel(grid, profile, config)
@@ -1007,7 +1029,7 @@ def test_sphere_rows_match_the_closed_forms(mode, n, kind, k, radius):
 
 
 def _broken_run(monkeypatch, kind, break_at):
-    """An adaptive axisym run of more than 10 steps (to t = 0.45 radial, 1.0
+    """An adaptive axisym run of more than 10 steps (to t = 0.45 radial, 2.0
     support); break_at(step number) may break step 6."""
     from curvelab import flows
 
@@ -1016,7 +1038,7 @@ def _broken_run(monkeypatch, kind, break_at):
         initial, profile = ScalarField(grid, 1.0 + 0.1 * np.cos(2 * grid.theta)), SpeedProfile.power_exp_pinned(2, 1.0)
     else:
         initial, profile = sphere_support(grid, 1.0, center=0.1), None
-    config = FlowConfig(kind=kind, t_end=0.45 if kind == "radial" else 1.0, output_interval=0.01)
+    config = FlowConfig(kind=kind, t_end=0.45 if kind == "radial" else 2.0, output_interval=0.01)
     whole = run_flow(initial, profile, config)
     break_at(flows, flows._RadialKernel if kind == "radial" else flows._SupportKernel)
     with pytest.raises(StepCollapse) as err:
@@ -1302,6 +1324,18 @@ def test_flow_config_needs_its_required_numbers(name):
     assert FlowConfig(kind="radial", t_end=1, output_interval=None, dt_fixed=np.float64(0.1)).t_end == 1
 
 
+def test_flow_config_rejects_a_subnormal_t_end():
+    # below the smallest normal float run_flow's 1e-9 t_end and t_end / 400
+    # underflow to 0, and the next output time divides by that 0; the
+    # smallest normal t_end takes one clipped step
+    for bad in (5e-324, sys.float_info.min / 2):
+        with pytest.raises(ValueError, match="t_end"):
+            FlowConfig(kind="support", t_end=bad)
+    sphere = sphere_support(SphericalGrid.axisym(2, 16), 1.0, center=0.1)
+    trace = run_flow(sphere, None, FlowConfig(kind="support", t_end=sys.float_info.min))
+    assert (trace.meta["steps"], len(trace.rows), trace.t_final) == (1, 2, sys.float_info.min)
+
+
 def test_radial_assess_rejects_nonstarshaped_states():
     grid = SphericalGrid.axisym(2, 16)
     kernel = _RadialKernel(grid, SpeedProfile.power_exp_pinned(2, 1.0), RADIAL)
@@ -1456,16 +1490,17 @@ def test_adaptive_step_is_the_smaller_of_the_two_caps():
         assert c_max > 1.6
         rough = FlowConfig(kind="radial", t_end=0.1 / c_max, output_interval=0.01 / c_max)
         assert run_flow(r0, profile, rough).rows[1]["dt"] == 0.04 / c_max
-    # support steps take the support caps, min(0.1, 0.035 / a): c_max is
-    # near 1 / (2 R) for k = 1 on S^2, so the step cap binds at R = 2 and
-    # the spread cap at R = 1
+    # support steps take the support caps, min(step, spread / a): c_max is
+    # near 1 / (2 R) for k = 1 on S^2, and spread / step = 0.47, so the step
+    # cap binds at R = 2 and the spread cap at R = 1
+    step, spread = _SupportKernel.caps
     config = FlowConfig(kind="support", t_end=0.5, output_interval=0.01)
     grid = SphericalGrid.axisym(2, 32)
     for radius in (2.0, 1.0):
         h0 = ScalarField(grid, radius + 0.01 * grid.cos_t**2)
         c_max = _kernel(grid, None, config).assess(grid.zonal_filter(h0.values))[1]
         dt = run_flow(h0, None, config).rows[1]["dt"]
-        assert dt == min(0.1, 0.035 / c_max) and (dt == 0.1) == (radius == 2.0)
+        assert dt == min(step, spread / c_max) and (dt == step) == (radius == 2.0)
 
 
 @pytest.mark.parametrize("k", [1, 2])
