@@ -490,7 +490,7 @@ CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 @pytest.mark.parametrize("command, name, artefact, sha256", [
-    ("flow", "radial_pinned", "trace.csv", "d5008ac4fc84ed24816bbd23e05728b2aeff60914fd63b544045f7ef02358699"),
+    ("flow", "radial_pinned", "trace.csv", "da90674bb2ccf5c09e09c91de4b95961c188b1bfda22352dbb98251a181edc7a"),
     ("flow", "support_k2", "trace.csv", "371b322f0d7181f73b012273a0e4de213d9571c969f8ee52688c5e4c2c9043af"),
     ("verify", "verify_k1", "verify.csv", "de519c6275275c60f374daeda3e2f8ae352ffc96463f89c666cd79adc22aa58f"),
 ])

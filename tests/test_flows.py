@@ -497,6 +497,28 @@ def test_adaptive_support_time_error_falls_with_the_caps(monkeypatch):
     assert math.log2(errs[1] / errs[2]) >= 2.5
 
 
+def test_adaptive_radial_time_error_falls_with_the_caps(monkeypatch):
+    # the radial half of the support test above: scaling both caps by 1, 1/2
+    # and 1/4 takes a radial-axisym body, spread-capped throughout, to t =
+    # 0.5 in 15, 30 and 59 steps, 1.2e-5, 1.5e-6 and 1.3e-7 from a 256-step
+    # dt_fixed reference (itself 2.8e-9 from a 2048-step one); the last
+    # halving reads order 3.49, and 1.35 with level L's result taken
+    # unextrapolated
+    grid = SphericalGrid.axisym(2, 40)
+    r0 = random_starshaped(grid, np.random.default_rng(np.random.SeedSequence([1, 0])), amp=0.2)
+    profile = SpeedProfile.power_exp_pinned(2, 1.0)
+
+    def final(**step):
+        config = FlowConfig(kind="radial", t_end=0.5, grad_tol=1e-12, output_interval=0.5, **step)
+        return run_flow(r0, profile, config).meta["final_state"]
+
+    ref, (step, spread), errs = final(dt_fixed=0.5 / 256), _RadialKernel.caps, []
+    for scale in (1, 2, 4):
+        monkeypatch.setattr(_RadialKernel, "caps", (step / scale, spread / scale))
+        errs.append(float(np.abs(final() - ref).max()))
+    assert math.log2(errs[1] / errs[2]) >= 3.0
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_support_run_perturbed_sphere(k):
     grid = SphericalGrid.full_s2(32, 64)
@@ -771,9 +793,9 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
         steps = trace.meta["steps"]
         # the step is min(caps[0], caps[1] / a) whatever the output interval:
         # support four steps of caps[1] / c_max = 0.111-0.133 and a clipped
-        # fifth to 0.55 (the spread cap binds above a = 0.47), radial 0.05 /
-        # 0.025 (a = max f / r^2 = 1.38 near r = 0.9, below 1.6, so the 0.025
-        # cap binds)
+        # fifth to 0.55 (the spread cap binds above a = 0.47), radial one of
+        # caps[1] / c_max = 0.029 and a clipped second to 0.05 (a = max f / r^2
+        # = 1.38 near r = 0.9, above 1.14, so the spread cap binds)
         assert steps == (2 if kind is flows._RadialKernel else 5) and not trace.breaches
         # the levels share the start's speed, which the accepted state's build
         # gives, and rounds 2..L take one speed of the stacked levels each
@@ -925,10 +947,11 @@ ORACLE_RUNS = (
 def test_every_row_matches_the_public_functionals(monkeypatch, mode, n, kind, k):
     # rows are computed in stacked batches of the held states; each must be
     # the row the public functionals give on the state's own geometry, bit
-    # for bit, through several batches and a part-filled last one (support
-    # steps are 0.095 to the step cap 0.15, so support runs go to 20 step
-    # caps with convergence off: 20 to 23 steps).  The forced support run at
-    # k = n has a non-constant profile: M_k is NaN.
+    # for bit, through several batches and a part-filled last one (steps run
+    # up to the step cap, 0.035 radial and 0.15 support, so each run goes to
+    # 20 step caps, support with convergence off: 21 to 23 steps radial, 20
+    # to 23 support).  The forced support run at k = n has a non-constant
+    # profile: M_k is NaN.
     from curvelab import flows
 
     grid = SphericalGrid.axisym(n, 32) if mode == "axisym" else SphericalGrid.full_s2(16, 32)
@@ -939,9 +962,9 @@ def test_every_row_matches_the_public_functionals(monkeypatch, mode, n, kind, k)
         field, public = random_convex_support(grid, rng, amp=0.05), support_geometry
         profile = SpeedProfile.power(0.5) if kind == "forced" else (
             SpeedProfile.affine_power(0.5, 1.0, n, k) if k < n else None)
+    step = (_RadialKernel if kind == "radial" else _SupportKernel).caps[0]
     config = FlowConfig(kind="support" if kind == "forced" else kind, k=k, output_interval=0.01,
-                        force=kind == "forced", **({"t_end": 0.5} if kind == "radial" else
-                                                  {"t_end": 20 * _SupportKernel.caps[0], "osc_tol": 1e-12}))
+                        t_end=20 * step, force=kind == "forced", **({} if kind == "radial" else {"osc_tol": 1e-12}))
     batches = recorded_rows(monkeypatch)
     trace = run_flow(field, profile, config)
     kernel = _kernel(grid, profile, config)
@@ -1166,9 +1189,9 @@ def test_output_rows_fall_on_every_interval_multiple():
 
 @pytest.mark.parametrize("interval", [0.01, 0.1])
 def test_rows_fall_at_the_first_step_past_each_output_time(interval):
-    # adaptive steps (0.025 here) cross output times: each output time
-    # gets one row, at the first accepted state at or past it, and the dt
-    # column is the step that reached that state
+    # adaptive steps (0.029 to the step cap 0.035 here) cross output times:
+    # each output time gets one row, at the first accepted state at or past
+    # it, and the dt column is the step that reached that state
     grid = SphericalGrid.axisym(2, 32)
     r0 = ScalarField(grid, 1.0 + 0.1 * np.cos(2 * grid.theta))
     config = FlowConfig(kind="radial", t_end=0.5, output_interval=interval)
@@ -1176,7 +1199,7 @@ def test_rows_fall_at_the_first_step_past_each_output_time(interval):
     t, dt, steps = trace.times, trace.values("dt"), trace.meta["steps"]
     assert trace.status == "TimeExhausted" and t[-1] == trace.t_final
     assert np.all(np.diff(t) > 0)
-    if interval < 0.025:  # every step crosses an output time
+    if interval < 0.029:  # every step crosses an output time
         assert dt[1:-1].min() > interval and len(trace.rows) == steps + 1
     else:
         assert len(trace.rows) < steps + 1
@@ -1196,13 +1219,16 @@ from curvelab.sphere_grid import SphericalGrid
 
 r0, profile = sphere_radial(SphericalGrid.axisym(2, 16), 1.3), SpeedProfile.power_exp_pinned(2, 1.0)
 for interval in (5e-324, 1e-300, 1e-19, 1e-8):
-    trace = run_flow(r0, profile, FlowConfig(kind="radial", t_end=0.2, output_interval=interval))
+    config = FlowConfig(kind="radial", t_end=0.2, dt_fixed=0.025, output_interval=interval)
+    trace = run_flow(r0, profile, config)
     print(trace.meta["steps"], len(trace.rows), trace.t_final)
 """
     env = dict(os.environ, PYTHONPATH=str(Path(curvelab.__file__).parent.parent))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                          timeout=10, env=env)
-    # a row at every step; t's round-off, within 1e-9 of t_end, takes no sliver step
+    # a row at every step; t's round-off, within 1e-9 of t_end, takes no
+    # sliver step (eight steps of 0.025 sum to 0.19999999999999998, while
+    # no sum of 0.035 steps falls short of its decimal t_end)
     assert out.stdout.split() == ["8", "9", "0.19999999999999998"] * 4
 
 
@@ -1394,7 +1420,7 @@ def test_failed_step_collapses_at_once(monkeypatch, kind):
 @pytest.mark.parametrize("kind", ["radial", "support"])
 def test_adaptive_step_below_the_floor_collapses(monkeypatch, kind):
     # a c_max that blows up after the start would shrink the step to
-    # 0.025 / 1e20, which t + dt cannot resolve; the run must collapse, not
+    # spread / 1e20, which t + dt cannot resolve; the run must collapse, not
     # step on (the step counter turns a stall into a failure)
     from curvelab import flows
 
@@ -1474,22 +1500,26 @@ def test_radial_run_from_a_rough_start_converges(grid, seed, r_min):
 
 
 def test_adaptive_step_is_the_smaller_of_the_two_caps():
-    # radial h = min(0.025, 0.04 / a): below a = 1.6 the accuracy cap binds, so a
-    # start with c_max in (1, 1.6) steps at 0.025 up to the clipped last step
+    # radial h = min(step, spread / a): below a = spread / step = 1.14 the
+    # step cap binds, so a start with c_max in (1, 1.14) steps at the step cap
+    # up to the clipped last step
     profile = SpeedProfile.power_exp_pinned(2, 1.0)
+    step, spread = _RadialKernel.caps
     grid = SphericalGrid.axisym(2, 32)
-    r0 = ScalarField(grid, 1.0 + 0.1 * np.cos(2 * grid.theta))
+    r0 = ScalarField(grid, 1.0 + 0.03 * np.cos(2 * grid.theta))
     config = FlowConfig(kind="radial", t_end=0.26, output_interval=0.01)
-    assert 1.0 < _kernel(grid, profile, config).assess(grid.zonal_filter(r0.values))[1] < 1.6
+    assert 1.0 < _kernel(grid, profile, config).assess(grid.zonal_filter(r0.values))[1] < spread / step
     dt = run_flow(r0, profile, config).values("dt")
-    assert len(dt) == 12 and np.all(dt[1:-1] == 0.025) and dt[-1] == pytest.approx(0.01)
-    # above it the spread cap binds: the rough starts' first step is 0.04 / c_max
+    steps = math.ceil(config.t_end / step)
+    assert len(dt) == steps + 1 and np.all(dt[1:-1] == step)
+    assert dt[-1] == pytest.approx(config.t_end - (steps - 1) * step)
+    # above it the spread cap binds: the rough starts' first step is spread / c_max
     for grid, seed, _ in ROUGH_STARTS:
         r0 = random_starshaped(grid, np.random.default_rng(seed), amp=0.3)
         c_max = _kernel(grid, profile, config).assess(grid.zonal_filter(r0.values))[1]
-        assert c_max > 1.6
+        assert c_max > spread / step
         rough = FlowConfig(kind="radial", t_end=0.1 / c_max, output_interval=0.01 / c_max)
-        assert run_flow(r0, profile, rough).rows[1]["dt"] == 0.04 / c_max
+        assert run_flow(r0, profile, rough).rows[1]["dt"] == spread / c_max
     # support steps take the support caps, min(step, spread / a): c_max is
     # near 1 / (2 R) for k = 1 on S^2, and spread / step = 0.47, so the step
     # cap binds at R = 2 and the spread cap at R = 1
@@ -1520,10 +1550,10 @@ def test_a_follows_c_max_under_the_spread_cap_on_one_sweep(monkeypatch, k):
 
 
 def test_radial_steps_at_the_step_cap_once_c_max_reaches_it(monkeypatch):
-    # a start with c_max in (1.6, 2] takes spread-capped steps 0.04 / c_max
-    # until a state's c_max is <= 1.6; every later step is 0.025.  Each
-    # step keys at the spread cap 0.04, whichever cap sets it, so the run
-    # sweeps once
+    # a start with c_max in (spread / step, 2] = (1.14, 2] takes spread-capped
+    # steps spread / c_max until a state's c_max is <= 1.14; every later step
+    # is the step cap (9 spread-capped steps, then 0.035).  Each step keys at
+    # the spread cap 0.04, whichever cap sets it, so the run sweeps once
     log = recorded_run(monkeypatch, _RadialKernel)
     grid = SphericalGrid.axisym(2, 40)
     r0 = ScalarField(grid, 1.0 + 0.2 * np.cos(2 * grid.theta))
@@ -1531,8 +1561,9 @@ def test_radial_steps_at_the_step_cap_once_c_max_reaches_it(monkeypatch):
                      FlowConfig(kind="radial", t_end=6.0, output_interval=0.05))
     c_max, (step_cap, spread_cap) = log["c_max"], _RadialKernel.caps
     assert trace.status == "Converged" and not trace.breaches
-    assert 1.6 < c_max[0] <= 2.0
-    first = next(i for i, c in enumerate(c_max) if c <= 1.6)
+    crossover = spread_cap / step_cap
+    assert crossover < c_max[0] <= 2.0
+    first = next(i for i, c in enumerate(c_max) if c <= crossover)
     assert 0 < first < trace.meta["steps"] - 10
     assert [h for h, _ in log["steps"][:first]] == [spread_cap / c for c in c_max[:first]]
     assert all(h == step_cap for h, _ in log["steps"][first:])
