@@ -87,8 +87,8 @@ def load_config(path: str) -> dict:
     try:
         with open(path) as handle:
             cfg = json.load(handle)
-    except FileNotFoundError:
-        raise ConfigError("config", f"config file not found: {path}")
+    except OSError as exc:  # a missing file, a directory, no permission
+        raise ConfigError("config", f"cannot read config file {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"config is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
@@ -167,7 +167,7 @@ def build_initial(cfg: dict, grid: SphericalGrid, rng: np.random.Generator,
         if shape == "file":
             with open(_require(cfg, "path", "initial")) as handle:
                 field = ScalarField.from_dict(json.load(handle))
-    except (TypeError, ValueError, FileNotFoundError) as exc:  # values the shape cannot take
+    except (TypeError, ValueError, OSError) as exc:  # values the shape cannot take, a file it cannot read
         raise ConfigError("initial", str(exc))
     if shape == "file":
         if field.grid != grid:
@@ -346,7 +346,10 @@ def cmd_identities(cfg: dict, out_dir: Path, seed: int) -> int:
 
 
 def cmd_report(cfg: dict, out_dir: Path, seed: int) -> int:
-    names = cfg.get("criteria")
+    names = cfg.get("criteria", [])
+    known = list(acceptance.CRITERIA)  # a list compares names, never hashes them
+    if not (isinstance(names, list) and all(name in known for name in names)):
+        raise ConfigError("criteria", f"criteria must be a list of names from {known}, got {names!r}")
     results = acceptance.run_battery(names)
     payload = {
         "criteria": [r.to_dict() for r in results],

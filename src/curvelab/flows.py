@@ -34,8 +34,8 @@ sets the time error, about C spread^L; the step cap guards the round mode
 (the sphere ODE).  The keys are s a = spread / j, so every adaptive run
 solves on one key set: a = spread / h is c_max where the spread cap sets the
 step and spread / step (1.14 radial, 0.47 support) where the step cap does.
-Steps of dt_fixed, and one clipped at t_end, key at a h with a = c_max, held
-while c_max stays in [a/2, a], since a new a means a new Thomas sweep.  A
+Steps of dt_fixed, and one clipped at t_end, key at a h with a = c_max of the
+state they start from: the tableau needs a fixed across a step only.  A
 step is clipped only where t_end - t falls short of it by more than 1e-9 of
 t_end; a smaller shortfall is t's round-off.
 The Laplacian term stabilizes the stiff part (Smereka, J. Sci. Comput. 19
@@ -124,7 +124,9 @@ class SpeedProfile:
     def __init__(self, fns, domain, f_df=None):
         self._f, self._df, self._d2f = fns
         self._f_df = f_df
-        self.domain = (float(domain[0]), float(domain[1]))
+        self.domain = tuple(map(float, domain))
+        if len(self.domain) != 2 or not -math.inf < self.domain[0] < self.domain[1] < math.inf:
+            raise ValueError(f"profile domain must be two finite numbers lo < hi, got {domain!r}")
 
     def f(self, x):
         return self._f(np.asarray(x, float))
@@ -198,6 +200,8 @@ class SpeedProfile:
         """f(h) = (a h + b)^((n-k)/(n-k+1)); its admissibility transform is linear."""
         if a <= 0 or b <= 0:
             raise ValueError("affine_power needs a, b > 0")
+        if not (isinstance(k, numbers.Integral) and 1 <= k <= n):
+            raise ValueError(f"affine_power needs an integer 1 <= k <= n, got k = {k!r} with n = {n!r}")
         e = (n - k) / (n - k + 1.0)
 
         def f(x):
@@ -497,15 +501,11 @@ def _kernel(grid: SphericalGrid, profile: SpeedProfile | None, config: "FlowConf
     return kernel(grid, profile or SpeedProfile.constant(1.0), config)
 
 
-# The adaptive step is min(step, spread / c_max) for the kernel's caps =
-# (step, spread), whatever the output interval.  The spread cap, the largest
-# h * a, sets the time error (about C spread^L; cutting the step cap 8x alone
-# made it 2-3x worse) and keeps the solve from spreading a node's speed over
-# about sqrt(h a) rad (0.2 radial, 0.26 support; rough starts, where c_max
-# falls by 1e4, left the flow's range without it).  The step cap guards the
-# round mode, where Delta vanishes; it binds whenever c_max <= spread / step
-# (1.14 radial, 0.47 support).  A step below _DT_FLOOR * max(1, t) raises
-# StepCollapse: c_max has blown up and t would stall.
+# The adaptive step's floor, relative to max(1, t): below it c_max has blown
+# up and t would stall.  Beside the time error (cutting the step cap 8x alone
+# made it 2-3x worse), the spread cap h a keeps the solve from spreading a
+# node's speed over about sqrt(h a) rad (0.2 radial, 0.26 support; rough
+# starts, where c_max falls by 1e4, left the flow's range without it).
 _DT_FLOOR = 1e-12
 
 
@@ -702,6 +702,8 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
     }
 
     if config.kind == "radial":
+        r0 = initial.values
+        r_star = float(r0.min())  # a forced run without a zero bands the start alone
         try:
             r_star = validate_radial_profile(profile, n)
             trace.meta["r_star"] = r_star
@@ -709,11 +711,9 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
             if not config.force:
                 raise
             trace.meta["profile_violation"] = f"{exc.kind}: {exc}"
-            r_star = None
-        kernel.build(initial.values)  # the unfiltered start: NotStarshaped on bad input
-        r0 = initial.values
-        lo = min(r_star, float(r0.min())) if r_star is not None else float(r0.min())
-        hi = max(r_star, float(r0.max())) if r_star is not None else float(r0.max())
+        kernel.build(r0)  # the unfiltered start: NotStarshaped on bad input
+        lo = min(r_star, float(r0.min()))
+        hi = max(r_star, float(r0.max()))
         range_band = (lo - 1e-6 * hi, hi + 1e-6 * hi)
     else:
         report = validate_support_profile(profile, n, config.k)
@@ -727,8 +727,7 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
     state = grid.zonal_filter(initial.values).copy()  # final_state is never the caller's array
     t = 0.0
     steps = 0
-    # a is c_max; it is held only where a fixed or clipped step keys at a dt
-    mono_prev, a, _, build = kernel.assess(state)
+    mono_prev, c_max, _, build = kernel.assess(state)
     mono_scale = max(abs(mono_prev), 1e-300)
     rise = 0.0  # the monitored integral's cumulative positive variation
     row_tol = 1e-9 * config.t_end  # t += dt drifts off the output times and t_end
@@ -760,16 +759,13 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
         if config.dt_fixed:
             dt = config.dt_fixed
         else:
-            dt = min(kernel.caps[0], kernel.caps[1] / a)
+            dt = min(kernel.caps[0], kernel.caps[1] / c_max)
             if dt < _DT_FLOOR * max(1.0, t):  # at least 4e3 ulps of t, so t + dt > t too
                 collapse(f"adaptive step {dt:.3g} at t = {t:.6g} is below the floor")
-        # an adaptive step keys at caps[1], whichever cap sets it; a remainder
-        # within row_tol of the step is t's round-off, so the step is taken whole
         clip = dt > config.t_end - t + row_tol
-        follow = not (config.dt_fixed or clip)
         if clip:
             dt = config.t_end - t
-        spread = kernel.caps[1] if follow else a * dt
+        spread = c_max * dt if config.dt_fixed or clip else kernel.caps[1]
         # the state's build gives the start speed and is dropped: holding it
         # across the step or taking the speed inside assess raised peak RSS by
         # 0.1-0.2 MB, and queueing the builds of 40-node states (radial-axisym)
@@ -786,8 +782,6 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
             trace.breaches.append(BreachEvent(t + dt, "monotone", breach, breach / max(abs(mono_prev), 1e-300)))
         rise += max(breach, 0.0)
         state, mono_prev = new_state, mono_new
-        if follow or not 0.5 * a <= c_max <= a:  # a fixed or clipped step keys at a dt
-            a = c_max
         t += dt
         steps += 1
 

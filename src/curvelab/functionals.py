@@ -34,8 +34,8 @@ Two calibration modes are exposed because the printed binomial prefactors of
 the source inequality are mutually inconsistent for k >= 2:
 
 * "paper-literal": B = C(n, k), C = 1 (reproduces the printed constant);
-* "sphere-calibrated" (default): B = C(n, k-1) and C chosen by
-  calibrate_sharp_constant so the deficit vanishes identically on every
+* "sphere-calibrated" (default): B = C(n, k-1) and C = C(n, k) / (n C(n, k-1))
+  (calibrate_sharp_constant), so the deficit vanishes identically on every
   sphere paired with its matched constant f = R^-(n-k).  In that mode the
   deficit inequality is equivalent to the classical quermassintegral
   inequality V_{k+1}^(n+1-k) >= |S^n| V_k^(n-k), sharp on balls.
@@ -43,7 +43,6 @@ the source inequality are mutually inconsistent for k >= 2:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -52,7 +51,7 @@ import numpy as np
 from .errors import NonpositiveDensity
 from .geometry import CurvatureField, _nan_where
 from .sphere_grid import sphere_area
-from .symfunc import require_cone, sigma_all
+from .symfunc import require_cone
 
 __all__ = [
     "DeficitReport",
@@ -156,27 +155,15 @@ def michael_simon_deficit_H(geom: CurvatureField, f=None, grad_f=None) -> Defici
 CALIBRATIONS = ("sphere-calibrated", "paper-literal")
 
 
-@functools.cache
 def calibrate_sharp_constant(n: int, k: int) -> float:
     """Constant making the k-deficit vanish exactly on the unit sphere, f = 1.
 
-    Evaluates both sides analytically on the unit sphere (kappa = 1, area
-    |S^n|, matched density f = 1) against the rhs built with the B = C(n, k-1)
-    prefactor, and returns lhs / rhs.  Cached per (n, k).
+    There lhs = C(n, k) |S^n| and, with the B = C(n, k-1) prefactor, the rhs
+    without C is n C(n, k-1) |S^n|, so C = C(n, k) / (n C(n, k-1)).
     """
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n - 1")
-    area = sphere_area(n)
-    sig = sigma_all(np.ones(n))
-    lhs = float(sig[k]) * area
-    mk = float(sig[k - 1]) * area
-    zk = ball_quermass(k, 1.0, n)
-    rhs = (
-        n
-        * (math.comb(n, k - 1) * zk) ** (1.0 / (n + 1 - k))
-        * mk ** ((n - k) / (n + 1.0 - k))
-    )
-    return lhs / rhs
+    return math.comb(n, k) / (n * math.comb(n, k - 1))
 
 
 def michael_simon_deficit_k(

@@ -347,6 +347,8 @@ def test_report_subset(tmp_path, capsys):
 
 def test_config_file_missing(tmp_path, capsys):
     assert main(["flow", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 64
+    assert main(["flow", "--config", str(tmp_path), "--out", str(tmp_path)]) == 64  # a directory
+    assert capsys.readouterr().err.count("configuration error [config]") == 2
 
 
 VERIFY_AXISYM_CFG = {
@@ -463,6 +465,21 @@ FIELD_AXISYM_16_SPHERE = Path(__file__).parent / "data" / "field_axisym_16_spher
       for kind in ("radial", "support") for lmax in (0, -1, 2.5, True)),
     pytest.param("flow", RADIAL_CFG, {"profile": {"kind": "power-exp-pinned", "n": 2, "domain": [0.5]}},
                  id="flow-profile-domain-one-entry"),
+    *(pytest.param("flow", RADIAL_CFG, {"profile": {"kind": "power-exp-pinned", "n": 2, "domain": domain}},
+                   id=f"flow-profile-domain-{name}")
+      for name, domain in (("three-entries", [0.5, 1.8, 3]), ("reversed", [1.8, 0.5]),
+                           ("nan", [0.5, float("nan")]), ("infinite", [0.5, float("inf")]))),
+    pytest.param("flow", RADIAL_CFG, {"profile": {"kind": "power-exp-pinned", "n": 2, "r_star": 0}},
+                 id="flow-profile-r-star-zero"),
+    *(pytest.param("flow", RADIAL_CFG, {"kind": "support",
+                                        "profile": {"kind": "affine-power", "a": 1.0, "b": 1.0, "n": 2, "k": k}},
+                   id=f"flow-affine-power-k-{k}")
+      for k in (3, 4, 0, 1.5)),
+    pytest.param("flow", RADIAL_CFG, {"initial": {"shape": "file", "path": str(Path(__file__).parent / "data")}},
+                 id="flow-initial-file-directory"),
+    *(pytest.param("report", {}, {"criteria": criteria}, id=f"report-criteria-{name}")
+      for name, criteria in (("unknown", ["AC-99"]), ("string", "AC-10"), ("number", 5), ("null", None),
+                             ("nested", [["AC-1"]]))),
 ])
 def test_malformed_config_exit_64(tmp_path, capsys, command, base, change):
     # each must stop with a ConfigError before any work, not with an

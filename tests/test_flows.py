@@ -147,6 +147,24 @@ def test_tabulated_profile_rejects_bad_tables():
             SpeedProfile.tabulated(np.where(x == x[-1], bad, x), np.exp(x))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SpeedProfile.affine_power(1.0, 1.0, 2, 3),  # the exponent (n-k)/(n-k+1) divides by 0
+    lambda: SpeedProfile.affine_power(1.0, 1.0, 2, 4),  # the exponent would be 2
+    lambda: SpeedProfile.affine_power(1.0, 1.0, 2, 0),
+    lambda: SpeedProfile.affine_power(1.0, 1.0, 3, 1.5),
+    lambda: SpeedProfile.constant(1.0, domain=(0.5, 1.8, 3.0)),
+    lambda: SpeedProfile.constant(1.0, domain=(1.8, 0.5)),
+    lambda: SpeedProfile.constant(1.0, domain=(1.0, 1.0)),
+    lambda: SpeedProfile.power(-1.0, domain=(0.5, math.nan)),
+    lambda: SpeedProfile.power(-1.0, domain=(-math.inf, 1.0)),
+    lambda: SpeedProfile.power_exp_pinned(2, 0.0),  # default domain (0, 0)
+], ids=["affine-k-above-n", "affine-k-n-plus-2", "affine-k-zero", "affine-k-not-int", "domain-three-entries",
+        "domain-reversed", "domain-empty", "domain-nan", "domain-infinite", "pinned-r-star-zero"])
+def test_profiles_reject_a_bad_k_or_domain(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 @pytest.mark.parametrize("x, values", [
     (np.linspace(0.5, 2.0, 41), np.exp(np.linspace(0.5, 2.0, 41))),
     (np.array([0.5, 0.9, 1.4, 2.0]), np.array([1.0, 1.3, 1.2, 1.7])),
@@ -1571,32 +1589,31 @@ def test_radial_steps_at_the_step_cap_once_c_max_reaches_it(monkeypatch):
     assert log["sweeps"] == 1
 
 
-def test_fixed_steps_hold_a_while_c_max_stays_in_its_band(monkeypatch):
-    # a fixed step's spread is a dt_fixed, so a new a means a new sweep and a
-    # is held while c_max stays in [a/2, a]: the spheroid's c_max 2.65 first
-    # falls below half after the third step (1.19) and stays above 0.6 to
-    # t = 0.5, so the ten steps take two key sets
+def test_fixed_steps_key_at_the_c_max_of_the_state_they_start_from(monkeypatch):
+    # a fixed step's spread is c_max dt_fixed of its start state, the state
+    # assessed just before it: the spheroid's c_max falls from 2.65 over the
+    # ten steps to t = 0.5, so each step solves on a key set of its own
     log = recorded_run(monkeypatch, _SupportKernel)
     grid = SphericalGrid.axisym(2, 32)
     trace = run_flow(spheroid_support(grid, 1.3, 0.8), None,
                      FlowConfig(kind="support", k=2, t_end=0.5, dt_fixed=0.05))
     c_max = log["c_max"]
-    assert trace.meta["steps"] == 10 and c_max[2] > 0.5 * c_max[0] > c_max[3] and min(c_max) > 0.5 * c_max[3]
-    assert log["steps"] == [(0.05, c_max[0] * 0.05)] * 3 + [(0.05, c_max[3] * 0.05)] * 7
-    assert log["sweeps"] == 2
+    assert trace.meta["steps"] == 10 and len(c_max) == 11 and c_max[0] > 2 * c_max[-1]
+    assert log["steps"] == [(0.05, c * 0.05) for c in c_max[:10]]
+    assert log["sweeps"] == 10
 
 
 @pytest.mark.parametrize("k", [1, 2])
-def test_a_round_off_remainder_is_stepped_whole_and_a_real_clip_keys_at_a_dt(monkeypatch, k):
+def test_a_round_off_remainder_is_stepped_whole_and_a_real_clip_keys_at_its_start_c_max(monkeypatch, k):
     # after 19 steps of 0.05, t_end - t = 1 - t is 0.05 less 3e-16: the 20th
-    # step is still 0.05, so it keeps its key and the run sweeps 3 times, not 4
+    # step is still 0.05, keyed like every fixed step at c_max 0.05
     log = recorded_run(monkeypatch, _SupportKernel)
     h0 = spheroid_support(SphericalGrid.axisym(2, 32), 1.3, 0.8)
     trace = run_flow(h0, None, FlowConfig(kind="support", k=k, t_end=1.0, dt_fixed=0.05))
-    assert trace.meta["steps"] == 20 and [h for h, _ in log["steps"]] == [0.05] * 20
-    assert log["sweeps"] == 3
-    # a remainder shorter by more than round-off is clipped, keyed at the held a times its dt
+    assert trace.meta["steps"] == 20 and log["steps"] == [(0.05, c * 0.05) for c in log["c_max"][:20]]
+    # a remainder shorter by more than round-off is clipped, keyed at its start state's c_max times its dt
     log["steps"].clear()
+    log["c_max"].clear()
     run_flow(h0, None, FlowConfig(kind="support", k=k, t_end=0.98, dt_fixed=0.05))
-    (h_prev, spread_prev), (h, spread) = log["steps"][-2:]
-    assert h == pytest.approx(0.03) and spread == pytest.approx(spread_prev / h_prev * h, rel=1e-14)
+    h, spread = log["steps"][-1]
+    assert h == pytest.approx(0.03) and spread == log["c_max"][-2] * h

@@ -172,6 +172,10 @@ def test_calibration_constants():
         for k in range(1, n):
             expected = math.comb(n, k) / (n * math.comb(n, k - 1))
             assert calibrate_sharp_constant(n, k) == pytest.approx(expected, rel=1e-12)
+    # and it is the constant itself, to the last bit, for every n <= 8
+    for n in range(2, 9):
+        for k in range(1, n):
+            assert calibrate_sharp_constant(n, k) == math.comb(n, k) / (n * math.comb(n, k - 1)), (n, k)
 
 
 def test_deficit_k_unit_sphere_idempotent():
