@@ -7,7 +7,7 @@ operator from ``_GATES`` and the bound.  Those three fields alone decide
 ``passed`` (a NaN value fails every gate) and render ``detail``, after
 which an optional note gives context; ``report.json`` and
 ``identities.json`` carry every field.  ``run_battery`` executes a
-selection and prints the table.
+selection and prints the table; a criterion that raises fails there.
 
 Two criteria take their form from a mathematical obstruction:
 
@@ -563,7 +563,12 @@ def run_battery(names=None):
     results = []
     for name, fn in CRITERIA.items():
         if not names or name in names:
-            results.append(fn())
+            start = time.perf_counter()
+            try:
+                results.append(fn())
+            except Exception as exc:  # fails under its CRITERIA name; the rest still run
+                raised = CheckLine("runs to completion", f"{type(exc).__name__}: {exc}", "==", "no exception")
+                results.append(CriterionResult(name, [raised], time.perf_counter() - start))
             print(results[-1])
     passed = sum(r.passed for r in results)
     print(f"{passed}/{len(results)} criteria passed")

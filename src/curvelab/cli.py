@@ -8,8 +8,7 @@ identities  symmetric-function and Minkowski-identity batteries; writes identiti
 report      run the acceptance battery and print its table; writes report.json
 
 Shared flags: --config PATH (JSON), --out DIR, --seed U64 (overrides the config
-seed), --force (run flows despite profile admissibility failures).  The
-environment variable CURVELAB_THREADS sets the worker count for fuzz suites.
+seed), --force (run flows despite profile admissibility failures).
 Exit codes: 0 success/Converged, 2 TimeExhausted, 1 runtime failure or a
 failed criterion, 64 bad configuration (an unknown key in a flow's run
 block included).  CSV artifacts are RFC 4180 with '.' decimals at full
@@ -23,7 +22,6 @@ import functools
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -85,12 +83,12 @@ def config_hash(cfg: dict) -> str:
 
 def load_config(path: str) -> dict:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             cfg = json.load(handle)
     except OSError as exc:  # a missing file, a directory, no permission
         raise ConfigError("config", f"cannot read config file {path}: {exc.strerror}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"config is not valid JSON: {exc}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError("config", f"config is not valid UTF-8 JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config", f"config must be a JSON object, got {type(cfg).__name__}")
     return cfg
@@ -187,14 +185,6 @@ def _write_json(path: Path, command: str, cfg: dict, seed: int, payload: dict):
         handle.write("\n")
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("CURVELAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # flow subcommand
 
@@ -253,9 +243,8 @@ VERIFY_COLUMNS = [
 ]
 
 
-def _verify_sample(args):
+def _verify_sample(index, grid, seed, k, calibration, profile, parametrization, functional, amp_max):
     """One row of verify.csv; a sample that raises keeps NaN in the columns it did not reach."""
-    index, grid, seed, k, calibration, profile, parametrization, functional, amp_max = args
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
     row = {"sample_id": index, "n": grid.n, "k": k, "mode": calibration, "status": "ok",
            **dict.fromkeys(("sphericity", "f_variation", "lhs", "rhs", "deficit", "rel_deficit"), math.nan)}
@@ -301,15 +290,8 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
     if isinstance(amplitude, bool) or not (isinstance(amplitude, (int, float)) and 0 < amplitude < math.inf):
         raise ConfigError("amplitude", f"amplitude must be a positive finite number, got {amplitude!r}")
     profile = build_profile(cfg.get("profile") or None)
-    jobs = [(i, grid, seed, k, calibration, profile, parametrization, functional, amplitude)
+    rows = [_verify_sample(i, grid, seed, k, calibration, profile, parametrization, functional, amplitude)
             for i in range(samples)]
-    workers = _worker_count()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor  # only here: it loads logging
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_verify_sample, jobs))
-    else:
-        rows = [_verify_sample(job) for job in jobs]
 
     write_csv(out_dir / "verify.csv", VERIFY_COLUMNS, (
         [row[c] if c in ("sample_id", "n", "k", "mode", "status") else float(row[c]) for c in VERIFY_COLUMNS]

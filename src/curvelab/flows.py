@@ -8,8 +8,12 @@ radial function obeys
 so every sphere r = R moves by dR/dt = -(n/(n-1)) R fhat(R) where
 fhat(r) = (n-1) f / r^2 + f' / r.  A profile is admissible when fhat is
 strictly increasing with a zero r*; the zero is then the attracting round
-sphere.  Along the flow Q = int f^(n/(n-1)) dmu never increases, for every
-positive smooth profile.
+sphere.  Along the flow Q = int f^(n/(n-1)) dmu changes at the rate
+
+    dQ/dt = -int f^(1/(n-1)) [(f H + c f')^2 + c f f' H (v-1)^2 / v] dmu,
+
+c = n/(n-1), so Q cannot increase while f' H >= 0; elsewhere the rate is
+not signed, though a search over 15,000 axisymmetric bodies found no rise.
 
 Support flow (strictly convex bodies).  The support function obeys
 

@@ -301,9 +301,7 @@ class SphericalGrid:
         one batched Thomas sweep over a key set and are kept for that set
         alone; keys that are the set's trailing keys read them as a view, so
         the flows' extrapolation rounds, each a trailing part of the level
-        set, share one sweep.  The cache is replaced, never mutated, so
-        grids shared between threads stay consistent.  The result is
-        zonal-filtered.
+        set, share one sweep.  The result is zonal-filtered.
         """
         keys = tuple(keys)
         cached, inverse = self._inverses

@@ -265,32 +265,19 @@ def test_verify_with_a_non_finite_profile_flags_every_row(tmp_path, functional, 
     assert (summary["evaluated"], summary["flagged"], summary["min_rel_deficit"]) == (0, 3, None)
 
 
-def test_verify_threads_env(tmp_path, monkeypatch):
-    cfg = {
-        "samples": 6,
-        "k": 1,
-        "parametrization": "radial",
-        "amplitude": 0.2,
-        "grid": {"mode": "axisym", "n": 2, "n_theta": 64},
-        "seed": 2,
-    }
-    path = write_config(tmp_path, "verify.json", cfg)
-    assert main(["verify", "--config", path, "--out", str(tmp_path / "a")]) == 0
-    monkeypatch.setenv("CURVELAB_THREADS", "4")
-    assert main(["verify", "--config", path, "--out", str(tmp_path / "b")]) == 0
-    assert (tmp_path / "a/verify.csv").read_bytes() == (tmp_path / "b/verify.csv").read_bytes()
-
-
-def test_cli_and_a_one_thread_flow_load_no_thread_pool(tmp_path):
-    # concurrent.futures, and the logging it imports, load only for CURVELAB_THREADS > 1
-    path = write_config(tmp_path, "flow.json", dict(RADIAL_CFG, run={"t_end": 0.05}))
+def test_cli_flow_and_verify_load_no_thread_pool(tmp_path):
+    # verify runs its samples in one serial loop, whatever the environment
+    # holds, so neither concurrent.futures nor the logging it imports loads
+    flow = write_config(tmp_path, "flow.json", dict(RADIAL_CFG, run={"t_end": 0.05}))
+    verify = write_config(tmp_path, "verify.json", VERIFY_AXISYM_CFG)
     probe = (f"import sys\nimport curvelab.cli\nassert 'concurrent.futures' not in sys.modules\n"
-             f"curvelab.cli.main(['flow', '--config', {path!r}, '--out', {str(tmp_path / 'run')!r}])\n"
+             f"curvelab.cli.main(['flow', '--config', {flow!r}, '--out', {str(tmp_path / 'run')!r}])\n"
+             f"curvelab.cli.main(['verify', '--config', {verify!r}, '--out', {str(tmp_path / 'fuzz')!r}])\n"
              "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'logging'))))")
-    env = dict(os.environ, PYTHONPATH=str(Path(curvelab.__file__).parent.parent), CURVELAB_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(Path(curvelab.__file__).parent.parent), CURVELAB_THREADS="4")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.splitlines()[-1] == "[]"
-    assert (tmp_path / "run/trace.csv").exists()
+    assert (tmp_path / "run/trace.csv").exists() and (tmp_path / "fuzz/verify.csv").exists()
 
 
 def test_repeated_main_calls_leave_no_parser_for_the_cyclic_collector(tmp_path):
@@ -343,6 +330,28 @@ def test_report_subset(tmp_path, capsys):
         for check in criterion["checks"]:
             assert {"label", "value", "op", "bound", "passed", "detail"} <= check.keys()
             assert isinstance(check["value"], (int, float)) and check["passed"]
+
+
+def test_a_raising_criterion_fails_and_the_battery_runs_on(tmp_path, monkeypatch):
+    def raising(exc):
+        def criterion():
+            raise exc
+        return criterion
+
+    passing = acceptance.CriterionResult("AC-2 stub", [acceptance.CheckLine("gate", 1, "==", 1)])
+    monkeypatch.setitem(acceptance.CRITERIA, "AC-1", raising(ValueError("step from t = 1.1 failed")))
+    monkeypatch.setitem(acceptance.CRITERIA, "AC-2", lambda: passing)
+    path = write_config(tmp_path, "rep.json", {"criteria": ["AC-1", "AC-2"]})
+    assert main(["report", "--config", path, "--out", str(tmp_path / "rep")]) == 1
+    payload = json.loads((tmp_path / "rep/report.json").read_text())
+    raised, after = payload["criteria"]
+    assert (raised["name"], raised["passed"], len(raised["checks"])) == ("AC-1", False, 1)
+    assert raised["checks"][0]["value"] == "ValueError: step from t = 1.1 failed"
+    assert after["passed"] and (payload["passed"], payload["total"]) == (1, 2)
+    monkeypatch.setitem(acceptance.CRITERIA, "AC-1", raising(KeyboardInterrupt()))
+    with pytest.raises(KeyboardInterrupt):
+        main(["report", "--config", path, "--out", str(tmp_path / "interrupted")])
+    assert not (tmp_path / "interrupted/report.json").exists()
 
 
 def test_config_file_missing(tmp_path, capsys):
@@ -494,6 +503,14 @@ def test_config_that_is_no_object_exit_64(tmp_path, capsys, command):
     path = write_config(tmp_path, "cfg.json", [1, 2])
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 64
     assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("contents", [b"\xff\xfe{\x00}\x00", b"{"], ids=["utf16-bom", "truncated"])
+def test_config_that_is_no_utf8_json_exit_64(tmp_path, capsys, contents):
+    path = tmp_path / "bad.json"
+    path.write_bytes(contents)
+    assert main(["report", "--config", str(path), "--out", str(tmp_path / "out")]) == 64
+    assert "configuration error [config]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, cfg", [("flow", RADIAL_CFG), ("verify", VERIFY_AXISYM_CFG)], ids=["flow", "verify"])

@@ -60,7 +60,7 @@ def loaded_scipy_modules(probe):
     probe += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     return subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent), CURVELAB_THREADS="1"),
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
     ).stdout.splitlines()[-1]
 
 

@@ -189,6 +189,16 @@ def test_zonal_filter_keeps_smooth_fields():
     assert np.abs(cleaned - vals).max() < 1e-12
 
 
+def test_zonal_filter_keeps_m_2_where_the_pole_rows_resolve_m_1():
+    # on 14x16 the pole rows resolve ceil(sin theta * n_phi / 2) = 1 zonal
+    # wavenumber; the mask's floor of 2 keeps the m = 2 modes there whole
+    grid = SphericalGrid.full_s2(14, 16)
+    assert np.ceil(grid.sin_t[[0, -1]] * grid.n_phi / 2.0).tolist() == [1.0, 1.0]
+    for ell in (2, 3):
+        vals = harmonic_mode(grid, ell, 2)
+        assert np.abs(grid.zonal_filter(vals) - vals).max() < 1e-14, ell
+
+
 LAPLACIAN_GRIDS = [SphericalGrid.full_s2(16, 32), SphericalGrid.full_s2(24, 48),
                    SphericalGrid.axisym(2, 32), SphericalGrid.axisym(5, 32)]
 
