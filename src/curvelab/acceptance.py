@@ -6,8 +6,9 @@ gate is ``value op bound``, each stated once: the measured value, an
 operator from ``_GATES`` and the bound.  Those three fields alone decide
 ``passed`` (a NaN value fails every gate) and render ``detail``, after
 which an optional note gives context; ``report.json`` and
-``identities.json`` carry every field.  ``run_battery`` executes a
-selection and prints the table; a criterion that raises fails there.
+``identities.json`` carry every field.  ``run_battery``, the one runner
+of ``curvelab report`` and ``curvelab identities``, times and prints each
+criterion; one that raises fails there and the rest still run.
 
 Two criteria take their form from a mathematical obstruction:
 
@@ -118,9 +119,14 @@ class CheckLine:
 
 @dataclass
 class CriterionResult:
+    """One criterion's gates: ``check`` adds one, ``flow`` a trace's and ``budget``
+    the wall time since ``started``, which ``to_dict`` leaves out.
+    ``run_battery`` sets ``runtime_s``, for a criterion that raises too."""
+
     name: str
     lines: list = dataclass_field(default_factory=list)
     runtime_s: float = 0.0
+    started: float = dataclass_field(default_factory=time.perf_counter, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -140,19 +146,13 @@ class CriterionResult:
             "checks": [{**asdict(c), "passed": c.passed, "detail": c.detail} for c in self.lines],
         }
 
-
-class _Checker:
-    def __init__(self, name):
-        self.result = CriterionResult(name)
-        self._t0 = time.perf_counter()
-
     def check(self, label, value, op, bound, note=""):
-        self.result.lines.append(CheckLine(label, value, op, bound, note))
+        self.lines.append(CheckLine(label, value, op, bound, note))
 
     def budget(self, limit_s, shared=None):
         """Wall time against limit_s; a cached run it reads (``shared``) counts once."""
-        elapsed = time.perf_counter() - self._t0
-        if shared is not None and shared["started"] < self._t0:
+        elapsed = time.perf_counter() - self.started
+        if shared is not None and shared["started"] < self.started:
             elapsed += shared["runtime"]
         self.check("runtime budget", elapsed, "<", limit_s, "wall seconds")
 
@@ -165,17 +165,13 @@ class _Checker:
         self.check(f"{prefix}{column} monotone breaches", breaches, "==", 0)
         self.check(f"{prefix}{column} max step growth", growth, "<=", 1e-8, "relative, over the trace rows")
 
-    def done(self):
-        self.result.runtime_s = time.perf_counter() - self._t0
-        return self.result
-
 
 # ---------------------------------------------------------------------------
 # AC-1: curvature oracle
 
 
 def ac1():
-    c = _Checker("AC-1 curvature oracle")
+    c = CriterionResult("AC-1 curvature oracle")
     grid = SphericalGrid.full_s2(64, 128)
     geom = radial_geometry(sphere_radial(grid, 1.0))
     c.check("unit sphere kappa", float(np.abs(geom.kappa - 1.0).max()), "<", 1e-8, "max |kappa - 1|")
@@ -191,7 +187,7 @@ def ac1():
     c.check("spheroid vs closed form", errs[0], "<", 2e-3, "max relative error at 64x128")
     c.check("spheroid refinement order", math.log2(errs[0] / errs[1]), "in", (1.7, 2.3), "64x128 to 128x256")
     c.budget(5.0)
-    return c.done()
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +207,7 @@ def _random_cone_matrix(rng):
 
 
 def ac2():
-    c = _Checker("AC-2 trace identities")
+    c = CriterionResult("AC-2 trace identities")
     rng = np.random.default_rng(SEED_IDENTITIES)
     worst = 0.0
     for _ in range(1000):
@@ -228,7 +224,7 @@ def ac2():
     c.check("identity residuals", worst, "<", 1e-10,
             "max relative residual over 1000 matrices, n in 2..6")
     c.budget(5.0)
-    return c.done()
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +232,7 @@ def ac2():
 
 
 def ac3():
-    c = _Checker("AC-3 Newton-MacLaurin")
+    c = CriterionResult("AC-3 Newton-MacLaurin")
     rng = np.random.default_rng(SEED_IDENTITIES + 1)
     min_gap = np.inf
     for _ in range(1000):
@@ -255,7 +251,7 @@ def ac3():
             for m in range(k, 5):
                 worst_const = max(worst_const, abs(newton_maclaurin_gap(kappa, k, m)))
     c.check("equality on constants", worst_const, "<", 1e-12, "max |gap| on constant vectors")
-    return c.done()
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +259,7 @@ def ac3():
 
 
 def ac4():
-    c = _Checker("AC-4 Minkowski identity")
+    c = CriterionResult("AC-4 Minkowski identity")
     for k in (1, 2):
         res = []
         for nt in (48, 96):
@@ -274,7 +270,7 @@ def ac4():
             res.append(abs(lhs - rhs) / abs(lhs))
         c.check(f"k={k} coarse residual", res[0], "<", 5e-3, "relative residual at 48x96")
         c.check(f"k={k} convergence order", math.log2(res[0] / res[1]), ">=", 1.7, "48x96 to 96x192")
-    return c.done()
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +288,18 @@ def _ac5_run():
 
 
 def ac5():
-    c = _Checker("AC-5 radial flow convergence")
+    c = CriterionResult("AC-5 radial flow convergence")
     data = _ac5_run()
     trace = data["trace"]
     c.flow("", trace, "Q")
     rerr = float(np.abs(trace.meta["final_state"] - 1.0).max())
-    c.check("final radius", rerr, "<", 2e-3, "max |r_final - 1|")
+    tol = trace.meta["config"]["hatf_tol"]
+    c.check("final radius", rerr, "<", 2e-3, f"max |r_final - 1|; the stop rule |fhat(mean r)| < {tol:g} "
+            f"with fhat'(1) = f(1) = 1 puts it near {tol:g}")
     q_err = abs(trace.values("Q")[-1] - 4 * math.pi) / (4 * math.pi)
     c.check("final Q near |S^2|", q_err, "<", 5e-3, "|Q_final - 4pi| / 4pi")
     c.budget(60, data)
-    return c.done()
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +320,7 @@ def _ac6_runs():
 
 
 def ac6_flow():
-    c = _Checker("AC-6 support flow: conservation, monotonicity, convergence")
+    c = CriterionResult("AC-6 support flow: conservation, monotonicity, convergence")
     data = _ac6_runs()
     for k in (1, 2):
         trace = data[f"k{k}"]
@@ -336,7 +334,7 @@ def ac6_flow():
         c.check(f"k={k} V_(k-1) matches round value", abs(final[f"V_{k-1}"] - ball) / ball, "<", 5e-3,
                 "|V - z(R_final)| / z")
     c.budget(120, data)
-    return c.done()
+    return c
 
 
 def ac6_static_margin():
@@ -346,7 +344,7 @@ def ac6_static_margin():
     be constant; so only origin-centred spheres are static convex under this
     definition and preservation along the flow amounts to their stationarity.
     """
-    c = _Checker("AC-6 static-convexity margin")
+    c = CriterionResult("AC-6 static-convexity margin")
     data = _ac6_runs()
     c.check("initial margin", data["k1"].meta["initial_margin"], "<", 0.0,
             "only origin-centred spheres are static convex")
@@ -373,7 +371,7 @@ def ac6_static_margin():
     c.check("static convexity preserved", worst, ">=", -1e-6,
             "min margin on runs from spheres R = 0.7, 1.3, k = 1, 2 "
             "(static convex means round here, so preserved means stationary)")
-    return c.done()
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +392,7 @@ def _ac7_samples():
 
 
 def ac7_constant_density():
-    c = _Checker("AC-7 deficit fuzz, f = 1")
+    c = CriterionResult("AC-7 deficit fuzz, f = 1")
     data = _ac7_samples()
     deficits = [michael_simon_deficit_H(geom, 1.0).rel_deficit for _, geom, _ in data["geoms"]]
     c.check("deficits bounded below", min(deficits), ">=", -1e-3, "min relative deficit over 50 samples")
@@ -402,7 +400,7 @@ def ac7_constant_density():
     c.check("rigidity violations", violations, "==", 0,
             "samples with relative deficit < 1e-4 and sphericity >= 1e-2")
     c.budget(120, data)
-    return c.done()
+    return c
 
 
 def ac7_profile_density():
@@ -413,7 +411,7 @@ def ac7_profile_density():
     -eps^2/12 + O(eps^4).  The proven bound for every positive f uses
     n |B^n|^(1/n), i.e. rel deficit >= (|B^2| / |S^2|)^(1/2) - 1 = -1/2.
     """
-    c = _Checker("AC-7 deficit fuzz, pinned profile")
+    c = CriterionResult("AC-7 deficit fuzz, pinned profile")
     data = _ac7_samples()
     profile = SpeedProfile.power_exp_pinned(2, 1.0)
 
@@ -436,7 +434,7 @@ def ac7_profile_density():
     c.check("equality on centred spheres", equality, "<", 1e-10, "max |relative deficit| for R = 0.8, 1, 1.3")
     c.check("flow-provable reduced bound", min_q / (4 * math.pi) - 1.0, ">=", -1e-12,
             "min int f^2 dmu / |S^2| - 1 over 50 samples")
-    return c.done()
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +442,7 @@ def ac7_profile_density():
 
 
 def ac8():
-    c = _Checker("AC-8 k-deficit fuzz (k=2, n=3)")
+    c = CriterionResult("AC-8 k-deficit fuzz (k=2, n=3)")
     n, k = 3, 2
     grid = SphericalGrid.axisym(n, 192)
     rng = np.random.default_rng(SEED_AC8)
@@ -462,7 +460,7 @@ def ac8():
             f"{max(margins):.2f}]; strictly positive margins exist only for round spheres)")
     rep = michael_simon_deficit_k(radial_geometry(sphere_radial(grid, 1.0)), 1.0, k=k)
     c.check("unit sphere idempotence", abs(rep.deficit), "<", 1e-10, "|deficit|")
-    return c.done()
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +468,7 @@ def ac8():
 
 
 def ac9():
-    c = _Checker("AC-9 exponential decay")
+    c = CriterionResult("AC-9 exponential decay")
     data = _ac5_run()
     fit = estimate_decay_rate(data["trace"])
     c.check("decay rate", fit.gamma, ">", 0.0, "gamma")
@@ -482,7 +480,7 @@ def ac9():
     c.check("linearized rate", abs(fit.gamma / rate - 1.0), "<", 0.02,
             f"relative error of gamma = {fit.gamma:.3f} against "
             f"(n/(n-1)) r* fhat'(r*) + f(r*) l(l+n-1)/r*^2 = {rate:.3f}")
-    return c.done()
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +488,7 @@ def ac9():
 
 
 def ac10():
-    c = _Checker("AC-10 area-evolution consistency")
+    c = CriterionResult("AC-10 area-evolution consistency")
     data5 = _ac5_run()
     out = area_evolution_consistency(data5["r0"], data5["profile"],
                                      FlowConfig(kind="radial", t_end=1.0))
@@ -511,7 +509,7 @@ def ac10():
     state = ScalarField(data6["grid"], probe.meta["final_state"])
     out = area_evolution_consistency(state, None, FlowConfig(kind="support", k=1, t_end=1.0))
     c.check("support run", out["rel_error"], "<", 0.01, f"relative error at t = {t_probe:.2f}")
-    return c.done()
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +517,7 @@ def ac10():
 
 
 def ac11():
-    c = _Checker("AC-11 temporal order")
+    c = CriterionResult("AC-11 temporal order")
     grid = SphericalGrid.axisym(2, 16)
     profile = SpeedProfile.power_exp_pinned(2, 1.0)
 
@@ -538,7 +536,7 @@ def ac11():
         trace = run_flow(sphere_radial(grid, 1.3), profile, config)
         errs.append(abs(float(trace.meta["final_state"][0]) - ref))
     c.check("error ratio under dt halving", errs[0] / errs[1], "in", (12.0, 20.0), "order 4 gives about 16")
-    return c.done()
+    return c
 
 
 CRITERIA = {
@@ -559,17 +557,19 @@ CRITERIA = {
 
 
 def run_battery(names=None):
-    """Run the selected criteria (all by default), printing each; returns the result list."""
+    """Run the selected criteria (all by default), timing and printing each; returns the result list."""
     results = []
     for name, fn in CRITERIA.items():
         if not names or name in names:
             start = time.perf_counter()
             try:
-                results.append(fn())
+                result = fn()
             except Exception as exc:  # fails under its CRITERIA name; the rest still run
                 raised = CheckLine("runs to completion", f"{type(exc).__name__}: {exc}", "==", "no exception")
-                results.append(CriterionResult(name, [raised], time.perf_counter() - start))
-            print(results[-1])
+                result = CriterionResult(name, [raised])
+            result.runtime_s = time.perf_counter() - start
+            results.append(result)
+            print(result)
     passed = sum(r.passed for r in results)
     print(f"{passed}/{len(results)} criteria passed")
     return results

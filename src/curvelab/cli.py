@@ -4,14 +4,14 @@ Subcommands
 -----------
 flow        integrate one flow from a JSON config; writes trace.csv + summary.json
 verify      seeded deficit fuzz suite; writes verify.csv + summary.json
-identities  symmetric-function and Minkowski-identity batteries; writes identities.json
+identities  AC-2..AC-4 of the acceptance battery, its table printed; writes identities.json
 report      run the acceptance battery and print its table; writes report.json
 
 Shared flags: --config PATH (JSON), --out DIR, --seed U64 (overrides the config
-seed), --force (run flows despite profile admissibility failures).
-Exit codes: 0 success/Converged, 2 TimeExhausted, 1 runtime failure or a
-failed criterion, 64 bad configuration (an unknown key in a flow's run
-block included).  CSV artifacts are RFC 4180 with '.' decimals at full
+seed); flow alone takes --force (run despite profile admissibility failures).
+Exit codes: 0 success/Converged, 2 TimeExhausted, 1 runtime failure or a failed
+or raising criterion, 64 a usage error or bad configuration (an unknown key in a
+flow's run block included).  CSV artifacts are RFC 4180 with '.' decimals at full
 round-trip precision; every JSON artifact embeds the config hash and seed.
 """
 
@@ -315,7 +315,8 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
 
 def cmd_identities(cfg: dict, out_dir: Path, seed: int) -> int:
     keys = {"AC-2": "trace_identities", "AC-3": "newton_maclaurin", "AC-4": "minkowski"}
-    report = {key: acceptance.CRITERIA[name]().to_dict() for name, key in keys.items()}
+    results = acceptance.run_battery(list(keys))  # in CRITERIA order, which keys follows
+    report = {key: result.to_dict() for key, result in zip(keys.values(), results)}
     report["all_passed"] = all(result["passed"] for result in report.values())
     _write_json(out_dir / "identities.json", "identities", cfg, seed, report)
     print(f"identities: {'all passed' if report['all_passed'] else 'FAILURES'}, "
@@ -359,13 +360,17 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=(name != "report"), help="JSON config path")
         cmd.add_argument("--out", default=".", help="output directory")
         cmd.add_argument("--seed", type=int, default=None, help="RNG seed (overrides config)")
-        cmd.add_argument("--force", action="store_true",
-                         help="run flows despite profile admissibility failures")
+        if name == "flow":
+            cmd.add_argument("--force", action="store_true",
+                             help="run the flow despite profile admissibility failures")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, which is TimeExhausted here
+        return 64 if exc.code == 2 else exc.code
 
     try:
         cfg = load_config(args.config) if args.config else {}

@@ -153,11 +153,25 @@ class SpeedProfile:
         return (n - 1) * f / x**2 + df / x
 
     @classmethod
+    def _power_law(cls, a: float, b: float, e: float, domain) -> "SpeedProfile":
+        """f(x) = (a x + b)^e: constant, power and affine_power are its members."""
+
+        def f(x):
+            return (a * x + b) ** e
+
+        def df(x):
+            return a * e * (a * x + b) ** (e - 1.0)
+
+        def d2f(x):
+            return a * a * e * (e - 1.0) * (a * x + b) ** (e - 2.0)
+
+        return cls((f, df, d2f), domain)
+
+    @classmethod
     def constant(cls, value: float, domain=(1e-2, 100.0)) -> "SpeedProfile":
         if value <= 0:
             raise ValueError("constant profile must be positive")
-        v = float(value)
-        return cls((lambda x: np.full_like(x, v), np.zeros_like, np.zeros_like), domain)
+        return cls._power_law(0.0, float(value), 1.0, domain)
 
     @classmethod
     def power_exp_pinned(cls, n: int, r_star: float = 1.0, domain=None) -> "SpeedProfile":
@@ -186,18 +200,7 @@ class SpeedProfile:
     def power(cls, exponent: float, domain=(1e-2, 100.0)) -> "SpeedProfile":
         """f(x) = x^exponent.  At exponent 1 - n the sphere forcing fhat
         vanishes identically and every centred sphere is stationary."""
-        p = float(exponent)
-
-        def f(x):
-            return x**p
-
-        def df(x):
-            return p * x ** (p - 1.0)
-
-        def d2f(x):
-            return p * (p - 1.0) * x ** (p - 2.0)
-
-        return cls((f, df, d2f), domain)
+        return cls._power_law(1.0, 0.0, float(exponent), domain)
 
     @classmethod
     def affine_power(cls, a: float, b: float, n: int, k: int, domain=(1e-2, 100.0)) -> "SpeedProfile":
@@ -206,18 +209,7 @@ class SpeedProfile:
             raise ValueError("affine_power needs a, b > 0")
         if not (isinstance(k, numbers.Integral) and 1 <= k <= n):
             raise ValueError(f"affine_power needs an integer 1 <= k <= n, got k = {k!r} with n = {n!r}")
-        e = (n - k) / (n - k + 1.0)
-
-        def f(x):
-            return (a * x + b) ** e
-
-        def df(x):
-            return a * e * (a * x + b) ** (e - 1.0)
-
-        def d2f(x):
-            return a * a * e * (e - 1.0) * (a * x + b) ** (e - 2.0)
-
-        return cls((f, df, d2f), domain)
+        return cls._power_law(a, b, (n - k) / (n - k + 1.0), domain)
 
     @classmethod
     def tabulated(cls, x, values, domain=None) -> "SpeedProfile":

@@ -332,12 +332,14 @@ def test_report_subset(tmp_path, capsys):
             assert isinstance(check["value"], (int, float)) and check["passed"]
 
 
-def test_a_raising_criterion_fails_and_the_battery_runs_on(tmp_path, monkeypatch):
-    def raising(exc):
-        def criterion():
-            raise exc
-        return criterion
+def raising(exc):
+    """A criterion that raises exc."""
+    def criterion():
+        raise exc
+    return criterion
 
+
+def test_a_raising_criterion_fails_and_the_battery_runs_on(tmp_path, monkeypatch):
     passing = acceptance.CriterionResult("AC-2 stub", [acceptance.CheckLine("gate", 1, "==", 1)])
     monkeypatch.setitem(acceptance.CRITERIA, "AC-1", raising(ValueError("step from t = 1.1 failed")))
     monkeypatch.setitem(acceptance.CRITERIA, "AC-2", lambda: passing)
@@ -352,6 +354,52 @@ def test_a_raising_criterion_fails_and_the_battery_runs_on(tmp_path, monkeypatch
     with pytest.raises(KeyboardInterrupt):
         main(["report", "--config", path, "--out", str(tmp_path / "interrupted")])
     assert not (tmp_path / "interrupted/report.json").exists()
+
+
+def test_identities_record_a_raising_criterion_and_still_write_the_file(tmp_path, monkeypatch, capsys):
+    passing = acceptance.CriterionResult("stub", [acceptance.CheckLine("gate", 1, "==", 1)])
+    monkeypatch.setitem(acceptance.CRITERIA, "AC-2", lambda: passing)
+    monkeypatch.setitem(acceptance.CRITERIA, "AC-3", raising(ValueError("no gap computed")))
+    monkeypatch.setitem(acceptance.CRITERIA, "AC-4", lambda: passing)
+    path = write_config(tmp_path, "ids.json", {"seed": 1})
+    assert main(["identities", "--config", path, "--out", str(tmp_path / "i")]) == 1
+    assert "2/3 criteria passed" in capsys.readouterr().out  # the battery's table
+    report = json.loads((tmp_path / "i/identities.json").read_text())
+    assert {"trace_identities", "newton_maclaurin", "minkowski", "all_passed"} <= report.keys()
+    raised = report["newton_maclaurin"]
+    assert (raised["name"], raised["passed"], len(raised["checks"])) == ("AC-3", False, 1)
+    assert raised["checks"][0]["value"] == "ValueError: no gap computed"
+    assert report["trace_identities"]["passed"] and report["minkowski"]["passed"] and not report["all_passed"]
+    monkeypatch.setitem(acceptance.CRITERIA, "AC-3", raising(KeyboardInterrupt()))
+    with pytest.raises(KeyboardInterrupt):
+        main(["identities", "--config", path, "--out", str(tmp_path / "interrupted")])
+    assert not (tmp_path / "interrupted/identities.json").exists()
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("flow", ["--bogus"]),
+    ("verify", ["--seed", "x"]),
+    ("identities", None),  # no --config
+    ("no-such-command", []),
+    ("verify", ["--force"]),
+    ("identities", ["--force"]),
+    ("report", ["--force"]),
+], ids=["unknown-flag", "seed-not-int", "identities-without-config", "unknown-subcommand",
+        "verify-force", "identities-force", "report-force"])
+def test_usage_errors_exit_64(tmp_path, capsys, command, argv):
+    # argparse exits 2 on a usage error, which is the TimeExhausted code here
+    path = write_config(tmp_path, "cfg.json", RADIAL_CFG if command == "flow" else VERIFY_AXISYM_CFG)
+    config = [] if argv is None else ["--config", path]
+    assert main([command, *config, "--out", str(tmp_path / "out"), *(argv or [])]) == 64
+    assert "usage: curvelab" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_0_and_only_flow_takes_force(capsys):
+    assert main(["--help"]) == 0
+    assert main(["flow", "--help"]) == 0 and "--force" in capsys.readouterr().out
+    for command in ("verify", "identities", "report"):
+        assert main([command, "--help"]) == 0 and "--force" not in capsys.readouterr().out
 
 
 def test_config_file_missing(tmp_path, capsys):
