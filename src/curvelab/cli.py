@@ -375,7 +375,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else {}
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file at the path or on it, no permission
+            raise ConfigError("out", f"cannot make output directory {out_dir}: {exc.strerror}")
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         if not (_is_int(seed) and seed >= 0):
             raise ConfigError("seed", f"seed must be a nonnegative integer, got {seed!r}")

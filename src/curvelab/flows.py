@@ -14,6 +14,12 @@ sphere.  Along the flow Q = int f^(n/(n-1)) dmu changes at the rate
 
 c = n/(n-1), so Q cannot increase while f' H >= 0; elsewhere the rate is
 not signed, though a search over 15,000 axisymmetric bodies found no rise.
+The neighbouring speed dr/dt = -(f H v + c f') agrees with this one on
+spheres and to first order about them, and only it makes the rate a
+negative square, -int f^(1/(n-1)) (f H + c f'/v)^2 dmu; AC-5, AC-9 and
+AC-11 cannot tell the two apart.  PAPER.md holds only the paper's
+abstract, so which of the two is the paper's flow (1.5) cannot be settled
+until that equation is in the repository.
 
 Support flow (strictly convex bodies).  The support function obeys
 
@@ -32,12 +38,12 @@ Rev. 27 (1985)): L = 4 for both flows.  The levels run in lockstep on
 one stack of states, so a step makes L speed calls and L solves, each on
 the levels it moves.  Z is the zonal filter and Delta the grid's Laplacian.
 An adaptive step is h = min(step, spread / c_max) for the kernel's caps =
-(step, spread), (0.035, 0.04) radial and (0.15, 0.07) support, whatever the
+(step, spread), (0.035, 0.04) radial and (0.2, 0.1) support, whatever the
 output interval; one below 1e-12 max(1, t) raises StepCollapse.  The spread
 sets the time error, about C spread^L; the step cap guards the round mode
 (the sphere ODE).  The keys are s a = spread / j, so every adaptive run
 solves on one key set: a = spread / h is c_max where the spread cap sets the
-step and spread / step (1.14 radial, 0.47 support) where the step cap does.
+step and spread / step (1.14 radial, 0.5 support) where the step cap does.
 Steps of dt_fixed, and one clipped at t_end, key at a h with a = c_max of the
 state they start from: the tableau needs a fixed across a step only.  A
 step is clipped only where t_end - t falls short of it by more than 1e-9 of
@@ -383,7 +389,7 @@ class _Kernel:
 
     # the extrapolated step's depth and order in h: AC-11's sphere ODE needs
     # order 4, and the support flow's time error, about C spread^L, lets
-    # its spread double over 3 levels' (see _SupportKernel.caps)
+    # its spread grow about 2.9x over 3 levels' (see _SupportKernel.caps)
     levels = 4
 
     def __init__(self, grid: SphericalGrid, profile: SpeedProfile, config: "FlowConfig"):
@@ -450,9 +456,11 @@ class _SupportKernel(_Kernel):
     #   3, (0.1, 0.05)   25            3.80e-4        3.31e-3          1.877, 1.878
     #   4, (0.1, 0.05)   25            3.70e-4        3.12e-3          1.994, 1.995
     #   4, (0.15, 0.07)  18            3.70e-4        3.16e-3          1.990, 1.990
+    #   4, (0.2, 0.1)    13            3.70e-4        3.24e-3          1.967, 1.967
     # with no breach in any run: a larger spread fails the order gate at 3
-    # levels, and at 4 it halves the steps
-    caps = (0.15, 0.07)
+    # levels, and at 4 it takes 13 steps where 3 levels took 36; (0.3, 0.14)
+    # reads an order of 1.919, 0.02 above the gate
+    caps = (0.2, 0.1)
 
     def build(self, h: np.ndarray) -> CurvatureField:
         """The CurvatureField of h, or of a stack h."""
@@ -500,7 +508,7 @@ def _kernel(grid: SphericalGrid, profile: SpeedProfile | None, config: "FlowConf
 # The adaptive step's floor, relative to max(1, t): below it c_max has blown
 # up and t would stall.  Beside the time error (cutting the step cap 8x alone
 # made it 2-3x worse), the spread cap h a keeps the solve from spreading a
-# node's speed over about sqrt(h a) rad (0.2 radial, 0.26 support; rough
+# node's speed over about sqrt(h a) rad (0.2 radial, 0.32 support; rough
 # starts, where c_max falls by 1e4, left the flow's range without it).
 _DT_FLOOR = 1e-12
 

@@ -408,6 +408,14 @@ def test_config_file_missing(tmp_path, capsys):
     assert capsys.readouterr().err.count("configuration error [config]") == 2
 
 
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_out_that_cannot_be_made_exit_64(tmp_path, capsys, out):
+    # an existing file in the --out path's place, or as one of its parents
+    (tmp_path / "file").write_text("x")
+    assert main(["verify", "--config", str(CONFIGS / "verify_k1.json"), "--out", str(tmp_path / out)]) == 64
+    assert "configuration error [out]" in capsys.readouterr().err
+
+
 VERIFY_AXISYM_CFG = {
     "samples": 2,
     "k": 1,
@@ -573,7 +581,7 @@ CONFIGS = Path(__file__).parent.parent / "configs"
 
 @pytest.mark.parametrize("command, name, artefact, sha256", [
     ("flow", "radial_pinned", "trace.csv", "da90674bb2ccf5c09e09c91de4b95961c188b1bfda22352dbb98251a181edc7a"),
-    ("flow", "support_k2", "trace.csv", "371b322f0d7181f73b012273a0e4de213d9571c969f8ee52688c5e4c2c9043af"),
+    ("flow", "support_k2", "trace.csv", "fc68196e0deb6128b8b3aaa366f471d90dec328d863c53cc5694d08f94e9caf4"),
     ("verify", "verify_k1", "verify.csv", "de519c6275275c60f374daeda3e2f8ae352ffc96463f89c666cd79adc22aa58f"),
 ])
 def test_committed_configs_reproduce_their_pinned_artefacts(tmp_path, command, name, artefact, sha256):

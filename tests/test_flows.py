@@ -529,9 +529,9 @@ def test_support_temporal_order(k):
 def test_adaptive_support_time_error_falls_with_the_caps(monkeypatch):
     # an adaptive step holds the spread a h, not a, so its time error goes as
     # C spread^L: scaling both caps by 1, 1/2 and 1/4 takes a support-s2 body
-    # to t = 1 in 9, 17 and 32 steps, 1.3e-6, 2.4e-7 and 2.8e-8 from a
-    # 256-step dt_fixed reference (itself 9e-11 from a 2048-step one); the
-    # last halving reads order 3.07, and 1.19 with level L's result taken
+    # to t = 1 in 6, 12 and 23 steps, 2.6e-6, 6.1e-7 and 8.8e-8 from a
+    # 256-step dt_fixed reference (itself 3.4e-11 from a 2048-step one); the
+    # last halving reads order 2.78, and 1.08 with level L's result taken
     # unextrapolated
     grid = SphericalGrid.full_s2(24, 48)
     h0 = random_convex_support(grid, np.random.default_rng(np.random.SeedSequence([1, 0])), amp=0.1)
@@ -637,12 +637,12 @@ def test_support_run_axisym_higher_dimension():
 
 
 def _shape_mode_decay_rate_times_radius(h0, k):
-    """gamma R of a support run from h0: gamma fitted to the oscillation over t in [0.5, 6].
+    """gamma R of a support run from h0: gamma fitted to the oscillation over t in [0.5, 8].
 
-    Rows fall one per step, and support steps near a unit sphere are 0.14
-    (n = 2) to 0.15, so the window spans 5.5 time units to hold 30 rows."""
+    Rows fall one per step, and support steps near a unit sphere are about
+    0.2, so the window spans 7.5 time units to hold 30 rows."""
     grid = h0.grid
-    trace = run_flow(h0, None, FlowConfig(kind="support", k=k, t_end=6.0, osc_tol=1e-12))
+    trace = run_flow(h0, None, FlowConfig(kind="support", k=k, t_end=8.0, osc_tol=1e-12))
     t, osc = trace.times, trace.values("oscillation")
     late = t >= 0.5
     gamma = -np.polyfit(t[late], np.log(osc[late]), 1)[0]
@@ -663,6 +663,40 @@ def test_support_run_near_the_sphere_keeps_m_k_monotone():
     assert trace.status == "Converged"
     assert trace.meta["mono_rise"] == 0.0
     assert not [b for b in trace.breaches if b.kind == "monotone"]
+
+
+def _support_s2_body(unit):
+    """A support-s2 body: seed 1, amplitude 0.1 on the full-s2 24x48 grid."""
+    grid = SphericalGrid.full_s2(24, 48)
+    return random_convex_support(grid, np.random.default_rng(np.random.SeedSequence([1, unit])), amp=0.1)
+
+
+SUPPORT_S2_RUN = FlowConfig(kind="support", k=2, t_end=12.0, osc_tol=1e-4)
+
+
+@pytest.mark.parametrize("unit", range(4))
+def test_support_s2_bodies_converge_within_14_steps(unit):
+    # the caps (0.2, 0.1) take these bodies to Converged in 13, 14, 14 and 13
+    # steps, where (0.15, 0.07) took 18, 19, 19 and 18; V_1 drifts 1.2e-4 to
+    # 3.3e-4 either way
+    trace = run_flow(_support_s2_body(unit), None, SUPPORT_S2_RUN)
+    assert trace.status == "Converged" and not trace.breaches
+    assert trace.meta["conserved_drift"] < 1e-3 and trace.meta["steps"] <= 14
+
+
+def test_support_flow_commutes_with_the_grids_discrete_symmetries():
+    # rolling phi by whole columns, and reversing the theta rows (theta -> pi
+    # - theta; the nodes (i + 1/2) pi / n_theta are symmetric), map the grid
+    # to itself, so the flow of a moved body ends at the moved final state:
+    # 2.3e-14 apart, in as many steps, with V_1 drifts 6e-16 apart
+    h0 = _support_s2_body(0)
+    base = run_flow(h0, None, SUPPORT_S2_RUN)
+    for move, back in ((lambda u: np.roll(u, 7, axis=1), lambda u: np.roll(u, -7, axis=1)),
+                       (lambda u: u[::-1], lambda u: u[::-1])):
+        trace = run_flow(ScalarField(h0.grid, move(h0.values)), None, SUPPORT_S2_RUN)
+        assert trace.meta["steps"] == base.meta["steps"]
+        assert np.abs(back(trace.meta["final_state"]) - base.meta["final_state"]).max() < 1e-12
+        assert abs(trace.meta["conserved_drift"] - base.meta["conserved_drift"]) < 1e-14
 
 
 @pytest.mark.parametrize("n, k", [(n, k) for n in (2, 3, 4) for k in range(1, n + 1)])
@@ -868,15 +902,21 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
              flows._SupportKernel),
             (r0, SpeedProfile.power_exp_pinned(2, 1.0),
              FlowConfig(kind="radial", t_end=0.05, output_interval=0.01), flows._RadialKernel)):
+        log = recorded_run(monkeypatch, kind)
         counts.update(dict.fromkeys(counts, 0))
         trace = run_flow(initial, profile, config)
         steps = trace.meta["steps"]
-        # the step is min(caps[0], caps[1] / a) whatever the output interval:
-        # support four steps of caps[1] / c_max = 0.111-0.133 and a clipped
-        # fifth to 0.55 (the spread cap binds above a = 0.47), radial one of
-        # caps[1] / c_max = 0.029 and a clipped second to 0.05 (a = max f / r^2
-        # = 1.38 near r = 0.9, above 1.14, so the spread cap binds)
-        assert steps == (2 if kind is flows._RadialKernel else 5) and not trace.breaches
+        # the step is min(caps[0], caps[1] / a) whatever the output interval,
+        # a the c_max of the state it starts from, and the last is clipped to
+        # t_end: support three steps of caps[1] / c_max = 0.158-0.189 and a
+        # clipped fourth to 0.55 (the spread cap binds above a = 0.5), radial
+        # one of caps[1] / c_max = 0.029 and a clipped second to 0.05 (a = max
+        # f / r^2 = 1.38 near r = 0.9, above 1.14, so the spread cap binds)
+        caps, c_max = kind.caps, log["c_max"]
+        full = [min(caps[0], caps[1] / c) for c in c_max[:steps - 1]]
+        assert log["steps"][:-1] == [(h, caps[1]) for h in full] and not trace.breaches
+        assert sum(full) < config.t_end < sum(full) + min(caps[0], caps[1] / c_max[steps - 1])
+        assert log["steps"][-1][0] == pytest.approx(config.t_end - sum(full))
         # the levels share the start's speed, which the accepted state's build
         # gives, and rounds 2..L take one speed of the stacked levels each
         assert counts["speed"] == steps * kind.levels
@@ -1634,8 +1674,8 @@ def test_adaptive_step_is_the_smaller_of_the_two_caps():
         rough = FlowConfig(kind="radial", t_end=0.1 / c_max, output_interval=0.01 / c_max)
         assert run_flow(r0, profile, rough).rows[1]["dt"] == spread / c_max
     # support steps take the support caps, min(step, spread / a): c_max is
-    # near 1 / (2 R) for k = 1 on S^2, and spread / step = 0.47, so the step
-    # cap binds at R = 2 and the spread cap at R = 1
+    # near 1 / (2 R) for k = 1 on S^2 (0.25 and 0.52 here), and spread / step
+    # = 0.5, so the step cap binds at R = 2 and the spread cap at R = 1
     step, spread = _SupportKernel.caps
     config = FlowConfig(kind="support", t_end=0.5, output_interval=0.01)
     grid = SphericalGrid.axisym(2, 32)
@@ -1650,7 +1690,7 @@ def test_adaptive_step_is_the_smaller_of_the_two_caps():
 def test_a_follows_c_max_under_the_spread_cap_on_one_sweep(monkeypatch, k):
     # while the spread cap sets the step its spread is caps[1], whatever a
     # is, so a follows c_max at no new sweep: a spheroid whose c_max falls
-    # from 2.65 to 0.53 (never below 0.35, where the step cap would bind)
+    # from 2.65 to 0.52 (never below 0.5, where the step cap would bind)
     # steps at caps[1] / c_max of each state it steps from, on one key set
     log = recorded_run(monkeypatch, _SupportKernel)
     grid = SphericalGrid.axisym(2, 32)  # a fresh grid holds no inverses
