@@ -101,7 +101,7 @@ from .geometry import (
     static_convexity,
 )
 from .sphere_grid import ScalarField, SphericalGrid
-from .symfunc import _pair_leave_one_out, sigma_quotient
+from .symfunc import _leave_one_out, _quotient_gradient, sigma_quotient
 
 __all__ = [
     "SpeedProfile",
@@ -478,20 +478,15 @@ class _SupportKernel(_Kernel):
         M_k = int sigma_{k-1} g(h) dmu with g = f^((n-k+1)/(n-k)), and g = 1
         at k = n, which admits constant profiles only; the run has converged
         once (max h - min h) / mean h < osc_tol.  The principal coefficients
-        h kappa_i^2 dF/dkappa_i take dF/dkappa from the leave-one-out sigmas
-        of the curvature pair.
+        h kappa_i^2 dF/dkappa_i of kappa1 and of one kappa2 weight symfunc's
+        quotient derivative, on the pair's leave-one-out lists, by kappa_i^2.
         """
         g, n, k, config = self.grid, self.n, self.k, self.config
         geom = self.build(h)
         value = _mk_integral(geom, np.ones_like(h) if k == n else self.profile.f(h), k)
-        kap1, kap2, sig = geom.kappa1, geom.kappa2, geom.sigma
-        less1, less2 = _pair_leave_one_out(kap1, kap2, n)
-        # d sigma_k (d) and d sigma_(k-1) (e) by kappa1 and by one kappa2
-        d1, d2 = less1[k - 1], less2[k - 1]
-        e1, e2 = (less1[k - 2], less2[k - 2]) if k > 1 else (0.0, 0.0)
-        scale = math.comb(n, k - 1) / math.comb(n, k) / sig[k - 1] ** 2
-        c1 = kap1**2 * scale * (d1 * sig[k - 1] - sig[k] * e1)
-        c2 = kap2**2 * scale * (d2 * sig[k - 1] - sig[k] * e2)
+        kap1, kap2 = geom.kappa1, geom.kappa2
+        rests = _leave_one_out([kap1] + [kap2] * (n - 1))[:2]
+        c1, c2 = _quotient_gradient(geom.sigma, rests, k, (kap1**2, kap2**2))
         c_max = float(np.max(np.abs(h) * np.maximum(c1, c2)))
         hmean = float(np.sum(g.weights * h) / np.sum(g.weights))
         return value, c_max, float((h.max() - h.min()) / hmean) < config.osc_tol, geom
@@ -554,6 +549,8 @@ def _extrapolated_step(kernel, u: np.ndarray, h: float, spread: float, start: np
 # recorded as a breach.
 _MONO_REL_TOL = 1e-8
 
+_MAX_FIXED_STEPS = 10**6  # dt_fixed is not floored: a run of more steps would not finish
+
 
 @dataclass
 class FlowConfig:
@@ -584,6 +581,8 @@ class FlowConfig:
             raise ValueError(f"t_end must be at least {sys.float_info.min!r}, got {self.t_end!r}")
         if not self.cfl <= 0.5:
             raise ValueError("cfl must lie in (0, 0.5]")
+        if self.dt_fixed is not None and not self.t_end / self.dt_fixed <= _MAX_FIXED_STEPS:
+            raise ValueError(f"dt_fixed {self.dt_fixed!r} takes more than {_MAX_FIXED_STEPS} steps to t_end")
 
 
 @dataclass(frozen=True)

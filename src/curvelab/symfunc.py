@@ -8,8 +8,10 @@ the Garding cone Gamma_k^+ = {E_1 > 0, ..., E_k > 0}.
 
 Matrix arguments are handled through their eigenvalues: a symmetric operator
 is diagonalized with LAPACK ``eigh`` and derivative tensors are rotated back
-to the original frame.  Evaluation uses the product-expansion recurrence over
-entries, which is exact at the small dimensions (n <= 8) this package targets.
+to the original frame.  The algebra exists once: one product-expansion
+recurrence (exact at the small dimensions n <= 8 this package targets), one
+leave-one-out over it and one dF/dkappa on that, which the support flow's
+c_max shares.
 The input's ndim picks the path.  One vector stays on Python floats from its
 entries to the answer, through the cone check, E_k, the eigenvalue derivatives
 and the Newton-MacLaurin gaps, since numpy's per-call cost would dominate
@@ -64,11 +66,14 @@ def _leave_one_out(values: list) -> list:
     return [_sigmas(values[:p] + values[p + 1:]) for p in range(len(values))]
 
 
-def _pair_leave_one_out(k1, k2, n: int) -> tuple:
-    """_leave_one_out of {k1, k2 x (n-1)}, entrywise: the lists of the values other than k1
-    and other than one k2, whose entry j - 1 is d sigma_j by that value."""
-    less1 = [1.0] + [math.comb(n - 1, j) * k2**j for j in range(1, n)]
-    return less1, sigma_pair(k1, k2, n - 1)
+def _quotient_gradient(sig, rests, k: int, weights) -> list:
+    """weights[p] dF/dkappa_p of F = E_k / E_{k-1}, with rests[p] the leave-one-out list of p:
+    C(n, k-1) / C(n, k) (rests[p][k-1] sigma_{k-1} - sigma_k rests[p][k-2]) / sigma_{k-1}^2,
+    no sigma_k term at k = 1; floats at one vector, arrays over a field's nodes."""
+    n = len(sig) - 1
+    scale = math.comb(n, k - 1) / math.comb(n, k) / sig[k - 1] ** 2
+    return [w * scale * (rest[k - 1] * sig[k - 1] - sig[k] * (rest[k - 2] if k > 1 else 0.0))
+            for rest, w in zip(rests, weights)]
 
 
 def sigma_all(kappa) -> np.ndarray:
@@ -165,21 +170,20 @@ def elementary_symmetric(kappa, k: int):
 def ek_derivative_eigen(kappa, k: int) -> np.ndarray:
     """Eigenvalue derivatives dE_k / dkappa_p, batched over leading axes.
 
-    Equals C(n,k)^-1 * sigma_{k-1} of the remaining n-1 entries.  One vector
-    runs its n leave-one-out lists through the recurrence on Python floats.
-    A batch gathers them with an (n, n-1) index, the off-diagonal columns of
-    an n x n grid, whose row p skips entry p, so one sigma_all call covers
-    every p.
+    Equals C(n,k)^-1 * sigma_{k-1} of the remaining n-1 entries, read from
+    the leave-one-out lists of one vector's Python floats or of a batch's
+    numpy columns.
     """
     kappa = np.asarray(kappa, dtype=float)
     n = kappa.shape[-1]
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
     c = math.comb(n, k)
-    if kappa.ndim == 1:
-        return np.array([rest[k - 1] / c for rest in _leave_one_out(kappa.tolist())])
-    rest = kappa[..., np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)]
-    return sigma_all(rest)[..., k - 1] / c
+    cols = kappa.tolist() if kappa.ndim == 1 else list(np.moveaxis(kappa, -1, 0))
+    out = np.empty(kappa.shape)
+    for p, rest in enumerate(_leave_one_out(cols)):
+        out[..., p] = rest[k - 1] / c
+    return out
 
 
 def ek_derivative_tensor(a, k: int) -> np.ndarray:
@@ -219,20 +223,9 @@ def curvature_quotient(kappa, k: int) -> float:
 
 
 def curvature_quotient_gradient(kappa, k: int) -> np.ndarray:
-    """Per-eigenvalue gradient dF/dkappa_p of F = E_k / E_{k-1}.
-
-    dE_k / dkappa_p and dE_{k-1} / dkappa_p are sigma_{k-1} and sigma_{k-2}
-    of the entries other than kappa_p, read from one leave-one-out pass.
-    """
+    """Per-eigenvalue gradient dF/dkappa_p of F = E_k / E_{k-1}, from one leave-one-out pass."""
     values, sig = _sigma_in_cone(kappa, k)
-    n = len(values)
-    if k == 1:
-        return np.full(n, 1.0 / n)
-    ck, ckm1 = math.comb(n, k), math.comb(n, k - 1)
-    ek, ekm1 = sig[k] / ck, sig[k - 1] / ckm1
-    den = ekm1**2
-    return np.array([(rest[k - 1] / ck * ekm1 - ek * (rest[k - 2] / ckm1)) / den
-                     for rest in _leave_one_out(values)])
+    return np.array(_quotient_gradient(sig, _leave_one_out(values), k, [1.0] * len(values)))
 
 
 def newton_maclaurin_gap(kappa, k: int, m: int) -> float:

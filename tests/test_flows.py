@@ -381,8 +381,9 @@ def test_euler_step_covers_the_linearized_speed(kind, k, amp):
     (SphericalGrid.full_s2(8, 16), 1), (SphericalGrid.full_s2(8, 16), 2),
 ], ids=repr)
 def test_support_c_max_is_the_vector_quotient_gradient_at_the_worst_node(grid, k):
-    # assess reads dF/dkappa from the curvature pair's leave-one-out sigmas;
-    # the vector form reads it from each node's whole curvature vector
+    # assess weights dF/dkappa of the curvature pair's first two entries by
+    # kappa_i^2; the vector form reads dF/dkappa from each node's whole
+    # curvature vector
     h = random_convex_support(grid, np.random.default_rng(k), amp=0.2).values
     _, c_max, _, geom = _kernel(grid, None, FlowConfig(kind="support", k=k, t_end=1.0)).assess(h)
     kappa = geom.kappa.reshape(-1, grid.n)
@@ -1501,6 +1502,18 @@ def test_flow_config_needs_its_required_numbers(name):
     with pytest.raises(ValueError, match=name):
         FlowConfig(**{"kind": "radial", "t_end": 1.0, name: None})
     assert FlowConfig(kind="radial", t_end=1, output_interval=None, dt_fixed=np.float64(0.1)).t_end == 1
+
+
+def test_flow_config_rejects_a_fixed_step_run_that_cannot_finish():
+    # dt_fixed is not floored, so 1e-300 would step a 1.0 run forever (it ran
+    # past 10 s on an axisym-16 sphere); more than _MAX_FIXED_STEPS steps to
+    # t_end is refused at construction, and the bound itself is accepted
+    from curvelab.flows import _MAX_FIXED_STEPS
+
+    for t_end, dt_fixed in ((1.0, 1e-300), (1e300, 1e-300), (1.0, 1.0 / (2 * _MAX_FIXED_STEPS))):
+        with pytest.raises(ValueError, match="dt_fixed"):
+            FlowConfig(kind="radial", t_end=t_end, dt_fixed=dt_fixed)
+    assert FlowConfig(kind="support", t_end=float(_MAX_FIXED_STEPS), dt_fixed=1.0).dt_fixed == 1.0
 
 
 def test_flow_config_rejects_a_subnormal_t_end():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvelab import (
     ScalarField,
@@ -84,6 +85,40 @@ def test_quermass_spheroid_between_inscribed_and_circumscribed():
     hi = quermassintegrals(radial_geometry(sphere_radial(grid, 1.2)))
     for j in range(3):
         assert lo[j] < quermass[j] < hi[j]
+
+
+ELLIPSOID_AXES = np.array([1.3, 1.0, 0.8])
+ROTATION_GRIDS = [SphericalGrid.full_s2(24, 48), SphericalGrid.full_s2(48, 96)]
+
+
+def tilted_ellipsoid_quermass(kind, grid, q):
+    """quermassintegrals of the ellipsoid with ELLIPSOID_AXES along the columns of q."""
+    u = grid.xi() @ q  # each node's direction in the ellipsoid's frame
+    if kind == "radial":
+        r = np.sum(u**2 / ELLIPSOID_AXES**2, axis=-1) ** -0.5
+        return quermassintegrals(radial_geometry(ScalarField(grid, r)))
+    h = np.sum(u**2 * ELLIPSOID_AXES**2, axis=-1) ** 0.5
+    return quermassintegrals(support_geometry(ScalarField(grid, h)))
+
+
+@pytest.mark.parametrize("kind, c", [("radial", 0.11), ("support", 0.14)])
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_quermassintegrals_are_rotation_invariant_to_second_order(kind, c, seed):
+    # the relative spread of V_0..V_3 over the axis-aligned ellipsoid and
+    # three rotations of it (QR of Gaussian matrices) is discretization error:
+    # it stays below c dtheta^2 and falls at order 2 from 24x48 to 48x96;
+    # over 200 draws of three rotations c read at most 0.087 (radial) and
+    # 0.111 (support), and the order at least 1.88 and 1.95
+    rng = np.random.default_rng(seed)
+    rotations = [np.eye(3)] + [np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(3)]
+    spreads = []
+    for grid in ROTATION_GRIDS:
+        values = np.array([tilted_ellipsoid_quermass(kind, grid, q) for q in rotations])
+        spread = float(np.max((values.max(axis=0) - values.min(axis=0)) / values.mean(axis=0)))
+        assert spread <= c * (math.pi / grid.n_theta) ** 2
+        spreads.append(spread)
+    assert math.log2(spreads[0] / spreads[1]) >= 1.7
 
 
 # -- mean-curvature deficit ------------------------------------------------------

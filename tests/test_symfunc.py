@@ -17,8 +17,6 @@ from curvelab import (
 )
 from curvelab.errors import ConeViolation
 from curvelab.symfunc import (
-    _leave_one_out,
-    _pair_leave_one_out,
     ek_derivative_eigen,
     require_cone,
     sigma_all,
@@ -98,7 +96,7 @@ def test_sigma_all_vector_equals_its_batch_row_bit_for_bit(case):
     batch = np.array(rows, dtype=float).reshape(len(rows), n)
     sig = sigma_all(batch)
     assert sig.shape == (len(rows), n + 1)
-    derivs = [None] + [ek_derivative_eigen(batch, k) for k in range(1, n + 1)]
+    less = [sigma_all(np.delete(batch, p, axis=-1)) for p in range(n)]  # d sigma_j by kappa_p at j - 1
     for r, (row, want) in enumerate(zip(batch, sig)):
         got = sigma_all(row)
         assert got.shape == (n + 1,) and got.tobytes() == want.tobytes()
@@ -116,10 +114,11 @@ def test_sigma_all_vector_equals_its_batch_row_bit_for_bit(case):
             for m in range(k, n + 1):
                 assert newton_maclaurin_gap(row, k, m) == e[k] * e[m] - e[m + 1] * e[k - 1]
             grad = curvature_quotient_gradient(row, k)
-            if k > 1:
-                want_grad = (derivs[k][r] * e[k - 1] - e[k] * derivs[k - 1][r]) / e[k - 1] ** 2
-            else:
-                want_grad = derivs[k][r]
+            # C(n, k-1) / C(n, k) (d sigma_k s_(k-1) - s_k d sigma_(k-1)) / s_(k-1)^2 on floats
+            s = want.tolist()
+            scale = math.comb(n, k - 1) / math.comb(n, k) / s[k - 1] ** 2
+            dk = [(float(d[r, k - 1]), float(d[r, k - 2]) if k > 1 else 0.0) for d in less]
+            want_grad = np.array([scale * (a * s[k - 1] - s[k] * b) for a, b in dk])
             assert grad.shape == (n,) and grad.tobytes() == want_grad.tobytes()
 
 
@@ -147,24 +146,6 @@ def test_sigma_pair_is_sigma_all_of_the_pair_vector(n):
     k1, k2 = np.random.default_rng(n).uniform(-1.0, 2.0, size=(2, 5, 3))
     want = sigma_all(np.stack([k1] + [k2] * (n - 1), axis=-1))
     assert_lists_close(sigma_pair(k1, k2, n), [want[..., j] for j in range(n + 1)])
-
-
-@pytest.mark.parametrize("n", range(2, 8))
-def test_pair_leave_one_out_is_the_leave_one_out_of_the_pair_vector(n):
-    k1, k2 = np.random.default_rng(10 + n).uniform(-1.0, 2.0, size=(2, 5, 3))
-    lists = _leave_one_out([k1] + [k2] * (n - 1))
-    less1, less2 = _pair_leave_one_out(k1, k2, n)
-    assert len(less1) == len(less2) == n  # sigma_0..sigma_(n-1) of n - 1 values
-    assert_lists_close(less1, lists[0])
-    for rest in lists[1:]:  # every copy of k2 leaves the same list
-        assert_lists_close(less2, rest)
-    # entry j - 1 is d sigma_j by that value, at one vector by central differences
-    kappa, eps = np.array([k1[0, 0]] + [k2[0, 0]] * (n - 1)), 1e-6
-    for p, less in ((0, less1), (1, less2)):
-        step = np.eye(n)[p] * eps
-        fd = (sigma_all(kappa + step) - sigma_all(kappa - step))[1:] / (2 * eps)
-        got = [np.broadcast_to(s, k1.shape)[0, 0] for s in less]
-        assert np.allclose(got, fd, rtol=1e-7, atol=1e-8)
 
 
 # -- derivative tensor -------------------------------------------------------
