@@ -492,12 +492,14 @@ class _SupportKernel(_Kernel):
         return value, c_max, float((h.max() - h.min()) / hmean) < config.osc_tol, geom
 
 
+_KERNELS = {"radial": _RadialKernel, "support": _SupportKernel}
+
+
 def _kernel(grid: SphericalGrid, profile: SpeedProfile | None, config: "FlowConfig"):
     """The stepper kernel of ``config.kind``; no profile means f = 1."""
     if not 1 <= config.k <= grid.n:
         raise ValueError(f"{config.kind} flow needs 1 <= k <= n, got k = {config.k}")
-    kernel = _RadialKernel if config.kind == "radial" else _SupportKernel
-    return kernel(grid, profile or SpeedProfile.constant(1.0), config)
+    return _KERNELS[config.kind](grid, profile or SpeedProfile.constant(1.0), config)
 
 
 # The adaptive step's floor, relative to max(1, t): below it c_max has blown
@@ -549,7 +551,8 @@ def _extrapolated_step(kernel, u: np.ndarray, h: float, spread: float, start: np
 # recorded as a breach.
 _MONO_REL_TOL = 1e-8
 
-_MAX_FIXED_STEPS = 10**6  # dt_fixed is not floored: a run of more steps would not finish
+# a run of more steps of dt_fixed, or of its kind's step cap, would not finish
+_MAX_STEPS = 10**6
 
 
 @dataclass
@@ -568,7 +571,7 @@ class FlowConfig:
     force: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("radial", "support"):
+        if self.kind not in _KERNELS:
             raise ValueError(f"unknown flow kind {self.kind!r}")
         if isinstance(self.k, bool) or not isinstance(self.k, int):
             raise ValueError(f"k must be an integer, got {self.k!r}")
@@ -581,8 +584,9 @@ class FlowConfig:
             raise ValueError(f"t_end must be at least {sys.float_info.min!r}, got {self.t_end!r}")
         if not self.cfl <= 0.5:
             raise ValueError("cfl must lie in (0, 0.5]")
-        if self.dt_fixed is not None and not self.t_end / self.dt_fixed <= _MAX_FIXED_STEPS:
-            raise ValueError(f"dt_fixed {self.dt_fixed!r} takes more than {_MAX_FIXED_STEPS} steps to t_end")
+        dt, name = (self.dt_fixed, "dt_fixed") if self.dt_fixed else (_KERNELS[self.kind].caps[0], "step cap")
+        if not self.t_end / dt <= _MAX_STEPS:
+            raise ValueError(f"{name} {dt!r} takes more than {_MAX_STEPS} steps to t_end {self.t_end!r}")
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ Brendle's (J. Amer. Math. Soc. 34 (2021) 595-603), which has the constant
 n |B^n|^(1/n) in place of n |S^n|^(1/n), so the relative deficit is at least
 (|B^n| / |S^n|)^(1/n) - 1 (-1/2 for n = 2).
 
-k-th mean curvature deficit.  With sigma_k the k-th elementary symmetric
-function of the principal curvatures and p = (n+1-k)/(n-k),
+k-th mean curvature deficit.  With sigma_k = geom.sigma[k] (read-only), the k-th
+elementary symmetric function of the principal curvatures, and p = (n+1-k)/(n-k),
 
     lhs = int_M sqrt(sigma_k^2 f^2 + sigma_{k-1}^2 |grad^M f|^2) dmu
     rhs = C * n * (B * f(R)^p * z_k(R))^(1/(n+1-k)) * (int_M sigma_{k-1} f^p dmu)^((n-k)/(n+1-k))
@@ -34,11 +34,11 @@ Two calibration modes are exposed because the printed binomial prefactors of
 the source inequality are mutually inconsistent for k >= 2:
 
 * "paper-literal": B = C(n, k), C = 1 (reproduces the printed constant);
-* "sphere-calibrated" (default): B = C(n, k-1) and C = C(n, k) / (n C(n, k-1))
-  (calibrate_sharp_constant), so the deficit vanishes identically on every
-  sphere paired with its matched constant f = R^-(n-k).  In that mode the
-  deficit inequality is equivalent to the classical quermassintegral
-  inequality V_{k+1}^(n+1-k) >= |S^n| V_k^(n-k), sharp on balls.
+* "sphere-calibrated" (default): B = C(n, k-1) and C = C(n, k) / (n C(n, k-1)),
+  so the deficit vanishes identically on every sphere paired with its matched
+  constant f = R^-(n-k).  In that mode the deficit inequality is equivalent
+  to the classical quermassintegral inequality V_{k+1}^(n+1-k) >= |S^n|
+  V_k^(n-k), sharp on balls.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ __all__ = [
     "michael_simon_deficit_H",
     "michael_simon_deficit_k",
     "monotone_quantities",
-    "calibrate_sharp_constant",
 ]
 
 
@@ -155,17 +154,6 @@ def michael_simon_deficit_H(geom: CurvatureField, f=None, grad_f=None) -> Defici
 CALIBRATIONS = ("sphere-calibrated", "paper-literal")
 
 
-def calibrate_sharp_constant(n: int, k: int) -> float:
-    """Constant making the k-deficit vanish exactly on the unit sphere, f = 1.
-
-    There lhs = C(n, k) |S^n| and, with the B = C(n, k-1) prefactor, the rhs
-    without C is n C(n, k-1) |S^n|, so C = C(n, k) / (n C(n, k-1)).
-    """
-    if not 1 <= k <= n - 1:
-        raise ValueError("need 1 <= k <= n - 1")
-    return math.comb(n, k) / (n * math.comb(n, k - 1))
-
-
 def michael_simon_deficit_k(
     geom: CurvatureField,
     f=None,
@@ -205,8 +193,9 @@ def michael_simon_deficit_k(
         b_coef = math.comb(n, k)
         cal = 1.0
     else:
+        # the unit sphere, f = 1, has lhs C(n, k) |S^n| and rhs C n C(n, k-1) |S^n|
         b_coef = math.comb(n, k - 1)
-        cal = calibrate_sharp_constant(n, k)
+        cal = math.comb(n, k) / (n * math.comb(n, k - 1))
     zk = ball_quermass(k, radius, n)
     rhs = cal * (
         n

@@ -29,7 +29,8 @@ vectors (position, normal) come from the grid's embedding, xi() and frame().
 
 Every surface here has two distinct principal values per node, of
 multiplicities 1 and n - 1 (the 2x2 eigenvalues on full-s2 grids, the
-meridional and azimuthal values on axisymmetric ones).  _radial_field and
+meridional and azimuthal values on axisymmetric ones), and the field's
+sigma_j are symfunc's recurrence on them (read-only).  _radial_field and
 _support_field build a CurvatureField, that pair included, from one
 derivative pass for both grid modes (_principal_radii is the support one's
 algebra, unchecked); it is a flow kernel's build of a state, read by its
@@ -55,7 +56,7 @@ from .errors import (
     ZeroMeanCurvature,
 )
 from .sphere_grid import ScalarField, SphericalGrid
-from .symfunc import sigma_pair
+from .symfunc import _sigmas
 
 __all__ = [
     "CurvatureField",
@@ -118,8 +119,8 @@ class CurvatureField:
 
     @functools.cached_property
     def sigma(self) -> list:
-        """[sigma_0, ..., sigma_n] of the principal curvatures, per node."""
-        return sigma_pair(self.kappa1, self.kappa2, self.n)
+        """[sigma_0, ..., sigma_n] per node: symfunc's recurrence on the pair vector; read-only."""
+        return _sigmas([self.kappa1] + [self.kappa2] * (self.n - 1))
 
     @functools.cached_property
     def area_weights(self) -> np.ndarray:

@@ -11,18 +11,13 @@ is diagonalized with LAPACK ``eigh`` and derivative tensors are rotated back
 to the original frame.  The algebra exists once: one product-expansion
 recurrence (exact at the small dimensions n <= 8 this package targets), one
 leave-one-out over it and one dF/dkappa on that, which the support flow's
-c_max shares.
+c_max shares, and every CurvatureField's sigma_j; sigma entries are read-only.
 The input's ndim picks the path.  One vector stays on Python floats from its
 entries to the answer, through the cone check, E_k, the eigenvalue derivatives
 and the Newton-MacLaurin gaps, since numpy's per-call cost would dominate
 there; only a returned array is packed.  A batch runs the same recurrence on
 numpy columns, with the same IEEE rounding, so a vector and its row in a batch
 agree bit for bit.
-
-Every surface the package builds has two distinct principal values per node,
-k1 of multiplicity 1 and k2 of multiplicity n - 1 (the two eigenvalues on
-S^2 grids, the meridional and azimuthal values on axisymmetric ones);
-sigma_pair gives their symmetric functions in closed form.
 """
 
 from __future__ import annotations
@@ -35,11 +30,9 @@ from .errors import ConeViolation
 
 __all__ = [
     "sigma_all",
-    "sigma_pair",
     "sigma_quotient",
     "require_cone",
     "elementary_symmetric",
-    "ek_derivative_eigen",
     "ek_derivative_tensor",
     "curvature_quotient",
     "curvature_quotient_gradient",
@@ -52,12 +45,16 @@ def _sigmas(entries) -> list:
     """[sigma_0, ..., sigma_n] of n entries by the product-expansion recurrence.
 
     The entries are Python floats for one vector or numpy arrays (the columns
-    of a batch); both take the same IEEE operations in the same order.
+    of a batch); both take the same IEEE operations in the same order.  Adding
+    to 0 and multiplying by sigma_0 = 1 are skipped, which keeps every bit but
+    a zero's sign; sigma_1 of one entry is that entry, so entries are read-only.
     """
-    sig = [1.0] + [0.0] * len(entries)
-    for i, x in enumerate(entries):
-        for j in range(i + 1, 0, -1):
+    sig = [1.0] + list(entries[:1])
+    for x in entries[1:]:
+        sig.append(x * sig[-1])
+        for j in range(len(sig) - 2, 1, -1):
             sig[j] = sig[j] + x * sig[j - 1]
+        sig[1] = sig[1] + x
     return sig
 
 
@@ -92,27 +89,6 @@ def sigma_all(kappa) -> np.ndarray:
     for j, s in enumerate(sig):
         out[..., j] = s
     return out
-
-
-def sigma_pair(k1, k2, n: int) -> list:
-    """[sigma_0, ..., sigma_n] of the multiset {k1, k2 x (n-1)}, entrywise.
-
-    Splitting the j-subsets by whether they contain k1:
-    sigma_j = (C(n-1, j-1) k1 + C(n-1, j) k2) k2^(j-1).  Entry j is sigma_j,
-    as in the output of sigma_all for one curvature vector.  Unit and zero
-    factors are skipped, so n = 2 takes two array operations (the flow
-    kernels call this at every stage).
-    """
-    sig = [1.0]
-    for j in range(1, n + 1):
-        a, b = math.comb(n - 1, j - 1), math.comb(n - 1, j)
-        s = k1 if a == 1 else a * k1
-        if b:
-            s = s + (k2 if b == 1 else b * k2)
-        if j > 1:
-            s = s * (k2 if j == 2 else k2 ** (j - 1))
-        sig.append(s)
-    return sig
 
 
 def sigma_quotient(sig, k: int):
@@ -167,7 +143,7 @@ def elementary_symmetric(kappa, k: int):
     return sigma_all(kappa)[..., k] / math.comb(n, k)
 
 
-def ek_derivative_eigen(kappa, k: int) -> np.ndarray:
+def _ek_derivative_eigen(kappa, k: int) -> np.ndarray:
     """Eigenvalue derivatives dE_k / dkappa_p, batched over leading axes.
 
     Equals C(n,k)^-1 * sigma_{k-1} of the remaining n-1 entries, read from
@@ -199,7 +175,7 @@ def ek_derivative_tensor(a, k: int) -> np.ndarray:
     to round-off.
     """
     w, q = np.linalg.eigh(np.asarray(a, dtype=float))
-    return (q * ek_derivative_eigen(w, k)) @ q.T
+    return (q * _ek_derivative_eigen(w, k)) @ q.T
 
 
 def gamma_cone_member(kappa, k: int) -> bool:

@@ -503,6 +503,10 @@ FIELD_AXISYM_16_SPHERE = Path(__file__).parent / "data" / "field_axisym_16_spher
                  id="verify-constant-value-negative"),
     pytest.param("verify", VERIFY_AXISYM_CFG, {"profile": {"kind": "bogus"}}, id="verify-profile-kind"),
     pytest.param("flow", RADIAL_CFG, {"run": {"t_end": 1.0, "dt_fixed": 1e-300}}, id="flow-dt-fixed-unfinishable"),
+    pytest.param("flow", RADIAL_CFG, {"kind": "support", "grid": {"mode": "axisym", "n": 2, "n_theta": 16},
+                                      "initial": {"shape": "sphere", "radius": 1.0, "center": 0.1},
+                                      "run": {"t_end": 1e7, "osc_tol": 1e-300, "output_interval": 1e6}},
+                 id="flow-adaptive-unfinishable"),
     pytest.param("flow", RADIAL_CFG, {"seed": -1}, id="flow-seed-negative"),
     pytest.param("flow", RADIAL_CFG, {"seed": "abc"}, id="flow-seed-string"),
     pytest.param("verify", VERIFY_AXISYM_CFG, {"seed": -1}, id="verify-seed-negative"),

@@ -49,7 +49,7 @@ from curvelab.shapes import (
     random_convex_support, random_starshaped, sphere_radial, sphere_support, spheroid_support,
 )
 from curvelab.sphere_grid import sphere_area
-from curvelab.symfunc import ek_derivative_eigen, elementary_symmetric, sigma_all
+from curvelab.symfunc import _ek_derivative_eigen, elementary_symmetric, sigma_all
 
 
 # -- profiles and validators -----------------------------------------------------
@@ -307,7 +307,7 @@ def test_support_speed_contraction_identity_path():
         direct = support_speed(field, k)
         kap = geom.kappa.reshape(-1, 2)
         h = geom.support.reshape(-1)
-        dek = ek_derivative_eigen(kap, k)
+        dek = _ek_derivative_eigen(kap, k)
         ekm1 = sigma_all(kap)[:, k - 1] / math.comb(2, k - 1)
         contraction = np.sum(dek * (1.0 - h[:, None] * kap), axis=1) / (k * ekm1)
         assert np.abs(direct.reshape(-1) - contraction).max() < 1e-9
@@ -390,6 +390,21 @@ def test_support_c_max_is_the_vector_quotient_gradient_at_the_worst_node(grid, k
     want = max(hv * float(np.max(row**2 * curvature_quotient_gradient(row, k)))
                for hv, row in zip(h.ravel(), kappa))
     assert c_max == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("grid", [SphericalGrid.axisym(2, 24), SphericalGrid.axisym(3, 24),
+                                  SphericalGrid.full_s2(12, 24)], ids=lambda g: f"{g.mode}-{g.n}")
+def test_support_assess_and_speed_leave_the_curvature_pair_unchanged(grid):
+    # at n = 2 the leave-one-out lists [kappa2] and [kappa1] give back the
+    # field's own arrays as their sigma_1, so nothing downstream of sigma may
+    # write into them
+    h = random_convex_support(grid, np.random.default_rng(5), amp=0.2).values
+    for k in range(1, grid.n + 1):
+        kernel = _kernel(grid, None, FlowConfig(kind="support", k=k, t_end=1.0))
+        geom = kernel.assess(h)[3]
+        kernel.speed(geom)
+        fresh = kernel.build(h)
+        assert (geom.kappa1.tobytes(), geom.kappa2.tobytes()) == (fresh.kappa1.tobytes(), fresh.kappa2.tobytes())
 
 
 # -- integration runs ------------------------------------------------------------------
@@ -1506,14 +1521,33 @@ def test_flow_config_needs_its_required_numbers(name):
 
 def test_flow_config_rejects_a_fixed_step_run_that_cannot_finish():
     # dt_fixed is not floored, so 1e-300 would step a 1.0 run forever (it ran
-    # past 10 s on an axisym-16 sphere); more than _MAX_FIXED_STEPS steps to
+    # past 10 s on an axisym-16 sphere); more than _MAX_STEPS steps to
     # t_end is refused at construction, and the bound itself is accepted
-    from curvelab.flows import _MAX_FIXED_STEPS
+    from curvelab.flows import _MAX_STEPS
 
-    for t_end, dt_fixed in ((1.0, 1e-300), (1e300, 1e-300), (1.0, 1.0 / (2 * _MAX_FIXED_STEPS))):
+    for t_end, dt_fixed in ((1.0, 1e-300), (1e300, 1e-300), (1.0, 1.0 / (2 * _MAX_STEPS))):
         with pytest.raises(ValueError, match="dt_fixed"):
             FlowConfig(kind="radial", t_end=t_end, dt_fixed=dt_fixed)
-    assert FlowConfig(kind="support", t_end=float(_MAX_FIXED_STEPS), dt_fixed=1.0).dt_fixed == 1.0
+    assert FlowConfig(kind="support", t_end=float(_MAX_STEPS), dt_fixed=1.0).dt_fixed == 1.0
+
+
+def test_flow_config_rejects_an_adaptive_run_that_cannot_finish():
+    # a convergence test that cannot pass leaves an adaptive run to step at
+    # its cap until t_end: 5e7 support steps here ran past a 10 s timeout.
+    # t_end / step cap > _MAX_STEPS is refused at once; the bound itself
+    # (35,000 radial, 200,000 support) is accepted, and a dt_fixed run is
+    # bounded by its own step instead
+    from curvelab.flows import _MAX_STEPS, _KERNELS
+
+    with pytest.raises(ValueError, match="step cap"):
+        config = FlowConfig(kind="support", t_end=1e7, osc_tol=1e-300, output_interval=1e6)
+        run_flow(sphere_support(SphericalGrid.axisym(2, 16), 1.0, center=0.1), None, config)
+    for kind, t_end in (("radial", 35_000.0), ("support", 200_000.0)):
+        assert _MAX_STEPS * _KERNELS[kind].caps[0] == pytest.approx(t_end, rel=1e-12)
+        assert FlowConfig(kind=kind, t_end=t_end).t_end == t_end
+        with pytest.raises(ValueError, match="step cap"):
+            FlowConfig(kind=kind, t_end=1.001 * t_end)
+    assert FlowConfig(kind="radial", t_end=1e5, dt_fixed=0.1).t_end == 1e5
 
 
 def test_flow_config_rejects_a_subnormal_t_end():

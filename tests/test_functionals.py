@@ -22,7 +22,7 @@ from curvelab import (
     support_geometry,
 )
 from curvelab.errors import ConeViolation, NonpositiveDensity, NonpositiveSupport, ZeroMeanCurvature
-from curvelab.functionals import _mk_integral, calibrate_sharp_constant
+from curvelab.functionals import _mk_integral
 from curvelab.geometry import _convexity_margins, _radial_field, _support_field
 from curvelab.shapes import (
     random_convex_support,
@@ -196,21 +196,6 @@ def test_deficit_H_scaling_covariance():
 
 
 # -- k-th mean curvature deficit ---------------------------------------------------
-
-
-def test_calibration_constants():
-    assert calibrate_sharp_constant(2, 1) == pytest.approx(1.0, rel=1e-12)
-    for n in (3, 4, 5, 6):
-        assert calibrate_sharp_constant(n, 1) == pytest.approx(1.0, rel=1e-12)
-    # closed form C(n,k) / (n C(n,k-1)) emerges from the sphere evaluation
-    for n in (3, 4, 5, 6):
-        for k in range(1, n):
-            expected = math.comb(n, k) / (n * math.comb(n, k - 1))
-            assert calibrate_sharp_constant(n, k) == pytest.approx(expected, rel=1e-12)
-    # and it is the constant itself, to the last bit, for every n <= 8
-    for n in range(2, 9):
-        for k in range(1, n):
-            assert calibrate_sharp_constant(n, k) == math.comb(n, k) / (n * math.comb(n, k - 1)), (n, k)
 
 
 def test_deficit_k_unit_sphere_idempotent():

@@ -1,9 +1,10 @@
-"""Mutants of the shared curvature algebra and the flow speeds, each caught by a named test.
+"""Mutants of the shared curvature algebra, the flow speeds and the flows' monitors,
+each caught by a named test.
 
-A mutant replaces one function by a one-line variant (a monkeypatch in every
-curvelab module that holds the name) and calls the tier-1 test it must fail;
-the unmutated test passes in the tier-1 run, so each case shows that test can
-see the change.
+A mutant replaces one function by a one-line variant, or one constant (a
+monkeypatch in every curvelab module that holds the name), and calls the
+tier-1 test it must fail; the unmutated test passes in the tier-1 run, so
+each case shows that test can see the change.
 """
 
 import math
@@ -13,15 +14,58 @@ import pytest
 
 import test_flows
 import test_symfunc
-from curvelab import SphericalGrid, flows, symfunc
+from curvelab import SphericalGrid, flows, functionals, geometry, symfunc
 from curvelab.symfunc import _sigmas
 
 
 def mutate(monkeypatch, name, replacement):
-    """Replace ``name`` in symfunc and in flows, wherever the module holds it."""
-    for module in (symfunc, flows):
+    """Replace ``name`` in symfunc, geometry, functionals and flows, wherever the module holds it."""
+    for module in (symfunc, geometry, functionals, flows):
         if hasattr(module, name):
             monkeypatch.setattr(module, name, replacement)
+
+
+def test_sigmas_without_its_sigma_1_sum_is_caught(monkeypatch):
+    def no_sigma_1_sum(entries):
+        sig = [1.0] + list(entries[:1])
+        for x in entries[1:]:
+            sig.append(x * sig[-1])
+            for j in range(len(sig) - 2, 1, -1):
+                sig[j] = sig[j] + x * sig[j - 1]
+        return sig
+
+    mutate(monkeypatch, "_sigmas", no_sigma_1_sum)
+    # sigma_all runs the same mutant, so only the test's subset-sum oracle sees it
+    with pytest.raises(AssertionError):
+        test_symfunc.test_field_sigma_is_sigma_all_of_the_pair_vector(SphericalGrid.axisym(2, 24), "support")
+
+
+def test_monotone_breach_threshold_1e_3_is_caught(monkeypatch):
+    # M5: the scripted 2e-8 rise of Q is no longer a breach
+    monkeypatch.setattr(flows, "_MONO_REL_TOL", 1e-3)
+    with pytest.raises(AssertionError):
+        test_flows.test_a_rise_above_1e_8_of_q_is_one_monotone_breach(monkeypatch)
+
+
+def test_q_exponent_1_is_caught(monkeypatch):
+    # M8: Q = int f dmu in place of int f^(n/(n-1)) dmu; a radius-1.3 sphere's
+    # Q row no longer equals f(R)^2 |S^2| R^2
+    def q_linear(geom, f):
+        return geom.grid.reduce(geom.area_weights * f ** 1.0)
+
+    mutate(monkeypatch, "_q_integral", q_linear)
+    with pytest.raises(AssertionError):
+        test_flows.test_sphere_rows_match_the_closed_forms("axisym", 2, "radial", 1, 1.3)
+
+
+def test_sphericity_with_2_for_n_is_caught(monkeypatch):
+    # M14: n |A|^2 / H^2 - 1 with 2 in place of n reads -1/3 on an n = 3 sphere
+    def sphericity_2(field):
+        return field.grid.reduce(2 * field.A2 / field.H**2 - 1.0, "max")
+
+    mutate(monkeypatch, "sphericity", sphericity_2)
+    with pytest.raises(AssertionError):
+        test_flows.test_sphere_rows_match_the_closed_forms("axisym", 3, "support", 1, 1.3)
 
 
 def test_support_c_max_from_the_smaller_coefficient_is_caught(monkeypatch):

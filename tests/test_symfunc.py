@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvelab import (
+    SphericalGrid,
     curvature_quotient,
     curvature_quotient_gradient,
     ek_derivative_tensor,
@@ -16,11 +17,13 @@ from curvelab import (
     newton_maclaurin_gap,
 )
 from curvelab.errors import ConeViolation
+from curvelab.geometry import _radial_field, _support_field
+from curvelab.shapes import random_convex_support, random_starshaped
 from curvelab.symfunc import (
-    ek_derivative_eigen,
+    _ek_derivative_eigen,
+    _sigmas,
     require_cone,
     sigma_all,
-    sigma_pair,
     sigma_quotient,
 )
 
@@ -130,22 +133,56 @@ def test_sigma_all_shapes():
     assert sigma_all(np.ones((2, 3, 2))).shape == (2, 3, 3)
 
 
-# -- the curvature pair {k1, k2 x (n-1)} --------------------------------------
+def plain_sigmas(entries):
+    """The product-expansion recurrence with its identity steps (adding to 0,
+    multiplying by sigma_0 = 1), as written before symfunc trimmed them."""
+    sig = [1.0] + [0.0] * len(entries)
+    for i, x in enumerate(entries):
+        for j in range(i + 1, 0, -1):
+            sig[j] = sig[j] + x * sig[j - 1]
+    return sig
 
 
-def assert_lists_close(got, want):
-    """Entrywise agreement to round-off of two lists of per-node arrays (or floats)."""
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        g, w = np.broadcast_arrays(g, w)
-        assert np.abs(g - w).max() <= 1e-13 * (1.0 + np.abs(w).max())
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(
+    st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3), min_size=n, max_size=n)))
+def test_trimmed_recurrence_gives_the_bits_of_the_plain_one(rows):
+    # the trim skips exact steps only: every value matches to the bit, and
+    # adding 0.0, which turns -0.0 into 0.0 and leaves all else alone, shows
+    # that the sign of a zero is the only bit that can differ
+    for entries in ([row[0] for row in rows], [np.array(row) for row in rows]):
+        got, want = _sigmas(entries), plain_sigmas(entries)
+        assert len(got) == len(want) == len(rows) + 1
+        for g, w in zip(got, want):
+            assert np.all(g == w)
+            assert (np.float64(g) + 0.0).tobytes() == (np.float64(w) + 0.0).tobytes()
 
 
-@pytest.mark.parametrize("n", range(2, 8))
-def test_sigma_pair_is_sigma_all_of_the_pair_vector(n):
-    k1, k2 = np.random.default_rng(n).uniform(-1.0, 2.0, size=(2, 5, 3))
-    want = sigma_all(np.stack([k1] + [k2] * (n - 1), axis=-1))
-    assert_lists_close(sigma_pair(k1, k2, n), [want[..., j] for j in range(n + 1)])
+# -- the curvature fields' sigma ------------------------------------------------
+
+
+FIELD_GRIDS = [SphericalGrid.axisym(n, 24) for n in range(2, 6)] + [SphericalGrid.full_s2(24, 48)]
+
+
+@pytest.mark.parametrize("kind", ["radial", "support"])
+@pytest.mark.parametrize("grid", FIELD_GRIDS, ids=lambda g: f"{g.mode}-{g.n}")
+def test_field_sigma_is_sigma_all_of_the_pair_vector(grid, kind):
+    # a field's sigma is the recurrence on (kappa1, kappa2 x (n - 1)): it has
+    # sigma_all's bits for the stacked vector, and the subset-product sums to
+    # 1e-13 of the largest sigma_j, as an independent oracle
+    rng = np.random.default_rng(grid.n)
+    if kind == "radial":
+        geom = _radial_field(grid, random_starshaped(grid, rng, amp=0.1).values)
+    else:
+        geom = _support_field(grid, random_convex_support(grid, rng, amp=0.1).values)
+    pair = [geom.kappa1] + [geom.kappa2] * (grid.n - 1)
+    want = sigma_all(np.stack(pair, axis=-1))
+    assert len(geom.sigma) == grid.n + 1
+    for j, s in enumerate(geom.sigma):
+        s = np.broadcast_to(s, grid.node_shape)
+        assert s.tobytes() == want[..., j].tobytes(), j
+        brute = sigma_bruteforce(pair, j)
+        assert np.abs(s - brute).max() <= 1e-13 * np.abs(brute).max(), j
 
 
 # -- derivative tensor -------------------------------------------------------
@@ -157,7 +194,7 @@ def test_derivative_eigen_matches_finite_differences():
     for n in (3, 5):
         kappa = rng.uniform(0.2, 2.0, size=n)
         for k in range(1, n + 1):
-            d = ek_derivative_eigen(kappa, k)
+            d = _ek_derivative_eigen(kappa, k)
             for p in range(n):
                 up = kappa.copy()
                 dn = kappa.copy()
@@ -174,7 +211,7 @@ def test_derivative_eigen_equals_leave_one_out_construction_bit_for_bit(n):
         for k in range(1, n + 1):
             cols = [sigma_all(np.delete(kappa, p, axis=-1))[..., k - 1] for p in range(n)]
             want = np.stack(cols, axis=-1) / math.comb(n, k)
-            got = ek_derivative_eigen(kappa, k)
+            got = _ek_derivative_eigen(kappa, k)
             assert got.shape == kappa.shape and got.tobytes() == want.tobytes()
 
 
