@@ -101,7 +101,7 @@ from .geometry import (
     static_convexity,
 )
 from .sphere_grid import ScalarField, SphericalGrid
-from .symfunc import _leave_one_out, _quotient_gradient, sigma_quotient
+from .symfunc import _quotient_gradient, _sigmas, sigma_quotient
 
 __all__ = [
     "SpeedProfile",
@@ -479,13 +479,14 @@ class _SupportKernel(_Kernel):
         at k = n, which admits constant profiles only; the run has converged
         once (max h - min h) / mean h < osc_tol.  The principal coefficients
         h kappa_i^2 dF/dkappa_i of kappa1 and of one kappa2 weight symfunc's
-        quotient derivative, on the pair's leave-one-out lists, by kappa_i^2.
+        quotient derivative, on the leave-one-out lists of those two (the other
+        n - 2 equal the second), by kappa_i^2.
         """
         g, n, k, config = self.grid, self.n, self.k, self.config
         geom = self.build(h)
         value = _mk_integral(geom, np.ones_like(h) if k == n else self.profile.f(h), k)
         kap1, kap2 = geom.kappa1, geom.kappa2
-        rests = _leave_one_out([kap1] + [kap2] * (n - 1))[:2]
+        rests = (_sigmas([kap2] * (n - 1)), _sigmas([kap1] + [kap2] * (n - 2)))
         c1, c2 = _quotient_gradient(geom.sigma, rests, k, (kap1**2, kap2**2))
         c_max = float(np.max(np.abs(h) * np.maximum(c1, c2)))
         hmean = float(np.sum(g.weights * h) / np.sum(g.weights))
@@ -630,7 +631,8 @@ class FlowTrace:
         return np.asarray([row[key] for row in self.rows])
 
     def write_csv(self, path):
-        write_csv(path, self.columns, ([float(row[c]) for c in self.columns] for row in self.rows))
+        columns = self.columns
+        write_csv(path, columns, ([float(row[c]) for c in columns] for row in self.rows))
 
     def summary(self) -> dict:
         out = {

@@ -14,9 +14,10 @@ Random surfaces are low-degree zonal/spherical-harmonic perturbations of the
 unit sphere with coefficients drawn uniformly from [-amp, amp], rejection
 sampled against the geometric validity predicate, and recentred at the
 area-weighted centroid so that origin-dependent quantities are reproducible.
-A draw is one product with a stacked mode bank.  A radial body is recentred
-to 1e-9 base by a Broyden solve for its translation, on one stencil pass; a
-draw whose solve fails is redrawn.  A convex body takes one Steiner step.
+A draw is one product of its coefficients with separable theta and phi
+tables.  A radial body is recentred to 1e-9 base by a Broyden solve for its
+translation, on one stencil pass; a draw whose solve fails is redrawn.  A
+convex body takes one Steiner step.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def harmonic_mode(grid: SphericalGrid, ell: int, m: int = 0, phase: str = "cos")
 
     Axisymmetric grids use the Legendre polynomial P_ell(cos theta); full-s2
     grids use P_ell^m(cos theta), with the Condon-Shortley phase (-1)^m, times
-    cos(m phi) or sin(m phi).  P_ell^m comes from the upward recurrence in ell.
+    cos(m phi) or sin(m phi) (see _legendre).
     A non-integer degree or order, an order m outside 0..ell or a phase other
     than "cos"/"sin" raises ValueError.
     """
@@ -131,50 +132,61 @@ def harmonic_mode(grid: SphericalGrid, ell: int, m: int = 0, phase: str = "cos")
         raise ValueError(f"harmonic phase must be 'cos' or 'sin', got {phase!r}")
     if grid.mode == "axisym" and m != 0:
         raise ValueError("axisymmetric grids carry only m = 0 modes")
-    # P_m^m = (-1)^m (2m - 1)!! sin^m theta, then P_k^m from P_(k-1)^m and P_(k-2)^m
-    prev, y = 0.0, (-1.0) ** m * np.prod(np.arange(1.0, 2 * m, 2)) * grid.sin_t**m
-    for k in range(m + 1, ell + 1):
-        prev, y = y, ((2 * k - 1) * grid.cos_t * y - (k + m - 1) * prev) / (k - m)
+    y = _legendre(grid, ell, m)
     if grid.mode == "full-s2":
         trig = np.sin if m and phase == "sin" else np.cos  # m = 0 is zonal for either phase
         y = y[:, None] * trig(m * grid.phi)[None, :]
+    return _unit_sup(y)
+
+
+def _legendre(grid: SphericalGrid, ell: int, m: int) -> np.ndarray:
+    """P_ell^m(cos theta) on the grid's rows: P_m^m = (-1)^m (2m - 1)!! sin^m theta, then upward in ell."""
+    prev, y = 0.0, (-1.0) ** m * np.prod(np.arange(1.0, 2 * m, 2)) * grid.sin_t**m
+    for k in range(m + 1, ell + 1):
+        prev, y = y, ((2 * k - 1) * grid.cos_t * y - (k + m - 1) * prev) / (k - m)
+    return y
+
+
+def _unit_sup(y: np.ndarray) -> np.ndarray:
     top = np.abs(y).max()
     return y / top if top > 0 else y
 
 
 @functools.lru_cache(maxsize=8)
-def _mode_bank(grid: SphericalGrid, lmax: int) -> np.ndarray:
-    """Unit-sup harmonics of degree 1..lmax stacked on axis 0; read-only, cached per (grid, lmax)."""
-    full = grid.mode != "axisym"  # axisymmetric grids carry m = 0 alone
+def _mode_tables(grid: SphericalGrid, lmax: int):
+    """Read-only (theta, phi) tables, cached per (grid, lmax): harmonic mode i of degree 1..lmax is
+    unit-sup P_ell^m row theta[i] (x) unit-sup cos/sin(m phi) row phi[i] to round-off, or theta[i]
+    with harmonic_mode's bits on axisymmetric grids, which carry m = 0 alone (phi is None)."""
+    full = grid.mode != "axisym"
     args = [(ell, m, phase) for ell in range(1, lmax + 1) for m in range(full * ell + 1)
             for phase in ("cos", "sin")[: 1 + (m > 0)]]
-    bank = np.empty((len(args),) + grid.node_shape)
-    for y, arg in zip(bank, args):  # filled in place: no second copy of the bank
-        y[...] = harmonic_mode(grid, *arg)
-    bank.flags.writeable = False
-    return bank
+    theta = np.empty((len(args), grid.n_theta))
+    for row, (ell, m, _) in zip(theta, args):  # filled in place: no second copy of the table
+        row[...] = _unit_sup(_legendre(grid, ell, m))
+    theta.flags.writeable = False
+    if not full:
+        return theta, None
+    phi = np.array([_unit_sup((np.sin if phase == "sin" else np.cos)(m * grid.phi)) for _, m, phase in args])
+    phi.flags.writeable = False
+    return theta, phi
+
+
+@functools.lru_cache(maxsize=8)
+def _convexity_scales(grid: SphericalGrid, lmax: int) -> np.ndarray:
+    """Per-mode divisors max(1, sup |radii of hess Y + Y I|), read-only and cached like the tables: the
+    radii of h = 1 + sum a_i Y_i are the eigenvalues of I + sum a_i (hess Y_i + Y_i I), so a unit
+    scaled coefficient moves them by <= 1 and amp keeps its meaning for convexity filtering."""
+    theta, phi = _mode_tables(grid, lmax)
+    modes = theta if phi is None else map(np.outer, theta, phi)  # one mode at a time
+    scales = np.maximum([max(np.abs(rho).max() for rho in _principal_radii(grid, y)[:2]) for y in modes], 1.0)
+    scales.flags.writeable = False
+    return scales
 
 
 # rejection-sampling budget of the random generators
 _MAX_TRIES = 100
 # centroid evaluations random_starshaped's recentring may spend on one draw
 _RECENTRE_EVALS = 12
-
-
-@functools.lru_cache(maxsize=8)
-def _convexity_normalized_modes(grid: SphericalGrid, lmax: int):
-    """Modes scaled so a unit coefficient perturbs the curvature radii by <= 1.
-
-    The radii of h = 1 + sum a_i Y_i are the eigenvalues of
-    I + sum a_i (hess Y_i + Y_i I); normalizing each mode by the sup of the
-    eigenvalue range of (hess Y + Y I) keeps coefficient budgets meaningful
-    for convexity filtering.  Stacked and read-only like _mode_bank, and
-    cached per (grid, lmax); equal grids share an entry.
-    """
-    bounds = [max(np.abs(rho).max() for rho in _principal_radii(grid, y)[:2]) for y in _mode_bank(grid, lmax)]
-    scaled = _mode_bank(grid, lmax) / np.maximum(bounds, 1.0).reshape((-1,) + (1,) * len(grid.node_shape))
-    scaled.flags.writeable = False
-    return scaled
 
 
 def _recentred(grid: SphericalGrid, r0: np.ndarray, base: float):
@@ -207,13 +219,19 @@ def _recentred(grid: SphericalGrid, r0: np.ndarray, base: float):
     return r if np.abs(f).max() < tol else None
 
 
-def random_starshaped(
-    grid: SphericalGrid,
-    rng: np.random.Generator,
-    amp: float,
-    base: float = 1.0,
-    lmax: int = 4,
-) -> ScalarField:
+def _draws(grid: SphericalGrid, rng: np.random.Generator, amp: float, base: float, lmax: int, convex=False):
+    """_MAX_TRIES bodies base (1 + sum a_i Y_i), a_i ~ U[-amp, amp] over _convexity_scales if convex,
+    each the coefficient-weighted theta table times the phi table: one (n_theta x L)(L x n_phi) product."""
+    _check_positive(("base radius", base), amp=amp, lmax=lmax)
+    theta, phi = _mode_tables(grid, lmax)
+    scales = _convexity_scales(grid, lmax) if convex else 1.0
+    for _ in range(_MAX_TRIES):
+        coeff = rng.uniform(-amp, amp, size=len(theta)) / scales
+        yield base * (1.0 + (coeff @ theta if phi is None else (theta.T * coeff) @ phi))
+
+
+def random_starshaped(grid: SphericalGrid, rng: np.random.Generator, amp: float,
+                      base: float = 1.0, lmax: int = 4) -> ScalarField:
     """Seeded random starshaped surface r = base (1 + sum a_i Y_i), a_i ~ U[-amp, amp].
 
     Translated so that its area-weighted centroid is below 1e-9 base (see
@@ -222,50 +240,29 @@ def random_starshaped(
     base before and during recentring, and when recentring does not
     converge.  base must be positive, amp finite and >= 0 and lmax an integer >= 1.
     """
-    _check_positive(("base radius", base), amp=amp, lmax=lmax)
-    modes = _mode_bank(grid, lmax)
-    for _ in range(_MAX_TRIES):
-        coeff = rng.uniform(-amp, amp, size=len(modes))
-        r = base * (1.0 + (coeff @ modes.reshape(len(coeff), -1)).reshape(grid.node_shape))
-        if r.min() <= 0.05 * base:
-            continue
-        r = _recentred(grid, r, base)
+    for r in _draws(grid, rng, amp, base, lmax):
+        r = _recentred(grid, r, base) if r.min() > 0.05 * base else None
         if r is not None:
             return ScalarField(grid, r)
     raise NotStarshaped(f"no valid starshaped sample after {_MAX_TRIES} tries")
 
 
-def random_convex_support(
-    grid: SphericalGrid,
-    rng: np.random.Generator,
-    amp: float,
-    base: float = 1.0,
-    lmax: int = 4,
-) -> ScalarField:
+def random_convex_support(grid: SphericalGrid, rng: np.random.Generator, amp: float,
+                          base: float = 1.0, lmax: int = 4) -> ScalarField:
     """Seeded random strictly convex body via its support function.
 
-    Modes are convexity-normalized (see _convexity_normalized_modes), so at
+    Coefficients are convexity-normalized (see _convexity_scales), so at
     amp < 1 most draws remain strictly convex; draws that still fail the
     convexity filter, before or after recentring at the centroid, are
     resampled.  base must be positive, amp finite and >= 0 and lmax an integer >= 1.
     """
-    _check_positive(("base radius", base), amp=amp, lmax=lmax)
-    modes = _convexity_normalized_modes(grid, lmax)
-    for _ in range(_MAX_TRIES):
-        coeff = rng.uniform(-amp, amp, size=len(modes))
-        h = base * (1.0 + (coeff @ modes.reshape(len(coeff), -1)).reshape(grid.node_shape))
-        field = ScalarField(grid, h)
+    for h in _draws(grid, rng, amp, base, lmax, convex=True):
         try:
-            geom = support_geometry(field)
-        except ConvexityLost:
-            continue
-        h = h - grid.project(centroid(geom))
-        field = ScalarField(grid, h)
-        try:
+            h = h - grid.project(centroid(support_geometry(ScalarField(grid, h))))
+            field = ScalarField(grid, h)
             support_geometry(field)
         except ConvexityLost:
             continue
-        if h.min() <= 0.0:
-            continue
-        return field
+        if h.min() > 0.0:
+            return field
     raise ConvexityLost(f"no valid convex sample after {_MAX_TRIES} tries")

@@ -287,7 +287,7 @@ class SphericalGrid:
     def _laplacian_diagonals(self):
         """(sub, diag, super) diagonals of laplacian_blocks().
 
-        Cached per grid like the shapes' mode bank; equal grids share an
+        Cached per grid like the shapes' mode tables; equal grids share an
         entry.
         """
         blocks = self.laplacian_blocks()

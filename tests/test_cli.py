@@ -586,8 +586,8 @@ CONFIGS = Path(__file__).parent.parent / "configs"
 
 @pytest.mark.parametrize("command, name, artefact, sha256", [
     ("flow", "radial_pinned", "trace.csv", "da90674bb2ccf5c09e09c91de4b95961c188b1bfda22352dbb98251a181edc7a"),
-    ("flow", "support_k2", "trace.csv", "fc68196e0deb6128b8b3aaa366f471d90dec328d863c53cc5694d08f94e9caf4"),
-    ("verify", "verify_k1", "verify.csv", "de519c6275275c60f374daeda3e2f8ae352ffc96463f89c666cd79adc22aa58f"),
+    ("flow", "support_k2", "trace.csv", "48ee1643ae10417a70609e4959537a7f2b13d9ba76a336caeb5d94efffce6107"),
+    ("verify", "verify_k1", "verify.csv", "f8c025c06644d8781da8ec77135c35b3484213e0fb024e0554ccb470dcd2dc98"),
 ])
 def test_committed_configs_reproduce_their_pinned_artefacts(tmp_path, command, name, artefact, sha256):
     # the CSV bytes of the committed configs; a change here changes every published run

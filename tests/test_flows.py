@@ -407,6 +407,34 @@ def test_support_assess_and_speed_leave_the_curvature_pair_unchanged(grid):
         assert (geom.kappa1.tobytes(), geom.kappa2.tobytes()) == (fresh.kappa1.tobytes(), fresh.kappa2.tobytes())
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_support_c_max_reads_two_leave_one_out_lists_with_the_bits_of_all_n(monkeypatch, tmp_path, n):
+    # assess builds the lists without kappa1 and without one kappa2 alone; the
+    # form that built all n and kept the first two must give the same bits
+    from curvelab import flows
+    from curvelab.symfunc import _leave_one_out, _quotient_gradient
+
+    real = _SupportKernel.assess
+
+    def all_n_assess(self, h):
+        value, _, converged, geom = real(self, h)
+        kap1, kap2 = geom.kappa1, geom.kappa2
+        rests = _leave_one_out([kap1] + [kap2] * (self.n - 1))[:2]
+        c1, c2 = _quotient_gradient(geom.sigma, rests, self.k, (kap1**2, kap2**2))
+        return value, float(np.max(np.abs(h) * np.maximum(c1, c2))), converged, geom
+
+    grid = SphericalGrid.axisym(n, 24)
+    h = random_convex_support(grid, np.random.default_rng(n), amp=0.2)
+    for k in range(1, n + 1):
+        kernel = _kernel(grid, None, FlowConfig(kind="support", k=k, t_end=1.0))
+        assert real(kernel, h.values)[1] == all_n_assess(kernel, h.values)[1]
+    config = FlowConfig(kind="support", k=2, t_end=1.0, output_interval=0.1)
+    run_flow(h, None, config).write_csv(tmp_path / "trimmed.csv")
+    monkeypatch.setattr(flows._SupportKernel, "assess", all_n_assess)
+    run_flow(h, None, config).write_csv(tmp_path / "all_n.csv")
+    assert (tmp_path / "trimmed.csv").read_bytes() == (tmp_path / "all_n.csv").read_bytes()
+
+
 # -- integration runs ------------------------------------------------------------------
 
 

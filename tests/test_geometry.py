@@ -497,13 +497,49 @@ def test_random_generators_draw_the_base_sphere_at_zero_amplitude(generator, gri
     assert np.abs(field.values - 1.5).max() <= 1e-14  # recentred on the sphere's own round-off
 
 
-@pytest.mark.parametrize("grid", [SphericalGrid.full_s2(48, 96), SphericalGrid.axisym(2, 40),
+def _mode_args(grid, lmax):
+    """Every (ell, m, phase) of degree 1..lmax on the grid, in the mode tables' order."""
+    return [(ell, m, phase) for ell in range(1, lmax + 1) for m in range((grid.mode != "axisym") * ell + 1)
+            for phase in ("cos", "sin")[: 1 + (m > 0)]]
+
+
+@pytest.mark.parametrize("grid", [SphericalGrid.full_s2(16, 32), SphericalGrid.full_s2(48, 96),
+                                  SphericalGrid.full_s2(12, 24), SphericalGrid.axisym(2, 40),
                                   SphericalGrid.axisym(4, 12)], ids=repr)
-def test_random_starshaped_draws_the_per_mode_sum_as_one_bank_product(monkeypatch, grid):
+def test_mode_tables_hold_the_harmonic_modes(grid):
+    # full-s2: theta[i] (x) phi[i] rounds each unit-sup factor where
+    # harmonic_mode rounds the product once, so they agree to 1 ulp of 1
+    # (on 24 columns sin(4 phi) peaks at 0.866, so its row must be rescaled);
+    # axisym: the theta rows are harmonic_mode's bits
     from curvelab import shapes
 
+    theta, phi = shapes._mode_tables(grid, 4)
+    args = _mode_args(grid, 4)
+    assert theta.shape == (len(args), grid.n_theta)
+    for i, arg in enumerate(args):
+        want = harmonic_mode(grid, *arg)
+        if phi is None:
+            assert theta[i].tobytes() == want.tobytes()
+        else:
+            assert np.abs(np.outer(theta[i], phi[i]) - want).max() <= np.spacing(1.0)
+
+
+@pytest.mark.parametrize("generator", [random_starshaped, random_convex_support])
+@pytest.mark.parametrize("grid", [SphericalGrid.full_s2(48, 96), SphericalGrid.axisym(2, 40),
+                                  SphericalGrid.axisym(4, 12)], ids=repr)
+def test_random_draws_are_the_per_mode_sum_as_one_table_product(monkeypatch, generator, grid):
+    from curvelab import shapes
+    from curvelab.geometry import _principal_radii
+
     monkeypatch.setattr(shapes, "_recentred", lambda grid, r, base: r)  # the body as drawn
-    modes, draws = list(shapes._mode_bank(grid, 4)), []
+    monkeypatch.setattr(shapes, "centroid", lambda geom: np.zeros_like(centroid(geom)))
+    modes, draws = [harmonic_mode(grid, *arg) for arg in _mode_args(grid, 4)], []
+    scales = np.ones(len(modes))
+    if generator is random_convex_support:
+        # mode i's coefficient is divided by the sup of its curvature radii, at least 1
+        scales = shapes._convexity_scales(grid, 4)
+        bounds = [max(np.abs(rho).max() for rho in _principal_radii(grid, y)[:2]) for y in modes]
+        assert np.allclose(scales, np.maximum(bounds, 1.0), rtol=1e-12, atol=0.0)
 
     class RecordingRng:
         def __init__(self, seed):
@@ -514,11 +550,12 @@ def test_random_starshaped_draws_the_per_mode_sum_as_one_bank_product(monkeypatc
             return draws[-1]
 
     for seed in range(5):
-        body = random_starshaped(grid, RecordingRng(seed), amp=0.3, base=1.7).values
-        summed = 1.7 * (1.0 + sum(a * y for a, y in zip(draws[-1], modes)))
+        body = generator(grid, RecordingRng(seed), amp=0.3, base=1.7).values
+        coeff = draws[-1] / scales
+        summed = 1.7 * (1.0 + sum(a * y for a, y in zip(coeff, modes)))
         # in ulp of the scale the sums round at, base (1 + sum |a_i Y_i|): a body
         # value near 0 is a cancellation, not a 4-ulp result of either sum
-        scale = 1.7 * (1.0 + sum(abs(a * y) for a, y in zip(draws[-1], modes)))
+        scale = 1.7 * (1.0 + sum(abs(a * y) for a, y in zip(coeff, modes)))
         assert np.all(np.abs(body - summed) <= 4 * np.spacing(scale))
 
 

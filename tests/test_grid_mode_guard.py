@@ -14,7 +14,7 @@ ALLOWED = {
     "geometry.inverse_metric": "support inverse metric b^-2 only",
     "geometry.centroid": "returns the format SphericalGrid.project takes",
     "shapes.harmonic_mode": "Legendre vs associated Legendre harmonics",
-    "shapes._mode_bank": "zonal vs full harmonic bank",
+    "shapes._mode_tables": "zonal vs full harmonic tables",
     "cli.build_grid": "reads the mode a config names",
 }
 

@@ -293,15 +293,16 @@ def test_json_round_trip():
 
 
 def test_equal_grids_hash_equal_and_share_the_mode_cache():
-    from curvelab.shapes import _convexity_normalized_modes, random_convex_support
+    from curvelab.shapes import _convexity_scales, _mode_tables, random_convex_support
 
     assert SphericalGrid.full_s2(16, 32) == SphericalGrid.full_s2(16, 32)
     assert hash(SphericalGrid.full_s2(16, 32)) == hash(SphericalGrid.full_s2(16, 32))
     assert hash(SphericalGrid.axisym(3, 16)) == hash(SphericalGrid.axisym(3, 16))
-    _convexity_normalized_modes.cache_clear()
+    _mode_tables.cache_clear()
+    _convexity_scales.cache_clear()
     for seed in range(50):
         random_convex_support(SphericalGrid.axisym(2, 16), np.random.default_rng(seed), amp=0.05)
-    assert _convexity_normalized_modes.cache_info().currsize == 1
+    assert _mode_tables.cache_info().currsize == 1 and _convexity_scales.cache_info().currsize == 1
 
 
 def test_field_from_dict_names_missing_keys():
@@ -319,24 +320,26 @@ def test_grid_from_dict_checks_mode_and_resolution(mode, n, resolution, message)
         SphericalGrid.from_dict({"mode": mode, "n": n, "resolution": resolution})
 
 
-def test_random_starshaped_builds_its_mode_bank_once(monkeypatch):
+def test_random_draws_build_their_mode_tables_once(monkeypatch):
     from curvelab import shapes
 
     calls = []
-    real = shapes.harmonic_mode
-    monkeypatch.setattr(shapes, "harmonic_mode", lambda *a: calls.append(a) or real(*a))
-    shapes._mode_bank.cache_clear()
-    grid = SphericalGrid.full_s2(16, 32)
-    for seed in range(5):
-        shapes.random_starshaped(grid, np.random.default_rng(seed), amp=0.1)
+    real = shapes._legendre
+    monkeypatch.setattr(shapes, "_legendre", lambda *a: calls.append(a) or real(*a))
+    shapes._mode_tables.cache_clear()
+    shapes._convexity_scales.cache_clear()
+    for seed in range(5):  # equal grids, built afresh for each draw
+        shapes.random_starshaped(SphericalGrid.full_s2(16, 32), np.random.default_rng(seed), amp=0.1)
+        shapes.random_convex_support(SphericalGrid.full_s2(16, 32), np.random.default_rng(seed), amp=0.1)
     assert len(calls) == 24  # degrees 1..4: 3 + 5 + 7 + 9 modes, once
-    bank = shapes._mode_bank(grid, 4)
-    assert bank.shape == (24, 16, 32) and not bank.flags.writeable
-    assert all(not y.flags.writeable for y in bank)
-    for i, args in enumerate(calls):
-        assert np.array_equal(bank[i], real(*args))
-    convex = shapes._convexity_normalized_modes(grid, 4)
-    assert convex.shape == bank.shape and not convex.flags.writeable
+    assert shapes._mode_tables.cache_info().misses == 1 and shapes._convexity_scales.cache_info().misses == 1
+    grid = SphericalGrid.full_s2(96, 192)
+    theta, phi = shapes._mode_tables(grid, 4)
+    scales = shapes._convexity_scales(grid, 4)
+    assert theta.shape == (24, 96) and phi.shape == (24, 192) and scales.shape == (24,)
+    assert not (theta.flags.writeable or phi.flags.writeable or scales.flags.writeable)
+    # the cache holds two small tables and one scale per mode, not 24 grid fields
+    assert theta.nbytes + phi.nbytes + scales.nbytes <= 8 * 24 * (96 + 192 + 1)
 
 
 def test_random_starshaped_recentres_in_few_gradient_passes(monkeypatch):
