@@ -15,9 +15,14 @@ c_max shares, and every CurvatureField's sigma_j; sigma entries are read-only.
 The input's ndim picks the path.  One vector stays on Python floats from its
 entries to the answer, through the cone check, E_k, the eigenvalue derivatives
 and the Newton-MacLaurin gaps, since numpy's per-call cost would dominate
-there; only a returned array is packed.  A batch runs the same recurrence on
-numpy columns, with the same IEEE rounding, so a vector and its row in a batch
-agree bit for bit.
+there; only a returned array is packed.  One vector is also evaluated once:
+a one-entry memo keyed by its float64 bytes holds its entries, sigma list,
+max |kappa| and cone depth (the first i at which E_i fails its floor), so
+the calls a battery makes on it, every k and every (k, m) gap, share one
+recurrence and one cone check.  Bytes keep -0.0 apart from 0.0, and only a
+1-D input enters the memo.  A batch runs the same recurrence on numpy columns,
+with the same IEEE rounding, so a vector and its row in a batch agree bit for
+bit.
 """
 
 from __future__ import annotations
@@ -83,7 +88,7 @@ def sigma_all(kappa) -> np.ndarray:
     """
     kappa = np.asarray(kappa, dtype=float)
     if kappa.ndim == 1:
-        return np.array(_sigmas(kappa.tolist()))
+        return np.array(_vector(kappa)[1])
     sig = _sigmas(np.moveaxis(kappa, -1, 0))
     out = np.empty(kappa.shape[:-1] + (len(sig),))
     for j, s in enumerate(sig):
@@ -99,6 +104,32 @@ def sigma_quotient(sig, k: int):
     return quotient
 
 
+def _floor(scale, i: int) -> float:
+    """1e-12 (1 + scale^i), the strictness floor of E_i; +inf past the float range."""
+    try:
+        return 1e-12 * (1.0 + float(scale) ** i)
+    except OverflowError:
+        return math.inf
+
+
+def _cone_depth(sig, scale, k: int) -> int:
+    """The first i <= k at which E_i is not above its floor anywhere, else k + 1."""
+    n = len(sig) - 1
+    for i in range(1, k + 1):
+        low = sig[i]
+        if isinstance(low, np.ndarray):
+            low = np.minimum.reduce(low, axis=None)
+        if not low / math.comb(n, i) > _floor(scale, i):
+            return i
+    return k + 1
+
+
+def _refuse_depth(depth: int, scale, k: int) -> None:
+    """Raise ConeViolation if the cone depth is within k, naming the E_i that failed."""
+    if depth <= k:
+        raise ConeViolation(f"E_{depth} is not above {_floor(scale, depth):.3g}; kappa leaves Gamma_{k}^+")
+
+
 def require_cone(sig, scale: float, k: int) -> None:
     """Raise ConeViolation unless E_i > 1e-12 (1 + scale^i) for i = 1..k everywhere.
 
@@ -107,26 +138,41 @@ def require_cone(sig, scale: float, k: int) -> None:
     the Garding cone Gamma_k^+ scale-aware.  A NaN E_i is not clear of its
     floor, and a floor past the float range is +inf, so both are rejected.
     """
-    n = len(sig) - 1
-    for i in range(1, k + 1):
-        try:
-            floor = 1e-12 * (1.0 + float(scale) ** i)
-        except OverflowError:
-            floor = math.inf
-        low = sig[i]
-        if isinstance(low, np.ndarray):
-            low = np.minimum.reduce(low, axis=None)
-        if not low / math.comb(n, i) > floor:
-            raise ConeViolation(f"E_{i} is not above {floor:.3g}; kappa leaves Gamma_{k}^+")
+    _refuse_depth(_cone_depth(sig, scale, k), scale, k)
+
+
+# the last vector's float64 bytes -> its _vector entry; one entry
+_MEMO: dict = {}
+
+
+def _vector(kappa: np.ndarray) -> tuple:
+    """(entries, (sigma_0, ..., sigma_n), max |kappa|, cone depth) of one float64 vector, as Python floats.
+
+    Only a 1-D input is evaluated, through the one-entry memo; bytes keep -0.0
+    apart from 0.0.  The entry is shared with every later call on the same
+    bytes, so it holds tuples.
+    """
+    if kappa.ndim != 1:
+        raise TypeError(f"expected one vector, got an array of shape {kappa.shape}")
+    key = kappa.tobytes()
+    entry = _MEMO.get(key)
+    if entry is None:
+        values = tuple(kappa.tolist())
+        sig = tuple(_sigmas(values))
+        scale = max(map(abs, values), default=0.0)
+        entry = values, sig, scale, _cone_depth(sig, scale, len(values))
+        _MEMO.clear()
+        _MEMO[key] = entry
+    return entry
 
 
 def _sigma_in_cone(kappa, k: int):
-    """(entries, [sigma_0, ..., sigma_n]) as Python floats for one vector that must lie in Gamma_k^+."""
-    values = np.asarray(kappa, dtype=float).tolist()
-    if not 1 <= k <= len(values):
+    """(entries, (sigma_0, ..., sigma_n)) as Python floats for one vector that must lie in Gamma_k^+."""
+    kappa = np.asarray(kappa, dtype=float)
+    if not 1 <= k <= len(kappa):  # a 0-d array has no len: TypeError, as for any non-vector
         raise ValueError("k must satisfy 1 <= k <= n")
-    sig = _sigmas(values)
-    require_cone(sig, max(map(abs, values)), k)
+    values, sig, scale, depth = _vector(kappa)
+    _refuse_depth(depth, scale, k)
     return values, sig
 
 
@@ -139,7 +185,7 @@ def elementary_symmetric(kappa, k: int):
     if k > n:
         return np.zeros(kappa.shape[:-1])[()] if kappa.ndim > 1 else 0.0
     if kappa.ndim == 1:
-        return np.float64(_sigmas(kappa.tolist())[k] / math.comb(n, k))
+        return np.float64(_vector(kappa)[1][k] / math.comb(n, k))
     return sigma_all(kappa)[..., k] / math.comb(n, k)
 
 

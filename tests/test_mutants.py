@@ -7,20 +7,28 @@ tier-1 test it must fail; the unmutated test passes in the tier-1 run, so
 each case shows that test can see the change.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
+import test_acceptance
 import test_flows
 import test_symfunc
-from curvelab import SphericalGrid, flows, functionals, geometry, symfunc
+from curvelab import SphericalGrid, acceptance, flows, functionals, geometry, symfunc
 from curvelab.symfunc import _sigmas
 
 
 def mutate(monkeypatch, name, replacement):
-    """Replace ``name`` in symfunc, geometry, functionals and flows, wherever the module holds it."""
-    for module in (symfunc, geometry, functionals, flows):
+    """Replace ``name`` in symfunc, geometry, functionals, flows and acceptance, wherever the module holds it.
+
+    The mutant also gets an empty one-vector memo of its own, so it is never
+    served an entry computed before its patch, and the unmutated memo, put
+    back with the patch, never holds an entry computed under it.
+    """
+    monkeypatch.setattr(symfunc, "_MEMO", {})
+    for module in (symfunc, geometry, functionals, flows, acceptance):
         if hasattr(module, name):
             monkeypatch.setattr(module, name, replacement)
 
@@ -115,3 +123,21 @@ def test_radial_speed_without_v_in_its_f_prime_term_is_caught(monkeypatch):
     monkeypatch.setattr(flows._RadialKernel, "speed", speed)
     with pytest.raises(AssertionError):
         test_flows.test_q_rate_matches_the_implemented_flows_first_variation(0.15)
+
+
+def test_memo_keyed_by_value_tuple_is_caught(monkeypatch):
+    # -0.0 == 0.0 in a tuple key, so (-0.0, 1.0) is served the entry of (0.0, 1.0)
+    vector = symfunc._vector
+    by_tuple = functools.lru_cache(maxsize=1)(lambda values: vector(np.array(values)))
+    mutate(monkeypatch, "_vector", lambda kappa: by_tuple(tuple(np.asarray(kappa, dtype=float).tolist())))
+    with pytest.raises(AssertionError):
+        test_symfunc.test_memo_keeps_minus_zero_apart_from_zero()
+
+
+def test_deficit_h_without_its_gradient_term_is_caught(monkeypatch):
+    # M15: lhs = int f |H| dmu, without |grad^T f|^2; the translated-sphere
+    # deficit under the pinned profile leaves its -eps^2/12 oracle
+    deficit = functionals.michael_simon_deficit_H
+    mutate(monkeypatch, "michael_simon_deficit_H", lambda geom, f=None, grad_f=None: deficit(geom, f))
+    with pytest.raises(AssertionError):
+        test_acceptance.test_ac7_deficit_fuzz_pinned_profile_literal()

@@ -15,6 +15,7 @@ from curvelab import (
     elementary_symmetric,
     gamma_cone_member,
     newton_maclaurin_gap,
+    symfunc,
 )
 from curvelab.errors import ConeViolation
 from curvelab.geometry import _radial_field, _support_field
@@ -411,3 +412,89 @@ def test_newton_maclaurin_cone_precondition():
 def test_domain_type_validation():
     assert elementary_symmetric(np.array([1.0, 2.0]), 1) == pytest.approx(1.5)
     assert np.allclose(ek_derivative_tensor(np.eye(2), 1), np.eye(2) / 2)
+
+
+# -- the one-vector memo -------------------------------------------------------
+
+# every scalar entry point that takes one vector, as (vector, k) -> result bytes
+ONE_VECTOR_CALLS = {
+    "sigma_all": lambda v, k: sigma_all(v),
+    "elementary_symmetric": lambda v, k: elementary_symmetric(v, k),
+    "gamma_cone_member": lambda v, k: gamma_cone_member(v, k),
+    "curvature_quotient": lambda v, k: curvature_quotient(v, k),
+    "curvature_quotient_gradient": lambda v, k: curvature_quotient_gradient(v, k),
+    "newton_maclaurin_gap": lambda v, k: newton_maclaurin_gap(v, k, len(v)),
+}
+
+
+def _bits(name, v, k):
+    return np.asarray(ONE_VECTOR_CALLS[name](v, k), dtype=float).tobytes()
+
+
+def _fresh_bits(name, v, k):
+    symfunc._MEMO.clear()
+    return _bits(name, v, k)
+
+
+def test_memo_interleaved_vectors_give_fresh_bits():
+    a, b = np.array([0.3, 1.7, 2.2, -0.1]), np.array([1.1, 0.4, 2.9, 0.6])
+    by_entry_point = [(name, v, k) for name in ONE_VECTOR_CALLS for k in (1, 2) for v in (a, b, a)]
+    by_vector = [(name, v, k) for k in (1, 2) for v in (a, b, a) for name in ONE_VECTOR_CALLS]
+    for order in (by_entry_point, by_vector):
+        want = [_fresh_bits(*case) for case in order]
+        symfunc._MEMO.clear()
+        assert [_bits(*case) for case in order] == want
+
+
+def test_memo_reads_a_vector_changed_in_place():
+    kappa = np.array([1.0, 2.0, 3.0])
+    before = curvature_quotient(kappa, 2)
+    kappa[0] = 4.0
+    after = curvature_quotient(kappa, 2)
+    assert after != before
+    assert after == curvature_quotient(np.array([4.0, 2.0, 3.0]), 2)
+    assert elementary_symmetric(kappa, 3) == 24.0
+
+
+def test_memo_keeps_minus_zero_apart_from_zero():
+    # sigma_2 of (-0.0, 1.0) is -0.0, so the gap E_1 E_2 - E_3 E_0 carries its sign
+    for signed in (0.0, -0.0, 0.0):
+        gap = newton_maclaurin_gap(np.array([signed, 1.0]), 1, 2)
+        assert gap == 0.0 and math.copysign(1.0, gap) == math.copysign(1.0, signed)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: gamma_cone_member(v, 1),
+    lambda v: curvature_quotient(v, 1),
+    lambda v: newton_maclaurin_gap(v, 1, 1),
+], ids=["gamma_cone_member", "curvature_quotient", "newton_maclaurin_gap"])
+@pytest.mark.parametrize("shape", [(), (2, 3)], ids=["0-d", "2x3"])
+def test_memo_refuses_non_vectors_with_type_error(call, shape):
+    call(np.ones(max(1, math.prod(shape))))  # the same bytes as a vector, now in the memo
+    with pytest.raises(TypeError):
+        call(np.ones(shape))
+
+
+def test_memo_keeps_cone_and_range_errors():
+    kappa = np.array([1.0, 2.0, 3.0])
+    assert gamma_cone_member(kappa, 3)
+    with pytest.raises(ConeViolation):
+        curvature_quotient(np.array([1.0, math.nan, 3.0]), 1)
+    for k in (0, 4):
+        for call in (gamma_cone_member, curvature_quotient, curvature_quotient_gradient):
+            with pytest.raises(ValueError):
+                call(kappa, k)
+    with pytest.raises(ValueError):
+        newton_maclaurin_gap(kappa, 0, 1)
+    with pytest.raises(ValueError):
+        newton_maclaurin_gap(kappa, 4, 4)
+
+
+def test_memo_runs_the_recurrence_once_per_vector(monkeypatch):
+    calls = []
+    monkeypatch.setattr(symfunc, "_sigmas", lambda entries: calls.append(1) or _sigmas(entries))
+    symfunc._MEMO.clear()
+    kappa = np.array([0.5, 1.5, 2.5, 3.5])
+    gaps = [newton_maclaurin_gap(kappa, k, m) for k in range(1, 5) for m in range(k, 5)]
+    values = [elementary_symmetric(kappa, j) for j in range(6)] + [curvature_quotient(kappa, k) for k in range(1, 5)]
+    assert len(calls) == 1 and min(gaps) >= 0.0 and len(values) == 10
