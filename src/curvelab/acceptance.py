@@ -213,7 +213,8 @@ def ac2():
     for _ in range(1000):
         a, kappa, n, k = _random_cone_matrix(rng)
         d = ek_derivative_tensor(a, k)
-        e = [elementary_symmetric(np.sort(np.linalg.eigvalsh(a)), j) for j in range(n + 2)]
+        eigenvalues = np.sort(np.linalg.eigvalsh(a))
+        e = [elementary_symmetric(eigenvalues, j) for j in range(n + 2)]
         pairs = [
             (float(np.trace(d)), k * e[k - 1]),
             (float(np.sum(d * a)), k * e[k]),

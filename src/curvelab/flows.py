@@ -32,11 +32,11 @@ g = f^((n-k+1)/(n-k)) is convex and nondecreasing in h.
 
 Stepping.  c_max is the largest principal coefficient of the linearized
 speed (f / r^2 radial, h kappa_i^2 dF/dkappa_i support).  Both flows take
-linearly implicit Euler steps u += (I - s a Z Delta Z)^-1 Z (s speed(u)),
+linearly implicit Euler steps u += (I - s a Delta)^-1 (s speed(u)),
 extrapolated over the substeps h/1, ..., h/L to order L (Deuflhard, SIAM
 Rev. 27 (1985)): L = 4 for both flows.  The levels run in lockstep on
 one stack of states, so a step makes L speed calls and L solves, each on
-the levels it moves.  Z is the zonal filter and Delta the grid's Laplacian.
+the levels it moves.  Delta is the grid's Laplacian.
 An adaptive step is h = min(step, spread / c_max) for the kernel's caps =
 (step, spread), (0.035, 0.04) radial and (0.2, 0.1) support, whatever the
 output interval; one below 1e-12 max(1, t) raises StepCollapse.  The spread
@@ -49,12 +49,13 @@ state they start from: the tableau needs a fixed across a step only.  A
 step is clipped only where t_end - t falls short of it by more than 1e-9 of
 t_end; a smaller shortfall is t's round-off.
 The Laplacian term stabilizes the stiff part (Smereka, J. Sci. Comput. 19
-(2003)), so no Delta theta^2 bound applies; on a sphere Delta vanishes, the
-step is extrapolated explicit Euler on the radius ODE and the surface stays
-round.  A diagnostic
-row is written at the first accepted state at or past each output time, and
-its dt column is the step that reached it.  Each candidate state is
-assessed from one build, a CurvatureField: its monitored integral (Q or
+(2003)), so no Delta theta^2 bound applies, nor one from the pole rows'
+phi spacing, whose zonal modes are the stiffest; on a sphere Delta
+vanishes, the step is extrapolated explicit Euler on the radius ODE and
+the surface stays round.  A diagnostic row is written at the first
+accepted state at or past each output time, and its dt column is the
+step that reached it.  Each candidate state is assessed from one build,
+a CurvatureField: its monitored integral (Q or
 M_k, the functional its trace column reads), its c_max and the convergence
 test; once the state is accepted, that field also gives the next step's
 start speed, and each round of substeps reads one build of its levels'
@@ -68,9 +69,7 @@ integral is recorded: each rise above 1e-8 relative as an event, and their
 sum relative to the start as meta["mono_rise"].  A rise that a smaller step
 does not remove is spatial error; on S^2 the summation-by-parts weights
 (sphere_grid) make the grid's int Delta h vanish, so the k = 2 support
-flow's M_2 = int (Delta h + 2 h) dmu does not rise.  On full-s2 grids every
-substep's increment passes the zonal filter, so the pole-convergent phi
-columns do not force their own step size.
+flow's M_2 = int (Delta h + 2 h) dmu does not rise.
 """
 
 from __future__ import annotations
@@ -515,7 +514,7 @@ def _extrapolated_step(kernel, u: np.ndarray, h: float, spread: float, start: np
     """One linearly implicit Euler step of du/dt = speed(u), extrapolated.
 
     Level j takes j substeps y += R(s a)(s speed(y)) of s = h / j, with
-    R(s a) = (I - s a Z Delta Z)^-1 Z the grid's resolvent and the key
+    R(s a) = (I - s a Delta)^-1 the grid's resolvent and the key
     s a = spread / j for the step's spread a h, so steps of one spread share
     their keys bit for bit; the levels share start = speed(u), which the
     caller has from u's build.  The levels run in lockstep on one stack of
@@ -525,7 +524,7 @@ def _extrapolated_step(kernel, u: np.ndarray, h: float, spread: float, start: np
     the arithmetic of a level-by-level loop, so the result has its bits.
     At a fixed a the Aitken-Neville tableau over the kernel's L levels has
     order L in h; an adaptive step holds the spread a h instead, and its
-    error goes as C spread^L.  The result is zonal-filtered when u is.
+    error goes as C spread^L.
     """
     levels = kernel.levels
     substeps = [h / j for j in range(1, levels + 1)]
@@ -720,7 +719,6 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
             if not config.force:
                 raise
             trace.meta["profile_violation"] = f"{exc.kind}: {exc}"
-        kernel.build(r0)  # the unfiltered start: NotStarshaped on bad input
         lo = min(r_star, float(r0.min()))
         hi = max(r_star, float(r0.max()))
         range_band = (lo - 1e-6 * hi, hi + 1e-6 * hi)
@@ -729,14 +727,14 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
         trace.meta["profile_report"] = report.detail
         if not report.ok and not config.force:
             raise AssumptionViolated("support-profile", report.detail)
-        geom0 = kernel.build(initial.values)  # the unfiltered start: ConvexityLost on bad input
-        trace.meta["initial_margin"] = static_convexity(geom0).margin
         range_band = None
 
-    state = grid.zonal_filter(initial.values).copy()  # final_state is never the caller's array
+    state = initial.values.copy()  # final_state is never the caller's array
     t = 0.0
     steps = 0
-    mono_prev, c_max, _, build = kernel.assess(state)
+    mono_prev, c_max, _, build = kernel.assess(state)  # NotStarshaped or ConvexityLost on bad input
+    if config.kind == "support":
+        trace.meta["initial_margin"] = static_convexity(build).margin
     mono_scale = max(abs(mono_prev), 1e-300)
     rise = 0.0  # the monitored integral's cumulative positive variation
     row_tol = 1e-9 * config.t_end  # t += dt drifts off the output times and t_end
@@ -872,11 +870,9 @@ def area_evolution_consistency(
         phi = kernel.speed(geom) / (geom.scalar / geom.support)  # v = r / <X, nu>; 1 for support, h = <X, nu>
         return float(np.sum(geom.area_weights * geom.H * phi)), geom.total_area()
 
-    # states are treated exactly as the integrator treats accepted states
-    state = grid.zonal_filter(initial.values)
-    _, c_max, _, build = kernel.assess(state)
+    _, c_max, _, build = kernel.assess(initial.values)
     dt = min(kernel.caps[0], kernel.caps[1] / c_max) / 1000.0
-    new_state = _extrapolated_step(kernel, state, dt, c_max * dt, kernel.speed(build))
+    new_state = _extrapolated_step(kernel, initial.values, dt, c_max * dt, kernel.speed(build))
 
     rate0, area0 = rate(build)
     rate1, area1 = rate(kernel.build(new_state))

@@ -64,9 +64,9 @@ def _tridiagonal_inverse(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> 
     The matrices are given by their diagonals, shapes (count, size - 1),
     (count, size) and (count, size - 1).  Eliminates the sub-diagonal of
     [matrix | I] row by row, then back-substitutes, without pivoting: the
-    pivots of I - s Z Delta Z stay at or above 1 (rows are diagonally
+    pivots of I - s Delta stay at or above 1 (rows are diagonally
     dominant for n <= 3, and the pivots were checked for n = 5, 6 up to
-    s times the spectral radius of Z Delta Z = 1e5).
+    s times the spectral radius of Delta = 1e5).
     """
     count, size = diag.shape
     out = np.broadcast_to(np.eye(size), (count, size, size)).copy()
@@ -134,15 +134,6 @@ class SphericalGrid:
             raw = np.broadcast_to(raw, self.node_shape).copy()
             self._sin = self.sin_t[:, None]
             self._cot = self.cot_t[:, None]
-            # zonal wavenumbers above sin(theta) * N_phi / 2 are unresolvable
-            # near the poles; the filter mask removes them (see zonal_filter).
-            # Keeping m <= 2 everywhere leaves smooth low-degree fields
-            # untouched to round-off; the pole rows' retained modes then sit
-            # at most ~1.6x above the theta-direction eigenvalue budget; the
-            # steppers take the Laplacian term implicitly, so no step depends on it.
-            m = np.arange(self.n_phi // 2 + 1)
-            m_keep = np.maximum(2.0, np.ceil(self.sin_t * self.n_phi / 2.0))
-            self._zonal_mask = (m[None, :] <= m_keep[:, None]).astype(float)
             st, ct = self._sin, self.cos_t[:, None]
             cp, sp = np.cos(self.phi)[None, :], np.sin(self.phi)[None, :]
             full = functools.partial(np.broadcast_to, shape=self.node_shape)
@@ -243,30 +234,15 @@ class SphericalGrid:
         out = ufunc.reduce(v.reshape(v.shape[: v.ndim - len(self.node_shape)] + (-1,)), axis=-1)
         return float(out) if out.ndim == 0 else out
 
-    def zonal_filter(self, v: np.ndarray) -> np.ndarray:
-        """Remove zonal modes that the pole-converging phi rows cannot carry.
-
-        For smooth fields the removed coefficients are at round-off level;
-        the filter exists to stop explicit time steps sized by the theta
-        spacing from amplifying them.  No-op on axisymmetric grids.
-        """
-        if self.mode != "full-s2":
-            return v
-        spec = np.fft.rfft(v, axis=1)
-        spec *= self._zonal_mask
-        return np.fft.irfft(spec, n=self.n_phi, axis=1)
-
     def laplacian_blocks(self) -> np.ndarray:
-        """The discrete Laplacian Z Delta Z split into one block per zonal wavenumber.
+        """The discrete Laplacian Delta split into one block per zonal wavenumber.
 
-        Z is zonal_filter and Delta the trace of hessian_components, so this
-        is the operator the steppers see.  Z Delta commutes with phi-shifts,
-        so the rfft over phi of its responses to one delta per theta-row
-        gives one real (it is even in phi) n_theta x n_theta block per
-        wavenumber m, shape (n_phi // 2 + 1, n_theta, n_theta); the filter's
-        mask on both sides then applies Z to the input and clears what the
-        FFT round trip leaves in the filtered rows.  Axisymmetric grids have
-        the single block of m = 0.  The stencils reach one row either side,
+        Delta is the trace of hessian_components, the operator the steppers
+        take implicitly.  It commutes with phi-shifts, so the rfft over phi
+        of its responses to one delta per theta-row gives one real (it is
+        even in phi) n_theta x n_theta block per wavenumber m, shape
+        (n_phi // 2 + 1, n_theta, n_theta).  Axisymmetric grids have the
+        single block of m = 0.  The stencils reach one row either side,
         so the blocks are tridiagonal.  Built anew on each call; the
         resolvent caches only their diagonals.
         """
@@ -275,13 +251,11 @@ class SphericalGrid:
             delta = np.zeros(self.node_shape)
             delta.reshape(self.n_theta, -1)[j, 0] = 1.0
             hess = self.hessian_components(delta)
-            trace = hess[0] + (self.n - 1) * hess[1] if self.mode == "axisym" else hess[0] + hess[2]
-            responses.append(self.zonal_filter(trace))
+            responses.append(hess[0] + (self.n - 1) * hess[1] if self.mode == "axisym" else hess[0] + hess[2])
         response = np.stack(responses, axis=-1)  # [row i, (phi offset,)] delta row j
         if self.mode == "axisym":
             return response[None]
-        mask = self._zonal_mask.T
-        return np.fft.rfft(response, axis=1).real.transpose(1, 0, 2) * mask[:, :, None] * mask[:, None, :]
+        return np.fft.rfft(response, axis=1).real.transpose(1, 0, 2)
 
     @functools.lru_cache(maxsize=8)
     def _laplacian_diagonals(self):
@@ -294,14 +268,14 @@ class SphericalGrid:
         return tuple(np.diagonal(blocks, k, axis1=1, axis2=2).copy() for k in (-1, 0, 1))
 
     def resolvent(self, v: np.ndarray, keys) -> np.ndarray:
-        """(I - s_i Z Delta Z)^-1 Z v_i for each field v_i of the stack v.
+        """(I - s_i Delta)^-1 v_i for each field v_i of the stack v.
 
         ``keys`` holds one s_i per field, and the solve runs per zonal
-        wavenumber.  The inverses of the blocks of I - s Z Delta Z come from
+        wavenumber.  The inverses of the blocks of I - s Delta come from
         one batched Thomas sweep over a key set and are kept for that set
         alone; keys that are the set's trailing keys read them as a view, so
         the flows' extrapolation rounds, each a trailing part of the level
-        set, share one sweep.  The result is zonal-filtered.
+        set, share one sweep.
         """
         keys = tuple(keys)
         cached, inverse = self._inverses
@@ -321,7 +295,7 @@ class SphericalGrid:
         v = v - offset
         if self.mode == "axisym":
             return offset + np.matmul(inverse[:, 0], v[..., None])[..., 0]
-        spec = np.fft.rfft(v, axis=-1) * self._zonal_mask
+        spec = np.fft.rfft(v, axis=-1)
         # the real blocks act on the real and imaginary parts alike: one real
         # matmul on a (field, m, theta, part) view, with no complex blocks
         parts = spec.view(float).reshape(spec.shape + (2,)).swapaxes(-3, -2)

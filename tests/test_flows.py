@@ -339,19 +339,19 @@ def test_kernel_speed_matches_public_op():
 
 
 def laplacian_radius(grid):
-    """lambda_L, the spectral radius of Z Delta Z, from its dense zonal blocks."""
+    """lambda_L, the spectral radius of Delta, from its dense zonal blocks."""
     return float(np.abs(np.linalg.eigvals(grid.laplacian_blocks())).max())
 
 
-def filtered_jacobian(kernel, u, eps=1e-6):
-    """Dense zonal_filter o d(speed)/du at u, by central differences."""
+def jacobian(kernel, u, eps=1e-6):
+    """Dense d(speed)/du at u, by central differences."""
     cols = []
     for i in range(u.size):
         du = np.zeros(u.size)
         du[i] = eps
         du = du.reshape(u.shape)
         diff = (build_speed(kernel, u + du) - build_speed(kernel, u - du)) / (2.0 * eps)
-        cols.append(kernel.grid.zonal_filter(diff).ravel())
+        cols.append(diff.ravel())
     return np.array(cols).T
 
 
@@ -359,9 +359,9 @@ def filtered_jacobian(kernel, u, eps=1e-6):
 @pytest.mark.parametrize("kind,k", [("radial", 1), ("support", 1), ("support", 2)])
 def test_euler_step_covers_the_linearized_speed(kind, k, amp):
     # c_max lambda_L, the forward-Euler limit 2 / (c_max lambda_L) read back,
-    # is at least the spectral radius of the filtered Jacobian of the speed;
+    # is at least the spectral radius of the Jacobian of the speed;
     # c_max is taken at the worst node, so the excess grows with amp.  The
-    # extrapolated step takes a c_max Z Delta Z implicitly on this premise
+    # extrapolated step takes a c_max Delta implicitly on this premise
     grid = SphericalGrid.full_s2(16, 32)
     rng = np.random.default_rng(1)
     if kind == "radial":
@@ -370,9 +370,9 @@ def test_euler_step_covers_the_linearized_speed(kind, k, amp):
         field, profile = random_convex_support(grid, rng, amp=amp), None
     config = FlowConfig(kind=kind, k=k, t_end=1.0)
     kernel = _kernel(grid, profile, config)
-    u = grid.zonal_filter(field.values)
+    u = field.values
     bound = kernel.assess(u)[1] * laplacian_radius(grid)
-    radius = np.abs(np.linalg.eigvals(filtered_jacobian(kernel, u))).max()
+    radius = np.abs(np.linalg.eigvals(jacobian(kernel, u))).max()
     assert bound >= 0.99 * radius
 
 
@@ -647,8 +647,8 @@ def test_support_run_with_varying_admissible_density():
 
 
 def test_radial_run_full_s2_grid():
-    # non-zonal starshaped start on the full grid: exercises the slow radial
-    # kernel branch together with the zonal polar filter
+    # non-zonal starshaped start on the full grid: exercises the radial
+    # kernel's full-s2 stencils and the resolvent's zonal blocks
     from curvelab.shapes import harmonic_mode
 
     grid = SphericalGrid.full_s2(24, 48)
@@ -660,6 +660,25 @@ def test_radial_run_full_s2_grid():
     assert np.abs(trace.meta["final_state"] - 1.0).max() < 5e-3
     q = trace.values("Q")
     assert np.all(np.diff(q) <= 1e-8 * np.abs(q[:-1]))
+
+
+@pytest.mark.parametrize("kind", ["support", "radial"])
+def test_implicit_laplacian_smooths_grid_scale_noise_on_a_pole_row(kind):
+    # the highest zonal wavenumber of a pole row is the Laplacian's stiffest
+    # mode; the implicit term damps it under steps sized by c_max alone.
+    # Tolerances that cannot pass keep the run stepping to t_end
+    grid = SphericalGrid.full_s2(24, 48)
+    u = np.ones(grid.node_shape)
+    u[0] += 1e-8 * np.cos(np.pi * np.arange(grid.n_phi))
+    if kind == "support":
+        profile, config = None, FlowConfig(kind=kind, k=2, t_end=0.5, osc_tol=1e-300)
+    else:
+        profile = SpeedProfile.power_exp_pinned(2, 1.0)
+        config = FlowConfig(kind=kind, t_end=0.5, grad_tol=1e-300, hatf_tol=1e-300)
+    trace = run_flow(ScalarField(grid, u), profile, config)
+    assert trace.status == "TimeExhausted" and trace.t_final == pytest.approx(0.5)
+    assert not trace.breaches
+    assert np.ptp(trace.meta["final_state"][0]) < 1e-12
 
 
 def test_support_run_axisym_higher_dimension():
@@ -810,7 +829,7 @@ def test_area_evolution_consistency_radial_and_support():
     out = area_evolution_consistency(r0, profile, config)
     assert out["rel_error"] < 0.01
     # the probe is 1e-3 of the kernel's adaptive step from that state
-    c_max = _kernel(grid, profile, config).assess(grid.zonal_filter(r0.values))[1]
+    c_max = _kernel(grid, profile, config).assess(r0.values)[1]
     assert out["dt"] == min(_RadialKernel.caps[0], _RadialKernel.caps[1] / c_max) / 1000
 
     # support side: the Gauss-map parametrization adds a tangential
@@ -932,7 +951,7 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
     r0 = ScalarField(axisym, 1.0 + 0.1 * np.cos(2 * axisym.theta))
     for grid in (s2, axisym):  # the resolvent's Laplacian takes derivatives once per grid
         grid._laplacian_diagonals()
-    for module in (flows, geometry):  # kernel builds, and the start-up geometry
+    for module in (flows, geometry):  # kernel builds, and any public geometry build
         monkeypatch.setattr(module, "_support_field", counted(module._support_field))
         monkeypatch.setattr(module, "_radial_field", counted(module._radial_field))
     for kind in speeds:
@@ -965,11 +984,11 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
         # gives, and rounds 2..L take one speed of the stacked levels each
         assert counts["speed"] == steps * kind.levels
         # one build per round's speed, one assessment of the start and of
-        # each accepted step, the start-up check of the initial field and,
-        # radial, one stacked build of the three 32-node states' one batch
-        # (the 512-node support states each fill a batch alone)
+        # each accepted step and, radial, one stacked build of the three
+        # 32-node states' one batch (the 512-node support states each fill
+        # a batch alone)
         batches = 1 if kind is flows._RadialKernel else 0
-        assert counts["build"] == steps * (kind.levels - 1) + (steps + 1) + 1 + batches
+        assert counts["build"] == steps * (kind.levels - 1) + (steps + 1) + batches
         assert counts["derivatives"] == counts["build"]  # one derivative pass per build
         assert counts["grad"] == 0 and counts["build in row"] == batches
         assert counts["rows"] == len(trace.rows) == steps + 1  # each state's row computed once
@@ -1023,7 +1042,7 @@ def test_assessed_build_serves_speed_geometry_and_row_bit_for_bit(monkeypatch, k
     config = FlowConfig(kind=kind, k=2, t_end=0.03, dt_fixed=0.01, output_interval=0.01)
     kernel = _kernel(grid, profile, config)
 
-    u = grid.zonal_filter(field.values)
+    u = field.values
     reused = kernel.assess(u)[3]
     assert _same_bits(kernel.speed(reused), build_speed(kernel, u))
     fresh = public(ScalarField(grid, u))
@@ -1356,7 +1375,7 @@ def test_lockstep_step_matches_level_by_level_bit_for_bit(kind, shape):
     else:
         field, profile = random_convex_support(grid, rng, amp=0.05), None
     kernel = _kernel(grid, profile, FlowConfig(kind=kind, k=2, t_end=1.0))
-    u = grid.zonal_filter(field.values)
+    u = field.values
     _, a, _, build = kernel.assess(u)
     start = kernel.speed(build)
     cap = kernel.caps[1]  # a step the spread cap sets, and a smaller one
@@ -1689,8 +1708,8 @@ def test_adaptive_step_below_the_floor_collapses(monkeypatch, kind):
 
 @pytest.mark.parametrize("grid", [SphericalGrid.axisym(2, 32), SphericalGrid.full_s2(16, 32)], ids=repr)
 def test_run_flow_rejects_a_bad_start_before_any_step(monkeypatch, grid):
-    # the start-up check reads the unfiltered input: on full-s2 node 7 lies in
-    # a pole row, whose filtered values are all positive
+    # the start's assessment raises before any step; on full-s2 node 7 lies
+    # in a pole row
     from curvelab import flows
 
     def no_step(*args):
@@ -1736,7 +1755,7 @@ def test_adaptive_step_is_the_smaller_of_the_two_caps():
     grid = SphericalGrid.axisym(2, 32)
     r0 = ScalarField(grid, 1.0 + 0.03 * np.cos(2 * grid.theta))
     config = FlowConfig(kind="radial", t_end=0.26, output_interval=0.01)
-    assert 1.0 < _kernel(grid, profile, config).assess(grid.zonal_filter(r0.values))[1] < spread / step
+    assert 1.0 < _kernel(grid, profile, config).assess(r0.values)[1] < spread / step
     dt = run_flow(r0, profile, config).values("dt")
     steps = math.ceil(config.t_end / step)
     assert len(dt) == steps + 1 and np.all(dt[1:-1] == step)
@@ -1744,7 +1763,7 @@ def test_adaptive_step_is_the_smaller_of_the_two_caps():
     # above it the spread cap binds: the rough starts' first step is spread / c_max
     for grid, seed, _ in ROUGH_STARTS:
         r0 = random_starshaped(grid, np.random.default_rng(seed), amp=0.3)
-        c_max = _kernel(grid, profile, config).assess(grid.zonal_filter(r0.values))[1]
+        c_max = _kernel(grid, profile, config).assess(r0.values)[1]
         assert c_max > spread / step
         rough = FlowConfig(kind="radial", t_end=0.1 / c_max, output_interval=0.01 / c_max)
         assert run_flow(r0, profile, rough).rows[1]["dt"] == spread / c_max
@@ -1756,7 +1775,7 @@ def test_adaptive_step_is_the_smaller_of_the_two_caps():
     grid = SphericalGrid.axisym(2, 32)
     for radius in (2.0, 1.0):
         h0 = ScalarField(grid, radius + 0.01 * grid.cos_t**2)
-        c_max = _kernel(grid, None, config).assess(grid.zonal_filter(h0.values))[1]
+        c_max = _kernel(grid, None, config).assess(h0.values)[1]
         dt = run_flow(h0, None, config).rows[1]["dt"]
         assert dt == min(step, spread / c_max) and (dt == step) == (radius == 2.0)
 

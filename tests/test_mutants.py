@@ -1,5 +1,5 @@
-"""Mutants of the shared curvature algebra, the flow speeds and the flows' monitors,
-each caught by a named test.
+"""Mutants of the shared curvature algebra, the grid's weights, the flow speeds and
+step sizes and the flows' monitors, each caught by a named test.
 
 A mutant replaces one function by a one-line variant, or one constant (a
 monkeypatch in every curvelab module that holds the name), and calls the
@@ -14,9 +14,12 @@ import numpy as np
 import pytest
 
 import test_acceptance
+import test_cli
 import test_flows
+import test_sphere_grid
 import test_symfunc
 from curvelab import SphericalGrid, acceptance, flows, functionals, geometry, symfunc
+from curvelab.sphere_grid import sphere_area
 from curvelab.symfunc import _sigmas
 
 
@@ -141,3 +144,33 @@ def test_deficit_h_without_its_gradient_term_is_caught(monkeypatch):
     mutate(monkeypatch, "michael_simon_deficit_H", lambda geom, f=None, grad_f=None: deficit(geom, f))
     with pytest.raises(AssertionError):
         test_acceptance.test_ac7_deficit_fuzz_pinned_profile_literal()
+
+
+def test_radial_c_max_without_the_second_r_is_caught(monkeypatch, tmp_path):
+    # M3: c_max = max f / r in place of max f / r^2 sizes the steps alone,
+    # so only the pinned radial trace sees it
+    assess = flows._RadialKernel.assess
+
+    def over_r(self, r):
+        value, _, converged, geom = assess(self, r)
+        return value, float(np.max(self.profile.f(r) / r)), converged, geom
+
+    monkeypatch.setattr(flows._RadialKernel, "assess", over_r)
+    with pytest.raises(AssertionError):
+        test_cli.test_committed_configs_reproduce_their_pinned_artefacts(tmp_path, *test_cli.PINNED[0])
+
+
+def test_sin_theta_weights_at_n_2_are_caught(monkeypatch):
+    # M7: sin theta cell weights, as for n >= 3, in place of the n = 2
+    # summation-by-parts profile; the grid's int Delta v no longer vanishes
+    init = SphericalGrid.__init__
+
+    def sin_weights(self, *args):
+        init(self, *args)
+        raw = np.broadcast_to(self._sin ** (self.n - 1), self.node_shape)
+        self.weights = raw * (sphere_area(self.n) / raw.sum())
+
+    monkeypatch.setattr(SphericalGrid, "__init__", sin_weights)
+    for grid in (SphericalGrid.full_s2(24, 48), SphericalGrid.axisym(2, 24)):
+        with pytest.raises(AssertionError):
+            test_sphere_grid.test_laplacian_sums_by_parts_under_the_weights(grid)

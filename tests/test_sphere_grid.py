@@ -177,47 +177,23 @@ def test_pole_robustness_low_order_harmonics():
         assert np.abs(hess).max() < 10 * analytic_max
 
 
-def test_zonal_filter_keeps_smooth_fields():
-    grid = SphericalGrid.full_s2(32, 64)
-    vals = 1.0 + 0.3 * harmonic_mode(grid, 3, 2) + 0.2 * harmonic_mode(grid, 1, 1)
-    filtered = grid.zonal_filter(vals)
-    assert np.abs(filtered - vals).max() < 1e-12
-    # grid-scale zonal noise at the pole rows is removed
-    noisy = vals.copy()
-    noisy[0] += 1e-8 * np.cos(np.arange(grid.n_phi) * np.pi)
-    cleaned = grid.zonal_filter(noisy)
-    assert np.abs(cleaned - vals).max() < 1e-12
-
-
-def test_zonal_filter_keeps_m_2_where_the_pole_rows_resolve_m_1():
-    # on 14x16 the pole rows resolve ceil(sin theta * n_phi / 2) = 1 zonal
-    # wavenumber; the mask's floor of 2 keeps the m = 2 modes there whole
-    grid = SphericalGrid.full_s2(14, 16)
-    assert np.ceil(grid.sin_t[[0, -1]] * grid.n_phi / 2.0).tolist() == [1.0, 1.0]
-    for ell in (2, 3):
-        vals = harmonic_mode(grid, ell, 2)
-        assert np.abs(grid.zonal_filter(vals) - vals).max() < 1e-14, ell
-
-
 LAPLACIAN_GRIDS = [SphericalGrid.full_s2(16, 32), SphericalGrid.full_s2(24, 48),
                    SphericalGrid.axisym(2, 32), SphericalGrid.axisym(5, 32)]
 
 
-def dense_filtered_laplacian(grid):
-    """The dense matrix of v -> zonal_filter(trace hessian(zonal_filter(v)))."""
+def dense_laplacian(grid):
+    """The dense matrix of v -> trace hessian(v)."""
     cols = []
     for i in range(math.prod(grid.node_shape)):
         e = np.zeros(grid.node_shape)
         e.flat[i] = 1.0
-        hess = grid.hessian_components(grid.zonal_filter(e))
-        lap = hess[0] + hess[2] if grid.mode == "full-s2" else hess[0] + (grid.n - 1) * hess[1]
-        cols.append(grid.zonal_filter(lap).ravel())
+        cols.append(_laplacian(grid, e).ravel())
     return np.array(cols).T
 
 
 @pytest.mark.parametrize("grid", LAPLACIAN_GRIDS, ids=repr)
 def test_laplacian_blocks_carry_the_dense_spectrum(grid):
-    # the zonal blocks split Z Delta Z without loss: a block 0 < m < n_phi / 2
+    # the zonal blocks split Delta without loss: a block 0 < m < n_phi / 2
     # stands for a cos and a sin mode, so it counts twice, and their pooled
     # eigenvalues are the dense operator's; lambda_L, read off the blocks by
     # the flow tests, is then the dense spectral radius
@@ -226,7 +202,7 @@ def test_laplacian_blocks_carry_the_dense_spectrum(grid):
     if grid.mode == "full-s2":
         counts[1:(grid.n_phi + 1) // 2] = 2
     pooled = np.concatenate([np.repeat(np.linalg.eigvals(b), c) for b, c in zip(blocks, counts)])
-    dense = np.linalg.eigvals(dense_filtered_laplacian(grid))
+    dense = np.linalg.eigvals(dense_laplacian(grid))
     assert pooled.size == dense.size
     lambda_l = float(np.abs(dense).max())
     assert float(np.abs(pooled).max()) == pytest.approx(lambda_l, rel=1e-9)
@@ -242,13 +218,13 @@ def test_resolvent_matches_dense_solve(grid):
     # same inverses
     blocks = grid.laplacian_blocks()
     assert not np.triu(blocks, 2).any() and not np.tril(blocks, -2).any()
-    dense = dense_filtered_laplacian(grid)
+    dense = dense_laplacian(grid)
     lambda_l = float(np.abs(np.linalg.eigvals(blocks)).max())
     keys = [scale / lambda_l for scale in (0.1, 10.0, 1000.0)]
     v = np.random.default_rng(8).uniform(0.5, 1.5, (len(keys),) + grid.node_shape)
     solved = grid.resolvent(v, keys)
     for field, s, got in zip(v, keys, solved):
-        want = np.linalg.solve(np.eye(field.size) - s * dense, grid.zonal_filter(field).ravel())
+        want = np.linalg.solve(np.eye(field.size) - s * dense, field.ravel())
         assert np.abs(got.ravel() - want).max() < 1e-12
     inverse = grid._inverses[1]
     assert _same_bits(grid.resolvent(v[1:], keys[1:]), solved[1:]) and grid._inverses[1] is inverse
