@@ -87,6 +87,7 @@ from .errors import (
     ConvexityLost,
     DegenerateMetric,
     InsufficientData,
+    NonpositiveSupport,
     NotStarshaped,
     StepCollapse,
 )
@@ -380,7 +381,7 @@ def validate_support_profile(profile: SpeedProfile, n: int, k: int) -> SupportPr
 # c_max at that state, converged, field), so an accepted state is built
 # only once.
 
-_GEOM_ERRORS = (NotStarshaped, ConvexityLost, DegenerateMetric)
+_GEOM_ERRORS = (NotStarshaped, ConvexityLost, DegenerateMetric, NonpositiveSupport)
 
 
 class _Kernel:
@@ -483,6 +484,8 @@ class _SupportKernel(_Kernel):
         """
         g, n, k, config = self.grid, self.n, self.k, self.config
         geom = self.build(h)
+        if not h.min() > 0.0:  # before the profile reads h; the continuous flow keeps h > 0
+            raise NonpositiveSupport(f"support value must be positive everywhere (min {h.min():.6g})")
         value = _mk_integral(geom, np.ones_like(h) if k == n else self.profile.f(h), k)
         kap1, kap2 = geom.kappa1, geom.kappa2
         rests = (_sigmas([kap2] * (n - 1)), _sigmas([kap1] + [kap2] * (n - 2)))
@@ -732,7 +735,7 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
     state = initial.values.copy()  # final_state is never the caller's array
     t = 0.0
     steps = 0
-    mono_prev, c_max, _, build = kernel.assess(state)  # NotStarshaped or ConvexityLost on bad input
+    mono_prev, c_max, _, build = kernel.assess(state)  # raises on bad input, before any step
     if config.kind == "support":
         trace.meta["initial_margin"] = static_convexity(build).margin
     mono_scale = max(abs(mono_prev), 1e-300)

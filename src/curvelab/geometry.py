@@ -21,11 +21,11 @@ Everything is evaluated per node in the orthonormal frame of the round
 metric, so e_ij = delta_ij throughout.
 
 The inverse metric is kept as components g^ij that match the gradient tuple
-of SphericalGrid.gradient, (g^11,) on axisymmetric grids and the symmetric
+of SphericalGrid.derivatives, (g^11,) on axisymmetric grids and the symmetric
 2x2 on full-s2 ones: (delta_ij - d_i d_j / rho^2) / r^2 for the radial graph
 and b^(-2) for the support parametrization.  |grad^M f|^2 is then one
 quadratic form for both parametrizations and both grid modes.  Ambient
-vectors (position, normal) come from the grid's embedding, xi() and frame().
+vectors (position, normal) come from the grid's embedding, xi and frame.
 
 Every surface here has two distinct principal values per node, of
 multiplicities 1 and n - 1 (the 2x2 eigenvalues on full-s2 grids, the
@@ -130,7 +130,7 @@ class CurvatureField:
     def _position_components(self):
         """The ambient components of X = u xi (+ sum_i (grad u)_i e_i, support), one at a time;
         the terms are added in frame order, which fixes the round-off the artefacts record."""
-        xi, frame = self.grid.xi(), self.grid.frame()
+        xi, frame = self.grid.xi, self.grid.frame
         for c in range(xi.shape[-1]):
             x = self.scalar * xi[..., c]
             for d, e in zip(() if self.kind == "radial" else self.grad, frame):
@@ -144,8 +144,8 @@ class CurvatureField:
     @functools.cached_property
     def normal(self) -> np.ndarray:
         if self.kind == "support":
-            return self.grid.xi()
-        tangential = sum(d[..., None] * e for d, e in zip(self.grad, self.grid.frame()))
+            return self.grid.xi
+        tangential = sum(d[..., None] * e for d, e in zip(self.grad, self.grid.frame))
         return (self.position - tangential) / self.metric_source[..., None]
 
     @functools.cached_property
@@ -168,7 +168,7 @@ class CurvatureField:
         """|grad^M f|^2 = g^{ij} (grad f)_i (grad f)_j from frame components.
 
         ``grad_f`` are the parameter-sphere frame components of the gradient
-        of f, as returned by ``SphericalGrid.gradient``.
+        of f, as returned by ``SphericalGrid.derivatives``.
         """
         out = 0.0
         for row, a_i in zip(self.inverse_metric, grad_f):
@@ -235,10 +235,10 @@ def _radial_field(grid: SphericalGrid, r: np.ndarray) -> CurvatureField:
     Axisymmetric grids give the meridional curvature and the (n-1)-fold
     azimuthal one; full-s2 grids the eigenvalues of g^(-1) b, ascending.  r
     may be a stack of radial functions along a leading axis, as for
-    SphericalGrid._derivatives; a bad radius in any of them raises.
+    SphericalGrid.derivatives; a bad radius in any of them raises.
     """
     _check_starshaped(r)
-    grad, hess = grid._derivatives(r)
+    grad, hess = grid.derivatives(r)
     if grid.mode == "axisym":
         (r1,), (r2, _) = grad, hess
         q = r1 * r1
@@ -279,7 +279,7 @@ def _principal_radii(grid: SphericalGrid, h: np.ndarray):
     frame components (b11, b12, b22).  grad is the orthonormal-frame
     gradient of h, from the same derivative pass as the Hessian.
     """
-    grad, hess = grid._derivatives(h)
+    grad, hess = grid.derivatives(h)
     if grid.mode == "axisym":
         b = (hess[0] + h, hess[1] + h)
         return (*b, b, grad)
@@ -291,7 +291,7 @@ def _support_field(grid: SphericalGrid, h: np.ndarray) -> CurvatureField:
     """Extrinsic geometry of the body with support function h, or of a stack h.
 
     h may be a stack of support functions along a leading axis, as for
-    SphericalGrid._derivatives; each is checked against its own scale.
+    SphericalGrid.derivatives; each is checked against its own scale.
     """
     # one scale per support function; NaN or inf when an entry is not finite
     scale = np.abs(h).reshape(-1, math.prod(grid.node_shape)).max(axis=1)

@@ -199,7 +199,7 @@ def _recentred(grid: SphericalGrid, r0: np.ndarray, base: float):
     base or _RECENTRE_EVALS centroids do not reach the tolerance.  By linearity
     an iterate's gradient is grad r0, one stencil pass, minus grid._project_gradient(c).
     """
-    grad0 = grid.gradient(r0)
+    grad0 = grid.derivatives(r0, hessian=False)[0]
     f, tol = _radial_centroid(grid, r0, grad0), 1e-9 * base
     shape, f = np.shape(f), np.atleast_1d(f)
     c, r, inverse = np.zeros_like(f), r0, -np.eye(f.size)

@@ -5,13 +5,14 @@ no node touches a pole.  The full-S2 grid continues fields across the poles
 antipodally, f(-theta, phi) = f(theta, phi + pi); the axisymmetric profile
 uses even reflection, which is the antipodal rule restricted to zonal fields.
 
-Derivatives are second-order centred differences read by slices from one
-ghost-padded copy of the field per call.  The copy has one ghost row beyond
-each pole: on full-s2 grids it is the pole row itself turned half a turn,
-np.roll(row, n_phi // 2), the antipodal continuation; on axisymmetric grids
-it is the pole row unchanged.  Full-s2 copies also carry one periodic ghost
-column on each side, ghost rows included, so d/dphi is known on the ghost
-rows and its theta difference gives the mixed derivative across the poles.
+One call, derivatives, gives the gradient and the Hessian as second-order
+centred differences read by slices from one ghost-padded copy of the field.
+The copy has one ghost row beyond each pole: on full-s2 grids it is the pole
+row itself turned half a turn, np.roll(row, n_phi // 2), the antipodal
+continuation; on axisymmetric grids it is the pole row unchanged.  Full-s2
+copies also carry one periodic ghost column on each side, ghost rows
+included, so d/dphi is known on the ghost rows and its theta difference
+gives the mixed derivative across the poles.
 
 Quadrature weights are rescaled so that the constant field 1 integrates to
 the exact area of S^n; that exactness is what keeps round spheres free of
@@ -31,11 +32,11 @@ for n = 3, about zero at n = 4 and negative for n >= 5.  The n = 3 weights
 are not switched yet.
 
 The grid also owns its embedding in R^(n+1), so no other module branches on
-the mode to place a surface: xi() gives the node directions, frame() the
+the mode to place a surface: xi holds the node directions, frame the
 ambient unit vectors of the gradient's components in the same layout,
-project(c) the translation term <c, xi>, and zonal(v) fills the nodes from
-one value per colatitude.  Axisymmetric grids lay ambient vectors out as
-meridian components (orbit direction, symmetry axis).
+project(c) gives the translation term <c, xi>, and zonal(v) fills the nodes
+from one value per colatitude.  Axisymmetric grids lay ambient vectors out
+as meridian components (orbit direction, symmetry axis).
 """
 
 from __future__ import annotations
@@ -96,7 +97,11 @@ class SphericalGrid:
 
     Grids are immutable after construction, so the embedding arrays are built
     once and read-only; operators are pure functions of the node values they
-    are handed.
+    are handed.  ``xi`` holds the unit position vectors of the nodes: full-s2
+    (N_theta, N_phi, 3); axisym (N_theta, 2) meridian components (coefficient
+    of the S^(n-1) orbit direction, axis component).  ``frame`` holds the
+    ambient unit vectors of the gradient's components, laid out like xi:
+    full-s2 (e_theta, e_phi); axisym (e_theta,) = (cos theta, -sin theta).
     """
 
     def __init__(self, mode: str, n: int, n_theta: int, n_phi: int | None = None):
@@ -153,7 +158,7 @@ class SphericalGrid:
             frame = (np.stack([self.cos_t, -self.sin_t], axis=-1),)
         for a in (xi, *frame):
             a.flags.writeable = False
-        self._xi, self._frame = xi, frame
+        self.xi, self.frame = xi, frame
 
         self.weights = raw * (sphere_area(n) / raw.sum())
 
@@ -171,14 +176,21 @@ class SphericalGrid:
 
     # -- differential operators on the round metric -------------------------
 
-    def _derivatives(self, v: np.ndarray, hessian: bool = True):
-        """(gradient, hessian_components) of v from one ghost-padded copy.
+    def derivatives(self, v: np.ndarray, hessian: bool = True):
+        """(gradient, Hessian) components of v from one ghost-padded copy.
 
-        v holds one field, or a stack of fields along leading axes, and
-        every component then carries the same leading axes.  The Hessian is
-        None when ``hessian`` is false.  Phi differences are taken on the
-        ghost rows too, so the theta difference of d/dphi carries the
-        antipodal continuation into the mixed derivative.
+        The gradient is in the orthonormal frame: full-s2 (d/dtheta,
+        d/dphi / sin theta); axisym (d/dtheta,), the azimuthal components
+        being identically zero.  The covariant Hessian of the round metric
+        is in the same frame: full-s2 (H11, H12, H22); axisym (H_meridional,
+        H_tangential), the tangential value shared by the n - 1 degenerate
+        directions.  Christoffel terms are included, so the trace is the
+        sphere Laplacian.  v holds one field, or a stack of fields along
+        leading axes, and every component then carries the same leading
+        axes.  The Hessian is None when ``hessian`` is false.  Phi
+        differences are taken on the ghost rows too, so the theta difference
+        of d/dphi carries the antipodal continuation into the mixed
+        derivative.
         """
         v = np.asarray(v, float)
         stack = v.shape[: v.ndim - len(self.node_shape)]
@@ -205,24 +217,6 @@ class SphericalGrid:
         h22 = vpp / self._sin**2 + self._cot * vt
         return grad, (vtt, h12, h22)
 
-    def gradient(self, v: np.ndarray):
-        """Orthonormal-frame gradient components.
-
-        full-s2: tuple (d/dtheta, d/dphi / sin theta); axisym: (d/dtheta,),
-        the azimuthal components being identically zero.
-        """
-        return self._derivatives(v, hessian=False)[0]
-
-    def hessian_components(self, v: np.ndarray):
-        """Covariant Hessian in the orthonormal frame of the round metric.
-
-        full-s2 returns (H11, H12, H22); axisym returns (H_meridional,
-        H_tangential) where the tangential value is shared by the n - 1
-        degenerate directions.  Christoffel terms of the round metric are
-        included, so the trace is the sphere Laplacian.
-        """
-        return self._derivatives(v)[1]
-
     def integrate(self, v):
         return self.reduce(self.weights * np.asarray(v, float))
 
@@ -234,37 +228,30 @@ class SphericalGrid:
         out = ufunc.reduce(v.reshape(v.shape[: v.ndim - len(self.node_shape)] + (-1,)), axis=-1)
         return float(out) if out.ndim == 0 else out
 
-    def laplacian_blocks(self) -> np.ndarray:
-        """The discrete Laplacian Delta split into one block per zonal wavenumber.
+    @functools.lru_cache(maxsize=8)
+    def _laplacian_diagonals(self):
+        """(sub, diag, super) diagonals of the discrete Laplacian's zonal blocks.
 
-        Delta is the trace of hessian_components, the operator the steppers
-        take implicitly.  It commutes with phi-shifts, so the rfft over phi
-        of its responses to one delta per theta-row gives one real (it is
-        even in phi) n_theta x n_theta block per wavenumber m, shape
-        (n_phi // 2 + 1, n_theta, n_theta).  Axisymmetric grids have the
-        single block of m = 0.  The stencils reach one row either side,
-        so the blocks are tridiagonal.  Built anew on each call; the
-        resolvent caches only their diagonals.
+        Delta is the trace of the Hessian that derivatives gives, the
+        operator the steppers take implicitly.  It commutes with phi-shifts, so the rfft
+        over phi of its responses to one delta per theta-row gives one real
+        (it is even in phi) n_theta x n_theta block per wavenumber m =
+        0..n_phi // 2; axisymmetric grids have the single block of m = 0.
+        The stencils reach one row either side, so the blocks are
+        tridiagonal and their diagonals, shapes (blocks, n_theta - 1),
+        (blocks, n_theta) and (blocks, n_theta - 1), hold them whole.
+        Cached per grid like the shapes' mode tables; equal grids share an
+        entry.
         """
         responses = []
         for j in range(self.n_theta):
             delta = np.zeros(self.node_shape)
             delta.reshape(self.n_theta, -1)[j, 0] = 1.0
-            hess = self.hessian_components(delta)
+            hess = self.derivatives(delta)[1]
             responses.append(hess[0] + (self.n - 1) * hess[1] if self.mode == "axisym" else hess[0] + hess[2])
-        response = np.stack(responses, axis=-1)  # [row i, (phi offset,)] delta row j
-        if self.mode == "axisym":
-            return response[None]
-        return np.fft.rfft(response, axis=1).real.transpose(1, 0, 2)
-
-    @functools.lru_cache(maxsize=8)
-    def _laplacian_diagonals(self):
-        """(sub, diag, super) diagonals of laplacian_blocks().
-
-        Cached per grid like the shapes' mode tables; equal grids share an
-        entry.
-        """
-        blocks = self.laplacian_blocks()
+        blocks = np.stack(responses, axis=-1)[None]  # [block, row i, (phi offset,)] delta row j
+        if self.mode == "full-s2":
+            blocks = np.fft.rfft(blocks[0], axis=1).real.transpose(1, 0, 2)
         return tuple(np.diagonal(blocks, k, axis1=1, axis2=2).copy() for k in (-1, 0, 1))
 
     def resolvent(self, v: np.ndarray, keys) -> np.ndarray:
@@ -304,22 +291,6 @@ class SphericalGrid:
 
     # -- embedding in R^(n+1) ---------------------------------------------------
 
-    def xi(self):
-        """Unit position vectors of the nodes.
-
-        full-s2: array (N_theta, N_phi, 3).  axisym: (N_theta, 2) meridian
-        components (coefficient of the S^(n-1) orbit direction, axis component).
-        """
-        return self._xi
-
-    def frame(self):
-        """Ambient unit vectors of the gradient's components, laid out like xi().
-
-        full-s2: (e_theta, e_phi); axisym: (e_theta,), which is
-        (cos theta, -sin theta) in meridian components.
-        """
-        return self._frame
-
     def project(self, c) -> np.ndarray:
         """<c, xi> at the nodes: the normal speed of a translation by c.
 
@@ -331,19 +302,19 @@ class SphericalGrid:
         if self.mode == "axisym" and c.shape == ():
             return float(c) * self.cos_t
         if self.mode == "full-s2" and c.shape == (3,):
-            return (self._xi.reshape(-1, 3) @ c).reshape(self.node_shape)
+            return (self.xi.reshape(-1, 3) @ c).reshape(self.node_shape)
         want = "a scalar axis offset" if self.mode == "axisym" else "a 3-vector"
         raise ValueError(f"{self.mode} grids take {want}, got shape {c.shape}")
 
     def _project_gradient(self, c):
-        """gradient(project(c)) with no stencil pass: the central differences of
+        """The gradient of project(c) with no stencil pass: the central differences of
         <c, xi>, ghost rows included, are <c, e> sin(d) / d for each frame vector e
         and its spacing d, since (xi(t + d) - xi(t - d)) / 2d = e_t sin(d) / d."""
         if self.mode == "axisym":
             return [-math.sin(self.dtheta) / self.dtheta * float(c) * self.sin_t]
         c = np.asarray(c, float)
         scales = (math.sin(self.dtheta) / self.dtheta, math.sin(self.dphi) / self.dphi)
-        return [(e.reshape(-1, 3) @ (s * c)).reshape(self.node_shape) for e, s in zip(self._frame, scales)]
+        return [(e.reshape(-1, 3) @ (s * c)).reshape(self.node_shape) for e, s in zip(self.frame, scales)]
 
     def moment(self, v):
         """Sum over the nodes of v xi, in the format project takes: project's adjoint.
@@ -353,7 +324,7 @@ class SphericalGrid:
         """
         if self.mode == "axisym":
             return float(v @ self.cos_t)
-        return v.reshape(-1) @ self._xi.reshape(-1, 3)
+        return v.reshape(-1) @ self.xi.reshape(-1, 3)
 
     def zonal(self, v) -> np.ndarray:
         """A new node array holding the per-row values v (one per colatitude)."""

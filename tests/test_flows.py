@@ -50,6 +50,7 @@ from curvelab.shapes import (
 )
 from curvelab.sphere_grid import sphere_area
 from curvelab.symfunc import _ek_derivative_eigen, elementary_symmetric, sigma_all
+from test_sphere_grid import tridiagonal_blocks
 
 
 # -- profiles and validators -----------------------------------------------------
@@ -339,8 +340,8 @@ def test_kernel_speed_matches_public_op():
 
 
 def laplacian_radius(grid):
-    """lambda_L, the spectral radius of Delta, from its dense zonal blocks."""
-    return float(np.abs(np.linalg.eigvals(grid.laplacian_blocks())).max())
+    """lambda_L, the spectral radius of Delta, from its tridiagonal zonal blocks."""
+    return float(np.abs(np.linalg.eigvals(tridiagonal_blocks(grid))).max())
 
 
 def jacobian(kernel, u, eps=1e-6):
@@ -909,13 +910,13 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
     # once in its assessment; that build also gives the next step's start
     # speed, and the diagnostic row (and the conserved integral) of a state
     # that fills a batch alone; states that share a batch are built once
-    # more there, as one stack, and no separate gradient is taken
+    # more there, as one stack, and each build takes one derivative pass
     from curvelab import flows, geometry
 
-    counts = {"build": 0, "speed": 0, "grad": 0, "derivatives": 0, "build in row": 0, "rows": 0}
+    counts = {"build": 0, "speed": 0, "derivatives": 0, "build in row": 0, "rows": 0}
     in_row = [False]
     row = flows._diagnostic_row
-    gradient, derivatives = SphericalGrid.gradient, SphericalGrid._derivatives
+    derivatives = SphericalGrid.derivatives
     speeds = {kind: kind.speed for kind in (flows._SupportKernel, flows._RadialKernel)}
 
     def counted(build):
@@ -928,10 +929,6 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
     def counted_speed(self, geom):
         counts["speed"] += 1
         return speeds[type(self)](self, geom)
-
-    def counted_gradient(self, v):
-        counts["grad"] += 1
-        return gradient(self, v)
 
     def counted_derivatives(self, v, hessian=True):
         counts["derivatives"] += 1
@@ -956,8 +953,7 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
         monkeypatch.setattr(module, "_radial_field", counted(module._radial_field))
     for kind in speeds:
         monkeypatch.setattr(kind, "speed", counted_speed)
-    monkeypatch.setattr(SphericalGrid, "gradient", counted_gradient)
-    monkeypatch.setattr(SphericalGrid, "_derivatives", counted_derivatives)
+    monkeypatch.setattr(SphericalGrid, "derivatives", counted_derivatives)
     monkeypatch.setattr(flows, "_diagnostic_row", flagged_row)
 
     for initial, profile, config, kind in (
@@ -990,7 +986,7 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
         batches = 1 if kind is flows._RadialKernel else 0
         assert counts["build"] == steps * (kind.levels - 1) + (steps + 1) + batches
         assert counts["derivatives"] == counts["build"]  # one derivative pass per build
-        assert counts["grad"] == 0 and counts["build in row"] == batches
+        assert counts["build in row"] == batches
         assert counts["rows"] == len(trace.rows) == steps + 1  # each state's row computed once
 
 
@@ -1634,8 +1630,9 @@ def test_nonstarshaped_step_result_collapses_with_partial_trace(dt):
     assert err.value.trace.rows
 
 
-@pytest.mark.parametrize("kind", ["radial", "support"])
-def test_failed_step_collapses_at_once(monkeypatch, kind):
+@pytest.mark.parametrize("kind, error", [("radial", NotStarshaped), ("support", ConvexityLost),
+                                         ("support", NonpositiveSupport)], ids=["radial", "support", "support-h"])
+def test_failed_step_collapses_at_once(monkeypatch, kind, error):
     # an adaptive run takes each step once: a candidate that fails its
     # assessment ends the run, with no smaller step tried
     from curvelab import flows
@@ -1643,12 +1640,15 @@ def test_failed_step_collapses_at_once(monkeypatch, kind):
     grid = SphericalGrid.axisym(2, 32)
     if kind == "radial":
         initial = ScalarField(grid, 1.0 + 0.1 * np.cos(2 * grid.theta))
-        profile, error = SpeedProfile.power_exp_pinned(2, 1.0), NotStarshaped
+        profile = SpeedProfile.power_exp_pinned(2, 1.0)
         candidate = initial.values.copy()
         candidate[7] = -0.1  # r <= 0 at one node
     else:
-        initial, profile, error = sphere_support(grid, 1.0, center=0.1), None, ConvexityLost
-        candidate = 1.0 + 2.0 * np.cos(3 * grid.theta)  # not convex
+        initial, profile = sphere_support(grid, 1.0, center=0.1), None
+        if error is ConvexityLost:
+            candidate = 1.0 + 2.0 * np.cos(3 * grid.theta)  # not convex
+        else:
+            candidate = sphere_support(grid, 1.0, center=1.05).values  # convex, but h < 0 near a pole
     calls = []
 
     def broken_step(kernel, u, h, spread, start):
@@ -1709,7 +1709,8 @@ def test_adaptive_step_below_the_floor_collapses(monkeypatch, kind):
 @pytest.mark.parametrize("grid", [SphericalGrid.axisym(2, 32), SphericalGrid.full_s2(16, 32)], ids=repr)
 def test_run_flow_rejects_a_bad_start_before_any_step(monkeypatch, grid):
     # the start's assessment raises before any step; on full-s2 node 7 lies
-    # in a pole row
+    # in a pole row.  A support start with h <= 0 raises before a profile
+    # with a fractional power reads h (under error::RuntimeWarning)
     from curvelab import flows
 
     def no_step(*args):
@@ -1723,7 +1724,8 @@ def test_run_flow_rejects_a_bad_start_before_any_step(monkeypatch, grid):
             (ScalarField(grid, r), "radial", SpeedProfile.power_exp_pinned(2, 1.0), NotStarshaped),
             (ScalarField(grid, grid.zonal(1.0 + 2.0 * np.cos(3 * grid.theta))), "support", None,
              ConvexityLost),
-            (sphere_support(grid, 0.3, center=center), "support", None, NonpositiveSupport)):
+            (sphere_support(grid, 0.3, center=center), "support", None, NonpositiveSupport),
+            (sphere_support(grid, 0.3, center=center), "support", SpeedProfile.power(0.5), NonpositiveSupport)):
         with pytest.raises(error):
             run_flow(initial, profile, FlowConfig(kind=kind, t_end=1.0))
 

@@ -93,7 +93,7 @@ ROTATION_GRIDS = [SphericalGrid.full_s2(24, 48), SphericalGrid.full_s2(48, 96)]
 
 def tilted_ellipsoid_quermass(kind, grid, q):
     """quermassintegrals of the ellipsoid with ELLIPSOID_AXES along the columns of q."""
-    u = grid.xi() @ q  # each node's direction in the ellipsoid's frame
+    u = grid.xi @ q  # each node's direction in the ellipsoid's frame
     if kind == "radial":
         r = np.sum(u**2 / ELLIPSOID_AXES**2, axis=-1) ** -0.5
         return quermassintegrals(radial_geometry(ScalarField(grid, r)))

@@ -137,7 +137,7 @@ def test_height_function_tangential_gradient(make_grid, body, geometry, tol):
         grid = make_grid(nt)
         geom = geometry(body(grid, np.random.default_rng(1), amp=0.1))
         z = geom.position[..., -1]
-        tgs = geom.tangential_grad_sq(grid.gradient(z))
+        tgs = geom.tangential_grad_sq(grid.derivatives(z, hessian=False)[0])
         errs.append(np.abs(tgs - (1.0 - geom.normal[..., -1] ** 2)).max())
     assert errs[1] < tol
     assert math.log2(errs[0] / errs[1]) >= 1.8
@@ -167,7 +167,7 @@ def test_tilted_spheroid_radial_against_closed_form(alpha):
     l2, worst = [], []
     for nt in (32, 64):
         grid = SphericalGrid.full_s2(nt, 2 * nt)
-        theta = np.arccos(np.clip(grid.xi() @ axis, -1.0, 1.0))  # colatitude from the axis
+        theta = np.arccos(np.clip(grid.xi @ axis, -1.0, 1.0))  # colatitude from the axis
         r = 1.0 / np.sqrt(np.sin(theta) ** 2 / b_eq**2 + np.cos(theta) ** 2 / c_axis**2)
         geom = radial_geometry(ScalarField(grid, r))
         kap_m, kap_a = spheroid_curvatures_radial(theta, c_axis, b_eq)
@@ -232,7 +232,7 @@ def radial_mean_curvature_direct(field):
     grid = field.grid
     r = field.values
     n = grid.n
-    grad_r, hess_r = grid._derivatives(r)
+    grad_r, hess_r = grid.derivatives(r)
     if grid.mode == "axisym":
         o1 = grad_r[0] / r
         oo = o1 * o1
@@ -275,8 +275,8 @@ def test_radial_pair_is_the_spectrum_of_the_shape_operator(shape):
     for seed in range(4):
         r = random_starshaped(grid, np.random.default_rng(seed), amp=0.3).values
         geom = radial_geometry(ScalarField(grid, r))
-        d = np.stack(grid.gradient(r), axis=-1)
-        h11, h12, h22 = grid.hessian_components(r)
+        grad, (h11, h12, h22) = grid.derivatives(r)
+        d = np.stack(grad, axis=-1)
         hess = np.stack([np.stack([h11, h12], -1), np.stack([h12, h22], -1)], -1)
         dd, rr = d[..., :, None] * d[..., None, :], (r * r)[..., None, None]
         rho = np.sqrt(r * r + np.sum(d * d, axis=-1))[..., None, None]
@@ -319,7 +319,7 @@ def test_support_gradient_position_identity():
     grid = SphericalGrid.full_s2(48, 96)
     h = 1.0 + 0.1 * harmonic_mode(grid, 2, 1) + 0.05 * harmonic_mode(grid, 3, 0)
     geom = support_geometry(ScalarField(grid, h))
-    e_theta, e_phi = grid.frame()
+    e_theta, e_phi = grid.frame
     xt = np.sum(geom.position * e_theta, axis=-1)
     xp = np.sum(geom.position * e_phi, axis=-1)
     assert np.abs(xt - geom.grad[0]).max() < 1e-10

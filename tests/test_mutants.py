@@ -174,3 +174,16 @@ def test_sin_theta_weights_at_n_2_are_caught(monkeypatch):
     for grid in (SphericalGrid.full_s2(24, 48), SphericalGrid.axisym(2, 24)):
         with pytest.raises(AssertionError):
             test_sphere_grid.test_laplacian_sums_by_parts_under_the_weights(grid)
+
+
+def test_laplacian_diagonals_with_tangential_weight_1_are_caught(monkeypatch):
+    # the axisymmetric blocks take the tangential Hessian once, not n - 1
+    # times; the pooled block spectrum leaves the dense operator's at n = 5
+    def tangential_once(self):
+        hess = self.derivatives(np.eye(self.n_theta))[1]  # row j: the response to a delta on row j
+        block = (hess[0] + hess[1]).T
+        return tuple(np.diagonal(block, k)[None].copy() for k in (-1, 0, 1))
+
+    monkeypatch.setattr(SphericalGrid, "_laplacian_diagonals", tangential_once)
+    with pytest.raises(AssertionError):
+        test_sphere_grid.test_laplacian_diagonals_carry_the_dense_spectrum(SphericalGrid.axisym(5, 32))

@@ -35,13 +35,14 @@ def test_quadrature_cos_squared():
 
 def test_gradient_constant_field_is_zero():
     grid = SphericalGrid.full_s2(16, 32)
-    g = grid.gradient(np.full(grid.node_shape, 2.5))
+    g = grid.derivatives(np.full(grid.node_shape, 2.5), hessian=False)[0]
     assert all(np.allclose(c, 0.0) for c in g)
 
 
 def test_gradient_cos_theta():
     grid = SphericalGrid.full_s2(64, 128)
-    gt, gp = grid.gradient(np.broadcast_to(grid.cos_t[:, None], grid.node_shape).copy())
+    cos_t = np.broadcast_to(grid.cos_t[:, None], grid.node_shape).copy()
+    gt, gp = grid.derivatives(cos_t, hessian=False)[0]
     assert np.allclose(gp, 0.0, atol=1e-13)
     err = np.abs(gt - (-grid.sin_t[:, None]))
     assert err.max() < 1e-3  # O(h^2) at h = pi/64
@@ -49,7 +50,7 @@ def test_gradient_cos_theta():
 
 def test_axisym_gradient_matches_analytic():
     grid = SphericalGrid.axisym(2, 128)
-    (gt,) = grid.gradient(grid.theta**2)
+    (gt,) = grid.derivatives(grid.theta**2, hessian=False)[0]
     interior = (grid.theta > 0.3) & (grid.theta < math.pi - 0.3)
     assert np.abs(gt - 2 * grid.theta)[interior].max() < 5e-4
 
@@ -58,7 +59,7 @@ def test_hessian_eigenfunction_relation():
     # f = cos(theta) is a degree-1 harmonic: hess f = -f * (round metric)
     grid = SphericalGrid.full_s2(64, 128)
     ct = np.broadcast_to(grid.cos_t[:, None], grid.node_shape).copy()
-    h11, h12, h22 = grid.hessian_components(ct)
+    h11, h12, h22 = grid.derivatives(ct)[1]
     assert np.abs(h11 + ct).max() < 2e-3
     assert np.abs(h22 + ct).max() < 2e-3
     assert np.abs(h12).max() < 2e-3
@@ -67,7 +68,7 @@ def test_hessian_eigenfunction_relation():
 def test_hessian_constant_support_gives_round_radii():
     grid = SphericalGrid.full_s2(32, 64)
     r = 1.7
-    h11, h12, h22 = grid.hessian_components(np.full(grid.node_shape, r))
+    h11, h12, h22 = grid.derivatives(np.full(grid.node_shape, r))[1]
     assert np.allclose(h11 + r, r, atol=1e-12)
     assert np.allclose(h22 + r, r, atol=1e-12)
     assert np.allclose(h12, 0.0, atol=1e-12)
@@ -76,7 +77,7 @@ def test_hessian_constant_support_gives_round_radii():
 def test_axisym_hessian_trace_is_laplacian():
     grid = SphericalGrid.axisym(4, 96)
     vals = np.cos(grid.theta)
-    hess = grid.hessian_components(vals)
+    hess = grid.derivatives(vals)[1]
     lap = hess[0] + (grid.n - 1) * hess[1]
     # degree-1 harmonic on S^n: laplacian = -n f
     interior = (grid.theta > 0.2) & (grid.theta < math.pi - 0.2)
@@ -89,14 +90,14 @@ def test_divergence_free_laplacian_integral():
     vals = np.zeros(grid.node_shape)
     for (ell, m) in [(1, 0), (2, 1), (3, 2), (4, 1)]:
         vals += rng.uniform(-1, 1) * harmonic_mode(grid, ell, m)
-    h11, _, h22 = grid.hessian_components(vals)
+    h11, _, h22 = grid.derivatives(vals)[1]
     lap = h11 + h22
     norm = float(np.abs(vals).max())
     assert abs(grid.integrate(lap)) < 1e-8 * max(norm, 1.0)
 
 
 def _laplacian(grid, v):
-    hess = grid.hessian_components(v)
+    hess = grid.derivatives(v)[1]
     return hess[0] + (grid.n - 1) * hess[1] if grid.mode == "axisym" else hess[0] + hess[2]
 
 
@@ -136,12 +137,12 @@ def test_refinement_order_two(mode):
             grid = SphericalGrid.full_s2(nt, 2 * nt)
             vals = np.sin(grid.theta)[:, None] * np.cos(grid.phi)[None, :]
             exact_h11 = -vals
-            hess = grid.hessian_components(vals)
+            hess = grid.derivatives(vals)[1]
             errors.append(np.abs(hess[0] - exact_h11).max())
         else:
             grid = SphericalGrid.axisym(2, nt)
             vals = np.cos(grid.theta) ** 2
-            (gt,) = grid.gradient(vals)
+            (gt,) = grid.derivatives(vals, hessian=False)[0]
             errors.append(np.abs(gt + 2 * np.sin(grid.theta) * np.cos(grid.theta)).max())
     order1 = math.log2(errors[0] / errors[1])
     order2 = math.log2(errors[1] / errors[2])
@@ -160,7 +161,7 @@ def test_laplacian_eigen_relation_order_two(mode, phase):
     for nt in (32, 64):
         grid = SphericalGrid.full_s2(nt, 2 * nt)
         vals = harmonic_mode(grid, ell, m, phase)
-        h11, _, h22 = grid.hessian_components(vals)
+        h11, _, h22 = grid.derivatives(vals)[1]
         err = h11 + h22 + ell * (ell + 1) * vals
         errors.append(math.sqrt(grid.integrate(err**2)))
     assert math.log2(errors[0] / errors[1]) >= 1.7
@@ -170,7 +171,7 @@ def test_pole_robustness_low_order_harmonics():
     grid = SphericalGrid.full_s2(48, 96)
     for (ell, m) in [(1, 1), (2, 1), (2, 2), (3, 1)]:
         vals = harmonic_mode(grid, ell, m)
-        hess = np.asarray(grid.hessian_components(vals))
+        hess = np.asarray(grid.derivatives(vals)[1])
         # eigenvalue-style bound: components of hess(Y) for a degree-ell
         # harmonic normalized to sup 1 are bounded by ell (ell + 1)
         analytic_max = ell * (ell + 1)
@@ -191,13 +192,25 @@ def dense_laplacian(grid):
     return np.array(cols).T
 
 
+def tridiagonal_blocks(grid):
+    """The tridiagonal zonal blocks of Delta, rebuilt from the grid's cached diagonals."""
+    sub, diag, sup = grid._laplacian_diagonals()
+    rows = np.arange(grid.n_theta)
+    blocks = np.zeros(diag.shape + (grid.n_theta,))
+    blocks[:, rows, rows] = diag
+    blocks[:, rows[1:], rows[:-1]] = sub
+    blocks[:, rows[:-1], rows[1:]] = sup
+    return blocks
+
+
 @pytest.mark.parametrize("grid", LAPLACIAN_GRIDS, ids=repr)
-def test_laplacian_blocks_carry_the_dense_spectrum(grid):
-    # the zonal blocks split Delta without loss: a block 0 < m < n_phi / 2
-    # stands for a cos and a sin mode, so it counts twice, and their pooled
-    # eigenvalues are the dense operator's; lambda_L, read off the blocks by
-    # the flow tests, is then the dense spectral radius
-    blocks = grid.laplacian_blocks()
+def test_laplacian_diagonals_carry_the_dense_spectrum(grid):
+    # the zonal blocks' diagonals split Delta without loss: a block 0 < m <
+    # n_phi / 2 stands for a cos and a sin mode, so it counts twice, and the
+    # pooled eigenvalues of the tridiagonal blocks are the dense operator's;
+    # lambda_L, read off the blocks by the flow tests, is then the dense
+    # spectral radius
+    blocks = tridiagonal_blocks(grid)
     counts = np.ones(len(blocks), dtype=int)
     if grid.mode == "full-s2":
         counts[1:(grid.n_phi + 1) // 2] = 2
@@ -211,15 +224,12 @@ def test_laplacian_blocks_carry_the_dense_spectrum(grid):
 
 @pytest.mark.parametrize("grid", LAPLACIAN_GRIDS, ids=repr)
 def test_resolvent_matches_dense_solve(grid):
-    # the Thomas sweep needs tridiagonal blocks; s lambda_L, with lambda_L
-    # the blocks' spectral radius, spans the extrapolated step's range, up
-    # to ~700 on the 256-node AC-5 grid.  One call solves each field of a
-    # stack with its own key, and a trailing part of the keys reads the
-    # same inverses
-    blocks = grid.laplacian_blocks()
-    assert not np.triu(blocks, 2).any() and not np.tril(blocks, -2).any()
+    # s lambda_L, with lambda_L the blocks' spectral radius, spans the
+    # extrapolated step's range, up to ~700 on the 256-node AC-5 grid.  One
+    # call solves each field of a stack with its own key, and a trailing part
+    # of the keys reads the same inverses
     dense = dense_laplacian(grid)
-    lambda_l = float(np.abs(np.linalg.eigvals(blocks)).max())
+    lambda_l = float(np.abs(np.linalg.eigvals(tridiagonal_blocks(grid))).max())
     keys = [scale / lambda_l for scale in (0.1, 10.0, 1000.0)]
     v = np.random.default_rng(8).uniform(0.5, 1.5, (len(keys),) + grid.node_shape)
     solved = grid.resolvent(v, keys)
@@ -238,9 +248,9 @@ def test_resolvent_matches_dense_solve(grid):
 @pytest.mark.parametrize("hessian", [True, False])
 def test_derivatives_of_a_stack_match_each_field_bit_for_bit(grid, hessian):
     stack = np.random.default_rng(5).uniform(0.5, 1.5, (3,) + grid.node_shape)
-    grad, hess = grid._derivatives(stack, hessian)
+    grad, hess = grid.derivatives(stack, hessian)
     for i, field in enumerate(stack):
-        grad_i, hess_i = grid._derivatives(field, hessian)
+        grad_i, hess_i = grid.derivatives(field, hessian)
         assert all(_same_bits(a[i], b) for a, b in zip(grad, grad_i, strict=True))
         if hessian:
             assert all(_same_bits(a[i], b) for a, b in zip(hess, hess_i, strict=True))
@@ -327,8 +337,8 @@ def test_random_starshaped_recentres_in_few_gradient_passes(monkeypatch):
     from curvelab import shapes
 
     passes, evals, starts = [], [], []
-    real = SphericalGrid._derivatives
-    monkeypatch.setattr(SphericalGrid, "_derivatives", lambda *a, **k: passes.append(1) or real(*a, **k))
+    real = SphericalGrid.derivatives
+    monkeypatch.setattr(SphericalGrid, "derivatives", lambda *a, **k: passes.append(1) or real(*a, **k))
     centroid = shapes._radial_centroid
     monkeypatch.setattr(shapes, "_radial_centroid", lambda *a: evals.append(1) or centroid(*a))
 
@@ -363,7 +373,7 @@ def test_project_gradient_is_the_stencil_gradient_of_project(grid):
     rng = np.random.default_rng(7)
     for scale in (1e-3, 0.3, 2.0):
         c = scale * rng.normal(size=np.shape(grid.moment(np.ones(grid.node_shape))))
-        stencil = grid.gradient(grid.project(c))
+        stencil = grid.derivatives(grid.project(c), hessian=False)[0]
         closed = grid._project_gradient(c)
         assert len(closed) == len(stencil)
         top = max(np.abs(g).max() for g in stencil)
@@ -404,9 +414,9 @@ def test_harmonic_mode_matches_closed_forms(grid, ell, m, closed):
 
 @pytest.mark.parametrize("grid", [SphericalGrid.full_s2(8, 16), SphericalGrid.axisym(3, 8)])
 def test_frame_is_orthonormal_and_tangent(grid):
-    xi = grid.xi()
-    frame = grid.frame()
-    assert len(frame) == len(grid.gradient(np.zeros(grid.node_shape)))
+    xi = grid.xi
+    frame = grid.frame
+    assert len(frame) == len(grid.derivatives(np.zeros(grid.node_shape), hessian=False)[0])
     for i, e in enumerate(frame):
         assert e.shape == xi.shape
         assert np.abs(np.sum(e * xi, axis=-1)).max() < 1e-15
@@ -418,9 +428,9 @@ def test_frame_is_orthonormal_and_tangent(grid):
 def test_project_is_the_translation_term():
     s2 = SphericalGrid.full_s2(8, 16)
     c = np.array([0.3, -0.2, 0.1])
-    assert np.array_equal(s2.project(c), s2.xi() @ c)
+    assert np.array_equal(s2.project(c), s2.xi @ c)
     axi = SphericalGrid.axisym(3, 8)
-    assert np.array_equal(axi.project(0.4), 0.4 * axi.xi()[:, 1])
+    assert np.array_equal(axi.project(0.4), 0.4 * axi.xi[:, 1])
     for grid, bad in ((s2, 0.1), (s2, [0.1, 0.2]), (axi, [0.0, 0.0, 0.1]), (axi, [0.1])):
         with pytest.raises(ValueError):
             grid.project(bad)
