@@ -365,12 +365,3 @@ def centroid(field: CurvatureField):
         return np.asarray([float(np.sum(w * position[..., i])) for i in range(3)]) / area
     return float(np.sum(w * position[..., 1]) / area)
 
-
-def _radial_centroid(grid: SphericalGrid, r: np.ndarray, grad):
-    """centroid of the radial graph r xi from r and its gradient components grad, with
-    the area element r^(n-1) rho of _radial_field and no position or curvature arrays."""
-    w = r * r  # rho^2, summed in place
-    for d in grad:
-        w += d * d
-    w = grid.weights * (r ** (grid.n - 1) * np.sqrt(w, out=w))
-    return grid.moment(w * r) / w.sum()

@@ -11,13 +11,13 @@ both parametrizations:
   values follow after converting theta to the ellipse parameter.
 
 Random surfaces are low-degree zonal/spherical-harmonic perturbations of the
-unit sphere with coefficients drawn uniformly from [-amp, amp], rejection
-sampled against the geometric validity predicate, and recentred at the
-area-weighted centroid so that origin-dependent quantities are reproducible.
-A draw is one product of its coefficients with separable theta and phi
-tables.  A radial body is recentred to 1e-9 base by a Broyden solve for its
-translation, on one stencil pass; a draw whose solve fails is redrawn.  A
-convex body takes one Steiner step.
+unit sphere with coefficients drawn uniformly from [-amp, amp] and rejection
+sampled against the geometric validity predicate.  A draw is one product of
+its coefficients with separable theta and phi tables.  Origin-dependent
+quantities need one fixed centring rule: a radial body is centred by drawing
+no degree-1 term (its degree-1 coefficients are drawn and set to 0, so the
+rng stream is that of a full draw), and a convex body is recentred at its
+area-weighted centroid by one Steiner step.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import functools
 import numpy as np
 
 from .errors import ConvexityLost, NotStarshaped
-from .geometry import _principal_radii, _radial_centroid, centroid, support_geometry
+from .geometry import _principal_radii, centroid, support_geometry
 from .sphere_grid import ScalarField, SphericalGrid
 
 __all__ = [
@@ -43,16 +43,16 @@ __all__ = [
 ]
 
 
-def _check_positive(*sizes, amp=0.0, lmax=1):
+def _check_positive(*sizes, amp=0.0, lmax=1, lmin=1):
     """ValueError unless each (name, size) is positive, since a negative axis would be squared
-    into its mirror body, amp is finite and >= 0 (0 draws the sphere) and lmax an integer >= 1."""
+    into its mirror body, amp is finite and >= 0 (0 draws the sphere) and lmax an integer >= lmin."""
     for name, value in sizes:
         if not value > 0.0:
             raise ValueError(f"{name} must be positive, got {value!r}")
     if not 0.0 <= amp < np.inf:
         raise ValueError(f"amp must be finite and >= 0, got {amp!r}")
-    if isinstance(lmax, bool) or not isinstance(lmax, (int, np.integer)) or lmax < 1:
-        raise ValueError(f"lmax must be an integer >= 1, got {lmax!r}")
+    if isinstance(lmax, bool) or not isinstance(lmax, (int, np.integer)) or lmax < lmin:
+        raise ValueError(f"lmax must be an integer >= {lmin}, got {lmax!r}")
 
 
 def sphere_radial(grid: SphericalGrid, radius: float = 1.0, center=None) -> ScalarField:
@@ -185,48 +185,21 @@ def _convexity_scales(grid: SphericalGrid, lmax: int) -> np.ndarray:
 
 # rejection-sampling budget of the random generators
 _MAX_TRIES = 100
-# centroid evaluations random_starshaped's recentring may spend on one draw
-_RECENTRE_EVALS = 12
-
-
-def _recentred(grid: SphericalGrid, r0: np.ndarray, base: float):
-    """r0 - <c, xi> with its centroid below 1e-9 base, or None.
-
-    c solves centroid(r0 - <c, xi>) = 0 by Broyden's secant update of the
-    inverse Jacobian (Broyden, Math. Comp. 19 (1965) 577-593), started at -I,
-    since a translation by c moves the centroid by -c: the first step is the
-    Steiner step c = centroid(r0).  None when an iterate has min r <= 0.05
-    base or _RECENTRE_EVALS centroids do not reach the tolerance.  By linearity
-    an iterate's gradient is grad r0, one stencil pass, minus grid._project_gradient(c).
-    """
-    grad0 = grid.derivatives(r0, hessian=False)[0]
-    f, tol = _radial_centroid(grid, r0, grad0), 1e-9 * base
-    shape, f = np.shape(f), np.atleast_1d(f)
-    c, r, inverse = np.zeros_like(f), r0, -np.eye(f.size)
-    for _ in range(_RECENTRE_EVALS - 1):
-        if np.abs(f).max() < tol:
-            return r
-        step = -(inverse @ f)
-        c = c + step
-        r = r0 - grid.project(c.reshape(shape))
-        if not r.min() > 0.05 * base:
-            return None
-        grad = [g0 - g for g0, g in zip(grad0, grid._project_gradient(c.reshape(shape)))]
-        f_next = np.atleast_1d(_radial_centroid(grid, r, grad))
-        y, s_inverse = f_next - f, step @ inverse
-        inverse = inverse + np.outer(step - inverse @ y, s_inverse) / (s_inverse @ y)
-        f = f_next
-    return r if np.abs(f).max() < tol else None
 
 
 def _draws(grid: SphericalGrid, rng: np.random.Generator, amp: float, base: float, lmax: int, convex=False):
     """_MAX_TRIES bodies base (1 + sum a_i Y_i), a_i ~ U[-amp, amp] over _convexity_scales if convex,
-    each the coefficient-weighted theta table times the phi table: one (n_theta x L)(L x n_phi) product."""
-    _check_positive(("base radius", base), amp=amp, lmax=lmax)
+    each the coefficient-weighted theta table times the phi table: one (n_theta x L)(L x n_phi) product.
+    A radial body is centred: its degree-1 coefficients, the tables' first 1 (axisym) or 3 rows, are
+    drawn and then set to 0, so it needs lmax >= 2 to be other than the sphere.  On axisym grids with
+    n >= 3 the odd Legendre rows of degree >= 3 are not harmonics of S^n and keep a degree-1 part."""
+    _check_positive(("base radius", base), amp=amp, lmax=lmax, lmin=1 if convex else 2)
     theta, phi = _mode_tables(grid, lmax)
     scales = _convexity_scales(grid, lmax) if convex else 1.0
     for _ in range(_MAX_TRIES):
         coeff = rng.uniform(-amp, amp, size=len(theta)) / scales
+        if not convex:
+            coeff[: 1 if phi is None else 3] = 0.0
         yield base * (1.0 + (coeff @ theta if phi is None else (theta.T * coeff) @ phi))
 
 
@@ -234,15 +207,13 @@ def random_starshaped(grid: SphericalGrid, rng: np.random.Generator, amp: float,
                       base: float = 1.0, lmax: int = 4) -> ScalarField:
     """Seeded random starshaped surface r = base (1 + sum a_i Y_i), a_i ~ U[-amp, amp].
 
-    Translated so that its area-weighted centroid is below 1e-9 base (see
-    _recentred, at most 12 centroids and one stencil pass, with no
-    curvature).  Rejection-resamples the coefficients until min r > 0.05
-    base before and during recentring, and when recentring does not
-    converge.  base must be positive, amp finite and >= 0 and lmax an integer >= 1.
+    Centred: the degree-1 coefficients are drawn and set to 0 (see _draws).
+    Rejection-resamples the coefficients until min r > 0.05 base.  base must
+    be positive, amp finite and >= 0 and lmax an integer >= 2, since a body
+    of degree 1 alone would be the base sphere whatever the seed.
     """
     for r in _draws(grid, rng, amp, base, lmax):
-        r = _recentred(grid, r, base) if r.min() > 0.05 * base else None
-        if r is not None:
+        if r.min() > 0.05 * base:
             return ScalarField(grid, r)
     raise NotStarshaped(f"no valid starshaped sample after {_MAX_TRIES} tries")
 

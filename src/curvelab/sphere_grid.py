@@ -306,26 +306,6 @@ class SphericalGrid:
         want = "a scalar axis offset" if self.mode == "axisym" else "a 3-vector"
         raise ValueError(f"{self.mode} grids take {want}, got shape {c.shape}")
 
-    def _project_gradient(self, c):
-        """The gradient of project(c) with no stencil pass: the central differences of
-        <c, xi>, ghost rows included, are <c, e> sin(d) / d for each frame vector e
-        and its spacing d, since (xi(t + d) - xi(t - d)) / 2d = e_t sin(d) / d."""
-        if self.mode == "axisym":
-            return [-math.sin(self.dtheta) / self.dtheta * float(c) * self.sin_t]
-        c = np.asarray(c, float)
-        scales = (math.sin(self.dtheta) / self.dtheta, math.sin(self.dphi) / self.dphi)
-        return [(e.reshape(-1, 3) @ (s * c)).reshape(self.node_shape) for e, s in zip(self.frame, scales)]
-
-    def moment(self, v):
-        """Sum over the nodes of v xi, in the format project takes: project's adjoint.
-
-        A 3-vector on full-s2 grids; the axis component alone on axisymmetric
-        ones, where the orbit components of an axisymmetric v vanish.
-        """
-        if self.mode == "axisym":
-            return float(v @ self.cos_t)
-        return v.reshape(-1) @ self.xi.reshape(-1, 3)
-
     def zonal(self, v) -> np.ndarray:
         """A new node array holding the per-row values v (one per colatitude)."""
         return np.broadcast_to(np.reshape(v, self._sin.shape), self.node_shape).astype(float)

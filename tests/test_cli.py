@@ -533,6 +533,9 @@ FIELD_AXISYM_16_SPHERE = Path(__file__).parent / "data" / "field_axisym_16_spher
     *(pytest.param("flow", RADIAL_CFG, {"kind": kind, "initial": {"shape": "random", "amplitude": 0.1, "lmax": lmax}},
                    id=f"flow-{kind}-random-lmax-{lmax}")
       for kind in ("radial", "support") for lmax in (0, -1, 2.5, True)),
+    # a radial draw has no degree-1 term, so at lmax 1 it is the base sphere whatever the seed
+    pytest.param("flow", RADIAL_CFG, {"initial": {"shape": "random", "amplitude": 0.1, "lmax": 1}},
+                 id="flow-radial-random-lmax-1"),
     pytest.param("flow", RADIAL_CFG, {"profile": {"kind": "power-exp-pinned", "n": 2, "domain": [0.5]}},
                  id="flow-profile-domain-one-entry"),
     *(pytest.param("flow", RADIAL_CFG, {"profile": {"kind": "power-exp-pinned", "n": 2, "domain": domain}},
@@ -587,7 +590,7 @@ CONFIGS = Path(__file__).parent.parent / "configs"
 PINNED = [
     ("flow", "radial_pinned", "trace.csv", "da90674bb2ccf5c09e09c91de4b95961c188b1bfda22352dbb98251a181edc7a"),
     ("flow", "support_k2", "trace.csv", "78e7d86ab2e5f236955fe70611ec6c4a69c4a922a3395c4e8cdd5ce8df4bb4f5"),
-    ("verify", "verify_k1", "verify.csv", "f8c025c06644d8781da8ec77135c35b3484213e0fb024e0554ccb470dcd2dc98"),
+    ("verify", "verify_k1", "verify.csv", "4c28a49e354078896e3e38cf75f7ac70bdf9369f35a6178f02c00115bbb7a902"),
 ]
 
 

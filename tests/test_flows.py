@@ -1730,17 +1730,19 @@ def test_run_flow_rejects_a_bad_start_before_any_step(monkeypatch, grid):
             run_flow(initial, profile, FlowConfig(kind=kind, t_end=1.0))
 
 
-# amp-0.3 starts drawn with these seeds keep a small r_min once centred
-ROUGH_STARTS = [(SphericalGrid.axisym(2, 64), 0, 0.2), (SphericalGrid.full_s2(16, 32), 1, 0.06)]
+# (grid, amp, seed, r_min): each seed is the first >= 0 whose draw has min r
+# below r_min, whatever its flow does; no amp-0.3 draw of seeds 0-199 on
+# axisym 64 dips below 0.2, so that start is drawn at amp 0.35
+ROUGH_STARTS = [(SphericalGrid.axisym(2, 64), 0.35, 0, 0.2), (SphericalGrid.full_s2(16, 32), 0.3, 39, 0.06)]
 
 
-@pytest.mark.parametrize("grid, seed, r_min", ROUGH_STARTS, ids=[repr(g) for g, _, _ in ROUGH_STARTS])
-def test_radial_run_from_a_rough_start_converges(grid, seed, r_min):
-    # r_min starts at 0.195 (axisym) or 0.054 (full-s2), where c_max = f / r^2
+@pytest.mark.parametrize("grid, amp, seed, r_min", ROUGH_STARTS, ids=[repr(g) for g, *_ in ROUGH_STARTS])
+def test_radial_run_from_a_rough_start_converges(grid, amp, seed, r_min):
+    # r_min starts at 0.179 (axisym) or 0.058 (full-s2), where c_max = f / r^2
     # is ~200 or ~1e4 times its final value; the step must follow c_max down
     # and keep h a small, or the solve smears the fast region's speed over
     # the body and r leaves its initial range
-    r0 = random_starshaped(grid, np.random.default_rng(seed), amp=0.3)
+    r0 = random_starshaped(grid, np.random.default_rng(seed), amp=amp)
     trace = run_flow(r0, SpeedProfile.power_exp_pinned(2, 1.0),
                      FlowConfig(kind="radial", t_end=3.0, output_interval=0.05))
     assert float(r0.values.min()) < r_min
@@ -1763,8 +1765,8 @@ def test_adaptive_step_is_the_smaller_of_the_two_caps():
     assert len(dt) == steps + 1 and np.all(dt[1:-1] == step)
     assert dt[-1] == pytest.approx(config.t_end - (steps - 1) * step)
     # above it the spread cap binds: the rough starts' first step is spread / c_max
-    for grid, seed, _ in ROUGH_STARTS:
-        r0 = random_starshaped(grid, np.random.default_rng(seed), amp=0.3)
+    for grid, amp, seed, _ in ROUGH_STARTS:
+        r0 = random_starshaped(grid, np.random.default_rng(seed), amp=amp)
         c_max = _kernel(grid, profile, config).assess(r0.values)[1]
         assert c_max > spread / step
         rough = FlowConfig(kind="radial", t_end=0.1 / c_max, output_interval=0.01 / c_max)

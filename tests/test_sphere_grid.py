@@ -328,69 +328,6 @@ def test_random_draws_build_their_mode_tables_once(monkeypatch):
     assert theta.nbytes + phi.nbytes + scales.nbytes <= 8 * 24 * (96 + 192 + 1)
 
 
-def test_random_starshaped_recentres_in_few_gradient_passes(monkeypatch):
-    # the 300 samples of the verify-fuzz benchmark at seed 1: `curvelab verify`
-    # draws sample i of a config seeded s from SeedSequence([s, i]) at amp 0.3 u^2,
-    # and config j of the benchmark has s from SeedSequence([1, j]); each draw
-    # takes one stencil pass, for the drawn body, and the translations' gradients
-    # in closed form
-    from curvelab import shapes
-
-    passes, evals, starts = [], [], []
-    real = SphericalGrid.derivatives
-    monkeypatch.setattr(SphericalGrid, "derivatives", lambda *a, **k: passes.append(1) or real(*a, **k))
-    centroid = shapes._radial_centroid
-    monkeypatch.setattr(shapes, "_radial_centroid", lambda *a: evals.append(1) or centroid(*a))
-
-    class MarkedRng:
-        """An rng that marks where each coefficient draw starts."""
-
-        def __init__(self, rng):
-            self.rng = rng
-
-        def uniform(self, *args, **kwargs):
-            starts.append((len(passes), len(evals)))
-            return self.rng.uniform(*args, **kwargs)
-
-    grid, per_draw = SphericalGrid.full_s2(48, 96), []
-    for config in range(15):
-        seed = int(np.random.SeedSequence([1, config]).generate_state(1)[0])
-        for sample in range(20):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, sample]))
-            amp = 0.3 * float(rng.uniform(0.05, 1.0)) ** 2
-            shapes.random_starshaped(grid, MarkedRng(rng), amp=amp)
-            assert len(passes) - starts[-1][0] == 1  # the draw it returned
-            per_draw.append(len(evals) - starts[-1][1])
-    assert np.mean(per_draw) <= 7.0 and max(per_draw) <= 10
-
-
-@pytest.mark.parametrize("grid", [
-    SphericalGrid.axisym(2, 40), SphericalGrid.axisym(3, 24), SphericalGrid.axisym(4, 12),
-    SphericalGrid.full_s2(8, 16), SphericalGrid.full_s2(14, 16), SphericalGrid.full_s2(48, 96),
-], ids=repr)
-def test_project_gradient_is_the_stencil_gradient_of_project(grid):
-    # central differences of <c, xi> are <c, e> sin(d) / d, ghost rows included
-    rng = np.random.default_rng(7)
-    for scale in (1e-3, 0.3, 2.0):
-        c = scale * rng.normal(size=np.shape(grid.moment(np.ones(grid.node_shape))))
-        stencil = grid.derivatives(grid.project(c), hessian=False)[0]
-        closed = grid._project_gradient(c)
-        assert len(closed) == len(stencil)
-        top = max(np.abs(g).max() for g in stencil)
-        for got, want in zip(closed, stencil):
-            assert got.shape == grid.node_shape
-            assert np.abs(got - want).max() <= 1e-13 * top
-
-
-@pytest.mark.parametrize("grid", [SphericalGrid.full_s2(8, 16), SphericalGrid.axisym(3, 12)], ids=repr)
-def test_moment_is_the_adjoint_of_project(grid):
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(grid.node_shape)
-    for c in ([0.3, -1.2, 0.7], [1.0, 0.0, 0.0]) if grid.mode == "full-s2" else (0.3, -1.2):
-        assert np.sum(v * grid.project(c)) == pytest.approx(np.dot(grid.moment(v), c), rel=1e-13)
-    assert np.shape(grid.moment(v)) == np.shape(c)
-
-
 @pytest.mark.parametrize("ell, m, phase", [(2, 3, "cos"), (2, -1, "cos"), (2, 1, "tan"),
                                            (2.5, 0, "cos"), (2, 1.5, "cos"), (True, 0, "cos")])
 def test_harmonic_mode_rejects_order_and_phase(ell, m, phase):
