@@ -1,5 +1,6 @@
 """Curvature pipelines against closed-form sphere/spheroid oracles."""
 
+import itertools
 import math
 import warnings
 
@@ -448,6 +449,79 @@ def test_random_starshaped_draws_no_degree_one_term(coarse, fine):
     assert np.array_equal(again.values, fields[-1][0].values)  # reproducible from the seed
     assert worst[0] < 1e-3
     assert 3.5 < worst[0] / worst[1] < 4.5
+
+
+@pytest.mark.parametrize("grid", [SphericalGrid.axisym(2, 40), SphericalGrid.full_s2(24, 48)],
+                         ids=["axisym 40", "full-s2 24x48"])
+def test_random_starshaped_is_centred_to_its_tolerance(grid):
+    # the degree-1 moment stays quadrature error at every amp and base, and
+    # base only scales the body drawn from the same seed
+    for seed, amp, base in ((0, 0.1, 1.0), (1, 0.25, 1.0), (2, 0.3, 1.0), (0, 0.4, 1.0), (3, 0.3, 2.5)):
+        field = random_starshaped(grid, np.random.default_rng(seed), amp=amp, base=base)
+        unit = random_starshaped(grid, np.random.default_rng(seed), amp=amp)
+        assert np.array_equal(field.values, base * unit.values)
+        assert degree_one_moment(field, amp) < 1e-3
+
+
+@pytest.mark.parametrize("grid, amp, bound", [(SphericalGrid.full_s2(16, 32), 0.3, 3e-3),
+                                              (SphericalGrid.axisym(2, 64), 0.35, 2e-4)],
+                         ids=["full-s2 16x32", "axisym 64"])
+def test_random_starshaped_centres_rough_draws(grid, amp, bound):
+    # the rough flow starts' grids and amps: min r dips to about 0.07 (full-s2)
+    # or 0.18 (axisym), and the degree-1 moment is the coarse grid's quadrature
+    # error (measured at most 1.98e-3 and 1.15e-4 over seeds 0-19)
+    for seed in range(20):
+        field = random_starshaped(grid, np.random.default_rng(seed), amp=amp)
+        assert field.values.min() > 0.05
+        assert degree_one_moment(field, amp) < bound, seed
+
+
+def test_random_starshaped_redraws_below_its_radius_floor(monkeypatch):
+    from curvelab import shapes
+
+    # the first amp-0.3 draw of seed 0 on 16x32 dips to min r 0.031, under the 0.05 floor
+    grid, rng, draws = SphericalGrid.full_s2(16, 32), np.random.default_rng(0), []
+
+    class CountingRng:
+        def uniform(self, *args, **kwargs):
+            draws.append(1)
+            return rng.uniform(*args, **kwargs)
+
+    field = random_starshaped(grid, CountingRng(), amp=0.3)
+    bodies = list(itertools.islice(shapes._draws(grid, np.random.default_rng(0), 0.3, 1.0, 4), len(draws)))
+    assert len(draws) > 1 and all(r.min() <= 0.05 for r in bodies[:-1])
+    assert np.array_equal(field.values, bodies[-1])  # the first draw above the floor
+    monkeypatch.setattr(shapes, "_MAX_TRIES", 1)  # the thin first draw alone
+    with pytest.raises(NotStarshaped, match="no valid starshaped sample after 1 tries"):
+        random_starshaped(grid, np.random.default_rng(0), amp=0.3)
+
+
+@pytest.mark.parametrize("grid", [SphericalGrid.axisym(2, 40), SphericalGrid.axisym(3, 24),
+                                  SphericalGrid.full_s2(16, 32), SphericalGrid.full_s2(24, 48)], ids=repr)
+def test_random_starshaped_of_degree_two_is_centrally_symmetric(grid):
+    # with no degree-1 term a body of degree 2 is even, r(-x) = r(x), so its
+    # centroid is 0 to round-off on every grid, n >= 3 included
+    for seed in range(5):
+        field = random_starshaped(grid, np.random.default_rng(seed), amp=0.3, lmax=2)
+        r = field.values
+        antipodal = r[::-1] if grid.mode == "axisym" else np.roll(r[::-1], grid.n_phi // 2, axis=1)
+        assert r.max() - r.min() > 0.01  # not the base sphere
+        assert np.abs(antipodal - r).max() <= 1e-14
+        assert np.abs(centroid(radial_geometry(field))).max() <= 1e-14
+
+
+@pytest.mark.parametrize("grid", [SphericalGrid.axisym(2, 40), SphericalGrid.full_s2(24, 48)], ids=repr)
+def test_random_draws_leave_the_rng_where_a_full_draw_does(grid):
+    # a radial draw spends a uniform on each degree-1 mode it zeroes, so a
+    # radial and a convex draw both move the stream by one uniform per mode
+    from curvelab import shapes
+
+    modes = len(shapes._mode_tables(grid, 4)[0])
+    for generator in (random_starshaped, random_convex_support):
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        generator(grid, rng, amp=0.05)  # accepted at the first draw
+        ref.uniform(size=modes)
+        assert rng.uniform() == ref.uniform()
 
 
 def test_random_starshaped_needs_a_positive_base():
