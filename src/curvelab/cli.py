@@ -69,6 +69,14 @@ def _require(cfg: dict, field: str, path: str = "", integer: bool = False):
     return cfg[field]
 
 
+def _block(cfg: dict, field: str, required: bool = True) -> dict | None:
+    """The block cfg[field], which must be a JSON object; an optional block may be absent or null (None)."""
+    value = _require(cfg, field) if required else cfg.get(field)
+    if not (isinstance(value, dict) or value is None and not required):
+        raise ConfigError(field, f"{field} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _one_of(cfg: dict, field: str, default: str, allowed: tuple) -> str:
     value = cfg.get(field, default)
     if value not in allowed:
@@ -105,7 +113,7 @@ def build_grid(cfg: dict) -> SphericalGrid:
     n_theta = _require(cfg, "n_theta", "grid", integer=True)
     try:
         return SphericalGrid(mode, n, n_theta, n_phi)
-    except ValueError as exc:  # sizes the grid cannot take
+    except (ValueError, OverflowError) as exc:  # sizes the grid cannot take, a dimension too large
         raise ConfigError("grid", str(exc))
 
 
@@ -196,14 +204,14 @@ def cmd_flow(cfg: dict, out_dir: Path, seed: int, force: bool) -> int:
     if not (_is_int(k) and 1 <= k <= n):
         raise ConfigError("k", f"{kind} flow needs an integer 1 <= k <= n, got k = {k!r}")
     try:  # the run block is FlowConfig's fields, whole: an unknown key stops here
-        flow_config = FlowConfig(kind=kind, k=k, force=force, **cfg.get("run", {}))
+        flow_config = FlowConfig(kind=kind, k=k, force=force, **(_block(cfg, "run", required=False) or {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError("run", str(exc))
-    grid = build_grid(_require(cfg, "grid"))
+    grid = build_grid(_block(cfg, "grid"))
     if grid.n != n:
         raise ConfigError("n", f"n = {n} disagrees with grid.n = {grid.n}")
-    initial = build_initial(_require(cfg, "initial"), grid, np.random.default_rng(seed), kind)
-    profile = build_profile(cfg.get("profile"))
+    initial = build_initial(_block(cfg, "initial"), grid, np.random.default_rng(seed), kind)
+    profile = build_profile(_block(cfg, "profile", required=False))
 
     status = 1
     summary = {}
@@ -236,6 +244,9 @@ def cmd_flow(cfg: dict, out_dir: Path, seed: int, force: bool) -> int:
 
 # ---------------------------------------------------------------------------
 # verify subcommand (deficit fuzz suite)
+
+# the most samples one verify run takes, as FlowConfig caps a flow's steps
+_MAX_SAMPLES = 10**6
 
 VERIFY_COLUMNS = [
     "sample_id", "n", "k", "sphericity", "f_variation",
@@ -277,9 +288,9 @@ def _verify_sample(index, grid, seed, k, calibration, profile, parametrization, 
 
 def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
     samples = _require(cfg, "samples", integer=True)
-    if samples < 1:
-        raise ConfigError("samples", "need at least one sample")
-    grid = build_grid(_require(cfg, "grid"))
+    if not 1 <= samples <= _MAX_SAMPLES:
+        raise ConfigError("samples", f"samples must lie in 1..{_MAX_SAMPLES}, got {samples}")
+    grid = build_grid(_block(cfg, "grid"))
     k = cfg.get("k", 1)
     if not (_is_int(k) and 1 <= k <= grid.n - 1):
         raise ConfigError("k", f"verify needs an integer 1 <= k <= n - 1 = {grid.n - 1}, got {k!r}")
@@ -289,7 +300,7 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
     amplitude = cfg.get("amplitude", 0.3)
     if isinstance(amplitude, bool) or not (isinstance(amplitude, (int, float)) and 0 < amplitude < math.inf):
         raise ConfigError("amplitude", f"amplitude must be a positive finite number, got {amplitude!r}")
-    profile = build_profile(cfg.get("profile") or None)
+    profile = build_profile(_block(cfg, "profile", required=False) or None)
     rows = [_verify_sample(i, grid, seed, k, calibration, profile, parametrization, functional, amplitude)
             for i in range(samples)]
 

@@ -140,11 +140,15 @@ def michael_simon_deficit_H(geom: CurvatureField, f=None, grad_f=None) -> Defici
     components of grad f (None means f is constant); the tangential gradient
     is formed with the induced metric of ``geom``.
     """
-    f = _density_values(geom, 1.0 if f is None else f)
     n = geom.n
-    tgs = 0.0 if grad_f is None else geom.tangential_grad_sq(grad_f)  # constant f: grad f = 0
-    lhs = float(np.sum(geom.area_weights * np.sqrt(tgs + f**2 * geom.H**2)))
-    quantity = _q_integral(geom, f)
+    if f is None:  # f = 1 adds no pass: 1 x = x, w 1 = w and 0 + x = x for the square x
+        integrand, quantity = geom.H**2, geom.total_area()
+    else:
+        f = _density_values(geom, f)
+        integrand, quantity = f**2 * geom.H**2, _q_integral(geom, f)
+    if grad_f is not None:  # else f is constant: grad f = 0
+        integrand = geom.tangential_grad_sq(grad_f) + integrand
+    lhs = float(np.sum(geom.area_weights * np.sqrt(integrand)))
     rhs = n * sphere_area(n) ** (1.0 / n) * quantity ** ((n - 1.0) / n)
     deficit = lhs - rhs
     return DeficitReport(lhs, rhs, deficit, deficit / abs(rhs), 1, "mean-curvature")

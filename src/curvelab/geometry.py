@@ -87,7 +87,7 @@ class CurvatureField:
     each method then gives one value per surface (a float for one surface)
     with the bits of that surface alone.  ``normal``, ``position`` and
     ``inverse_metric`` are formed on first read from ``metric_source`` (rho
-    radial, b support); ``sigma``, ``area_weights`` and the volume once.
+    radial, b support); ``sigma``, ``H``, ``area_weights`` and the volume once.
     """
 
     grid: SphericalGrid
@@ -107,9 +107,9 @@ class CurvatureField:
         parts = [self.kappa1] + [self.kappa2] * (self.n - 1)
         return np.sort(np.stack(parts, axis=-1), axis=-1)
 
-    @property
+    @functools.cached_property
     def H(self) -> np.ndarray:
-        """Mean curvature, the sum of the principal curvatures."""
+        """Mean curvature, the sum of the principal curvatures; read-only."""
         return self.kappa1 + (self.n - 1) * self.kappa2
 
     @property
@@ -239,29 +239,44 @@ def _radial_field(grid: SphericalGrid, r: np.ndarray) -> CurvatureField:
     """
     _check_starshaped(r)
     grad, hess = grid.derivatives(r)
+    r2 = r * r
     if grid.mode == "axisym":
-        (r1,), (r2, _) = grad, hess
+        (r1,), (r11, _) = grad, hess
         q = r1 * r1
-        rho2 = r * r + q
+        rho2 = r2 + q
         rho = np.sqrt(rho2)
-        kappa1 = (r * r + 2.0 * q - r * r2) / (rho2 * rho)
+        kappa1 = (r2 + 2.0 * q - r * r11) / (rho2 * rho)
         kappa2 = (1.0 - (r1 / r) * grid.cot_t) / rho
+        area_factor = r ** (grid.n - 1) * rho
     else:
-        (d1, d2), (h11, h12, h22) = grad, hess
-        rho2 = r * r + (d1 * d1 + d2 * d2)
+        (d1, d2), (b11, b12, b22) = grad, hess
+        q11, q12, q22 = d1 * d1, d1 * d2, d2 * d2
+        rho2 = r2 + (q11 + q22)
         rho = np.sqrt(rho2)
-        # second fundamental form (orthonormal frame of the round metric)
-        b11 = (r * r + 2.0 * d1 * d1 - r * h11) / rho
-        b12 = (2.0 * d1 * d2 - r * h12) / rho
-        b22 = (r * r + 2.0 * d2 * d2 - r * h22) / rho
-        # g^(-1) b = a / r^2 with a = b - d (b d)^T / rho^2
-        w1 = (b11 * d1 + b12 * d2) / rho2
-        w2 = (b12 * d1 + b22 * d2) / rho2
-        lo, hi = _eig2(b11 - d1 * w1, b12 - d1 * w2, b12 - d2 * w1, b22 - d2 * w2)
-        kappa1, kappa2 = lo / (r * r), hi / (r * r)
-    return CurvatureField(
-        grid, "radial", grid.n, r, grad, kappa1, kappa2, r ** (grid.n - 1) * rho, r * r / rho, rho,
-    )
+        # Every operation below keeps the order of its formula, and writes over arrays the
+        # build owns: the Hessian, then the products d_i d_j once read.  The second
+        # fundamental form b_ij = (r^2 e_ij + 2 d_i d_j - r hess_ij) / rho (orthonormal frame
+        # of the round metric) takes the Hessian's place; 2 d_i d_j is q_ij + q_ij, exactly.
+        for b, q, diagonal in ((b11, q11, True), (b12, q12, False), (b22, q22, True)):
+            np.add(q, q, out=q)
+            if diagonal:
+                np.add(r2, q, out=q)
+            np.subtract(q, np.multiply(r, b, out=b), out=b)
+            np.divide(b, rho, out=b)
+        # g^(-1) b = a / r^2 with a = b - d w^T, w = b d / rho^2 (in q11, q22; q12 a scratch)
+        w1 = np.add(np.multiply(b11, d1, out=q11), np.multiply(b12, d2, out=q12), out=q11)
+        w2 = np.add(np.multiply(b12, d1, out=q22), np.multiply(b22, d2, out=q12), out=q22)
+        np.divide(w1, rho2, out=w1)
+        np.divide(w2, rho2, out=w2)
+        a21 = np.subtract(b12, np.multiply(d2, w1, out=q12), out=q12)
+        a11 = np.subtract(b11, np.multiply(d1, w1, out=w1), out=b11)
+        a12 = np.subtract(b12, np.multiply(d1, w2, out=w1), out=b12)
+        a22 = np.subtract(b22, np.multiply(d2, w2, out=w2), out=b22)
+        kappa1, kappa2 = _eig2(a11, a12, a21, a22)
+        np.divide(kappa1, r2, out=kappa1)
+        np.divide(kappa2, r2, out=kappa2)
+        area_factor = r * rho  # n = 2: r ** (n - 1) is r
+    return CurvatureField(grid, "radial", grid.n, r, grad, kappa1, kappa2, area_factor, r2 / rho, rho)
 
 
 def radial_geometry(field: ScalarField) -> CurvatureField:

@@ -55,6 +55,13 @@ def _check_positive(*sizes, amp=0.0, lmax=1, lmin=1):
         raise ValueError(f"lmax must be an integer >= {lmin}, got {lmax!r}")
 
 
+def _check_resolved(grid: SphericalGrid, name: str, degree: int):
+    """ValueError when a harmonic degree exceeds n_theta: the grid cannot resolve it, and
+    _legendre would take one pass per degree up to it."""
+    if degree > grid.n_theta:
+        raise ValueError(f"{name} = {degree} exceeds n_theta = {grid.n_theta}, the highest degree the grid resolves")
+
+
 def sphere_radial(grid: SphericalGrid, radius: float = 1.0, center=None) -> ScalarField:
     """Radial function of a sphere, optionally off-centre (|center| < radius).
 
@@ -120,12 +127,13 @@ def harmonic_mode(grid: SphericalGrid, ell: int, m: int = 0, phase: str = "cos")
     Axisymmetric grids use the Legendre polynomial P_ell(cos theta); full-s2
     grids use P_ell^m(cos theta), with the Condon-Shortley phase (-1)^m, times
     cos(m phi) or sin(m phi) (see _legendre).
-    A non-integer degree or order, an order m outside 0..ell or a phase other
-    than "cos"/"sin" raises ValueError.
+    A non-integer degree or order, a degree above grid.n_theta, an order m
+    outside 0..ell or a phase other than "cos"/"sin" raises ValueError.
     """
     for name, value in (("degree ell", ell), ("order m", m)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"harmonic {name} must be an integer, got {value!r}")
+    _check_resolved(grid, "harmonic degree ell", ell)
     if not 0 <= m <= ell:
         raise ValueError(f"harmonic order m = {m} must lie in 0..ell = {ell}")
     if phase not in ("cos", "sin"):
@@ -194,6 +202,7 @@ def _draws(grid: SphericalGrid, rng: np.random.Generator, amp: float, base: floa
     drawn and then set to 0, so it needs lmax >= 2 to be other than the sphere.  On axisym grids with
     n >= 3 the odd Legendre rows of degree >= 3 are not harmonics of S^n and keep a degree-1 part."""
     _check_positive(("base radius", base), amp=amp, lmax=lmax, lmin=1 if convex else 2)
+    _check_resolved(grid, "lmax", lmax)
     theta, phi = _mode_tables(grid, lmax)
     scales = _convexity_scales(grid, lmax) if convex else 1.0
     for _ in range(_MAX_TRIES):
@@ -209,8 +218,8 @@ def random_starshaped(grid: SphericalGrid, rng: np.random.Generator, amp: float,
 
     Centred: the degree-1 coefficients are drawn and set to 0 (see _draws).
     Rejection-resamples the coefficients until min r > 0.05 base.  base must
-    be positive, amp finite and >= 0 and lmax an integer >= 2, since a body
-    of degree 1 alone would be the base sphere whatever the seed.
+    be positive, amp finite and >= 0 and lmax an integer in 2..grid.n_theta,
+    since a body of degree 1 alone would be the base sphere whatever the seed.
     """
     for r in _draws(grid, rng, amp, base, lmax):
         if r.min() > 0.05 * base:
@@ -225,7 +234,8 @@ def random_convex_support(grid: SphericalGrid, rng: np.random.Generator, amp: fl
     Coefficients are convexity-normalized (see _convexity_scales), so at
     amp < 1 most draws remain strictly convex; draws that still fail the
     convexity filter, before or after recentring at the centroid, are
-    resampled.  base must be positive, amp finite and >= 0 and lmax an integer >= 1.
+    resampled.  base must be positive, amp finite and >= 0 and lmax an integer
+    in 1..grid.n_theta.
     """
     for h in _draws(grid, rng, amp, base, lmax, convex=True):
         try:

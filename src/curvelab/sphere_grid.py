@@ -208,11 +208,12 @@ class SphericalGrid:
             grad = (vt, vp / self._sin)
         if not hessian:
             return grad, None
-        vtt = (above - 2.0 * v + below) / self.dtheta**2
+        twice = 2.0 * v  # shared by the theta-theta and phi-phi stencils
+        vtt = (above - twice + below) / self.dtheta**2
         if self.mode == "axisym":
             return grad, (vtt, self._cot * vt)
         vtp = (dp[..., 2:, :] - dp[..., :-2, :]) / (2.0 * self.dtheta)
-        vpp = (p[..., 1:-1, 2:] - 2.0 * v + p[..., 1:-1, :-2]) / self.dphi**2
+        vpp = (p[..., 1:-1, 2:] - twice + p[..., 1:-1, :-2]) / self.dphi**2
         h12 = (vtp - self._cot * vp) / self._sin
         h22 = vpp / self._sin**2 + self._cot * vt
         return grad, (vtt, h12, h22)

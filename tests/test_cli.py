@@ -1,17 +1,22 @@
 """End-to-end CLI runs: exit codes, artifacts, reproducibility."""
 
+import contextlib
 import csv
 import gc
 import hashlib
+import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import curvelab
 from curvelab import SpeedProfile, SphericalGrid, acceptance, michael_simon_deficit_k, support_geometry
@@ -433,6 +438,24 @@ FIELD_S2_8X16_SPHERE = Path(__file__).parent / "data" / "field_s2_8x16_sphere.js
 FIELD_AXISYM_16_SPHERE = Path(__file__).parent / "data" / "field_axisym_16_sphere.json"
 
 
+class _Overrun(Exception):
+    pass
+
+
+def _main_within(argv, seconds):
+    """main(argv), stopped by _Overrun once it has run ``seconds`` of wall time."""
+    def stop(signum, frame):
+        raise _Overrun(f"{argv} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("command, base, change", [
     pytest.param("verify", VERIFY_AXISYM_CFG, {"k": 3}, id="verify-k-above-n-1"),
     pytest.param("verify", VERIFY_AXISYM_CFG, {"k": 1.5}, id="verify-k-not-int"),
@@ -553,12 +576,30 @@ FIELD_AXISYM_16_SPHERE = Path(__file__).parent / "data" / "field_axisym_16_spher
     *(pytest.param("report", {}, {"criteria": criteria}, id=f"report-criteria-{name}")
       for name, criteria in (("unknown", ["AC-99"]), ("string", "AC-10"), ("number", 5), ("null", None),
                              ("nested", [["AC-1"]]))),
+    # a block that is no JSON object raised TypeError ("argument of type 'NoneType' is not iterable")
+    *(pytest.param(command, base, {block: value}, id=f"{command}-{block}-{json.dumps(value)}")
+      for command, base in (("flow", RADIAL_CFG), ("verify", VERIFY_AXISYM_CFG))
+      for block, value in (("grid", None), ("initial", 3), ("profile", 3), ("run", 3))
+      if command == "flow" or block in ("grid", "profile")),
+    # verify ran 10**30 samples until it was killed, and _legendre took one pass per degree
+    # to 10**30; RADIAL_CFG's 64 rows resolve no degree above 64
+    *(pytest.param("verify", VERIFY_AXISYM_CFG, {"samples": samples}, id=f"verify-samples-{samples}")
+      for samples in (10**30, 2**63, 10**6 + 1)),
+    *(pytest.param("flow", RADIAL_CFG, {"initial": {"shape": "harmonic", "ell": ell, "amplitude": 0.1}},
+                   id=f"flow-harmonic-ell-{ell}")
+      for ell in (10**30, 2**63, 65)),
+    pytest.param("flow", RADIAL_CFG, {"initial": {"shape": "random", "lmax": 65, "amplitude": 0.1}},
+                 id="flow-random-lmax-65"),
+    # a huge dimension overflowed in the sphere's area
+    pytest.param("verify", VERIFY_AXISYM_CFG, {"grid": {"mode": "axisym", "n": 10**30, "n_theta": 32}},
+                 id="verify-grid-n-1e30"),
 ])
 def test_malformed_config_exit_64(tmp_path, capsys, command, base, change):
     # each must stop with a ConfigError before any work, not with an
     # uncaught ValueError or TypeError, nor run an unknown parametrization
+    # or on until it is stopped
     path = write_config(tmp_path, "cfg.json", dict(base, **change))
-    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 64
+    assert _main_within([command, "--config", path, "--out", str(tmp_path / "out")], 5.0) == 64
     assert "configuration error" in capsys.readouterr().err
 
 
@@ -582,6 +623,61 @@ def test_negative_seed_flag_exit_64(tmp_path, capsys, command, cfg):
     path = write_config(tmp_path, "cfg.json", cfg)
     assert main([command, "--config", path, "--out", str(tmp_path / "out"), "--seed", "-1"]) == 64
     assert "configuration error [seed]" in capsys.readouterr().err
+
+
+# A config fuzz: one key path of a small config set to one value of each JSON class, run
+# through main.  Two kinds of key are left out, as their mends are still open (ROADMAP
+# item 10): profile parameters, where a non-numeric, huge or out-of-domain value still
+# raises past the config check, and grid sizes, which have no node-count bound yet
+# (n_theta = 2**63 wraps to a grid of no rows).
+FUZZ_BASES = {
+    "flow": {"kind": "radial", "n": 2, "grid": {"mode": "axisym", "n": 2, "n_theta": 16},
+             "initial": {"shape": "harmonic", "ell": 2, "amplitude": 0.1},
+             "profile": {"kind": "constant", "value": 1.0},
+             "run": {"t_end": 0.05, "output_interval": 0.01}, "seed": 1},
+    "verify": {"samples": 2, "k": 1, "functional": "H", "parametrization": "radial", "amplitude": 0.3,
+               "grid": {"mode": "axisym", "n": 2, "n_theta": 16}, "seed": 1},
+}
+FUZZ_VALUES = [None, True, 0, -1, 1, 2, 3, 0.5, -0.5, 1e300, math.nan, math.inf, "x", "", [], [1], {}, {"a": 1},
+               10**30, 2**63]
+
+
+def _key_paths(cfg, prefix=()):
+    for key, value in cfg.items():
+        if prefix == ("profile",) and key != "kind" or prefix + (key,) == ("grid", "n_theta"):
+            continue
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+FUZZ_CASES = [(command, path) for command, cfg in FUZZ_BASES.items() for path in _key_paths(cfg)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(FUZZ_CASES), value=st.sampled_from(FUZZ_VALUES))
+@example(case=("verify", ("grid",)), value=None)
+@example(case=("flow", ("initial",)), value=3)
+@example(case=("flow", ("profile",)), value=3)
+@example(case=("flow", ("run",)), value=3)
+@example(case=("verify", ("samples",)), value=10**30)
+@example(case=("verify", ("samples",)), value=2**63)
+@example(case=("flow", ("initial", "ell")), value=10**30)
+@example(case=("flow", ("initial", "ell")), value=2**63)
+@example(case=("verify", ("grid", "n")), value=10**30)
+def test_config_fuzz_exits_cleanly_within_seconds(case, value):
+    command, path = case
+    cfg = json.loads(json.dumps(FUZZ_BASES[command]))
+    block = cfg
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(Path(tmp), "cfg.json", cfg)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = _main_within([command, "--config", config, "--out", str(Path(tmp) / "out")], 3.0)
+    assert code in (0, 1, 2, 64), (cfg, code)
+    assert "Traceback" not in err.getvalue()
 
 
 CONFIGS = Path(__file__).parent.parent / "configs"

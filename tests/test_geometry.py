@@ -10,13 +10,14 @@ import pytest
 from curvelab import (
     ScalarField,
     SphericalGrid,
+    michael_simon_deficit_H,
     radial_geometry,
     sphericity,
     static_convexity,
     support_geometry,
 )
 from curvelab.errors import ConvexityLost, NonpositiveSupport, NotStarshaped
-from curvelab.geometry import centroid
+from curvelab.geometry import _radial_field, centroid
 from curvelab.shapes import (
     harmonic_mode,
     random_convex_support,
@@ -285,6 +286,55 @@ def test_radial_pair_is_the_spectrum_of_the_shape_operator(shape):
         dense = np.sort(np.linalg.eigvals(np.linalg.solve(g, b)).real, axis=-1)
         pair = np.stack([geom.kappa1, geom.kappa2], axis=-1)
         assert np.abs(pair - dense).max() / np.abs(dense).max() < 1e-13
+
+
+def _radial_reference(grid, r):
+    """The full-s2 radial build written formula by formula, every product formed where it
+    is named (r r six times, 2 d d beside d d) and the pair from the closed 2x2 form."""
+    (d1, d2), (h11, h12, h22) = grid.derivatives(r)
+    rho2 = r * r + (d1 * d1 + d2 * d2)
+    rho = np.sqrt(rho2)
+    b11 = (r * r + 2.0 * d1 * d1 - r * h11) / rho
+    b12 = (2.0 * d1 * d2 - r * h12) / rho
+    b22 = (r * r + 2.0 * d2 * d2 - r * h22) / rho
+    w1 = (b11 * d1 + b12 * d2) / rho2
+    w2 = (b12 * d1 + b22 * d2) / rho2
+    a11, a12, a21, a22 = b11 - d1 * w1, b12 - d1 * w2, b12 - d2 * w1, b22 - d2 * w2
+    mean = 0.5 * (a11 + a22)
+    disc = np.sqrt(np.maximum(0.25 * (a11 - a22) ** 2 + a12 * a21, 0.0))
+    kappa1, kappa2 = (mean - disc) / (r * r), (mean + disc) / (r * r)
+    return {"kappa1": kappa1, "kappa2": kappa2, "area_factor": r ** (grid.n - 1) * rho,
+            "support": r * r / rho, "metric_source": rho, "H": kappa1 + (grid.n - 1) * kappa2}
+
+
+def _verify_draws(grid, seed, count):
+    """count radial bodies drawn as curvelab verify draws its samples, amplitudes included."""
+    rng = np.random.default_rng(seed)
+    return [random_starshaped(grid, rng, amp=0.3 * float(rng.uniform(0.05, 1.0)) ** 2).values for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_radial_build_keeps_the_bits_of_its_formula(seed):
+    # the build shares r^2 and d_i d_j and writes over its own arrays; every output
+    # keeps the bits of the formula written out, for one body and for a stack of three
+    grid = SphericalGrid.full_s2(48, 96)
+    bodies = _verify_draws(grid, seed, 3)
+    single = _radial_field(grid, bodies[0])
+    stacked = _radial_field(grid, np.stack(bodies))
+    for i, r in enumerate(bodies):
+        for name, want in _radial_reference(grid, r).items():
+            if i == 0:
+                assert np.array_equal(getattr(single, name), want), name
+            assert np.array_equal(getattr(stacked, name)[i], want), (i, name)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_deficit_without_a_density_keeps_the_bits_of_f_equal_to_one(seed):
+    grid = SphericalGrid.full_s2(48, 96)
+    geom = radial_geometry(ScalarField(grid, _verify_draws(grid, seed, 1)[0]))
+    # repr gives each float's shortest round-trip digits, so equal reprs are equal bits
+    ones = michael_simon_deficit_H(geom, np.ones(grid.node_shape))
+    assert repr(michael_simon_deficit_H(geom)) == repr(ones)
 
 
 def test_umbilic_nodes_raise_no_warning():
