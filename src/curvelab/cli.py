@@ -265,13 +265,14 @@ def _verify_sample(index, grid, seed, k, calibration, profile, parametrization, 
         field = (random_starshaped if radial else random_convex_support)(grid, rng, amp=amp)
         geom = (radial_geometry if radial else support_geometry)(field)
         row["sphericity"] = sphericity(geom)
-        if profile is not None:
-            f = profile.f(field.values)
-            grad_f = tuple(profile.df(field.values) * g for g in geom.grad)
+        if profile is not None:  # a density that overflows is inf or NaN, which the deficit rejects
+            with np.errstate(over="ignore", invalid="ignore"):
+                f = profile.f(field.values)
+                grad_f = tuple(profile.df(field.values) * g for g in geom.grad)
         else:  # each deficit's own constant density
             f = grad_f = None
             row["f_variation"] = 0.0
-        if k == 1 and functional == "H":
+        if functional == "H":
             rep = michael_simon_deficit_H(geom, f, grad_f)
         else:
             rep = michael_simon_deficit_k(geom, f, grad_f, k=k,
@@ -296,11 +297,11 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
         raise ConfigError("k", f"verify needs an integer 1 <= k <= n - 1 = {grid.n - 1}, got {k!r}")
     calibration = _one_of(cfg, "calibration", "sphere-calibrated", CALIBRATIONS)
     parametrization = _one_of(cfg, "parametrization", "radial", ("radial", "support"))
-    functional = _one_of(cfg, "functional", "H", ("H", "k"))
+    functional = _one_of(cfg, "functional", "H" if k == 1 else "k", ("H", "k") if k == 1 else ("k",))
     amplitude = cfg.get("amplitude", 0.3)
     if isinstance(amplitude, bool) or not (isinstance(amplitude, (int, float)) and 0 < amplitude < math.inf):
         raise ConfigError("amplitude", f"amplitude must be a positive finite number, got {amplitude!r}")
-    profile = build_profile(_block(cfg, "profile", required=False) or None)
+    profile = build_profile(_block(cfg, "profile", required=False))
     rows = [_verify_sample(i, grid, seed, k, calibration, profile, parametrization, functional, amplitude)
             for i in range(samples)]
 

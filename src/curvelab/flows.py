@@ -94,13 +94,12 @@ from .errors import (
 from .functionals import _density_values, _mk_integral, _q_integral, quermassintegrals
 from .geometry import (
     CurvatureField,
-    _convexity_margins,
     _radial_field,
     _support_field,
     sphericity,
     static_convexity,
 )
-from .sphere_grid import ScalarField, SphericalGrid
+from .sphere_grid import ScalarField, SphericalGrid, _tridiagonal_solve
 from .symfunc import _quotient_gradient, _sigmas, sigma_quotient
 
 __all__ = [
@@ -185,6 +184,8 @@ class SpeedProfile:
 
         fhat vanishes exactly at r*, so the flow pins the limit sphere there.
         """
+        if not (isinstance(n, numbers.Integral) and n >= 2):
+            raise ValueError(f"power_exp_pinned needs an integer n >= 2, got n = {n!r}")
         rs = float(r_star)
         if domain is None:
             domain = (0.5 * rs, 1.8 * rs)
@@ -248,23 +249,16 @@ def _not_a_knot_spline(x, y):
     Practical Guide to Splines, ch. IV): f = ((c3 t + c2) t + s) t + y at
     t = x - x_i, with the end cubics beyond the table.  The knot slopes s solve
     one tridiagonal system; its first and last rows make f''' continuous at
-    x[1] and x[-2].  A Thomas sweep solves it: with these end rows every pivot
-    stays positive, so no pivoting is needed."""
+    x[1] and x[-2].  The grid's Thomas sweep solves it."""
     h, size = np.diff(x), x.size
     delta = np.diff(y) / h
     d0, d1 = x[2] - x[0], x[-1] - x[-3]
     diag = np.r_[h[1], 2.0 * (h[:-1] + h[1:]), h[-2]]
     upper, lower = np.r_[d0, h[:-1]], np.r_[h[1:], d1]
-    s = np.r_[((h[0] + 2.0 * d0) * h[1] * delta[0] + h[0] ** 2 * delta[1]) / d0,
-              3.0 * (h[1:] * delta[:-1] + h[:-1] * delta[1:]),
-              (h[-1] ** 2 * delta[-2] + (2.0 * d1 + h[-1]) * h[-2] * delta[-1]) / d1]
-    for i in range(1, size):  # s holds the right-hand side until the sweep is done
-        w = lower[i - 1] / diag[i - 1]
-        diag[i] -= w * upper[i - 1]
-        s[i] -= w * s[i - 1]
-    s[-1] /= diag[-1]
-    for i in range(size - 2, -1, -1):
-        s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+    rhs = np.r_[((h[0] + 2.0 * d0) * h[1] * delta[0] + h[0] ** 2 * delta[1]) / d0,
+                3.0 * (h[1:] * delta[:-1] + h[:-1] * delta[1:]),
+                (h[-1] ** 2 * delta[-2] + (2.0 * d1 + h[-1]) * h[-2] * delta[-1]) / d1]
+    s = _tridiagonal_solve(lower[None], diag[None], upper[None], rhs[None, :, None])[0, :, 0]
     c3 = (s[:-1] + s[1:] - 2.0 * delta) / h
     coeffs = np.stack([c3 / h, (delta - s[:-1]) / h - c3, s[:-1], y[:-1]])
 
@@ -300,7 +294,8 @@ def validate_radial_profile(profile: SpeedProfile, n: int) -> float:
     """
     lo, hi = profile.domain
     xs = np.linspace(lo, hi, 2001)
-    fv = profile.f(xs)
+    with np.errstate(over="ignore", invalid="ignore"):  # read as inf or NaN, which the next check rejects
+        fv = profile.f(xs)
     if not 0.0 < fv.min() <= fv.max() < math.inf:  # NaN fails every comparison
         raise AssumptionViolated("not-positive", "profile must be positive and finite on the interval")
     fh = profile.hat(xs, n)
@@ -348,7 +343,8 @@ def validate_support_profile(profile: SpeedProfile, n: int, k: int) -> SupportPr
     non-strict case); for k = n the exponent is undefined, so only these pass.
     """
     xs = np.linspace(*profile.domain, 2001)
-    fv, f1 = profile.f(xs), profile.df(xs)
+    with np.errstate(over="ignore", invalid="ignore"):  # read as inf or NaN, which the next check rejects
+        fv, f1 = profile.f(xs), profile.df(xs)
     if not 0.0 < fv.min() <= fv.max() < math.inf:  # NaN fails every comparison
         return SupportProfileReport(False, "profile must be positive and finite on the interval")
     if float(np.abs(f1).max()) <= 1e-14 * (1.0 + float(fv.max())):
@@ -490,7 +486,7 @@ class _SupportKernel(_Kernel):
         kap1, kap2 = geom.kappa1, geom.kappa2
         rests = (_sigmas([kap2] * (n - 1)), _sigmas([kap1] + [kap2] * (n - 2)))
         c1, c2 = _quotient_gradient(geom.sigma, rests, k, (kap1**2, kap2**2))
-        c_max = float(np.max(np.abs(h) * np.maximum(c1, c2)))
+        c_max = float(np.max(h * np.maximum(c1, c2)))
         hmean = float(np.sum(g.weights * h) / np.sum(g.weights))
         return value, c_max, float((h.max() - h.min()) / hmean) < config.osc_tol, geom
 
@@ -671,8 +667,7 @@ def _diagnostic_row(kernel, states, builds, ts, dts) -> list:
     A state that fills a batch alone brings its build; states that share a
     batch bring no build, and kernel.build makes one field of their stack.
     Each column has the bits, and each error the type, of a call on its
-    state alone, but a state with some h <= 0 gets a NaN margin and M_n
-    under a non-constant density is NaN."""
+    state alone; M_n under a non-constant density is NaN."""
     grid = kernel.grid
     geom = builds[0] if builds[0] is not None else kernel.build(np.stack(states))
     u = geom.scalar
@@ -683,7 +678,7 @@ def _diagnostic_row(kernel, states, builds, ts, dts) -> list:
         "grad_max": np.sqrt(grid.reduce(sum(c * c for c in geom.grad), "max")),  # sqrt is monotone
         "oscillation": (grid.reduce(u, "max") - grid.reduce(u, "min"))
         / (grid.integrate(u) / np.sum(grid.weights)),
-        "margin": _convexity_margins(geom)[0], "sphericity": sphericity(geom),
+        "margin": static_convexity(geom).margin, "sphericity": sphericity(geom),
         "r_min": r_min, "r_max": r_max, "area": geom.total_area(), "volume": geom.volume(),
         **{f"V_{j}": v for j, v in enumerate(quermassintegrals(geom)[:-1])},
     }

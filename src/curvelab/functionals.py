@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositiveDensity
-from .geometry import CurvatureField, _nan_where
+from .geometry import CurvatureField
 from .sphere_grid import sphere_area
 from .symfunc import require_cone
 
@@ -124,7 +124,8 @@ def _mk_integral(geom: CurvatureField, f: np.ndarray, k: int):
     if k < n:
         return grid.reduce(weighted * f ** ((n - k + 1.0) / (n - k)))
     f_lo, f_hi = grid.reduce(f, "min"), grid.reduce(f, "max")
-    return _nan_where(f_hi - f_lo > 1e-12 * (1.0 + f_hi), grid.reduce(weighted))
+    mk = np.where(f_hi - f_lo > 1e-12 * (1.0 + f_hi), np.nan, grid.reduce(weighted))
+    return float(mk) if mk.ndim == 0 else mk
 
 
 def michael_simon_deficit_H(geom: CurvatureField, f=None, grad_f=None) -> DeficitReport:

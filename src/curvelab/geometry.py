@@ -36,8 +36,9 @@ derivative pass for both grid modes (_principal_radii is the support one's
 algebra, unchecked); it is a flow kernel's build of a state, read by its
 assessment, speed and diagnostic row.  A field may hold a stack of
 surfaces, and static_convexity, sphericity and the field's integrals then
-give one value per surface: the diagnostic rows and substep speeds each
-read one field of a stack of states.
+give one value per surface, or raise as on the surface at fault (h <= 0 at a
+node, H = 0): the diagnostic rows and substep speeds each read one field of
+a stack of states.
 """
 
 from __future__ import annotations
@@ -328,34 +329,18 @@ def support_geometry(field: ScalarField) -> CurvatureField:
     return _support_field(field.grid, field.values)
 
 
-def _nan_where(mask, values):
-    """values with NaN where mask holds, per surface: a float for one surface."""
-    if not np.any(mask):
-        return values
-    values = np.where(mask, np.nan, values)
-    return float(values) if values.ndim == 0 else values
-
-
-def _convexity_margins(field: CurvatureField):
-    """(margin, node margins) of static_convexity; NaN margin where some h <= 0."""
-    grid, h = field.grid, field.support
-    with np.errstate(divide="ignore"):  # h = 0 at a node
-        node_margins = np.minimum(field.kappa1, field.kappa2) - 1.0 / h
-    return _nan_where(grid.reduce(h, "min") <= 0.0, grid.reduce(node_margins, "min")), node_margins
-
-
 def static_convexity(field: CurvatureField) -> StaticConvexityReport:
     """Margin of the static-convexity tensor h_ij - h^(-1) g_ij.
 
     In a g-orthonormal frame the tensor has eigenvalues kappa_i - 1/h, so the
     report carries min_i kappa_i - 1/h per node and its minimum per surface.
+    A surface with some h <= 0 raises NonpositiveSupport.
     """
-    margin, node_margins = _convexity_margins(field)
-    if np.isnan(margin).any():
-        raise NonpositiveSupport(
-            f"support value must be positive everywhere (min {field.support.min():.6g})"
-        )
-    return StaticConvexityReport(margin=margin, node_margins=node_margins)
+    grid, h = field.grid, field.support
+    if np.any(grid.reduce(h, "min") <= 0.0):
+        raise NonpositiveSupport(f"support value must be positive everywhere (min {h.min():.6g})")
+    node_margins = np.minimum(field.kappa1, field.kappa2) - 1.0 / h
+    return StaticConvexityReport(margin=grid.reduce(node_margins, "min"), node_margins=node_margins)
 
 
 def sphericity(field: CurvatureField):

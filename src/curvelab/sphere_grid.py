@@ -59,18 +59,18 @@ def sphere_area(n: int) -> float:
     return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
 
 
-def _tridiagonal_inverse(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of tridiagonal matrices by one batched Thomas sweep.
+def _tridiagonal_solve(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs) -> np.ndarray:
+    """Solutions of a stack of tridiagonal systems by one batched Thomas sweep.
 
-    The matrices are given by their diagonals, shapes (count, size - 1),
-    (count, size) and (count, size - 1).  Eliminates the sub-diagonal of
-    [matrix | I] row by row, then back-substitutes, without pivoting: the
-    pivots of I - s Delta stay at or above 1 (rows are diagonally
-    dominant for n <= 3, and the pivots were checked for n = 5, 6 up to
-    s times the spectral radius of Delta = 1e5).
+    The diagonals have shapes (count, size - 1), (count, size) and (count, size - 1),
+    and rhs (count, size, columns): the identity for the resolvent, one column for the
+    spline.  Eliminates the sub-diagonal of [matrix | rhs] on a C-order copy of rhs, then
+    back-substitutes, without pivoting: the pivots of I - s Delta stay at or above 1 (rows
+    are diagonally dominant for n <= 3, and were checked for n = 5, 6 up to s times the
+    spectral radius of Delta = 1e5); the spline's not-a-knot pivots stay positive.
     """
     count, size = diag.shape
-    out = np.broadcast_to(np.eye(size), (count, size, size)).copy()
+    out = np.array(rhs, float, order="C")
     ratio = np.empty((count, size - 1))  # the eliminated rows' scaled super-diagonal
     pivot = diag[:, 0]
     for i in range(size):
@@ -102,6 +102,7 @@ class SphericalGrid:
     of the S^(n-1) orbit direction, axis component).  ``frame`` holds the
     ambient unit vectors of the gradient's components, laid out like xi:
     full-s2 (e_theta, e_phi); axisym (e_theta,) = (cos theta, -sin theta).
+    A grid of more than 10^7 nodes raises ValueError before it allocates.
     """
 
     def __init__(self, mode: str, n: int, n_theta: int, n_phi: int | None = None):
@@ -111,6 +112,8 @@ class SphericalGrid:
             raise ValueError("ambient sphere dimension n must be >= 2")
         if n_theta < 4:
             raise ValueError("n_theta must be >= 4")
+        if n_theta * (n_phi or 1) > 10**7:  # far above AC-1's 128 x 256; nothing is allocated yet
+            raise ValueError(f"a grid takes at most 10000000 nodes, got {n_theta * (n_phi or 1)}")
         self.mode = mode
         self.n = n
         self.n_theta = int(n_theta)
@@ -176,7 +179,7 @@ class SphericalGrid:
 
     # -- differential operators on the round metric -------------------------
 
-    def derivatives(self, v: np.ndarray, hessian: bool = True):
+    def derivatives(self, v: np.ndarray):
         """(gradient, Hessian) components of v from one ghost-padded copy.
 
         The gradient is in the orthonormal frame: full-s2 (d/dtheta,
@@ -187,10 +190,9 @@ class SphericalGrid:
         directions.  Christoffel terms are included, so the trace is the
         sphere Laplacian.  v holds one field, or a stack of fields along
         leading axes, and every component then carries the same leading
-        axes.  The Hessian is None when ``hessian`` is false.  Phi
-        differences are taken on the ghost rows too, so the theta difference
-        of d/dphi carries the antipodal continuation into the mixed
-        derivative.
+        axes.  Phi differences are taken on the ghost rows too, so the theta
+        difference of d/dphi carries the antipodal continuation into the
+        mixed derivative.
         """
         v = np.asarray(v, float)
         stack = v.shape[: v.ndim - len(self.node_shape)]
@@ -200,23 +202,17 @@ class SphericalGrid:
         else:
             above, below = p[..., 2:, 1:-1], p[..., :-2, 1:-1]  # theta ghosts only
         vt = (above - below) / (2.0 * self.dtheta)
-        if self.mode == "axisym":
-            grad = (vt,)
-        else:
-            dp = (p[..., 2:] - p[..., :-2]) / (2.0 * self.dphi)
-            vp = dp[..., 1:-1, :]
-            grad = (vt, vp / self._sin)
-        if not hessian:
-            return grad, None
         twice = 2.0 * v  # shared by the theta-theta and phi-phi stencils
         vtt = (above - twice + below) / self.dtheta**2
         if self.mode == "axisym":
-            return grad, (vtt, self._cot * vt)
+            return (vt,), (vtt, self._cot * vt)
+        dp = (p[..., 2:] - p[..., :-2]) / (2.0 * self.dphi)
+        vp = dp[..., 1:-1, :]
         vtp = (dp[..., 2:, :] - dp[..., :-2, :]) / (2.0 * self.dtheta)
         vpp = (p[..., 1:-1, 2:] - twice + p[..., 1:-1, :-2]) / self.dphi**2
         h12 = (vtp - self._cot * vp) / self._sin
         h22 = vpp / self._sin**2 + self._cot * vt
-        return grad, (vtt, h12, h22)
+        return (vt, vp / self._sin), (vtt, h12, h22)
 
     def integrate(self, v):
         return self.reduce(self.weights * np.asarray(v, float))
@@ -260,7 +256,7 @@ class SphericalGrid:
 
         ``keys`` holds one s_i per field, and the solve runs per zonal
         wavenumber.  The inverses of the blocks of I - s Delta come from
-        one batched Thomas sweep over a key set and are kept for that set
+        one batched Thomas sweep of I over a key set and are kept for that set
         alone; keys that are the set's trailing keys read them as a view, so
         the flows' extrapolation rounds, each a trailing part of the level
         set, share one sweep.
@@ -273,9 +269,9 @@ class SphericalGrid:
             self._inverses, inverse = ((), None), None  # drop the old blocks before building the new
             sub, diag, sup = self._laplacian_diagonals()
             s = np.asarray(keys)[:, None, None]
-            diagonals = (d.reshape(-1, d.shape[-1]) for d in (-s * sub, 1.0 - s * diag, -s * sup))
-            shape = (len(keys), len(sub), self.n_theta, self.n_theta)
-            inverse = _tridiagonal_inverse(*diagonals).reshape(shape)
+            sub, diag, sup = (d.reshape(-1, d.shape[-1]) for d in (-s * sub, 1.0 - s * diag, -s * sup))
+            eye = np.broadcast_to(np.eye(self.n_theta), diag.shape + (self.n_theta,))
+            inverse = _tridiagonal_solve(sub, diag, sup, eye).reshape((len(keys), -1) + eye.shape[1:])
             self._inverses = (keys, inverse)
         # constants are fixed points; solving for the deviation from one keeps
         # them to the last bit whatever the round-off in the blocks

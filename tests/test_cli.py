@@ -129,6 +129,24 @@ def test_flow_with_a_non_finite_profile_exit_1(tmp_path, capsys, profile):
     assert not (tmp_path / "run" / "trace.csv").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("key, value", [(key, value) for key in ("n", "r_star") for value in (1e300, 10**30, 2**63)
+                                        if (key, value) != ("n", 1e300)])
+def test_a_pinned_profile_that_overflows_is_an_error_not_a_warning(tmp_path, capsys, key, value):
+    # sampled, f overflowed in x ** (1 - n) or exp((x - r*)^2 / 2) and raised numpy's
+    # RuntimeWarning; read as inf it fails the flow's positive-and-finite check, and
+    # each verify row's density check
+    profile = dict(RADIAL_CFG["profile"], **{key: value})
+    flow = write_config(tmp_path, "flow.json", dict(RADIAL_CFG, profile=profile, run={"t_end": 0.2}))
+    assert main(["flow", "--config", flow, "--out", str(tmp_path / "run")]) == 1
+    assert "positive and finite" in capsys.readouterr().err
+    assert json.loads((tmp_path / "run" / "summary.json").read_text())["status"] == "error"
+    verify = write_config(tmp_path, "verify.json", dict(VERIFY_AXISYM_CFG, profile=profile))
+    assert main(["verify", "--config", verify, "--out", str(tmp_path / "v")]) == 0
+    with open(tmp_path / "v/verify.csv") as handle:
+        assert [row["status"] for row in csv.DictReader(handle)] == ["error:NonpositiveDensity"] * 2
+
+
 def test_flow_from_a_field_file_on_the_config_grid(tmp_path):
     # the unit sphere of the file and the config's own unit sphere give the same trace
     base = dict(RADIAL_CFG, grid={"mode": "axisym", "n": 2, "n_theta": 16}, run={"t_end": 0.5},
@@ -225,6 +243,15 @@ def test_verify_error_isolation(tmp_path):
     assert len(statuses) == 10
     assert any(s.startswith("error:") for s in statuses)
     assert any(s == "ok" for s in statuses)
+
+
+@pytest.mark.parametrize("k, functional", [(1, "H"), (2, "k")])
+def test_verify_functional_defaults_to_H_at_k_1_and_k_above(tmp_path, k, functional):
+    base = dict(VERIFY_AXISYM_CFG, k=k, grid={"mode": "axisym", "n": 3, "n_theta": 32})
+    for name, cfg in (("default", base), ("named", dict(base, functional=functional))):
+        path = write_config(tmp_path, f"{name}.json", cfg)
+        assert main(["verify", "--config", path, "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "default/verify.csv").read_bytes() == (tmp_path / "named/verify.csv").read_bytes()
 
 
 @pytest.mark.parametrize("profile_cfg, profile", [
@@ -593,6 +620,24 @@ def _main_within(argv, seconds):
     # a huge dimension overflowed in the sphere's area
     pytest.param("verify", VERIFY_AXISYM_CFG, {"grid": {"mode": "axisym", "n": 10**30, "n_theta": 32}},
                  id="verify-grid-n-1e30"),
+    # n_theta = 2**63 made a grid of no rows, on which verify raised "Maximum allowed dimension exceeded"
+    *(pytest.param(command, base, {"grid": {"mode": "axisym", "n": 2, "n_theta": n_theta}},
+                   id=f"{command}-grid-n-theta-{n_theta}")
+      for command, base in (("flow", RADIAL_CFG), ("verify", VERIFY_AXISYM_CFG)) for n_theta in (2**63, 10**7 + 1)),
+    pytest.param("verify", VERIFY_AXISYM_CFG, {"grid": {"mode": "full-s2", "n": 2, "n_theta": 1250001, "n_phi": 8}},
+                 id="verify-grid-full-s2-above-the-node-cap"),
+    # verify ran an empty profile as no profile, where flow asked for its kind
+    *(pytest.param(command, base, {"profile": {}}, id=f"{command}-profile-empty")
+      for command, base in (("flow", RADIAL_CFG), ("verify", VERIFY_AXISYM_CFG))),
+    # a pinned profile's non-numeric n raised TypeError in x ** (1 - n), after the config check
+    *(pytest.param(command, base, {"profile": {"kind": "power-exp-pinned", "n": n}},
+                   id=f"{command}-pinned-n-{json.dumps(n)}")
+      for command, base in (("flow", RADIAL_CFG), ("verify", VERIFY_AXISYM_CFG))
+      for n in (None, "x", [1], {}, 1, 2.0, True)),
+    # "H" at k >= 2 ran the k-deficit; the default functional is "H" at k = 1 and "k" above
+    pytest.param("verify", VERIFY_AXISYM_CFG, {"k": 2, "functional": "H", "grid": {"mode": "axisym", "n": 3,
+                                                                                  "n_theta": 32}},
+                 id="verify-functional-H-at-k-2"),
 ])
 def test_malformed_config_exit_64(tmp_path, capsys, command, base, change):
     # each must stop with a ConfigError before any work, not with an
@@ -626,17 +671,15 @@ def test_negative_seed_flag_exit_64(tmp_path, capsys, command, cfg):
 
 
 # A config fuzz: one key path of a small config set to one value of each JSON class, run
-# through main.  Two kinds of key are left out, as their mends are still open (ROADMAP
-# item 10): profile parameters, where a non-numeric, huge or out-of-domain value still
-# raises past the config check, and grid sizes, which have no node-count bound yet
-# (n_theta = 2**63 wraps to a grid of no rows).
+# through main under warnings-as-errors.
 FUZZ_BASES = {
     "flow": {"kind": "radial", "n": 2, "grid": {"mode": "axisym", "n": 2, "n_theta": 16},
              "initial": {"shape": "harmonic", "ell": 2, "amplitude": 0.1},
-             "profile": {"kind": "constant", "value": 1.0},
+             "profile": {"kind": "power-exp-pinned", "n": 2, "r_star": 1.0},
              "run": {"t_end": 0.05, "output_interval": 0.01}, "seed": 1},
     "verify": {"samples": 2, "k": 1, "functional": "H", "parametrization": "radial", "amplitude": 0.3,
-               "grid": {"mode": "axisym", "n": 2, "n_theta": 16}, "seed": 1},
+               "grid": {"mode": "axisym", "n": 2, "n_theta": 16},
+               "profile": {"kind": "power-exp-pinned", "n": 2, "r_star": 1.0}, "seed": 1},
 }
 FUZZ_VALUES = [None, True, 0, -1, 1, 2, 3, 0.5, -0.5, 1e300, math.nan, math.inf, "x", "", [], [1], {}, {"a": 1},
                10**30, 2**63]
@@ -644,8 +687,6 @@ FUZZ_VALUES = [None, True, 0, -1, 1, 2, 3, 0.5, -0.5, 1e300, math.nan, math.inf,
 
 def _key_paths(cfg, prefix=()):
     for key, value in cfg.items():
-        if prefix == ("profile",) and key != "kind" or prefix + (key,) == ("grid", "n_theta"):
-            continue
         yield prefix + (key,)
         if isinstance(value, dict):
             yield from _key_paths(value, prefix + (key,))
@@ -665,6 +706,16 @@ FUZZ_CASES = [(command, path) for command, cfg in FUZZ_BASES.items() for path in
 @example(case=("flow", ("initial", "ell")), value=10**30)
 @example(case=("flow", ("initial", "ell")), value=2**63)
 @example(case=("verify", ("grid", "n")), value=10**30)
+@example(case=("verify", ("grid", "n_theta")), value=2**63)
+@example(case=("flow", ("profile", "n")), value=None)
+@example(case=("flow", ("profile", "n")), value="x")
+@example(case=("verify", ("profile", "n")), value=[1])
+@example(case=("verify", ("profile", "n")), value={})
+@example(case=("flow", ("profile", "n")), value=10**30)
+@example(case=("verify", ("profile", "n")), value=2**63)
+@example(case=("flow", ("profile", "r_star")), value=1e300)
+@example(case=("verify", ("profile", "r_star")), value=10**30)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_config_fuzz_exits_cleanly_within_seconds(case, value):
     command, path = case
     cfg = json.loads(json.dumps(FUZZ_BASES[command]))

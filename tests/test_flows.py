@@ -930,9 +930,9 @@ def test_each_accepted_state_is_assessed_once(monkeypatch):
         counts["speed"] += 1
         return speeds[type(self)](self, geom)
 
-    def counted_derivatives(self, v, hessian=True):
+    def counted_derivatives(self, v):
         counts["derivatives"] += 1
-        return derivatives(self, v, hessian)
+        return derivatives(self, v)
 
     def flagged_row(kernel, states, *rest):
         in_row[0] = True
@@ -999,7 +999,7 @@ def recorded_run(monkeypatch, kernel):
     """Record each assessed c_max, each step's (h, spread) and each Thomas sweep of the runs that follow."""
     from curvelab import flows, sphere_grid
 
-    assess, step, inverse = kernel.assess, flows._extrapolated_step, sphere_grid._tridiagonal_inverse
+    assess, step, solve = kernel.assess, flows._extrapolated_step, sphere_grid._tridiagonal_solve
     log = {"c_max": [], "steps": [], "sweeps": 0}
 
     def assessed(self, u):
@@ -1011,13 +1011,13 @@ def recorded_run(monkeypatch, kernel):
         log["steps"].append((h, spread))
         return step(kernel, u, h, spread, start)
 
-    def swept(*diagonals):
+    def swept(*system):
         log["sweeps"] += 1
-        return inverse(*diagonals)
+        return solve(*system)
 
     monkeypatch.setattr(kernel, "assess", assessed)
     monkeypatch.setattr(flows, "_extrapolated_step", stepped)
-    monkeypatch.setattr(sphere_grid, "_tridiagonal_inverse", swept)
+    monkeypatch.setattr(sphere_grid, "_tridiagonal_solve", swept)
     return log
 
 

@@ -139,7 +139,7 @@ def test_height_function_tangential_gradient(make_grid, body, geometry, tol):
         grid = make_grid(nt)
         geom = geometry(body(grid, np.random.default_rng(1), amp=0.1))
         z = geom.position[..., -1]
-        tgs = geom.tangential_grad_sq(grid.derivatives(z, hessian=False)[0])
+        tgs = geom.tangential_grad_sq(grid.derivatives(z)[0])
         errs.append(np.abs(tgs - (1.0 - geom.normal[..., -1] ** 2)).max())
     assert errs[1] < tol
     assert math.log2(errs[0] / errs[1]) >= 1.8

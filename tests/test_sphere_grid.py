@@ -35,14 +35,14 @@ def test_quadrature_cos_squared():
 
 def test_gradient_constant_field_is_zero():
     grid = SphericalGrid.full_s2(16, 32)
-    g = grid.derivatives(np.full(grid.node_shape, 2.5), hessian=False)[0]
+    g = grid.derivatives(np.full(grid.node_shape, 2.5))[0]
     assert all(np.allclose(c, 0.0) for c in g)
 
 
 def test_gradient_cos_theta():
     grid = SphericalGrid.full_s2(64, 128)
     cos_t = np.broadcast_to(grid.cos_t[:, None], grid.node_shape).copy()
-    gt, gp = grid.derivatives(cos_t, hessian=False)[0]
+    gt, gp = grid.derivatives(cos_t)[0]
     assert np.allclose(gp, 0.0, atol=1e-13)
     err = np.abs(gt - (-grid.sin_t[:, None]))
     assert err.max() < 1e-3  # O(h^2) at h = pi/64
@@ -50,7 +50,7 @@ def test_gradient_cos_theta():
 
 def test_axisym_gradient_matches_analytic():
     grid = SphericalGrid.axisym(2, 128)
-    (gt,) = grid.derivatives(grid.theta**2, hessian=False)[0]
+    (gt,) = grid.derivatives(grid.theta**2)[0]
     interior = (grid.theta > 0.3) & (grid.theta < math.pi - 0.3)
     assert np.abs(gt - 2 * grid.theta)[interior].max() < 5e-4
 
@@ -142,7 +142,7 @@ def test_refinement_order_two(mode):
         else:
             grid = SphericalGrid.axisym(2, nt)
             vals = np.cos(grid.theta) ** 2
-            (gt,) = grid.derivatives(vals, hessian=False)[0]
+            (gt,) = grid.derivatives(vals)[0]
             errors.append(np.abs(gt + 2 * np.sin(grid.theta) * np.cos(grid.theta)).max())
     order1 = math.log2(errors[0] / errors[1])
     order2 = math.log2(errors[1] / errors[2])
@@ -245,17 +245,13 @@ def test_resolvent_matches_dense_solve(grid):
 
 
 @pytest.mark.parametrize("grid", [SphericalGrid.axisym(2, 32), SphericalGrid.full_s2(16, 32)], ids=repr)
-@pytest.mark.parametrize("hessian", [True, False])
-def test_derivatives_of_a_stack_match_each_field_bit_for_bit(grid, hessian):
+def test_derivatives_of_a_stack_match_each_field_bit_for_bit(grid):
     stack = np.random.default_rng(5).uniform(0.5, 1.5, (3,) + grid.node_shape)
-    grad, hess = grid.derivatives(stack, hessian)
+    grad, hess = grid.derivatives(stack)
     for i, field in enumerate(stack):
-        grad_i, hess_i = grid.derivatives(field, hessian)
+        grad_i, hess_i = grid.derivatives(field)
         assert all(_same_bits(a[i], b) for a, b in zip(grad, grad_i, strict=True))
-        if hessian:
-            assert all(_same_bits(a[i], b) for a, b in zip(hess, hess_i, strict=True))
-        else:
-            assert hess is None and hess_i is None
+        assert all(_same_bits(a[i], b) for a, b in zip(hess, hess_i, strict=True))
 
 
 def _same_bits(a, b):
@@ -353,7 +349,7 @@ def test_harmonic_mode_matches_closed_forms(grid, ell, m, closed):
 def test_frame_is_orthonormal_and_tangent(grid):
     xi = grid.xi
     frame = grid.frame
-    assert len(frame) == len(grid.derivatives(np.zeros(grid.node_shape), hessian=False)[0])
+    assert len(frame) == len(grid.derivatives(np.zeros(grid.node_shape))[0])
     for i, e in enumerate(frame):
         assert e.shape == xi.shape
         assert np.abs(np.sum(e * xi, axis=-1)).max() < 1e-15
@@ -393,3 +389,17 @@ def test_grid_validation():
         ScalarField(grid, np.ones(15))
     with pytest.raises(ValueError):
         ScalarField(grid, np.full(16, np.nan))
+
+
+@pytest.mark.parametrize("mode, n_theta, n_phi", [
+    ("axisym", 2**63, None), ("axisym", 10**7 + 1, None),
+    ("full-s2", 2**63, 8), ("full-s2", 16, 2**62), ("full-s2", 10**7 // 8 + 1, 8),
+])
+def test_a_grid_above_the_node_cap_is_refused_before_it_allocates(monkeypatch, mode, n_theta, n_phi):
+    # n_theta = 2**63 used to make a grid of no rows; the cap is checked before any array is made
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("an array was allocated")
+
+    monkeypatch.setattr(np, "arange", no_arrays)
+    with pytest.raises(ValueError, match="at most 10000000 nodes"):
+        SphericalGrid(mode, 2, n_theta, n_phi)
