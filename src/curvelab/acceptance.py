@@ -347,7 +347,7 @@ def ac6_static_margin():
     """
     c = CriterionResult("AC-6 static-convexity margin")
     data = _ac6_runs()
-    c.check("initial margin", data["k1"].meta["initial_margin"], "<", 0.0,
+    c.check("initial margin", data["k1"].rows[0]["margin"], "<", 0.0,
             "only origin-centred spheres are static convex")
     for k in (1, 2):
         margins = data[f"k{k}"].values("margin")
@@ -501,7 +501,7 @@ def ac10():
     data6 = _ac6_runs()
     trace = data6["k1"]
     osc = trace.values("oscillation")
-    t_probe = float(trace.times[int(np.argmax(osc <= osc[0] / 3.0))])
+    t_probe = float(trace.values("t")[int(np.argmax(osc <= osc[0] / 3.0))])
     probe = run_flow(
         data6["h0"], None,
         FlowConfig(kind="support", k=1, t_end=t_probe,

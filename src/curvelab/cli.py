@@ -121,23 +121,26 @@ def build_profile(cfg: dict | None) -> SpeedProfile | None:
     if cfg is None:
         return None
     kind = _require(cfg, "kind", "profile")
+
+    def number(field, default=None):  # a JSON bool, alone or in a list, is no number: float(true) is 1.0
+        value = _require(cfg, field, "profile") if default is None else cfg.get(field, default)
+        if isinstance(value, bool) or isinstance(value, list) and any(isinstance(v, bool) for v in value):
+            raise ConfigError(f"profile.{field}", f"profile.{field} must be a number, got {value!r}")
+        return value
+
     try:
-        domain = tuple(cfg.get("domain", ()))
+        domain = tuple(number("domain", ()))
         domain_arg = {"domain": domain} if domain else {}  # else the profile's own default
         if kind == "constant":
-            return SpeedProfile.constant(_require(cfg, "value", "profile"), **domain_arg)
+            return SpeedProfile.constant(number("value"), **domain_arg)
         if kind == "power-exp-pinned":
-            return SpeedProfile.power_exp_pinned(
-                _require(cfg, "n", "profile"), cfg.get("r_star", 1.0), **domain_arg)
+            return SpeedProfile.power_exp_pinned(number("n"), number("r_star", 1.0), **domain_arg)
         if kind == "power":
-            return SpeedProfile.power(_require(cfg, "exponent", "profile"), **domain_arg)
+            return SpeedProfile.power(number("exponent"), **domain_arg)
         if kind == "affine-power":
-            return SpeedProfile.affine_power(
-                _require(cfg, "a", "profile"), _require(cfg, "b", "profile"),
-                _require(cfg, "n", "profile"), _require(cfg, "k", "profile"), **domain_arg)
+            return SpeedProfile.affine_power(number("a"), number("b"), number("n"), number("k"), **domain_arg)
         if kind == "tabulated":
-            return SpeedProfile.tabulated(_require(cfg, "x", "profile"),
-                                          _require(cfg, "f", "profile"), **domain_arg)
+            return SpeedProfile.tabulated(number("x"), number("f"), **domain_arg)
     except (TypeError, ValueError, IndexError) as exc:  # values the profile cannot take
         raise ConfigError("profile", str(exc))
     raise ConfigError("profile.kind", f"unknown profile kind {kind!r}")
@@ -235,7 +238,6 @@ def cmd_flow(cfg: dict, out_dir: Path, seed: int, force: bool) -> int:
         summary["gamma_r_squared"] = fit.r_squared
     except CurveLabError:
         summary["gamma"] = None
-    summary.pop("final_state", None)
     _write_json(out_dir / "summary.json", "flow", cfg, seed, summary)
     print(f"{trace.status}: t_final = {trace.t_final:.4f}, "
           f"{len(trace.breaches)} breach events, artifacts in {out_dir}")

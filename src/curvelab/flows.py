@@ -52,10 +52,11 @@ The Laplacian term stabilizes the stiff part (Smereka, J. Sci. Comput. 19
 (2003)), so no Delta theta^2 bound applies, nor one from the pole rows'
 phi spacing, whose zonal modes are the stiffest; on a sphere Delta
 vanishes, the step is extrapolated explicit Euler on the radius ODE and
-the surface stays round.  A diagnostic row is written at the first
-accepted state at or past each output time, and its dt column is the
-step that reached it.  Each candidate state is assessed from one build,
-a CurvatureField: its monitored integral (Q or
+the surface stays round.  A diagnostic row is written for the start state
+and at the first accepted state at or past each output time, and its dt
+column is the step that reached it; a row's keys, in order, are trace.csv's
+columns, and the start's margin is row 0's.  Each candidate state is
+assessed from one build, a CurvatureField: its monitored integral (Q or
 M_k, the functional its trace column reads), its c_max and the convergence
 test; once the state is accepted, that field also gives the next step's
 start speed, and each round of substeps reads one build of its levels'
@@ -64,9 +65,9 @@ computed in batches: the public functionals on one CurvatureField, the
 build of a state that fills a batch alone or one build of the held states'
 stack, so a row error surfaces once its batch is.  Each step is taken once:
 a geometry error raises StepCollapse, with the partial trace and every row
-queued before it.  A rise of the monitored
-integral is recorded: each rise above 1e-8 relative as an event, and their
-sum relative to the start as meta["mono_rise"].  A rise that a smaller step
+queued before it.  A rise of the monitored integral is recorded: each rise
+above 1e-8 relative as an event, and their sum relative to the start as
+meta["mono_rise"].  A rise that a smaller step
 does not remove is spatial error; on S^2 the summation-by-parts weights
 (sphere_grid) make the grid's int Delta h vanish, so the k = 2 support
 flow's M_2 = int (Delta h + 2 h) dmu does not rise.
@@ -283,22 +284,28 @@ class SupportProfileReport:
     detail: str
 
 
+def _sampled(profile: SpeedProfile, g):
+    """(xs, f, g) at 2001 points of the domain, f and g under one errstate (an overflow reads
+    as inf); raises AssumptionViolated "not-positive" unless f is positive and finite and g finite."""
+    xs = np.linspace(*profile.domain, 2001)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fv, gv = profile.f(xs), g(xs)
+    if not (0.0 < fv.min() <= fv.max() < math.inf and np.isfinite(gv).all()):  # NaN fails every comparison
+        raise AssumptionViolated("not-positive", "profile must be positive and finite on the interval")
+    return xs, fv, gv
+
+
 def validate_radial_profile(profile: SpeedProfile, n: int) -> float:
     """Check that fhat is strictly increasing with a sign change; return its zero.
 
-    fhat is sampled at 2001 points of the profile's domain.  Raises
-    AssumptionViolated with kind "not-increasing" (monotonicity fails,
-    ``where`` holds the offending subinterval) or "no-zero" (no strict sign
-    change, including the degenerate profile with fhat identically zero).
-    The zero is bracketed there and bisected to 1e-10.
+    f and fhat are sampled by ``_sampled``.  Raises AssumptionViolated with
+    kind "not-positive" (f or fhat leaves the domain check), "not-increasing"
+    (monotonicity fails, ``where`` holds the offending subinterval) or
+    "no-zero" (no strict sign change, including the degenerate profile with
+    fhat identically zero).  The zero is bracketed there and bisected to 1e-10.
     """
     lo, hi = profile.domain
-    xs = np.linspace(lo, hi, 2001)
-    with np.errstate(over="ignore", invalid="ignore"):  # read as inf or NaN, which the next check rejects
-        fv = profile.f(xs)
-    if not 0.0 < fv.min() <= fv.max() < math.inf:  # NaN fails every comparison
-        raise AssumptionViolated("not-positive", "profile must be positive and finite on the interval")
-    fh = profile.hat(xs, n)
+    xs, fv, fh = _sampled(profile, lambda x: profile.hat(x, n))
     scale = float(np.abs(fh).max())
     if scale <= 1e-14 * (1.0 + float(np.abs(fv).max())):
         raise AssumptionViolated(
@@ -338,15 +345,12 @@ def validate_radial_profile(profile: SpeedProfile, n: int) -> float:
 def validate_support_profile(profile: SpeedProfile, n: int, k: int) -> SupportProfileReport:
     """Check that g = f^((n-k+1)/(n-k)) is nondecreasing and convex in h.
 
-    f and f' are sampled at 2001 points of the profile's domain.  Where f'
-    vanishes at every sample, f is constant and passes for every k (the
-    non-strict case); for k = n the exponent is undefined, so only these pass.
+    f and f' are sampled by ``_sampled``, which raises on a profile that is not
+    positive and finite.  Where f' vanishes at every sample, f is constant and
+    passes for every k (the non-strict case); for k = n the exponent is
+    undefined, so only these pass.
     """
-    xs = np.linspace(*profile.domain, 2001)
-    with np.errstate(over="ignore", invalid="ignore"):  # read as inf or NaN, which the next check rejects
-        fv, f1 = profile.f(xs), profile.df(xs)
-    if not 0.0 < fv.min() <= fv.max() < math.inf:  # NaN fails every comparison
-        return SupportProfileReport(False, "profile must be positive and finite on the interval")
+    xs, fv, f1 = _sampled(profile, profile.df)
     if float(np.abs(f1).max()) <= 1e-14 * (1.0 + float(fv.max())):
         return SupportProfileReport(True, "constant profile: g constant (non-strict pass)")
     if k >= n:
@@ -611,25 +615,11 @@ class FlowTrace:
     t_final: float = 0.0
     meta: dict = dataclass_field(default_factory=dict)
 
-    @property
-    def columns(self) -> list:
-        base = ["t", "dt", "Q"]
-        base += [f"V_{j}" for j in range(self.n + 1)]
-        base += [
-            "M_k", "grad_max", "oscillation", "margin", "sphericity",
-            "r_min", "r_max", "area", "volume",
-        ]
-        return base
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.asarray([row["t"] for row in self.rows])
-
     def values(self, key: str) -> np.ndarray:
         return np.asarray([row[key] for row in self.rows])
 
     def write_csv(self, path):
-        columns = self.columns
+        columns = list(self.rows[0])  # the header; every row is read by it
         write_csv(path, columns, ([float(row[c]) for c in columns] for row in self.rows))
 
     def summary(self) -> dict:
@@ -645,15 +635,8 @@ class FlowTrace:
         }
         if self.rows:
             last = self.rows[-1]
-            out["final"] = {
-                "r_min": last["r_min"],
-                "r_max": last["r_max"],
-                "grad_max": last["grad_max"],
-                "oscillation": last["oscillation"],
-                "Q": last["Q"],
-                "margin": last["margin"],
-            }
-        out.update(self.meta)
+            out["final"] = {key: last[key] for key in ("r_min", "r_max", "grad_max", "oscillation", "Q", "margin")}
+        out.update((key, value) for key, value in self.meta.items() if key != "final_state")
         return out
 
 
@@ -667,20 +650,21 @@ def _diagnostic_row(kernel, states, builds, ts, dts) -> list:
     A state that fills a batch alone brings its build; states that share a
     batch bring no build, and kernel.build makes one field of their stack.
     Each column has the bits, and each error the type, of a call on its
-    state alone; M_n under a non-constant density is NaN."""
+    state alone; M_n under a non-constant density is NaN.  A row's keys, in
+    order, are trace.csv's columns."""
     grid = kernel.grid
     geom = builds[0] if builds[0] is not None else kernel.build(np.stack(states))
     u = geom.scalar
     f = _density_values(geom, kernel.profile.f(u))
     r_min, r_max = geom.radius_stats()
     columns = {
-        "Q": _q_integral(geom, f), "M_k": _mk_integral(geom, f, kernel.config.k),
+        "Q": _q_integral(geom, f), **{f"V_{j}": v for j, v in enumerate(quermassintegrals(geom)[:-1])},
+        "M_k": _mk_integral(geom, f, kernel.config.k),
         "grad_max": np.sqrt(grid.reduce(sum(c * c for c in geom.grad), "max")),  # sqrt is monotone
         "oscillation": (grid.reduce(u, "max") - grid.reduce(u, "min"))
         / (grid.integrate(u) / np.sum(grid.weights)),
         "margin": static_convexity(geom).margin, "sphericity": sphericity(geom),
-        "r_min": r_min, "r_max": r_max, "area": geom.total_area(), "volume": geom.volume(),
-        **{f"V_{j}": v for j, v in enumerate(quermassintegrals(geom)[:-1])},
+        "r_min": r_min, "r_max": r_max, "area": geom.total_area(), "volume": geom.volume,
     }
     values = zip(ts, dts, *(np.atleast_1d(column).tolist() for column in columns.values()))
     return [dict(zip(["t", "dt", *columns], row)) for row in values]
@@ -693,7 +677,9 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
     support runs require a strictly convex start (the static-convexity margin
     is recorded but cannot be demanded positive: only origin-centred spheres
     achieve it).  ``config.force`` downgrades profile admissibility failures
-    to recorded warnings for monotonicity-only studies.
+    to recorded warnings for monotonicity-only studies, but not a profile
+    that is not positive and finite ("not-positive").  Row 0, the start's, is
+    in every trace, the partial one a StepCollapse carries too.
     """
     grid = initial.grid
     n = grid.n
@@ -714,7 +700,7 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
             r_star = validate_radial_profile(profile, n)
             trace.meta["r_star"] = r_star
         except AssumptionViolated as exc:
-            if not config.force:
+            if not config.force or exc.kind == "not-positive":
                 raise
             trace.meta["profile_violation"] = f"{exc.kind}: {exc}"
         lo = min(r_star, float(r0.min()))
@@ -731,8 +717,6 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
     t = 0.0
     steps = 0
     mono_prev, c_max, _, build = kernel.assess(state)  # raises on bad input, before any step
-    if config.kind == "support":
-        trace.meta["initial_margin"] = static_convexity(build).margin
     mono_scale = max(abs(mono_prev), 1e-300)
     rise = 0.0  # the monitored integral's cumulative positive variation
     row_tol = 1e-9 * config.t_end  # t += dt drifts off the output times and t_end
@@ -830,7 +814,7 @@ class DecayFit:
 
 def estimate_decay_rate(trace: FlowTrace) -> DecayFit:
     """Fit log(max |grad r|) against t over the final half of a run with >= 10 positive samples."""
-    t = trace.times
+    t = trace.values("t")
     g = trace.values("grad_max")
     mask = np.isfinite(g) & (g > 0.0)
     t, g = t[mask], g[mask]

@@ -95,7 +95,7 @@ def quermassintegrals(geom: CurvatureField) -> np.ndarray:
     """V_0..V_{n+1} of the enclosed domain, shape (n + 2, *stack), from one curvature field;
     V_{n+1} = int E_n dmu is the Gauss-curvature integral, |S^n| on convex bodies."""
     n, sig = geom.n, geom.sigma
-    values = [(n + 1) * geom.volume()]
+    values = [(n + 1) * geom.volume]
     values += [geom.grid.reduce(geom.area_weights * sig[j - 1]) / math.comb(n, j - 1)
                for j in range(1, n + 2)]
     return np.array(values)

@@ -30,7 +30,8 @@ vectors (position, normal) come from the grid's embedding, xi and frame.
 Every surface here has two distinct principal values per node, of
 multiplicities 1 and n - 1 (the 2x2 eigenvalues on full-s2 grids, the
 meridional and azimuthal values on axisymmetric ones), and the field's
-sigma_j are symfunc's recurrence on them (read-only).  _radial_field and
+sigma_j are symfunc's recurrence on them; H, sigma and volume are cached
+properties, computed on first read and read-only.  _radial_field and
 _support_field build a CurvatureField, that pair included, from one
 derivative pass for both grid modes (_principal_radii is the support one's
 algebra, unchecked); it is a flow kernel's build of a state, read by its
@@ -180,13 +181,10 @@ class CurvatureField:
     def total_area(self):
         return self.grid.reduce(self.area_weights)
 
+    @functools.cached_property
     def volume(self):
         """Volume of the enclosed domain: the cone formula (1/(n+1)) int r^(n+1) for
         radial bodies, the divergence identity (n+1) Vol = int <X, nu> dmu for support ones."""
-        return self._volume
-
-    @functools.cached_property
-    def _volume(self):
         cone = self.scalar ** (self.n + 1) if self.kind == "radial" else self.support * self.area_factor
         return self.grid.integrate(cone) / (self.n + 1)
 

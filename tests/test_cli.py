@@ -147,6 +147,19 @@ def test_a_pinned_profile_that_overflows_is_an_error_not_a_warning(tmp_path, cap
         assert [row["status"] for row in csv.DictReader(handle)] == ["error:NonpositiveDensity"] * 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["radial", "support"])
+def test_force_does_not_run_a_profile_that_is_not_positive_and_finite(tmp_path, capsys, kind):
+    # --force downgrades admissibility failures only; with a pinned n of 10**30 the forced
+    # radial run raised numpy's overflow warning in the kernel's f(r), and the forced
+    # support run reported Converged on a profile its validator had rejected
+    cfg = dict(RADIAL_CFG, kind=kind, profile=dict(RADIAL_CFG["profile"], n=10**30), run={"t_end": 0.2})
+    path = write_config(tmp_path, "flow.json", cfg)
+    assert main(["flow", "--config", path, "--out", str(tmp_path / "run"), "--force"]) == 1
+    assert "positive and finite" in capsys.readouterr().err
+    assert json.loads((tmp_path / "run" / "summary.json").read_text())["status"] == "error"
+
+
 def test_flow_from_a_field_file_on_the_config_grid(tmp_path):
     # the unit sphere of the file and the config's own unit sphere give the same trace
     base = dict(RADIAL_CFG, grid={"mode": "axisym", "n": 2, "n_theta": 16}, run={"t_end": 0.5},
@@ -638,6 +651,17 @@ def _main_within(argv, seconds):
     pytest.param("verify", VERIFY_AXISYM_CFG, {"k": 2, "functional": "H", "grid": {"mode": "axisym", "n": 3,
                                                                                   "n_theta": 32}},
                  id="verify-functional-H-at-k-2"),
+    # a JSON true read as 1 (float(True) is 1.0): affine-power with k true ran as k = 1
+    *(pytest.param("flow", RADIAL_CFG, {"kind": kind, "profile": dict(profile, **{key: True})},
+                   id=f"flow-{profile['kind']}-{key}-true")
+      for kind, profile in (("support", {"kind": "constant", "value": 1.0}),
+                            ("radial", {"kind": "power-exp-pinned", "n": 2, "r_star": 1.0}),
+                            ("support", {"kind": "power", "exponent": 1.0}),
+                            ("support", {"kind": "affine-power", "a": 1.0, "b": 1.0, "n": 2, "k": 1}))
+      for key in profile if key not in ("kind", "n") or profile["kind"] == "affine-power"),
+    pytest.param("flow", RADIAL_CFG, {"kind": "support", "profile": {"kind": "constant", "value": 1.0,
+                                                                     "domain": [True, 100.0]}},
+                 id="flow-constant-domain-true"),
 ])
 def test_malformed_config_exit_64(tmp_path, capsys, command, base, change):
     # each must stop with a ConfigError before any work, not with an
@@ -715,6 +739,8 @@ FUZZ_CASES = [(command, path) for command, cfg in FUZZ_BASES.items() for path in
 @example(case=("verify", ("profile", "n")), value=2**63)
 @example(case=("flow", ("profile", "r_star")), value=1e300)
 @example(case=("verify", ("profile", "r_star")), value=10**30)
+@example(case=("flow", ("profile", "r_star")), value=True)
+@example(case=("verify", ("profile", "r_star")), value=True)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_config_fuzz_exits_cleanly_within_seconds(case, value):
     command, path = case
@@ -729,6 +755,8 @@ def test_config_fuzz_exits_cleanly_within_seconds(case, value):
             code = _main_within([command, "--config", config, "--out", str(Path(tmp) / "out")], 3.0)
     assert code in (0, 1, 2, 64), (cfg, code)
     assert "Traceback" not in err.getvalue()
+    if value is True and path[0] == "profile" and len(path) == 2:  # a JSON bool is no profile number
+        assert code == 64, cfg
 
 
 CONFIGS = Path(__file__).parent.parent / "configs"

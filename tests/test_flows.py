@@ -149,12 +149,21 @@ def test_support_profile_validation():
     SpeedProfile.affine_power(math.nan, 1.0, 2, 1),
 ], ids=["constant-nan", "constant-inf", "power-nan", "affine-power-a-nan"])
 def test_profile_validators_reject_non_finite_values(profile):
-    # NaN fails every comparison, so "f > 0" alone lets a NaN profile read as admissible
-    for n, k in ((2, 1), (2, 2), (3, 1)):
-        report = validate_support_profile(profile, n, k)
-        assert (report.ok, report.detail) == (False, "profile must be positive and finite on the interval")
-    with pytest.raises(AssumptionViolated, match="positive and finite") as err:
-        validate_radial_profile(profile, 2)
+    # NaN fails every comparison, so "f > 0" alone lets a NaN profile read as admissible;
+    # both validators raise on it, where the support one returned a failed report
+    validators = [functools.partial(validate_support_profile, n=n, k=k) for n, k in ((2, 1), (2, 2), (3, 1))]
+    for validate in validators + [functools.partial(validate_radial_profile, n=2)]:
+        with pytest.raises(AssumptionViolated, match="positive and finite") as err:
+            validate(profile)
+        assert err.value.kind == "not-positive"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_fhat_that_overflows_is_not_positive_and_finite():
+    # f = 1e307 is finite, but fhat = f / x^2 overflows at the domain's low end 1e-2;
+    # fhat was formed outside the sampling errstate and raised numpy's overflow warning
+    with pytest.raises(AssumptionViolated) as err:
+        validate_radial_profile(SpeedProfile.constant(1e307), 2)
     assert err.value.kind == "not-positive"
 
 
@@ -707,7 +716,7 @@ def _shape_mode_decay_rate_times_radius(h0, k):
     0.2, so the window spans 7.5 time units to hold 30 rows."""
     grid = h0.grid
     trace = run_flow(h0, None, FlowConfig(kind="support", k=k, t_end=8.0, osc_tol=1e-12))
-    t, osc = trace.times, trace.values("oscillation")
+    t, osc = trace.values("t"), trace.values("oscillation")
     late = t >= 0.5
     gamma = -np.polyfit(t[late], np.log(osc[late]), 1)[0]
     radius = float(np.sum(grid.weights * trace.meta["final_state"]) / np.sum(grid.weights))
@@ -1077,6 +1086,7 @@ def reference_row(kernel, geom, t, dt) -> dict:
         "t": t,
         "dt": dt,
         "Q": q_value,
+        **{f"V_{j}": quermass[j] for j in range(geom.n + 1)},
         "M_k": mk,
         "grad_max": float(np.sqrt(sum(c * c for c in geom.grad)).max()),
         "oscillation": float((state.max() - state.min()) / mean),
@@ -1085,10 +1095,8 @@ def reference_row(kernel, geom, t, dt) -> dict:
         "r_min": r_lo,
         "r_max": r_hi,
         "area": geom.total_area(),
-        "volume": geom.volume(),
+        "volume": geom.volume,
     }
-    for j in range(geom.n + 1):
-        row[f"V_{j}"] = quermass[j]
     return row
 
 
@@ -1384,7 +1392,7 @@ def test_trace_timestamps_strictly_increasing():
     grid = SphericalGrid.axisym(2, 64)
     config = FlowConfig(kind="radial", t_end=0.3, output_interval=0.02)
     trace = run_flow(sphere_radial(grid, 1.15), SpeedProfile.power_exp_pinned(2, 1.0), config)
-    t = trace.times
+    t = trace.values("t")
     assert np.all(np.diff(t) > 0)
 
 
@@ -1395,8 +1403,8 @@ def test_output_rows_fall_on_every_interval_multiple():
                         output_interval=0.05)
     trace = run_flow(spheroid_support(grid, 1.1, 1.0), None, config)
     assert trace.status == "TimeExhausted" and trace.meta["steps"] == 84
-    assert trace.times.shape == (43,)
-    assert np.abs(trace.times - 0.05 * np.arange(43)).max() < 1e-12
+    assert trace.values("t").shape == (43,)
+    assert np.abs(trace.values("t") - 0.05 * np.arange(43)).max() < 1e-12
 
 
 @pytest.mark.parametrize("interval", [0.01, 0.1])
@@ -1408,7 +1416,7 @@ def test_rows_fall_at_the_first_step_past_each_output_time(interval):
     r0 = ScalarField(grid, 1.0 + 0.1 * np.cos(2 * grid.theta))
     config = FlowConfig(kind="radial", t_end=0.5, output_interval=interval)
     trace = run_flow(r0, SpeedProfile.power_exp_pinned(2, 1.0), config)
-    t, dt, steps = trace.times, trace.values("dt"), trace.meta["steps"]
+    t, dt, steps = trace.values("t"), trace.values("dt"), trace.meta["steps"]
     assert trace.status == "TimeExhausted" and t[-1] == trace.t_final
     assert np.all(np.diff(t) > 0)
     if interval < 0.029:  # every step crosses an output time
@@ -1454,13 +1462,34 @@ def test_trace_csv_round_trip(tmp_path):
 
     with open(path) as handle:
         rows = list(csv.reader(handle))
-    assert rows[0] == trace.columns
     assert len(rows) == len(trace.rows) + 1
     # full round-trip precision
     assert float(rows[1][0]) == trace.rows[0]["t"]
     summary = trace.summary()
     assert summary["status"] == trace.status
     assert set(["t_final", "breach_count"]).issubset(summary)
+    del trace.rows[-1]["volume"]  # each row is read by the first row's keys
+    with pytest.raises(KeyError):
+        trace.write_csv(path)
+
+
+TRACE_TAIL = ["M_k", "grad_max", "oscillation", "margin", "sphericity", "r_min", "r_max", "area", "volume"]
+
+
+@pytest.mark.parametrize("kind", ["radial", "support"])
+@pytest.mark.parametrize("grid, header", [
+    (SphericalGrid.axisym(2, 16), ["t", "dt", "Q", "V_0", "V_1", "V_2", *TRACE_TAIL]),
+    (SphericalGrid.axisym(3, 16), ["t", "dt", "Q", "V_0", "V_1", "V_2", "V_3", *TRACE_TAIL]),
+    (SphericalGrid.full_s2(8, 16), ["t", "dt", "Q", "V_0", "V_1", "V_2", *TRACE_TAIL]),
+], ids=["axisym-2", "axisym-3", "full-s2"])
+def test_trace_csv_header_is_the_literal_column_list(tmp_path, grid, header, kind):
+    # the header is the first row's keys, so the rows' key order is the published column order
+    start = (sphere_radial if kind == "radial" else sphere_support)(grid, 1.1)
+    profile = SpeedProfile.power_exp_pinned(grid.n, 1.0) if kind == "radial" else None
+    trace = run_flow(start, profile, FlowConfig(kind=kind, t_end=0.05, dt_fixed=0.025))
+    trace.write_csv(tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_text().splitlines()[0] == ",".join(header)
+    assert not {"final_state", "initial_margin"} & set(trace.summary())
 
 
 def stale_file(path):

@@ -343,7 +343,7 @@ def test_functionals_of_a_stack_equal_their_per_state_calls(kind, grid):
         "node_margins": lambda g, i: static_convexity(g).node_margins,
         "sphericity": lambda g, i: sphericity(g),
         "area": lambda g, i: g.total_area(),
-        "volume": lambda g, i: g.volume(),
+        "volume": lambda g, i: g.volume,
         "radius_stats": lambda g, i: g.radius_stats(),
         **{f"monotone k={k}": (lambda g, i, k=k: monotone_quantities(g, densities[i], k))
            for k in range(1, grid.n)},

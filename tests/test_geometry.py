@@ -45,7 +45,7 @@ def test_round_sphere_radial(grid, radius):
     assert np.abs(geom.H - n / radius).max() < 1e-10
     assert np.abs(geom.support - radius).max() < 1e-10
     assert geom.total_area() == pytest.approx(sphere_area(n) * radius**n, rel=1e-12)
-    assert geom.volume() == pytest.approx(sphere_area(n) * radius ** (n + 1) / (n + 1), rel=1e-12)
+    assert geom.volume == pytest.approx(sphere_area(n) * radius ** (n + 1) / (n + 1), rel=1e-12)
 
 
 @pytest.mark.parametrize("grid", [SphericalGrid.full_s2(32, 64), SphericalGrid.axisym(3, 64)])
@@ -447,11 +447,11 @@ def test_sphericity_values():
 
 def test_curvature_field_volume():
     grid = SphericalGrid.full_s2(32, 64)
-    assert radial_geometry(sphere_radial(grid, 2.0)).volume() == pytest.approx(4 / 3 * math.pi * 8, rel=1e-9)
+    assert radial_geometry(sphere_radial(grid, 2.0)).volume == pytest.approx(4 / 3 * math.pi * 8, rel=1e-9)
     axi = SphericalGrid.axisym(3, 64)
-    assert radial_geometry(sphere_radial(axi, 1.0)).volume() == pytest.approx(math.pi**2 / 2, rel=1e-9)
+    assert radial_geometry(sphere_radial(axi, 1.0)).volume == pytest.approx(math.pi**2 / 2, rel=1e-9)
     bumped = ScalarField(axi, 1.0 + 0.1 * np.cos(axi.theta))
-    vol = radial_geometry(bumped).volume()
+    vol = radial_geometry(bumped).volume
     ball = lambda R: sphere_area(3) / 4 * R**4
     assert ball(0.9) < vol < ball(1.1)
 

@@ -1,5 +1,5 @@
-"""Mutants of the shared curvature algebra, the grid's weights, the flow speeds and
-step sizes and the flows' monitors, each caught by a named test.
+"""Mutants of the shared curvature algebra, the grid's weights, the flow speeds, step
+sizes and extrapolated step and the flows' monitors, each caught by a named test.
 
 A mutant replaces one function by a one-line variant, or one constant (a
 monkeypatch in every curvelab module that holds the name), and calls the
@@ -8,6 +8,7 @@ each case shows that test can see the change.
 """
 
 import functools
+import inspect
 import math
 
 import numpy as np
@@ -187,3 +188,27 @@ def test_laplacian_diagonals_with_tangential_weight_1_are_caught(monkeypatch):
     monkeypatch.setattr(SphericalGrid, "_laplacian_diagonals", tangential_once)
     with pytest.raises(AssertionError):
         test_sphere_grid.test_laplacian_diagonals_carry_the_dense_spectrum(SphericalGrid.axisym(5, 32))
+
+
+def test_tableau_weight_k_over_j_minus_k_is_caught(monkeypatch):
+    # M12: the Aitken-Neville weight (j - k) / k inverted to k / (j - k) in the
+    # step's source; the extrapolation loses its order, and the sphere ODE's
+    # error ratio under dt halving reads about 2 in place of 16
+    source = inspect.getsource(flows._extrapolated_step)
+    namespace = dict(vars(flows))
+    exec(source.replace("((j - k) / k)", "(k / (j - k))"), namespace)
+    monkeypatch.setattr(flows, "_extrapolated_step", namespace["_extrapolated_step"])
+    with pytest.raises(AssertionError):
+        test_flows.test_temporal_order_on_sphere_ode()
+
+
+def test_spread_key_halved_is_caught(monkeypatch):
+    # M13: every step keys its resolvent at half its spread, so the implicit
+    # Laplacian damps the pole rows' stiffest zonal mode too little: 1e-8 noise
+    # grows to 2e-2 (radial) and 1e-5 (support) by t = 0.5
+    step = flows._extrapolated_step
+    monkeypatch.setattr(flows, "_extrapolated_step",
+                        lambda kernel, u, h, spread, start: step(kernel, u, h, spread / 2, start))
+    for kind in ("radial", "support"):
+        with pytest.raises(AssertionError):
+            test_flows.test_implicit_laplacian_smooths_grid_scale_noise_on_a_pole_row(kind)
