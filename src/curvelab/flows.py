@@ -284,28 +284,34 @@ class SupportProfileReport:
     detail: str
 
 
-def _sampled(profile: SpeedProfile, g):
-    """(xs, f, g) at 2001 points of the domain, f and g under one errstate (an overflow reads
-    as inf); raises AssumptionViolated "not-positive" unless f is positive and finite and g finite."""
+def _sampled(profile: SpeedProfile, g, n: int, k: int):
+    """(xs, f, g) at 2001 points of the domain, f, g and f's powers under one errstate (an
+    overflow reads as inf); raises AssumptionViolated "not-positive" unless f is positive and
+    finite, and g and the powers of f that Q and M_k integrate finite."""
     xs = np.linspace(*profile.domain, 2001)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         fv, gv = profile.f(xs), g(xs)
-    if not (0.0 < fv.min() <= fv.max() < math.inf and np.isfinite(gv).all()):  # NaN fails every comparison
-        raise AssumptionViolated("not-positive", "profile must be positive and finite on the interval")
+        # Q takes f^(n/(n-1)) and M_k f^((n-k+1)/(n-k)): the same power at k = 1, none at k = n
+        powers = [fv ** (n / (n - 1.0))] + ([fv ** ((n - k + 1.0) / (n - k))] if 1 < k < n else [])
+    if not (0.0 < fv.min() <= fv.max() < math.inf and all(np.isfinite(v).all() for v in (gv, *powers))):
+        raise AssumptionViolated(  # NaN fails every comparison
+            "not-positive", "profile and the powers of it that Q and M_k integrate must be positive "
+            "and finite on the interval")
     return xs, fv, gv
 
 
-def validate_radial_profile(profile: SpeedProfile, n: int) -> float:
+def validate_radial_profile(profile: SpeedProfile, n: int, k: int = 1) -> float:
     """Check that fhat is strictly increasing with a sign change; return its zero.
 
-    f and fhat are sampled by ``_sampled``.  Raises AssumptionViolated with
+    f and fhat are sampled by ``_sampled``, with the powers of f that a run
+    of this k integrates.  Raises AssumptionViolated with
     kind "not-positive" (f or fhat leaves the domain check), "not-increasing"
     (monotonicity fails, ``where`` holds the offending subinterval) or
     "no-zero" (no strict sign change, including the degenerate profile with
     fhat identically zero).  The zero is bracketed there and bisected to 1e-10.
     """
     lo, hi = profile.domain
-    xs, fv, fh = _sampled(profile, lambda x: profile.hat(x, n))
+    xs, fv, fh = _sampled(profile, lambda x: profile.hat(x, n), n, k)
     scale = float(np.abs(fh).max())
     if scale <= 1e-14 * (1.0 + float(np.abs(fv).max())):
         raise AssumptionViolated(
@@ -346,11 +352,12 @@ def validate_support_profile(profile: SpeedProfile, n: int, k: int) -> SupportPr
     """Check that g = f^((n-k+1)/(n-k)) is nondecreasing and convex in h.
 
     f and f' are sampled by ``_sampled``, which raises on a profile that is not
-    positive and finite.  Where f' vanishes at every sample, f is constant and
-    passes for every k (the non-strict case); for k = n the exponent is
-    undefined, so only these pass.
+    positive and finite, or whose power in Q or M_k (g itself) overflows.
+    Where f' vanishes at every sample, f is constant and passes for every k
+    (the non-strict case); for k = n the exponent is undefined, so only these
+    pass.
     """
-    xs, fv, f1 = _sampled(profile, profile.df)
+    xs, fv, f1 = _sampled(profile, profile.df, n, k)
     if float(np.abs(f1).max()) <= 1e-14 * (1.0 + float(fv.max())):
         return SupportProfileReport(True, "constant profile: g constant (non-strict pass)")
     if k >= n:
@@ -697,7 +704,7 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
         r0 = initial.values
         r_star = float(r0.min())  # a forced run without a zero bands the start alone
         try:
-            r_star = validate_radial_profile(profile, n)
+            r_star = validate_radial_profile(profile, n, config.k)
             trace.meta["r_star"] = r_star
         except AssumptionViolated as exc:
             if not config.force or exc.kind == "not-positive":
@@ -813,7 +820,15 @@ class DecayFit:
 
 
 def estimate_decay_rate(trace: FlowTrace) -> DecayFit:
-    """Fit log(max |grad r|) against t over the final half of a run with >= 10 positive samples."""
+    """Fit log(max |grad r|) against t over the final half of a run with >= 10 positive samples.
+
+    The line is least squares in closed form on centred data, slope =
+    sum u (g - mean g) / sum u^2 with u = (t - mean t) / span in units of the
+    window's span, so that no sum of squares under- or overflows at any t_end;
+    R^2 is 1 - ss_res / ss_tot, and 1 when log g is constant.  A flow run
+    thus never calls LAPACK (np.polyfit solves by lstsq), whose first call
+    maps its pages into the process.
+    """
     t = trace.values("t")
     g = trace.values("grad_max")
     mask = np.isfinite(g) & (g > 0.0)
@@ -824,14 +839,15 @@ def estimate_decay_rate(trace: FlowTrace) -> DecayFit:
         )
     half = t.size // 2
     t, g = t[half:], np.log(g[half:])
-    if t.size < 3 or t[-1] - t[0] <= 0:
+    span = float(t[-1] - t[0])
+    if t.size < 3 or span <= 0:
         raise InsufficientData("final-half window is too short to fit")
-    slope, intercept = np.polyfit(t, g, 1)
-    residual = g - (slope * t + intercept)
-    ss_res = float(np.sum(residual**2))
-    ss_tot = float(np.sum((g - g.mean()) ** 2))
+    u, gc = (t - t.mean()) / span, g - g.mean()
+    slope = np.dot(u, gc) / np.dot(u, u)
+    ss_res = float(np.sum((gc - slope * u) ** 2))
+    ss_tot = float(np.sum(gc**2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return DecayFit(gamma=-float(slope), r_squared=r2, n_samples=t.size)
+    return DecayFit(gamma=-float(slope) / span, r_squared=r2, n_samples=t.size)
 
 
 def area_evolution_consistency(

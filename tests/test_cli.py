@@ -22,6 +22,7 @@ import curvelab
 from curvelab import SpeedProfile, SphericalGrid, acceptance, michael_simon_deficit_k, support_geometry
 from curvelab.cli import main
 from curvelab.shapes import random_convex_support
+from test_flows import polyfit_decay
 
 
 def write_config(tmp_path, name, payload):
@@ -156,6 +157,18 @@ def test_force_does_not_run_a_profile_that_is_not_positive_and_finite(tmp_path, 
     cfg = dict(RADIAL_CFG, kind=kind, profile=dict(RADIAL_CFG["profile"], n=10**30), run={"t_end": 0.2})
     path = write_config(tmp_path, "flow.json", cfg)
     assert main(["flow", "--config", path, "--out", str(tmp_path / "run"), "--force"]) == 1
+    assert "positive and finite" in capsys.readouterr().err
+    assert json.loads((tmp_path / "run" / "summary.json").read_text())["status"] == "error"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind, force", [("support", []), ("radial", ["--force"])], ids=["support", "radial-forced"])
+def test_a_profile_whose_integrated_power_overflows_is_refused(tmp_path, capsys, kind, force):
+    # constant 1e300 is finite, and admissible for the support flow, but Q integrates
+    # f^(n/(n-1)) = f^2, which overflows: both runs raised numpy's overflow warning there
+    cfg = dict(RADIAL_CFG, kind=kind, profile={"kind": "constant", "value": 1e300}, run={"t_end": 0.2})
+    path = write_config(tmp_path, "flow.json", cfg)
+    assert main(["flow", "--config", path, "--out", str(tmp_path / "run"), *force]) == 1
     assert "positive and finite" in capsys.readouterr().err
     assert json.loads((tmp_path / "run" / "summary.json").read_text())["status"] == "error"
 
@@ -741,6 +754,7 @@ FUZZ_CASES = [(command, path) for command, cfg in FUZZ_BASES.items() for path in
 @example(case=("verify", ("profile", "r_star")), value=10**30)
 @example(case=("flow", ("profile", "r_star")), value=True)
 @example(case=("verify", ("profile", "r_star")), value=True)
+@example(case=("flow", ("profile",)), value={"kind": "constant", "value": 1e300})
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_config_fuzz_exits_cleanly_within_seconds(case, value):
     command, path = case
@@ -774,3 +788,10 @@ def test_committed_configs_reproduce_their_pinned_artefacts(tmp_path, command, n
     # the CSV bytes of the committed configs; a change here changes every published run
     assert main([command, "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / artefact).read_bytes()).hexdigest() == sha256
+    if command == "flow":  # the decay fit of the written trace, against np.polyfit's
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        with open(tmp_path / artefact) as handle:
+            rows = list(csv.DictReader(handle))
+        gamma, r2 = polyfit_decay(*(np.array([float(row[key]) for row in rows]) for key in ("t", "grad_max")))
+        assert summary["gamma"] == pytest.approx(gamma, rel=1e-12, abs=0)
+        assert summary["gamma_r_squared"] == pytest.approx(r2, rel=1e-12, abs=0)

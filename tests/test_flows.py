@@ -167,6 +167,18 @@ def test_an_fhat_that_overflows_is_not_positive_and_finite():
     assert err.value.kind == "not-positive"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_radial_run_refuses_a_profile_whose_m_k_power_overflows():
+    # n = 3, k = 2: Q integrates f^1.5 = 1e300, but M_2 integrates f^2, which overflowed
+    start = sphere_radial(SphericalGrid.axisym(3, 16), 1.0)
+    with pytest.raises(AssumptionViolated) as err:
+        run_flow(start, SpeedProfile.constant(1e200), FlowConfig(kind="radial", k=2, t_end=0.05, force=True))
+    assert err.value.kind == "not-positive"
+    with pytest.raises(AssumptionViolated) as err:  # at k = 1 the powers pass; fhat = 2 f / x^2 falls
+        validate_radial_profile(SpeedProfile.constant(1e200), 3)
+    assert err.value.kind == "not-increasing"
+
+
 def test_run_flow_rejects_an_inadmissible_support_profile_unless_forced():
     start, profile = sphere_support(SphericalGrid.axisym(2, 16), 1.2), SpeedProfile.power(-1.0)
     with pytest.raises(AssumptionViolated) as err:
@@ -822,6 +834,33 @@ def test_decay_rate_on_synthetic_trace():
     fit = estimate_decay_rate(trace)
     assert fit.gamma == pytest.approx(0.7, abs=1e-6)
     assert fit.r_squared > 1 - 1e-12
+
+
+def polyfit_decay(t, grad_max):
+    """The oracle: gamma and R^2 of np.polyfit's line through log grad_max on estimate_decay_rate's window."""
+    keep = np.isfinite(grad_max) & (grad_max > 0.0)
+    t, g = t[keep], np.log(grad_max[keep])
+    t, g = t[t.size // 2:], g[g.size // 2:]
+    slope, intercept = np.polyfit(t, g, 1)
+    ss_res = np.sum((g - (slope * t + intercept)) ** 2)
+    return -slope, 1.0 - ss_res / np.sum((g - g.mean()) ** 2)
+
+
+@pytest.mark.parametrize("case", ["noisy", "exact", "ac5"])
+def test_decay_rate_matches_the_polyfit_oracle(case):
+    # the closed-form line against np.polyfit's least squares; the noisy window starts
+    # far from t = 0, so a line through the origin cannot pass
+    if case == "ac5":
+        trace = curvelab.acceptance._ac5_run()["trace"]
+    else:
+        t = np.linspace(2.0, 9.0, 120)
+        noise = 0.05 * np.random.default_rng(5).standard_normal(t.size) if case == "noisy" else 0.0
+        trace = FlowTrace(kind="radial", n=2, k=1)
+        trace.rows += [{"t": float(ti), "grad_max": float(gi)} for ti, gi in zip(t, 3.0 * np.exp(noise - 0.7 * t))]
+    fit = estimate_decay_rate(trace)
+    gamma, r2 = polyfit_decay(trace.values("t"), trace.values("grad_max"))
+    assert fit.gamma == pytest.approx(gamma, rel=1e-12, abs=0)
+    assert fit.r_squared == pytest.approx(r2, rel=1e-12, abs=0)
 
 
 def test_decay_rate_flat_trace_insufficient():

@@ -212,3 +212,15 @@ def test_spread_key_halved_is_caught(monkeypatch):
     for kind in ("radial", "support"):
         with pytest.raises(AssertionError):
             test_flows.test_implicit_laplacian_smooths_grid_scale_noise_on_a_pole_row(kind)
+
+
+def test_decay_fit_without_centring_is_caught(monkeypatch):
+    # M16: the fit's line drawn through the origin, slope = sum t g / sum t^2 on the
+    # raw window, a one-line edit of estimate_decay_rate's source
+    source = inspect.getsource(flows.estimate_decay_rate)
+    namespace = dict(vars(flows))
+    exec(source.replace("(t - t.mean()) / span, g - g.mean()", "t / span, g"), namespace)
+    monkeypatch.setattr(flows, "estimate_decay_rate", namespace["estimate_decay_rate"])
+    monkeypatch.setattr(test_flows, "estimate_decay_rate", namespace["estimate_decay_rate"])
+    with pytest.raises(AssertionError):
+        test_flows.test_decay_rate_matches_the_polyfit_oracle("noisy")
