@@ -20,7 +20,7 @@ for k in (1, 2):
     config = FlowConfig(kind="support", k=k, t_end=10.0,
                         osc_tol=2e-4, output_interval=0.05)
     trace = run_flow(h0, None, config)
-    v0 = trace.meta["conserved_initial"]
+    v0 = trace.rows[0][f"V_{k - 1}"]
     predicted = ball_quermass_inverse(k - 1, v0, 2)
     final = trace.rows[-1]
     mk = trace.values("M_k")
@@ -40,7 +40,7 @@ print("\naxisymmetric hypersurface in R^4 (n = 3), k = 2:")
 g3 = SphericalGrid.axisym(3, 48)
 h3 = random_convex_support(g3, np.random.default_rng(15), amp=0.05)
 trace = run_flow(h3, None, FlowConfig(kind="support", k=2, t_end=8.0, osc_tol=2e-4))
-predicted = ball_quermass_inverse(1, trace.meta["conserved_initial"], 3)
+predicted = ball_quermass_inverse(1, trace.rows[0]["V_1"], 3)
 final = trace.rows[-1]
 print("  %s; V_1 drift %.2e; final radius %.6f vs %.6f predicted"
       % (trace.status, trace.meta["conserved_drift"],

@@ -5,10 +5,9 @@ tolerances and returns a CriterionResult with one CheckLine per gate.  A
 gate is ``value op bound``, each stated once: the measured value, an
 operator from ``_GATES`` and the bound.  Those three fields alone decide
 ``passed`` (a NaN value fails every gate) and render ``detail``, after
-which an optional note gives context; ``report.json`` and
-``identities.json`` carry every field.  ``run_battery``, the one runner
-of ``curvelab report`` and ``curvelab identities``, times and prints each
-criterion; one that raises fails there and the rest still run.
+which an optional note gives context; ``report.json`` carries every
+field.  ``run_battery``, the runner of ``curvelab report``, times and
+prints each criterion; one that raises fails there and the rest still run.
 
 Two criteria take their form from a mathematical obstruction:
 

@@ -1,11 +1,12 @@
-"""Experiment runner: flow runs, deficit fuzz suites, identity batteries, reports.
+"""Experiment runner: flow runs, deficit fuzz suites, acceptance reports.
 
 Subcommands
 -----------
-flow        integrate one flow from a JSON config; writes trace.csv + summary.json
-verify      seeded deficit fuzz suite; writes verify.csv + summary.json
-identities  AC-2..AC-4 of the acceptance battery, its table printed; writes identities.json
-report      run the acceptance battery and print its table; writes report.json
+flow    integrate one flow from a JSON config; writes trace.csv + summary.json
+verify  seeded deficit fuzz suite; writes verify.csv + summary.json
+report  run the acceptance battery, or the config's list of criteria (the
+        identity half, AC-2..AC-4, is configs/identities.json), and print its
+        table; writes report.json
 
 Shared flags: --config PATH (JSON), --out DIR, --seed U64 (overrides the config
 seed); flow alone takes --force (run despite profile admissibility failures).
@@ -324,21 +325,6 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# identities subcommand
-
-
-def cmd_identities(cfg: dict, out_dir: Path, seed: int) -> int:
-    keys = {"AC-2": "trace_identities", "AC-3": "newton_maclaurin", "AC-4": "minkowski"}
-    results = acceptance.run_battery(list(keys))  # in CRITERIA order, which keys follows
-    report = {key: result.to_dict() for key, result in zip(keys.values(), results)}
-    report["all_passed"] = all(result["passed"] for result in report.values())
-    _write_json(out_dir / "identities.json", "identities", cfg, seed, report)
-    print(f"identities: {'all passed' if report['all_passed'] else 'FAILURES'}, "
-          f"artifacts in {out_dir}")
-    return 0 if report["all_passed"] else 1
-
-
-# ---------------------------------------------------------------------------
 # report subcommand
 
 
@@ -366,10 +352,10 @@ def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built once: its subparsers form reference cycles."""
     parser = argparse.ArgumentParser(
         prog="curvelab",
-        description="curvature-flow laboratory: flows, deficit fuzzing, identity batteries",
+        description="curvature-flow laboratory: flows, deficit fuzzing, acceptance reports",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("flow", "verify", "identities", "report"):
+    for name in ("flow", "verify", "report"):
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=(name != "report"), help="JSON config path")
         cmd.add_argument("--out", default=".", help="output directory")
@@ -400,8 +386,6 @@ def main(argv=None) -> int:
             return cmd_flow(cfg, out_dir, seed, args.force)
         if args.command == "verify":
             return cmd_verify(cfg, out_dir, seed)
-        if args.command == "identities":
-            return cmd_identities(cfg, out_dir, seed)
         return cmd_report(cfg, out_dir, seed)
     except ConfigError as exc:
         print(f"configuration error [{exc.field}]: {exc}", file=sys.stderr)

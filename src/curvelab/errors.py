@@ -37,8 +37,8 @@ class AssumptionViolated(CurveLabError):
     """A speed-profile admissibility condition failed.
 
     ``kind`` is a short tag ("not-positive", "no-zero", "not-increasing",
-    "support-profile"); ``where`` locates the offending point or
-    subinterval of the working interval.
+    "support-profile", "not-finite"); ``where`` locates the offending point
+    or subinterval of the working interval.
     """
 
     def __init__(self, kind, message, where=None):

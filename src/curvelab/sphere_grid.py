@@ -307,7 +307,7 @@ class SphericalGrid:
         """A new node array holding the per-row values v (one per colatitude)."""
         return np.broadcast_to(np.reshape(v, self._sin.shape), self.node_shape).astype(float)
 
-    # -- constructors and serialization ---------------------------------------
+    # -- constructors ---------------------------------------------------------
 
     @classmethod
     def full_s2(cls, n_theta: int, n_phi: int) -> "SphericalGrid":
@@ -316,16 +316,6 @@ class SphericalGrid:
     @classmethod
     def axisym(cls, n: int, n_theta: int) -> "SphericalGrid":
         return cls("axisym", n, n_theta)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "curvelab.grid/1",
-            "mode": self.mode,
-            "n": self.n,
-            "resolution": [self.n_theta] if self.mode == "axisym" else [self.n_theta, self.n_phi],
-            "theta": self.theta.tolist(),
-            "phi": None if self.phi is None else self.phi.tolist(),
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SphericalGrid":
@@ -367,12 +357,6 @@ class ScalarField:
         if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", v)
-
-    def to_dict(self) -> dict:
-        data = self.grid.to_dict()
-        data["schema"] = "curvelab.field/1"
-        data["values"] = self.values.ravel().tolist()
-        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScalarField":

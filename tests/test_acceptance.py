@@ -63,6 +63,16 @@ def test_check_line_renders_its_fields_into_report_entries():
     }]
 
 
+def test_a_budget_counts_a_shared_run_once():
+    # a cached run made before the criterion started (by an earlier criterion, or an earlier
+    # battery in the process) adds its runtime; one made inside is in the elapsed time already
+    result = acceptance.CriterionResult("AC-0")
+    result.budget(10.0, {"started": result.started - 1.0, "runtime": 4.0})
+    result.budget(10.0, {"started": result.started + 1.0, "runtime": 4.0})
+    earlier, inside = (line.value for line in result.lines)
+    assert 4.0 <= earlier < 5.0 and inside < 1.0
+
+
 def test_ac1_curvature_oracle():
     _run(acceptance.ac1)
 

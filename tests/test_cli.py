@@ -173,6 +173,21 @@ def test_a_profile_whose_integrated_power_overflows_is_refused(tmp_path, capsys,
     assert json.loads((tmp_path / "run" / "summary.json").read_text())["status"] == "error"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind, k, force", [("support", 1, []), ("support", 2, []), ("radial", 1, ["--force"])],
+                         ids=["support-k1", "support-k2", "radial-forced"])
+def test_a_start_whose_integral_sum_overflows_is_refused(tmp_path, capsys, kind, k, force):
+    # constant 1e154 passes the domain check, as f^2 = 1e308 is finite, but Q = sum w f^2 over
+    # the unit sphere is not: the run went on with Q = inf in row 0, or raised numpy's warning
+    cfg = {"kind": kind, "n": 2, "k": k, "grid": {"mode": "full-s2", "n_theta": 12, "n_phi": 24},
+           "initial": {"shape": "sphere"}, "profile": {"kind": "constant", "value": 1e154}, "run": {"t_end": 0.2}}
+    path = write_config(tmp_path, "flow.json", cfg)
+    assert main(["flow", "--config", path, "--out", str(tmp_path / "run"), *force]) == 1
+    assert "sum overflows" in capsys.readouterr().err
+    assert json.loads((tmp_path / "run" / "summary.json").read_text())["status"] == "error"
+    assert not (tmp_path / "run" / "trace.csv").exists()
+
+
 def test_flow_from_a_field_file_on_the_config_grid(tmp_path):
     # the unit sphere of the file and the config's own unit sphere give the same trace
     base = dict(RADIAL_CFG, grid={"mode": "axisym", "n": 2, "n_theta": 16}, run={"t_end": 0.5},
@@ -354,25 +369,28 @@ def test_repeated_main_calls_leave_no_parser_for_the_cyclic_collector(tmp_path):
     assert leaked == []
 
 
-def test_identities_battery(tmp_path):
-    path = write_config(tmp_path, "ids.json", {"seed": 1})
-    assert main(["identities", "--config", path, "--out", str(tmp_path / "i")]) == 0
-    report = json.loads((tmp_path / "i/identities.json").read_text())
-    assert report["all_passed"]
-    assert report["trace_identities"]["passed"]
-    assert report["newton_maclaurin"]["passed"]
-    assert report["minkowski"]["passed"]
+def test_the_identity_battery_is_a_report_config(tmp_path):
+    # AC-2..AC-4 run as a report over configs/identities.json, in the one report layout
+    assert main(["report", "--config", str(CONFIGS / "identities.json"), "--out", str(tmp_path / "i")]) == 0
+    payload = json.loads((tmp_path / "i/report.json").read_text())
+    assert [c["name"] for c in payload["criteria"]] == [
+        "AC-2 trace identities", "AC-3 Newton-MacLaurin", "AC-4 Minkowski identity"]
+    assert (payload["passed"], payload["total"], payload["seed"]) == (3, 3, 987654321)
+    assert not (tmp_path / "i/identities.json").exists()
 
 
-def test_identities_exit_1_when_a_criterion_fails(tmp_path, monkeypatch):
+def test_report_exit_1_when_a_criterion_fails(tmp_path, monkeypatch):
     gate = acceptance.CheckLine("no negative gaps", -0.5, ">=", -1e-12)
     failing = acceptance.CriterionResult("AC-3 stub", [gate])
+    passing = acceptance.CriterionResult("stub", [acceptance.CheckLine("gate", 1, "==", 1)])
+    monkeypatch.setitem(acceptance.CRITERIA, "AC-2", lambda: passing)
     monkeypatch.setitem(acceptance.CRITERIA, "AC-3", lambda: failing)
-    path = write_config(tmp_path, "ids.json", {"seed": 1})
-    assert main(["identities", "--config", path, "--out", str(tmp_path / "i")]) == 1
-    report = json.loads((tmp_path / "i/identities.json").read_text())
-    assert not report["all_passed"] and report["trace_identities"]["passed"]
-    check = report["newton_maclaurin"]["checks"][0]
+    monkeypatch.setitem(acceptance.CRITERIA, "AC-4", lambda: passing)
+    assert main(["report", "--config", str(CONFIGS / "identities.json"), "--out", str(tmp_path / "i")]) == 1
+    payload = json.loads((tmp_path / "i/report.json").read_text())
+    first, failed, _ = payload["criteria"]
+    assert first["passed"] and (payload["passed"], payload["total"]) == (2, 3)
+    check = failed["checks"][0]
     assert (check["value"], check["op"], check["bound"], check["passed"]) == (-0.5, ">=", -1e-12, False)
 
 
@@ -414,36 +432,31 @@ def test_a_raising_criterion_fails_and_the_battery_runs_on(tmp_path, monkeypatch
     assert not (tmp_path / "interrupted/report.json").exists()
 
 
-def test_identities_record_a_raising_criterion_and_still_write_the_file(tmp_path, monkeypatch, capsys):
+def test_a_raising_criterion_between_two_still_writes_the_report(tmp_path, monkeypatch, capsys):
     passing = acceptance.CriterionResult("stub", [acceptance.CheckLine("gate", 1, "==", 1)])
     monkeypatch.setitem(acceptance.CRITERIA, "AC-2", lambda: passing)
     monkeypatch.setitem(acceptance.CRITERIA, "AC-3", raising(ValueError("no gap computed")))
     monkeypatch.setitem(acceptance.CRITERIA, "AC-4", lambda: passing)
-    path = write_config(tmp_path, "ids.json", {"seed": 1})
-    assert main(["identities", "--config", path, "--out", str(tmp_path / "i")]) == 1
+    path = str(CONFIGS / "identities.json")
+    assert main(["report", "--config", path, "--out", str(tmp_path / "i")]) == 1
     assert "2/3 criteria passed" in capsys.readouterr().out  # the battery's table
-    report = json.loads((tmp_path / "i/identities.json").read_text())
-    assert {"trace_identities", "newton_maclaurin", "minkowski", "all_passed"} <= report.keys()
-    raised = report["newton_maclaurin"]
+    payload = json.loads((tmp_path / "i/report.json").read_text())
+    first, raised, last = payload["criteria"]
     assert (raised["name"], raised["passed"], len(raised["checks"])) == ("AC-3", False, 1)
     assert raised["checks"][0]["value"] == "ValueError: no gap computed"
-    assert report["trace_identities"]["passed"] and report["minkowski"]["passed"] and not report["all_passed"]
-    monkeypatch.setitem(acceptance.CRITERIA, "AC-3", raising(KeyboardInterrupt()))
-    with pytest.raises(KeyboardInterrupt):
-        main(["identities", "--config", path, "--out", str(tmp_path / "interrupted")])
-    assert not (tmp_path / "interrupted/identities.json").exists()
+    assert first["passed"] and last["passed"] and (payload["passed"], payload["total"]) == (2, 3)
 
 
 @pytest.mark.parametrize("command, argv", [
     ("flow", ["--bogus"]),
     ("verify", ["--seed", "x"]),
-    ("identities", None),  # no --config
+    ("verify", None),  # no --config
     ("no-such-command", []),
+    ("identities", []),  # the identity battery is a report config
     ("verify", ["--force"]),
-    ("identities", ["--force"]),
     ("report", ["--force"]),
-], ids=["unknown-flag", "seed-not-int", "identities-without-config", "unknown-subcommand",
-        "verify-force", "identities-force", "report-force"])
+], ids=["unknown-flag", "seed-not-int", "verify-without-config", "unknown-subcommand",
+        "identities", "verify-force", "report-force"])
 def test_usage_errors_exit_64(tmp_path, capsys, command, argv):
     # argparse exits 2 on a usage error, which is the TimeExhausted code here
     path = write_config(tmp_path, "cfg.json", RADIAL_CFG if command == "flow" else VERIFY_AXISYM_CFG)
@@ -456,7 +469,7 @@ def test_usage_errors_exit_64(tmp_path, capsys, command, argv):
 def test_help_exits_0_and_only_flow_takes_force(capsys):
     assert main(["--help"]) == 0
     assert main(["flow", "--help"]) == 0 and "--force" in capsys.readouterr().out
-    for command in ("verify", "identities", "report"):
+    for command in ("verify", "report"):
         assert main([command, "--help"]) == 0 and "--force" not in capsys.readouterr().out
 
 
@@ -626,6 +639,8 @@ def _main_within(argv, seconds):
       for k in (3, 4, 0, 1.5)),
     pytest.param("flow", RADIAL_CFG, {"initial": {"shape": "file", "path": str(Path(__file__).parent / "data")}},
                  id="flow-initial-file-directory"),
+    pytest.param("flow", RADIAL_CFG, {"grid": {"mode": "bogus", "n": 2, "n_theta": 16}}, id="flow-grid-mode-unknown"),
+    pytest.param("flow", RADIAL_CFG, {"n": 3}, id="flow-n-disagrees-with-grid-n"),
     *(pytest.param("report", {}, {"criteria": criteria}, id=f"report-criteria-{name}")
       for name, criteria in (("unknown", ["AC-99"]), ("string", "AC-10"), ("number", 5), ("null", None),
                              ("nested", [["AC-1"]]))),
@@ -795,3 +810,10 @@ def test_committed_configs_reproduce_their_pinned_artefacts(tmp_path, command, n
         gamma, r2 = polyfit_decay(*(np.array([float(row[key]) for row in rows]) for key in ("t", "grad_max")))
         assert summary["gamma"] == pytest.approx(gamma, rel=1e-12, abs=0)
         assert summary["gamma_r_squared"] == pytest.approx(r2, rel=1e-12, abs=0)
+        # summary.json holds no copy of a trace row, and kind, n and k once
+        assert summary["schema"] == "curvelab.flow-summary/2" and summary["steps"] >= len(rows) - 1
+        assert not {"final", "conserved_initial", "conserved_final"} & summary.keys()
+        assert not {"kind", "n", "k"} & summary["config"].keys()
+        if summary["kind"] == "support":  # the drift is the written rows' V_{k-1}
+            v0, v1 = (float(row[f"V_{summary['k'] - 1}"]) for row in (rows[0], rows[-1]))
+            assert summary["conserved_drift"] == abs(v1 - v0) / abs(v0)

@@ -116,6 +116,14 @@ def test_pinned_profile_validates_with_root():
     assert abs(root - 1.0) < 1e-9
 
 
+def test_profile_whose_fhat_keeps_one_sign_fails_no_zero():
+    # f = x^3: fhat = (n-1) x + 3 x = 4 x at n = 2, increasing and positive on the whole domain
+    profile = SpeedProfile.power(3.0)
+    with pytest.raises(AssumptionViolated, match="does not change sign") as err:
+        validate_radial_profile(profile, 2)
+    assert (err.value.kind, err.value.where) == ("no-zero", profile.domain)
+
+
 def test_constant_profile_fails_not_increasing():
     with pytest.raises(AssumptionViolated) as err:
         validate_radial_profile(SpeedProfile.constant(1.0, domain=(0.5, 1.8)), 2)
@@ -212,8 +220,11 @@ def test_tabulated_profile_rejects_bad_tables():
     lambda: SpeedProfile.power(-1.0, domain=(0.5, math.nan)),
     lambda: SpeedProfile.power(-1.0, domain=(-math.inf, 1.0)),
     lambda: SpeedProfile.power_exp_pinned(2, 0.0),  # default domain (0, 0)
+    lambda: SpeedProfile.affine_power(0.0, 1.0, 2, 1),
+    lambda: SpeedProfile.affine_power(1.0, -1.0, 2, 1),
 ], ids=["affine-k-above-n", "affine-k-n-plus-2", "affine-k-zero", "affine-k-not-int", "domain-three-entries",
-        "domain-reversed", "domain-empty", "domain-nan", "domain-infinite", "pinned-r-star-zero"])
+        "domain-reversed", "domain-empty", "domain-nan", "domain-infinite", "pinned-r-star-zero",
+        "affine-a-zero", "affine-b-negative"])
 def test_profiles_reject_a_bad_k_or_domain(make):
     with pytest.raises(ValueError):
         make()
@@ -231,6 +242,14 @@ def test_tabulated_profile_is_the_not_a_knot_spline(x, values):
     for order, derivative in enumerate((profile.f, profile.df, profile.d2f)):
         expected = spline(xs, order)
         assert np.abs(derivative(xs) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_tabulated_profile_takes_a_table_far_from_zero():
+    # f = 1e12 + x is a sound table; central differences at 1e-5 of its domain fall below
+    # f's ulp (1.2e-4), and a finite-difference check of f' at load refused it
+    x = np.linspace(1.0, 4.0, 8)
+    profile = SpeedProfile.tabulated(x, 1e12 + x)
+    assert np.abs(profile.df(np.linspace(1.0, 4.0, 31)) - 1.0).max() < 1e-3
 
 
 def test_radial_run_with_a_tabulated_pinned_profile_converges():
@@ -357,7 +376,7 @@ def test_kernel_speed_matches_public_op():
         assert np.abs(build_speed(kernel, h.values) - support_speed_oracle(h, k)).max() < 1e-12
         # a run's conserved quermassintegral agrees with the geometry route
         trace = run_flow(h, None, FlowConfig(kind="support", k=k, t_end=0.01, output_interval=0.01))
-        assert trace.meta["conserved_initial"] == pytest.approx(quermass[k - 1], rel=1e-12)
+        assert trace.rows[0][f"V_{k - 1}"] == pytest.approx(quermass[k - 1], rel=1e-12)
 
 
 def laplacian_radius(grid):
@@ -716,7 +735,7 @@ def test_support_run_axisym_higher_dimension():
     # limit radius predicted by the conserved quermassintegral
     from curvelab import ball_quermass_inverse
 
-    predicted = ball_quermass_inverse(1, trace.meta["conserved_initial"], 3)
+    predicted = ball_quermass_inverse(1, trace.rows[0]["V_1"], 3)
     final = trace.rows[-1]
     assert 0.5 * (final["r_min"] + final["r_max"]) == pytest.approx(predicted, rel=1e-3)
 
@@ -868,6 +887,14 @@ def test_decay_rate_flat_trace_insufficient():
     for t in np.linspace(0, 5, 40):
         trace.rows.append({"t": float(t), "grad_max": 0.0})
     with pytest.raises(InsufficientData):
+        estimate_decay_rate(trace)
+
+
+def test_decay_rate_refuses_a_final_half_at_one_time():
+    # ten positive samples, the last five at one time: the window has no span to fit over
+    trace = FlowTrace(kind="radial", n=2, k=1)
+    trace.rows += [{"t": float(min(i, 5)), "grad_max": math.exp(-i)} for i in range(10)]
+    with pytest.raises(InsufficientData, match="spans no time"):
         estimate_decay_rate(trace)
 
 
@@ -1528,7 +1555,10 @@ def test_trace_csv_header_is_the_literal_column_list(tmp_path, grid, header, kin
     trace = run_flow(start, profile, FlowConfig(kind=kind, t_end=0.05, dt_fixed=0.025))
     trace.write_csv(tmp_path / "trace.csv")
     assert (tmp_path / "trace.csv").read_text().splitlines()[0] == ",".join(header)
-    assert not {"final_state", "initial_margin"} & set(trace.summary())
+    summary = trace.summary()  # the rows' facts stay in the rows, and kind, n and k at the top
+    assert not {"final_state", "initial_margin", "final", "conserved_initial", "conserved_final"} & set(summary)
+    assert (summary["kind"], summary["n"], summary["k"]) == (kind, grid.n, 1)
+    assert not {"kind", "n", "k"} & set(summary["config"])
 
 
 def stale_file(path):
@@ -1772,6 +1802,20 @@ def test_adaptive_step_below_the_floor_collapses(monkeypatch, kind):
     monkeypatch.setattr(kernel, "assess", assess)
     fixed = run_flow(initial, profile, FlowConfig(kind=kind, t_end=2e-13, dt_fixed=1e-13))
     assert calls == [1e-13, 1e-13] and fixed.status == "TimeExhausted"
+
+
+@pytest.mark.parametrize("kind, k", [("support", 1), ("support", 2), ("radial", 1)])
+def test_a_start_whose_q_or_m_k_sum_overflows_fails_before_any_step(monkeypatch, kind, k):
+    # constant 1e154 passes the domain check (f^2 = 1e308 is finite), but the start's Q =
+    # sum w f^2 over the unit sphere is past the float range (M_k too, but at k = n = 2);
+    # force does not downgrade it, and no numpy overflow warning is raised
+    from curvelab import flows
+
+    monkeypatch.setattr(flows, "_extrapolated_step", lambda *args: pytest.fail("a step was taken"))
+    start = (sphere_radial if kind == "radial" else sphere_support)(SphericalGrid.full_s2(12, 24), 1.0)
+    with pytest.raises(AssumptionViolated, match="sum overflows") as err:
+        run_flow(start, SpeedProfile.constant(1e154), FlowConfig(kind=kind, k=k, t_end=0.2, force=True))
+    assert err.value.kind == "not-finite"
 
 
 @pytest.mark.parametrize("grid", [SphericalGrid.axisym(2, 32), SphericalGrid.full_s2(16, 32)], ids=repr)

@@ -164,6 +164,16 @@ def test_deficit_H_with_gradient_term():
     assert rep.deficit > -1e-3 * rep.rhs
 
 
+@pytest.mark.parametrize("k, calibration, message", [
+    (0, "sphere-calibrated", "need 1 <= k <= n - 1"), (2, "sphere-calibrated", "need 1 <= k <= n - 1"),
+    (1, "bogus", "unknown calibration mode"),
+], ids=["k-0", "k-n", "calibration-unknown"])
+def test_deficit_k_rejects_a_k_out_of_range_and_an_unknown_calibration(k, calibration, message):
+    geom = radial_geometry(sphere_radial(SphericalGrid.axisym(2, 16), 1.0))
+    with pytest.raises(ValueError, match=message):
+        michael_simon_deficit_k(geom, k=k, calibration=calibration)
+
+
 def test_deficit_H_rejects_nonpositive_density():
     grid = SphericalGrid.axisym(2, 32)
     geom = radial_geometry(sphere_radial(grid, 1.0))

@@ -464,6 +464,14 @@ def test_not_starshaped_raises():
         radial_geometry(ScalarField(grid, np.cos(grid.theta)))
 
 
+@pytest.mark.parametrize("grid, center", [(SphericalGrid.axisym(2, 16), 1.0),
+                                          (SphericalGrid.full_s2(8, 16), (0.0, 0.6, 0.9))],
+                         ids=["axisym-on-the-sphere", "full-s2-outside"])
+def test_sphere_radial_refuses_a_centre_not_strictly_inside(grid, center):
+    with pytest.raises(NotStarshaped, match="strictly inside"):
+        sphere_radial(grid, 1.0, center=center)
+
+
 def test_convexity_lost_raises():
     grid = SphericalGrid.axisym(2, 64)
     # strong ell=2 perturbation drives a curvature radius through zero

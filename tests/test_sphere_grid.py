@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from curvelab import ScalarField, SphericalGrid
 from curvelab.shapes import harmonic_mode
 from curvelab.sphere_grid import sphere_area
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_area_values():
@@ -259,19 +262,21 @@ def _same_bits(a, b):
 
 
 def test_json_round_trip():
-    grid = SphericalGrid.full_s2(8, 16)
-    rng = np.random.default_rng(3)
-    field = ScalarField(grid, rng.uniform(0.5, 1.5, grid.node_shape))
-    back = ScalarField.from_dict(json.loads(json.dumps(field.to_dict())))  # as the CLI reads it
-    assert back.grid == grid
-    assert np.allclose(back.values, field.values)
+    # the snapshot keys from_dict reads, as the CLI reads a field file: values in node order
+    values = np.random.default_rng(3).uniform(0.5, 1.5, (8, 16))
+    data = {"mode": "full-s2", "n": 2, "resolution": [8, 16], "values": values.ravel().tolist()}
+    back = ScalarField.from_dict(json.loads(json.dumps(data)))
+    assert back.grid == SphericalGrid.full_s2(8, 16)
+    assert np.array_equal(back.values, values)
 
-    axi = SphericalGrid.axisym(4, 12)
-    field2 = ScalarField(axi, np.linspace(1, 2, 12))
-    data = field2.to_dict()
-    assert data["mode"] == "axisym" and data["n"] == 4
-    back2 = ScalarField.from_dict(data)
-    assert np.allclose(back2.values, field2.values)
+    axisym = np.linspace(1, 2, 12)
+    back2 = ScalarField.from_dict({"mode": "axisym", "n": 4, "resolution": [12], "values": axisym.tolist()})
+    assert back2.grid == SphericalGrid.axisym(4, 12) and np.array_equal(back2.values, axisym)
+
+    for name, grid in (("field_s2_8x16_sphere", SphericalGrid.full_s2(8, 16)),
+                       ("field_axisym_16_sphere", SphericalGrid.axisym(2, 16))):
+        field = ScalarField.from_dict(json.loads((DATA / f"{name}.json").read_text()))
+        assert field.grid == grid and np.all(field.values == 1.0)
 
 
 def test_equal_grids_hash_equal_and_share_the_mode_cache():

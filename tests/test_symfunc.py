@@ -414,6 +414,15 @@ def test_domain_type_validation():
     assert np.allclose(ek_derivative_tensor(np.eye(2), 1), np.eye(2) / 2)
 
 
+def test_a_k_out_of_range_is_refused():
+    kappa = np.array([1.0, 2.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        elementary_symmetric(kappa, -1)
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="1 <= k <= n"):
+            _ek_derivative_eigen(kappa, k)
+
+
 # -- the one-vector memo -------------------------------------------------------
 
 # every scalar entry point that takes one vector, as (vector, k) -> result bytes
