@@ -11,9 +11,12 @@ report  run the acceptance battery, or the config's list of criteria (the
 Shared flags: --config PATH (JSON), --out DIR, --seed U64 (overrides the config
 seed); flow alone takes --force (run despite profile admissibility failures).
 Exit codes: 0 success/Converged, 2 TimeExhausted, 1 runtime failure or a failed
-or raising criterion, 64 a usage error or bad configuration (an unknown key in a
-flow's run block included).  CSV artifacts are RFC 4180 with '.' decimals at full
-round-trip precision; every JSON artifact embeds the config hash and seed.
+or raising criterion, 64 a usage error or bad configuration.  The run, grid and
+profile blocks are the keywords of FlowConfig, SphericalGrid and the kind's
+SpeedProfile constructor, so an unknown key in any of them, a grid size that is
+not an integer and a full-s2 n other than 2 exit 64 too.  CSV artifacts are RFC
+4180 with '.' decimals at full round-trip precision; every JSON artifact embeds
+the config hash and seed.
 """
 
 from __future__ import annotations
@@ -104,47 +107,33 @@ def load_config(path: str) -> dict:
 
 
 def build_grid(cfg: dict) -> SphericalGrid:
-    mode = _require(cfg, "mode", "grid")
-    if mode == "axisym":
-        n, n_phi = _require(cfg, "n", "grid", integer=True), None
-    elif mode == "full-s2":
-        n, n_phi = 2, _require(cfg, "n_phi", "grid", integer=True)
-    else:
-        raise ConfigError("grid.mode", f"unknown grid mode {mode!r}")
-    n_theta = _require(cfg, "n_theta", "grid", integer=True)
+    """The grid block is SphericalGrid's keywords, whole; a full-s2 block may leave out its n = 2."""
     try:
-        return SphericalGrid(mode, n, n_theta, n_phi)
-    except (ValueError, OverflowError) as exc:  # sizes the grid cannot take, a dimension too large
+        return SphericalGrid(**({"n": 2, **cfg} if cfg.get("mode") == "full-s2" else cfg))
+    except (TypeError, ValueError, OverflowError) as exc:  # a key it does not take, sizes it cannot
         raise ConfigError("grid", str(exc))
+
+
+# each profile kind's SpeedProfile constructor, whose keywords the rest of its block holds
+_PROFILES = {"constant": SpeedProfile.constant, "power-exp-pinned": SpeedProfile.power_exp_pinned,
+             "power": SpeedProfile.power, "affine-power": SpeedProfile.affine_power,
+             "tabulated": SpeedProfile.tabulated}
 
 
 def build_profile(cfg: dict | None) -> SpeedProfile | None:
     if cfg is None:
         return None
     kind = _require(cfg, "kind", "profile")
-
-    def number(field, default=None):  # a JSON bool, alone or in a list, is no number: float(true) is 1.0
-        value = _require(cfg, field, "profile") if default is None else cfg.get(field, default)
+    if kind not in list(_PROFILES):  # a list compares the kind, never hashes it
+        raise ConfigError("profile.kind", f"unknown profile kind {kind!r}; expected one of {list(_PROFILES)}")
+    args = {key: value for key, value in cfg.items() if key != "kind"}
+    for key, value in args.items():  # a JSON bool, alone or in a list, is no number: float(true) is 1.0
         if isinstance(value, bool) or isinstance(value, list) and any(isinstance(v, bool) for v in value):
-            raise ConfigError(f"profile.{field}", f"profile.{field} must be a number, got {value!r}")
-        return value
-
+            raise ConfigError(f"profile.{key}", f"profile.{key} must be a number, got {value!r}")
     try:
-        domain = tuple(number("domain", ()))
-        domain_arg = {"domain": domain} if domain else {}  # else the profile's own default
-        if kind == "constant":
-            return SpeedProfile.constant(number("value"), **domain_arg)
-        if kind == "power-exp-pinned":
-            return SpeedProfile.power_exp_pinned(number("n"), number("r_star", 1.0), **domain_arg)
-        if kind == "power":
-            return SpeedProfile.power(number("exponent"), **domain_arg)
-        if kind == "affine-power":
-            return SpeedProfile.affine_power(number("a"), number("b"), number("n"), number("k"), **domain_arg)
-        if kind == "tabulated":
-            return SpeedProfile.tabulated(number("x"), number("f"), **domain_arg)
-    except (TypeError, ValueError, IndexError) as exc:  # values the profile cannot take
+        return _PROFILES[kind](**args)
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:  # a key it does not take, values it cannot
         raise ConfigError("profile", str(exc))
-    raise ConfigError("profile.kind", f"unknown profile kind {kind!r}")
 
 
 def build_initial(cfg: dict, grid: SphericalGrid, rng: np.random.Generator,
@@ -177,13 +166,12 @@ def build_initial(cfg: dict, grid: SphericalGrid, rng: np.random.Generator,
         if shape == "file":
             with open(_require(cfg, "path", "initial")) as handle:
                 field = ScalarField.from_dict(json.load(handle))
+            if field.grid != grid:
+                raise ConfigError("initial.path", f"the field file's grid {field.grid!r} "
+                                  f"differs from the config's grid {grid!r}")
+            return field
     except (TypeError, ValueError, OSError) as exc:  # values the shape cannot take, a file it cannot read
         raise ConfigError("initial", str(exc))
-    if shape == "file":
-        if field.grid != grid:
-            raise ConfigError("initial.path", f"the field file's grid {field.grid!r} "
-                              f"differs from the config's grid {grid!r}")
-        return field
     raise ConfigError("initial.shape", f"unknown initial shape {shape!r}")
 
 

@@ -220,21 +220,21 @@ class SpeedProfile:
         return cls._power_law(a, b, (n - k) / (n - k + 1.0), domain)
 
     @classmethod
-    def tabulated(cls, x, values, domain=None) -> "SpeedProfile":
-        """Not-a-knot cubic-spline profile through (x, values) samples.
+    def tabulated(cls, x, f, domain=None) -> "SpeedProfile":
+        """Not-a-knot cubic-spline profile through (x, f) samples.
 
         Beyond the table the end cubics extend it; f' and f'' are the
         derivatives of the same cubics.
         """
         x = np.asarray(x, float)
-        values = np.asarray(values, float)
-        if x.ndim != 1 or x.size < 4 or values.shape != x.shape or not np.isfinite([x, values]).all():
+        f = np.asarray(f, float)
+        if x.ndim != 1 or x.size < 4 or f.shape != x.shape or not np.isfinite([x, f]).all():
             raise ValueError("tabulated profile needs >= 4 aligned, finite samples")
         if np.any(np.diff(x) <= 0):
             raise ValueError("sample abscissae must be strictly increasing")
         if domain is None:
             domain = (float(x[0]), float(x[-1]))
-        return cls(_not_a_knot_spline(x, values), domain)
+        return cls(_not_a_knot_spline(x, f), domain)
 
 
 def _not_a_knot_spline(x, y):

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,12 +103,18 @@ class SphericalGrid:
     of the S^(n-1) orbit direction, axis component).  ``frame`` holds the
     ambient unit vectors of the gradient's components, laid out like xi:
     full-s2 (e_theta, e_phi); axisym (e_theta,) = (cos theta, -sin theta).
-    A grid of more than 10^7 nodes raises ValueError before it allocates.
+    Sizes that are not integers (a bool included), an axisym n_phi and a grid
+    of more than 10^7 nodes raise ValueError before anything is allocated.
     """
 
     def __init__(self, mode: str, n: int, n_theta: int, n_phi: int | None = None):
         if mode not in ("full-s2", "axisym"):
             raise ValueError(f"unknown grid mode {mode!r}")
+        if mode == "axisym" and n_phi is not None:
+            raise ValueError(f"axisym mode takes no n_phi, got {n_phi!r}")
+        sizes = (n, n_theta) if n_phi is None else (n, n_theta, n_phi)
+        if not all(isinstance(size, numbers.Integral) and not isinstance(size, bool) for size in sizes):
+            raise ValueError(f"grid sizes must be integers, got n = {n!r}, n_theta = {n_theta!r}, n_phi = {n_phi!r}")
         if n < 2:
             raise ValueError("ambient sphere dimension n must be >= 2")
         if n_theta < 4:

@@ -690,6 +690,20 @@ def _main_within(argv, seconds):
     pytest.param("flow", RADIAL_CFG, {"kind": "support", "profile": {"kind": "constant", "value": 1.0,
                                                                      "domain": [True, 100.0]}},
                  id="flow-constant-domain-true"),
+    # the grid and profile blocks are their constructors' keywords: a key they do not take
+    # ran with the default (r_star = 1, exit 2) or was dropped, as was a full-s2 n other than 2
+    pytest.param("flow", RADIAL_CFG, {"profile": {"kind": "power-exp-pinned", "n": 2, "r_sta": 1.3}},
+                 id="flow-profile-unknown-key"),
+    pytest.param("flow", RADIAL_CFG, {"grid": {"mode": "axisym", "n": 2, "n_theta": 64, "n_thetta": 32}},
+                 id="flow-grid-unknown-key"),
+    pytest.param("flow", RADIAL_CFG, {"grid": {"mode": "full-s2", "n": 3, "n_theta": 16, "n_phi": 32}},
+                 id="flow-grid-full-s2-n-3"),
+    pytest.param("flow", RADIAL_CFG, {"grid": {"mode": "axisym", "n": 2, "n_theta": 64, "n_phi": 128}},
+                 id="flow-grid-axisym-n-phi"),
+    pytest.param("verify", VERIFY_AXISYM_CFG, {"profile": {"kind": []}}, id="verify-profile-kind-list"),
+    # float(10**400) raised OverflowError past the config check
+    pytest.param("flow", RADIAL_CFG, {"profile": {"kind": "power-exp-pinned", "n": 2, "r_star": 10**400}},
+                 id="flow-profile-r-star-10-400"),
 ])
 def test_malformed_config_exit_64(tmp_path, capsys, command, base, change):
     # each must stop with a ConfigError before any work, not with an
@@ -770,6 +784,8 @@ FUZZ_CASES = [(command, path) for command, cfg in FUZZ_BASES.items() for path in
 @example(case=("flow", ("profile", "r_star")), value=True)
 @example(case=("verify", ("profile", "r_star")), value=True)
 @example(case=("flow", ("profile",)), value={"kind": "constant", "value": 1e300})
+@example(case=("verify", ("profile", "kind")), value=[])
+@example(case=("flow", ("grid", "n")), value=2.0)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_config_fuzz_exits_cleanly_within_seconds(case, value):
     command, path = case

@@ -1,5 +1,6 @@
-"""Mutants of the shared curvature algebra, the grid's weights, the flow speeds, step
-sizes and extrapolated step and the flows' monitors, each caught by a named test.
+"""Mutants of the shared curvature algebra, the grid's weights and stencils, the radial
+curvature pair, the flow speeds, step sizes and extrapolated step and the flows'
+monitors, each caught by a named test.
 
 A mutant replaces one function by a one-line variant, or one constant (a
 monkeypatch in every curvelab module that holds the name), and calls the
@@ -10,6 +11,7 @@ each case shows that test can see the change.
 import functools
 import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -17,9 +19,10 @@ import pytest
 import test_acceptance
 import test_cli
 import test_flows
+import test_geometry
 import test_sphere_grid
 import test_symfunc
-from curvelab import SphericalGrid, acceptance, flows, functionals, geometry, symfunc
+from curvelab import SphericalGrid, acceptance, flows, functionals, geometry, sphere_grid, symfunc
 from curvelab.sphere_grid import sphere_area
 from curvelab.symfunc import _sigmas
 
@@ -224,3 +227,26 @@ def test_decay_fit_without_centring_is_caught(monkeypatch):
     monkeypatch.setattr(test_flows, "estimate_decay_rate", namespace["estimate_decay_rate"])
     with pytest.raises(AssertionError):
         test_flows.test_decay_rate_matches_the_polyfit_oracle("noisy")
+
+
+def test_axisym_kappa2_with_half_its_cot_term_is_caught(monkeypatch):
+    # M1: the axisymmetric radial kappa2 = (1 - (r' / r) cot theta) / rho with half its
+    # cot theta term, a one-line edit of _radial_field's source; the full-s2 branch keeps
+    # the true pair, so a zonal radial run leaves its full-s2 twin
+    source = inspect.getsource(geometry._radial_field)
+    namespace = dict(vars(geometry))
+    exec(source.replace("(1.0 - (r1 / r) * grid.cot_t)", "(1.0 - 0.5 * (r1 / r) * grid.cot_t)"), namespace)
+    mutate(monkeypatch, "_radial_field", namespace["_radial_field"])
+    with pytest.raises(AssertionError):
+        test_flows.test_a_zonal_run_is_the_same_on_both_layouts("radial")
+
+
+def test_h12_with_its_cot_term_sign_flipped_is_caught(monkeypatch):
+    # M11: H12 = (v_theta_phi + cot theta v_phi) / sin theta, the Christoffel term's sign
+    # flipped in derivatives' source; an off-axis sphere's curvature leaves 1/R
+    source = textwrap.dedent(inspect.getsource(SphericalGrid.derivatives))
+    namespace = dict(vars(sphere_grid))
+    exec(source.replace("(vtp - self._cot * vp)", "(vtp + self._cot * vp)"), namespace)
+    monkeypatch.setattr(SphericalGrid, "derivatives", namespace["derivatives"])
+    with pytest.raises(AssertionError):
+        test_geometry.test_translated_sphere_radial_full_grid()

@@ -389,11 +389,24 @@ def test_grid_validation():
         SphericalGrid("full-s2", 3, 16, 32)
     with pytest.raises(ValueError):
         SphericalGrid.axisym(1, 16)
+    with pytest.raises(ValueError, match="axisym mode takes no n_phi"):  # it was dropped
+        SphericalGrid("axisym", 2, 16, 32)
     grid = SphericalGrid.axisym(2, 16)
     with pytest.raises(ValueError):
         ScalarField(grid, np.ones(15))
     with pytest.raises(ValueError):
         ScalarField(grid, np.full(16, np.nan))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SphericalGrid.axisym(2.5, 32),  # its weights summed to |S^2.5| = 16.13
+    lambda: SphericalGrid("full-s2", 2, 32.7, 64),  # it dropped to 32 rows
+    lambda: SphericalGrid.full_s2(16, True),
+    lambda: ScalarField.from_dict({"mode": "axisym", "n": 2.5, "resolution": [16], "values": [1.0] * 16}),
+], ids=["axisym-n-2.5", "s2-n-theta-32.7", "s2-n-phi-true", "field-n-2.5"])
+def test_a_grid_size_that_is_not_an_integer_is_refused(make):
+    with pytest.raises(ValueError, match="grid sizes must be integers"):
+        make()
 
 
 @pytest.mark.parametrize("mode, n_theta, n_phi", [
