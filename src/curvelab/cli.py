@@ -11,10 +11,10 @@ report  run the acceptance battery, or the config's list of criteria (the
 Shared flags: --config PATH (JSON), --out DIR, --seed U64 (overrides the config
 seed); flow alone takes --force (run despite profile admissibility failures).
 Exit codes: 0 success/Converged, 2 TimeExhausted, 1 runtime failure or a failed
-or raising criterion, 64 a usage error or bad configuration.  The run, grid and
-profile blocks are the keywords of FlowConfig, SphericalGrid and the kind's
-SpeedProfile constructor, so an unknown key in any of them, a grid size that is
-not an integer and a full-s2 n other than 2 exit 64 too.  CSV artifacts are RFC
+or raising criterion, 64 a usage error or bad configuration.  Every config
+block, the top level and initial included, is the keywords of the function that
+reads it (run: FlowConfig, grid: SphericalGrid, profile: the kind's SpeedProfile
+constructor), so an unknown or missing key exits 64 too.  CSV artifacts are RFC
 4180 with '.' decimals at full round-trip precision; every JSON artifact embeds
 the config hash and seed.
 """
@@ -57,35 +57,30 @@ SCHEMA_VERSION = "curvelab/1"
 
 
 # ---------------------------------------------------------------------------
-# configuration plumbing
+# configuration plumbing: each block is the keywords of a function that only reads it
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _require(cfg: dict, field: str, path: str = "", integer: bool = False):
-    here = f"{path}.{field}" if path else field
-    if field not in cfg:
-        raise ConfigError(here, f"missing required field {here!r}")
-    if integer and not _is_int(cfg[field]):
-        raise ConfigError(here, f"{here!r} must be an integer, got {cfg[field]!r}")
-    return cfg[field]
+def _keywords(where: str, fn, block, *args, **fixed):
+    """fn(*args, **fixed, **block), where a key fn does not take, a key it lacks, a value it cannot
+    take and a block that is no JSON object are each a ConfigError at ``where``."""
+    if not isinstance(block, dict):
+        raise ConfigError(where, f"{where} must be a JSON object, got {type(block).__name__}")
+    try:
+        return fn(*args, **fixed, **block)
+    except (TypeError, ValueError, IndexError, OverflowError, OSError) as exc:
+        raise ConfigError(where, str(exc))
 
 
-def _block(cfg: dict, field: str, required: bool = True) -> dict | None:
-    """The block cfg[field], which must be a JSON object; an optional block may be absent or null (None)."""
-    value = _require(cfg, field) if required else cfg.get(field)
-    if not (isinstance(value, dict) or value is None and not required):
-        raise ConfigError(field, f"{field} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _one_of(cfg: dict, field: str, default: str, allowed: tuple) -> str:
-    value = cfg.get(field, default)
-    if value not in allowed:
-        raise ConfigError(field, f"unknown {field} {value!r}; expected one of {allowed}")
-    return value
+def _tagged(where: str, tag: str, readers: dict, block, *args):
+    """The reader that the block's tag names, called with the rest of the block as its keywords."""
+    names = list(readers)  # a list compares the tag, never hashes it
+    if not (isinstance(block, dict) and block.get(tag) in names):
+        raise ConfigError(where, f"{where} must be a JSON object whose {tag} is one of {names}, got {block!r}")
+    return _keywords(where, readers[block[tag]], {key: v for key, v in block.items() if key != tag}, *args)
 
 
 def config_hash(cfg: dict) -> str:
@@ -106,12 +101,10 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def build_grid(cfg: dict) -> SphericalGrid:
+def build_grid(cfg) -> SphericalGrid:
     """The grid block is SphericalGrid's keywords, whole; a full-s2 block may leave out its n = 2."""
-    try:
-        return SphericalGrid(**({"n": 2, **cfg} if cfg.get("mode") == "full-s2" else cfg))
-    except (TypeError, ValueError, OverflowError) as exc:  # a key it does not take, sizes it cannot
-        raise ConfigError("grid", str(exc))
+    full_s2 = isinstance(cfg, dict) and cfg.get("mode") == "full-s2"
+    return _keywords("grid", SphericalGrid, {"n": 2, **cfg} if full_s2 else cfg)
 
 
 # each profile kind's SpeedProfile constructor, whose keywords the rest of its block holds
@@ -120,59 +113,51 @@ _PROFILES = {"constant": SpeedProfile.constant, "power-exp-pinned": SpeedProfile
              "tabulated": SpeedProfile.tabulated}
 
 
-def build_profile(cfg: dict | None) -> SpeedProfile | None:
+def build_profile(cfg) -> SpeedProfile | None:
+    """The profile block's kind names its SpeedProfile constructor; a null block is no profile."""
     if cfg is None:
         return None
-    kind = _require(cfg, "kind", "profile")
-    if kind not in list(_PROFILES):  # a list compares the kind, never hashes it
-        raise ConfigError("profile.kind", f"unknown profile kind {kind!r}; expected one of {list(_PROFILES)}")
-    args = {key: value for key, value in cfg.items() if key != "kind"}
-    for key, value in args.items():  # a JSON bool, alone or in a list, is no number: float(true) is 1.0
+    for key, value in (cfg.items() if isinstance(cfg, dict) else ()):  # float(true) is 1.0
         if isinstance(value, bool) or isinstance(value, list) and any(isinstance(v, bool) for v in value):
-            raise ConfigError(f"profile.{key}", f"profile.{key} must be a number, got {value!r}")
-    try:
-        return _PROFILES[kind](**args)
-    except (TypeError, ValueError, IndexError, OverflowError) as exc:  # a key it does not take, values it cannot
-        raise ConfigError("profile", str(exc))
+            raise ConfigError(f"profile.{key}", f"profile.{key} holds a JSON bool, which is no number")
+    return _tagged("profile", "kind", _PROFILES, cfg)
 
 
-def build_initial(cfg: dict, grid: SphericalGrid, rng: np.random.Generator,
-                  parametrization: str) -> ScalarField:
-    shape = _require(cfg, "shape", "initial")
-    radial = parametrization == "radial"
-    try:
-        if shape in ("harmonic", "random"):
-            amp = _require(cfg, "amplitude", "initial")
-            if not 0 < amp <= 0.45:
-                raise ConfigError("initial.amplitude", f"{shape} amplitude must lie in (0, 0.45]")
-        if shape == "sphere":
-            maker = sphere_radial if radial else sphere_support
-            return maker(grid, cfg.get("radius", 1.0), cfg.get("center"))
-        if shape == "spheroid":
-            c_axis = _require(cfg, "c_axis", "initial")
-            b_eq = _require(cfg, "b_equator", "initial")
-            return (spheroid_radial if radial else spheroid_support)(grid, c_axis, b_eq)
-        if shape == "harmonic":
-            ell = _require(cfg, "ell", "initial")
-            base = cfg.get("base", 1.0)
-            if not base > 0:
-                raise ValueError(f"harmonic base must be positive, got {base!r}")
-            mode = harmonic_mode(grid, ell, cfg.get("m", 0), cfg.get("phase", "cos"))
-            return ScalarField(grid, base * (1.0 + amp * mode))
-        if shape == "random":
-            maker = random_starshaped if radial else random_convex_support
-            return maker(grid, rng, amp=amp, base=cfg.get("base", 1.0),
-                         lmax=cfg.get("lmax", 4))
-        if shape == "file":
-            with open(_require(cfg, "path", "initial")) as handle:
-                field = ScalarField.from_dict(json.load(handle))
-            if field.grid != grid:
-                raise ConfigError("initial.path", f"the field file's grid {field.grid!r} "
-                                  f"differs from the config's grid {grid!r}")
-            return field
-    except (TypeError, ValueError, OSError) as exc:  # values the shape cannot take, a file it cannot read
-        raise ConfigError("initial", str(exc))
-    raise ConfigError("initial.shape", f"unknown initial shape {shape!r}")
+def _sphere(grid, rng, radial, radius=1.0, center=None):
+    return (sphere_radial if radial else sphere_support)(grid, radius, center)
+
+
+def _spheroid(grid, rng, radial, c_axis, b_equator):
+    return (spheroid_radial if radial else spheroid_support)(grid, c_axis, b_equator)
+
+
+def _harmonic(grid, rng, radial, ell, amplitude, m=0, phase="cos", base=1.0):
+    if not (0 < amplitude <= 0.45 and base > 0):
+        raise ValueError(f"harmonic needs 0 < amplitude <= 0.45 and base > 0, got {amplitude!r} and {base!r}")
+    return ScalarField(grid, base * (1.0 + amplitude * harmonic_mode(grid, ell, m, phase)))
+
+
+def _random(grid, rng, radial, amplitude, base=1.0, lmax=4):
+    if not 0 < amplitude <= 0.45:
+        raise ValueError(f"random amplitude must lie in (0, 0.45], got {amplitude!r}")
+    maker = random_starshaped if radial else random_convex_support
+    return maker(grid, rng, amp=amplitude, base=base, lmax=lmax)
+
+
+def _file(grid, rng, radial, path):
+    if not isinstance(path, str):  # open(3) would read file descriptor 3, then close it
+        raise TypeError(f"path must be a string, got {path!r}")
+    with open(path) as handle:
+        field = ScalarField.from_dict(json.load(handle))
+    if field.grid != grid:
+        raise ConfigError("initial.path", f"the field file's grid {field.grid!r} "
+                          f"differs from the config's grid {grid!r}")
+    return field
+
+
+# each initial shape's reader: the grid, the rng and whether the flow is radial come first,
+# and the rest of the initial block holds its keywords
+_SHAPES = {"sphere": _sphere, "spheroid": _spheroid, "harmonic": _harmonic, "random": _random, "file": _file}
 
 
 def _write_json(path: Path, command: str, cfg: dict, seed: int, payload: dict):
@@ -189,22 +174,22 @@ def _write_json(path: Path, command: str, cfg: dict, seed: int, payload: dict):
 # flow subcommand
 
 
-def cmd_flow(cfg: dict, out_dir: Path, seed: int, force: bool) -> int:
-    kind = _require(cfg, "kind")
-    n = _require(cfg, "n", integer=True)
-    k = cfg.get("k", 1)
+def _flow_inputs(force, seed, kind, n, grid, initial, run, k=1, profile=None):
+    """A flow config's top level, as keywords: the start, the speed profile and the run settings."""
+    if not _is_int(n):
+        raise ConfigError("n", f"'n' must be an integer, got {n!r}")
     if not (_is_int(k) and 1 <= k <= n):
         raise ConfigError("k", f"{kind} flow needs an integer 1 <= k <= n, got k = {k!r}")
-    try:  # the run block is FlowConfig's fields, whole: an unknown key stops here
-        flow_config = FlowConfig(kind=kind, k=k, force=force, **(_block(cfg, "run", required=False) or {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("run", str(exc))
-    grid = build_grid(_block(cfg, "grid"))
+    flow_config = _keywords("run", FlowConfig, run, kind=kind, k=k, force=force)
+    grid = build_grid(grid)
     if grid.n != n:
         raise ConfigError("n", f"n = {n} disagrees with grid.n = {grid.n}")
-    initial = build_initial(_block(cfg, "initial"), grid, np.random.default_rng(seed), kind)
-    profile = build_profile(_block(cfg, "profile", required=False))
+    initial = _tagged("initial", "shape", _SHAPES, initial, grid, np.random.default_rng(seed), kind == "radial")
+    return initial, build_profile(profile), flow_config
 
+
+def cmd_flow(cfg: dict, out_dir: Path, seed: int, force: bool) -> int:
+    initial, profile, flow_config = _keywords("config", _flow_inputs, dict(cfg, seed=seed), force=force)
     status = 1
     summary = {}
     try:
@@ -278,23 +263,28 @@ def _verify_sample(index, grid, seed, k, calibration, profile, parametrization, 
     return row
 
 
-def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
-    samples = _require(cfg, "samples", integer=True)
-    if not 1 <= samples <= _MAX_SAMPLES:
-        raise ConfigError("samples", f"samples must lie in 1..{_MAX_SAMPLES}, got {samples}")
-    grid = build_grid(_block(cfg, "grid"))
-    k = cfg.get("k", 1)
+def _verify_inputs(seed, samples, grid, k=1, calibration="sphere-calibrated", parametrization="radial",
+                   functional=None, amplitude=0.3, profile=None):
+    """A verify config's top level, as keywords: the sample count and what every sample shares."""
+    if not (_is_int(samples) and 1 <= samples <= _MAX_SAMPLES):
+        raise ConfigError("samples", f"samples must be an integer in 1..{_MAX_SAMPLES}, got {samples!r}")
+    grid = build_grid(grid)
     if not (_is_int(k) and 1 <= k <= grid.n - 1):
         raise ConfigError("k", f"verify needs an integer 1 <= k <= n - 1 = {grid.n - 1}, got {k!r}")
-    calibration = _one_of(cfg, "calibration", "sphere-calibrated", CALIBRATIONS)
-    parametrization = _one_of(cfg, "parametrization", "radial", ("radial", "support"))
-    functional = _one_of(cfg, "functional", "H" if k == 1 else "k", ("H", "k") if k == 1 else ("k",))
-    amplitude = cfg.get("amplitude", 0.3)
+    functional = ("H" if k == 1 else "k") if functional is None else functional
+    for field, value, allowed in (("calibration", calibration, CALIBRATIONS),
+                                  ("parametrization", parametrization, ("radial", "support")),
+                                  ("functional", functional, ("H", "k") if k == 1 else ("k",))):
+        if value not in allowed:
+            raise ConfigError(field, f"unknown {field} {value!r}; expected one of {allowed}")
     if isinstance(amplitude, bool) or not (isinstance(amplitude, (int, float)) and 0 < amplitude < math.inf):
         raise ConfigError("amplitude", f"amplitude must be a positive finite number, got {amplitude!r}")
-    profile = build_profile(_block(cfg, "profile", required=False))
-    rows = [_verify_sample(i, grid, seed, k, calibration, profile, parametrization, functional, amplitude)
-            for i in range(samples)]
+    return samples, (grid, seed, k, calibration, build_profile(profile), parametrization, functional, amplitude)
+
+
+def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
+    samples, shared = _keywords("config", _verify_inputs, dict(cfg, seed=seed))
+    rows = [_verify_sample(i, *shared) for i in range(samples)]
 
     write_csv(out_dir / "verify.csv", VERIFY_COLUMNS, (
         [row[c] if c in ("sample_id", "n", "k", "mode", "status") else float(row[c]) for c in VERIFY_COLUMNS]
@@ -316,12 +306,16 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
 # report subcommand
 
 
-def cmd_report(cfg: dict, out_dir: Path, seed: int) -> int:
-    names = cfg.get("criteria", [])
+def _report_inputs(seed, criteria=()):
+    """A report config's top level, as keywords: the criteria to run, every one when it names none."""
     known = list(acceptance.CRITERIA)  # a list compares names, never hashes them
-    if not (isinstance(names, list) and all(name in known for name in names)):
-        raise ConfigError("criteria", f"criteria must be a list of names from {known}, got {names!r}")
-    results = acceptance.run_battery(names)
+    if not (isinstance(criteria, (list, tuple)) and all(name in known for name in criteria)):
+        raise ConfigError("criteria", f"criteria must be a list of names from {known}, got {criteria!r}")
+    return criteria
+
+
+def cmd_report(cfg: dict, out_dir: Path, seed: int) -> int:
+    results = acceptance.run_battery(_keywords("config", _report_inputs, dict(cfg, seed=seed)))
     payload = {
         "criteria": [r.to_dict() for r in results],
         "passed": sum(r.passed for r in results),

@@ -809,7 +809,6 @@ class DecayFit:
 
     gamma: float
     r_squared: float
-    n_samples: int
 
 
 def estimate_decay_rate(trace: FlowTrace) -> DecayFit:
@@ -840,7 +839,7 @@ def estimate_decay_rate(trace: FlowTrace) -> DecayFit:
     ss_res = float(np.sum((gc - slope * u) ** 2))
     ss_tot = float(np.sum(gc**2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return DecayFit(gamma=-float(slope) / span, r_squared=r2, n_samples=t.size)
+    return DecayFit(gamma=-float(slope) / span, r_squared=r2)
 
 
 def area_evolution_consistency(

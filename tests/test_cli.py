@@ -704,6 +704,14 @@ def _main_within(argv, seconds):
     # float(10**400) raised OverflowError past the config check
     pytest.param("flow", RADIAL_CFG, {"profile": {"kind": "power-exp-pinned", "n": 2, "r_star": 10**400}},
                  id="flow-profile-r-star-10-400"),
+    # the top level and the initial block are their readers' keywords too: a misspelt key ran
+    # on the default it meant to set (a unit sphere, seed 0, amplitude 0.3, all thirteen criteria)
+    pytest.param("flow", RADIAL_CFG, {"initial": {"shape": "sphere", "radus": 1.3}}, id="flow-initial-sphere-radus"),
+    pytest.param("flow", RADIAL_CFG, {"initial": {"shape": "random", "amplitude": 0.1, "lmx": 3}},
+                 id="flow-initial-random-lmx"),
+    pytest.param("flow", RADIAL_CFG, {"sede": 5}, id="flow-top-level-sede"),
+    pytest.param("verify", VERIFY_AXISYM_CFG, {"amplitud": 0.2}, id="verify-top-level-amplitud"),
+    pytest.param("report", {}, {"criterias": ["AC-2"]}, id="report-top-level-criterias"),
 ])
 def test_malformed_config_exit_64(tmp_path, capsys, command, base, change):
     # each must stop with a ConfigError before any work, not with an
@@ -712,6 +720,28 @@ def test_malformed_config_exit_64(tmp_path, capsys, command, base, change):
     path = write_config(tmp_path, "cfg.json", dict(base, **change))
     assert _main_within([command, "--config", path, "--out", str(tmp_path / "out")], 5.0) == 64
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, where, key", [
+    ({"initial": {"shape": "sphere", "radus": 1.3}}, "initial", "radus"),
+    ({"sede": 5}, "config", "sede"),
+])
+def test_a_misspelt_key_is_named(tmp_path, capsys, change, where, key):
+    path = write_config(tmp_path, "cfg.json", dict(RADIAL_CFG, **change))
+    assert main(["flow", "--config", path, "--out", str(tmp_path / "out")]) == 64
+    err = capsys.readouterr().err
+    assert f"configuration error [{where}]" in err and f"unexpected keyword argument '{key}'" in err
+
+
+def test_an_integer_field_path_is_refused_not_opened(tmp_path, capsys):
+    # open(fd) read the field from the process's descriptor fd, then closed it
+    with open(FIELD_AXISYM_16_SPHERE) as handle:
+        cfg = dict(RADIAL_CFG, grid={"mode": "axisym", "n": 2, "n_theta": 16},
+                   initial={"shape": "file", "path": handle.fileno()})
+        path = write_config(tmp_path, "cfg.json", cfg)
+        assert main(["flow", "--config", path, "--out", str(tmp_path / "out")]) == 64
+        assert "path must be a string" in capsys.readouterr().err
+        os.fstat(handle.fileno())  # still open
 
 
 @pytest.mark.parametrize("command", ["flow", "verify"])

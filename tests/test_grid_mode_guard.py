@@ -19,6 +19,17 @@ ALLOWED = {
 }
 
 
+def is_mode(side):
+    """Whether a comparison side reads a mode: ``mode``, ``<x>.mode``, ``<x>.get("mode")`` or ``<x>["mode"]``."""
+    if isinstance(side, ast.Call) and isinstance(side.func, ast.Attribute) and side.func.attr == "get":
+        key = side.args[0] if side.args else None
+    elif isinstance(side, ast.Subscript):
+        key = side.slice
+    else:
+        return isinstance(side, ast.Attribute) and side.attr == "mode" or isinstance(side, ast.Name) and side.id == "mode"
+    return isinstance(key, ast.Constant) and key.value == "mode"
+
+
 def mode_comparisons(tree, module):
     """Qualified names of the functions holding a comparison with a mode."""
     found = []
@@ -27,10 +38,7 @@ def mode_comparisons(tree, module):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = f"{module}.{node.name}"
         if isinstance(node, ast.Compare):
-            for side in [node.left, *node.comparators]:
-                if (isinstance(side, ast.Attribute) and side.attr == "mode") or (
-                        isinstance(side, ast.Name) and side.id == "mode"):
-                    found.append(owner)
+            found.extend(owner for side in [node.left, *node.comparators] if is_mode(side))
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
@@ -39,13 +47,15 @@ def mode_comparisons(tree, module):
 
 
 def test_grid_mode_is_compared_only_in_the_allow_list():
-    found = {}
+    owners = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "sphere_grid.py":
-            for owner in mode_comparisons(ast.parse(path.read_text(), str(path)), path.stem):
-                if owner not in ALLOWED:
-                    found.setdefault(owner, 0)
-                    found[owner] += 1
-    assert found == {}, f"place surfaces through SphericalGrid.frame/project/zonal: {found}"
-    snippet = 'def f(g):\n    return g.mode == "axisym"\nclass K:\n    def m(self, mode):\n        return 1 if mode != "x" else 2\n'
-    assert mode_comparisons(ast.parse(snippet), "m") == ["m.f", "m.m"]
+            owners += mode_comparisons(ast.parse(path.read_text(), str(path)), path.stem)
+    unlisted = sorted({owner for owner in owners if owner not in ALLOWED})
+    assert unlisted == [], f"place surfaces through SphericalGrid.frame/project/zonal: {unlisted}"
+    stale = sorted(set(ALLOWED) - set(owners))
+    assert stale == [], f"allow-list entries that compare no mode: {stale}"
+    snippet = ('def f(g):\n    return g.mode == "axisym"\nclass K:\n    def m(self, mode):\n'
+               '        return 1 if mode != "x" else 2\ndef g(cfg):\n    return cfg.get("mode") == "full-s2"\n'
+               'def h(cfg, key):\n    return "axisym" != cfg["mode"] and key != "mode" and cfg.get(key) == 1\n')
+    assert mode_comparisons(ast.parse(snippet), "m") == ["m.f", "m.m", "m.g", "m.h"]

@@ -229,6 +229,20 @@ def test_decay_fit_without_centring_is_caught(monkeypatch):
         test_flows.test_decay_rate_matches_the_polyfit_oracle("noisy")
 
 
+def test_range_band_widened_to_1e_3_is_caught(monkeypatch):
+    # M10: the radial range band [lo, hi] widened by 1e-3 of hi in place of 1e-6, a
+    # one-line edit of run_flow's source; a step 1e-5 past r* is no longer a breach.
+    # The mutant keeps the module's globals, so the paired test's own patch of
+    # _extrapolated_step reaches it
+    namespace = {}
+    exec(inspect.getsource(flows.run_flow).replace("(lo - 1e-6 * hi, hi + 1e-6 * hi)",
+                                                   "(lo - 1e-3 * hi, hi + 1e-3 * hi)"), vars(flows), namespace)
+    monkeypatch.setattr(flows, "run_flow", namespace["run_flow"])
+    monkeypatch.setattr(test_flows, "run_flow", namespace["run_flow"])
+    with pytest.raises(AssertionError):
+        test_flows.test_a_step_past_1e_6_of_the_range_is_one_range_breach(monkeypatch, 1e-5, 1)
+
+
 def test_axisym_kappa2_with_half_its_cot_term_is_caught(monkeypatch):
     # M1: the axisymmetric radial kappa2 = (1 - (r' / r) cot theta) / rho with half its
     # cot theta term, a one-line edit of _radial_field's source; the full-s2 branch keeps

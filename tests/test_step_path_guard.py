@@ -5,9 +5,10 @@ cli.cmd_verify) reach calls np.linalg or a numpy helper built on it.
 A first LAPACK call maps LAPACK's pages into the process, which showed as
 peak memory on flow runs.  numpy reaches LAPACK from outside np.linalg too:
 np.polyfit solves its line by lstsq and np.roots takes eigenvalues, so a
-function that names one of LAPACK_NAMES counts as a LAPACK user.  Calls are
-followed by name across the package, which over-approximates the call graph.
-Nothing is exempt.
+function that names one of LAPACK_NAMES counts as a LAPACK user.  Calls and
+bare names are followed by name across the package, through module-level
+tables too (the CLI calls each config reader through one), which
+over-approximates the call graph.  Nothing is exempt.
 """
 
 import ast
@@ -23,7 +24,8 @@ ENTRY_POINTS = ("flows.run_flow", "flows.area_evolution_consistency", "flows.est
 
 
 def functions(tree, module):
-    """Qualified name -> definition of each function and method in a module."""
+    """Qualified name -> definition of each function and method in a module, and of each
+    module-level name bound by one assignment (a table of functions, say)."""
     found = {}
 
     def visit(node, scope):
@@ -32,13 +34,15 @@ def functions(tree, module):
                 visit(child, scope + (child.name,))
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 found[".".join((module, *scope, child.name))] = child
+            elif not scope and isinstance(child, ast.Assign) and isinstance(child.targets[0], ast.Name):
+                found[f"{module}.{child.targets[0].id}"] = child
 
     visit(tree, ())
     return found
 
 
 def reached_lapack_users(definitions, start):
-    """The functions reachable from start, by called name, that name np.linalg or a helper on it."""
+    """The functions reachable from start, by called or bare name, that name np.linalg or a helper on it."""
     by_name = {}
     for qualified in definitions:
         by_name.setdefault(qualified.rsplit(".", 1)[1], []).append(qualified)
@@ -49,9 +53,10 @@ def reached_lapack_users(definitions, start):
             continue
         seen.add(qualified)
         for node in ast.walk(definitions[qualified]):
-            if isinstance(node, ast.Call):
-                name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
-                todo += by_name.get(name, [])
+            if isinstance(node, ast.Name):  # a call, or a function passed on or kept in a table
+                todo += by_name.get(node.id, [])
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                todo += by_name.get(node.func.attr, [])
     return sorted(q for q in seen if any(
         (node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)) in LAPACK_NAMES
         for node in ast.walk(definitions[q])))
@@ -67,7 +72,10 @@ def test_flow_and_verify_reach_no_lapack():
     snippet = ("import numpy as np\nclass SphericalGrid:\n    def solve(self, v):\n        return np.linalg.inv(v)\n"
                "    def spectrum(self):\n        return np.linalg.eigvals(1)\n"
                "def fit(t, g):\n    return np.polyfit(t, g, 1)\n"
-               "def step(g, v):\n    return g.spectrum() + g.solve(v) + fit(v, v)\n")
+               "def eig(v):\n    return np.linalg.eig(v)\nREADERS = {'eig': eig}\n"
+               "def call(fn, v):\n    return fn(v)\n"
+               "def step(g, v):\n    return g.spectrum() + g.solve(v) + call(fit, v) + READERS['eig'](v)\n")
     probe = functions(ast.parse(snippet), "sphere_grid")
     assert reached_lapack_users(probe, "sphere_grid.step") == [
-        "sphere_grid.SphericalGrid.solve", "sphere_grid.SphericalGrid.spectrum", "sphere_grid.fit"]
+        "sphere_grid.SphericalGrid.solve", "sphere_grid.SphericalGrid.spectrum", "sphere_grid.eig",
+        "sphere_grid.fit"]
