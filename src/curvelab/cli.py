@@ -176,6 +176,9 @@ def _write_json(path: Path, command: str, cfg: dict, seed: int, payload: dict):
 
 def _flow_inputs(force, seed, kind, n, grid, initial, run, k=1, profile=None):
     """A flow config's top level, as keywords: the start, the speed profile and the run settings."""
+    kinds = ["radial", "support"]  # a list compares the kind, never hashes it
+    if kind not in kinds:
+        raise ConfigError("kind", f"unknown flow kind {kind!r}; expected one of {kinds}")
     if not _is_int(n):
         raise ConfigError("n", f"'n' must be an integer, got {n!r}")
     if not (_is_int(k) and 1 <= k <= n):

@@ -17,9 +17,10 @@ not signed, though a search over 15,000 axisymmetric bodies found no rise.
 The neighbouring speed dr/dt = -(f H v + c f') agrees with this one on
 spheres and to first order about them, and only it makes the rate a
 negative square, -int f^(1/(n-1)) (f H + c f'/v)^2 dmu; AC-5, AC-9 and
-AC-11 cannot tell the two apart.  PAPER.md holds only the paper's
-abstract, so which of the two is the paper's flow (1.5) cannot be settled
-until that equation is in the repository.
+AC-11 cannot tell the two apart, but AC-10, which writes the normal speed
+from this formula, can.  PAPER.md holds only the paper's abstract, so
+which of the two is the paper's flow (1.5) cannot be settled until that
+equation is in the repository.
 
 Support flow (strictly convex bodies).  The support function obeys
 
@@ -113,7 +114,6 @@ __all__ = [
     "validate_support_profile",
     "run_flow",
     "estimate_decay_rate",
-    "area_evolution_consistency",
 ]
 
 
@@ -800,19 +800,20 @@ def run_flow(initial: ScalarField, profile: SpeedProfile | None, config: FlowCon
 
 
 # ---------------------------------------------------------------------------
-# post-run estimates and consistency diagnostics
+# post-run estimates
 
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Least-squares exponential decay rate of the gradient norm."""
+    """Least-squares exponential decay rate of a trace column."""
 
     gamma: float
     r_squared: float
 
 
-def estimate_decay_rate(trace: FlowTrace) -> DecayFit:
-    """Fit log(max |grad r|) against t over the final half of a run with >= 10 positive samples.
+def estimate_decay_rate(trace: FlowTrace, column: str = "grad_max") -> DecayFit:
+    """Fit log(column), max |grad r| by default, against t over the final half of a run with
+    >= 10 positive samples.
 
     The line is least squares in closed form on centred data, slope =
     sum u (g - mean g) / sum u^2 with u = (t - mean t) / span in units of the
@@ -822,13 +823,11 @@ def estimate_decay_rate(trace: FlowTrace) -> DecayFit:
     maps its pages into the process.
     """
     t = trace.values("t")
-    g = trace.values("grad_max")
+    g = trace.values(column)
     mask = np.isfinite(g) & (g > 0.0)
     t, g = t[mask], g[mask]
     if t.size < 10:
-        raise InsufficientData(
-            f"need at least 10 positive gradient samples, have {t.size}"
-        )
+        raise InsufficientData(f"need at least 10 positive {column} samples, have {t.size}")
     half = t.size // 2
     t, g = t[half:], np.log(g[half:])
     span = float(t[-1] - t[0])
@@ -840,37 +839,3 @@ def estimate_decay_rate(trace: FlowTrace) -> DecayFit:
     ss_tot = float(np.sum(gc**2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return DecayFit(gamma=-float(slope) / span, r_squared=r2)
-
-
-def area_evolution_consistency(
-    initial: ScalarField, profile: SpeedProfile | None, config: FlowConfig
-) -> dict:
-    """Compare finite-difference d(area)/dt with the first-variation integral.
-
-    The surface measure evolves by d(dmu)/dt = n E_1 Phi dmu = H Phi dmu for
-    normal speed Phi.  One extrapolated step at 1e-3 of the kernel's
-    adaptive step min(step, spread / c_max) is taken; the finite difference
-    of the total area is matched against the average of int H Phi dmu at
-    the two endpoints.
-    """
-    grid = initial.grid
-    kernel = _kernel(grid, profile, config)
-
-    def rate(geom):
-        phi = kernel.speed(geom) / (geom.scalar / geom.support)  # v = r / <X, nu>; 1 for support, h = <X, nu>
-        return float(np.sum(geom.area_weights * geom.H * phi)), geom.total_area()
-
-    _, c_max, _, build = kernel.assess(initial.values)
-    dt = min(kernel.caps[0], kernel.caps[1] / c_max) / 1000.0
-    new_state = _extrapolated_step(kernel, initial.values, dt, c_max * dt, kernel.speed(build))
-
-    rate0, area0 = rate(build)
-    rate1, area1 = rate(kernel.build(new_state))
-    fd = (area1 - area0) / dt
-    integral = 0.5 * (rate0 + rate1)
-    return {
-        "dt": dt,
-        "fd_rate": fd,
-        "integral_rate": integral,
-        "rel_error": abs(fd - integral) / max(abs(integral), 1e-300),
-    }

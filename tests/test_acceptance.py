@@ -131,7 +131,7 @@ def test_ac9_exponential_decay():
     _run(acceptance.ac9)
 
 
-def test_ac10_area_evolution_consistency():
+def test_ac10_area_evolution():
     _run(acceptance.ac10)
 
 

@@ -725,12 +725,14 @@ def test_malformed_config_exit_64(tmp_path, capsys, command, base, change):
 @pytest.mark.parametrize("change, where, key", [
     ({"initial": {"shape": "sphere", "radus": 1.3}}, "initial", "radus"),
     ({"sede": 5}, "config", "sede"),
+    ({"kind": "radal"}, "kind", "radal"),  # was reported against the run block, which read it first
 ])
 def test_a_misspelt_key_is_named(tmp_path, capsys, change, where, key):
     path = write_config(tmp_path, "cfg.json", dict(RADIAL_CFG, **change))
     assert main(["flow", "--config", path, "--out", str(tmp_path / "out")]) == 64
     err = capsys.readouterr().err
-    assert f"configuration error [{where}]" in err and f"unexpected keyword argument '{key}'" in err
+    message = f"unknown flow kind '{key}'" if where == "kind" else f"unexpected keyword argument '{key}'"
+    assert f"configuration error [{where}]" in err and message in err
 
 
 def test_an_integer_field_path_is_refused_not_opened(tmp_path, capsys):
@@ -837,6 +839,11 @@ def test_config_fuzz_exits_cleanly_within_seconds(case, value):
 CONFIGS = Path(__file__).parent.parent / "configs"
 
 
+# The digests hold where they were recorded: numpy 2.4 dispatching to its AVX-512 targets
+# (X86_V4, AVX512_ICL, AVX512_SPR) and scipy-openblas 0.3.31 on its default core for an
+# AVX-512 CPU.  exp, log and fractional powers without AVX-512, and the full-s2 resolvent's
+# batched matmul on another OpenBLAS core, move last bits that reach the pins, with no
+# change to the code; there a pin fails, and its message names the targets and switches.
 PINNED = [
     ("flow", "radial_pinned", "trace.csv", "da90674bb2ccf5c09e09c91de4b95961c188b1bfda22352dbb98251a181edc7a"),
     ("flow", "support_k2", "trace.csv", "78e7d86ab2e5f236955fe70611ec6c4a69c4a922a3395c4e8cdd5ce8df4bb4f5"),
@@ -844,11 +851,21 @@ PINNED = [
 ]
 
 
+def kernel_variant() -> str:
+    """numpy's enabled SIMD dispatch targets, and the kernel switches set in the environment."""
+    umath = np._core._multiarray_umath
+    targets = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    switches = [f"{key}={os.environ[key]!r}" for key in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")
+                if key in os.environ]
+    return f"numpy dispatch targets {targets}" + (f", {', '.join(switches)}" if switches else "")
+
+
 @pytest.mark.parametrize("command, name, artefact, sha256", PINNED)
 def test_committed_configs_reproduce_their_pinned_artefacts(tmp_path, command, name, artefact, sha256):
     # the CSV bytes of the committed configs; a change here changes every published run
     assert main([command, "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path)]) == 0
-    assert hashlib.sha256((tmp_path / artefact).read_bytes()).hexdigest() == sha256
+    digest = hashlib.sha256((tmp_path / artefact).read_bytes()).hexdigest()
+    assert digest == sha256, f"{name} {artefact} digest {digest[:8]}... under {kernel_variant()}; see PINNED"
     if command == "flow":  # the decay fit of the written trace, against np.polyfit's
         summary = json.loads((tmp_path / "summary.json").read_text())
         with open(tmp_path / artefact) as handle:

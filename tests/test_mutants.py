@@ -1,11 +1,12 @@
 """Mutants of the shared curvature algebra, the grid's weights and stencils, the radial
 curvature pair, the flow speeds, step sizes and extrapolated step and the flows'
-monitors, each caught by a named test.
+monitors, each caught by a named test or acceptance criterion.
 
 A mutant replaces one function by a one-line variant, or one constant (a
 monkeypatch in every curvelab module that holds the name), and calls the
-tier-1 test it must fail; the unmutated test passes in the tier-1 run, so
-each case shows that test can see the change.
+tier-1 test or runs the criterion it must fail; the unmutated test and the
+criterion pass in the tier-1 run, so each case shows that check can see the
+change.
 """
 
 import functools
@@ -38,6 +39,22 @@ def mutate(monkeypatch, name, replacement):
     for module in (symfunc, geometry, functionals, flows, acceptance):
         if hasattr(module, name):
             monkeypatch.setattr(module, name, replacement)
+
+
+@pytest.fixture
+def battery_runs_under_the_mutant():
+    """The battery's cached AC-5 and AC-6 runs, cleared before and after the test, so that a
+    criterion reads runs made under its mutant and no later test reads one."""
+    runs = (acceptance._ac5_run, acceptance._ac6_runs)
+    for run in runs:
+        run.cache_clear()
+    yield
+    for run in runs:
+        run.cache_clear()
+
+
+def fails(criterion):
+    return not acceptance.run_battery([criterion])[0].passed
 
 
 def test_sigmas_without_its_sigma_1_sum_is_caught(monkeypatch):
@@ -119,8 +136,9 @@ def test_leave_one_out_dropping_the_next_entry_is_caught(monkeypatch):
         test_symfunc.test_derivative_eigen_equals_leave_one_out_construction_bit_for_bit(3)
 
 
-def test_radial_speed_without_v_in_its_f_prime_term_is_caught(monkeypatch):
-    # M2: dr/dt = -(f H + c f') v in place of -(f H + c f' v) v
+def test_radial_speed_without_v_in_its_f_prime_term_is_caught(monkeypatch, battery_runs_under_the_mutant):
+    # M2: dr/dt = -(f H + c f') v in place of -(f H + c f' v) v; AC-10's radial area rate
+    # reads an error of about 1.5 against the speed written from the formula
     def speed(self, geom):
         n, r = self.n, geom.scalar
         v = geom.metric_source / r
@@ -130,6 +148,17 @@ def test_radial_speed_without_v_in_its_f_prime_term_is_caught(monkeypatch):
     monkeypatch.setattr(flows._RadialKernel, "speed", speed)
     with pytest.raises(AssertionError):
         test_flows.test_q_rate_matches_the_implemented_flows_first_variation(0.15)
+    assert fails("AC-10")
+
+
+def test_support_speed_scaled_by_1_1_is_caught(monkeypatch, battery_runs_under_the_mutant):
+    # a time-rescaled support flow keeps stationarity, conservation and monotonicity, so
+    # AC-6 passes; AC-10's area rate errs by about 0.1 and AC-9's sphericity rate reads
+    # gamma R = 6.6 against 6
+    speed = flows._SupportKernel.speed
+    monkeypatch.setattr(flows._SupportKernel, "speed", lambda self, geom: 1.1 * speed(self, geom))
+    assert fails("AC-10")
+    assert fails("AC-9")
 
 
 def test_memo_keyed_by_value_tuple_is_caught(monkeypatch):

@@ -1,6 +1,6 @@
-"""Flow and verify runs go without LAPACK: nothing that run_flow, the area-rate
-check, the decay fit or the ``flow`` and ``verify`` commands (cli.cmd_flow,
-cli.cmd_verify) reach calls np.linalg or a numpy helper built on it.
+"""Flow and verify runs go without LAPACK: nothing that run_flow, the decay fit
+or the ``flow`` and ``verify`` commands (cli.cmd_flow, cli.cmd_verify) reach
+calls np.linalg or a numpy helper built on it.
 
 A first LAPACK call maps LAPACK's pages into the process, which showed as
 peak memory on flow runs.  numpy reaches LAPACK from outside np.linalg too:
@@ -19,8 +19,7 @@ import curvelab
 PACKAGE = Path(curvelab.__file__).parent
 # np.linalg, and numpy's helpers that call it
 LAPACK_NAMES = {"linalg", "polyfit", "lstsq", "roots"}
-ENTRY_POINTS = ("flows.run_flow", "flows.area_evolution_consistency", "flows.estimate_decay_rate",
-                "cli.cmd_flow", "cli.cmd_verify")
+ENTRY_POINTS = ("flows.run_flow", "flows.estimate_decay_rate", "cli.cmd_flow", "cli.cmd_verify")
 
 
 def functions(tree, module):
