@@ -39,14 +39,8 @@ from .functionals import (
     monotone_quantities,
     quermassintegrals,
 )
-from .flows import (
-    FlowConfig,
-    SpeedProfile,
-    estimate_decay_rate,
-    run_flow,
-    validate_radial_profile,
-    validate_support_profile,
-)
+from .profiles import SpeedProfile, validate_radial_profile, validate_support_profile
+from .flows import FlowConfig, estimate_decay_rate, run_flow
 from . import shapes
 
 __version__ = "0.1.0"

@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 
-from .flows import FlowConfig, SpeedProfile, estimate_decay_rate, run_flow
+from .flows import FlowConfig, estimate_decay_rate, run_flow
 from .functionals import (
     ball_quermass,
     michael_simon_deficit_H,
@@ -54,6 +54,7 @@ from .functionals import (
     quermassintegrals,
 )
 from .geometry import radial_geometry, sphericity, static_convexity, support_geometry
+from .profiles import SpeedProfile
 from .shapes import (
     random_convex_support,
     random_starshaped,

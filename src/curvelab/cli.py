@@ -32,16 +32,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acceptance
 from ._artifacts import overwrite, write_csv
 from .errors import ConfigError, CurveLabError, StepCollapse
-from .flows import FlowConfig, SpeedProfile, estimate_decay_rate, run_flow
+from .flows import FlowConfig, estimate_decay_rate, run_flow
 from .functionals import (
     CALIBRATIONS,
     michael_simon_deficit_H,
     michael_simon_deficit_k,
 )
 from .geometry import radial_geometry, sphericity, support_geometry
+from .profiles import SpeedProfile
 from .shapes import (
     harmonic_mode,
     random_convex_support,
@@ -306,11 +306,13 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# report subcommand
+# report subcommand: only it loads the battery, so flow and verify never compile it
 
 
 def _report_inputs(seed, criteria=()):
     """A report config's top level, as keywords: the criteria to run, every one when it names none."""
+    from . import acceptance
+
     known = list(acceptance.CRITERIA)  # a list compares names, never hashes them
     if not (isinstance(criteria, (list, tuple)) and all(name in known for name in criteria)):
         raise ConfigError("criteria", f"criteria must be a list of names from {known}, got {criteria!r}")
@@ -318,6 +320,8 @@ def _report_inputs(seed, criteria=()):
 
 
 def cmd_report(cfg: dict, out_dir: Path, seed: int) -> int:
+    from . import acceptance
+
     results = acceptance.run_battery(_keywords("config", _report_inputs, dict(cfg, seed=seed)))
     payload = {
         "criteria": [r.to_dict() for r in results],
@@ -351,7 +355,30 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Fix glibc's allocator limits once a process, so that each verify sample reuses the heap
+    its predecessor freed.
+
+    glibc serves an array of 128 KiB or more by mmap and hands a free heap top above 128 KiB
+    back to the kernel, raising both limits only after it frees a large mmap chunk: whether a
+    sample faulted its arrays in again depended on what the process had allocated before.
+    Setting either limit turns that adjustment off.  Where the C library has no mallopt this
+    does nothing.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library to open by None, or no mallopt in it
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's 64-bit maximum
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, which is TimeExhausted here

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import platform
 import signal
 import subprocess
 import sys
@@ -351,6 +352,34 @@ def test_cli_flow_and_verify_load_no_thread_pool(tmp_path):
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "run/trace.csv").exists() and (tmp_path / "fuzz/verify.csv").exists()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="main sets glibc's mallopt limits; another C library keeps its own heap policy")
+def test_a_verify_run_reuses_the_heap_its_predecessor_freed(tmp_path):
+    # a 96x192 field is 144 KiB, above glibc's starting mmap threshold: without main's fixed
+    # limits every sample faulted its arrays in again, about 5,100 minor faults a run
+    cfg = write_config(tmp_path, "verify.json", {"samples": 10, "k": 1, "amplitude": 0.3, "seed": 5,
+                                                 "grid": {"mode": "full-s2", "n_theta": 96, "n_phi": 192}})
+    probe = ("import contextlib, io, resource\nfrom curvelab.cli import main\n"
+             f"argv = ['verify', '--config', {cfg!r}, '--out', {str(tmp_path / 'v')!r}]\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    assert main(argv) == main(argv) == 0\n"
+             "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+             "    assert main(argv) == 0\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+    env = dict(os.environ, PYTHONPATH=str(Path(curvelab.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert int(out.stdout.splitlines()[-1]) < 500
+
+
+def test_the_allocator_limits_are_skipped_where_the_c_library_has_no_mallopt(monkeypatch):
+    import ctypes
+
+    from curvelab import cli
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # a C library without mallopt
+    assert cli._keep_freed_heap.__wrapped__() is None
 
 
 def test_repeated_main_calls_leave_no_parser_for_the_cyclic_collector(tmp_path):

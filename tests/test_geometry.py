@@ -199,6 +199,22 @@ def test_spheroid_support_against_closed_form():
     assert rel.max() < 5e-3
 
 
+@pytest.mark.parametrize("kind", ["radial", "support"])
+@pytest.mark.parametrize("c_axis, b_eq", [(1.25, 0.9), (0.8, 1.3)])
+def test_spheroid_curvatures_off_b_1_converge_at_second_order(kind, c_axis, b_eq):
+    # at b = 1 an oracle cannot tell / b from * b; off it the discrete curvatures
+    # must approach the closed form at second order
+    body, geometry, oracle = ((spheroid_radial, radial_geometry, spheroid_curvatures_radial) if kind == "radial"
+                              else (spheroid_support, support_geometry, spheroid_curvatures_support))
+    errs = []
+    for nt in (32, 64, 128):
+        grid = SphericalGrid.axisym(2, nt)
+        exact = np.sort(np.stack(oracle(grid.theta, c_axis, b_eq), axis=-1), axis=-1)
+        errs.append((np.abs(geometry(body(grid, c_axis, b_eq)).kappa - exact) / exact).max())
+    assert errs[-1] < 1e-3
+    assert min(math.log2(errs[i] / errs[i + 1]) for i in range(2)) >= 1.8
+
+
 def test_cross_parametrization_agreement_second_order():
     # same spheroid via r and via h: area, integral of support, curvature range
     c_axis, b_eq = 1.15, 1.0

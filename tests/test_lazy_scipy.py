@@ -1,4 +1,5 @@
-"""curvelab runs on numpy alone: no module of the package imports scipy."""
+"""curvelab runs on numpy alone: no module of the package imports scipy.  Only the
+``report`` command loads the acceptance battery."""
 
 import ast
 import json
@@ -55,9 +56,9 @@ def test_the_package_imports_no_scipy():
     ]
 
 
-def loaded_scipy_modules(probe):
-    """The scipy modules in sys.modules after running probe in a fresh interpreter."""
-    probe += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def loaded_modules(probe, package="scipy"):
+    """The modules of package (scipy by default) in sys.modules after running probe in a fresh interpreter."""
+    probe += f"\nimport sys; print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))"
     return subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
@@ -65,7 +66,13 @@ def loaded_scipy_modules(probe):
 
 
 def test_importing_the_package_and_cli_loads_no_scipy():
-    assert loaded_scipy_modules("import curvelab, curvelab.cli") == "[]"
+    assert loaded_modules("import curvelab, curvelab.cli") == "[]"
+
+
+def test_importing_the_package_and_cli_loads_no_battery():
+    # flow and verify processes never compile acceptance.py, whose compile raised their peak memory
+    assert loaded_modules("import curvelab, curvelab.cli", "curvelab.acceptance") == "[]"
+    assert loaded_modules("import curvelab.acceptance", "curvelab.acceptance") == "['curvelab.acceptance']"
 
 
 def test_flows_and_verify_load_no_scipy(tmp_path):
@@ -89,7 +96,7 @@ profile = SpeedProfile.power_exp_pinned(2, 1.0)
 assert run_flow(r0, profile, FlowConfig(kind="radial", t_end=0.01)).rows
 assert cli.main(["verify", "--config", {str(config)!r}, "--out", {str(tmp_path / "out")!r}]) == 0
 """
-    assert loaded_scipy_modules(probe) == "[]"
+    assert loaded_modules(probe) == "[]"
 
 
 def test_tabulated_profiles_and_ac11_load_no_scipy():
@@ -104,4 +111,4 @@ profile = SpeedProfile.tabulated(x, np.exp(x))
 assert all(np.isfinite(d(x + 0.01)).all() for d in (profile.f, profile.df, profile.d2f))
 assert acceptance.ac11().passed
 """
-    assert loaded_scipy_modules(probe) == "[]"
+    assert loaded_modules(probe) == "[]"

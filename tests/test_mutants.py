@@ -1,6 +1,6 @@
 """Mutants of the shared curvature algebra, the grid's weights and stencils, the radial
-curvature pair, the flow speeds, step sizes and extrapolated step and the flows'
-monitors, each caught by a named test or acceptance criterion.
+curvature pair, the spheroid oracle, the flow speeds, step sizes and extrapolated step and
+the flows' monitors, each caught by a named test or acceptance criterion.
 
 A mutant replaces one function by a one-line variant, or one constant (a
 monkeypatch in every curvelab module that holds the name), and calls the
@@ -23,20 +23,23 @@ import test_flows
 import test_geometry
 import test_sphere_grid
 import test_symfunc
-from curvelab import SphericalGrid, acceptance, flows, functionals, geometry, sphere_grid, symfunc
+from curvelab import (
+    SphericalGrid, acceptance, flows, functionals, geometry, profiles, shapes, sphere_grid, symfunc,
+)
 from curvelab.sphere_grid import sphere_area
 from curvelab.symfunc import _sigmas
 
 
 def mutate(monkeypatch, name, replacement):
-    """Replace ``name`` in symfunc, geometry, functionals, flows and acceptance, wherever the module holds it.
+    """Replace ``name`` in symfunc, geometry, functionals, profiles, flows and acceptance, wherever
+    the module holds it.
 
     The mutant also gets an empty one-vector memo of its own, so it is never
     served an entry computed before its patch, and the unmutated memo, put
     back with the patch, never holds an entry computed under it.
     """
     monkeypatch.setattr(symfunc, "_MEMO", {})
-    for module in (symfunc, geometry, functionals, flows, acceptance):
+    for module in (symfunc, geometry, functionals, profiles, flows, acceptance):
         if hasattr(module, name):
             monkeypatch.setattr(module, name, replacement)
 
@@ -270,6 +273,34 @@ def test_range_band_widened_to_1e_3_is_caught(monkeypatch):
     monkeypatch.setattr(test_flows, "run_flow", namespace["run_flow"])
     with pytest.raises(AssertionError):
         test_flows.test_a_step_past_1e_6_of_the_range_is_one_range_breach(monkeypatch, 1e-5, 1)
+
+
+def test_range_breach_size_with_plus_rmin_is_caught(monkeypatch):
+    # census survivor: a low-side range breach's size range_band[0] - rmin turned to
+    # range_band[0] + rmin, a one-line edit of run_flow's source; the size reads about 2
+    # where the state lies 9e-6 below the band
+    namespace = {}
+    exec(inspect.getsource(flows.run_flow).replace("range_band[0] - rmin", "range_band[0] + rmin"),
+         vars(flows), namespace)
+    monkeypatch.setattr(flows, "run_flow", namespace["run_flow"])
+    monkeypatch.setattr(test_flows, "run_flow", namespace["run_flow"])
+    with pytest.raises(AssertionError):
+        test_flows.test_a_step_past_1e_6_of_the_range_is_one_range_breach(monkeypatch, -1e-5, 1)
+
+
+@pytest.mark.parametrize("before, after", [
+    ("np.sin(theta) ** 2 / b_equator**2", "np.sin(theta) ** 2 * b_equator**2"),
+    ("r * np.sin(theta) / b_equator", "r * np.sin(theta) * b_equator"),
+])
+def test_radial_spheroid_oracle_times_b_is_caught(monkeypatch, before, after):
+    # census survivors: / b_equator turned to * b_equator in spheroid_curvatures_radial's
+    # source; the two agree at b = 1, where every other caller of the oracle evaluates it
+    namespace = dict(vars(shapes))
+    exec(inspect.getsource(shapes.spheroid_curvatures_radial).replace(before, after), namespace)
+    monkeypatch.setattr(shapes, "spheroid_curvatures_radial", namespace["spheroid_curvatures_radial"])
+    monkeypatch.setattr(test_geometry, "spheroid_curvatures_radial", namespace["spheroid_curvatures_radial"])
+    with pytest.raises(AssertionError):
+        test_geometry.test_spheroid_curvatures_off_b_1_converge_at_second_order("radial", 1.25, 0.9)
 
 
 def test_axisym_kappa2_with_half_its_cot_term_is_caught(monkeypatch):
