@@ -13,22 +13,24 @@ toward the flat-patch limit (|B^n| / |S^n|)^(1/n) - 1 = -1/2 (n = 2), the
 bound Brendle proved for every positive f, which the last block demonstrates
 on an exact sphere.
 
-The k-th mean curvature variant ships two constant calibrations; the default
-"sphere-calibrated" mode fixes the constant on the unit sphere, after which
-the deficit is equivalent to the quermassintegral inequality
-V_{k+1}^(n+1-k) >= |S^n| V_k^(n-k), sharp on balls.
+The k-th mean curvature variant fixes its constant on the unit sphere and
+normalises the density at the comparison radius R, so that f(R) = R^-(n-k);
+with constant f the deficit is then equivalent to the quermassintegral
+inequality V_{k+1}^(n+1-k) >= |S^n| V_k^(n-k), sharp on balls.
 """
 
 import numpy as np
 
 from curvelab import (
+    SpeedProfile,
     SphericalGrid,
     michael_simon_deficit_H,
     michael_simon_deficit_k,
     radial_geometry,
     sphericity,
+    support_geometry,
 )
-from curvelab.shapes import sphere_radial
+from curvelab.shapes import random_convex_support, sphere_radial
 
 # equality case: spheres with constant density
 grid = SphericalGrid.full_s2(64, 128)
@@ -63,10 +65,15 @@ for s in (1, 16, 256):
     print("  s = %4d: relative deficit %+.4f" % (s, rep.rel_deficit))
 print("  (tends toward -1/2: only the flat-patch constant is universal)")
 
-# k-th curvature deficit, both calibrations
-print("\nk = 2, n = 3 deficit on the unit sphere, f = 1:")
+# k-th curvature deficit: the unit sphere, then a convex body under f = h
+print("\nk = 2, n = 3 deficits:")
 g3 = SphericalGrid.axisym(3, 96)
-geo3 = radial_geometry(sphere_radial(g3, 1.0))
-for mode in ("sphere-calibrated", "paper-literal"):
-    rep = michael_simon_deficit_k(geo3, 1.0, k=2, calibration=mode)
-    print("  %-17s deficit = %+.3e (relative %+.3e)" % (mode + ":", rep.deficit, rep.rel_deficit))
+rep = michael_simon_deficit_k(radial_geometry(sphere_radial(g3, 1.0)), 1.0, k=2)
+print("  unit sphere, f = 1:    deficit = %+.3e (relative %+.3e)" % (rep.deficit, rep.rel_deficit))
+h = random_convex_support(g3, np.random.default_rng(3), amp=0.1)
+geo3 = support_geometry(h)
+density = SpeedProfile.power(1.0)
+grad_f = tuple(density.df(h.values) * g for g in geo3.grad)
+rep = michael_simon_deficit_k(geo3, density.f(h.values), grad_f, k=2, f_of_R=density.f)
+print("  convex body, f = h:    deficit = %+.3e (relative %+.3e)" % (rep.deficit, rep.rel_deficit))
+print("  (f is scaled by R^-(n-k) / f(R) first, so every centred sphere is an equality case)")

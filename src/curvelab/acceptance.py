@@ -442,11 +442,18 @@ def ac7_profile_density():
 
 
 def ac8():
+    """The matched constant density, and f = h normalised at the comparison radius."""
     c = CriterionResult("AC-8 k-deficit fuzz (k=2, n=3)")
     n, k = 3, 2
     grid = SphericalGrid.axisym(n, 192)
     rng = np.random.default_rng(SEED_AC8)
-    worst = np.inf
+    profile = SpeedProfile.power(1.0)
+
+    def rel_deficit_f_h(field, geom):
+        grad_f = tuple(profile.df(field.values) * g for g in geom.grad)
+        return michael_simon_deficit_k(geom, profile.f(field.values), grad_f, k=k, f_of_R=profile.f).rel_deficit
+
+    worst = worst_f_h = np.inf
     margins = []
     for _ in range(50):
         amp = 0.35 * float(rng.uniform(0.1, 1.0)) ** 2
@@ -454,12 +461,17 @@ def ac8():
         geom = support_geometry(field)
         rep = michael_simon_deficit_k(geom, k=k)  # the matched density R^-(n-k)
         worst = min(worst, rep.rel_deficit)
+        worst_f_h = min(worst_f_h, rel_deficit_f_h(field, geom))
         margins.append(static_convexity(geom).margin)
     c.check("deficits bounded below", worst, ">=", -1e-3,
             f"min relative deficit over 50 convex bodies (static margins in [{min(margins):.2f}, "
             f"{max(margins):.2f}]; strictly positive margins exist only for round spheres)")
     rep = michael_simon_deficit_k(radial_geometry(sphere_radial(grid, 1.0)), 1.0, k=k)
     c.check("unit sphere idempotence", abs(rep.deficit), "<", 1e-10, "|deficit|")
+    c.check("deficits bounded below, f = h", worst_f_h, ">=", -1e-3, "min relative deficit over the 50 bodies")
+    spheres = (sphere_support(grid, r) for r in (0.8, 1.0, 1.3))
+    equality = max(abs(rel_deficit_f_h(field, support_geometry(field))) for field in spheres)
+    c.check("equality on centred spheres, f = h", equality, "<", 1e-10, "max |relative deficit| for R = 0.8, 1, 1.3")
     return c
 
 

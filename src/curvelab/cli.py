@@ -35,11 +35,7 @@ import numpy as np
 from ._artifacts import overwrite, write_csv
 from .errors import ConfigError, CurveLabError, StepCollapse
 from .flows import FlowConfig, estimate_decay_rate, run_flow
-from .functionals import (
-    CALIBRATIONS,
-    michael_simon_deficit_H,
-    michael_simon_deficit_k,
-)
+from .functionals import michael_simon_deficit_H, michael_simon_deficit_k
 from .geometry import radial_geometry, sphericity, support_geometry
 from .profiles import SpeedProfile
 from .shapes import (
@@ -229,14 +225,14 @@ _MAX_SAMPLES = 10**6
 
 VERIFY_COLUMNS = [
     "sample_id", "n", "k", "sphericity", "f_variation",
-    "lhs", "rhs", "deficit", "mode", "status",
+    "lhs", "rhs", "deficit", "status",
 ]
 
 
-def _verify_sample(index, grid, seed, k, calibration, profile, parametrization, functional, amp_max):
+def _verify_sample(index, grid, seed, k, profile, parametrization, functional, amp_max):
     """One row of verify.csv; a sample that raises keeps NaN in the columns it did not reach."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-    row = {"sample_id": index, "n": grid.n, "k": k, "mode": calibration, "status": "ok",
+    row = {"sample_id": index, "n": grid.n, "k": k, "status": "ok",
            **dict.fromkeys(("sphericity", "f_variation", "lhs", "rhs", "deficit", "rel_deficit"), math.nan)}
     radial = parametrization == "radial"
     try:
@@ -254,9 +250,7 @@ def _verify_sample(index, grid, seed, k, calibration, profile, parametrization, 
         if functional == "H":
             rep = michael_simon_deficit_H(geom, f, grad_f)
         else:
-            rep = michael_simon_deficit_k(geom, f, grad_f, k=k,
-                                          calibration=calibration,
-                                          f_of_R=profile.f if profile is not None else None)
+            rep = michael_simon_deficit_k(geom, f, grad_f, k=k, f_of_R=profile.f if profile is not None else None)
         if f is not None:  # after the deficit, which rejects a non-finite density
             row["f_variation"] = float((f.max() - f.min()) / f.mean())
         row.update(lhs=rep.lhs, rhs=rep.rhs, deficit=rep.deficit,
@@ -266,8 +260,8 @@ def _verify_sample(index, grid, seed, k, calibration, profile, parametrization, 
     return row
 
 
-def _verify_inputs(seed, samples, grid, k=1, calibration="sphere-calibrated", parametrization="radial",
-                   functional=None, amplitude=0.3, profile=None):
+def _verify_inputs(seed, samples, grid, k=1, parametrization="radial", functional=None, amplitude=0.3,
+                   profile=None):
     """A verify config's top level, as keywords: the sample count and what every sample shares."""
     if not (_is_int(samples) and 1 <= samples <= _MAX_SAMPLES):
         raise ConfigError("samples", f"samples must be an integer in 1..{_MAX_SAMPLES}, got {samples!r}")
@@ -275,14 +269,13 @@ def _verify_inputs(seed, samples, grid, k=1, calibration="sphere-calibrated", pa
     if not (_is_int(k) and 1 <= k <= grid.n - 1):
         raise ConfigError("k", f"verify needs an integer 1 <= k <= n - 1 = {grid.n - 1}, got {k!r}")
     functional = ("H" if k == 1 else "k") if functional is None else functional
-    for field, value, allowed in (("calibration", calibration, CALIBRATIONS),
-                                  ("parametrization", parametrization, ("radial", "support")),
+    for field, value, allowed in (("parametrization", parametrization, ("radial", "support")),
                                   ("functional", functional, ("H", "k") if k == 1 else ("k",))):
         if value not in allowed:
             raise ConfigError(field, f"unknown {field} {value!r}; expected one of {allowed}")
     if isinstance(amplitude, bool) or not (isinstance(amplitude, (int, float)) and 0 < amplitude < math.inf):
         raise ConfigError("amplitude", f"amplitude must be a positive finite number, got {amplitude!r}")
-    return samples, (grid, seed, k, calibration, build_profile(profile), parametrization, functional, amplitude)
+    return samples, (grid, seed, k, build_profile(profile), parametrization, functional, amplitude)
 
 
 def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
@@ -290,7 +283,7 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int) -> int:
     rows = [_verify_sample(i, *shared) for i in range(samples)]
 
     write_csv(out_dir / "verify.csv", VERIFY_COLUMNS, (
-        [row[c] if c in ("sample_id", "n", "k", "mode", "status") else float(row[c]) for c in VERIFY_COLUMNS]
+        [row[c] if c in ("sample_id", "n", "k", "status") else float(row[c]) for c in VERIFY_COLUMNS]
         for row in rows))
     good = [r for r in rows if r["status"] == "ok"]
     summary = {

@@ -29,16 +29,16 @@ elementary symmetric function of the principal curvatures, and p = (n+1-k)/(n-k)
     lhs = int_M sqrt(sigma_k^2 f^2 + sigma_{k-1}^2 |grad^M f|^2) dmu
     rhs = C * n * (B * f(R)^p * z_k(R))^(1/(n+1-k)) * (int_M sigma_{k-1} f^p dmu)^((n-k)/(n+1-k))
 
-where R solves z_{k-1}(R) = V_{k-1}(Omega) and z_j(R) = |S^n| R^(n+1-j).
-Two calibration modes are exposed because the printed binomial prefactors of
-the source inequality are mutually inconsistent for k >= 2:
-
-* "paper-literal": B = C(n, k), C = 1 (reproduces the printed constant);
-* "sphere-calibrated" (default): B = C(n, k-1) and C = C(n, k) / (n C(n, k-1)),
-  so the deficit vanishes identically on every sphere paired with its matched
-  constant f = R^-(n-k).  In that mode the deficit inequality is equivalent
-  to the classical quermassintegral inequality V_{k+1}^(n+1-k) >= |S^n|
-  V_k^(n-k), sharp on balls.
+where R solves z_{k-1}(R) = V_{k-1}(Omega), z_j(R) = |S^n| R^(n+1-j), B = C(n, k-1)
+and C = C(n, k) / (n C(n, k-1)), so that the unit sphere with f = 1 is an
+equality case.  The density is normalised at R: f and grad f are scaled by
+s = R^-(n-k) / f(R) first, which makes f(R) the matched constant R^-(n-k).
+So every centred sphere is an equality case under a constant density, as
+under a profile of h or r (constant there), the relative deficit does not
+change when f is scaled, and at k = 1 it is the mean-curvature deficit's.
+For constant f the inequality is equivalent to the classical
+quermassintegral inequality V_{k+1}^(n+1-k) >= |S^n| V_k^(n-k), sharp on
+balls.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class DeficitReport:
     """Two sides of a sharp inequality plus their gap.
 
     A negative deficit is recorded as data (violation evidence), never an
-    error; ``mode`` stamps which constant calibration produced the rhs.
+    error.
     """
 
     lhs: float
@@ -88,7 +88,6 @@ class DeficitReport:
     deficit: float
     rel_deficit: float
     k: int
-    mode: str
 
 
 def quermassintegrals(geom: CurvatureField) -> np.ndarray:
@@ -152,55 +151,43 @@ def michael_simon_deficit_H(geom: CurvatureField, f=None, grad_f=None) -> Defici
     lhs = float(np.sum(geom.area_weights * np.sqrt(integrand)))
     rhs = n * sphere_area(n) ** (1.0 / n) * quantity ** ((n - 1.0) / n)
     deficit = lhs - rhs
-    return DeficitReport(lhs, rhs, deficit, deficit / abs(rhs), 1, "mean-curvature")
+    return DeficitReport(lhs, rhs, deficit, deficit / abs(rhs), 1)
 
 
-# the constant calibrations of michael_simon_deficit_k (module docstring)
-CALIBRATIONS = ("sphere-calibrated", "paper-literal")
-
-
-def michael_simon_deficit_k(
-    geom: CurvatureField,
-    f=None,
-    grad_f=None,
-    k: int = 1,
-    calibration: str = "sphere-calibrated",
-    f_of_R=None,
-) -> DeficitReport:
+def michael_simon_deficit_k(geom: CurvatureField, f=None, grad_f=None, k: int = 1, f_of_R=None) -> DeficitReport:
     """Sharp k-th mean curvature deficit (1 <= k <= n-1) on a closed hypersurface.
 
-    No ``f`` means the matched constant density R^-(n-k), R the comparison
-    radius.  ``f_of_R`` gives f(R) as a callable of R; it defaults to the
-    constant value of f and must be given for non-constant densities.
+    f and grad_f are normalised at the comparison radius R (module
+    docstring), so no ``f`` and every constant f give the matched constant
+    density R^-(n-k).  ``f_of_R`` gives f(R) as a callable of R; it defaults
+    to the constant value of f and must be given for non-constant densities.
     """
     n = geom.n
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n - 1")
-    if calibration not in CALIBRATIONS:
-        raise ValueError(f"unknown calibration mode {calibration!r}")
     radius = ball_quermass_inverse(k - 1, float(quermassintegrals(geom)[k - 1]), n)
-    f = _density_values(geom, radius ** (k - n) if f is None else f)
+    f_r = radius ** (k - n)
+    f = _density_values(geom, f_r if f is None else f)
+    if f_of_R is None and float(f.max() - f.min()) > 1e-12 * (1.0 + float(f.max())):
+        raise ValueError("f_of_R must be supplied for non-constant densities")
+    f_at_r = float(f.flat[0] if f_of_R is None else f_of_R(radius))
+    if not 0.0 < f_at_r < math.inf:
+        raise NonpositiveDensity(f"density at the comparison radius must be positive and finite, got {f_at_r:.6g}")
+    scale = f_r / f_at_r  # exactly 1.0 without f
+    f = scale * f
 
     sig = geom.sigma
     require_cone(sig, float(np.maximum(np.abs(geom.kappa1).max(), np.abs(geom.kappa2).max())), k)
 
     sk, skm1 = sig[k], sig[k - 1]
-    tgs = 0.0 if grad_f is None else geom.tangential_grad_sq(grad_f)  # constant f: grad f = 0
+    tgs = 0.0 if grad_f is None else scale**2 * geom.tangential_grad_sq(grad_f)  # constant f: grad f = 0
     lhs = float(np.sum(geom.area_weights * np.sqrt(sk**2 * f**2 + skm1**2 * tgs)))
 
     p = (n + 1.0 - k) / (n - k)
     mk = _mk_integral(geom, f, k)
-    if f_of_R is None and float(f.max() - f.min()) > 1e-12 * (1.0 + float(f.max())):
-        raise ValueError("f_of_R must be supplied for non-constant densities")
-    f_r = float(f.flat[0] if f_of_R is None else f_of_R(radius))
-
-    if calibration == "paper-literal":
-        b_coef = math.comb(n, k)
-        cal = 1.0
-    else:
-        # the unit sphere, f = 1, has lhs C(n, k) |S^n| and rhs C n C(n, k-1) |S^n|
-        b_coef = math.comb(n, k - 1)
-        cal = math.comb(n, k) / (n * math.comb(n, k - 1))
+    # the unit sphere, f = 1, has lhs C(n, k) |S^n| and rhs C n C(n, k-1) |S^n|
+    b_coef = math.comb(n, k - 1)
+    cal = math.comb(n, k) / (n * math.comb(n, k - 1))
     zk = ball_quermass(k, radius, n)
     rhs = cal * (
         n
@@ -208,7 +195,7 @@ def michael_simon_deficit_k(
         * mk ** ((n - k) / (n + 1.0 - k))
     )
     deficit = lhs - rhs
-    return DeficitReport(lhs, rhs, deficit, deficit / abs(rhs), k, calibration)
+    return DeficitReport(lhs, rhs, deficit, deficit / abs(rhs), k)
 
 
 def monotone_quantities(geom: CurvatureField, f, k: int):

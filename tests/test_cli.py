@@ -258,7 +258,7 @@ def test_verify_suite(tmp_path):
     with open(tmp_path / "v/verify.csv") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["sample_id", "n", "k", "sphericity", "f_variation",
-                       "lhs", "rhs", "deficit", "mode", "status"]
+                       "lhs", "rhs", "deficit", "status"]
     assert len(rows) == 9
     summary = json.loads((tmp_path / "v/summary.json").read_text())
     assert summary["evaluated"] + summary["flagged"] == 8
@@ -301,8 +301,9 @@ def test_verify_functional_defaults_to_H_at_k_1_and_k_above(tmp_path, k, functio
     ({"kind": "affine-power", "a": 1.0, "b": 0.5, "n": 3, "k": 2}, SpeedProfile.affine_power(1.0, 0.5, 3, 2)),
 ], ids=["power", "affine-power"])
 def test_verify_support_bodies_under_a_profile_at_k2(tmp_path, profile_cfg, profile):
-    # the k-deficit of convex bodies under a non-constant density f(h), whose
-    # value at the comparison radius R the suite takes from the profile
+    # the k-deficit of convex bodies under a non-constant density f(h), normalised at the
+    # comparison radius R by its value there, which the suite takes from the profile;
+    # unnormalised, the rows' minima read -5.8e-3 (power) and -0.188 (affine-power)
     cfg = {"samples": 3, "k": 2, "functional": "k", "parametrization": "support", "amplitude": 0.2,
            "grid": {"mode": "axisym", "n": 3, "n_theta": 48}, "profile": profile_cfg, "seed": 4}
     path = write_config(tmp_path, "verify.json", cfg)
@@ -311,6 +312,7 @@ def test_verify_support_bodies_under_a_profile_at_k2(tmp_path, profile_cfg, prof
         rows = list(csv.DictReader(handle))
     assert [row["status"] for row in rows] == ["ok"] * 3
     assert all(float(row["f_variation"]) > 0.0 for row in rows)
+    assert all(float(row["deficit"]) >= 0.0 for row in rows)
     # sample 0 drawn and evaluated again through the library
     grid = SphericalGrid.axisym(3, 48)
     rng = np.random.default_rng(np.random.SeedSequence([4, 0]))
@@ -748,7 +750,10 @@ def test_malformed_config_exit_64(tmp_path, capsys, command, base, change):
     # or on until it is stopped
     path = write_config(tmp_path, "cfg.json", dict(base, **change))
     assert _main_within([command, "--config", path, "--out", str(tmp_path / "out")], 5.0) == 64
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    if "calibration" in change:  # verify takes no calibration key
+        assert "unexpected keyword argument 'calibration'" in err
 
 
 @pytest.mark.parametrize("change, where, key", [
@@ -876,7 +881,7 @@ CONFIGS = Path(__file__).parent.parent / "configs"
 PINNED = [
     ("flow", "radial_pinned", "trace.csv", "da90674bb2ccf5c09e09c91de4b95961c188b1bfda22352dbb98251a181edc7a"),
     ("flow", "support_k2", "trace.csv", "78e7d86ab2e5f236955fe70611ec6c4a69c4a922a3395c4e8cdd5ce8df4bb4f5"),
-    ("verify", "verify_k1", "verify.csv", "4c28a49e354078896e3e38cf75f7ac70bdf9369f35a6178f02c00115bbb7a902"),
+    ("verify", "verify_k1", "verify.csv", "fa6389041c66e46aac73b6865e2bbcbba52dcc2f9997d9d5351e958b57d483cb"),
 ]
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from curvelab import (
     ScalarField,
+    SpeedProfile,
     SphericalGrid,
     ball_quermass,
     ball_quermass_inverse,
@@ -164,14 +165,11 @@ def test_deficit_H_with_gradient_term():
     assert rep.deficit > -1e-3 * rep.rhs
 
 
-@pytest.mark.parametrize("k, calibration, message", [
-    (0, "sphere-calibrated", "need 1 <= k <= n - 1"), (2, "sphere-calibrated", "need 1 <= k <= n - 1"),
-    (1, "bogus", "unknown calibration mode"),
-], ids=["k-0", "k-n", "calibration-unknown"])
-def test_deficit_k_rejects_a_k_out_of_range_and_an_unknown_calibration(k, calibration, message):
+@pytest.mark.parametrize("k", [0, 2], ids=["k-0", "k-n"])
+def test_deficit_k_rejects_a_k_out_of_range(k):
     geom = radial_geometry(sphere_radial(SphericalGrid.axisym(2, 16), 1.0))
-    with pytest.raises(ValueError, match=message):
-        michael_simon_deficit_k(geom, k=k, calibration=calibration)
+    with pytest.raises(ValueError, match="need 1 <= k <= n - 1"):
+        michael_simon_deficit_k(geom, k=k)
 
 
 def test_deficit_H_rejects_nonpositive_density():
@@ -219,13 +217,14 @@ def test_deficit_k_unit_sphere_idempotent():
 
 
 def test_deficit_k_matched_family_all_radii():
-    # f = R^-(n-k) keeps the deficit at zero for every radius
+    # every constant f is normalised to the matched R^-(n-k), which keeps the deficit at zero
+    # for every radius; unnormalised, f = 0.5, 1 and 1.5 read +1, 0 and -1/3 on the unit sphere
     n, k = 3, 2
+    grid = SphericalGrid.axisym(n, 48)
     for radius in (0.5, 1.0, 2.0):
-        grid = SphericalGrid.axisym(n, 48)
         geom = radial_geometry(sphere_radial(grid, radius))
-        rep = michael_simon_deficit_k(geom, radius ** (-(n - k)), k=k)
-        assert abs(rep.rel_deficit) < 1e-10
+        for f in (radius ** (-(n - k)), 0.5, 1.0, 1.5):
+            assert abs(michael_simon_deficit_k(geom, f, k=k).rel_deficit) < 1e-10, (radius, f)
 
 
 def test_deficits_without_a_density_take_their_matched_constant():
@@ -236,24 +235,10 @@ def test_deficits_without_a_density_take_their_matched_constant():
         assert michael_simon_deficit_H(geom) == michael_simon_deficit_H(geom, 1.0)
         for k in range(1, n):
             radius = ball_quermass_inverse(k - 1, float(quermassintegrals(geom)[k - 1]), n)
-            for mode in ("sphere-calibrated", "paper-literal"):
-                matched = michael_simon_deficit_k(geom, radius ** (k - n), k=k, calibration=mode)
-                assert michael_simon_deficit_k(geom, k=k, calibration=mode) == matched, (n, k, mode)
+            assert michael_simon_deficit_k(geom, k=k) == michael_simon_deficit_k(geom, radius ** (k - n), k=k), (n, k)
         for radius in (0.5, 2.0):  # the sphere equality case at every radius
             sphere = radial_geometry(sphere_radial(grid, radius))
             assert all(abs(michael_simon_deficit_k(sphere, k=k).rel_deficit) < 1e-10 for k in range(1, n))
-
-
-def test_deficit_k_paper_literal_mode_differs():
-    n, k = 3, 2
-    grid = SphericalGrid.axisym(n, 48)
-    geom = radial_geometry(sphere_radial(grid, 1.0))
-    lit = michael_simon_deficit_k(geom, 1.0, k=k, calibration="paper-literal")
-    cal = michael_simon_deficit_k(geom, 1.0, k=k)
-    assert lit.mode == "paper-literal"
-    # the printed binomial prefactor overshoots the sphere equality case
-    assert lit.deficit < 0
-    assert abs(cal.deficit) < 1e-10 * cal.rhs
 
 
 def test_deficit_k_positive_off_sphere():
@@ -284,6 +269,43 @@ def test_deficit_k_requires_f_of_R_for_varying_density():
     rep = michael_simon_deficit_k(geom, f, k=2, f_of_R=lambda radius: radii.append(radius) or 1.05)
     assert np.isfinite(rep.deficit)
     assert radii == [pytest.approx(1.0, rel=1e-3)]  # called once, at the comparison radius
+    for f_at_r in (0.0, -1.0, math.nan, math.inf):  # 0.0 divided by zero in the normalisation
+        with pytest.raises(NonpositiveDensity, match="at the comparison radius"):
+            michael_simon_deficit_k(geom, f, k=2, f_of_R=lambda radius: f_at_r)
+
+
+def _profile_density(profile, field, geom):
+    return profile.f(field.values), tuple(profile.df(field.values) * g for g in geom.grad)
+
+
+@pytest.mark.parametrize("grid", [SphericalGrid.full_s2(32, 64), SphericalGrid.axisym(3, 64)],
+                         ids=lambda g: f"{g.mode}-{g.n}")
+def test_deficit_k_at_k_1_is_the_mean_curvature_deficit(grid):
+    # for a non-constant f the normalised k = 1 rhs is n |S^n|^(1/n) Q^((n-1)/n), the H
+    # deficit's; read at R unnormalised, the two differed by up to 2e-2
+    profile = SpeedProfile.affine_power(1.0, 0.5, grid.n, 1)
+    for seed in range(3):
+        field = random_starshaped(grid, np.random.default_rng(seed), amp=0.03)  # H > 0
+        geom = radial_geometry(field)
+        f, grad_f = _profile_density(profile, field, geom)
+        rel_k = michael_simon_deficit_k(geom, f, grad_f, k=1, f_of_R=profile.f).rel_deficit
+        rel_h = michael_simon_deficit_H(geom, f, grad_f).rel_deficit
+        assert abs(rel_k - rel_h) < 1e-12, (seed, rel_k, rel_h)
+
+
+_SUPPORT_BODY = random_convex_support(SphericalGrid.axisym(3, 48), np.random.default_rng(7), amp=0.1)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(scale=st.floats(1e-3, 1e3))
+def test_deficit_k_relative_value_does_not_change_when_f_is_scaled(scale):
+    profile = SpeedProfile.power(0.5)
+    geom = support_geometry(_SUPPORT_BODY)
+    f, grad_f = _profile_density(profile, _SUPPORT_BODY, geom)
+    base = michael_simon_deficit_k(geom, f, grad_f, k=2, f_of_R=profile.f)
+    scaled = michael_simon_deficit_k(geom, scale * f, tuple(scale * g for g in grad_f), k=2,
+                                     f_of_R=lambda radius: scale * profile.f(radius))
+    assert abs(scaled.rel_deficit - base.rel_deficit) < 1e-13, (scaled.rel_deficit, base.rel_deficit)
 
 
 # -- monotone quantities -------------------------------------------------------------

@@ -182,6 +182,17 @@ def test_deficit_h_without_its_gradient_term_is_caught(monkeypatch):
         test_acceptance.test_ac7_deficit_fuzz_pinned_profile_literal()
 
 
+def test_deficit_k_with_its_gradient_term_sign_flipped_is_caught(monkeypatch):
+    # census survivor: + skm1**2 * tgs turned to - in michael_simon_deficit_k's lhs; only
+    # AC-8's f = h half has a density gradient, and its minimum reads -5.1e-3 under the mutant
+    namespace = dict(vars(functionals))
+    exec(inspect.getsource(functionals.michael_simon_deficit_k).replace("+ skm1**2 * tgs", "- skm1**2 * tgs"),
+         namespace)
+    mutate(monkeypatch, "michael_simon_deficit_k", namespace["michael_simon_deficit_k"])
+    failed = [line.label for line in acceptance.ac8().lines if not line.passed]
+    assert failed == ["deficits bounded below, f = h"]
+
+
 def test_radial_c_max_without_the_second_r_is_caught(monkeypatch, tmp_path):
     # M3: c_max = max f / r in place of max f / r^2 sizes the steps alone,
     # so only the pinned radial trace sees it
